@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,157 @@ from reggefem.action import euclidean_lengths, metric_dihedral_angles, \
     tet_metrics_from_lengths
 
 TAU = 2.0 * np.pi
+
+# First 16 hex digits of the SHA-256 of every attribute of build_torus_mesh
+# (see _fingerprint), recorded from the per-simplex reference builder.
+GOLDEN_GRIDS = {
+    "2x2x2": ((2, 2, 2), (TAU, TAU, TAU)),
+    "3x3x3": ((3, 3, 3), (TAU, TAU, TAU)),
+    "3x2x2": ((3, 2, 2), (TAU, 3.0, 5.0)),
+    "4x5x6": ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+}
+GOLDEN = {
+    "2x2x2": {
+        "cell": "2dfbd19cb1692e08",
+        "edge_dir": "8c7e45d6fba4806d",
+        "edge_face_loc": "86f61d0913afab53",
+        "edge_faces": "a778daf2d5ab9d39",
+        "edge_head": "1edd28297ac1c89d",
+        "edge_length": "13902fb889af30a5",
+        "edge_star(flip=False)": "94998c6fca69e52f",
+        "edge_star(flip=True)": "ba99aac0e47f0d52",
+        "edge_tail": "d8bcc87c019bd407",
+        "edge_tail_lattice": "7fbf66d2e94e52d1",
+        "edge_tangent": "c6e713c19c0529f7",
+        "edge_tets": "a12e22f956c3f87a",
+        "edge_vec": "a4264678cb79d4a4",
+        "face_coords": "181915659be90b75",
+        "face_edges": "0628b4fbbe0305cb",
+        "face_lattice": "93686f26c2c9542e",
+        "face_m": "dfa9fc0aaae68786",
+        "face_n": "8c80f6c91d37c108",
+        "face_normal": "e5ef12912a5ceea4",
+        "face_side": "fbb5111ed68b1716",
+        "face_tets": "7a5c17d363b3173e",
+        "face_vids": "11c850eee3bbf850",
+        "geometry": "57c83e798efe21a7",
+        "grid": "c8ead7daa57273e9",
+        "tet_coords": "5f28c95427921473",
+        "tet_edges": "617a6c345767d483",
+        "tet_grad": "96ec7a40f37f39a2",
+        "tet_lattice": "b6464e18cbde5972",
+        "tet_rho": "ab9ae03b16e936ec",
+        "tet_vids": "8042a4ecd40a2c60",
+        "tet_volume": "d819b65805ffeb86",
+        "vertex_lattice": "248588f8b7726385",
+        "vertex_pos": "f5a9bb3d9b9baf03",
+    },
+    "3x2x2": {
+        "cell": "d63e25afa38928b1",
+        "edge_dir": "a05dbedb1723b803",
+        "edge_face_loc": "ec8ceefe0f3726e4",
+        "edge_faces": "b8b7d4a27bb889ae",
+        "edge_head": "8132b59725eaf05b",
+        "edge_length": "d21f55f609f7d93a",
+        "edge_star(flip=False)": "69d1e113f8baeef6",
+        "edge_star(flip=True)": "b23fa5e2cd31438f",
+        "edge_tail": "d8ee7f6e80752e48",
+        "edge_tail_lattice": "44619db75ccaa349",
+        "edge_tangent": "9a48f0929cf2470b",
+        "edge_tets": "83d021cf3aad6dd0",
+        "edge_vec": "be4bf4ac189bb34e",
+        "face_coords": "01c8f03c6fe5193c",
+        "face_edges": "4d7d975e85733994",
+        "face_lattice": "c9a9552e8935dfad",
+        "face_m": "be0955218a523307",
+        "face_n": "3741998daa480e12",
+        "face_normal": "97d8078fcb8fe3db",
+        "face_side": "1e56e62a24bc5afa",
+        "face_tets": "0d1a4b057f2aa6a1",
+        "face_vids": "86eea33b53e194aa",
+        "geometry": "bfdc9a84a69b69fc",
+        "grid": "2de320b5c8879a43",
+        "tet_coords": "acc59709fc396014",
+        "tet_edges": "acfae813c6db1ab1",
+        "tet_grad": "f9e5650978cbe4b0",
+        "tet_lattice": "dbc44866be04c7b7",
+        "tet_rho": "09bee9d840760def",
+        "tet_vids": "484e0fa603bbec23",
+        "tet_volume": "0acdb376c8c02897",
+        "vertex_lattice": "3394c8a51e4e2b6e",
+        "vertex_pos": "bf417313231d1b24",
+    },
+    "3x3x3": {
+        "cell": "8e21d587fa973311",
+        "edge_dir": "342c9b662e283130",
+        "edge_face_loc": "dbeea5a37f6e4fee",
+        "edge_faces": "9537bb86c9f73d34",
+        "edge_head": "71804ea9ae9aa13c",
+        "edge_length": "cdc60b1bf09b9952",
+        "edge_star(flip=False)": "33c0d3da08dcce69",
+        "edge_star(flip=True)": "487b5f0b842bda58",
+        "edge_tail": "1acbd474e8fb2c85",
+        "edge_tail_lattice": "db12d457ba029fa5",
+        "edge_tangent": "0cf221b05d296de1",
+        "edge_tets": "d49b17b9fe45816c",
+        "edge_vec": "fbcb7df7907edb03",
+        "face_coords": "b7fa5ea04e3b56a2",
+        "face_edges": "e4fa84ec1812b23c",
+        "face_lattice": "166bd3742af5fff1",
+        "face_m": "158cc6c359b6a59a",
+        "face_n": "3d0ac653dc17aac5",
+        "face_normal": "440d9f085e0a179c",
+        "face_side": "56bb5e21ebc77e1d",
+        "face_tets": "bef102a5707dc411",
+        "face_vids": "cbe142fed59ac33a",
+        "geometry": "57c83e798efe21a7",
+        "grid": "ebf16796deae7672",
+        "tet_coords": "7ffdf6be526bda19",
+        "tet_edges": "59d4d3f424ac47a7",
+        "tet_grad": "3dd73e189cc4ae27",
+        "tet_lattice": "c213a12fe5dd2e81",
+        "tet_rho": "af039d98428a3704",
+        "tet_vids": "865996684e3f6b4a",
+        "tet_volume": "22be52dea9bdd146",
+        "vertex_lattice": "6d4eda24f4fe4459",
+        "vertex_pos": "62ebc45b41d1c41b",
+    },
+    "4x5x6": {
+        "cell": "410a455457be75c0",
+        "edge_dir": "56e2464db5039da2",
+        "edge_face_loc": "171d768a7e3d7a2c",
+        "edge_faces": "7db223cdee590124",
+        "edge_head": "db7863d6dae341c9",
+        "edge_length": "d6463e1bd6d55238",
+        "edge_star(flip=False)": "c3d2b506594b270f",
+        "edge_star(flip=True)": "a0e732c129a9d056",
+        "edge_tail": "00ba6786c413a55b",
+        "edge_tail_lattice": "71ca2ab0337c4b5e",
+        "edge_tangent": "5d98713f2ef04ad4",
+        "edge_tets": "89cd15d45e7abf45",
+        "edge_vec": "ea82bd915fbeb738",
+        "face_coords": "80c8543cfdbc33fa",
+        "face_edges": "bd226cfa005b5754",
+        "face_lattice": "fc535450803d5e6e",
+        "face_m": "cd1f7601b28db756",
+        "face_n": "aa26742a0f59d7c8",
+        "face_normal": "c5dd84a5938e48a6",
+        "face_side": "8fbe968555789f84",
+        "face_tets": "92cf65962e6ebe4b",
+        "face_vids": "6e7397ebc5e82f1a",
+        "geometry": "11706c8772d59b24",
+        "grid": "f373fe8d1d0430c6",
+        "tet_coords": "e31041d2958945c6",
+        "tet_edges": "09270752b97df9ad",
+        "tet_grad": "46471d492de472eb",
+        "tet_lattice": "f45ae317d60ef926",
+        "tet_rho": "c569db2a2d30b55a",
+        "tet_vids": "3107b8ec5a459cd5",
+        "tet_volume": "2976a45077a25260",
+        "vertex_lattice": "d5929f76f83a73cc",
+        "vertex_pos": "01025935a53f9542",
+    },
+}
 
 
 def canonical_simplices(mesh):
@@ -230,3 +383,41 @@ class TestQueries:
         payload = json.loads(json.dumps(s))
         assert payload["counts"]["edges"] == 56
         assert len(payload["incidence"]["face_tets"]) == 96
+
+
+def _digest(value) -> str:
+    """SHA-256 prefix of a value: arrays by dtype, shape and bytes; lists
+    and tuples element-wise; scalars by repr, which names numpy types."""
+    h = hashlib.sha256()
+
+    def feed(v):
+        if isinstance(v, np.ndarray):
+            h.update(f"nd{v.dtype.str}{v.shape}".encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        elif isinstance(v, (list, tuple)):
+            h.update(f"{type(v).__name__}{len(v)}".encode())
+            for x in v:
+                feed(x)
+        else:
+            h.update(repr(v).encode())
+
+    feed(value)
+    return h.hexdigest()[:16]
+
+
+def _fingerprint(mesh) -> dict:
+    out = {name: _digest(value) for name, value in vars(mesh).items()
+           if not name.startswith("_")}
+    for flip in (False, True):
+        out[f"edge_star(flip={flip})"] = _digest(
+            [edge_star(mesh, e, flip_orientation=flip)
+             for e in range(mesh.num_edges)])
+    return out
+
+
+class TestGoldenFingerprints:
+    @pytest.mark.parametrize("label", sorted(GOLDEN_GRIDS))
+    def test_attributes_bit_identical(self, label):
+        grid, lengths = GOLDEN_GRIDS[label]
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        assert _fingerprint(mesh) == GOLDEN[label]
