@@ -9,10 +9,18 @@ congruent under translation (quasi-uniform by construction).
 Conventions
 -----------
 * Vertex (i, j, k) has id ``(i*n2 + j)*n3 + k``.
-* Every edge is keyed by (tail vertex, direction); the seven directions are
-  the nonzero 0/1 vectors, so edge ``v*7 + d`` runs from lattice point v to
-  v + DIRECTIONS[d].  The unit tangent t_e points from tail to head, i.e.
-  from the lexicographically lower lifted endpoint to the higher one.
+* Every simplex is a componentwise increasing chain of lattice points,
+  indexed by its lowest point (base vertex v) and its one-box type: tet
+  ``6*v + r`` is v, v + e_p0, v + e_p0 + e_p1, v + (1,1,1) for the r-th
+  axis permutation p in lexicographic order; face ``12*v + k`` is v,
+  v + DIRECTIONS[i], v + DIRECTIONS[j] for the k-th pair (i, j) with
+  DIRECTIONS[i] strictly inside DIRECTIONS[j]; edge ``7*v + d`` runs from v
+  to v + DIRECTIONS[d], the seven nonzero 0/1 vectors in lexicographic
+  order, so t_e points from the lexicographically lower lifted endpoint to
+  the higher one.
+* An edge lies in 6 faces and 6 tets for the axis directions (d = 0, 1, 3)
+  and the body diagonal (d = 6), in 4 of each for the face diagonals
+  (d = 2, 4, 5).  Incidence lists are in ascending simplex order.
 * Simplices store *lifted* integer lattice points, normalized per axis to
   the window [0, n_i]; all geometry (tangents, normals, frames, gradients)
   is plain Euclidean geometry on the lift.  Periodicity lives only in the
@@ -43,7 +51,8 @@ __all__ = [
     "LOCAL_EDGES",
 ]
 
-# The seven lattice directions of the Kuhn complex, in lexicographic order.
+# The seven lattice directions of the Kuhn complex, in lexicographic order;
+# the index of d is 4*d[0] + 2*d[1] + d[2] - 1.
 DIRECTIONS = np.array(
     [
         [0, 0, 1],
@@ -58,12 +67,30 @@ DIRECTIONS = np.array(
 )
 _DIR_INDEX = {tuple(d): i for i, d in enumerate(DIRECTIONS)}
 
-# Vertex insertion orders of the six tets of a box (Kuhn subdivision).
-_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-_PERM_RANK = {p: r for r, p in enumerate(_PERMS)}
-
 # Local edge order within a tet: pairs of local vertex indices.
 LOCAL_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+# One-box stencil.  Axis orders of the six tets of a box (Kuhn subdivision)
+# in lexicographic order, so the rank of (p0, p1, p2) is 2*p0 + (p1 > p2),
+# and the lattice offsets of each tet's points from its base vertex.
+_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+_TET_OFFSETS = np.concatenate(
+    [np.zeros((6, 1, 3), dtype=np.int64),
+     np.cumsum(np.eye(3, dtype=np.int64)[_PERMS], axis=1)], axis=1)
+# Local points of the face opposite each local vertex of a tet.
+_TET_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+# Face types (i, j) and their offsets, in the lexicographic order of their
+# points; _FACE_TYPE maps (i, j) back to the type.
+_FACE_DIRS = [(i, j) for i in range(7) for j in range(7)
+              if i != j and (i + 1) & (j + 1) == i + 1]
+_FACE_OFFSETS = np.array([[[0, 0, 0], DIRECTIONS[i], DIRECTIONS[j]]
+                          for i, j in _FACE_DIRS])
+_FACE_TYPE = np.zeros((7, 7), dtype=np.int64)
+_FACE_TYPE[tuple(np.array(_FACE_DIRS).T)] = np.arange(len(_FACE_DIRS))
+# Local point pairs of the three edge slots of a face.
+_FACE_EDGES = np.array([(0, 1), (0, 2), (1, 2)])
+# Faces (= tets) around an edge of each direction.
+_VALENCE = (6, 6, 4, 6, 4, 4, 6)
 
 
 class MeshError(ValueError):
@@ -147,37 +174,56 @@ class PeriodicMesh:
 
     def tet_at(self, points: np.ndarray) -> np.ndarray:
         """Locate the tet containing each point (ties resolved deterministically)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        points = np.asarray(points, dtype=float)
+        pts = np.atleast_2d(points)
         n = np.array(self.grid)
         x = np.mod(pts, self.geometry.lengths)
         c = np.minimum(np.floor(x / self.cell).astype(np.int64), n - 1)
         frac = x / self.cell - c
         order = np.argsort(-frac, axis=1, kind="stable")
-        ranks = np.array([_PERM_RANK[tuple(row)] for row in order])
+        ranks = 2 * order[:, 0] + (order[:, 1] > order[:, 2])
         cube = (c[:, 0] * n[1] + c[:, 1]) * n[2] + c[:, 2]
         tets = cube * 6 + ranks
         return tets if points.ndim > 1 else tets[0]
 
 
-def _canonical_face(points: np.ndarray, n: np.ndarray):
-    """Translation-canonical form of a lifted triangle.
+def _vid(points, n: np.ndarray) -> np.ndarray:
+    """Vertex ids of lifted lattice points (any leading shape)."""
+    return (points % n) @ np.array([n[1] * n[2], n[2], 1])
 
-    Normalizes so that the per-axis minimum lies in [0, n_i); returns the
-    sorted point tuple (the dict key) and the lattice translation removed.
-    """
-    tau = points.min(axis=0) // n
-    canon = points - tau * n
-    key = tuple(sorted(tuple(int(v) for v in p) for p in canon))
-    return key, tau
+
+def _dir(d: np.ndarray) -> np.ndarray:
+    """Direction index of nonzero 0/1 difference vectors (any leading shape)."""
+    return d @ np.array([4, 2, 1]) - 1
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    # sqrt(vecdot) rounds exactly as np.linalg.norm of each 1-D row does
+    return np.sqrt(np.vecdot(x, x))[..., None]
+
+
+def _by_edge(edge_ids: np.ndarray, nv: int) -> list:
+    """Positions in ``edge_ids`` grouped by edge, one (V, valence) array per
+    direction; each row lists the positions of one edge in ascending order."""
+    order = np.argsort(edge_ids, kind="stable")
+    sorted_dir = edge_ids[order] % 7
+    return [order[sorted_dir == d].reshape(nv, _VALENCE[d]) for d in range(7)]
+
+
+def _per_edge(rows_by_dir: list) -> list:
+    """Interleave per-direction row sequences into one list indexed by edge."""
+    out = [None] * (7 * len(rows_by_dir[0]))
+    for d, rows in enumerate(rows_by_dir):
+        out[d::7] = rows
+    return out
 
 
 def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     """Build the Kuhn triangulation of the torus with the given grid.
 
     Requires n_i >= 2 on every axis so that no edge closes onto its own
-    tail through a wrap.  Simplex ordering is deterministic: vertices in
-    lexicographic lattice order, tets box-major with a fixed permutation
-    order, edges (tail id)*7 + direction, faces sorted by canonical key.
+    tail through a wrap.  Every array is the one-box template broadcast over
+    the vertex lattice; the index arithmetic is in the module docstring.
     """
     if len(grid) != 3 or any(int(g) != g for g in grid):
         raise MeshError("grid must be three integer subdivision counts")
@@ -198,51 +244,28 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     mesh.vertex_lattice = vertex_lattice
     mesh.vertex_pos = vertex_lattice * cell
 
-    def vid(p):
-        return ((p[0] % n1) * n2 + (p[1] % n2)) * n3 + (p[2] % n3)
-
-    # tets: box-major, then the six permutations
-    tet_lattice = np.empty((6 * nv, 4, 3), dtype=np.int64)
-    t = 0
-    unit = np.eye(3, dtype=np.int64)
-    for base in vertex_lattice:
-        for perm in _PERMS:
-            p = base.copy()
-            pts = [p.copy()]
-            for axis in perm:
-                p = p + unit[axis]
-                pts.append(p.copy())
-            tet_lattice[t] = np.array(pts)
-            t += 1
+    # tets: tet 6*v + r is the chain of _PERMS[r] from vertex v
+    tet_lattice = (vertex_lattice[:, None, None] + _TET_OFFSETS).reshape(
+        6 * nv, 4, 3)
     mesh.tet_lattice = tet_lattice
-    mesh.tet_vids = np.array([[vid(p) for p in tet] for tet in tet_lattice])
+    mesh.tet_vids = _vid(tet_lattice, n)
     mesh.tet_coords = tet_lattice * cell
 
-    # edges keyed by (tail vertex, direction)
-    ne = 7 * nv
+    # edges: edge 7*v + d runs from v to v + DIRECTIONS[d]
     tail = np.repeat(np.arange(nv), 7)
     dirs = np.tile(np.arange(7), nv)
     mesh.edge_tail = tail
     mesh.edge_dir = dirs
     mesh.edge_tail_lattice = vertex_lattice[tail]
-    head_lattice = mesh.edge_tail_lattice + DIRECTIONS[dirs]
-    mesh.edge_head = np.array([vid(p) for p in head_lattice])
+    mesh.edge_head = _vid(mesh.edge_tail_lattice + DIRECTIONS[dirs], n)
     mesh.edge_vec = DIRECTIONS[dirs] * cell
     mesh.edge_length = np.linalg.norm(mesh.edge_vec, axis=1)
     mesh.edge_tangent = mesh.edge_vec / mesh.edge_length[:, None]
 
-    # tet -> edge incidence via lifted instances (wrap-safe)
-    tet_edges = np.empty((6 * nv, 6), dtype=np.int64)
-    for t in range(6 * nv):
-        for a, (i, j) in enumerate(LOCAL_EDGES):
-            d = tet_lattice[t, j] - tet_lattice[t, i]
-            td = _DIR_INDEX.get(tuple(d))
-            if td is None:
-                td = _DIR_INDEX[tuple(-d)]
-                tail_pt = tet_lattice[t, j]
-            else:
-                tail_pt = tet_lattice[t, i]
-            tet_edges[t, a] = vid(tail_pt) * 7 + td
+    # tet -> edge incidence: every local edge of a chain points upward
+    lo, hi = np.array(LOCAL_EDGES).T
+    tet_edges = 7 * _vid(tet_lattice[:, lo], n) + _dir(
+        tet_lattice[:, hi] - tet_lattice[:, lo])
     mesh.tet_edges = tet_edges
 
     # barycentric gradients, volumes, restricted edge basis matrices
@@ -262,98 +285,93 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
                             gj[:, :, None] * gi[:, None, :])
     mesh.tet_rho = rho
 
-    # faces: canonical lifted triangles, each shared by exactly two tets
-    records: dict = {}
-    for t in range(6 * nv):
-        for opp in range(4):
-            pts = tet_lattice[t, [m for m in range(4) if m != opp]]
-            key, tau = _canonical_face(pts, n)
-            records.setdefault(key, []).append((t, opp, tau))
-    keys = sorted(records)
-    nf = len(keys)
-    face_lattice = np.array([k for k in keys], dtype=np.int64)
+    # faces: face 12*v + type is the chain of _FACE_OFFSETS[type] from v
+    nf = 12 * nv
+    face_lattice = (vertex_lattice[:, None, None] + _FACE_OFFSETS).reshape(
+        nf, 3, 3)
     face_coords = face_lattice * cell
-    face_vids = np.array([[vid(p) for p in k] for k in keys])
-    face_tets = np.empty((nf, 2), dtype=np.int64)
-    face_normal = np.empty((nf, 3))
-    for f, key in enumerate(keys):
-        recs = records[key]
-        if len(recs) != 2:
-            raise MeshError(f"face shared by {len(recs)} tets (expected 2)")
-        recs = sorted(recs, key=lambda r: (r[0], tuple(r[2])))
-        (t0, o0, tau0), (t1, o1, tau1) = recs
-        if t0 == t1:
-            raise MeshError("face glued to a single tet; grid too coarse")
-        pts = face_coords[f]
-        nr = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-        nr /= np.linalg.norm(nr)
-        centroid = pts.mean(axis=0)
-        q1 = (tet_lattice[t1, o1] - tau1 * n) * cell
-        s1 = float(nr @ (q1 - centroid))
-        q0 = (tet_lattice[t0, o0] - tau0 * n) * cell
-        s0 = float(nr @ (q0 - centroid))
-        if not (s0 * s1 < 0):
-            raise MeshError("adjacent tets on the same side of a face")
-        if s1 < 0:
-            nr = -nr
-        face_normal[f] = nr
-        face_tets[f] = (t0, t1)
     mesh.face_lattice = face_lattice
     mesh.face_coords = face_coords
-    mesh.face_vids = face_vids
+    mesh.face_vids = _vid(face_lattice, n)
+
+    # the four faces of every tet, (tet, opposite vertex) in row-major order;
+    # a face's lowest point is its base vertex, lifted by tau * n
+    sub = tet_lattice[:, _TET_FACES].reshape(-1, 3, 3)
+    tau = sub[:, 0] // n
+    rec_face = 12 * _vid(sub[:, 0], n) + _FACE_TYPE[
+        _dir(sub[:, 1] - sub[:, 0]), _dir(sub[:, 2] - sub[:, 0])]
+    counts = np.bincount(rec_face, minlength=nf)
+    if np.any(counts != 2):
+        bad = int(counts[np.argmax(counts != 2)])
+        raise MeshError(f"face shared by {bad} tets (expected 2)")
+    rec = np.argsort(rec_face, kind="stable").reshape(nf, 2)
+    face_tets = rec // 4
+    if np.any(face_tets[:, 0] == face_tets[:, 1]):
+        raise MeshError("face glued to a single tet; grid too coarse")
     mesh.face_tets = face_tets
+
+    # unit normal pointing from face_tets[:, 0] into face_tets[:, 1]
+    nr = np.cross(face_coords[:, 1] - face_coords[:, 0],
+                  face_coords[:, 2] - face_coords[:, 0])
+    nr /= _norm(nr)
+    centroid = face_coords.mean(axis=1)
+    opp = tet_lattice.reshape(-1, 3)[rec.ravel()].reshape(nf, 2, 3)
+    q = (opp - tau[rec] * n) * cell
+    side = np.vecdot(nr[:, None], q - centroid[:, None])
+    if np.any(~(side[:, 0] * side[:, 1] < 0)):
+        raise MeshError("adjacent tets on the same side of a face")
+    face_normal = np.where(side[:, 1:] < 0, -nr, nr)
     mesh.face_normal = face_normal
 
-    # per-face edges and (m_ef, n_ef) frames
-    face_edges = np.empty((nf, 3), dtype=np.int64)
-    face_m = np.empty((nf, 3, 3))
-    face_n = np.empty((nf, 3, 3))
-    face_side = np.empty((nf, 3), dtype=np.int64)
-    local_pairs = [(0, 1), (0, 2), (1, 2)]
-    for f in range(nf):
-        pts_i = face_lattice[f]
-        pts_x = face_coords[f]
-        for s, (a, b) in enumerate(local_pairs):
-            d = pts_i[b] - pts_i[a]
-            td = _DIR_INDEX.get(tuple(d))
-            tail_pt = pts_i[a] if td is not None else pts_i[b]
-            if td is None:
-                td = _DIR_INDEX[tuple(-d)]
-            e = vid(tail_pt) * 7 + td
-            face_edges[f, s] = e
-            c = pts_x[3 - a - b]
-            u = pts_x[b] - pts_x[a]
-            u /= np.linalg.norm(u)
-            w = c - pts_x[a]
-            m = w - (w @ u) * u
-            m /= np.linalg.norm(m)
-            te = mesh.edge_tangent[e]
-            nef = np.cross(te, m)
-            face_m[f, s] = m
-            face_n[f, s] = nef
-            face_side[f, s] = 1 if nef @ face_normal[f] > 0 else 0
+    # per-face edges and (m_ef, n_ef) frames; slot s is the edge between
+    # local points _FACE_EDGES[s], always traversed upward
+    a, b = _FACE_EDGES.T
+    c = 3 - a - b
+    face_edges = 7 * _vid(face_lattice[:, a], n) + _dir(
+        face_lattice[:, b] - face_lattice[:, a])
+    u = face_coords[:, b] - face_coords[:, a]
+    u /= _norm(u)
+    w = face_coords[:, c] - face_coords[:, a]
+    m = w - np.vecdot(w, u)[..., None] * u
+    m /= _norm(m)
+    nef = np.cross(mesh.edge_tangent[face_edges], m)
     mesh.face_edges = face_edges
-    mesh.face_m = face_m
-    mesh.face_n = face_n
-    mesh.face_side = face_side
+    mesh.face_m = m
+    mesh.face_n = nef
+    mesh.face_side = (np.vecdot(nef, face_normal[:, None]) > 0).astype(
+        np.int64)
 
-    # edge incidence
-    edge_faces = [[] for _ in range(ne)]
-    edge_face_loc = [[] for _ in range(ne)]
-    for f in range(nf):
-        for s in range(3):
-            e = face_edges[f, s]
-            edge_faces[e].append(f)
-            edge_face_loc[e].append((f, s))
-    edge_tets = [[] for _ in range(ne)]
-    for t in range(6 * nv):
-        for e in tet_edges[t]:
-            edge_tets[e].append(t)
-    mesh.edge_faces = [np.array(v, dtype=np.int64) for v in edge_faces]
-    mesh.edge_face_loc = edge_face_loc
-    mesh.edge_tets = [np.array(v, dtype=np.int64) for v in edge_tets]
+    # edge incidence, ascending by face (tet) id
+    face_loc = _by_edge(face_edges.ravel(), nv)
+    tet_loc = _by_edge(tet_edges.ravel(), nv)
+    faces_by_dir = [loc // 3 for loc in face_loc]
+    mesh.edge_faces = _per_edge([list(f) for f in faces_by_dir])
+    mesh.edge_face_loc = _per_edge([
+        list(map(list, map(zip, (loc // 3).tolist(), (loc % 3).tolist())))
+        for loc in face_loc])
+    mesh.edge_tets = _per_edge([list(loc // 6) for loc in tet_loc])
 
-    mesh._stars = [_build_star(mesh, e, False) for e in range(ne)]
+    # stars: incident faces by angle about t_e, measured from the lowest
+    # face id, each paired with the tet between it and the next face
+    stars = []
+    for d, (faces, loc) in enumerate(zip(faces_by_dir, face_loc)):
+        ms = m.reshape(-1, 3)[loc]
+        r1 = ms[:, :1]
+        r2 = np.cross(mesh.edge_tangent[d::7, None], r1)
+        ang = np.arctan2(np.vecdot(ms, r2), np.vecdot(ms, r1))
+        ang = np.where(ang < -1e-12, ang + 2.0 * np.pi, ang)
+        cyc = np.take_along_axis(faces, np.argsort(ang, axis=1,
+                                                   kind="stable"), axis=1)
+        tets = face_tets[cyc]
+        shared = tets[..., :, None] == np.roll(tets, -1, axis=1)[..., None, :]
+        if np.any(shared.sum(axis=(-2, -1)) != 1):
+            raise MeshError("ambiguous sector around an edge of direction "
+                            f"{DIRECTIONS[d]}")
+        sector = np.where(shared[..., 0, :].any(-1), tets[..., 0],
+                          tets[..., 1])
+        stars.append(list(map(list, map(zip, cyc.tolist(),
+                                         sector.tolist()))))
+    mesh._stars = _per_edge(stars)
 
     for name in ("vertex_lattice", "vertex_pos", "tet_lattice", "tet_vids",
                  "tet_coords", "tet_edges", "tet_grad", "tet_volume",
@@ -365,46 +383,21 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     return mesh
 
 
-def _build_star(mesh: PeriodicMesh, e: int, flip: bool):
-    """Cyclic (face, tet) list around edge e, counter-clockwise w.r.t. t_e.
+def edge_star(mesh: PeriodicMesh, e: int, flip_orientation: bool = False):
+    """Faces and sector tets around edge e in counter-clockwise cyclic order.
 
     Entry i pairs face_i with the tet of the sector between face_i and
-    face_{i+1}.  With ``flip`` the orientation reference is -t_e and the
-    cycle reverses.
+    face_{i+1}, counter-clockwise with respect to t_e, starting at the
+    lowest face id.  With ``flip_orientation`` the reference is -t_e: the
+    cycle keeps its first face and runs the other way.
     """
-    faces = mesh.edge_faces[e]
-    te = -mesh.edge_tangent[e] if flip else mesh.edge_tangent[e]
-    f0 = int(faces.min())
-    ms = {}
-    for f, s in mesh.edge_face_loc[e]:
-        ms[f] = mesh.face_m[f, s]
-    r1 = ms[f0]
-    r2 = np.cross(te, r1)
-    ang = {}
-    for f in faces:
-        a = float(np.arctan2(ms[f] @ r2, ms[f] @ r1))
-        ang[f] = a + 2.0 * np.pi if a < -1e-12 else a
-    order = sorted(faces, key=lambda f: ang[f])
-    in_star = set(int(t) for t in mesh.edge_tets[e])
-    star = []
-    for i, f in enumerate(order):
-        g = order[(i + 1) % len(order)]
-        common = (set(int(t) for t in mesh.face_tets[f])
-                  & set(int(t) for t in mesh.face_tets[g]) & in_star)
-        if len(common) != 1:
-            raise MeshError(f"ambiguous sector between faces {f} and {g} "
-                            f"around edge {e}")
-        star.append((int(f), common.pop()))
-    return star
-
-
-def edge_star(mesh: PeriodicMesh, e: int, flip_orientation: bool = False):
-    """Faces and sector tets around edge e in counter-clockwise cyclic order."""
     if not 0 <= e < mesh.num_edges:
         raise MeshError(f"invalid edge id {e}")
+    star = mesh._stars[e]
     if flip_orientation:
-        return _build_star(mesh, e, True)
-    return list(mesh._stars[e])
+        faces, tets = zip(*star)
+        return list(zip(faces[:1] + faces[:0:-1], tets[::-1]))
+    return list(star)
 
 
 def mesh_summary(mesh: PeriodicMesh, include_incidence: bool = False) -> dict:

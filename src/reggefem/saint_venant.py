@@ -123,26 +123,18 @@ def assemble_stiffness(mesh: PeriodicMesh) -> StiffnessMatrix:
 
     Row e' collects, from every face containing e', the frame-contracted
     difference of the basis matrices on the two adjacent tets; entries only
-    couple edges sharing a tet.  Rows are independent, so assembly could
-    run in parallel over faces.
+    couple edges sharing a tet.
     """
     F = mesh.num_faces
-    rows = np.empty((F, 3, 2, 6), dtype=np.int64)
-    cols = np.empty((F, 3, 2, 6), dtype=np.int64)
-    vals = np.empty((F, 3, 2, 6))
-    for f in range(F):
-        t0, t1 = mesh.face_tets[f]
-        for s in range(3):
-            e_row = mesh.face_edges[f, s]
-            m = mesh.face_m[f, s]
-            nn = mesh.face_n[f, s]
-            sgn = 1.0 if mesh.face_side[f, s] == 1 else -1.0
-            inv_l = sgn / mesh.edge_length[e_row]
-            rows[f, s] = e_row
-            for half, (t, tsgn) in enumerate(((t1, 1.0), (t0, -1.0))):
-                cols[f, s, half] = mesh.tet_edges[t]
-                vals[f, s, half] = (inv_l * tsgn) * np.einsum(
-                    "i,aij,j->a", m, mesh.tet_rho[t], nn)
+    # half 0 is the tet n_ef points into (+), half 1 the other one (-)
+    sgn = np.where(mesh.face_side == 1, 1.0, -1.0)
+    inv_l = sgn / mesh.edge_length[mesh.face_edges]
+    tets = mesh.face_tets[:, ::-1]
+    rows = np.broadcast_to(mesh.face_edges[:, :, None, None], (F, 3, 2, 6))
+    cols = np.broadcast_to(mesh.tet_edges[tets][:, None], (F, 3, 2, 6))
+    vals = (inv_l[:, :, None, None] * np.array([1.0, -1.0])[:, None]) * \
+        np.einsum("fsi,fhaij,fsj->fsha", mesh.face_m, mesh.tet_rho[tets],
+                  mesh.face_n)
     E = mesh.num_edges
     A = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
                       shape=(E, E)).tocsr()
@@ -172,10 +164,10 @@ def write_coo(matrix, path):
     m = matrix.matrix if hasattr(matrix, "matrix") else matrix
     coo = sp.coo_matrix(m)
     order = np.lexsort((coo.col, coo.row))
-    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    for i in order:
-        lines.append(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}")
-    text = "\n".join(lines) + "\n"
+    triples = zip(coo.row[order].tolist(), coo.col[order].tolist(),
+                  coo.data[order].tolist())
+    text = f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n" + "".join(
+        map("%d %d %.17g\n".__mod__, triples))
     if hasattr(path, "write"):
         path.write(text)
     else:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from reggefem.cli import main
 
@@ -37,6 +38,18 @@ class TestEigsCommand:
     def test_grid_1_config_error(self, capsys):
         code, _, err = run(capsys, "eigs", "--grid", "1", "1", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, key", [
+        (("--cutoff", "-1"), "cutoff"),
+        (("--cutoff", "0"), "cutoff"),
+        (("--n-targets", "0"), "n_targets"),
+        (("--n-targets", "50"), "n_targets"),
+    ])
+    def test_bad_targets_config_error(self, capsys, argv, key):
+        code, out, err = run(capsys, "eigs", "--grid", "2", "2", "2", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {key}:")
 
     def test_eigs_json_and_csv(self, capsys, tmp_path):
         csv = tmp_path / "spectrum.csv"

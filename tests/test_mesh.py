@@ -366,6 +366,11 @@ class TestQueries:
         assert np.array_equal(mesh3.tet_at(centroids),
                               np.arange(mesh3.num_tets))
 
+    def test_tet_locator_list_input(self, mesh3):
+        centroids = mesh3.tet_coords.mean(axis=1)
+        assert mesh3.tet_at(centroids[5].tolist()) == 5
+        assert mesh3.tet_at(centroids[:4].tolist()).tolist() == [0, 1, 2, 3]
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_tet_locator_barycentric_interior(self, seed):
