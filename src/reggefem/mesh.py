@@ -351,9 +351,9 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
         for loc in face_loc])
     mesh.edge_tets = _per_edge([list(loc // 6) for loc in tet_loc])
 
-    # stars: incident faces by angle about t_e, measured from the lowest
-    # face id, each paired with the tet between it and the next face
-    stars = []
+    # stars, per direction: incident faces by angle about t_e, measured
+    # from the lowest face id, and the tet between each and the next face
+    mesh._star_faces, mesh._star_tets = [], []
     for d, (faces, loc) in enumerate(zip(faces_by_dir, face_loc)):
         ms = m.reshape(-1, 3)[loc]
         r1 = ms[:, :1]
@@ -369,9 +369,8 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
                             f"{DIRECTIONS[d]}")
         sector = np.where(shared[..., 0, :].any(-1), tets[..., 0],
                           tets[..., 1])
-        stars.append(list(map(list, map(zip, cyc.tolist(),
-                                         sector.tolist()))))
-    mesh._stars = _per_edge(stars)
+        mesh._star_faces.append(cyc)
+        mesh._star_tets.append(sector)
 
     for name in ("vertex_lattice", "vertex_pos", "tet_lattice", "tet_vids",
                  "tet_coords", "tet_edges", "tet_grad", "tet_volume",
@@ -393,11 +392,11 @@ def edge_star(mesh: PeriodicMesh, e: int, flip_orientation: bool = False):
     """
     if not 0 <= e < mesh.num_edges:
         raise MeshError(f"invalid edge id {e}")
-    star = mesh._stars[e]
+    faces = mesh._star_faces[e % 7][e // 7].tolist()
+    tets = mesh._star_tets[e % 7][e // 7].tolist()
     if flip_orientation:
-        faces, tets = zip(*star)
-        return list(zip(faces[:1] + faces[:0:-1], tets[::-1]))
-    return list(star)
+        faces, tets = faces[:1] + faces[:0:-1], tets[::-1]
+    return list(zip(faces, tets))
 
 
 def mesh_summary(mesh: PeriodicMesh, include_incidence: bool = False) -> dict:
