@@ -161,15 +161,16 @@ def cmd_eigs(args) -> int:
     defaults = dict(COMMON_DEFAULTS, n_targets=2, cutoff=None, csv=None)
     cfg = _resolve(args, defaults)
     _validate_common(cfg)
-    if cfg["cutoff"] is not None and not cfg["cutoff"] > 0:
+    cutoff = cfg["cutoff"]
+    if cutoff is not None and not (isinstance(cutoff, (int, float))
+                                   and cutoff > 0):
         raise ConfigError("cutoff: must be positive")
-    if int(cfg["n_targets"]) != cfg["n_targets"] or cfg["n_targets"] < 1:
+    if not isinstance(cfg["n_targets"], int) or cfg["n_targets"] < 1:
         raise ConfigError("n_targets: need a positive integer")
     geometry = _geometry(cfg)
     mesh = build_torus_mesh(geometry, cfg["grid"])
     res = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh),
                        {"grid": cfg["grid"], "lengths": cfg["lengths"]})
-    cutoff = cfg["cutoff"]
     if cutoff is None:
         base = float(np.min(2.0 * np.pi / geometry.lengths) ** 2)
         cutoff = base * (cfg["n_targets"] + 2.0)

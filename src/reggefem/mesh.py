@@ -332,7 +332,8 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     u = face_coords[:, b] - face_coords[:, a]
     u /= _norm(u)
     w = face_coords[:, c] - face_coords[:, a]
-    m = w - np.vecdot(w, u)[..., None] * u
+    # fancy indexing on axis 1 leaves the slot axis outermost in memory
+    m = np.ascontiguousarray(w - np.vecdot(w, u)[..., None] * u)
     m /= _norm(m)
     nef = np.cross(mesh.edge_tangent[face_edges], m)
     mesh.face_edges = face_edges

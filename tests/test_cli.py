@@ -51,6 +51,16 @@ class TestEigsCommand:
         assert out == ""
         assert err.startswith(f"error: {key}:")
 
+    @pytest.mark.parametrize("key, value", [("cutoff", "x"),
+                                            ("n_targets", "x")])
+    def test_mistyped_config_value_is_config_error(self, capsys, tmp_path,
+                                                   key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, _, err = run(capsys, "eigs", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith(f"error: {key}:")
+
     def test_eigs_json_and_csv(self, capsys, tmp_path):
         csv = tmp_path / "spectrum.csv"
         code, out, _ = run(capsys, "eigs", "--grid", "2", "2", "2",

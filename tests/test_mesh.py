@@ -426,3 +426,5 @@ class TestGoldenFingerprints:
         grid, lengths = GOLDEN_GRIDS[label]
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         assert _fingerprint(mesh) == GOLDEN[label]
+        assert all(v.flags.c_contiguous for v in vars(mesh).values()
+                   if isinstance(v, np.ndarray))
