@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden import digest
 from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       build_edge_sector, build_torus_mesh,
                       deficit_angle_dihedral, deficit_angle_holonomy,
@@ -12,7 +13,7 @@ from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       linearized_deficit, perturbed_lengths, regge_action,
                       schlafli_check, second_variation_check)
 from reggefem.action import (cayley_menger_determinant,
-                             max_realizable_epsilon,
+                             max_realizable_epsilon, metric_dihedral_angles,
                              random_realizable_config,
                              tet_metrics_from_lengths)
 from reggefem.mesh import LOCAL_EDGES, TorusGeometry
@@ -276,3 +277,70 @@ class TestSchlafli:
     def test_direction_length_validated(self, mesh2):
         with pytest.raises(ValueError):
             schlafli_check(mesh2, euclidean_lengths(mesh2), np.ones(3))
+
+
+# First 16 hex digits of the SHA-256 (golden.digest) of the action layer's
+# outputs on a seeded realizable configuration, recorded from the per-tet
+# reference implementation.
+GOLDEN_GRIDS = {
+    "3x3x3": ((3, 3, 3), (TAU, TAU, TAU)),
+    "4x5x6": ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+}
+GOLDEN = {
+    "3x3x3": {
+        "deficit_angle_dihedral": "8f037863d420eb0e",
+        "deficit_angle_holonomy": "acaeabe225785c79",
+        "deficit_angles": "8f037863d420eb0e",
+        "metric_dihedral_angles": "b5d29e37fe2a61b9",
+        "second_variation_check.actions": "10d1fd2014b7672f",
+        "sector.faces_tets": "4aac778ead2753b7",
+        "sector.metrics": "ebeebd11e9b35b1c",
+        "sector.ms": "95feef8d33c265b8",
+        "sector.ns": "cf33e6b24905900d",
+        "tet_metrics_from_lengths": "6cf3a8fee2751eed",
+    },
+    "4x5x6": {
+        "deficit_angle_dihedral": "b65b00f7e3f62713",
+        "deficit_angle_holonomy": "dd57376f5b38a1b8",
+        "deficit_angles": "b65b00f7e3f62713",
+        "metric_dihedral_angles": "6cb87b3237e51f3a",
+        "second_variation_check.actions": "72c0929fd1f4e7d9",
+        "sector.faces_tets": "eb6dcac4205b57de",
+        "sector.metrics": "51b97ddc9c913033",
+        "sector.ms": "7e434f99a37aed3a",
+        "sector.ns": "84d6f49ba89668fb",
+        "tet_metrics_from_lengths": "cc97e9eec9297e4d",
+    },
+}
+
+
+def _action_outputs(grid, lengths) -> dict:
+    mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+    rng = np.random.default_rng(0)
+    cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
+    up = ReggeField(rng.uniform(-1.0, 1.0, mesh.num_edges))
+    metrics = tet_metrics_from_lengths(mesh, cfg)
+    edges = range(mesh.num_edges)
+    sectors = [build_edge_sector(mesh, e, metrics) for e in edges]
+    return {
+        "deficit_angles": deficit_angles(mesh, cfg),
+        "tet_metrics_from_lengths": metrics,
+        "metric_dihedral_angles": metric_dihedral_angles(mesh, metrics),
+        "second_variation_check.actions": second_variation_check(
+            mesh, up, np.geomspace(1e-2, 1e-1, 7)).actions,
+        "deficit_angle_dihedral": np.array(
+            [deficit_angle_dihedral(mesh, e, cfg) for e in edges]),
+        "deficit_angle_holonomy": np.array(
+            [deficit_angle_holonomy(s) for s in sectors]),
+        "sector.ms": [s.ms for s in sectors],
+        "sector.ns": [s.ns for s in sectors],
+        "sector.metrics": [s.metrics for s in sectors],
+        "sector.faces_tets": [(s.faces, s.tets) for s in sectors],
+    }
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("label", sorted(GOLDEN_GRIDS))
+    def test_action_outputs_bit_identical(self, label):
+        out = _action_outputs(*GOLDEN_GRIDS[label])
+        assert {k: digest(v) for k, v in out.items()} == GOLDEN[label]

@@ -1,10 +1,9 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden import digest
 from reggefem import MeshError, TorusGeometry, build_torus_mesh, edge_star, \
     mesh_summary
 from reggefem.action import euclidean_lengths, metric_dihedral_angles, \
@@ -390,31 +389,11 @@ class TestQueries:
         assert len(payload["incidence"]["face_tets"]) == 96
 
 
-def _digest(value) -> str:
-    """SHA-256 prefix of a value: arrays by dtype, shape and bytes; lists
-    and tuples element-wise; scalars by repr, which names numpy types."""
-    h = hashlib.sha256()
-
-    def feed(v):
-        if isinstance(v, np.ndarray):
-            h.update(f"nd{v.dtype.str}{v.shape}".encode())
-            h.update(np.ascontiguousarray(v).tobytes())
-        elif isinstance(v, (list, tuple)):
-            h.update(f"{type(v).__name__}{len(v)}".encode())
-            for x in v:
-                feed(x)
-        else:
-            h.update(repr(v).encode())
-
-    feed(value)
-    return h.hexdigest()[:16]
-
-
 def _fingerprint(mesh) -> dict:
-    out = {name: _digest(value) for name, value in vars(mesh).items()
+    out = {name: digest(value) for name, value in vars(mesh).items()
            if not name.startswith("_")}
     for flip in (False, True):
-        out[f"edge_star(flip={flip})"] = _digest(
+        out[f"edge_star(flip={flip})"] = digest(
             [edge_star(mesh, e, flip_orientation=flip)
              for e in range(mesh.num_edges)])
     return out
