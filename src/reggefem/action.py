@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import LOCAL_EDGES, PeriodicMesh, edge_star
-from .spaces import ReggeField, regge_to_tet_matrices
+from .mesh import LOCAL_EDGES, PeriodicMesh, _star_arrays, edge_star
+from .spaces import ReggeField, _gram_from_squared_lengths, \
+    regge_to_tet_matrices
 
 __all__ = [
     "RealizabilityError",
@@ -56,6 +57,11 @@ __all__ = [
 # Realizability guard on the Cayley-Menger determinant, relative to the
 # sixth power of the longest edge of the tet.
 CM_DET_RTOL = 1e-14
+
+# Local vertices per local edge slot: the edge's two ends, then the other
+# two vertices, which span the two faces at the edge.
+_EDGE_VERTS = np.array([[i, j] + [x for x in range(4) if x not in (i, j)]
+                        for i, j in LOCAL_EDGES])
 
 
 class RealizabilityError(ValueError):
@@ -97,21 +103,35 @@ def perturbed_lengths(mesh: PeriodicMesh, u_prime: ReggeField,
     return EdgeLengthConfig(mesh.edge_length**2 + eps * u_prime.coeffs)
 
 
-def cayley_menger_determinant(s6) -> float:
-    """Cayley-Menger determinant of a tet from six squared lengths
-    (LOCAL_EDGES order); equals 288 V^2 for a realizable tet."""
+def cayley_menger_determinant(s6):
+    """Cayley-Menger determinants of tets from six squared lengths each.
+
+    ``s6`` has shape (..., 6), LOCAL_EDGES order; the result has shape
+    (...), one determinant of a bordered 5x5 distance matrix per tet (a
+    float for a single tet).  Equals 288 V^2 for a realizable tet.
+    """
     s = np.asarray(s6, float)
-    M = np.ones((5, 5))
-    M[0, 0] = 0.0
-    d = np.zeros((4, 4))
-    d[0, 1] = d[1, 0] = s[0]
-    d[0, 2] = d[2, 0] = s[1]
-    d[0, 3] = d[3, 0] = s[2]
-    d[1, 2] = d[2, 1] = s[3]
-    d[1, 3] = d[3, 1] = s[4]
-    d[2, 3] = d[3, 2] = s[5]
-    M[1:, 1:] = d
-    return float(np.linalg.det(M))
+    M = np.ones(s.shape[:-1] + (5, 5))
+    diag = np.arange(5)
+    M[..., diag, diag] = 0.0
+    lo, hi = np.array(LOCAL_EDGES).T + 1
+    M[..., lo, hi] = M[..., hi, lo] = s
+    return np.linalg.det(M)
+
+
+def _require_positive_definite(mats: np.ndarray, label: str, ids):
+    """Raise RealizabilityError naming (``label`` formatted with its id) the
+    first of the stacked matrices that has no Cholesky factor."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        for row, m in enumerate(mats):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                raise RealizabilityError(
+                    f"{label.format(int(ids[row]))}: metric not positive "
+                    "definite") from None
 
 
 def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
@@ -126,58 +146,55 @@ def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
         raise ValueError("edge count mismatch")
     idx = np.arange(mesh.num_tets) if tets is None else np.atleast_1d(tets)
     s = config.squared_lengths[mesh.tet_edges[idx]]  # (T,6)
-    G = np.empty((len(idx), 3, 3))
-    G[:, 0, 0], G[:, 1, 1], G[:, 2, 2] = s[:, 0], s[:, 1], s[:, 2]
-    G[:, 0, 1] = G[:, 1, 0] = 0.5 * (s[:, 0] + s[:, 1] - s[:, 3])
-    G[:, 0, 2] = G[:, 2, 0] = 0.5 * (s[:, 0] + s[:, 2] - s[:, 4])
-    G[:, 1, 2] = G[:, 2, 1] = 0.5 * (s[:, 1] + s[:, 2] - s[:, 5])
-    scale6 = np.max(s, axis=1) ** 3
-    for row, t in enumerate(idx):
-        cm = cayley_menger_determinant(s[row])
-        if not cm > CM_DET_RTOL * scale6[row]:
-            raise RealizabilityError(
-                f"tet {int(t)}: degenerate edge lengths "
-                f"(Cayley-Menger determinant {cm:.3e})")
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        for row, t in enumerate(idx):
-            try:
-                np.linalg.cholesky(G[row])
-            except np.linalg.LinAlgError:
-                raise RealizabilityError(
-                    f"tet {int(t)}: metric not positive definite") from None
+    cm = cayley_menger_determinant(s)
+    bad = np.flatnonzero(~(cm > CM_DET_RTOL * np.max(s, axis=1) ** 3))
+    if bad.size:
+        row = bad[0]
+        raise RealizabilityError(
+            f"tet {int(idx[row])}: degenerate edge lengths "
+            f"(Cayley-Menger determinant {cm[row]:.3e})")
+    G = _gram_from_squared_lengths(s)
+    _require_positive_definite(G, "tet {}", idx)
     Gr = mesh.tet_grad[idx][:, 1:]  # rows of B^{-1}
     u = np.einsum("tai,tab,tbj->tij", Gr, G, Gr)
     return 0.5 * (u + np.swapaxes(u, 1, 2))
+
+
+def _dihedral_angles(p: np.ndarray, u: np.ndarray,
+                     slots) -> np.ndarray:
+    """Dihedral angle of each tet at one local edge slot per row.
+
+    ``p`` (T, 4, 3) tet points, ``u`` (T, 3, 3) metrics, ``slots`` one
+    LOCAL_EDGES slot for all rows or one per row.  Returns (T,) angles in
+    (0, pi): the angle between the two faces at the edge, i.e. between the
+    metric-orthogonal complements of the edge direction inside the two
+    face planes.
+    """
+    q = p[np.arange(len(p))[:, None], _EDGE_VERTS[slots]]
+    t = q[:, 1] - q[:, 0]
+    wc = q[:, 2] - q[:, 0]
+    wd = q[:, 3] - q[:, 0]
+    ut = np.einsum("tij,tj->ti", u, t)
+    tt = np.einsum("ti,ti->t", t, ut)
+    vc = wc - (np.einsum("ti,ti->t", wc, ut) / tt)[:, None] * t
+    vd = wd - (np.einsum("ti,ti->t", wd, ut) / tt)[:, None] * t
+    cc = np.einsum("ti,tij,tj->t", vc, u, vc)
+    dd = np.einsum("ti,tij,tj->t", vd, u, vd)
+    cd = np.einsum("ti,tij,tj->t", vc, u, vd)
+    return np.arccos(np.clip(cd / np.sqrt(cc * dd), -1.0, 1.0))
 
 
 def metric_dihedral_angles(mesh: PeriodicMesh, metrics: np.ndarray,
                            tets=None) -> np.ndarray:
     """Dihedral angle of every tet at each of its six edges, in its metric.
 
-    Returns (T, 6) angles in (0, pi): the angle between the two faces at
-    the edge, i.e. between the metric-orthogonal complements of the edge
-    direction inside the two face planes.
+    Returns (T, 6) angles in (0, pi), columns in LOCAL_EDGES order.
     """
     idx = np.arange(mesh.num_tets) if tets is None else np.atleast_1d(tets)
     p = mesh.tet_coords[idx]
-    u = metrics
     out = np.empty((len(idx), 6))
-    for a, (i, j) in enumerate(LOCAL_EDGES):
-        others = [x for x in range(4) if x not in (i, j)]
-        t = p[:, j] - p[:, i]
-        wc = p[:, others[0]] - p[:, i]
-        wd = p[:, others[1]] - p[:, i]
-        ut = np.einsum("tij,tj->ti", u, t)
-        tt = np.einsum("ti,ti->t", t, ut)
-        vc = wc - (np.einsum("ti,ti->t", wc, ut) / tt)[:, None] * t
-        vd = wd - (np.einsum("ti,ti->t", wd, ut) / tt)[:, None] * t
-        cc = np.einsum("ti,tij,tj->t", vc, u, vc)
-        dd = np.einsum("ti,tij,tj->t", vd, u, vd)
-        cd = np.einsum("ti,tij,tj->t", vc, u, vd)
-        cosang = np.clip(cd / np.sqrt(cc * dd), -1.0, 1.0)
-        out[:, a] = np.arccos(cosang)
+    for a in range(6):
+        out[:, a] = _dihedral_angles(p, metrics, a)
     return out
 
 
@@ -197,11 +214,11 @@ def deficit_angle_dihedral(mesh: PeriodicMesh, e: int,
         raise ValueError(f"invalid edge id {e}")
     tets = mesh.edge_tets[e]
     metrics = tet_metrics_from_lengths(mesh, config, tets)
-    ang = metric_dihedral_angles(mesh, metrics, tets)
+    slots = np.argmax(mesh.tet_edges[tets] == e, axis=1)
     total = 0.0
-    for row, t in enumerate(tets):
-        slot = list(mesh.tet_edges[t]).index(e)
-        total += ang[row, slot]
+    for angle in _dihedral_angles(mesh.tet_coords[tets], metrics,
+                                  slots).tolist():
+        total += angle
     return float(2.0 * np.pi - total)
 
 
@@ -225,40 +242,33 @@ class EdgeSector:
 
     def __post_init__(self):
         mats = np.asarray(self.metrics, float)
-        for i in range(len(mats)):
-            try:
-                np.linalg.cholesky(mats[i])
-            except np.linalg.LinAlgError:
-                raise RealizabilityError(
-                    f"sector {i}: metric not positive definite") from None
+        _require_positive_definite(mats, "sector {}", range(len(mats)))
 
 
 def build_edge_sector(mesh: PeriodicMesh, e: int,
                       tet_metrics: np.ndarray,
                       check_continuity: bool = True) -> EdgeSector:
     """Assemble the sector data of edge e from per-tet constant metrics."""
-    star = edge_star(mesh, e)
-    ms, ns, mats = [], [], []
-    for f, t in star:
-        slot = list(mesh.face_edges[f]).index(e)
-        ms.append(mesh.face_m[f, slot])
-        ns.append(mesh.face_n[f, slot])
-        mats.append(tet_metrics[t])
-    ms, ns, mats = np.array(ms), np.array(ns), np.array(mats)
+    faces, tets = _star_arrays(mesh, e)
+    slots = np.argmax(mesh.face_edges[faces] == e, axis=1)
+    ms = mesh.face_m[faces, slots]
+    ns = mesh.face_n[faces, slots]
+    mats = tet_metrics[tets]
     te = mesh.edge_tangent[e]
     if check_continuity:
         scale = max(float(np.abs(mats).max()), 1.0)
-        for i in range(len(star)):
-            jump = mats[i] - mats[i - 1]  # across face i
-            for a in (te, ms[i]):
-                for b in (te, ms[i]):
-                    if abs(a @ jump @ b) > 1e-9 * scale:
-                        raise RealizabilityError(
-                            f"sector metrics of edge {e} are not "
-                            "tangentially continuous across face "
-                            f"{star[i][0]}")
-    return EdgeSector(te, ms, ns, mats, e,
-                      tuple(f for f, _ in star), tuple(t for _, t in star))
+        # tangential-tangential part of the jump across face i, in the
+        # frame (t_e, m_i) of the face
+        frames = np.stack([np.broadcast_to(te, ms.shape), ms], axis=1)
+        jump = mats - np.roll(mats, 1, axis=0)
+        tt = np.einsum("sai,sij,sbj->sab", frames, jump, frames)
+        bad = np.flatnonzero((np.abs(tt) > 1e-9 * scale).any(axis=(1, 2)))
+        if bad.size:
+            raise RealizabilityError(
+                f"sector metrics of edge {e} are not tangentially "
+                f"continuous across face {int(faces[bad[0]])}")
+    return EdgeSector(te, ms, ns, mats, e, tuple(faces.tolist()),
+                      tuple(tets.tolist()))
 
 
 def _metric_unit_normal(u: np.ndarray, n: np.ndarray) -> np.ndarray:

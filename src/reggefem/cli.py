@@ -87,18 +87,35 @@ def _resolve(args, defaults: dict) -> dict:
     return cfg
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _is_whole(x) -> bool:
+    return _is_int(x) or isinstance(x, float) and x.is_integer()
+
+
+def _is_triple(x, item) -> bool:
+    return isinstance(x, list) and len(x) == 3 and all(map(item, x))
+
+
 def _validate_common(cfg: dict):
+    # types first: a config file can hold any JSON value
     lengths = cfg["lengths"]
-    if len(lengths) != 3 or any(l <= 0 for l in lengths):
+    if not _is_triple(lengths, _is_number) or any(l <= 0 for l in lengths):
         raise ConfigError("lengths: need three positive side lengths")
     grid = cfg["grid"]
-    if len(grid) != 3 or any(int(n) != n for n in grid):
+    if not _is_triple(grid, _is_whole):
         raise ConfigError("grid: need three integer subdivision counts")
     if min(grid) < 2:
         raise ConfigError("grid: subdivisions must be at least 2 "
                           "(periodic identification)")
     cfg["grid"] = [int(n) for n in grid]
-    if "seed" in cfg and (int(cfg["seed"]) != cfg["seed"] or cfg["seed"] < 0):
+    if "seed" in cfg and not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
         raise ConfigError("seed: need a nonnegative integer")
 
 

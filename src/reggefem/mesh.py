@@ -373,14 +373,19 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
         mesh._star_faces.append(cyc)
         mesh._star_tets.append(sector)
 
-    for name in ("vertex_lattice", "vertex_pos", "tet_lattice", "tet_vids",
-                 "tet_coords", "tet_edges", "tet_grad", "tet_volume",
-                 "tet_rho", "edge_tail", "edge_head", "edge_tail_lattice",
-                 "edge_vec", "edge_tangent", "edge_length", "face_lattice",
-                 "face_coords", "face_vids", "face_tets", "face_normal",
-                 "face_edges", "face_m", "face_n", "face_side"):
-        getattr(mesh, name).setflags(write=False)
+    # freeze every array, also those held in per-edge and per-direction lists
+    for value in vars(mesh).values():
+        for arr in value if isinstance(value, list) else [value]:
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
     return mesh
+
+
+def _star_arrays(mesh: PeriodicMesh, e: int):
+    """The faces and sector tets of :func:`edge_star` as two int arrays."""
+    if not 0 <= e < mesh.num_edges:
+        raise MeshError(f"invalid edge id {e}")
+    return mesh._star_faces[e % 7][e // 7], mesh._star_tets[e % 7][e // 7]
 
 
 def edge_star(mesh: PeriodicMesh, e: int, flip_orientation: bool = False):
@@ -391,10 +396,8 @@ def edge_star(mesh: PeriodicMesh, e: int, flip_orientation: bool = False):
     lowest face id.  With ``flip_orientation`` the reference is -t_e: the
     cycle keeps its first face and runs the other way.
     """
-    if not 0 <= e < mesh.num_edges:
-        raise MeshError(f"invalid edge id {e}")
-    faces = mesh._star_faces[e % 7][e // 7].tolist()
-    tets = mesh._star_tets[e % 7][e // 7].tolist()
+    faces, tets = _star_arrays(mesh, e)
+    faces, tets = faces.tolist(), tets.tolist()
     if flip_orientation:
         faces, tets = faces[:1] + faces[:0:-1], tets[::-1]
     return list(zip(faces, tets))

@@ -360,6 +360,18 @@ def regge_to_tet_matrices(mesh: PeriodicMesh, u: ReggeField) -> np.ndarray:
     return np.einsum("ta,taij->tij", u.coeffs[mesh.tet_edges], mesh.tet_rho)
 
 
+def _gram_from_squared_lengths(s: np.ndarray) -> np.ndarray:
+    """Gram matrices (..., 3, 3) of the spanning edge vectors p_i - p_0 of
+    tets in the sought metric, from six squared lengths (..., 6) each in
+    LOCAL_EDGES order (polarization of the squared lengths)."""
+    G = np.empty(s.shape[:-1] + (3, 3))
+    G[..., 0, 0], G[..., 1, 1], G[..., 2, 2] = s[..., 0], s[..., 1], s[..., 2]
+    G[..., 0, 1] = G[..., 1, 0] = 0.5 * (s[..., 0] + s[..., 1] - s[..., 3])
+    G[..., 0, 2] = G[..., 2, 0] = 0.5 * (s[..., 0] + s[..., 2] - s[..., 4])
+    G[..., 1, 2] = G[..., 2, 1] = 0.5 * (s[..., 1] + s[..., 2] - s[..., 5])
+    return G
+
+
 def metric_from_edge_lengths(tet_coords: np.ndarray,
                              squared_lengths) -> np.ndarray:
     """Unique constant metric with prescribed squared edge lengths on a tet.
@@ -376,14 +388,8 @@ def metric_from_edge_lengths(tet_coords: np.ndarray,
     det = np.linalg.det(B)
     if abs(det) < 1e-14 * max(np.abs(B).max(), 1.0) ** 3:
         raise ValueError("malformed tet: degenerate vertex configuration")
-    # Gram matrix of the spanning edge vectors in the sought metric
-    G = np.empty((3, 3))
-    G[0, 0], G[1, 1], G[2, 2] = s[0], s[1], s[2]
-    G[0, 1] = G[1, 0] = 0.5 * (s[0] + s[1] - s[3])
-    G[0, 2] = G[2, 0] = 0.5 * (s[0] + s[2] - s[4])
-    G[1, 2] = G[2, 1] = 0.5 * (s[1] + s[2] - s[5])
     Binv = np.linalg.inv(B)
-    u = Binv.T @ G @ Binv
+    u = Binv.T @ _gram_from_squared_lengths(s) @ Binv
     return 0.5 * (u + u.T)
 
 

@@ -74,6 +74,32 @@ class TestMetricReconstruction:
         with pytest.raises(RealizabilityError, match="tet"):
             tet_metrics_from_lengths(mesh2, EdgeLengthConfig(s))
 
+    def test_batched_cayley_menger_equals_rows(self, mesh3):
+        rng = np.random.default_rng(18)
+        cfg = random_realizable_config(mesh3, rng)
+        s = cfg.squared_lengths[mesh3.tet_edges]
+        cm = cayley_menger_determinant(s)
+        assert cm.shape == (mesh3.num_tets,)
+        assert np.array_equal(
+            cm, [cayley_menger_determinant(row) for row in s])
+        stacked = cayley_menger_determinant(s.reshape(-1, 3, 6))
+        assert np.array_equal(stacked, cm.reshape(-1, 3))
+
+    def test_first_degenerate_tet_named(self, mesh3):
+        s = mesh3.edge_length.copy() ** 2
+        # a 60x squared length breaks the triangle inequality in every
+        # face, so every tet at either stretched edge is degenerate
+        ea, eb = mesh3.tet_edges[17, 0], mesh3.tet_edges[100, 0]
+        s[[ea, eb]] *= 60.0
+        cfg = EdgeLengthConfig(s)
+        first = min(*mesh3.edge_tets[ea], *mesh3.edge_tets[eb])
+        with pytest.raises(RealizabilityError,
+                           match=rf"^tet {first}: degenerate"):
+            tet_metrics_from_lengths(mesh3, cfg)
+        with pytest.raises(RealizabilityError,
+                           match=r"^tet 100: degenerate"):
+            tet_metrics_from_lengths(mesh3, cfg, [100, 17])
+
 
 class TestDeficits:
     def test_flat_background_zero(self, mesh2, mesh3):

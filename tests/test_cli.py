@@ -213,6 +213,29 @@ class TestConfigHandling:
         assert code == 2
         assert "unknown keys" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "x"), ("seed", 1.5), ("seed", True), ("seed", -1),
+        ("lengths", ["a", 1, 1]), ("lengths", 5), ("lengths", "abc"),
+        ("lengths", [1, 1, None]),
+        ("grid", ["x", 2, 2]), ("grid", 3), ("grid", [2, 2, 2.5]),
+        ("grid", [2, 2, True]),
+    ])
+    def test_mistyped_common_value_is_config_error(self, capsys, tmp_path,
+                                                   key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {key}:")
+
+    def test_integral_float_grid_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": [2.0, 2, 2]}))
+        code, out, _ = run(capsys, "mesh", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["config"]["grid"] == [2, 2, 2]
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "mesh.json"
         code, out, _ = run(capsys, "mesh", "--grid", "2", "2", "2",

@@ -266,6 +266,21 @@ class TestGeometry:
         with pytest.raises(ValueError):
             mesh2.edge_tangent[0, 0] = 1.0
 
+    @pytest.mark.parametrize("grid", [(2, 2, 2), (4, 5, 6)])
+    def test_every_public_array_read_only(self, geometry, grid):
+        mesh = build_torus_mesh(geometry, grid)
+        arrays = {}
+        for name, value in vars(mesh).items():
+            if name.startswith("_"):
+                continue
+            items = value if isinstance(value, list) else [value]
+            for i, v in enumerate(items):
+                if isinstance(v, np.ndarray):
+                    arrays[f"{name}[{i}]"] = v
+        assert {"cell[0]", "edge_dir[0]", "edge_faces[0]",
+                "edge_tets[0]"} <= set(arrays)
+        assert [k for k, v in arrays.items() if v.flags.writeable] == []
+
 
 class TestEdgeStar:
     def test_body_diagonal_star_length_six(self, mesh2):
