@@ -346,11 +346,15 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     face_loc = _by_edge(face_edges.ravel(), nv)
     tet_loc = _by_edge(tet_edges.ravel(), nv)
     faces_by_dir = [loc // 3 for loc in face_loc]
+    tets_by_dir = [loc // 6 for loc in tet_loc]
+    # the per-edge rows below are views, read-only with their base
+    for arr in faces_by_dir + tets_by_dir:
+        arr.setflags(write=False)
     mesh.edge_faces = _per_edge([list(f) for f in faces_by_dir])
     mesh.edge_face_loc = _per_edge([
         list(map(list, map(zip, (loc // 3).tolist(), (loc % 3).tolist())))
         for loc in face_loc])
-    mesh.edge_tets = _per_edge([list(loc // 6) for loc in tet_loc])
+    mesh.edge_tets = _per_edge([list(t) for t in tets_by_dir])
 
     # stars, per direction: incident faces by angle about t_e, measured
     # from the lowest face id, and the tet between each and the next face
@@ -373,11 +377,9 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
         mesh._star_faces.append(cyc)
         mesh._star_tets.append(sector)
 
-    # freeze every array, also those held in per-edge and per-direction lists
     for value in vars(mesh).values():
-        for arr in value if isinstance(value, list) else [value]:
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     return mesh
 
 
