@@ -170,7 +170,11 @@ def _dihedral_angles(p: np.ndarray, u: np.ndarray,
     metric-orthogonal complements of the edge direction inside the two
     face planes.
     """
-    q = p[np.arange(len(p))[:, None], _EDGE_VERTS[slots]]
+    verts = _EDGE_VERTS[slots]
+    if verts.ndim == 1:  # one slot for all rows: a column pick, no gather
+        q = p[:, verts]
+    else:
+        q = p[np.arange(len(p))[:, None], verts]
     t = q[:, 1] - q[:, 0]
     wc = q[:, 2] - q[:, 0]
     wd = q[:, 3] - q[:, 0]
