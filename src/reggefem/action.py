@@ -160,8 +160,7 @@ def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
     return 0.5 * (u + np.swapaxes(u, 1, 2))
 
 
-def _dihedral_angles(p: np.ndarray, u: np.ndarray,
-                     slots) -> np.ndarray:
+def _dihedral_angles(p: np.ndarray, u: np.ndarray, slots) -> np.ndarray:
     """Dihedral angle of each tet at one local edge slot per row.
 
     ``p`` (T, 4, 3) tet points, ``u`` (T, 3, 3) metrics, ``slots`` one
