@@ -17,7 +17,8 @@ TAU = 2.0 * np.pi
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--grids", nargs="+", type=int, default=[2, 3, 4, 5])
+    ap.add_argument("--grids", nargs="+", type=int,
+                    default=[4, 6, 8, 12, 16])
     ap.add_argument("--n-eigs", type=int, default=2)
     ap.add_argument("--lengths", nargs=3, type=float,
                     default=[TAU, TAU, TAU])

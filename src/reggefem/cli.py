@@ -103,20 +103,34 @@ def _is_triple(x, item) -> bool:
     return isinstance(x, list) and len(x) == 3 and all(map(item, x))
 
 
+PATH_KEYS = ("output", "csv", "json", "lengths_json")
+
+
 def _validate_common(cfg: dict):
     # types first: a config file can hold any JSON value
     lengths = cfg["lengths"]
     if not _is_triple(lengths, _is_number) or any(l <= 0 for l in lengths):
         raise ConfigError("lengths: need three positive side lengths")
-    grid = cfg["grid"]
-    if not _is_triple(grid, _is_whole):
-        raise ConfigError("grid: need three integer subdivision counts")
-    if min(grid) < 2:
-        raise ConfigError("grid: subdivisions must be at least 2 "
-                          "(periodic identification)")
-    cfg["grid"] = [int(n) for n in grid]
+    for key in PATH_KEYS:
+        if not isinstance(cfg.get(key), (str, type(None))):
+            raise ConfigError(f"{key}: need a file path string")
+    if "grid" in cfg:
+        grid = cfg["grid"]
+        if not _is_triple(grid, _is_whole):
+            raise ConfigError("grid: need three integer subdivision counts")
+        if min(grid) < 2:
+            raise ConfigError("grid: subdivisions must be at least 2 "
+                              "(periodic identification)")
+        cfg["grid"] = [int(n) for n in grid]
     if "seed" in cfg and not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
         raise ConfigError("seed: need a nonnegative integer")
+
+
+def _require_positive(cfg: dict, key: str, integer: bool = False):
+    x = cfg[key]
+    if not ((_is_int(x) if integer else _is_number(x)) and x > 0):
+        kind = "integer" if integer else "number"
+        raise ConfigError(f"{key}: need a positive {kind}")
 
 
 def _geometry(cfg) -> TorusGeometry:
@@ -179,11 +193,9 @@ def cmd_eigs(args) -> int:
     cfg = _resolve(args, defaults)
     _validate_common(cfg)
     cutoff = cfg["cutoff"]
-    if cutoff is not None and not (isinstance(cutoff, (int, float))
-                                   and cutoff > 0):
-        raise ConfigError("cutoff: must be positive")
-    if not isinstance(cfg["n_targets"], int) or cfg["n_targets"] < 1:
-        raise ConfigError("n_targets: need a positive integer")
+    if cutoff is not None:
+        _require_positive(cfg, "cutoff")
+    _require_positive(cfg, "n_targets", integer=True)
     geometry = _geometry(cfg)
     mesh = build_torus_mesh(geometry, cfg["grid"])
     res = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh),
@@ -222,10 +234,8 @@ def cmd_oracle(args) -> int:
     defaults = dict(COMMON_DEFAULTS, cutoff=1.5)
     del defaults["grid"]
     cfg = _resolve(args, defaults)
-    if len(cfg["lengths"]) != 3 or any(l <= 0 for l in cfg["lengths"]):
-        raise ConfigError("lengths: need three positive side lengths")
-    if cfg["cutoff"] <= 0:
-        raise ConfigError("cutoff: must be positive")
+    _validate_common(cfg)
+    _require_positive(cfg, "cutoff")
     sp = fourier_oracle(_geometry(cfg), cfg["cutoff"])
     rows = [(0.0, -1, "kernel")]
     rows += [(lam, mult, "mode") for lam, mult in sp.entries]
@@ -238,15 +248,20 @@ def cmd_converge(args) -> int:
     defaults = dict(COMMON_DEFAULTS, grids=[2, 3, 4], n_eigs=2, json=None)
     del defaults["grid"]
     cfg = _resolve(args, defaults)
-    if len(cfg["lengths"]) != 3 or any(l <= 0 for l in cfg["lengths"]):
-        raise ConfigError("lengths: need three positive side lengths")
-    if not cfg["grids"]:
-        raise ConfigError("grids: need at least one grid")
-    if min(cfg["grids"]) < 2:
+    _validate_common(cfg)
+    grids = cfg["grids"]
+    if not (isinstance(grids, list) and grids and all(map(_is_whole, grids))):
+        raise ConfigError("grids: need a list of integer grid sizes")
+    grids = cfg["grids"] = [int(n) for n in grids]
+    if min(grids) < 2:
         raise ConfigError("grids: subdivisions must be at least 2")
-    if any(b <= a for a, b in zip(cfg["grids"], cfg["grids"][1:])):
+    if any(b <= a for a, b in zip(grids, grids[1:])):
         raise ConfigError("grids: must be strictly increasing")
-    study = convergence_study(_geometry(cfg), cfg["grids"], cfg["n_eigs"])
+    _require_positive(cfg, "n_eigs", integer=True)
+    try:
+        study = convergence_study(_geometry(cfg), grids, cfg["n_eigs"])
+    except ValueError as ex:
+        raise ConfigError(f"n_eigs: {ex}") from ex
     rows = [(f"{r['grid'][0]}x{r['grid'][1]}x{r['grid'][2]}", r["target"],
              r["multiplicity"], r["cluster_mean"], r["rel_error"],
              int(r["matched"])) for r in study["rows"]]
@@ -264,6 +279,11 @@ def cmd_action(args) -> int:
                     perturb_scale=0.1, csv=None)
     cfg = _resolve(args, defaults)
     _validate_common(cfg)
+    seed = cfg["perturb_seed"]
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise ConfigError("perturb_seed: need a nonnegative integer")
+    if not _is_number(cfg["perturb_scale"]):
+        raise ConfigError("perturb_scale: need a number")
     mesh = build_torus_mesh(_geometry(cfg), cfg["grid"])
     if cfg["lengths_json"]:
         try:
@@ -275,7 +295,7 @@ def cmd_action(args) -> int:
             raise ConfigError("lengths_json: expected one squared length "
                               f"per edge ({mesh.num_edges})")
     elif cfg["perturb_seed"] is not None:
-        rng = np.random.default_rng(int(cfg["perturb_seed"]))
+        rng = np.random.default_rng(seed)
         up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
         config = perturbed_lengths(mesh, up, cfg["perturb_scale"])
     else:

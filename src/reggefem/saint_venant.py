@@ -87,9 +87,14 @@ def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
 
 @dataclass(frozen=True)
 class StiffnessMatrix:
-    """Sparse E x E matrix of the Saint-Venant bilinear form."""
+    """Sparse E x E matrix of the Saint-Venant bilinear form.
+
+    ``grid`` is the ``(n1, n2, n3)`` lattice of the mesh it was assembled
+    on; the pencil solver needs it to split the matrix into Bloch blocks.
+    """
 
     matrix: sp.csr_matrix
+    grid: tuple | None = None
 
     @property
     def shape(self):
@@ -106,9 +111,11 @@ class StiffnessMatrix:
 
 @dataclass(frozen=True)
 class MassMatrix:
-    """Sparse E x E L2 Gram matrix of the edge basis (SPD)."""
+    """Sparse E x E L2 Gram matrix of the edge basis (SPD), with the
+    ``(n1, n2, n3)`` lattice of its mesh as ``grid``."""
 
     matrix: sp.csr_matrix
+    grid: tuple | None = None
 
     @property
     def shape(self):
@@ -139,7 +146,7 @@ def assemble_stiffness(mesh: PeriodicMesh) -> StiffnessMatrix:
     A = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
                       shape=(E, E)).tocsr()
     A.sum_duplicates()
-    return StiffnessMatrix(A)
+    return StiffnessMatrix(A, mesh.grid)
 
 
 def assemble_mass(mesh: PeriodicMesh) -> MassMatrix:
@@ -152,7 +159,7 @@ def assemble_mass(mesh: PeriodicMesh) -> MassMatrix:
     E = mesh.num_edges
     M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(E, E)).tocsr()
     M.sum_duplicates()
-    return MassMatrix(M)
+    return MassMatrix(M, mesh.grid)
 
 
 def write_coo(matrix, path):

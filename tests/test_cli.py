@@ -229,6 +229,53 @@ class TestConfigHandling:
         assert out == ""
         assert err.startswith(f"error: {key}:")
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("converge", "grids", "x"),
+        ("converge", "grids", [2.5, 3]),
+        ("converge", "grids", []),
+        ("converge", "n_eigs", "x"),
+        ("converge", "n_eigs", 0),
+        ("converge", "n_eigs", 50),
+        ("converge", "lengths", ["a", 1, 1]),
+        ("action", "perturb_seed", "x"),
+        ("action", "perturb_seed", -1),
+        ("action", "perturb_scale", "x"),
+        ("oracle", "cutoff", "x"),
+        ("oracle", "lengths", "abc"),
+        ("mesh", "output", 5),
+        ("eigs", "csv", 5),
+        ("converge", "json", 5),
+        ("action", "lengths_json", 5),
+    ])
+    def test_mistyped_command_value_is_config_error(self, capsys, tmp_path,
+                                                    command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {key}:")
+
+    def test_integral_float_grids_echoed_as_integers(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": [2.0, 3]}))
+        code, out, _ = run(capsys, "converge", "--config", str(cfg))
+        assert code == 0
+        assert '"grids": [2, 3]' in out.splitlines()[1]
+
+    @pytest.mark.parametrize("argv, path_flag", [
+        (("converge", "--grids", "2", "3", "4"), "--json"),
+        (("eigs", "--grid", "3", "3", "3"), "--csv"),
+    ])
+    def test_byte_identical_reruns(self, capsys, tmp_path, argv, path_flag):
+        path = tmp_path / "second_output"
+        runs = []
+        for _ in range(2):
+            code, out, err = run(capsys, *argv, path_flag, str(path))
+            runs.append((code, out, err, path.read_bytes()))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
     def test_integral_float_grid_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": [2.0, 2, 2]}))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reggefem import (TorusGeometry, assign_clusters,
-                      convergence_study, fourier_oracle, sigma_modes,
-                      solve_pencil)
-from reggefem.saint_venant import MassMatrix
+from reggefem import (TorusGeometry, assemble_mass, assemble_stiffness,
+                      assign_clusters, build_torus_mesh, convergence_study,
+                      fourier_oracle, sigma_modes, solve_pencil)
+from reggefem.saint_venant import MassMatrix, StiffnessMatrix
 from reggefem.spaces import deformation_matrix
-from reggefem.spectrum import mode_symbol
+from reggefem.spectrum import KERNEL_THRESHOLD_FACTOR, mode_symbol
 
 TAU = 2.0 * np.pi
 
@@ -122,6 +125,67 @@ class TestPencil:
         bad = MassMatrix(matrix=-M.matrix)
         with pytest.raises(np.linalg.LinAlgError, match="not SPD"):
             solve_pencil(A, bad)
+
+
+class TestBlochSolve:
+    @pytest.mark.parametrize("grid, lengths", [
+        ((2, 2, 2), (TAU, TAU, TAU)),
+        ((3, 3, 3), (TAU, TAU, TAU)),
+        ((3, 4, 5), (TAU, 1.25 * TAU, 1.5 * TAU)),
+    ])
+    def test_matches_dense_eigh(self, grid, lengths):
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        A, M = assemble_stiffness(mesh), assemble_mass(mesh)
+        res = solve_pencil(A, M)
+        Ad = A.toarray()
+        dense = sla.eigh(0.5 * (Ad + Ad.T), M.toarray(), eigvals_only=True)
+        scale = np.abs(dense).max()
+        assert np.abs(res.eigenvalues - dense).max() <= 1e-13 * scale
+        tau = KERNEL_THRESHOLD_FACTOR * scale
+        assert res.kernel_dim == int(np.sum(np.abs(dense) < tau))
+        assert res.max_residual <= 1e-12
+        assert res.asymmetry == A.symmetry_residual() <= 1e-14
+        assert res.kernel_max_abs < res.threshold <= res.nonzero_min_abs
+        out = res.to_dict()
+        assert out["nonzero_min_abs"] == res.nonzero_min_abs
+        assert out["kernel_max_abs"] == res.kernel_max_abs
+        assert out["asymmetry"] == res.asymmetry
+
+    def test_non_circulant_stiffness_rejected(self, pencil2):
+        A, M = pencil2
+        bad = A.matrix.copy()
+        bad.data[-1] += 1e-9 * np.abs(bad.data).max()
+        with pytest.raises(ValueError, match="not block-circulant"):
+            solve_pencil(StiffnessMatrix(bad, A.grid), M)
+
+    def test_non_circulant_mass_rejected(self, pencil2):
+        A, M = pencil2
+        bad = M.matrix.copy()
+        bad.data[-1] += 1e-9 * np.abs(bad.data).max()
+        with pytest.raises(ValueError, match="mass matrix is not"):
+            solve_pencil(A, MassMatrix(bad, M.grid))
+
+    def test_matrix_without_grid_rejected(self, pencil2):
+        A, M = pencil2
+        with pytest.raises(ValueError, match="no grid"):
+            solve_pencil(StiffnessMatrix(A.matrix), M)
+
+    def test_grid_of_other_size_rejected(self, pencil2, pencil3):
+        (A2, _), (_, M3) = pencil2, pencil3
+        with pytest.raises(ValueError, match="shape"):
+            solve_pencil(A2, M3)
+
+    @settings(max_examples=15, deadline=None)
+    @given(grid=st.tuples(*[st.integers(2, 6)] * 3),
+           scales=st.tuples(*[st.floats(0.5, 2.0)] * 3))
+    def test_kernel_is_3v_plus_3_on_any_torus(self, grid, scales):
+        mesh = build_torus_mesh(TorusGeometry(*(TAU * s for s in scales)),
+                                grid)
+        res = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh))
+        assert res.eigenvalues.size == mesh.num_edges
+        assert res.kernel_dim == 3 * mesh.num_vertices + 3
+        assert res.asymmetry <= 1e-14
+        assert res.max_residual <= 1e-12 * np.abs(res.eigenvalues).max()
 
 
 class TestClusters:
