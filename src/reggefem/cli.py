@@ -155,6 +155,8 @@ def cmd_mesh(args) -> int:
     defaults = dict(COMMON_DEFAULTS, full_incidence=False)
     cfg = _resolve(args, defaults)
     _validate_common(cfg)
+    if not isinstance(cfg["full_incidence"], bool):
+        raise ConfigError("full_incidence: need true or false")
     mesh = build_torus_mesh(_geometry(cfg), cfg["grid"])
     body = mesh_summary(mesh, include_incidence=cfg["full_incidence"])
     _write_text(_json_payload(cfg, body), cfg["output"])
@@ -165,6 +167,8 @@ def cmd_assemble(args) -> int:
     defaults = dict(COMMON_DEFAULTS, prefix="pencil", seed=0)
     cfg = _resolve(args, defaults)
     _validate_common(cfg)
+    if not isinstance(cfg["prefix"], str):
+        raise ConfigError("prefix: need a file path prefix string")
     mesh = build_torus_mesh(_geometry(cfg), cfg["grid"])
     A = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
@@ -294,7 +298,7 @@ def cmd_action(args) -> int:
         if config.squared_lengths.shape[0] != mesh.num_edges:
             raise ConfigError("lengths_json: expected one squared length "
                               f"per edge ({mesh.num_edges})")
-    elif cfg["perturb_seed"] is not None:
+    elif seed is not None:
         rng = np.random.default_rng(seed)
         up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
         config = perturbed_lengths(mesh, up, cfg["perturb_scale"])

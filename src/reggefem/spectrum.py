@@ -253,8 +253,8 @@ def solve_pencil(A: StiffnessMatrix, M: MassMatrix,
     ``A.grid`` names the lattice; A and M must be block-circulant on it
     (checked to CIRCULANT_TOL), else ValueError.  The symbols of A are
     Hermitised, those of M Cholesky-factored (LinAlgError if M is not SPD),
-    and each pencil is reduced by triangular solves and passed to
-    ``eigh``.  The eigenvalues are the ascending union over the blocks, E
+    and each pencil is reduced by solves against the Cholesky factor and
+    passed to ``eigh``.  The eigenvalues are the ascending union over the blocks, E
     in all.  ``max_residual`` is max ||A^ x^ - lambda M^ x^||_2 over every
     block eigenpair with ||x^||_M^ = 1; because the normalised DFT is
     unitary this equals the residual ||A x - lambda M x||_2 of the lifted

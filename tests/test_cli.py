@@ -246,6 +246,9 @@ class TestConfigHandling:
         ("eigs", "csv", 5),
         ("converge", "json", 5),
         ("action", "lengths_json", 5),
+        ("assemble", "prefix", 5),
+        ("assemble", "prefix", None),
+        ("mesh", "full_incidence", "no"),
     ])
     def test_mistyped_command_value_is_config_error(self, capsys, tmp_path,
                                                     command, key, value):
