@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from reggefem import MeshError, TorusGeometry, build_torus_mesh, edge_star, \
     mesh_summary
 from reggefem.action import euclidean_lengths, metric_dihedral_angles, \
     tet_metrics_from_lengths
+from reggefem.mesh import _star_arrays
 
 TAU = 2.0 * np.pi
 
@@ -160,6 +163,22 @@ GOLDEN = {
         "vertex_lattice": "d5929f76f83a73cc",
         "vertex_pos": "01025935a53f9542",
     },
+}
+
+
+# Per-edge incidence in array form (ascending faces, the slot of the edge in
+# each of them, ascending tets) and the JSON of the full-incidence summary
+# (see _incidence_fingerprint), recorded from the builder that stored
+# per-edge lists.
+GOLDEN_INCIDENCE = {
+    "2x2x2": {"faces": "a778daf2d5ab9d39", "slots": "3bb45745faeaee82",
+              "tets": "a12e22f956c3f87a", "summary": "495aad037fc99db6"},
+    "3x2x2": {"faces": "b8b7d4a27bb889ae", "slots": "c78ad68ef3bb1b0f",
+              "tets": "83d021cf3aad6dd0", "summary": "c034d030ab495fab"},
+    "3x3x3": {"faces": "9537bb86c9f73d34", "slots": "218dc933f64b9dea",
+              "tets": "d49b17b9fe45816c", "summary": "01cd3c301ad057e3"},
+    "4x5x6": {"faces": "7db223cdee590124", "slots": "bb7963e78b117cc3",
+              "tets": "89cd15d45e7abf45", "summary": "5915d1862220d781"},
 }
 
 
@@ -414,6 +433,18 @@ def _fingerprint(mesh) -> dict:
     return out
 
 
+def _incidence_fingerprint(mesh) -> dict:
+    faces, slots, tets = [], [], []
+    for e in range(mesh.num_edges):
+        f, t = _star_arrays(mesh, e)
+        f = np.sort(f)
+        faces.append(f)
+        slots.append(np.argmax(mesh.face_edges[f] == e, axis=1))
+        tets.append(np.sort(t))
+    summary = json.dumps(mesh_summary(mesh, include_incidence=True))
+    return {"faces": digest(faces), "slots": digest(slots),
+            "tets": digest(tets), "summary": digest(summary)}
+
 class TestGoldenFingerprints:
     @pytest.mark.parametrize("label", sorted(GOLDEN_GRIDS))
     def test_attributes_bit_identical(self, label):
@@ -422,3 +453,9 @@ class TestGoldenFingerprints:
         assert _fingerprint(mesh) == GOLDEN[label]
         assert all(v.flags.c_contiguous for v in vars(mesh).values()
                    if isinstance(v, np.ndarray))
+
+    @pytest.mark.parametrize("label", sorted(GOLDEN_GRIDS))
+    def test_incidence_bit_identical(self, label):
+        grid, lengths = GOLDEN_GRIDS[label]
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        assert _incidence_fingerprint(mesh) == GOLDEN_INCIDENCE[label]
