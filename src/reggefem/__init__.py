@@ -17,11 +17,10 @@ from .spaces import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
                      dof_mu_e, interpolate_0, interpolate_1, interpolate_2,
                      interpolate_3, matrix_mode, metric_from_edge_lengths,
                      pair_x2_x1, pair_x3_x0, piecewise_constant_field,
-                     regge_to_tet_matrices, vector_mode)
+                     regge_to_tet_matrices, skew, vector_mode)
 from .saint_venant import (MassMatrix, StiffnessMatrix, apply_ctc,
                            assemble_mass, assemble_stiffness,
-                           edge_jump_scalar, jump_across_face, read_coo,
-                           skew, write_coo)
+                           edge_jump_scalar, read_coo, write_coo)
 from .spectrum import (FourierSpectrum, SpectrumResult, assign_clusters,
                        convergence_study, fourier_oracle, sigma_modes,
                        solve_pencil)

@@ -19,6 +19,12 @@ The action is R = sum_e theta_e * l_e.  Near the flat background,
 R(l(eps)) = eps^2/8 * c' A c + O(eps^3) where c is the coefficient vector
 of the metric perturbation and A the assembled stiffness matrix; the
 linearized deficit equals half the assembled edge jump.
+
+``deficit_angle_holonomy`` and ``linearized_deficit`` keep their own
+per-star loops on purpose: ``verify`` checks them against
+``deficit_angle_dihedral`` and against the face-jump kernel of
+``saint_venant`` (through ``edge_jump_scalar``), so they share no code with
+those routes.
 """
 
 from __future__ import annotations
@@ -215,7 +221,7 @@ def deficit_angle_dihedral(mesh: PeriodicMesh, e: int,
     """Deficit angle of one edge via embedded dihedral angles (star-local)."""
     if not 0 <= e < mesh.num_edges:
         raise ValueError(f"invalid edge id {e}")
-    tets = mesh.edge_tets[e]
+    tets = np.sort(_star_arrays(mesh, e)[1])
     metrics = tet_metrics_from_lengths(mesh, config, tets)
     slots = np.argmax(mesh.tet_edges[tets] == e, axis=1)
     total = 0.0

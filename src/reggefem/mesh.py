@@ -20,7 +20,8 @@ Conventions
   the higher one.
 * An edge lies in 6 faces and 6 tets for the axis directions (d = 0, 1, 3)
   and the body diagonal (d = 6), in 4 of each for the face diagonals
-  (d = 2, 4, 5).  Incidence lists are in ascending simplex order.
+  (d = 2, 4, 5).  Edge incidence is stored once, as the star of every
+  edge (:func:`edge_star`); a sorted star row is the ascending incidence.
 * Simplices store *lifted* integer lattice points, normalized per axis to
   the window [0, n_i]; all geometry (tangents, normals, frames, gradients)
   is plain Euclidean geometry on the lift.  Periodicity lives only in the
@@ -134,9 +135,14 @@ class PeriodicMesh:
     face_vids (F,3), face_lattice (F,3,3) int, face_coords (F,3,3),
     face_normal (F,3), face_tets (F,2), face_edges (F,3),
     face_m/(face_n) (F,3,3) per-edge frames, face_side (F,3) index into
-    face_tets of the tet the jump normal n_ef points into;
-    edge_faces/edge_tets: per-edge index arrays,
-    edge_face_loc: per-edge list of (face, local slot) pairs.
+    face_tets of the tet the jump normal n_ef points into.
+
+    Edge incidence is held only by the stars: ``_star_faces[d]`` and
+    ``_star_tets[d]`` are (V, valence) arrays whose row v lists the faces
+    and sector tets of edge 7*v + d in :func:`edge_star` order.  Read them
+    through ``_star_arrays``; ``np.sort`` of a row gives the ascending
+    incident faces or tets, and the slot of e in face f is the position of
+    e in face_edges[f].
     """
 
     def __init__(self, geometry: TorusGeometry, grid):
@@ -208,14 +214,6 @@ def _by_edge(edge_ids: np.ndarray, nv: int) -> list:
     order = np.argsort(edge_ids, kind="stable")
     sorted_dir = edge_ids[order] % 7
     return [order[sorted_dir == d].reshape(nv, _VALENCE[d]) for d in range(7)]
-
-
-def _per_edge(rows_by_dir: list) -> list:
-    """Interleave per-direction row sequences into one list indexed by edge."""
-    out = [None] * (7 * len(rows_by_dir[0]))
-    for d, rows in enumerate(rows_by_dir):
-        out[d::7] = rows
-    return out
 
 
 def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
@@ -342,24 +340,11 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     mesh.face_side = (np.vecdot(nef, face_normal[:, None]) > 0).astype(
         np.int64)
 
-    # edge incidence, ascending by face (tet) id
-    face_loc = _by_edge(face_edges.ravel(), nv)
-    tet_loc = _by_edge(tet_edges.ravel(), nv)
-    faces_by_dir = [loc // 3 for loc in face_loc]
-    tets_by_dir = [loc // 6 for loc in tet_loc]
-    # the per-edge rows below are views, read-only with their base
-    for arr in faces_by_dir + tets_by_dir:
-        arr.setflags(write=False)
-    mesh.edge_faces = _per_edge([list(f) for f in faces_by_dir])
-    mesh.edge_face_loc = _per_edge([
-        list(map(list, map(zip, (loc // 3).tolist(), (loc % 3).tolist())))
-        for loc in face_loc])
-    mesh.edge_tets = _per_edge([list(t) for t in tets_by_dir])
-
     # stars, per direction: incident faces by angle about t_e, measured
     # from the lowest face id, and the tet between each and the next face
     mesh._star_faces, mesh._star_tets = [], []
-    for d, (faces, loc) in enumerate(zip(faces_by_dir, face_loc)):
+    for d, loc in enumerate(_by_edge(face_edges.ravel(), nv)):
+        faces = loc // 3
         ms = m.reshape(-1, 3)[loc]
         r1 = ms[:, :1]
         r2 = np.cross(mesh.edge_tangent[d::7, None], r1)
@@ -378,8 +363,9 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
         mesh._star_tets.append(sector)
 
     for value in vars(mesh).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+        for arr in value if isinstance(value, list) else [value]:
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
     return mesh
 
 
@@ -424,11 +410,12 @@ def mesh_summary(mesh: PeriodicMesh, include_incidence: bool = False) -> dict:
              for i in range(4) for j in range(i)])),
     }
     if include_incidence:
+        stars = [_star_arrays(mesh, e) for e in range(mesh.num_edges)]
         out["incidence"] = {
             "tet_edges": mesh.tet_edges.tolist(),
             "face_tets": mesh.face_tets.tolist(),
             "face_edges": mesh.face_edges.tolist(),
-            "edge_tets": [v.tolist() for v in mesh.edge_tets],
-            "edge_faces": [v.tolist() for v in mesh.edge_faces],
+            "edge_tets": [np.sort(t).tolist() for _, t in stars],
+            "edge_faces": [np.sort(f).tolist() for f, _ in stars],
         }
     return out

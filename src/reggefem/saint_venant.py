@@ -11,6 +11,16 @@ into.  The induced bilinear form a(u, v) = <curl^T curl u, v> has matrix
 A[e', e] = [[rho_e]]_{e'} / l_{e'}, symmetric and supported on edge pairs
 that share a tet.  The mass matrix is the L2 Gram matrix of the edge basis,
 computed exactly from per-tet constant products.
+
+The module has one face-jump kernel, ``_face_terms``: the frame
+contraction m_ef^T X n_ef of per-face matrices X.  ``assemble_stiffness``
+applies it to the basis matrices of the two tets of every face,
+``apply_ctc`` to the tet-matrix differences of a field, and
+``edge_jump_scalar`` to those of the faces around one edge, summed in
+ascending face order as ``apply_ctc`` sums them, so the two agree exactly.
+The star-ordered ``action.linearized_deficit`` is left as a separate,
+deliberately independent route to half the edge jump: ``verify``
+cross-checks the two.
 """
 
 from __future__ import annotations
@@ -20,12 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import PeriodicMesh
+from .mesh import PeriodicMesh, _star_arrays
 from .spaces import EdgeMeasure, ReggeField, regge_to_tet_matrices
 
 __all__ = [
-    "skew",
-    "jump_across_face",
     "edge_jump_scalar",
     "apply_ctc",
     "StiffnessMatrix",
@@ -37,40 +45,30 @@ __all__ = [
 ]
 
 
-def skew(v) -> np.ndarray:
-    """Antisymmetric matrix with (skew v) w = v x w."""
-    v = np.asarray(v, float)
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
-
-
-def jump_across_face(mesh: PeriodicMesh, u: ReggeField, f: int,
-                     e: int) -> np.ndarray:
-    """Jump u_{T+} - u_{T-} across face f, oriented by n_ef of edge e."""
-    slots = list(mesh.face_edges[f])
-    if e not in slots:
-        raise ValueError(f"edge {e} is not an edge of face {f}")
-    s = slots.index(e)
-    t0, t1 = mesh.face_tets[f]
-    coeffs = u.coeffs
-    m0 = np.einsum("a,aij->ij", coeffs[mesh.tet_edges[t0]], mesh.tet_rho[t0])
-    m1 = np.einsum("a,aij->ij", coeffs[mesh.tet_edges[t1]], mesh.tet_rho[t1])
-    return m1 - m0 if mesh.face_side[f, s] == 1 else m0 - m1
+def _face_terms(mesh: PeriodicMesh, X: np.ndarray,
+                faces=slice(None)) -> np.ndarray:
+    """m_ef^T X n_ef for the three edge slots s of each face: X is
+    (F, ..., 3, 3) over ``faces``, the result (F, 3, ...).  Unsigned: the
+    caller orients it by face_side."""
+    return np.einsum("fsi,f...ij,fsj->fs...", mesh.face_m[faces], X,
+                     mesh.face_n[faces])
 
 
 def edge_jump_scalar(mesh: PeriodicMesh, u: ReggeField, e: int) -> float:
-    """[[u]]_e = sum over faces containing e of m_ef^T [u]_ef n_ef."""
+    """[[u]]_e = sum over faces containing e of m_ef^T [u]_ef n_ef; equal to
+    ``apply_ctc(mesh, u).coeffs[e]``."""
     if not 0 <= e < mesh.num_edges:
         raise ValueError(f"invalid edge id {e}")
-    mats = regge_to_tet_matrices(mesh, u)
+    faces = np.sort(_star_arrays(mesh, e)[0])
+    slots = np.argmax(mesh.face_edges[faces] == e, axis=1)
+    tets = mesh.face_tets[faces]
+    mats = regge_to_tet_matrices(mesh, u, tets.ravel()).reshape(-1, 2, 3, 3)
+    rows = np.arange(len(faces))
+    terms = _face_terms(mesh, mats[:, 1] - mats[:, 0], faces)[rows, slots]
+    sign = np.where(mesh.face_side[faces, slots] == 1, 1.0, -1.0)
     total = 0.0
-    for f, s in mesh.edge_face_loc[e]:
-        t0, t1 = mesh.face_tets[f]
-        d = mats[t1] - mats[t0]
-        if mesh.face_side[f, s] == 0:
-            d = -d
-        total += float(mesh.face_m[f, s] @ d @ mesh.face_n[f, s])
+    for term in (sign * terms).tolist():
+        total += term
     return total
 
 
@@ -78,10 +76,10 @@ def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
     """Saint-Venant operator: edge measure with coefficients [[u]]_e."""
     mats = regge_to_tet_matrices(mesh, u)
     diff = mats[mesh.face_tets[:, 1]] - mats[mesh.face_tets[:, 0]]  # (F,3,3)
-    contrib = np.einsum("fsi,fij,fsj->fs", mesh.face_m, diff, mesh.face_n)
     sign = np.where(mesh.face_side == 1, 1.0, -1.0)
     out = np.zeros(mesh.num_edges)
-    np.add.at(out, mesh.face_edges.ravel(), (sign * contrib).ravel())
+    np.add.at(out, mesh.face_edges.ravel(),
+              (sign * _face_terms(mesh, diff)).ravel())
     return EdgeMeasure(out)
 
 
@@ -140,8 +138,7 @@ def assemble_stiffness(mesh: PeriodicMesh) -> StiffnessMatrix:
     rows = np.broadcast_to(mesh.face_edges[:, :, None, None], (F, 3, 2, 6))
     cols = np.broadcast_to(mesh.tet_edges[tets][:, None], (F, 3, 2, 6))
     vals = (inv_l[:, :, None, None] * np.array([1.0, -1.0])[:, None]) * \
-        np.einsum("fsi,fhaij,fsj->fsha", mesh.face_m, mesh.tet_rho[tets],
-                  mesh.face_n)
+        _face_terms(mesh, mesh.tet_rho[tets])
     E = mesh.num_edges
     A = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
                       shape=(E, E)).tocsr()

@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .mesh import PeriodicMesh
+from .mesh import PeriodicMesh, _star_arrays
 from .quadrature import segment_rule, tet_points_weights
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "constant_matrix_field",
     "constant_vector_field",
     "piecewise_constant_field",
+    "skew",
     "dof_mu_e",
     "interpolate_0",
     "interpolate_1",
@@ -140,7 +142,8 @@ def constant_vector_field(b, quad_points=2) -> SmoothField:
                        "vector", quad_points)
 
 
-def _skew(v):
+def skew(v) -> np.ndarray:
+    """Antisymmetric matrix with (skew v) w = v x w."""
     v = np.asarray(v, float)
     return np.array([[0.0, -v[2], v[1]],
                      [v[2], 0.0, -v[0]],
@@ -167,7 +170,7 @@ class TrigMatrixField(SmoothField):
     def curl_t_curl(self) -> "TrigMatrixField":
         # symbol of the edge-jump operator; the overall sign matches the
         # jump orientation used in the assembly (n_ef into the + side)
-        S = _skew(self.k)
+        S = skew(self.k)
         return TrigMatrixField(-S @ self.a @ S, self.k, self.trig,
                                self.phase, self.quad_points)
 
@@ -265,7 +268,7 @@ def dof_mu_e(mesh: PeriodicMesh, e: int, u) -> float:
     if not 0 <= e < mesh.num_edges:
         raise ValueError(f"invalid edge id {e}")
     if isinstance(u, ReggeField):
-        t = mesh.edge_tets[e][0]
+        t = _star_arrays(mesh, e)[1].min()
         mat = np.einsum("a,aij->ij", u.coeffs[mesh.tet_edges[t]],
                         mesh.tet_rho[t])
         d = mesh.edge_vec[e]
@@ -328,16 +331,16 @@ def deformation(mesh: PeriodicMesh, v: VertexVectorField) -> ReggeField:
     return ReggeField(np.einsum("ei,ei->e", mesh.edge_vec, dv))
 
 
-def deformation_matrix(mesh: PeriodicMesh) -> np.ndarray:
-    """Dense (E, 3V) matrix of the deformation map on stacked coefficients."""
+def deformation_matrix(mesh: PeriodicMesh) -> sp.csr_matrix:
+    """Sparse (E, 3V) matrix of the deformation map on stacked coefficients:
+    row e holds +d_e at the head's three columns and -d_e at the tail's."""
     E, V = mesh.num_edges, mesh.num_vertices
-    D = np.zeros((E, 3 * V))
-    for e in range(E):
-        d = mesh.edge_vec[e]
-        h, t = mesh.edge_head[e], mesh.edge_tail[e]
-        D[e, 3 * h:3 * h + 3] += d
-        D[e, 3 * t:3 * t + 3] -= d
-    return D
+    ends = np.stack([mesh.edge_head, mesh.edge_tail], axis=1)
+    cols = 3 * ends[:, :, None] + np.arange(3)
+    vals = np.stack([mesh.edge_vec, -mesh.edge_vec], axis=1)
+    rows = np.repeat(np.arange(E), 6)
+    return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())),
+                         shape=(E, 3 * V))
 
 
 def divergence_x2(mesh: PeriodicMesh, u: EdgeMeasure) -> VertexVectorMeasure:
@@ -353,11 +356,15 @@ def divergence_x2(mesh: PeriodicMesh, u: EdgeMeasure) -> VertexVectorMeasure:
     return VertexVectorMeasure(out)
 
 
-def regge_to_tet_matrices(mesh: PeriodicMesh, u: ReggeField) -> np.ndarray:
-    """Per-tet constant matrices (T, 3, 3) of an edge metric field."""
+def regge_to_tet_matrices(mesh: PeriodicMesh, u: ReggeField,
+                          tets=None) -> np.ndarray:
+    """Per-tet constant matrices (T, 3, 3) of an edge metric field, or of
+    the tets listed in ``tets`` only."""
     if u.coeffs.shape[0] != mesh.num_edges:
         raise ValueError("edge count mismatch")
-    return np.einsum("ta,taij->tij", u.coeffs[mesh.tet_edges], mesh.tet_rho)
+    idx = slice(None) if tets is None else tets
+    return np.einsum("ta,taij->tij", u.coeffs[mesh.tet_edges[idx]],
+                     mesh.tet_rho[idx])
 
 
 def _gram_from_squared_lengths(s: np.ndarray) -> np.ndarray:

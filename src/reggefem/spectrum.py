@@ -29,6 +29,7 @@ import scipy.sparse as sp
 from .mesh import TorusGeometry, build_torus_mesh
 from .saint_venant import MassMatrix, StiffnessMatrix, assemble_mass, \
     assemble_stiffness
+from .spaces import skew
 
 __all__ = [
     "FourierSpectrum",
@@ -58,10 +59,7 @@ def mode_symbol(k) -> np.ndarray:
     closed form: symbol(a) = -skew(k) a skew(k), the sign matching the
     into-side jump orientation of the assembly.
     """
-    k = np.asarray(k, float)
-    S = np.array([[0.0, -k[2], k[1]],
-                  [k[2], 0.0, -k[0]],
-                  [-k[1], k[0], 0.0]])
+    S = skew(k)
 
     def apply(a):
         return -S @ np.asarray(a, float) @ S

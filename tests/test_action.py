@@ -9,9 +9,10 @@ from golden import digest
 from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       build_edge_sector, build_torus_mesh,
                       deficit_angle_dihedral, deficit_angle_holonomy,
-                      deficit_angles, edge_jump_scalar, euclidean_lengths,
-                      linearized_deficit, perturbed_lengths, regge_action,
-                      schlafli_check, second_variation_check)
+                      deficit_angles, edge_jump_scalar, edge_star,
+                      euclidean_lengths, linearized_deficit,
+                      perturbed_lengths, regge_action, schlafli_check,
+                      second_variation_check)
 from reggefem.action import (cayley_menger_determinant,
                              max_realizable_epsilon, metric_dihedral_angles,
                              random_realizable_config,
@@ -92,7 +93,7 @@ class TestMetricReconstruction:
         ea, eb = mesh3.tet_edges[17, 0], mesh3.tet_edges[100, 0]
         s[[ea, eb]] *= 60.0
         cfg = EdgeLengthConfig(s)
-        first = min(*mesh3.edge_tets[ea], *mesh3.edge_tets[eb])
+        first = min(t for e in (ea, eb) for _, t in edge_star(mesh3, e))
         with pytest.raises(RealizabilityError,
                            match=rf"^tet {first}: degenerate"):
             tet_metrics_from_lengths(mesh3, cfg)
