@@ -202,6 +202,13 @@ class TestDivergence:
         expect[mesh2.edge_tail[e]] -= mesh2.edge_tangent[e]
         assert np.abs(out - expect).max() == 0.0
 
+    def test_is_transposed_deformation_matrix(self, mesh3):
+        # divergence_x2 = D^T diag(1/l), the identity verify relies on
+        w = np.random.default_rng(10).uniform(-1, 1, mesh3.num_edges)
+        div = divergence_x2(mesh3, EdgeMeasure(w)).values.ravel()
+        via_d = deformation_matrix(mesh3).T @ (w / mesh3.edge_length)
+        assert np.abs(div - via_d).max() <= 1e-13 * np.abs(div).max()
+
     def test_zero_in_zero_out(self, mesh2):
         out = divergence_x2(mesh2, EdgeMeasure(np.zeros(mesh2.num_edges)))
         assert np.abs(out.values).max() == 0.0
