@@ -348,12 +348,12 @@ def linearized_deficit(mesh: PeriodicMesh, e: int,
     if not 0 <= e < mesh.num_edges:
         raise ValueError(f"invalid edge id {e}")
     star = edge_star(mesh, e)
-    mats = regge_to_tet_matrices(mesh, u_prime)
+    # row i is the matrix of the sector tet after face i
+    mats = regge_to_tet_matrices(mesh, u_prime, [t for _, t in star])
     total = 0.0
-    for i, (f, t_after) in enumerate(star):
-        t_before = star[i - 1][1]
+    for i, (f, _) in enumerate(star):
         slot = list(mesh.face_edges[f]).index(e)
-        jump = mats[t_after] - mats[t_before]
+        jump = mats[i] - mats[i - 1]
         total += float(mesh.face_m[f, slot] @ jump @ mesh.face_n[f, slot])
     return 0.5 * total
 

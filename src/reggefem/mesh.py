@@ -186,8 +186,12 @@ class PeriodicMesh:
         x = np.mod(pts, self.geometry.lengths)
         c = np.minimum(np.floor(x / self.cell).astype(np.int64), n - 1)
         frac = x / self.cell - c
-        order = np.argsort(-frac, axis=1, kind="stable")
-        ranks = 2 * order[:, 0] + (order[:, 1] > order[:, 2])
+        # the Kuhn tet is the descending order of the fractions, ties to the
+        # lower axis: rank 2 * (first axis) + (the later of the other two
+        # axes has the strictly larger fraction)
+        first = np.argmax(frac, axis=1)
+        f0, f1, f2 = frac.T
+        ranks = 2 * first + np.choose(first, [f2 > f1, f2 > f0, f1 > f0])
         cube = (c[:, 0] * n[1] + c[:, 1]) * n[2] + c[:, 2]
         tets = cube * 6 + ranks
         return tets if points.ndim > 1 else tets[0]

@@ -42,12 +42,16 @@ def tet_points_weights(tet_coords: np.ndarray, npts: int):
     """Map the reference rule onto a batch of tets.
 
     tet_coords: (T, 4, 3) lifted vertex coordinates.
-    Returns points (T, Q, 3) and weights (T, Q) absorbing |det B| so that
-    sum_q w[t, q] equals the volume of tet t.
+    Returns points (T, Q, 3), a transposed view of a (T, 3, Q) array, and
+    weights (T, Q) absorbing |det B| so that sum_q w[t, q] equals the
+    volume of tet t.  Point q of tet t is p0 + B ref[q], so its barycentric
+    coordinates are (1 - sum(ref[q]), ref[q]) with ref = tet_rule(npts)[0].
     """
     ref, w = tet_rule(npts)
     p0 = tet_coords[:, 0]
     B = np.stack([tet_coords[:, i] - p0 for i in (1, 2, 3)], axis=-1)  # (T,3,3)
-    pts = p0[:, None, :] + np.einsum("tij,qj->tqi", B, ref)
+    # (T, 3, Q) layout: the translation by p0 runs along the long point axis
+    pts = np.matmul(B, ref.T)
+    pts += p0[:, :, None]
     jac = np.abs(np.linalg.det(B))
-    return pts, jac[:, None] * w[None, :]
+    return pts.swapaxes(1, 2), jac[:, None] * w[None, :]

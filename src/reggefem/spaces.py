@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import PeriodicMesh, _star_arrays
-from .quadrature import segment_rule, tet_points_weights
+from .quadrature import segment_rule, tet_points_weights, tet_rule
 
 __all__ = [
     "SmoothField",
@@ -292,7 +292,9 @@ def interpolate_2(mesh: PeriodicMesh, u: SmoothField) -> EdgeMeasure:
     """L2-dual projection onto edge measures: c_e = l_e * int_S u : rho_e."""
     pts, w = tet_points_weights(mesh.tet_coords, u.quad_points)
     vals = u(pts)  # (T, Q, 3, 3)
-    per_tet = np.einsum("tq,tqij,taij->ta", w, vals, mesh.tet_rho)
+    # reduce over the points first, then pair with the six basis matrices
+    per_tet = np.einsum("tij,taij->ta", np.einsum("tq,tqij->tij", w, vals),
+                        mesh.tet_rho)
     out = np.zeros(mesh.num_edges)
     np.add.at(out, mesh.tet_edges.ravel(), per_tet.ravel())
     return EdgeMeasure(out * mesh.edge_length)
@@ -302,13 +304,12 @@ def interpolate_3(mesh: PeriodicMesh, u: SmoothField) -> VertexVectorMeasure:
     """L2-dual projection onto vertex measures: u_x = int_S u * lambda_x."""
     pts, w = tet_points_weights(mesh.tet_coords, u.quad_points)
     vals = u(pts)  # (T, Q, 3)
-    # barycentric values of the four local hats at the quadrature points
-    p0 = mesh.tet_coords[:, 0]
-    rel = pts - p0[:, None, :]
-    lam = np.einsum("tai,tqi->tqa", mesh.tet_grad[:, 1:], rel)  # (T,Q,3)
-    lam = np.concatenate([1.0 - lam.sum(axis=-1, keepdims=True), lam],
-                         axis=-1)  # (T, Q, 4)
-    per_vertex = np.einsum("tq,tqa,tqi->tai", w, lam, vals)  # (T,4,3)
+    # values of the four local hats at the points: the barycentric
+    # coordinates of the reference rule, the same in every tet
+    ref = tet_rule(u.quad_points)[0]
+    lam = np.concatenate([1.0 - ref.sum(axis=1, keepdims=True), ref],
+                         axis=1)  # (Q, 4)
+    per_vertex = np.matmul(lam.T, w[:, :, None] * vals)  # (T, 4, 3)
     out = np.zeros((mesh.num_vertices, 3))
     np.add.at(out, mesh.tet_vids.ravel(),
               per_vertex.reshape(-1, 3))

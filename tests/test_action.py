@@ -18,9 +18,16 @@ from reggefem.action import (cayley_menger_determinant,
                              random_realizable_config,
                              tet_metrics_from_lengths)
 from reggefem.mesh import LOCAL_EDGES, TorusGeometry
-from reggefem.spaces import VertexVectorField, deformation
+from reggefem.spaces import (VertexVectorField, deformation,
+                             regge_to_tet_matrices)
 
 TAU = 2.0 * np.pi
+
+
+EXACT_GRIDS = [((2, 2, 2), (TAU, TAU, TAU)),
+               ((3, 3, 3), (TAU, TAU, TAU)),
+               ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi))]
+EXACT_IDS = ["2x2x2", "3x3x3", "4x5x6"]
 
 
 class TestConfigs:
@@ -132,13 +139,21 @@ class TestDeficits:
                     build_edge_sector(mesh2, e, mats))
                 assert abs(th_d - th_h) < 1e-9
 
-    def test_per_edge_matches_all_edges(self, mesh2):
+    def test_per_edge_matches_all_edges(self):
+        # verify takes the dihedral side from deficit_angles; it must be
+        # the star-local value bit for bit, not just within a tolerance
         rng = np.random.default_rng(4)
-        cfg = random_realizable_config(mesh2, rng)
-        theta = deficit_angles(mesh2, cfg)
-        for e in range(0, mesh2.num_edges, 5):
-            assert abs(deficit_angle_dihedral(mesh2, e, cfg)
-                       - theta[e]) < 1e-12
+        for grid, lengths in EXACT_GRIDS:
+            mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+            configs = [random_realizable_config(mesh, rng),
+                       random_realizable_config(mesh, rng, max_deficit=2.5)]
+            up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
+            configs += [perturbed_lengths(mesh, up, eps)
+                        for eps in (1e-2, -1e-2, 5e-3, -5e-3)]
+            for cfg in configs:
+                star = [deficit_angle_dihedral(mesh, e, cfg)
+                        for e in range(mesh.num_edges)]
+                assert np.array_equal(deficit_angles(mesh, cfg), star)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -176,6 +191,23 @@ class TestLinearization:
             for e in range(mesh2.num_edges):
                 assert abs(linearized_deficit(mesh2, e, up)
                            - 0.5 * edge_jump_scalar(mesh2, up, e)) < 1e-12
+
+    @pytest.mark.parametrize("grid, lengths", EXACT_GRIDS, ids=EXACT_IDS)
+    def test_star_tets_match_all_tets_exactly(self, grid, lengths):
+        # the star-ordered sum over matrices of all T tets, bit for bit
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        up = ReggeField(np.random.default_rng(12).uniform(
+            -1, 1, mesh.num_edges))
+        mats = regge_to_tet_matrices(mesh, up)
+        for e in range(mesh.num_edges):
+            star = edge_star(mesh, e)
+            total = 0.0
+            for i, (f, t_after) in enumerate(star):
+                slot = list(mesh.face_edges[f]).index(e)
+                jump = mats[t_after] - mats[star[i - 1][1]]
+                total += float(mesh.face_m[f, slot] @ jump
+                               @ mesh.face_n[f, slot])
+            assert linearized_deficit(mesh, e, up) == 0.5 * total
 
     def test_deformation_directions_flat(self, mesh2):
         rng = np.random.default_rng(7)

@@ -406,6 +406,37 @@ class TestQueries:
         pts = np.einsum("pi,pij->pj", w, mesh.tet_coords[t])
         assert np.array_equal(mesh.tet_at(pts), t)
 
+    @pytest.mark.parametrize("grid, lengths", [
+        ((2, 2, 2), (TAU, TAU, TAU)),
+        ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+    ], ids=["2x2x2", "4x5x6"])
+    def test_tet_locator_matches_stable_argsort(self, grid, lengths):
+        # ids of the stable descending argsort of the cell fractions,
+        # ties included
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        n = np.array(grid)
+        rng = np.random.default_rng(13)
+        lattice = rng.integers(-1, 2 * n.max(), (200, 3))
+        frac = rng.random((200, 3))
+        ties = [frac, np.zeros((200, 3)), np.repeat(frac[:, :1], 3, axis=1)]
+        for i, j in [(0, 1), (0, 2), (1, 2)]:  # two equal fractions
+            tie = frac.copy()
+            tie[:, j] = tie[:, i]
+            ties.append(tie)
+            face = frac.copy()  # on a cell face
+            face[:, i] = 0.0
+            ties.append(face)
+        pts = np.concatenate([(lattice + f) * mesh.cell for f in ties])
+        x = np.mod(pts, mesh.geometry.lengths)
+        c = np.minimum(np.floor(x / mesh.cell).astype(np.int64), n - 1)
+        frac = x / mesh.cell - c
+        # rounding breaks some of the constructed ties; hundreds stay exact
+        assert np.sum(np.diff(np.sort(frac, axis=1), axis=1) == 0) > 400
+        order = np.argsort(-frac, axis=1, kind="stable")
+        ranks = 2 * order[:, 0] + (order[:, 1] > order[:, 2])
+        expect = ((c[:, 0] * n[1] + c[:, 1]) * n[2] + c[:, 2]) * 6 + ranks
+        assert np.array_equal(mesh.tet_at(pts), expect)
+
     def test_summary_roundtrip(self, mesh2):
         import json
         s = mesh_summary(mesh2, include_incidence=True)

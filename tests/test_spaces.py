@@ -13,6 +13,7 @@ from reggefem import (EdgeMeasure, ReggeField, VertexVectorField,
                       pair_x2_x1, pair_x3_x0, piecewise_constant_field,
                       regge_to_tet_matrices, vector_mode)
 from reggefem.mesh import LOCAL_EDGES, TorusGeometry
+from reggefem.quadrature import tet_points_weights, tet_rule
 from reggefem.spaces import (coeffs_from_json, coeffs_to_json,
                              constant_matrix_field, constant_vector_field,
                              deformation_matrix, l2_norm_x1)
@@ -148,6 +149,76 @@ class TestInterpolators:
     def test_interpolate_3_zero(self, mesh2):
         z = constant_vector_field(np.zeros(3), quad_points=2)
         assert np.abs(interpolate_3(mesh2, z).values).max() == 0.0
+
+
+def _old_points_weights(coords, npts):
+    # per tet: p0 + B ref with B the spanning edge vectors, |det B| w_ref
+    ref, w = tet_rule(npts)
+    B = np.stack([coords[i] - coords[0] for i in (1, 2, 3)], axis=-1)
+    return (coords[0] + np.einsum("ij,qj->qi", B, ref),
+            abs(np.linalg.det(B)) * w)
+
+
+def _old_interpolate_2(mesh, u):
+    out = np.zeros(mesh.num_edges)
+    for t in range(mesh.num_tets):
+        pts, w = _old_points_weights(mesh.tet_coords[t], u.quad_points)
+        per_tet = np.einsum("q,qij,aij->a", w, u(pts), mesh.tet_rho[t])
+        for a, e in enumerate(mesh.tet_edges[t]):
+            out[e] += per_tet[a]
+    return out * mesh.edge_length
+
+
+def _old_interpolate_3(mesh, u):
+    out = np.zeros((mesh.num_vertices, 3))
+    for t in range(mesh.num_tets):
+        pts, w = _old_points_weights(mesh.tet_coords[t], u.quad_points)
+        lam = np.einsum("ai,qi->qa", mesh.tet_grad[t, 1:],
+                        pts - mesh.tet_coords[t, 0])
+        lam = np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam],
+                             axis=1)
+        per_vertex = np.einsum("q,qa,qi->ai", w, lam, u(pts))
+        for a, x in enumerate(mesh.tet_vids[t]):
+            out[x] += per_vertex[a]
+    return out
+
+
+def _rel_err(new, old):
+    return np.abs(new - old).max() / np.abs(old).max()
+
+
+@pytest.mark.parametrize("grid, lengths", [
+    ((2, 2, 2), (TAU, TAU, TAU)),
+    ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+], ids=["2x2x2", "4x5x6"])
+class TestBatchedQuadratureOracle:
+    """The batched quadrature contractions against a plain per-tet loop."""
+
+    def test_tet_points_weights(self, grid, lengths):
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        pts, w = tet_points_weights(mesh.tet_coords, 12)
+        for t in range(mesh.num_tets):
+            p_old, w_old = _old_points_weights(mesh.tet_coords[t], 12)
+            assert _rel_err(pts[t], p_old) <= 1e-13
+            assert _rel_err(w[t], w_old) <= 1e-13
+
+    def test_interpolate_2(self, grid, lengths):
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        rng = np.random.default_rng(14)
+        fields = [matrix_mode(mesh.geometry, random_sym(rng), (1, 1, 0)),
+                  piecewise_constant_field(
+                      mesh, ReggeField(rng.uniform(-1, 1, mesh.num_edges)),
+                      quad_points=12)]
+        for u in fields:
+            assert _rel_err(interpolate_2(mesh, u).coeffs,
+                            _old_interpolate_2(mesh, u)) <= 1e-13
+
+    def test_interpolate_3(self, grid, lengths):
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        v = vector_mode(mesh.geometry, np.array([1.0, -0.5, 2.0]),
+                        (1, 1, 1), "cos", phase=0.3)
+        assert _rel_err(interpolate_3(mesh, v).values,
+                        _old_interpolate_3(mesh, v)) <= 1e-13
 
 
 class TestDeformation:
