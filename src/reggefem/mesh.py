@@ -179,22 +179,24 @@ class PeriodicMesh:
         return self.vertex_id(tail_lattice_point) * 7 + d
 
     def tet_at(self, points: np.ndarray) -> np.ndarray:
-        """Locate the tet containing each point (ties resolved deterministically)."""
-        points = np.asarray(points, dtype=float)
-        pts = np.atleast_2d(points)
+        """Locate the tet containing each point (ties resolved deterministically).
+
+        ``points`` has shape (..., 3); the result has the leading shape (an
+        integer for a single point).
+        """
         n = np.array(self.grid)
-        x = np.mod(pts, self.geometry.lengths)
-        c = np.minimum(np.floor(x / self.cell).astype(np.int64), n - 1)
-        frac = x / self.cell - c
+        s = np.mod(np.asarray(points, dtype=float), self.geometry.lengths)
+        s /= self.cell
+        c = np.minimum(np.floor(s).astype(np.int64), n - 1)
+        frac = s - c
         # the Kuhn tet is the descending order of the fractions, ties to the
         # lower axis: rank 2 * (first axis) + (the later of the other two
         # axes has the strictly larger fraction)
-        first = np.argmax(frac, axis=1)
-        f0, f1, f2 = frac.T
+        first = np.argmax(frac, axis=-1)
+        f0, f1, f2 = np.moveaxis(frac, -1, 0)
         ranks = 2 * first + np.choose(first, [f2 > f1, f2 > f0, f1 > f0])
-        cube = (c[:, 0] * n[1] + c[:, 1]) * n[2] + c[:, 2]
-        tets = cube * 6 + ranks
-        return tets if points.ndim > 1 else tets[0]
+        cube = (c[..., 0] * n[1] + c[..., 1]) * n[2] + c[..., 2]
+        return (cube * 6 + ranks)[()]
 
 
 def _vid(points, n: np.ndarray) -> np.ndarray:

@@ -235,9 +235,7 @@ def piecewise_constant_field(mesh: PeriodicMesh, u: ReggeField,
     mats = regge_to_tet_matrices(mesh, u)
 
     def fn(x):
-        flat = x.reshape(-1, 3)
-        vals = mats[mesh.tet_at(flat)]
-        return vals.reshape(x.shape[:-1] + (3, 3))
+        return mats[mesh.tet_at(x)]
 
     return SmoothField(fn, "matrix", quad_points)
 
