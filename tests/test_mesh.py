@@ -436,6 +436,9 @@ class TestQueries:
         ranks = 2 * order[:, 0] + (order[:, 1] > order[:, 2])
         expect = ((c[:, 0] * n[1] + c[:, 1]) * n[2] + c[:, 2]) * 6 + ranks
         assert np.array_equal(mesh.tet_at(pts), expect)
+        # any leading shape
+        assert np.array_equal(mesh.tet_at(pts.reshape(9, -1, 3)),
+                              expect.reshape(9, -1))
 
     def test_summary_roundtrip(self, mesh2):
         import json
