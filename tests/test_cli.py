@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from golden import digest
 from reggefem.cli import main
 
 
@@ -306,3 +307,131 @@ class TestConfigHandling:
                            "-o", str(out_path))
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["counts"]["edges"] == 56
+
+
+# ---------------------------------------------------------------------------
+# Golden CLI runs: SHA-256 digests (tests/golden.py) of exit code, stdout,
+# stderr and every written file, for a fixed argv list run in an empty
+# directory with relative paths.  Inputs are written there first.
+
+TAU = 2.0 * np.pi
+BENCH_LENGTHS = [repr(x) for x in (TAU, 2.5 * np.pi, 3.0 * np.pi)]
+WRONG_COUNT = {"squared_lengths": [1.0, 2.0]}
+
+
+def _euclidean_2x2x2():
+    from reggefem import build_torus_mesh, euclidean_lengths
+    from reggefem.mesh import TorusGeometry
+    mesh = build_torus_mesh(TorusGeometry(TAU, TAU, TAU), (2, 2, 2))
+    return euclidean_lengths(mesh).to_json()
+
+
+GOLDEN_RUNS = {
+    "mesh": (("mesh", "--grid", "2", "2", "2"), {}),
+    "mesh_incidence_file": (("mesh", "--grid", "2", "3", "2",
+                             "--full-incidence", "-o", "mesh.json"), {}),
+    "mesh_lengths": (("mesh", "--lengths", "1", "2", "3",
+                      "--grid", "3", "3", "3"), {}),
+    "mesh_grid_1": (("mesh", "--grid", "1", "1", "1"), {}),
+    "assemble_bench": (("assemble", "--grid", "4", "5", "6", "--lengths",
+                        *BENCH_LENGTHS, "--prefix", "pencil", "--seed", "0",
+                        "--output", "assemble.json"), {}),
+    "assemble_seed": (("assemble", "--seed", "3"), {}),
+    "eigs_csv": (("eigs", "--grid", "2", "2", "2", "--csv", "s.csv"), {}),
+    "eigs_grid3": (("eigs", "--grid", "3", "3", "3", "--n-targets", "3",
+                    "--csv", "s.csv"), {}),
+    "eigs_cutoff": (("eigs", "--grid", "2", "3", "2", "--cutoff", "3.0"),
+                    {}),
+    "eigs_too_many": (("eigs", "--n-targets", "50"), {}),
+    "oracle": (("oracle",), {}),
+    "oracle_lengths": (("oracle", "--lengths", "6", "7", "8",
+                        "--cutoff", "4.5", "-o", "o.csv"), {}),
+    "oracle_negative": (("oracle", "--cutoff", "-1"), {}),
+    "converge_bench": (("converge", "--grids", "3", "4", "5", "--n-eigs",
+                        "2", "--output", "c.csv", "--json", "c.json"), {}),
+    "converge_short": (("converge", "--grids", "2", "3"), {}),
+    "converge_decreasing": (("converge", "--grids", "3", "2"), {}),
+    "action_flat": (("action", "--grid", "2", "2", "2"), {}),
+    "action_perturbed": (("action", "--grid", "2", "2", "2",
+                          "--perturb-seed", "0", "--perturb-scale", "0.05",
+                          "--csv", "d.csv"), {}),
+    "action_lengths_json": (("action", "--lengths-json", "l.json"),
+                            {"l.json": _euclidean_2x2x2()}),
+    "action_wrong_count": (("action", "--lengths-json", "l.json"),
+                           {"l.json": WRONG_COUNT}),
+    "verify_bench": (("verify", "--grid", "2", "2", "2", "--seed", "0",
+                      "--output", "v.txt", "--json", "v.json"), {}),
+    "config_mesh": (("mesh", "--config", "c.json"),
+                    {"c.json": {"grid": [3, 3, 3], "lengths": [1, 2, 3]}}),
+    "config_override": (("mesh", "--config", "c.json", "--grid", "2", "2",
+                         "2"), {"c.json": {"grid": [3, 3, 3]}}),
+    "config_unknown": (("mesh", "--config", "c.json"),
+                       {"c.json": {"gird": [3, 3, 3]}}),
+    "config_missing": (("mesh", "--config", "missing.json"), {}),
+    "config_eigs": (("eigs", "--config", "c.json"),
+                    {"c.json": {"grid": [2.0, 2, 2], "n_targets": 1,
+                                "cutoff": None, "csv": "s.csv"}}),
+    "config_converge": (("converge", "--config", "c.json"),
+                        {"c.json": {"grids": [2.0, 3], "n_eigs": 1,
+                                    "json": "c2.json"}}),
+    "config_action": (("action", "--config", "c.json"),
+                      {"c.json": {"perturb_seed": 1, "perturb_scale": 0.02,
+                                  "lengths_json": None}}),
+    "config_prefix_null": (("assemble", "--config", "c.json"),
+                           {"c.json": {"prefix": None}}),
+    "config_oracle_null": (("oracle", "--config", "c.json"),
+                           {"c.json": {"cutoff": None}}),
+    "config_verify_seed": (("verify", "--config", "c.json"),
+                           {"c.json": {"seed": "x"}}),
+}
+
+GOLDEN_DIGESTS = {
+    "action_flat": "30a9cd848cc5fd31",
+    "action_lengths_json": "06ae2303093f96ce",
+    "action_perturbed": "44898819c9dc8c3e",
+    "action_wrong_count": "a4dcfa10f85ab2e6",
+    "assemble_bench": "0cca495c448c7781",
+    "assemble_seed": "ddbab901c470ba22",
+    "config_action": "87a920a48a2e0a79",
+    "config_converge": "577fe50cebc1b2cb",
+    "config_eigs": "1abd13e4b51b70d3",
+    "config_mesh": "d6f7a697455379a1",
+    "config_missing": "e396ae7d165ad749",
+    "config_oracle_null": "0b3c30ac432fb44c",
+    "config_override": "68618ba4a72bda53",
+    "config_prefix_null": "08392b5498ae21d6",
+    "config_unknown": "98177f81e0c069ff",
+    "config_verify_seed": "45f15a419dc988d3",
+    "converge_bench": "c4f86dbb2a23c976",
+    "converge_decreasing": "b306d47ec13f0bde",
+    "converge_short": "3f8f572629d5d16d",
+    "eigs_csv": "03a42e23ae3e70be",
+    "eigs_cutoff": "72244fa338e8158c",
+    "eigs_grid3": "d3564dc2a67d038e",
+    "eigs_too_many": "5cd405e445d8ac8d",
+    "mesh": "68618ba4a72bda53",
+    "mesh_grid_1": "98d2ca1e01075124",
+    "mesh_incidence_file": "99c7542031067862",
+    "mesh_lengths": "74ddef2ec1692267",
+    "oracle": "1a141c3fd934d42e",
+    "oracle_lengths": "b230862fa1ee28eb",
+    "oracle_negative": "0b3c30ac432fb44c",
+    "verify_bench": "892234c186baed14",
+}
+
+
+def _golden_run(capsys, tmp_path, monkeypatch, argv, inputs):
+    monkeypatch.chdir(tmp_path)
+    for name, payload in inputs.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv)
+    written = [(p.name, np.frombuffer(p.read_bytes(), np.uint8))
+               for p in sorted(tmp_path.iterdir()) if p.name not in inputs]
+    return digest([code, out, err, written])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_cli_output(capsys, tmp_path, monkeypatch, name):
+    argv, inputs = GOLDEN_RUNS[name]
+    got = _golden_run(capsys, tmp_path, monkeypatch, argv, inputs)
+    assert got == GOLDEN_DIGESTS[name]
