@@ -76,13 +76,15 @@ class RealizabilityError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeLengthConfig:
-    """One positive squared length per edge (length^2 units)."""
+    """One positive finite squared length per edge (length^2 units)."""
 
     squared_lengths: np.ndarray
 
     def __post_init__(self):
         s = np.asarray(self.squared_lengths, float).ravel()
         object.__setattr__(self, "squared_lengths", s)
+        if not np.all(np.isfinite(s)):
+            raise RealizabilityError("squared lengths must be finite")
         if np.any(s <= 0):
             raise RealizabilityError("squared lengths must be positive")
 
@@ -95,7 +97,16 @@ class EdgeLengthConfig:
 
     @staticmethod
     def from_json(payload: dict) -> "EdgeLengthConfig":
-        return EdgeLengthConfig(np.asarray(payload["squared_lengths"], float))
+        """Inverse of :meth:`to_json`; ValueError for any other payload
+        (RealizabilityError, a ValueError, for non-positive lengths)."""
+        if not (isinstance(payload, dict) and "squared_lengths" in payload):
+            raise ValueError('need a JSON object with a "squared_lengths" '
+                             "list")
+        try:
+            s = np.asarray(payload["squared_lengths"], float)
+        except (TypeError, ValueError) as ex:
+            raise ValueError(f"squared_lengths: {ex}") from ex
+        return EdgeLengthConfig(s)
 
 
 def euclidean_lengths(mesh: PeriodicMesh) -> EdgeLengthConfig:

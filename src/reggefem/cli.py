@@ -5,6 +5,9 @@ Options come from flags or a JSON config file (--config); flags override
 file values.  Exit codes: 0 success, 1 numerical-verification failure
 (for verify: the number of failed checks), 2 configuration error.
 
+``KEYS`` holds each config key's flag and check, ``COMMANDS`` each
+subcommand's handler and keys with defaults; the parser is built from both.
+
 Every JSON output embeds the resolved configuration and a schema version;
 CSV files carry them in leading comment lines.  Numbers are written with
 17 significant digits, so reruns with the same config and seed are
@@ -15,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,10 +28,11 @@ from . import __version__
 from .action import EdgeLengthConfig, RealizabilityError, \
     deficit_angles, euclidean_lengths, perturbed_lengths
 from .mesh import MeshError, TorusGeometry, build_torus_mesh, mesh_summary
-from .saint_venant import assemble_mass, assemble_stiffness, write_coo
+from .saint_venant import assemble_mass, assemble_stiffness, \
+    constant_kernel_residual, write_coo
 from .spaces import ReggeField
-from .spectrum import assign_clusters, convergence_study, fourier_oracle, \
-    solve_pencil
+from .spectrum import assign_clusters, convergence_study, default_cutoff, \
+    fourier_oracle, solve_pencil
 from .verify import run_verification
 
 SCHEMA_VERSION = 1
@@ -67,32 +73,15 @@ def _csv_text(config: dict, header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags into one dict."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as ex:
-            raise ConfigError(f"config: cannot read {args.config}: {ex}")
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
-
+# ---------------------------------------------------------------------------
+# config keys: one flag and one check each
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    return _is_int(x) or isinstance(x, float) and math.isfinite(x)
 
 
 def _is_whole(x) -> bool:
@@ -103,83 +92,106 @@ def _is_triple(x, item) -> bool:
     return isinstance(x, list) and len(x) == 3 and all(map(item, x))
 
 
-PATH_KEYS = ("output", "csv", "json", "lengths_json")
+def _require(test, reason: str) -> Callable:
+    def check(x):
+        if not test(x):
+            raise ConfigError(reason)
+        return x
+    return check
 
 
-def _validate_common(cfg: dict):
-    # types first: a config file can hold any JSON value
-    lengths = cfg["lengths"]
-    if not _is_triple(lengths, _is_number) or any(l <= 0 for l in lengths):
-        raise ConfigError("lengths: need three positive side lengths")
-    for key in PATH_KEYS:
-        if not isinstance(cfg.get(key), (str, type(None))):
-            raise ConfigError(f"{key}: need a file path string")
-    if "grid" in cfg:
-        grid = cfg["grid"]
-        if not _is_triple(grid, _is_whole):
-            raise ConfigError("grid: need three integer subdivision counts")
-        if min(grid) < 2:
-            raise ConfigError("grid: subdivisions must be at least 2 "
-                              "(periodic identification)")
-        cfg["grid"] = [int(n) for n in grid]
-    if "seed" in cfg and not (_is_int(cfg["seed"]) and cfg["seed"] >= 0):
-        raise ConfigError("seed: need a nonnegative integer")
+def _grid(x) -> list:
+    if not _is_triple(x, _is_whole):
+        raise ConfigError("need three integer subdivision counts")
+    if min(x) < 2:
+        raise ConfigError("subdivisions must be at least 2 "
+                          "(periodic identification)")
+    return [int(n) for n in x]
 
 
-def _require_positive(cfg: dict, key: str, integer: bool = False):
-    x = cfg[key]
-    if not ((_is_int(x) if integer else _is_number(x)) and x > 0):
-        kind = "integer" if integer else "number"
-        raise ConfigError(f"{key}: need a positive {kind}")
+def _grids(x) -> list:
+    if not (isinstance(x, list) and x and all(map(_is_whole, x))):
+        raise ConfigError("need a list of integer grid sizes")
+    x = [int(n) for n in x]
+    if min(x) < 2:
+        raise ConfigError("subdivisions must be at least 2")
+    if any(b <= a for a, b in zip(x, x[1:])):
+        raise ConfigError("must be strictly increasing")
+    return x
 
+
+class Key(NamedTuple):
+    """A config key: ``check`` returns the normalised value or raises
+    ConfigError with the reason; the flag is ``--<key with dashes>`` plus
+    ``aliases``, with the ``add_argument`` keywords in ``flag``."""
+
+    check: Callable
+    help: str
+    flag: dict = {}
+    aliases: tuple = ()
+
+
+_path = _require(lambda x: isinstance(x, str), "need a file path string")
+_count = _require(lambda x: _is_int(x) and x > 0, "need a positive integer")
+_seed = _require(lambda x: _is_int(x) and x >= 0,
+                 "need a nonnegative integer")
+
+KEYS = {
+    "lengths": Key(_require(lambda x: _is_triple(x, _is_number)
+                            and min(x) > 0,
+                            "need three positive side lengths"),
+                   "torus side lengths",
+                   dict(nargs=3, type=float, metavar=("L1", "L2", "L3"))),
+    "grid": Key(_grid, "subdivisions per axis",
+                dict(nargs=3, type=int, metavar=("N1", "N2", "N3"))),
+    "grids": Key(_grids, "increasing sizes n of cubic grids",
+                 dict(nargs="+", type=int)),
+    "output": Key(_path, "output path (default stdout)", aliases=("-o",)),
+    "csv": Key(_path, "also write a CSV table here"),
+    "json": Key(_path, "also write the results as JSON here"),
+    "lengths_json": Key(_path, "edge length configuration (JSON)"),
+    "prefix": Key(_require(lambda x: isinstance(x, str),
+                           "need a file path prefix string"),
+                  "output file prefix"),
+    "full_incidence": Key(_require(lambda x: isinstance(x, bool),
+                                   "need true or false"),
+                          "include full incidence tables",
+                          dict(action="store_const", const=True)),
+    "seed": Key(_seed, "seed for the randomized inputs", dict(type=int)),
+    "perturb_seed": Key(_seed, "generate a random perturbed configuration",
+                        dict(type=int)),
+    "perturb_scale": Key(_require(_is_number, "need a number"),
+                         "perturbation amplitude", dict(type=float)),
+    "n_targets": Key(_count, "oracle targets to match", dict(type=int)),
+    "n_eigs": Key(_count, "number of oracle targets", dict(type=int)),
+    "cutoff": Key(_require(lambda x: _is_number(x) and x > 0,
+                           "need a positive number"),
+                  "oracle eigenvalue cutoff", dict(type=float)),
+}
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each receives a checked config and only computes
 
 def _geometry(cfg) -> TorusGeometry:
     return TorusGeometry(*cfg["lengths"])
 
 
-def _add_common(p, grid=True):
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--lengths", nargs=3, type=float, metavar=("L1", "L2", "L3"),
-                   help=f"torus side lengths (default {TAU:g} each)")
-    if grid:
-        p.add_argument("--grid", nargs=3, type=int, metavar=("N1", "N2", "N3"),
-                       help="subdivisions per axis (default 2 2 2)")
-    p.add_argument("--output", "-o", help="output path (default stdout)")
-
-
-COMMON_DEFAULTS = {"lengths": [TAU, TAU, TAU], "grid": [2, 2, 2],
-                   "output": None}
-
-
-def cmd_mesh(args) -> int:
-    defaults = dict(COMMON_DEFAULTS, full_incidence=False)
-    cfg = _resolve(args, defaults)
-    _validate_common(cfg)
-    if not isinstance(cfg["full_incidence"], bool):
-        raise ConfigError("full_incidence: need true or false")
+def cmd_mesh(cfg) -> int:
     mesh = build_torus_mesh(_geometry(cfg), cfg["grid"])
     body = mesh_summary(mesh, include_incidence=cfg["full_incidence"])
     _write_text(_json_payload(cfg, body), cfg["output"])
     return 0
 
 
-def cmd_assemble(args) -> int:
-    defaults = dict(COMMON_DEFAULTS, prefix="pencil", seed=0)
-    cfg = _resolve(args, defaults)
-    _validate_common(cfg)
-    if not isinstance(cfg["prefix"], str):
-        raise ConfigError("prefix: need a file path prefix string")
+def cmd_assemble(cfg) -> int:
     mesh = build_torus_mesh(_geometry(cfg), cfg["grid"])
     A = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
     write_coo(A, f"{cfg['prefix']}_A.txt")
     write_coo(M, f"{cfg['prefix']}_M.txt")
-    rng = np.random.default_rng(cfg["seed"])
-    g = rng.uniform(-1, 1, (3, 3))
-    g = 0.5 * (g + g.T)
-    c = np.einsum("ei,ij,ej->e", mesh.edge_vec, g, mesh.edge_vec)
-    kern = float(np.abs(A.matrix @ c).max()
-                 / (np.abs(A.matrix.data).max() * np.abs(c).max()))
+    kern = constant_kernel_residual(mesh, A,
+                                    np.random.default_rng(cfg["seed"]))
     body = {
         "stiffness": {"path": f"{cfg['prefix']}_A.txt",
                       "nnz": int(A.matrix.nnz),
@@ -192,41 +204,29 @@ def cmd_assemble(args) -> int:
     return 0
 
 
-def cmd_eigs(args) -> int:
-    defaults = dict(COMMON_DEFAULTS, n_targets=2, cutoff=None, csv=None)
-    cfg = _resolve(args, defaults)
-    _validate_common(cfg)
-    cutoff = cfg["cutoff"]
-    if cutoff is not None:
-        _require_positive(cfg, "cutoff")
-    _require_positive(cfg, "n_targets", integer=True)
+def cmd_eigs(cfg) -> int:
     geometry = _geometry(cfg)
     mesh = build_torus_mesh(geometry, cfg["grid"])
     res = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh),
                        {"grid": cfg["grid"], "lengths": cfg["lengths"]})
+    cutoff = cfg["cutoff"]
     if cutoff is None:
-        base = float(np.min(2.0 * np.pi / geometry.lengths) ** 2)
-        cutoff = base * (cfg["n_targets"] + 2.0)
+        cutoff = default_cutoff(geometry, cfg["n_targets"])
     oracle = fourier_oracle(geometry, cutoff)
     try:
         clusters = assign_clusters(res, oracle, cfg["n_targets"])
     except ValueError as ex:
         raise ConfigError(f"n_targets: {ex}") from ex
     if cfg["csv"]:
-        assigned = {}
-        for ci, cl in enumerate(clusters):
-            for lam in cl.eigenvalues:
-                assigned.setdefault(round(float(lam), 14), []).append(ci)
+        label = {i: ci for ci, cl in enumerate(clusters)
+                 for i in cl.indices.tolist()}
         rows = []
-        for i, lam in enumerate(res.eigenvalues):
-            key = round(float(lam), 14)
-            if assigned.get(key):
-                ci = assigned[key].pop(0)
-                cl = clusters[ci]
-                rows.append((float(lam), i, ci, cl.target,
-                             abs(float(lam) - cl.target)))
+        for i, lam in enumerate(res.eigenvalues.tolist()):
+            if i in label:
+                target = clusters[label[i]].target
+                rows.append((lam, i, label[i], target, abs(lam - target)))
             else:
-                rows.append((float(lam), i, -1, float("nan"), float("nan")))
+                rows.append((lam, i, -1, float("nan"), float("nan")))
         text = _csv_text(cfg, ("eigenvalue", "index", "cluster", "target",
                                "error"), rows)
         _write_text(text, cfg["csv"])
@@ -234,12 +234,7 @@ def cmd_eigs(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    defaults = dict(COMMON_DEFAULTS, cutoff=1.5)
-    del defaults["grid"]
-    cfg = _resolve(args, defaults)
-    _validate_common(cfg)
-    _require_positive(cfg, "cutoff")
+def cmd_oracle(cfg) -> int:
     sp = fourier_oracle(_geometry(cfg), cfg["cutoff"])
     rows = [(0.0, -1, "kernel")]
     rows += [(lam, mult, "mode") for lam, mult in sp.entries]
@@ -248,22 +243,9 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_converge(args) -> int:
-    defaults = dict(COMMON_DEFAULTS, grids=[2, 3, 4], n_eigs=2, json=None)
-    del defaults["grid"]
-    cfg = _resolve(args, defaults)
-    _validate_common(cfg)
-    grids = cfg["grids"]
-    if not (isinstance(grids, list) and grids and all(map(_is_whole, grids))):
-        raise ConfigError("grids: need a list of integer grid sizes")
-    grids = cfg["grids"] = [int(n) for n in grids]
-    if min(grids) < 2:
-        raise ConfigError("grids: subdivisions must be at least 2")
-    if any(b <= a for a, b in zip(grids, grids[1:])):
-        raise ConfigError("grids: must be strictly increasing")
-    _require_positive(cfg, "n_eigs", integer=True)
+def cmd_converge(cfg) -> int:
     try:
-        study = convergence_study(_geometry(cfg), grids, cfg["n_eigs"])
+        study = convergence_study(_geometry(cfg), cfg["grids"], cfg["n_eigs"])
     except ValueError as ex:
         raise ConfigError(f"n_eigs: {ex}") from ex
     rows = [(f"{r['grid'][0]}x{r['grid'][1]}x{r['grid'][2]}", r["target"],
@@ -278,28 +260,19 @@ def cmd_converge(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_action(args) -> int:
-    defaults = dict(COMMON_DEFAULTS, lengths_json=None, perturb_seed=None,
-                    perturb_scale=0.1, csv=None)
-    cfg = _resolve(args, defaults)
-    _validate_common(cfg)
-    seed = cfg["perturb_seed"]
-    if seed is not None and not (_is_int(seed) and seed >= 0):
-        raise ConfigError("perturb_seed: need a nonnegative integer")
-    if not _is_number(cfg["perturb_scale"]):
-        raise ConfigError("perturb_scale: need a number")
+def cmd_action(cfg) -> int:
     mesh = build_torus_mesh(_geometry(cfg), cfg["grid"])
     if cfg["lengths_json"]:
         try:
             with open(cfg["lengths_json"]) as fh:
                 config = EdgeLengthConfig.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError) as ex:
+        except (OSError, ValueError) as ex:
             raise ConfigError(f"lengths_json: {ex}")
         if config.squared_lengths.shape[0] != mesh.num_edges:
             raise ConfigError("lengths_json: expected one squared length "
                               f"per edge ({mesh.num_edges})")
-    elif seed is not None:
-        rng = np.random.default_rng(seed)
+    elif cfg["perturb_seed"] is not None:
+        rng = np.random.default_rng(cfg["perturb_seed"])
         up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
         config = perturbed_lengths(mesh, up, cfg["perturb_scale"])
     else:
@@ -318,10 +291,7 @@ def cmd_action(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    defaults = dict(COMMON_DEFAULTS, seed=0, json=None)
-    cfg = _resolve(args, defaults)
-    _validate_common(cfg)
+def cmd_verify(cfg) -> int:
     results = run_verification(_geometry(cfg), cfg["grid"], cfg["seed"])
     lines = []
     failures = 0
@@ -338,76 +308,98 @@ def cmd_verify(args) -> int:
     return failures
 
 
+class Command(NamedTuple):
+    run: Callable
+    help: str
+    defaults: dict  # config key -> default, in flag order
+
+
+SIDES = [TAU, TAU, TAU]
+GRID = [2, 2, 2]
+
+COMMANDS = {
+    "mesh": Command(cmd_mesh, "build a mesh and print its summary",
+                    dict(lengths=SIDES, grid=GRID, output=None,
+                         full_incidence=False)),
+    "assemble": Command(cmd_assemble,
+                        "write stiffness/mass matrices in COO text form",
+                        dict(lengths=SIDES, grid=GRID, output=None,
+                             prefix="pencil", seed=0)),
+    "eigs": Command(cmd_eigs, "solve the generalized eigenproblem",
+                    dict(lengths=SIDES, grid=GRID, output=None, n_targets=2,
+                         cutoff=None, csv=None)),
+    "oracle": Command(cmd_oracle, "exact torus spectrum as CSV",
+                      dict(lengths=SIDES, output=None, cutoff=1.5)),
+    "converge": Command(cmd_converge,
+                        "eigenvalue convergence study over grids",
+                        dict(lengths=SIDES, output=None, grids=[2, 3, 4],
+                             n_eigs=2, json=None)),
+    "action": Command(cmd_action, "Regge action and per-edge deficit angles",
+                      dict(lengths=SIDES, grid=GRID, output=None,
+                           lengths_json=None, perturb_seed=None,
+                           perturb_scale=0.1, csv=None)),
+    "verify": Command(cmd_verify, "run the numerical invariant suites",
+                      dict(lengths=SIDES, grid=GRID, output=None, seed=0,
+                           json=None)),
+}
+
+
+def _resolve(args) -> dict:
+    """Merge defaults < config file < explicit flags, then check each key.
+
+    ``None`` skips the check exactly where the command's default is None.
+    """
+    defaults = COMMANDS[args.command].defaults
+    cfg = dict(defaults)
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as ex:
+            raise ConfigError(f"config: cannot read {args.config}: {ex}")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config: {args.config} must hold a JSON "
+                              "object of config keys")
+        unknown = set(file_cfg) - set(defaults)
+        if unknown:
+            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+        cfg.update(file_cfg)
+    for key, default in defaults.items():
+        flag = getattr(args, key)
+        if flag is not None:
+            cfg[key] = flag
+        if cfg[key] is not None or default is not None:
+            try:
+                cfg[key] = KEYS[key].check(cfg[key])
+            except ConfigError as ex:
+                raise ConfigError(f"{key}: {ex}") from None
+    return cfg
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="reggefem",
         description="Linearized Regge calculus on periodic torus meshes")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mesh", help="build a mesh and print its summary")
-    _add_common(p)
-    p.add_argument("--full-incidence", dest="full_incidence",
-                   action="store_const", const=True,
-                   help="include full incidence tables")
-    p.set_defaults(fn=cmd_mesh)
-
-    p = sub.add_parser("assemble",
-                       help="write stiffness/mass matrices in COO text form")
-    _add_common(p)
-    p.add_argument("--prefix", help="output file prefix (default 'pencil')")
-    p.add_argument("--seed", type=int, help="seed for the kernel residual")
-    p.set_defaults(fn=cmd_assemble)
-
-    p = sub.add_parser("eigs", help="solve the generalized eigenproblem")
-    _add_common(p)
-    p.add_argument("--n-targets", dest="n_targets", type=int,
-                   help="oracle targets to match (default 2)")
-    p.add_argument("--cutoff", type=float, help="oracle eigenvalue cutoff")
-    p.add_argument("--csv", help="write the full spectrum as CSV here")
-    p.set_defaults(fn=cmd_eigs)
-
-    p = sub.add_parser("oracle", help="exact torus spectrum as CSV")
-    _add_common(p, grid=False)
-    p.add_argument("--cutoff", type=float,
-                   help="report |eigenvalue| <= cutoff (default 1.5)")
-    p.set_defaults(fn=cmd_oracle)
-
-    p = sub.add_parser("converge",
-                       help="eigenvalue convergence study over grids")
-    _add_common(p, grid=False)
-    p.add_argument("--grids", nargs="+", type=int,
-                   help="grid sizes n (cubic grids), default 2 3 4")
-    p.add_argument("--n-eigs", dest="n_eigs", type=int,
-                   help="number of oracle targets (default 2)")
-    p.add_argument("--json", help="also write the study as JSON here")
-    p.set_defaults(fn=cmd_converge)
-
-    p = sub.add_parser("action",
-                       help="Regge action and per-edge deficit angles")
-    _add_common(p)
-    p.add_argument("--lengths-json", dest="lengths_json",
-                   help="edge length configuration (JSON)")
-    p.add_argument("--perturb-seed", dest="perturb_seed", type=int,
-                   help="generate a random perturbed configuration")
-    p.add_argument("--perturb-scale", dest="perturb_scale", type=float,
-                   help="perturbation amplitude (default 0.1)")
-    p.add_argument("--csv", help="write per-edge deficits as CSV here")
-    p.set_defaults(fn=cmd_action)
-
-    p = sub.add_parser("verify", help="run the numerical invariant suites")
-    _add_common(p)
-    p.add_argument("--seed", type=int,
-                   help="seed for randomized checks (default 0)")
-    p.add_argument("--json", help="also write results as JSON here")
-    p.set_defaults(fn=cmd_verify)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for key, default in command.defaults.items():
+            k = KEYS[key]
+            if isinstance(default, list):
+                default = " ".join(f"{v:g}" for v in default)
+            text = k.help if default is None else \
+                f"{k.help} (default {default})"
+            p.add_argument("--" + key.replace("_", "-"), *k.aliases,
+                           dest=key, help=text, **k.flag)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return COMMANDS[args.command].run(_resolve(args))
     except (ConfigError, MeshError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -40,6 +40,7 @@ __all__ = [
     "MassMatrix",
     "assemble_stiffness",
     "assemble_mass",
+    "constant_kernel_residual",
     "write_coo",
     "read_coo",
 ]
@@ -157,6 +158,21 @@ def assemble_mass(mesh: PeriodicMesh) -> MassMatrix:
     M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(E, E)).tocsr()
     M.sum_duplicates()
     return MassMatrix(M, mesh.grid)
+
+
+def constant_kernel_residual(mesh: PeriodicMesh, A: StiffnessMatrix,
+                             rng: np.random.Generator) -> float:
+    """max|A c| / (max|A| max|c|) for the edge values c of one constant
+    metric, symmetrised from a uniform [-1, 1] 3x3 draw of ``rng``.
+
+    Constant metrics lie in the kernel, so this is roundoff-sized.
+    """
+    g = rng.uniform(-1.0, 1.0, (3, 3))
+    g = 0.5 * (g + g.T)
+    c = np.einsum("ei,ij,ej->e", mesh.edge_vec, g, mesh.edge_vec)
+    return float(np.abs(A.matrix @ c).max()
+                 / (np.abs(A.matrix.data).max()
+                    * max(np.abs(c).max(), 1e-300)))
 
 
 def write_coo(matrix, path):

@@ -34,6 +34,7 @@ from .spaces import skew
 __all__ = [
     "FourierSpectrum",
     "fourier_oracle",
+    "default_cutoff",
     "mode_symbol",
     "sigma_modes",
     "SpectrumResult",
@@ -118,8 +119,8 @@ def fourier_oracle(geometry: TorusGeometry, cutoff: float) -> FourierSpectrum:
     real multiplicity 2, consistent with the mode decomposition of
     :func:`sigma_modes` doubled by the cos/sin pairing of +-k.
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+    if not (np.isfinite(cutoff) and cutoff > 0):
+        raise ValueError("cutoff must be positive and finite")
     base = 2.0 * np.pi / geometry.lengths
     nmax = [int(np.floor(np.sqrt(cutoff) / b)) for b in base]
     acc: dict = {}
@@ -147,6 +148,13 @@ def fourier_oracle(geometry: TorusGeometry, cutoff: float) -> FourierSpectrum:
             merged.append([lam, acc[lam]])
     entries = tuple((float(l), int(m)) for l, m in merged)
     return FourierSpectrum(geometry, float(cutoff), entries)
+
+
+def default_cutoff(geometry: TorusGeometry, n_targets: int) -> float:
+    """Oracle cutoff used when matching n targets and none is given:
+    (min_i 2 pi / l_i)^2 * (n + 2)."""
+    return float(np.min(2.0 * np.pi / geometry.lengths) ** 2) \
+        * (n_targets + 2.0)
 
 
 @dataclass
@@ -286,13 +294,18 @@ def solve_pencil(A: StiffnessMatrix, M: MassMatrix,
 
 @dataclass
 class ClusterAssignment:
-    """Discrete eigenvalue cluster assigned to one oracle target."""
+    """Discrete eigenvalue cluster assigned to one oracle target.
+
+    ``indices`` are the positions of ``eigenvalues`` in the spectrum
+    (``SpectrumResult.eigenvalues``) they were taken from.
+    """
 
     target: float
     multiplicity: int
     eigenvalues: np.ndarray
     window: float
     count_in_window: int
+    indices: np.ndarray
 
     @property
     def mean(self) -> float:
@@ -333,10 +346,14 @@ def assign_clusters(result: SpectrumResult, oracle: FourierSpectrum,
     """
     targets = oracle.targets_by_magnitude(n_targets)
     values = sorted(v for v, _ in oracle.entries)
-    nz = result.nonzero
+    w = result.eigenvalues
+    nonzero = np.flatnonzero(np.abs(w) >= result.threshold)
+    nz = w[nonzero]
+    pos, neg = nonzero[nz > 0], nonzero[nz < 0]
+    # positions by increasing |lambda|; stable, so ties keep spectrum order
     pools = {
-        +1: sorted(nz[nz > 0]),
-        -1: sorted(nz[nz < 0], key=abs),
+        +1: pos[np.argsort(w[pos], kind="stable")],
+        -1: neg[np.argsort(np.abs(w[neg]), kind="stable")],
     }
     used = {+1: 0, -1: 0}
     clusters = []
@@ -351,8 +368,8 @@ def assign_clusters(result: SpectrumResult, oracle: FourierSpectrum,
         gaps = [abs(target - v) for v in values if abs(target - v) > 1e-12]
         window = 0.5 * min(gaps) if gaps else abs(target)
         inside = int(np.sum(np.abs(nz - target) <= window))
-        clusters.append(ClusterAssignment(target, mult,
-                                          np.array(take), window, inside))
+        clusters.append(ClusterAssignment(target, mult, w[take], window,
+                                          inside, take))
     result.clusters = clusters
     return clusters
 
@@ -379,9 +396,8 @@ def convergence_study(geometry: TorusGeometry, grids, n_eigs: int = 2,
     sizes = [np.prod(g) for g in grids]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("grids must be strictly increasing")
-    base = float(np.min(2.0 * np.pi / geometry.lengths) ** 2)
     if cutoff is None:
-        cutoff = base * (n_eigs + 2.0)
+        cutoff = default_cutoff(geometry, n_eigs)
     oracle = fourier_oracle(geometry, cutoff)
     rows = []
     errors: dict = {}

@@ -37,6 +37,23 @@ class TestConfigs:
         with pytest.raises(RealizabilityError):
             EdgeLengthConfig(s)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_lengths_required(self, mesh2, bad):
+        s = mesh2.edge_length**2
+        s[0] = bad
+        with pytest.raises(RealizabilityError, match="finite"):
+            EdgeLengthConfig(s)
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2, 3], 5, None, {}, {"lengths": [1.0]},
+        {"squared_lengths": "abc"}, {"squared_lengths": [[1.0], [1.0, 2.0]]},
+        {"squared_lengths": [1.0, None]}, {"squared_lengths": [-1.0]},
+        {"squared_lengths": [float("nan")]},
+    ])
+    def test_from_json_rejects_malformed_payload(self, payload):
+        with pytest.raises(ValueError):
+            EdgeLengthConfig.from_json(payload)
+
     def test_json_roundtrip(self, mesh2):
         cfg = euclidean_lengths(mesh2)
         back = EdgeLengthConfig.from_json(json.loads(json.dumps(

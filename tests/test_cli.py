@@ -1,10 +1,12 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from golden import digest
-from reggefem.cli import main
+from reggefem.cli import COMMANDS, ConfigError, _resolve, build_parser, main
 
 
 def run(capsys, *argv):
@@ -183,6 +185,21 @@ class TestActionCommand:
                            "--lengths-json", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("payload", [
+        "[1, 2, 3]", "5", "[-1]", "{}", '{"squared_lengths": "abc"}',
+        '{"squared_lengths": [[1.0], [1.0, 2.0]]}',
+        '{"squared_lengths": [-1]}',
+        pytest.param('{"squared_lengths": [NaN' + ', 1.0' * 55 + ']}',
+                     id="nan-among-56"),
+    ])
+    def test_malformed_lengths_json_is_config_error(self, capsys, tmp_path,
+                                                    payload):
+        path = tmp_path / "lengths.json"
+        path.write_text(payload)
+        code, out, err = run(capsys, "action", "--lengths-json", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: lengths_json:")
+
 
 class TestVerifyCommand:
     def test_grid2_seed0_passes(self, capsys, tmp_path):
@@ -208,6 +225,59 @@ class TestVerifyCommand:
         failed = [r["name"] for r in results if not r["passed"]]
         assert code == len(failed)
         assert set(failed) <= known_false
+
+
+class TestEigsCsvLabels:
+    def test_rows_labelled_by_cluster_member(self, capsys, tmp_path):
+        # grid 4 with three targets has eigenvalues one ulp apart next to
+        # the third cluster; only its actual members may carry its label
+        csv = tmp_path / "spectrum.csv"
+        code, out, _ = run(capsys, "eigs", "--grid", "4", "4", "4",
+                           "--n-targets", "3", "--csv", str(csv))
+        assert code == 0
+        rows = [l.split(",") for l in csv.read_text().splitlines()[3:]]
+        for ci, cluster in enumerate(json.loads(out)["clusters"]):
+            labelled = [float(r[0]) for r in rows if int(r[2]) == ci]
+            assert sorted(labelled) == sorted(cluster["eigenvalues"])
+
+
+COMMAND_KEYS = [(name, key) for name, command in COMMANDS.items()
+                for key in command.defaults]
+
+
+class TestConfigTable:
+    """Generated from COMMANDS: every subcommand and each of its keys."""
+
+    @pytest.mark.parametrize("command, key", COMMAND_KEYS)
+    def test_wrong_typed_value_is_config_error(self, capsys, tmp_path,
+                                               command, key):
+        # no config key takes a JSON object
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: {"x": 1}}))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key}:")
+
+    @pytest.mark.parametrize("command, key", COMMAND_KEYS)
+    def test_null_accepted_exactly_where_default_is_null(self, tmp_path,
+                                                         command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        args = build_parser().parse_args([command, "--config", str(cfg)])
+        if COMMANDS[command].defaults[key] is None:
+            assert _resolve(args)[key] is None
+        else:
+            with pytest.raises(ConfigError, match=f"^{key}: "):
+                _resolve(args)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_lists_the_subcommand_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as ex:
+            main([command, "--help"])
+        assert ex.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        keys = ["help", "config", *COMMANDS[command].defaults]
+        assert flags == {"--" + k.replace("_", "-") for k in keys}
 
 
 class TestConfigHandling:
@@ -264,6 +334,10 @@ class TestConfigHandling:
         ("assemble", "prefix", 5),
         ("assemble", "prefix", None),
         ("mesh", "full_incidence", "no"),
+        ("oracle", "cutoff", float("inf")),
+        ("eigs", "cutoff", float("nan")),
+        ("action", "perturb_scale", float("nan")),
+        ("verify", "lengths", [float("inf"), 1, 1]),
     ])
     def test_mistyped_command_value_is_config_error(self, capsys, tmp_path,
                                                     command, key, value):
@@ -272,6 +346,31 @@ class TestConfigHandling:
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 2
         assert out == ""
+        assert err.startswith(f"error: {key}:")
+
+    @pytest.mark.parametrize("content", [
+        b"5", b"null", b'[["grid", [3, 3, 3]]]', b"\xff\xfe{}"])
+    def test_config_not_an_object_is_config_error(self, capsys, tmp_path,
+                                                  content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code, out, err = run(capsys, "mesh", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config:")
+
+    @pytest.mark.parametrize("argv, key", [
+        (("oracle", "--cutoff", "inf"), "cutoff"),
+        (("eigs", "--cutoff", "inf"), "cutoff"),
+        (("mesh", "--lengths", "inf", "1", "1"), "lengths"),
+        (("mesh", "--lengths", "nan", "1", "1"), "lengths"),
+        (("action", "--perturb-seed", "1", "--perturb-scale", "nan"),
+         "perturb_scale"),
+    ])
+    def test_non_finite_flag_is_config_error(self, capsys, argv, key):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
         assert err.startswith(f"error: {key}:")
 
     def test_integral_float_grids_echoed_as_integers(self, capsys, tmp_path):

@@ -46,6 +46,11 @@ class TestOracle:
         with pytest.raises(ValueError):
             fourier_oracle(geometry, 0.0)
 
+    @pytest.mark.parametrize("cutoff", [np.inf, np.nan])
+    def test_non_finite_cutoff(self, geometry, cutoff):
+        with pytest.raises(ValueError, match="finite"):
+            fourier_oracle(geometry, cutoff)
+
     def test_mode_symbol_matches_oracle_values(self, geometry):
         # every sigma mode's analytic Rayleigh quotient is an oracle value
         sp = fourier_oracle(geometry, 4.5)
@@ -203,6 +208,14 @@ class TestClusters:
         assert np.ptp(pos.eigenvalues) < 0.05
         assert np.ptp(neg.eigenvalues) < 0.05
         assert pos.rel_error < 0.4 and neg.rel_error < 0.4
+
+    def test_indices_locate_cluster_eigenvalues(self, geometry, pencil4):
+        res = solve_pencil(*pencil4)
+        clusters = assign_clusters(res, fourier_oracle(geometry, 20.0), 3)
+        taken = np.concatenate([c.indices for c in clusters])
+        assert len(set(taken.tolist())) == len(taken)
+        for c in clusters:
+            assert np.array_equal(res.eigenvalues[c.indices], c.eigenvalues)
 
     def test_study_monotone_decay(self, geometry):
         study = convergence_study(geometry, [2, 3, 4], n_eigs=2)
