@@ -357,16 +357,33 @@ class TestSchlafli:
 
 # First 16 hex digits of the SHA-256 (golden.digest) of the action layer's
 # outputs on a seeded realizable configuration, recorded from the per-tet
-# reference implementation.
+# reference implementation; the linearized_deficit and 2x3x2 entries from
+# the per-face loops of the sector, holonomy and linearized routes.
 GOLDEN_GRIDS = {
+    # edges of the 2-wide directions wrap through the period
+    "2x3x2": ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
     "3x3x3": ((3, 3, 3), (TAU, TAU, TAU)),
     "4x5x6": ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
 }
 GOLDEN = {
+    "2x3x2": {
+        "deficit_angle_dihedral": "0990a8db77d9b8ce",
+        "deficit_angle_holonomy": "741a4c15184d0486",
+        "deficit_angles": "0990a8db77d9b8ce",
+        "linearized_deficit": "d0d1455dc19becc2",
+        "metric_dihedral_angles": "6ea9a1a5e4665153",
+        "second_variation_check.actions": "aa34bae4e78a0dbd",
+        "sector.faces_tets": "6015147a6f37d10e",
+        "sector.metrics": "f32544131fe1f4ec",
+        "sector.ms": "1d9f099c331958d7",
+        "sector.ns": "bdd88bb5fd85639e",
+        "tet_metrics_from_lengths": "efea6fd23221a1b1",
+    },
     "3x3x3": {
         "deficit_angle_dihedral": "8f037863d420eb0e",
         "deficit_angle_holonomy": "acaeabe225785c79",
         "deficit_angles": "8f037863d420eb0e",
+        "linearized_deficit": "cf763146f8474b2b",
         "metric_dihedral_angles": "b5d29e37fe2a61b9",
         "second_variation_check.actions": "10d1fd2014b7672f",
         "sector.faces_tets": "4aac778ead2753b7",
@@ -379,6 +396,7 @@ GOLDEN = {
         "deficit_angle_dihedral": "b65b00f7e3f62713",
         "deficit_angle_holonomy": "dd57376f5b38a1b8",
         "deficit_angles": "b65b00f7e3f62713",
+        "linearized_deficit": "a61eba02bf5e262c",
         "metric_dihedral_angles": "6cb87b3237e51f3a",
         "second_variation_check.actions": "72c0929fd1f4e7d9",
         "sector.faces_tets": "eb6dcac4205b57de",
@@ -408,6 +426,8 @@ def _action_outputs(grid, lengths) -> dict:
             [deficit_angle_dihedral(mesh, e, cfg) for e in edges]),
         "deficit_angle_holonomy": np.array(
             [deficit_angle_holonomy(s) for s in sectors]),
+        "linearized_deficit": np.array(
+            [linearized_deficit(mesh, e, up) for e in edges]),
         "sector.ms": [s.ms for s in sectors],
         "sector.ns": [s.ns for s in sectors],
         "sector.metrics": [s.metrics for s in sectors],
