@@ -20,21 +20,23 @@ R(l(eps)) = eps^2/8 * c' A c + O(eps^3) where c is the coefficient vector
 of the metric perturbation and A the assembled stiffness matrix; the
 linearized deficit equals half the assembled edge jump.
 
-``deficit_angle_holonomy`` and ``linearized_deficit`` keep their own
-per-star loops on purpose: ``verify`` checks them against
-``deficit_angle_dihedral`` and against the face-jump kernel of
-``saint_venant`` (through ``edge_jump_scalar``), so they share no code with
-those routes.
+``build_edge_sector``, ``deficit_angle_holonomy`` and
+``linearized_deficit`` stay per edge on purpose: each makes one stacked
+pass over its edge's star, and the holonomy composes its s face crossings
+in order.  ``verify`` checks them against ``deficit_angle_dihedral`` and
+against the face-jump kernel of ``saint_venant`` (through
+``edge_jump_scalar``), so they share no code with those routes.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import LOCAL_EDGES, PeriodicMesh, _star_arrays, edge_star
+from .mesh import LOCAL_EDGES, PeriodicMesh, _star_arrays
 from .spaces import ReggeField, _gram_from_squared_lengths, \
     regge_to_tet_matrices
 
@@ -64,10 +66,15 @@ __all__ = [
 # sixth power of the longest edge of the tet.
 CM_DET_RTOL = 1e-14
 
+# Bordered Cayley-Menger matrix entries of each LOCAL_EDGES slot.
+_CM_LO, _CM_HI = np.array(LOCAL_EDGES).T + 1
+
 # Local vertices per local edge slot: the edge's two ends, then the other
 # two vertices, which span the two faces at the edge.
 _EDGE_VERTS = np.array([[i, j] + [x for x in range(4) if x not in (i, j)]
                         for i, j in LOCAL_EDGES])
+
+logger = logging.getLogger(__name__)
 
 
 class RealizabilityError(ValueError):
@@ -131,8 +138,7 @@ def cayley_menger_determinant(s6):
     M = np.ones(s.shape[:-1] + (5, 5))
     diag = np.arange(5)
     M[..., diag, diag] = 0.0
-    lo, hi = np.array(LOCAL_EDGES).T + 1
-    M[..., lo, hi] = M[..., hi, lo] = s
+    M[..., _CM_LO, _CM_HI] = M[..., _CM_HI, _CM_LO] = s
     return np.linalg.det(M)
 
 
@@ -279,9 +285,11 @@ def build_edge_sector(mesh: PeriodicMesh, e: int,
         scale = max(float(np.abs(mats).max()), 1.0)
         # tangential-tangential part of the jump across face i, in the
         # frame (t_e, m_i) of the face
-        frames = np.stack([np.broadcast_to(te, ms.shape), ms], axis=1)
-        jump = mats - np.roll(mats, 1, axis=0)
-        tt = np.einsum("sai,sij,sbj->sab", frames, jump, frames)
+        frames = np.empty((len(ms), 2, 3))
+        frames[:, 0] = te
+        frames[:, 1] = ms
+        jump = mats - mats[np.arange(-1, len(ms) - 1)]
+        tt = frames @ jump @ frames.transpose(0, 2, 1)
         bad = np.flatnonzero((np.abs(tt) > 1e-9 * scale).any(axis=(1, 2)))
         if bad.size:
             raise RealizabilityError(
@@ -289,13 +297,6 @@ def build_edge_sector(mesh: PeriodicMesh, e: int,
                 f"continuous across face {int(faces[bad[0]])}")
     return EdgeSector(te, ms, ns, mats, e, tuple(faces.tolist()),
                       tuple(tets.tolist()))
-
-
-def _metric_unit_normal(u: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Unit normal to the plane with Euclidean normal n, w.r.t. metric u,
-    oriented to the same side as n."""
-    x = np.linalg.solve(u, n)
-    return x / np.sqrt(n @ x)
 
 
 def deficit_angle_holonomy(sector: EdgeSector) -> float:
@@ -312,27 +313,37 @@ def deficit_angle_holonomy(sector: EdgeSector) -> float:
     """
     ms, ns, mats, t = sector.ms, sector.ns, sector.metrics, sector.tangent
     s = len(ms)
-    E = np.eye(3)
-    for i in range(s):
-        u_before = mats[i - 1]
-        u_after = mats[i]
-        km = _metric_unit_normal(u_before, ns[i])
-        kp = _metric_unit_normal(u_after, ns[i])
-        Bi = np.stack([ms[i], ns[i], t], axis=1)
-        kmc = Bi.T @ km
-        kpc = Bi.T @ kp
-        Mp = np.array([[1.0, kpc[0], 0.0],
-                       [0.0, kpc[1], 0.0],
-                       [0.0, kpc[2], 1.0]])
-        beta = kmc[1]
-        Mm_inv = np.array([[1.0, -kmc[0] / beta, 0.0],
-                           [0.0, 1.0 / beta, 0.0],
-                           [0.0, -kmc[2] / beta, 1.0]])
-        Ti = Mp @ Mm_inv
-        Bnext = np.stack([ms[(i + 1) % s], ns[(i + 1) % s], t], axis=1)
-        E = (Bnext.T @ Bi) @ Ti @ E
+    prev = np.arange(-1, s - 1)
+    # B[i] has the columns (m_i, n_i, t): the frame of face i
+    B = np.empty((s, 3, 3))
+    B[:, :, 0] = ms
+    B[:, :, 1] = ns
+    B[:, :, 2] = t
+    # metric-unit normals to face i w.r.t. the sector before it (first s
+    # rows) and after it, oriented to the side of n_i.  n^T x is a matmul,
+    # which rounds as a single dot does; einsum does not.
+    n2 = np.concatenate([ns, ns])[:, :, None]
+    x = np.linalg.solve(np.concatenate([mats[prev], mats]), n2)
+    k = x / np.sqrt(n2.transpose(0, 2, 1) @ x)
+    kc = (B.transpose(0, 2, 1) @ k.reshape(2, s, 3, 1))[..., 0]
+    kmc, kpc = kc[0], kc[1]
+    Mp = np.zeros((s, 3, 3))
+    Mp[:, 0, 0] = Mp[:, 2, 2] = 1.0
+    Mp[:, :, 1] = kpc
+    beta = kmc[:, 1]
+    Mm_inv = np.zeros((s, 3, 3))
+    Mm_inv[:, 0, 0] = Mm_inv[:, 2, 2] = 1.0
+    Mm_inv[:, 0, 1] = -kmc[:, 0] / beta
+    Mm_inv[:, 1, 1] = 1.0 / beta
+    Mm_inv[:, 2, 1] = -kmc[:, 2] / beta
+    # crossing face i: T_i, then the change from the frame of face i to
+    # that of face i+1
+    S = (B[np.arange(1, s + 1) % s].transpose(0, 2, 1) @ B) @ (Mp @ Mm_inv)
+    E = S[0]
+    for i in range(1, s):
+        E = S[i] @ E
     # E acts on coordinates in the frame of face 0; start metric there:
-    B0 = np.stack([ms[0], ns[0], t], axis=1)
+    B0 = B[0]
     U = B0.T @ mats[s - 1] @ B0
     # metric-orthonormal frame (w1, w2, t_hat), Gram-Schmidt keeps orientation
     ez = np.array([0.0, 0.0, 1.0])
@@ -358,14 +369,16 @@ def linearized_deficit(mesh: PeriodicMesh, e: int,
     """
     if not 0 <= e < mesh.num_edges:
         raise ValueError(f"invalid edge id {e}")
-    star = edge_star(mesh, e)
+    faces, tets = _star_arrays(mesh, e)
+    slots = np.argmax(mesh.face_edges[faces] == e, axis=1)
     # row i is the matrix of the sector tet after face i
-    mats = regge_to_tet_matrices(mesh, u_prime, [t for _, t in star])
+    mats = regge_to_tet_matrices(mesh, u_prime, tets)
+    jump = mats - mats[np.arange(-1, len(tets) - 1)]
+    vals = (mesh.face_m[faces, slots][:, None, :] @ jump
+            @ mesh.face_n[faces, slots][:, :, None])
     total = 0.0
-    for i, (f, _) in enumerate(star):
-        slot = list(mesh.face_edges[f]).index(e)
-        jump = mats[i] - mats[i - 1]
-        total += float(mesh.face_m[f, slot] @ jump @ mesh.face_n[f, slot])
+    for val in vals.ravel().tolist():
+        total += val
     return 0.5 * total
 
 
@@ -488,6 +501,8 @@ def second_variation_check(mesh: PeriodicMesh, u_prime: ReggeField,
         except RealizabilityError:
             pruned.append(eps)
     if pruned:
+        logger.debug("second_variation_check: pruned unrealizable "
+                     "epsilons %s", pruned)
         warnings.warn(f"pruned unrealizable epsilons: {pruned}")
     if len(eps_ok) < 2:
         raise RealizabilityError("not enough realizable epsilon values")
@@ -524,7 +539,10 @@ def random_realizable_config(mesh: PeriodicMesh, rng, scale: float = 0.2,
             theta = deficit_angles(mesh, cfg)
             if max_deficit is None or np.abs(theta).max() <= max_deficit:
                 return cfg
-        except RealizabilityError:
-            pass
+            reason = "a deficit angle above max_deficit"
+        except RealizabilityError as ex:
+            reason = ex
         factor *= 0.5
+        logger.debug("random_realizable_config: %s; amplitude halved to %g",
+                     reason, factor)
     raise RealizabilityError("could not find a realizable configuration")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -131,7 +132,22 @@ class Key(NamedTuple):
     aliases: tuple = ()
 
 
-_path = _require(lambda x: isinstance(x, str), "need a file path string")
+def _path_key(what: str) -> Callable:
+    """Check of a path key: a nonempty string whose directory exists, so
+    a path in a missing directory is reported before any computation."""
+    def check(x):
+        if not isinstance(x, str):
+            raise ConfigError(f"need a {what} string")
+        if not x:
+            raise ConfigError(f"need a nonempty {what}")
+        parent = os.path.dirname(x)
+        if parent and not os.path.isdir(parent):
+            raise ConfigError(f"directory {parent!r} does not exist")
+        return x
+    return check
+
+
+_path = _path_key("file path")
 _count = _require(lambda x: _is_int(x) and x > 0, "need a positive integer")
 _seed = _require(lambda x: _is_int(x) and x >= 0,
                  "need a nonnegative integer")
@@ -150,9 +166,7 @@ KEYS = {
     "csv": Key(_path, "also write a CSV table here"),
     "json": Key(_path, "also write the results as JSON here"),
     "lengths_json": Key(_path, "edge length configuration (JSON)"),
-    "prefix": Key(_require(lambda x: isinstance(x, str),
-                           "need a file path prefix string"),
-                  "output file prefix"),
+    "prefix": Key(_path_key("file path prefix"), "output file prefix"),
     "full_incidence": Key(_require(lambda x: isinstance(x, bool),
                                    "need true or false"),
                           "include full incidence tables",

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -125,6 +126,33 @@ class TestMetricReconstruction:
                            match=r"^tet 100: degenerate"):
             tet_metrics_from_lengths(mesh3, cfg, [100, 17])
 
+    def test_amplitude_halving_logged(self, mesh2, caplog):
+        # amplitude 8 gives negative squared lengths until it is down to 1
+        with caplog.at_level(logging.DEBUG, logger="reggefem.action"):
+            cfg = random_realizable_config(mesh2, np.random.default_rng(19),
+                                           scale=8.0)
+        halved = [r.getMessage() for r in caplog.records
+                  if r.name == "reggefem.action"]
+        assert halved[:3] == [
+            "random_realizable_config: squared lengths must be positive; "
+            f"amplitude halved to {f:g}" for f in (4, 2, 1)]
+        assert all("amplitude halved" in m for m in halved)
+        r = np.random.default_rng(19).uniform(-1.0, 1.0, mesh2.num_edges)
+        factor = 8.0 * 0.5 ** len(halved)
+        assert np.array_equal(cfg.squared_lengths,
+                              mesh2.edge_length**2 * (1.0 + factor * r))
+
+    def test_max_deficit_halving_logged(self, mesh2, caplog):
+        with caplog.at_level(logging.DEBUG, logger="reggefem.action"):
+            cfg = random_realizable_config(mesh2, np.random.default_rng(20),
+                                           max_deficit=1e-3)
+        halved = [r.getMessage() for r in caplog.records
+                  if r.name == "reggefem.action"]
+        assert halved and all(m.startswith(
+            "random_realizable_config: a deficit angle above max_deficit; "
+            "amplitude halved to ") for m in halved)
+        assert np.abs(deficit_angles(mesh2, cfg)).max() <= 1e-3
+
 
 class TestDeficits:
     def test_flat_background_zero(self, mesh2, mesh3):
@@ -155,6 +183,19 @@ class TestDeficits:
                 th_h = deficit_angle_holonomy(
                     build_edge_sector(mesh2, e, mats))
                 assert abs(th_d - th_h) < 1e-9
+
+    def test_sector_discontinuity_names_first_face(self, mesh2):
+        mats = tet_metrics_from_lengths(mesh2, euclidean_lengths(mesh2))
+        e = 3
+        sector = build_edge_sector(mesh2, e, mats)
+        # a tangential change of sector 2 breaks faces 2 and 3
+        bent = mats.copy()
+        bent[sector.tets[2]] += 1e-6 * np.eye(3)
+        with pytest.raises(RealizabilityError, match=(
+                rf"^sector metrics of edge {e} are not tangentially "
+                rf"continuous across face {sector.faces[2]}$")):
+            build_edge_sector(mesh2, e, bent)
+        build_edge_sector(mesh2, e, bent, check_continuity=False)
 
     def test_per_edge_matches_all_edges(self):
         # verify takes the dihedral side from deficit_angles; it must be
@@ -284,15 +325,19 @@ class TestActionExpansion:
         assert abs(rep.ratios[0]) < 1e-4
         assert abs(rep.extrapolated) < 1e-3
 
-    def test_unrealizable_epsilons_pruned(self, mesh2, pencil2):
+    def test_unrealizable_epsilons_pruned(self, mesh2, pencil2, caplog):
         A, _ = pencil2
         rng = np.random.default_rng(12)
         up = ReggeField(rng.uniform(-1, 1, mesh2.num_edges))
         hi = max_realizable_epsilon(mesh2, up, hi=1e3)
-        with pytest.warns(UserWarning, match="pruned"):
+        with pytest.warns(UserWarning, match="pruned"), \
+                caplog.at_level(logging.DEBUG, logger="reggefem.action"):
             rep = second_variation_check(
                 mesh2, up, [1e-2, 3e-2, 2.0 * hi], A)
         assert rep.pruned == [2.0 * hi]
+        assert [r.getMessage() for r in caplog.records] == [
+            "second_variation_check: pruned unrealizable epsilons "
+            f"{[2.0 * hi]}"]
 
     def test_max_realizable_epsilon_bisection(self, mesh2):
         rng = np.random.default_rng(13)

@@ -348,6 +348,28 @@ class TestConfigHandling:
         assert out == ""
         assert err.startswith(f"error: {key}:")
 
+    @pytest.mark.parametrize("argv, key", [
+        (("mesh", "--output", "nodir/m.json"), "output"),
+        (("mesh", "--output", ""), "output"),
+        (("assemble", "--prefix", "nodir/p"), "prefix"),
+        (("assemble", "--prefix", ""), "prefix"),
+        (("converge", "--grids", "2", "--output", "nodir/c.csv"), "output"),
+        (("converge", "--grids", "2", "--json", ""), "json"),
+        (("eigs", "--csv", ""), "csv"),
+        (("verify", "--json", "nodir/v.json"), "json"),
+        (("action", "--lengths-json", ""), "lengths_json"),
+    ])
+    def test_unopenable_path_is_config_error(self, capsys, tmp_path,
+                                             monkeypatch, argv, key):
+        monkeypatch.chdir(tmp_path)
+        # reported by the key checks, so before any computation
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            _resolve(build_parser().parse_args(argv))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key}:")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("content", [
         b"5", b"null", b'[["grid", [3, 3, 3]]]', b"\xff\xfe{}"])
     def test_config_not_an_object_is_config_error(self, capsys, tmp_path,
