@@ -326,7 +326,7 @@ def deficit_angle_holonomy(sector: EdgeSector) -> float:
     x = np.linalg.solve(np.concatenate([mats[prev], mats]), n2)
     k = x / np.sqrt(n2.transpose(0, 2, 1) @ x)
     kc = (B.transpose(0, 2, 1) @ k.reshape(2, s, 3, 1))[..., 0]
-    kmc, kpc = kc[0], kc[1]
+    kmc, kpc = kc
     Mp = np.zeros((s, 3, 3))
     Mp[:, 0, 0] = Mp[:, 2, 2] = 1.0
     Mp[:, :, 1] = kpc
