@@ -132,22 +132,29 @@ class Key(NamedTuple):
     aliases: tuple = ()
 
 
-def _path_key(what: str) -> Callable:
-    """Check of a path key: a nonempty string whose directory exists, so
-    a path in a missing directory is reported before any computation."""
+def _path_key(what: str, suffixes=("",)) -> Callable:
+    """Check of a path key: a nonempty string such that every path the
+    command opens, the value followed by one of ``suffixes``, lies in an
+    existing directory and is not a directory itself.  So such a path is
+    reported before any computation."""
     def check(x):
         if not isinstance(x, str):
             raise ConfigError(f"need a {what} string")
         if not x:
             raise ConfigError(f"need a nonempty {what}")
-        parent = os.path.dirname(x)
-        if parent and not os.path.isdir(parent):
-            raise ConfigError(f"directory {parent!r} does not exist")
+        for path in (x + suffix for suffix in suffixes):
+            parent = os.path.dirname(path)
+            if parent and not os.path.isdir(parent):
+                raise ConfigError(f"directory {parent!r} does not exist")
+            if os.path.isdir(path):
+                raise ConfigError(f"{path!r} is a directory")
         return x
     return check
 
 
 _path = _path_key("file path")
+# the files `assemble` writes next to its prefix: stiffness, mass
+_PENCIL_SUFFIXES = ("_A.txt", "_M.txt")
 _count = _require(lambda x: _is_int(x) and x > 0, "need a positive integer")
 _seed = _require(lambda x: _is_int(x) and x >= 0,
                  "need a nonnegative integer")
@@ -166,7 +173,8 @@ KEYS = {
     "csv": Key(_path, "also write a CSV table here"),
     "json": Key(_path, "also write the results as JSON here"),
     "lengths_json": Key(_path, "edge length configuration (JSON)"),
-    "prefix": Key(_path_key("file path prefix"), "output file prefix"),
+    "prefix": Key(_path_key("file path prefix", _PENCIL_SUFFIXES),
+                  "output file prefix"),
     "full_incidence": Key(_require(lambda x: isinstance(x, bool),
                                    "need true or false"),
                           "include full incidence tables",
@@ -202,15 +210,16 @@ def cmd_assemble(cfg) -> int:
     mesh = build_torus_mesh(_geometry(cfg), cfg["grid"])
     A = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
-    write_coo(A, f"{cfg['prefix']}_A.txt")
-    write_coo(M, f"{cfg['prefix']}_M.txt")
+    a_path, m_path = (cfg["prefix"] + s for s in _PENCIL_SUFFIXES)
+    write_coo(A, a_path)
+    write_coo(M, m_path)
     kern = constant_kernel_residual(mesh, A,
                                     np.random.default_rng(cfg["seed"]))
     body = {
-        "stiffness": {"path": f"{cfg['prefix']}_A.txt",
+        "stiffness": {"path": a_path,
                       "nnz": int(A.matrix.nnz),
                       "symmetry_residual": A.symmetry_residual()},
-        "mass": {"path": f"{cfg['prefix']}_M.txt",
+        "mass": {"path": m_path,
                  "nnz": int(M.matrix.nnz)},
         "constant_kernel_residual": kern,
     }

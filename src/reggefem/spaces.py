@@ -13,6 +13,23 @@ Four spaces form the discrete elasticity sequence
 * ``EdgeMeasure``: matrix line measures u_e t_e t_e^T delta_e.
 * ``VertexVectorMeasure``: vector point measures u_x delta_x.
 
+The interpolators integrate a field by one of two routes:
+
+* Trig modes (``TrigMatrixField`` from ``matrix_mode``, ``TrigVectorField``
+  from ``vector_mode``): a constant amplitude times sin or cos of k.x +
+  phase.  ``interpolate_1/2/3`` reduce only the scalar factor, through
+  per-shape moment tables of the reference rules (the Kuhn complex has
+  six tet shapes and seven edge directions; see ``_trig_moments``), and
+  contract the amplitude once.  Cost O(shapes * Q + T), no field or point
+  array of size T * Q.
+* Every other ``SmoothField`` (``piecewise_constant_field``, the constant
+  fields, user callables): point evaluation at the Gauss points, reduced
+  per tet over blocks of ``_TET_BLOCK`` tets, so memory stays
+  O(_TET_BLOCK * Q).  This route is also the oracle the trig route is
+  tested against.
+
+``interpolate_0`` and ``dof_mu_e`` evaluate every field at points.
+
 Symmetric 3x3 matrices are plain ndarrays kept exactly symmetric by
 construction.  All operations are pure functions of immutable inputs.
 """
@@ -150,7 +167,27 @@ def skew(v) -> np.ndarray:
                      [-v[1], v[0], 0.0]])
 
 
-class TrigMatrixField(SmoothField):
+class _TrigField(SmoothField):
+    """amp * osc(k.x + phase) with a constant amplitude and osc sin or cos.
+
+    The interpolators integrate these fields through scalar moments of
+    osc (``_trig_moments``), not by evaluating the field at every point.
+    """
+
+    def __init__(self, amp, k, trig, phase, quad_points, kind):
+        if trig not in ("sin", "cos"):
+            raise ValueError("trig must be 'sin' or 'cos'")
+        self.k = np.asarray(k, float)
+        self.trig = trig
+        self.phase = float(phase)
+        osc = np.sin if trig == "sin" else np.cos
+        axes = (...,) + (None,) * amp.ndim
+        super().__init__(
+            lambda x: amp * osc(x @ self.k + self.phase)[axes],
+            kind, quad_points)
+
+
+class TrigMatrixField(_TrigField):
     """u(x) = a * trig(k.x + phase) with symmetric a and lattice frequency k.
 
     Carries its image under the Saint-Venant operator and the divergence in
@@ -159,13 +196,7 @@ class TrigMatrixField(SmoothField):
 
     def __init__(self, a, k, trig="sin", phase=0.0, quad_points=12):
         self.a = 0.5 * (np.asarray(a, float) + np.asarray(a, float).T)
-        self.k = np.asarray(k, float)
-        self.trig = trig
-        self.phase = float(phase)
-        osc = np.sin if trig == "sin" else np.cos
-        super().__init__(
-            lambda x: self.a * osc(x @ self.k + self.phase)[..., None, None],
-            "matrix", quad_points)
+        super().__init__(self.a, k, trig, phase, quad_points, "matrix")
 
     def curl_t_curl(self) -> "TrigMatrixField":
         # symbol of the edge-jump operator; the overall sign matches the
@@ -185,18 +216,12 @@ class TrigMatrixField(SmoothField):
                                self.quad_points)
 
 
-class TrigVectorField(SmoothField):
+class TrigVectorField(_TrigField):
     """v(x) = b * trig(k.x + phase) with its symmetrized gradient in closed form."""
 
     def __init__(self, b, k, trig="sin", phase=0.0, quad_points=12):
         self.b = np.asarray(b, float)
-        self.k = np.asarray(k, float)
-        self.trig = trig
-        self.phase = float(phase)
-        osc = np.sin if trig == "sin" else np.cos
-        super().__init__(
-            lambda x: self.b * osc(x @ self.k + self.phase)[..., None],
-            "vector", quad_points)
+        super().__init__(self.b, k, trig, phase, quad_points, "vector")
 
     def deformation(self) -> TrigMatrixField:
         sym = 0.5 * (np.outer(self.b, self.k) + np.outer(self.k, self.b))
@@ -282,17 +307,88 @@ def interpolate_0(mesh: PeriodicMesh, v: SmoothField) -> VertexVectorField:
 
 def interpolate_1(mesh: PeriodicMesh, u: SmoothField) -> ReggeField:
     """Projection onto the edge metric space: coefficients mu_e(u)."""
+    if isinstance(u, TrigMatrixField):
+        s, w = segment_rule(u.quad_points)
+        d = mesh.edge_vec[:7]  # edge 7v + i runs from vertex v along d[i]
+        moments = _trig_moments(mesh, u, s[:, None] * d[:, None],
+                                np.broadcast_to(w, (7, w.size)))
+        return ReggeField(moments.ravel()
+                          * np.einsum("ei,ij,ej->e", mesh.edge_vec, u.a,
+                                      mesh.edge_vec))
     vals, d, w = _edge_quad_values(mesh, u)
     return ReggeField(np.einsum("q,eqij,ei,ej->e", w, vals, d, d))
 
 
+# tets per block when a field is evaluated at the quadrature points
+_TET_BLOCK = 64
+
+
+def _tet_blocks(mesh, u: SmoothField, reduce) -> np.ndarray:
+    """Per-tet quadrature sums by point evaluation, block by block.
+
+    ``reduce(tets, wts, vals)`` maps the weights (b, Q) and field values
+    (b, Q, ...) of the tets ``tets`` (a slice) to their per-tet sums; the
+    results are stacked in tet order.  Memory is O(_TET_BLOCK * Q) and the
+    arithmetic per tet does not depend on the block size.
+    """
+    parts = []
+    for start in range(0, mesh.num_tets, _TET_BLOCK):
+        tets = slice(start, start + _TET_BLOCK)
+        pts, w = tet_points_weights(mesh.tet_coords[tets], u.quad_points)
+        parts.append(reduce(tets, w, u(pts)))
+    return np.concatenate(parts)
+
+
+def _tet_shapes(mesh, ref):
+    """Reference points ``ref`` (Q, 3) on the six one-box tet shapes.
+
+    Point q of tet 6v + r is x_v + B_r ref[q], with x_v the position of
+    vertex v and B_r the spanning edge vectors of tet r of the box at the
+    origin.  Returns the offsets B_r ref (6, Q, 3) and |det B_r| (6,).
+    """
+    p = mesh.tet_coords[:6]
+    B = np.stack([p[:, i] - p[:, 0] for i in (1, 2, 3)], axis=-1)
+    return ref @ B.swapaxes(1, 2), np.abs(np.linalg.det(B))
+
+
+def _trig_moments(mesh, u: _TrigField, offsets, weights) -> np.ndarray:
+    """Quadrature moments of the scalar factor of a trig field on one
+    simplex shape family, by angle addition.
+
+    Simplex (v, r) has the points x_v + offsets[r, q], x_v the position of
+    vertex v, with weights (R, Q, ...).  So
+    k.x + phase = alpha_v + beta_rq with alpha_v = k.x_v + phase and
+    beta_rq = k.offsets[r, q], and the moment
+    sum_q W_rq osc(alpha_v + beta_rq) is sin alpha_v C_r + cos alpha_v S_r
+    for sin (cos alpha_v C_r - sin alpha_v S_r for cos), with the tables
+    C_r = sum_q W_rq cos beta_rq and S_r = sum_q W_rq sin beta_rq.  Cost
+    O(R Q + V); returns (V, R, ...).
+    """
+    beta = offsets @ u.k
+    C = np.einsum("rq,rq...->r...", np.cos(beta), weights)
+    S = np.einsum("rq,rq...->r...", np.sin(beta), weights)
+    alpha = mesh.vertex_pos @ u.k + u.phase
+    axes = (slice(None),) + (None,) * C.ndim
+    sa, ca = np.sin(alpha)[axes], np.cos(alpha)[axes]
+    if u.trig == "sin":
+        return sa * C + ca * S
+    return ca * C - sa * S
+
+
 def interpolate_2(mesh: PeriodicMesh, u: SmoothField) -> EdgeMeasure:
     """L2-dual projection onto edge measures: c_e = l_e * int_S u : rho_e."""
-    pts, w = tet_points_weights(mesh.tet_coords, u.quad_points)
-    vals = u(pts)  # (T, Q, 3, 3)
-    # reduce over the points first, then pair with the six basis matrices
-    per_tet = np.einsum("tij,taij->ta", np.einsum("tq,tqij->tij", w, vals),
-                        mesh.tet_rho)
+    if isinstance(u, TrigMatrixField):
+        ref, w = tet_rule(u.quad_points)
+        offsets, jac = _tet_shapes(mesh, ref)
+        moments = _trig_moments(mesh, u, offsets, jac[:, None] * w)
+        per_tet = moments.reshape(-1, 1) * np.einsum(
+            "ij,taij->ta", u.a, mesh.tet_rho)
+    else:
+        # reduce over the points first, then pair with the six basis
+        # matrices
+        per_tet = _tet_blocks(mesh, u, lambda tets, wts, vals: np.einsum(
+            "tij,taij->ta", np.einsum("tq,tqij->tij", wts, vals),
+            mesh.tet_rho[tets]))
     out = np.zeros(mesh.num_edges)
     np.add.at(out, mesh.tet_edges.ravel(), per_tet.ravel())
     return EdgeMeasure(out * mesh.edge_length)
@@ -300,17 +396,22 @@ def interpolate_2(mesh: PeriodicMesh, u: SmoothField) -> EdgeMeasure:
 
 def interpolate_3(mesh: PeriodicMesh, u: SmoothField) -> VertexVectorMeasure:
     """L2-dual projection onto vertex measures: u_x = int_S u * lambda_x."""
-    pts, w = tet_points_weights(mesh.tet_coords, u.quad_points)
-    vals = u(pts)  # (T, Q, 3)
+    ref, w = tet_rule(u.quad_points)
     # values of the four local hats at the points: the barycentric
     # coordinates of the reference rule, the same in every tet
-    ref = tet_rule(u.quad_points)[0]
     lam = np.concatenate([1.0 - ref.sum(axis=1, keepdims=True), ref],
                          axis=1)  # (Q, 4)
-    per_vertex = np.matmul(lam.T, w[:, :, None] * vals)  # (T, 4, 3)
+    if isinstance(u, TrigVectorField):
+        offsets, jac = _tet_shapes(mesh, ref)
+        moments = _trig_moments(mesh, u, offsets,
+                                jac[:, None, None] * (w[:, None] * lam))
+        hat = np.bincount(mesh.tet_vids.ravel(), moments.ravel(),
+                          mesh.num_vertices)
+        return VertexVectorMeasure(np.multiply.outer(hat, u.b))
+    per_vertex = _tet_blocks(mesh, u, lambda tets, wts, vals: np.matmul(
+        lam.T, wts[:, :, None] * vals))  # (T, 4, 3)
     out = np.zeros((mesh.num_vertices, 3))
-    np.add.at(out, mesh.tet_vids.ravel(),
-              per_vertex.reshape(-1, 3))
+    np.add.at(out, mesh.tet_vids.ravel(), per_vertex.reshape(-1, 3))
     return VertexVectorMeasure(out)
 
 

@@ -4,6 +4,13 @@ Each suite returns CheckResult entries with a pass flag and a one-line
 detail; ``run_verification`` bundles them for a mesh/seed.  Tolerances are
 the acceptance tolerances.
 
+The commuting squares integrate trig modes (``matrix_mode``,
+``vector_mode``), which the interpolators reduce through per-shape
+moment tables; the adjoint square also interpolates a
+``piecewise_constant_field``, which takes the point-evaluation route (see
+the ``spaces`` module docstring).  Both routes use 12 Gauss points per
+direction.
+
 The dual-path suite evaluates the dihedral side whole-mesh, one
 ``deficit_angles`` call per configuration (it equals the star-local
 ``deficit_angle_dihedral`` exactly on every edge).  The holonomy side and

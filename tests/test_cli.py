@@ -370,6 +370,34 @@ class TestConfigHandling:
         assert err.startswith(f"error: {key}:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, key, directory", [
+        (("mesh", "--output", "d"), "output", "d"),
+        (("eigs", "--csv", "d"), "csv", "d"),
+        (("verify", "--json", "d"), "json", "d"),
+        (("assemble", "--prefix", "p"), "prefix", "p_M.txt"),
+    ])
+    def test_existing_directory_as_path_is_config_error(
+            self, capsys, tmp_path, monkeypatch, argv, key, directory):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / directory).mkdir()
+        with pytest.raises(ConfigError,
+                           match=f"^{key}: '{directory}' is a directory"):
+            _resolve(build_parser().parse_args(argv))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key}:")
+        assert [p.name for p in tmp_path.iterdir()] == [directory]
+
+    def test_prefix_next_to_directory_of_its_name(self, capsys, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pencil").mkdir()
+        code, out, _ = run(capsys, "assemble", "--prefix", "pencil")
+        assert code == 0
+        assert json.loads(out)["stiffness"]["path"] == "pencil_A.txt"
+        assert (tmp_path / "pencil_A.txt").is_file()
+        assert (tmp_path / "pencil_M.txt").is_file()
+
     @pytest.mark.parametrize("content", [
         b"5", b"null", b'[["grid", [3, 3, 3]]]', b"\xff\xfe{}"])
     def test_config_not_an_object_is_config_error(self, capsys, tmp_path,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,14 +7,15 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reggefem import (EdgeMeasure, ReggeField, VertexVectorField,
+from reggefem import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
                       build_torus_mesh, deformation, divergence_x2,
                       dof_mu_e, edge_star, interpolate_0, interpolate_1, interpolate_2,
                       interpolate_3, matrix_mode, metric_from_edge_lengths,
                       pair_x2_x1, pair_x3_x0, piecewise_constant_field,
                       regge_to_tet_matrices, vector_mode)
+from reggefem import spaces
 from reggefem.mesh import LOCAL_EDGES, TorusGeometry
-from reggefem.quadrature import tet_points_weights, tet_rule
+from reggefem.quadrature import segment_rule, tet_points_weights, tet_rule
 from reggefem.spaces import (coeffs_from_json, coeffs_to_json,
                              constant_matrix_field, constant_vector_field,
                              deformation_matrix, l2_norm_x1)
@@ -146,6 +148,10 @@ class TestInterpolators:
         expect = c * TAU**3 / mesh3.num_vertices
         assert np.abs(out.values - expect).max() < 1e-12
 
+    def test_unknown_trig_rejected(self, geometry):
+        with pytest.raises(ValueError, match="trig"):
+            matrix_mode(geometry, np.eye(3), (1, 0, 0), "tan")
+
     def test_interpolate_3_zero(self, mesh2):
         z = constant_vector_field(np.zeros(3), quad_points=2)
         assert np.abs(interpolate_3(mesh2, z).values).max() == 0.0
@@ -157,6 +163,17 @@ def _old_points_weights(coords, npts):
     B = np.stack([coords[i] - coords[0] for i in (1, 2, 3)], axis=-1)
     return (coords[0] + np.einsum("ij,qj->qi", B, ref),
             abs(np.linalg.det(B)) * w)
+
+
+def _old_interpolate_1(mesh, u):
+    # per edge: the Gauss rule on the lifted segment from the tail
+    s, w = segment_rule(u.quad_points)
+    out = np.zeros(mesh.num_edges)
+    for e in range(mesh.num_edges):
+        d = mesh.edge_vec[e]
+        pts = mesh.vertex_pos[mesh.edge_tail[e]] + s[:, None] * d
+        out[e] = np.einsum("q,qij,i,j->", w, u(pts), d, d)
+    return out
 
 
 def _old_interpolate_2(mesh, u):
@@ -187,12 +204,35 @@ def _rel_err(new, old):
     return np.abs(new - old).max() / np.abs(old).max()
 
 
+def _trig_modes(mesh, make, amp, freqs):
+    # sin and cos at a nonzero phase: the moment route of the interpolators
+    return [make(mesh.geometry, amp, m, trig, phase=0.3)
+            for m in freqs for trig in ("sin", "cos")]
+
+
+def _matrix_fields(mesh, rng):
+    # trig modes (moment route) and a piecewise constant field (points)
+    a = random_sym(rng)
+    return [matrix_mode(mesh.geometry, a, (1, 1, 0)),
+            *_trig_modes(mesh, matrix_mode, a, [(1, 1, 0), (1, 1, 1)]),
+            piecewise_constant_field(
+                mesh, ReggeField(rng.uniform(-1, 1, mesh.num_edges)),
+                quad_points=12)]
+
+
+def _assert_matches_oracle(new, old):
+    # the modes are chosen so that no interpolant vanishes by aliasing
+    assert np.abs(old).max() > 0.1
+    assert _rel_err(new, old) <= 1e-13
+
+
 @pytest.mark.parametrize("grid, lengths", [
     ((2, 2, 2), (TAU, TAU, TAU)),
     ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
 ], ids=["2x2x2", "4x5x6"])
 class TestBatchedQuadratureOracle:
-    """The batched quadrature contractions against a plain per-tet loop."""
+    """The batched quadrature contractions and the trig moment route
+    against a plain per-tet or per-edge loop of point evaluations."""
 
     def test_tet_points_weights(self, grid, lengths):
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
@@ -202,23 +242,62 @@ class TestBatchedQuadratureOracle:
             assert _rel_err(pts[t], p_old) <= 1e-13
             assert _rel_err(w[t], w_old) <= 1e-13
 
+    def test_interpolate_1(self, grid, lengths):
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        for u in _matrix_fields(mesh, np.random.default_rng(15)):
+            _assert_matches_oracle(interpolate_1(mesh, u).coeffs,
+                                   _old_interpolate_1(mesh, u))
+
     def test_interpolate_2(self, grid, lengths):
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
-        rng = np.random.default_rng(14)
-        fields = [matrix_mode(mesh.geometry, random_sym(rng), (1, 1, 0)),
-                  piecewise_constant_field(
-                      mesh, ReggeField(rng.uniform(-1, 1, mesh.num_edges)),
-                      quad_points=12)]
-        for u in fields:
-            assert _rel_err(interpolate_2(mesh, u).coeffs,
-                            _old_interpolate_2(mesh, u)) <= 1e-13
+        for u in _matrix_fields(mesh, np.random.default_rng(14)):
+            _assert_matches_oracle(interpolate_2(mesh, u).coeffs,
+                                   _old_interpolate_2(mesh, u))
 
     def test_interpolate_3(self, grid, lengths):
+        # on the 2x2x2 grid frequency (1, 1, 0) aliases to a zero vertex
+        # measure, so (1, 0, 0) stands in for it
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
-        v = vector_mode(mesh.geometry, np.array([1.0, -0.5, 2.0]),
+        fields = _trig_modes(mesh, vector_mode, np.array([1.0, -0.5, 2.0]),
+                             [(1, 0, 0), (1, 1, 1)])
+        fields.append(SmoothField(lambda x: np.cos(x + 0.3), "vector", 12))
+        for v in fields:
+            _assert_matches_oracle(interpolate_3(mesh, v).values,
+                                   _old_interpolate_3(mesh, v))
+
+
+class TestQuadratureMemory:
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_blocks_match_one_block_bitwise(self, mesh4, monkeypatch,
+                                            block):
+        rng = np.random.default_rng(16)
+        u = piecewise_constant_field(
+            mesh4, ReggeField(rng.uniform(-1, 1, mesh4.num_edges)),
+            quad_points=12)
+        v = SmoothField(lambda x: np.cos(x), "vector", 12)
+        monkeypatch.setattr(spaces, "_TET_BLOCK", mesh4.num_tets)
+        whole = (interpolate_2(mesh4, u).coeffs,
+                 interpolate_3(mesh4, v).values)
+        monkeypatch.setattr(spaces, "_TET_BLOCK", block)
+        assert np.array_equal(interpolate_2(mesh4, u).coeffs, whole[0])
+        assert np.array_equal(interpolate_3(mesh4, v).values, whole[1])
+
+    def test_trig_modes_form_no_point_arrays(self, geometry, mesh4):
+        # a (T, Q) float array alone would take T * Q * 8 bytes
+        u = matrix_mode(geometry, random_sym(np.random.default_rng(17)),
                         (1, 1, 1), "cos", phase=0.3)
-        assert _rel_err(interpolate_3(mesh, v).values,
-                        _old_interpolate_3(mesh, v)) <= 1e-13
+        v = vector_mode(geometry, np.array([1.0, -0.5, 2.0]), (1, 1, 0))
+        bound = mesh4.num_tets * tet_rule(12)[1].size * 8
+        for run in (lambda: interpolate_2(mesh4, u),
+                    lambda: interpolate_3(mesh4, v)):
+            run()  # the quadrature rules are cached after the first call
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 class TestDeformation:

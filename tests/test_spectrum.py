@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from reggefem import (TorusGeometry, assemble_mass, assemble_stiffness,
                       assign_clusters, build_torus_mesh, convergence_study,
                       fourier_oracle, sigma_modes, solve_pencil)
+from reggefem.mesh import DIRECTIONS
 from reggefem.saint_venant import MassMatrix, StiffnessMatrix
 from reggefem.spaces import deformation_matrix
-from reggefem.spectrum import KERNEL_THRESHOLD_FACTOR, mode_symbol
+from reggefem.spectrum import KERNEL_THRESHOLD_FACTOR, _bloch_symbols, \
+    mode_symbol
 
 TAU = 2.0 * np.pi
 
@@ -180,6 +182,32 @@ class TestBlochSolve:
         (A2, _), (_, M3) = pencil2, pencil3
         with pytest.raises(ValueError, match="shape"):
             solve_pencil(A2, M3)
+
+    @pytest.mark.parametrize("grid, lengths", [
+        ((4, 4, 4), (TAU, TAU, TAU)),
+        ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+    ], ids=["4x4x4", "4x5x6"])
+    def test_symbols_of_complex_compose_to_zero(self, grid, lengths):
+        # A D = 0 holds block by block: A^(k) D^(k) = 0 at every Bloch
+        # frequency k, with the 7x3 symbol of the deformation matrix taken
+        # from its first block row in the convention of _bloch_symbols
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        Ak = _bloch_symbols(assemble_stiffness(mesh).matrix, grid,
+                            "stiffness")
+        row = deformation_matrix(mesh)[:7].toarray()
+        Dk = np.moveaxis(np.fft.fftn(row.reshape((7,) + grid + (3,)),
+                                     axes=(1, 2, 3)), 0, -2).reshape(-1, 7, 3)
+        # closed form: row i of D^(k) is d_i (exp(-2 pi i k.DIRECTIONS[i]/n)
+        # - 1), the head minus the tail of edge direction i
+        k = np.stack(np.meshgrid(*map(np.arange, grid), indexing="ij"),
+                     axis=-1).reshape(-1, 3) / np.array(grid)
+        shift = np.exp(-2j * np.pi * k @ DIRECTIONS.T) - 1.0
+        assert np.abs(Dk - shift[:, :, None] * mesh.edge_vec[:7]).max() \
+            <= 1e-14 * np.abs(Dk).max()
+        scale = np.abs(Ak).max() * np.abs(Dk).max()
+        assert np.abs(Ak @ Dk).max() <= 1e-13 * scale
+        # the opposite sign convention does not compose to zero
+        assert np.abs(Ak @ Dk.conj()).max() > 1e-2 * scale
 
     @settings(max_examples=15, deadline=None)
     @given(grid=st.tuples(*[st.integers(2, 6)] * 3),
