@@ -10,8 +10,8 @@ import argparse
 
 import numpy as np
 
-from reggefem import (TorusGeometry, build_edge_sector, build_torus_mesh,
-                      deficit_angle_holonomy, regge_action)
+from reggefem import (TorusGeometry, build_torus_mesh, holonomy_deficits,
+                      regge_action)
 from reggefem.action import (deficit_angles, random_realizable_config,
                              tet_metrics_from_lengths)
 
@@ -33,9 +33,8 @@ def main():
         cfg = random_realizable_config(mesh, rng, scale=args.scale,
                                        max_deficit=2.5)
         theta = deficit_angles(mesh, cfg)
-        mats = tet_metrics_from_lengths(mesh, cfg)
-        gap = max(abs(deficit_angle_holonomy(build_edge_sector(mesh, e, mats))
-                      - theta[e]) for e in range(mesh.num_edges))
+        gap = np.abs(holonomy_deficits(
+            mesh, tet_metrics_from_lengths(mesh, cfg)) - theta).max()
         print(f"{seed:5d} {regge_action(mesh, cfg):12.6f} "
               f"{np.abs(theta).max():12.6f} {np.abs(theta).mean():12.6f} "
               f"{gap:10.2e}")

@@ -27,6 +27,7 @@ from .spectrum import (FourierSpectrum, SpectrumResult, assign_clusters,
 from .action import (EdgeLengthConfig, EdgeSector, RealizabilityError,
                      build_edge_sector, deficit_angle_dihedral,
                      deficit_angle_holonomy, deficit_angles,
-                     euclidean_lengths, linearized_deficit,
+                     euclidean_lengths, holonomy_deficits,
+                     linearized_deficit, linearized_deficits,
                      perturbed_lengths, regge_action, schlafli_check,
                      second_variation_check)

@@ -20,12 +20,12 @@ R(l(eps)) = eps^2/8 * c' A c + O(eps^3) where c is the coefficient vector
 of the metric perturbation and A the assembled stiffness matrix; the
 linearized deficit equals half the assembled edge jump.
 
-``build_edge_sector``, ``deficit_angle_holonomy`` and
-``linearized_deficit`` stay per edge on purpose: each makes one stacked
-pass over its edge's star, and the holonomy composes its s face crossings
-in order.  ``verify`` checks them against ``deficit_angle_dihedral`` and
-against the face-jump kernel of ``saint_venant`` (through
-``edge_jump_scalar``), so they share no code with those routes.
+The sector build with its checks, the holonomy and the linearized deficit
+are each one private kernel over stacked stars: the per-edge functions
+call it on one edge, ``holonomy_deficits`` and ``linearized_deficits`` on
+the V edges of each of the seven directions.  These routes are
+independent on purpose: ``verify`` checks them against ``deficit_angles``
+and against ``saint_venant.apply_ctc``, so they share no code with those.
 """
 
 from __future__ import annotations
@@ -53,7 +53,9 @@ __all__ = [
     "deficit_angle_dihedral",
     "build_edge_sector",
     "deficit_angle_holonomy",
+    "holonomy_deficits",
     "linearized_deficit",
+    "linearized_deficits",
     "regge_action",
     "schlafli_check",
     "second_variation_check",
@@ -73,6 +75,8 @@ _CM_LO, _CM_HI = np.array(LOCAL_EDGES).T + 1
 # two vertices, which span the two faces at the edge.
 _EDGE_VERTS = np.array([[i, j] + [x for x in range(4) if x not in (i, j)]
                         for i, j in LOCAL_EDGES])
+
+_UNIT_ROWS = np.eye(3)[:, None, :]
 
 logger = logging.getLogger(__name__)
 
@@ -142,19 +146,18 @@ def cayley_menger_determinant(s6):
     return np.linalg.det(M)
 
 
-def _require_positive_definite(mats: np.ndarray, label: str, ids):
-    """Raise RealizabilityError naming (``label`` formatted with its id) the
-    first of the stacked matrices that has no Cholesky factor."""
+def _first_not_positive_definite(mats: np.ndarray) -> int:
+    """Position (C order over the leading axes) of the first stacked 3x3
+    matrix that has no Cholesky factor; -1 when all have one."""
     try:
         np.linalg.cholesky(mats)
+        return -1
     except np.linalg.LinAlgError:
-        for row, m in enumerate(mats):
+        for pos, m in enumerate(mats.reshape(-1, 3, 3)):
             try:
                 np.linalg.cholesky(m)
             except np.linalg.LinAlgError:
-                raise RealizabilityError(
-                    f"{label.format(int(ids[row]))}: metric not positive "
-                    "definite") from None
+                return pos
 
 
 def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
@@ -177,7 +180,10 @@ def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
             f"tet {int(idx[row])}: degenerate edge lengths "
             f"(Cayley-Menger determinant {cm[row]:.3e})")
     G = _gram_from_squared_lengths(s)
-    _require_positive_definite(G, "tet {}", idx)
+    row = _first_not_positive_definite(G)
+    if row >= 0:
+        raise RealizabilityError(
+            f"tet {int(idx[row])}: metric not positive definite")
     Gr = mesh.tet_grad[idx][:, 1:]  # rows of B^{-1}
     u = np.einsum("tai,tab,tbj->tij", Gr, G, Gr)
     return 0.5 * (u + np.swapaxes(u, 1, 2))
@@ -236,8 +242,6 @@ def deficit_angles(mesh: PeriodicMesh, config: EdgeLengthConfig) -> np.ndarray:
 def deficit_angle_dihedral(mesh: PeriodicMesh, e: int,
                            config: EdgeLengthConfig) -> float:
     """Deficit angle of one edge via embedded dihedral angles (star-local)."""
-    if not 0 <= e < mesh.num_edges:
-        raise ValueError(f"invalid edge id {e}")
     tets = np.sort(_star_arrays(mesh, e)[1])
     metrics = tet_metrics_from_lengths(mesh, config, tets)
     slots = np.argmax(mesh.tet_edges[tets] == e, axis=1)
@@ -250,7 +254,8 @@ def deficit_angle_dihedral(mesh: PeriodicMesh, e: int,
 
 @dataclass(frozen=True)
 class EdgeSector:
-    """Cyclic sector data around one edge.
+    """Cyclic sector data around one edge, built and checked by
+    :func:`build_edge_sector`.
 
     ``metrics[i]`` is the constant metric of the sector between faces i and
     i+1 (cyclically); ``ms[i]``/``ns[i]`` are the in-face and normal frame
@@ -266,37 +271,95 @@ class EdgeSector:
     faces: tuple = ()
     tets: tuple = ()
 
-    def __post_init__(self):
-        mats = np.asarray(self.metrics, float)
-        _require_positive_definite(mats, "sector {}", range(len(mats)))
+
+def _sectors(mesh: PeriodicMesh, d: int, v, tet_metrics: np.ndarray):
+    """Tangents, face frames ms and ns, and metrics of the sectors of the
+    edges 7*v + d (v a vertex or a slice), then the flat positions of the
+    faces the metrics jump across tangentially and of the first metric
+    that is not positive definite (-1 if none)."""
+    faces, slots = mesh._star_faces[d][v], mesh._star_slots[d][v]
+    te = mesh.edge_tangent[d::7][v]
+    ms, ns = mesh.face_m[faces, slots], mesh.face_n[faces, slots]
+    mats = tet_metrics[mesh._star_tets[d][v]]
+    scale = np.maximum(np.abs(mats).max(axis=(-3, -2, -1)), 1.0)
+    # tangential-tangential part of the jump across face i, in the frame
+    # (t_e, m_i) of the face
+    frames = np.empty(ms.shape[:-1] + (2, 3))
+    frames[..., 0, :] = te[..., None, :]
+    frames[..., 1, :] = ms
+    jump = mats - mats[..., np.arange(-1, faces.shape[-1] - 1), :, :]
+    tt = frames @ jump @ frames.mT
+    torn = np.flatnonzero(
+        (np.abs(tt) > 1e-9 * scale[..., None, None, None]).any(axis=(-2, -1)))
+    return te, ms, ns, mats, torn, _first_not_positive_definite(mats)
 
 
 def build_edge_sector(mesh: PeriodicMesh, e: int,
-                      tet_metrics: np.ndarray,
-                      check_continuity: bool = True) -> EdgeSector:
+                      tet_metrics: np.ndarray) -> EdgeSector:
     """Assemble the sector data of edge e from per-tet constant metrics."""
     faces, tets = _star_arrays(mesh, e)
-    slots = np.argmax(mesh.face_edges[faces] == e, axis=1)
-    ms = mesh.face_m[faces, slots]
-    ns = mesh.face_n[faces, slots]
-    mats = tet_metrics[tets]
-    te = mesh.edge_tangent[e]
-    if check_continuity:
-        scale = max(float(np.abs(mats).max()), 1.0)
-        # tangential-tangential part of the jump across face i, in the
-        # frame (t_e, m_i) of the face
-        frames = np.empty((len(ms), 2, 3))
-        frames[:, 0] = te
-        frames[:, 1] = ms
-        jump = mats - mats[np.arange(-1, len(ms) - 1)]
-        tt = frames @ jump @ frames.transpose(0, 2, 1)
-        bad = np.flatnonzero((np.abs(tt) > 1e-9 * scale).any(axis=(1, 2)))
-        if bad.size:
-            raise RealizabilityError(
-                f"sector metrics of edge {e} are not tangentially "
-                f"continuous across face {int(faces[bad[0]])}")
+    te, ms, ns, mats, torn, bent = _sectors(mesh, e % 7, e // 7, tet_metrics)
+    if torn.size:
+        raise RealizabilityError(
+            f"sector metrics of edge {e} are not tangentially "
+            f"continuous across face {int(faces[torn[0]])}")
+    if bent >= 0:
+        raise RealizabilityError(
+            f"sector {bent}: metric not positive definite")
     return EdgeSector(te, ms, ns, mats, e, tuple(faces.tolist()),
                       tuple(tets.tolist()))
+
+
+def _holonomy(t, ms, ns, mats) -> np.ndarray:
+    """Holonomy rotation angles (...) of stacked sectors: tangents t
+    (..., 3), face frames ms and ns (..., s, 3), metrics (..., s, 3, 3)."""
+    s = ms.shape[-2]
+    # B[i] has the columns (m_i, n_i, t): the frame of face i
+    B = np.empty(ms.shape + (3,))
+    B[..., 0] = ms
+    B[..., 1] = ns
+    B[..., 2] = t[..., None, :]
+    # metric-unit normals to face i w.r.t. the sector before it (first s
+    # rows) and after it, oriented to the side of n_i.  n^T x is a matmul,
+    # which rounds as a single dot does; einsum does not.
+    n2 = np.concatenate([ns, ns], axis=-2)[..., None]
+    x = np.linalg.solve(
+        np.concatenate([mats[..., np.arange(-1, s - 1), :, :], mats],
+                       axis=-3), n2)
+    k = x / np.sqrt(n2.mT @ x)
+    kc = (B.mT[..., None, :, :, :]
+          @ k.reshape(k.shape[:-3] + (2, s, 3, 1)))[..., 0]
+    kmc, kpc = kc[..., 0, :, :], kc[..., 1, :, :]
+    Mp = np.zeros(B.shape)
+    Mp[..., 0, 0] = Mp[..., 2, 2] = 1.0
+    Mp[..., 1] = kpc
+    beta = kmc[..., 1]
+    Mm_inv = np.zeros(B.shape)
+    Mm_inv[..., 0, 0] = Mm_inv[..., 2, 2] = 1.0
+    Mm_inv[..., 0, 1] = -kmc[..., 0] / beta
+    Mm_inv[..., 1, 1] = 1.0 / beta
+    Mm_inv[..., 2, 1] = -kmc[..., 2] / beta
+    # crossing face i: T_i, then the change from the frame of face i to
+    # that of face i+1
+    nxt = B[..., np.arange(1, s + 1) % s, :, :]
+    S = (nxt.mT @ B) @ (Mp @ Mm_inv)
+    E = S[..., 0, :, :]
+    for i in range(1, s):
+        E = S[..., i, :, :] @ E
+    # E acts on coordinates in the frame of face 0; start metric there:
+    U = B[..., 0, :, :].mT @ mats[..., s - 1, :, :] @ B[..., 0, :, :]
+    # metric-orthonormal frame (w1, w2, t_hat), Gram-Schmidt keeps
+    # orientation; the vectors are (..., 1, 3) rows, so a^T U b = a @ U @ b.mT
+    ex, ey, ez = _UNIT_ROWS
+    that = ez / np.sqrt(U[..., 2:, 2:])
+    w1 = ex - (ex @ U @ that.mT) * that
+    w1 = w1 / np.sqrt(w1 @ U @ w1.mT)
+    w2 = ey - (ey @ U @ that.mT) * that - (ey @ U @ w1.mT) * w1
+    w2 = w2 / np.sqrt(w2 @ U @ w2.mT)
+    W = np.concatenate([w1, w2, that], axis=-2).mT.copy()
+    Ep = np.linalg.solve(W, E @ W)
+    return np.arctan2(Ep[..., 1, 0] - Ep[..., 0, 1],
+                      Ep[..., 0, 0] + Ep[..., 1, 1])
 
 
 def deficit_angle_holonomy(sector: EdgeSector) -> float:
@@ -311,52 +374,37 @@ def deficit_angle_holonomy(sector: EdgeSector) -> float:
     2*pi; the principal branch (-pi, pi] is returned, so agreement with the
     dihedral route holds for |deficit| < pi.
     """
-    ms, ns, mats, t = sector.ms, sector.ns, sector.metrics, sector.tangent
-    s = len(ms)
-    prev = np.arange(-1, s - 1)
-    # B[i] has the columns (m_i, n_i, t): the frame of face i
-    B = np.empty((s, 3, 3))
-    B[:, :, 0] = ms
-    B[:, :, 1] = ns
-    B[:, :, 2] = t
-    # metric-unit normals to face i w.r.t. the sector before it (first s
-    # rows) and after it, oriented to the side of n_i.  n^T x is a matmul,
-    # which rounds as a single dot does; einsum does not.
-    n2 = np.concatenate([ns, ns])[:, :, None]
-    x = np.linalg.solve(np.concatenate([mats[prev], mats]), n2)
-    k = x / np.sqrt(n2.transpose(0, 2, 1) @ x)
-    kc = (B.transpose(0, 2, 1) @ k.reshape(2, s, 3, 1))[..., 0]
-    kmc, kpc = kc
-    Mp = np.zeros((s, 3, 3))
-    Mp[:, 0, 0] = Mp[:, 2, 2] = 1.0
-    Mp[:, :, 1] = kpc
-    beta = kmc[:, 1]
-    Mm_inv = np.zeros((s, 3, 3))
-    Mm_inv[:, 0, 0] = Mm_inv[:, 2, 2] = 1.0
-    Mm_inv[:, 0, 1] = -kmc[:, 0] / beta
-    Mm_inv[:, 1, 1] = 1.0 / beta
-    Mm_inv[:, 2, 1] = -kmc[:, 2] / beta
-    # crossing face i: T_i, then the change from the frame of face i to
-    # that of face i+1
-    S = (B[np.arange(1, s + 1) % s].transpose(0, 2, 1) @ B) @ (Mp @ Mm_inv)
-    E = S[0]
-    for i in range(1, s):
-        E = S[i] @ E
-    # E acts on coordinates in the frame of face 0; start metric there:
-    B0 = B[0]
-    U = B0.T @ mats[s - 1] @ B0
-    # metric-orthonormal frame (w1, w2, t_hat), Gram-Schmidt keeps orientation
-    ez = np.array([0.0, 0.0, 1.0])
-    that = ez / np.sqrt(U[2, 2])
-    w1 = np.array([1.0, 0.0, 0.0])
-    w1 = w1 - (w1 @ U @ that) * that
-    w1 /= np.sqrt(w1 @ U @ w1)
-    w2 = np.array([0.0, 1.0, 0.0])
-    w2 = w2 - (w2 @ U @ that) * that - (w2 @ U @ w1) * w1
-    w2 /= np.sqrt(w2 @ U @ w2)
-    W = np.stack([w1, w2, that], axis=1)
-    Ep = np.linalg.solve(W, E @ W)
-    return float(np.arctan2(Ep[1, 0] - Ep[0, 1], Ep[0, 0] + Ep[1, 1]))
+    return float(_holonomy(sector.tangent, sector.ms, sector.ns,
+                           sector.metrics))
+
+
+def holonomy_deficits(mesh: PeriodicMesh,
+                      tet_metrics: np.ndarray) -> np.ndarray:
+    """``deficit_angle_holonomy(build_edge_sector(mesh, e, tet_metrics))``
+    of every edge e, shape (E,), in one stacked pass per edge direction;
+    raises what the first failing edge raises there."""
+    out = []
+    for d in range(7):
+        *sector, torn, bent = _sectors(mesh, d, slice(None), tet_metrics)
+        if torn.size or bent >= 0:
+            for e in range(mesh.num_edges):
+                build_edge_sector(mesh, e, tet_metrics)
+        out.append(_holonomy(*sector))
+    return np.stack(out, axis=1).ravel()
+
+
+def _linearized(mesh: PeriodicMesh, d: int, v, mats) -> np.ndarray:
+    """Linearized deficits of the edges 7*v + d (v a vertex or a slice)
+    from the matrices (..., s, 3, 3) of u' on their sector tets; the face
+    terms are summed one at a time in star order."""
+    faces, slots = mesh._star_faces[d][v], mesh._star_slots[d][v]
+    jump = mats - mats[..., np.arange(-1, faces.shape[-1] - 1), :, :]
+    vals = (mesh.face_m[faces, slots][..., None, :] @ jump
+            @ mesh.face_n[faces, slots][..., None])[..., 0, 0]
+    total = 0.0
+    for i in range(faces.shape[-1]):
+        total = total + vals[..., i]
+    return 0.5 * total
 
 
 def linearized_deficit(mesh: PeriodicMesh, e: int,
@@ -367,19 +415,18 @@ def linearized_deficit(mesh: PeriodicMesh, e: int,
     n_f, the after/before sectors taken in counter-clockwise order; equals
     half the assembled edge jump of u'.
     """
-    if not 0 <= e < mesh.num_edges:
-        raise ValueError(f"invalid edge id {e}")
-    faces, tets = _star_arrays(mesh, e)
-    slots = np.argmax(mesh.face_edges[faces] == e, axis=1)
-    # row i is the matrix of the sector tet after face i
-    mats = regge_to_tet_matrices(mesh, u_prime, tets)
-    jump = mats - mats[np.arange(-1, len(tets) - 1)]
-    vals = (mesh.face_m[faces, slots][:, None, :] @ jump
-            @ mesh.face_n[faces, slots][:, :, None])
-    total = 0.0
-    for val in vals.ravel().tolist():
-        total += val
-    return 0.5 * total
+    mats = regge_to_tet_matrices(mesh, u_prime, _star_arrays(mesh, e)[1])
+    return float(_linearized(mesh, e % 7, e // 7, mats))
+
+
+def linearized_deficits(mesh: PeriodicMesh,
+                        u_prime: ReggeField) -> np.ndarray:
+    """``linearized_deficit`` of every edge, shape (E,), in one stacked
+    pass per edge direction."""
+    mats = regge_to_tet_matrices(mesh, u_prime)
+    return np.stack([_linearized(mesh, d, slice(None),
+                                 mats[mesh._star_tets[d]])
+                     for d in range(7)], axis=1).ravel()
 
 
 def regge_action(mesh: PeriodicMesh, config: EdgeLengthConfig) -> float:

@@ -137,12 +137,12 @@ class PeriodicMesh:
     face_m/(face_n) (F,3,3) per-edge frames, face_side (F,3) index into
     face_tets of the tet the jump normal n_ef points into.
 
-    Edge incidence is held only by the stars: ``_star_faces[d]`` and
-    ``_star_tets[d]`` are (V, valence) arrays whose row v lists the faces
-    and sector tets of edge 7*v + d in :func:`edge_star` order.  Read them
-    through ``_star_arrays``; ``np.sort`` of a row gives the ascending
-    incident faces or tets, and the slot of e in face f is the position of
-    e in face_edges[f].
+    Edge incidence is held only by the stars: ``_star_faces[d]``,
+    ``_star_slots[d]`` and ``_star_tets[d]`` are (V, valence) arrays whose
+    row v lists, in :func:`edge_star` order, the faces of edge 7*v + d, the
+    slot of the edge in each face (face_edges[f, slot] == e) and the sector
+    tets.  Read one edge's faces and tets through ``_star_arrays``;
+    ``np.sort`` of a row gives the ascending incident faces or tets.
     """
 
     def __init__(self, geometry: TorusGeometry, grid):
@@ -346,18 +346,18 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     mesh.face_side = (np.vecdot(nef, face_normal[:, None]) > 0).astype(
         np.int64)
 
-    # stars, per direction: incident faces by angle about t_e, measured
-    # from the lowest face id, and the tet between each and the next face
-    mesh._star_faces, mesh._star_tets = [], []
+    # stars, per direction: incident faces and edge slots by angle about
+    # t_e from the lowest face id, and the tet between each and the next face
+    mesh._star_faces, mesh._star_slots, mesh._star_tets = [], [], []
     for d, loc in enumerate(_by_edge(face_edges.ravel(), nv)):
-        faces = loc // 3
         ms = m.reshape(-1, 3)[loc]
         r1 = ms[:, :1]
         r2 = np.cross(mesh.edge_tangent[d::7, None], r1)
         ang = np.arctan2(np.vecdot(ms, r2), np.vecdot(ms, r1))
         ang = np.where(ang < -1e-12, ang + 2.0 * np.pi, ang)
-        cyc = np.take_along_axis(faces, np.argsort(ang, axis=1,
-                                                   kind="stable"), axis=1)
+        loc = np.take_along_axis(loc, np.argsort(ang, axis=1, kind="stable"),
+                                 axis=1)
+        cyc = loc // 3
         tets = face_tets[cyc]
         shared = tets[..., :, None] == np.roll(tets, -1, axis=1)[..., None, :]
         if np.any(shared.sum(axis=(-2, -1)) != 1):
@@ -366,6 +366,7 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
         sector = np.where(shared[..., 0, :].any(-1), tets[..., 0],
                           tets[..., 1])
         mesh._star_faces.append(cyc)
+        mesh._star_slots.append(loc % 3)
         mesh._star_tets.append(sector)
 
     for value in vars(mesh).values():

@@ -18,9 +18,9 @@ applies it to the basis matrices of the two tets of every face,
 ``apply_ctc`` to the tet-matrix differences of a field, and
 ``edge_jump_scalar`` to those of the faces around one edge, summed in
 ascending face order as ``apply_ctc`` sums them, so the two agree exactly.
-The star-ordered ``action.linearized_deficit`` is left as a separate,
-deliberately independent route to half the edge jump: ``verify``
-cross-checks the two.
+The star-ordered ``action.linearized_deficits`` (``linearized_deficit``
+per edge) is a separate, deliberately independent route to half the edge
+jump: ``verify`` cross-checks it against ``apply_ctc``.
 """
 
 from __future__ import annotations
@@ -58,10 +58,9 @@ def _face_terms(mesh: PeriodicMesh, X: np.ndarray,
 def edge_jump_scalar(mesh: PeriodicMesh, u: ReggeField, e: int) -> float:
     """[[u]]_e = sum over faces containing e of m_ef^T [u]_ef n_ef; equal to
     ``apply_ctc(mesh, u).coeffs[e]``."""
-    if not 0 <= e < mesh.num_edges:
-        raise ValueError(f"invalid edge id {e}")
-    faces = np.sort(_star_arrays(mesh, e)[0])
-    slots = np.argmax(mesh.face_edges[faces] == e, axis=1)
+    star = _star_arrays(mesh, e)[0]
+    order = np.argsort(star)
+    faces, slots = star[order], mesh._star_slots[e % 7][e // 7][order]
     tets = mesh.face_tets[faces]
     mats = regge_to_tet_matrices(mesh, u, tets.ravel()).reshape(-1, 2, 3, 3)
     rows = np.arange(len(faces))

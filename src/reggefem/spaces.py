@@ -525,45 +525,3 @@ def l2_norm_x1(mesh: PeriodicMesh, u: ReggeField) -> float:
     return float(np.sqrt(np.sum(mesh.tet_volume
                                 * np.einsum("tij,tij->t", mats, mats))))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def coeffs_to_json(obj) -> dict:
-    """JSON payload for any of the four coefficient containers."""
-    if isinstance(obj, (ReggeField, EdgeMeasure)):
-        return {"space": type(obj).__name__, "coeffs": obj.coeffs.tolist()}
-    return {"space": type(obj).__name__, "values": obj.values.tolist()}
-
-
-def coeffs_from_json(payload: dict):
-    kinds = {
-        "ReggeField": (ReggeField, "coeffs"),
-        "EdgeMeasure": (EdgeMeasure, "coeffs"),
-        "VertexVectorField": (VertexVectorField, "values"),
-        "VertexVectorMeasure": (VertexVectorMeasure, "values"),
-    }
-    cls, key = kinds[payload["space"]]
-    return cls(np.asarray(payload[key], float))
-
-
-def coeffs_to_csv(obj, path):
-    """CSV export of a coefficient vector in canonical simplex order.
-
-    Edge-indexed objects write ``edge,coefficient`` rows; vertex-indexed
-    ones write ``vertex,v1,v2,v3``.  17 significant digits.
-    """
-    if isinstance(obj, (ReggeField, EdgeMeasure)):
-        lines = ["edge,coefficient"]
-        lines += [f"{i},{c:.17g}" for i, c in enumerate(obj.coeffs)]
-    else:
-        lines = ["vertex,v1,v2,v3"]
-        lines += [f"{i},{v[0]:.17g},{v[1]:.17g},{v[2]:.17g}"
-                  for i, v in enumerate(obj.values)]
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)

@@ -11,11 +11,11 @@ moment tables; the adjoint square also interpolates a
 the ``spaces`` module docstring).  Both routes use 12 Gauss points per
 direction.
 
-The dual-path suite evaluates the dihedral side whole-mesh, one
-``deficit_angles`` call per configuration (it equals the star-local
-``deficit_angle_dihedral`` exactly on every edge).  The holonomy side and
-the linearized deficit stay per edge, star by star: they are the
-independent routes being checked.
+The dual-path suite compares whole-mesh arrays of independent routes: the
+dihedral ``deficit_angles`` against ``holonomy_deficits``, and the
+star-ordered ``linearized_deficits`` against half the face-oriented edge
+jump ``apply_ctc``.  Per edge, the first and last equal
+``deficit_angle_dihedral`` and ``edge_jump_scalar`` exactly.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import build_edge_sector, deficit_angle_holonomy, \
-    deficit_angles, linearized_deficit, perturbed_lengths, \
-    random_realizable_config, schlafli_check, second_variation_check, \
-    tet_metrics_from_lengths
+from .action import deficit_angles, holonomy_deficits, \
+    linearized_deficits, perturbed_lengths, random_realizable_config, \
+    schlafli_check, second_variation_check, tet_metrics_from_lengths
 from .mesh import PeriodicMesh, build_torus_mesh
 from .saint_venant import apply_ctc, assemble_stiffness, \
-    constant_kernel_residual, edge_jump_scalar
+    constant_kernel_residual
 from .spaces import ReggeField, VertexVectorField, deformation, \
     deformation_matrix, divergence_x2, interpolate_0, interpolate_1, \
     interpolate_2, interpolate_3, matrix_mode, pair_x2_x1, \
@@ -160,21 +159,17 @@ def check_dual_path_deficits(mesh: PeriodicMesh, seed: int = 0,
     for _ in range(n_random):
         # stay on the principal branch of the holonomy rotation angle
         cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
-        mats = tet_metrics_from_lengths(mesh, cfg)
-        theta = deficit_angles(mesh, cfg)
-        for e in range(mesh.num_edges):
-            th_h = deficit_angle_holonomy(build_edge_sector(mesh, e, mats))
-            worst = max(worst, abs(theta[e] - th_h))
+        th_h = holonomy_deficits(mesh, tet_metrics_from_lengths(mesh, cfg))
+        worst = max(worst, np.abs(deficit_angles(mesh, cfg) - th_h).max())
     out.append(_result("holonomy_vs_dihedral", worst, 1e-9,
                        f"{n_random} random configurations"))
 
     worst = 0.0
     for _ in range(n_random):
         up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
-        for e in range(mesh.num_edges):
-            a = linearized_deficit(mesh, e, up)
-            b = 0.5 * edge_jump_scalar(mesh, up, e)
-            worst = max(worst, abs(a - b))
+        half_jump = 0.5 * apply_ctc(mesh, up).coeffs
+        worst = max(worst, np.abs(linearized_deficits(mesh, up)
+                                  - half_jump).max())
     out.append(_result("linearized_deficit_vs_half_jump", worst, 1e-12,
                        f"{n_random} random fields, all edges"))
 
@@ -185,10 +180,7 @@ def check_dual_path_deficits(mesh: PeriodicMesh, seed: int = 0,
           for eps in (h, -h, h / 2, -h / 2)}
     d1 = (th[h] - th[-h]) / (2 * h)
     d2 = (th[h / 2] - th[-h / 2]) / h
-    worst = 0.0
-    for e in range(mesh.num_edges):
-        lin = linearized_deficit(mesh, e, up)
-        worst = max(worst, abs((4 * d2[e] - d1[e]) / 3 - lin))
+    worst = np.abs((4 * d2 - d1) / 3 - linearized_deficits(mesh, up)).max()
     out.append(_result("deficit_fd_vs_linearized", worst, 1e-7,
                        "Richardson central differences"))
     return out

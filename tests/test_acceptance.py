@@ -177,8 +177,7 @@ class TestAcceptance:
                     return deficit_angle_dihedral(mesh2, e, cfg)
                 mats = tet_metrics_from_lengths(mesh2, cfg)
                 return deficit_angle_holonomy(
-                    build_edge_sector(mesh2, e, mats,
-                                      check_continuity=False))
+                    build_edge_sector(mesh2, e, mats))
 
             for e in range(mesh2.num_edges):
                 lin = linearized_deficit(mesh2, e, up)
@@ -222,8 +221,7 @@ class TestAcceptance:
             for e in range(mesh2.num_edges):
                 th_d = deficit_angle_dihedral(mesh2, e, cfg)
                 th_h = deficit_angle_holonomy(
-                    build_edge_sector(mesh2, e, mats,
-                                      check_continuity=False))
+                    build_edge_sector(mesh2, e, mats))
                 worst = max(worst, abs(th_d - th_h))
         dt = time.time() - t0
         ok = worst <= 1e-9 and dt < 60.0

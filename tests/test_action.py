@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       build_edge_sector, build_torus_mesh,
                       deficit_angle_dihedral, deficit_angle_holonomy,
                       deficit_angles, edge_jump_scalar, edge_star,
-                      euclidean_lengths, linearized_deficit,
+                      euclidean_lengths, holonomy_deficits,
+                      linearized_deficit, linearized_deficits,
                       perturbed_lengths, regge_action, schlafli_check,
                       second_variation_check)
 from reggefem.action import (cayley_menger_determinant,
@@ -195,7 +197,48 @@ class TestDeficits:
                 rf"^sector metrics of edge {e} are not tangentially "
                 rf"continuous across face {sector.faces[2]}$")):
             build_edge_sector(mesh2, e, bent)
-        build_edge_sector(mesh2, e, bent, check_continuity=False)
+
+    @pytest.mark.parametrize("long_edge, bent_tet", [
+        (None, 3),  # first at edge 1; direction 0 first fails at edge 14
+        (60, None),  # not positive definite, first at edge 14
+        (3, 0),  # edge 3 fails both checks, continuity first
+    ], ids=["bent", "indefinite", "both"])
+    def test_whole_mesh_raises_first_per_edge_error(self, long_edge,
+                                                    bent_tet):
+        # the error of the first failing edge in ascending id, with the
+        # message the per-edge loop raises
+        mesh = build_torus_mesh(TorusGeometry(TAU, 2.5 * np.pi, TAU),
+                                (2, 3, 2))
+        c = mesh.edge_length ** 2
+        if long_edge is not None:
+            c[long_edge] *= 10.0
+        mats = regge_to_tet_matrices(mesh, ReggeField(c))
+        if bent_tet is not None:
+            mats[bent_tet] += 1e-6 * np.eye(3)
+        for e in range(mesh.num_edges):
+            try:
+                build_edge_sector(mesh, e, mats)
+            except RealizabilityError as ex:
+                message = str(ex)
+                break
+        with pytest.raises(RealizabilityError,
+                           match=f"^{re.escape(message)}$"):
+            holonomy_deficits(mesh, mats)
+
+    @pytest.mark.parametrize("route", [
+        lambda mesh, e: build_edge_sector(mesh, e, np.tile(np.eye(3), (
+            mesh.num_tets, 1, 1))),
+        lambda mesh, e: deficit_angle_dihedral(mesh, e,
+                                               euclidean_lengths(mesh)),
+        lambda mesh, e: linearized_deficit(
+            mesh, e, ReggeField(np.zeros(mesh.num_edges))),
+        lambda mesh, e: edge_jump_scalar(
+            mesh, ReggeField(np.zeros(mesh.num_edges)), e),
+    ], ids=["sector", "dihedral", "linearized", "edge_jump"])
+    def test_invalid_edge_id_rejected(self, mesh2, route):
+        for e in (-1, mesh2.num_edges):
+            with pytest.raises(ValueError, match=f"^invalid edge id {e}$"):
+                route(mesh2, e)
 
     def test_per_edge_matches_all_edges(self):
         # verify takes the dihedral side from deficit_angles; it must be
@@ -453,6 +496,11 @@ GOLDEN = {
 }
 
 
+# The whole-mesh passes must reproduce the per-edge routes' digests.
+WHOLE_MESH = {"holonomy_deficits": "deficit_angle_holonomy",
+              "linearized_deficits": "linearized_deficit"}
+
+
 def _action_outputs(grid, lengths) -> dict:
     mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
     rng = np.random.default_rng(0)
@@ -473,6 +521,8 @@ def _action_outputs(grid, lengths) -> dict:
             [deficit_angle_holonomy(s) for s in sectors]),
         "linearized_deficit": np.array(
             [linearized_deficit(mesh, e, up) for e in edges]),
+        "holonomy_deficits": holonomy_deficits(mesh, metrics),
+        "linearized_deficits": linearized_deficits(mesh, up),
         "sector.ms": [s.ms for s in sectors],
         "sector.ns": [s.ns for s in sectors],
         "sector.metrics": [s.metrics for s in sectors],
@@ -484,4 +534,6 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("label", sorted(GOLDEN_GRIDS))
     def test_action_outputs_bit_identical(self, label):
         out = _action_outputs(*GOLDEN_GRIDS[label])
-        assert {k: digest(v) for k, v in out.items()} == GOLDEN[label]
+        golden = GOLDEN[label] | {k: GOLDEN[label][v]
+                                  for k, v in WHOLE_MESH.items()}
+        assert {k: digest(v) for k, v in out.items()} == golden

@@ -284,7 +284,7 @@ class TestGeometry:
                 if isinstance(v, np.ndarray):
                     arrays[f"{name}[{i}]"] = v
         assert {"cell[0]", "edge_dir[0]", "_star_faces[6]",
-                "_star_tets[6]"} <= set(arrays)
+                "_star_slots[6]", "_star_tets[6]"} <= set(arrays)
         assert [k for k, v in arrays.items() if v.flags.writeable] == []
         faces, tets = _star_arrays(mesh, 3)
         assert not faces.flags.writeable and not tets.flags.writeable
@@ -484,3 +484,18 @@ class TestGoldenFingerprints:
         grid, lengths = GOLDEN_GRIDS[label]
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         assert _incidence_fingerprint(mesh) == GOLDEN_INCIDENCE[label]
+
+    @pytest.mark.parametrize("label", sorted(GOLDEN_GRIDS))
+    def test_stored_star_slots_reproduce_pinned_slots(self, label):
+        # the slots kept at build time, in ascending face order as the
+        # fingerprint's argmax search lists them
+        grid, lengths = GOLDEN_GRIDS[label]
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        slots = []
+        for e in range(mesh.num_edges):
+            faces = _star_arrays(mesh, e)[0]
+            stored = mesh._star_slots[e % 7][e // 7]
+            assert np.array_equal(mesh.face_edges[faces, stored],
+                                  np.full(len(faces), e))
+            slots.append(stored[np.argsort(faces)])
+        assert digest(slots) == GOLDEN_INCIDENCE[label]["slots"]

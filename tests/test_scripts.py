@@ -1,0 +1,33 @@
+"""Smoke tests: every script in scripts/ runs at its smallest size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPTS = {
+    "deficit_angle_profile.py": ["--grid", "2", "2", "2", "--seeds", "1"],
+    "eigenvalue_convergence.py": ["--grids", "2", "3", "--n-eigs", "1"],
+    "second_variation_sweep.py": ["--grid", "2", "2", "2", "--seeds", "1"],
+}
+
+
+def test_every_script_listed():
+    assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == \
+        sorted(SCRIPTS)
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *SCRIPTS[script]],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -16,8 +15,7 @@ from reggefem import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
 from reggefem import spaces
 from reggefem.mesh import LOCAL_EDGES, TorusGeometry
 from reggefem.quadrature import segment_rule, tet_points_weights, tet_rule
-from reggefem.spaces import (coeffs_from_json, coeffs_to_json,
-                             constant_matrix_field, constant_vector_field,
+from reggefem.spaces import (constant_matrix_field, constant_vector_field,
                              deformation_matrix, l2_norm_x1)
 
 TAU = 2.0 * np.pi
@@ -468,36 +466,3 @@ class TestNormsAndSerialization:
         rf = ReggeField(rng.uniform(-1, 1, mesh2.num_edges))
         q = float(rf.coeffs @ (M.matrix @ rf.coeffs))
         assert abs(l2_norm_x1(mesh2, rf) ** 2 - q) < 1e-12 * max(q, 1.0)
-
-    def test_json_roundtrip(self, mesh2):
-        rng = np.random.default_rng(8)
-        objs = [ReggeField(rng.uniform(-1, 1, mesh2.num_edges)),
-                EdgeMeasure(rng.uniform(-1, 1, mesh2.num_edges)),
-                VertexVectorField(rng.uniform(-1, 1,
-                                              (mesh2.num_vertices, 3)))]
-        for obj in objs:
-            back = coeffs_from_json(json.loads(json.dumps(
-                coeffs_to_json(obj))))
-            assert type(back) is type(obj)
-            a = getattr(obj, "coeffs", None)
-            if a is None:
-                assert np.array_equal(obj.values, back.values)
-            else:
-                assert np.array_equal(a, back.coeffs)
-
-    def test_csv_export(self, mesh2):
-        import io
-        from reggefem.spaces import coeffs_to_csv
-        rng = np.random.default_rng(9)
-        rf = ReggeField(rng.uniform(-1, 1, mesh2.num_edges))
-        buf = io.StringIO()
-        coeffs_to_csv(rf, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "edge,coefficient"
-        assert len(lines) == 1 + mesh2.num_edges
-        # 17 significant digits round-trip exactly
-        assert float(lines[1].split(",")[1]) == rf.coeffs[0]
-        vf = VertexVectorField(rng.uniform(-1, 1, (mesh2.num_vertices, 3)))
-        buf = io.StringIO()
-        coeffs_to_csv(vf, buf)
-        assert buf.getvalue().splitlines()[0] == "vertex,v1,v2,v3"
