@@ -125,17 +125,16 @@ class PeriodicMesh:
     Built by :func:`build_torus_mesh`; treat all attributes as read-only.
     Array attributes (sizes: V vertices, E edges, F faces, T tets):
 
-    vertex_lattice (V,3) int, vertex_pos (V,3);
+    cell (3,) box side lengths, vertex_pos (V,3);
     tet_vids (T,4), tet_lattice (T,4,3) int, tet_coords (T,4,3),
     tet_volume (T,), tet_grad (T,4,3) barycentric gradients,
     tet_edges (T,6) global edge ids in LOCAL_EDGES order,
     tet_rho (T,6,3,3) edge basis matrices restricted to the tet;
     edge_tail/edge_head (E,), edge_tail_lattice (E,3) int,
     edge_vec (E,3), edge_tangent (E,3), edge_length (E,);
-    face_vids (F,3), face_lattice (F,3,3) int, face_coords (F,3,3),
-    face_normal (F,3), face_tets (F,2), face_edges (F,3),
-    face_m/(face_n) (F,3,3) per-edge frames, face_side (F,3) index into
-    face_tets of the tet the jump normal n_ef points into.
+    face_coords (F,3,3), face_normal (F,3), face_tets (F,2),
+    face_edges (F,3), face_m/(face_n) (F,3,3) per-edge frames, face_side
+    (F,3) index into face_tets of the tet the jump normal n_ef points into.
 
     Edge incidence is held only by the stars: ``_star_faces[d]``,
     ``_star_slots[d]`` and ``_star_tets[d]`` are (V, valence) arrays whose
@@ -177,26 +176,6 @@ class PeriodicMesh:
         if d is None:
             raise MeshError(f"not a lattice edge direction: {direction}")
         return self.vertex_id(tail_lattice_point) * 7 + d
-
-    def tet_at(self, points: np.ndarray) -> np.ndarray:
-        """Locate the tet containing each point (ties resolved deterministically).
-
-        ``points`` has shape (..., 3); the result has the leading shape (an
-        integer for a single point).
-        """
-        n = np.array(self.grid)
-        s = np.mod(np.asarray(points, dtype=float), self.geometry.lengths)
-        s /= self.cell
-        c = np.minimum(np.floor(s).astype(np.int64), n - 1)
-        frac = s - c
-        # the Kuhn tet is the descending order of the fractions, ties to the
-        # lower axis: rank 2 * (first axis) + (the later of the other two
-        # axes has the strictly larger fraction)
-        first = np.argmax(frac, axis=-1)
-        f0, f1, f2 = np.moveaxis(frac, -1, 0)
-        ranks = 2 * first + np.choose(first, [f2 > f1, f2 > f0, f1 > f0])
-        cube = (c[..., 0] * n[1] + c[..., 1]) * n[2] + c[..., 2]
-        return (cube * 6 + ranks)[()]
 
 
 def _vid(points, n: np.ndarray) -> np.ndarray:
@@ -245,7 +224,6 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     ii, jj, kk = np.meshgrid(np.arange(n1), np.arange(n2), np.arange(n3),
                              indexing="ij")
     vertex_lattice = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
-    mesh.vertex_lattice = vertex_lattice
     mesh.vertex_pos = vertex_lattice * cell
 
     # tets: tet 6*v + r is the chain of _PERMS[r] from vertex v
@@ -294,9 +272,7 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     face_lattice = (vertex_lattice[:, None, None] + _FACE_OFFSETS).reshape(
         nf, 3, 3)
     face_coords = face_lattice * cell
-    mesh.face_lattice = face_lattice
     mesh.face_coords = face_coords
-    mesh.face_vids = _vid(face_lattice, n)
 
     # the four faces of every tet, (tet, opposite vertex) in row-major order;
     # a face's lowest point is its base vertex, lifted by tau * n

@@ -13,8 +13,11 @@ Four spaces form the discrete elasticity sequence
 * ``EdgeMeasure``: matrix line measures u_e t_e t_e^T delta_e.
 * ``VertexVectorMeasure``: vector point measures u_x delta_x.
 
-The interpolators integrate a field by one of two routes:
+The interpolators integrate a field by one of three routes:
 
+* ``ReggeField`` (``interpolate_2``, ``dof_mu_e``): exactly, from its
+  constant per-tet matrices U_T.  ``interpolate_2`` sums |T| U_T : rho_e
+  over the tets T, ``dof_mu_e`` reads d_e^T U_T d_e on one incident tet.
 * Trig modes (``TrigMatrixField`` from ``matrix_mode``, ``TrigVectorField``
   from ``vector_mode``): a constant amplitude times sin or cos of k.x +
   phase.  ``interpolate_1/2/3`` reduce only the scalar factor, through
@@ -22,13 +25,13 @@ The interpolators integrate a field by one of two routes:
   six tet shapes and seven edge directions; see ``_trig_moments``), and
   contract the amplitude once.  Cost O(shapes * Q + T), no field or point
   array of size T * Q.
-* Every other ``SmoothField`` (``piecewise_constant_field``, the constant
-  fields, user callables): point evaluation at the Gauss points, reduced
-  per tet over blocks of ``_TET_BLOCK`` tets, so memory stays
-  O(_TET_BLOCK * Q).  This route is also the oracle the trig route is
-  tested against.
+* Every other ``SmoothField`` (the constant fields, user callables):
+  point evaluation at the Gauss points, reduced per tet over blocks of
+  ``_TET_BLOCK`` tets, so memory stays O(_TET_BLOCK * Q).  This route is
+  also the oracle the trig route is tested against.
 
-``interpolate_0`` and ``dof_mu_e`` evaluate every field at points.
+``interpolate_0`` and ``dof_mu_e`` evaluate every ``SmoothField`` at
+points.
 
 Symmetric 3x3 matrices are plain ndarrays kept exactly symmetric by
 construction.  All operations are pure functions of immutable inputs.
@@ -54,7 +57,6 @@ __all__ = [
     "vector_mode",
     "constant_matrix_field",
     "constant_vector_field",
-    "piecewise_constant_field",
     "skew",
     "dof_mu_e",
     "interpolate_0",
@@ -254,17 +256,6 @@ def vector_mode(geometry, b, integer_freq, trig="sin", phase=0.0,
                            trig, phase, quad_points)
 
 
-def piecewise_constant_field(mesh: PeriodicMesh, u: ReggeField,
-                             quad_points=8) -> SmoothField:
-    """Wrap a ReggeField as a point-evaluable SmoothField (tet lookup)."""
-    mats = regge_to_tet_matrices(mesh, u)
-
-    def fn(x):
-        return mats[mesh.tet_at(x)]
-
-    return SmoothField(fn, "matrix", quad_points)
-
-
 # ---------------------------------------------------------------------------
 # degrees of freedom and interpolators
 
@@ -375,9 +366,17 @@ def _trig_moments(mesh, u: _TrigField, offsets, weights) -> np.ndarray:
     return ca * C - sa * S
 
 
-def interpolate_2(mesh: PeriodicMesh, u: SmoothField) -> EdgeMeasure:
-    """L2-dual projection onto edge measures: c_e = l_e * int_S u : rho_e."""
-    if isinstance(u, TrigMatrixField):
+def interpolate_2(mesh: PeriodicMesh,
+                  u: SmoothField | ReggeField) -> EdgeMeasure:
+    """L2-dual projection onto edge measures: c_e = l_e * int_S u : rho_e.
+
+    A ReggeField is constant on each tet, so its integral is exact:
+    |T| U_T : rho_e per tet T.
+    """
+    if isinstance(u, ReggeField):
+        per_tet = mesh.tet_volume[:, None] * np.einsum(
+            "tij,taij->ta", regge_to_tet_matrices(mesh, u), mesh.tet_rho)
+    elif isinstance(u, TrigMatrixField):
         ref, w = tet_rule(u.quad_points)
         offsets, jac = _tet_shapes(mesh, ref)
         moments = _trig_moments(mesh, u, offsets, jac[:, None] * w)

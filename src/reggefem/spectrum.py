@@ -342,9 +342,14 @@ def assign_clusters(result: SpectrumResult, oracle: FourierSpectrum,
     unassigned nonzero eigenvalues of sign s in order of |lambda|.  The
     window (half the gap to the nearest distinct oracle value) is a
     diagnostic: ``matched`` records whether the count of eigenvalues inside
-    it equals the oracle multiplicity.
+    it equals the oracle multiplicity.  Raises ValueError when the oracle
+    has fewer than ``n_targets`` entries below its cutoff.
     """
     targets = oracle.targets_by_magnitude(n_targets)
+    if len(targets) < n_targets:
+        raise ValueError(
+            f"the oracle has {len(targets)} targets below its cutoff "
+            f"{oracle.cutoff}, fewer than the {n_targets} requested")
     values = sorted(v for v, _ in oracle.entries)
     w = result.eigenvalues
     nonzero = np.flatnonzero(np.abs(w) >= result.threshold)

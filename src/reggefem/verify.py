@@ -4,12 +4,13 @@ Each suite returns CheckResult entries with a pass flag and a one-line
 detail; ``run_verification`` bundles them for a mesh/seed.  Tolerances are
 the acceptance tolerances.
 
-The commuting squares integrate trig modes (``matrix_mode``,
-``vector_mode``), which the interpolators reduce through per-shape
-moment tables; the adjoint square also interpolates a
-``piecewise_constant_field``, which takes the point-evaluation route (see
-the ``spaces`` module docstring).  Both routes use 12 Gauss points per
-direction.
+The interpolators have three routes (see the ``spaces`` module
+docstring): a ``ReggeField`` is integrated exactly per tet, trig modes
+through per-shape moment tables, and any other callable by point
+evaluation.  The commuting squares use only the first two: they integrate
+trig modes (``matrix_mode``, ``vector_mode``) with 12 Gauss points per
+direction, and the adjoint square passes its random ``ReggeField`` to
+``interpolate_2`` directly.
 
 The dual-path suite compares whole-mesh arrays of independent routes: the
 dihedral ``deficit_angles`` against ``holonomy_deficits``, and the
@@ -33,7 +34,7 @@ from .saint_venant import apply_ctc, assemble_stiffness, \
 from .spaces import ReggeField, VertexVectorField, deformation, \
     deformation_matrix, divergence_x2, interpolate_0, interpolate_1, \
     interpolate_2, interpolate_3, matrix_mode, pair_x2_x1, \
-    piecewise_constant_field, regge_to_tet_matrices, vector_mode
+    regge_to_tet_matrices, vector_mode
 
 __all__ = ["CheckResult", "run_verification",
            "check_complex_identities", "check_commuting_diagram",
@@ -134,8 +135,7 @@ def check_commuting_diagram(mesh: PeriodicMesh, tol: float = 1e-9) -> list:
     # fourth square: the interpolators adjoint to each other
     rng = np.random.default_rng(2)
     rf = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
-    i2_u = interpolate_2(mesh, piecewise_constant_field(mesh, rf,
-                                                        quad_points=12))
+    i2_u = interpolate_2(mesh, rf)
     mats_u = regge_to_tet_matrices(mesh, rf)
     worst = 0.0
     for a in (gen, sigmas[0]):

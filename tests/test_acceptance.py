@@ -76,12 +76,11 @@ class TestAcceptance:
                 rhs3 = divergence_x2(mesh, interpolate_2(mesh, u)).values
                 worst = max(worst, np.abs(lhs3 - rhs3).max())
             # fourth square: adjoint interpolators on a piecewise field
-            from reggefem.spaces import pair_x2_x1, piecewise_constant_field
+            from reggefem.spaces import pair_x2_x1
             rng = np.random.default_rng(1)
             rf = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
-            upc = piecewise_constant_field(mesh, rf, quad_points=12)
             w = matrix_mode(geometry, sigmas[0], (1, 0, 0), "sin")
-            lhs = pair_x2_x1(mesh, interpolate_2(mesh, upc),
+            lhs = pair_x2_x1(mesh, interpolate_2(mesh, rf),
                              interpolate_1(mesh, w))
             mats_u = regge_to_tet_matrices(mesh, rf)
             mats_w = regge_to_tet_matrices(mesh, interpolate_1(mesh, w))

@@ -54,6 +54,16 @@ class TestEigsCommand:
         assert out == ""
         assert err.startswith(f"error: {key}:")
 
+    @pytest.mark.parametrize("cutoff, n_targets, have", [("1.5", "5", 2),
+                                                         ("0.5", "2", 0)])
+    def test_cutoff_below_n_targets_config_error(self, capsys, cutoff,
+                                                 n_targets, have):
+        code, out, err = run(capsys, "eigs", "--grid", "3", "3", "3",
+                             "--cutoff", cutoff, "--n-targets", n_targets)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n_targets:")
+        assert f"has {have} targets" in err
+
     @pytest.mark.parametrize("key, value", [("cutoff", "x"),
                                             ("n_targets", "x")])
     def test_mistyped_config_value_is_config_error(self, capsys, tmp_path,
@@ -143,6 +153,15 @@ class TestConvergeCommand:
     def test_nonincreasing_grids_config_error(self, capsys):
         code, _, err = run(capsys, "converge", "--grids", "3", "2")
         assert code == 2
+
+    def test_default_cutoff_below_n_eigs_config_error(self, capsys):
+        # on a thin torus the default cutoff admits only the six targets
+        # +-1, +-4, +-9 of the long axis
+        code, out, err = run(capsys, "converge", "--grids", "2", "3",
+                             "--n-eigs", "8", "--lengths",
+                             str(2 * np.pi), "1", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n_eigs: the oracle has 6 targets")
 
 
 class TestActionCommand:

@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from golden import digest
 from reggefem import MeshError, TorusGeometry, build_torus_mesh, edge_star, \
@@ -36,13 +34,11 @@ GOLDEN = {
         "edge_vec": "a4264678cb79d4a4",
         "face_coords": "181915659be90b75",
         "face_edges": "0628b4fbbe0305cb",
-        "face_lattice": "93686f26c2c9542e",
         "face_m": "dfa9fc0aaae68786",
         "face_n": "8c80f6c91d37c108",
         "face_normal": "e5ef12912a5ceea4",
         "face_side": "fbb5111ed68b1716",
         "face_tets": "7a5c17d363b3173e",
-        "face_vids": "11c850eee3bbf850",
         "geometry": "57c83e798efe21a7",
         "grid": "c8ead7daa57273e9",
         "tet_coords": "5f28c95427921473",
@@ -52,7 +48,6 @@ GOLDEN = {
         "tet_rho": "ab9ae03b16e936ec",
         "tet_vids": "8042a4ecd40a2c60",
         "tet_volume": "d819b65805ffeb86",
-        "vertex_lattice": "248588f8b7726385",
         "vertex_pos": "f5a9bb3d9b9baf03",
     },
     "3x2x2": {
@@ -68,13 +63,11 @@ GOLDEN = {
         "edge_vec": "be4bf4ac189bb34e",
         "face_coords": "01c8f03c6fe5193c",
         "face_edges": "4d7d975e85733994",
-        "face_lattice": "c9a9552e8935dfad",
         "face_m": "be0955218a523307",
         "face_n": "3741998daa480e12",
         "face_normal": "97d8078fcb8fe3db",
         "face_side": "1e56e62a24bc5afa",
         "face_tets": "0d1a4b057f2aa6a1",
-        "face_vids": "86eea33b53e194aa",
         "geometry": "bfdc9a84a69b69fc",
         "grid": "2de320b5c8879a43",
         "tet_coords": "acc59709fc396014",
@@ -84,7 +77,6 @@ GOLDEN = {
         "tet_rho": "09bee9d840760def",
         "tet_vids": "484e0fa603bbec23",
         "tet_volume": "0acdb376c8c02897",
-        "vertex_lattice": "3394c8a51e4e2b6e",
         "vertex_pos": "bf417313231d1b24",
     },
     "3x3x3": {
@@ -100,13 +92,11 @@ GOLDEN = {
         "edge_vec": "fbcb7df7907edb03",
         "face_coords": "b7fa5ea04e3b56a2",
         "face_edges": "e4fa84ec1812b23c",
-        "face_lattice": "166bd3742af5fff1",
         "face_m": "158cc6c359b6a59a",
         "face_n": "3d0ac653dc17aac5",
         "face_normal": "440d9f085e0a179c",
         "face_side": "56bb5e21ebc77e1d",
         "face_tets": "bef102a5707dc411",
-        "face_vids": "cbe142fed59ac33a",
         "geometry": "57c83e798efe21a7",
         "grid": "ebf16796deae7672",
         "tet_coords": "7ffdf6be526bda19",
@@ -116,7 +106,6 @@ GOLDEN = {
         "tet_rho": "af039d98428a3704",
         "tet_vids": "865996684e3f6b4a",
         "tet_volume": "22be52dea9bdd146",
-        "vertex_lattice": "6d4eda24f4fe4459",
         "vertex_pos": "62ebc45b41d1c41b",
     },
     "4x5x6": {
@@ -132,13 +121,11 @@ GOLDEN = {
         "edge_vec": "ea82bd915fbeb738",
         "face_coords": "80c8543cfdbc33fa",
         "face_edges": "bd226cfa005b5754",
-        "face_lattice": "fc535450803d5e6e",
         "face_m": "cd1f7601b28db756",
         "face_n": "aa26742a0f59d7c8",
         "face_normal": "c5dd84a5938e48a6",
         "face_side": "8fbe968555789f84",
         "face_tets": "92cf65962e6ebe4b",
-        "face_vids": "6e7397ebc5e82f1a",
         "geometry": "11706c8772d59b24",
         "grid": "f373fe8d1d0430c6",
         "tet_coords": "e31041d2958945c6",
@@ -148,7 +135,6 @@ GOLDEN = {
         "tet_rho": "c569db2a2d30b55a",
         "tet_vids": "3107b8ec5a459cd5",
         "tet_volume": "2976a45077a25260",
-        "vertex_lattice": "d5929f76f83a73cc",
         "vertex_pos": "01025935a53f9542",
     },
 }
@@ -385,61 +371,6 @@ class TestPeriodicity:
 
 
 class TestQueries:
-    def test_tet_locator_finds_centroids(self, mesh3):
-        centroids = mesh3.tet_coords.mean(axis=1)
-        assert np.array_equal(mesh3.tet_at(centroids),
-                              np.arange(mesh3.num_tets))
-
-    def test_tet_locator_list_input(self, mesh3):
-        centroids = mesh3.tet_coords.mean(axis=1)
-        assert mesh3.tet_at(centroids[5].tolist()) == 5
-        assert mesh3.tet_at(centroids[:4].tolist()).tolist() == [0, 1, 2, 3]
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_tet_locator_barycentric_interior(self, seed):
-        geometry = TorusGeometry(TAU, TAU, TAU)
-        mesh = build_torus_mesh(geometry, (2, 2, 2))
-        rng = np.random.default_rng(seed)
-        w = rng.dirichlet(np.ones(4), size=8)
-        t = rng.integers(0, mesh.num_tets, size=8)
-        pts = np.einsum("pi,pij->pj", w, mesh.tet_coords[t])
-        assert np.array_equal(mesh.tet_at(pts), t)
-
-    @pytest.mark.parametrize("grid, lengths", [
-        ((2, 2, 2), (TAU, TAU, TAU)),
-        ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
-    ], ids=["2x2x2", "4x5x6"])
-    def test_tet_locator_matches_stable_argsort(self, grid, lengths):
-        # ids of the stable descending argsort of the cell fractions,
-        # ties included
-        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
-        n = np.array(grid)
-        rng = np.random.default_rng(13)
-        lattice = rng.integers(-1, 2 * n.max(), (200, 3))
-        frac = rng.random((200, 3))
-        ties = [frac, np.zeros((200, 3)), np.repeat(frac[:, :1], 3, axis=1)]
-        for i, j in [(0, 1), (0, 2), (1, 2)]:  # two equal fractions
-            tie = frac.copy()
-            tie[:, j] = tie[:, i]
-            ties.append(tie)
-            face = frac.copy()  # on a cell face
-            face[:, i] = 0.0
-            ties.append(face)
-        pts = np.concatenate([(lattice + f) * mesh.cell for f in ties])
-        x = np.mod(pts, mesh.geometry.lengths)
-        c = np.minimum(np.floor(x / mesh.cell).astype(np.int64), n - 1)
-        frac = x / mesh.cell - c
-        # rounding breaks some of the constructed ties; hundreds stay exact
-        assert np.sum(np.diff(np.sort(frac, axis=1), axis=1) == 0) > 400
-        order = np.argsort(-frac, axis=1, kind="stable")
-        ranks = 2 * order[:, 0] + (order[:, 1] > order[:, 2])
-        expect = ((c[:, 0] * n[1] + c[:, 1]) * n[2] + c[:, 2]) * 6 + ranks
-        assert np.array_equal(mesh.tet_at(pts), expect)
-        # any leading shape
-        assert np.array_equal(mesh.tet_at(pts.reshape(9, -1, 3)),
-                              expect.reshape(9, -1))
-
     def test_summary_roundtrip(self, mesh2):
         import json
         s = mesh_summary(mesh2, include_incidence=True)

@@ -10,8 +10,8 @@ from reggefem import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
                       build_torus_mesh, deformation, divergence_x2,
                       dof_mu_e, edge_star, interpolate_0, interpolate_1, interpolate_2,
                       interpolate_3, matrix_mode, metric_from_edge_lengths,
-                      pair_x2_x1, pair_x3_x0, piecewise_constant_field,
-                      regge_to_tet_matrices, vector_mode)
+                      pair_x2_x1, pair_x3_x0, regge_to_tet_matrices,
+                      vector_mode)
 from reggefem import spaces
 from reggefem.mesh import LOCAL_EDGES, TorusGeometry
 from reggefem.quadrature import segment_rule, tet_points_weights, tet_rule
@@ -81,9 +81,9 @@ class TestInterpolators:
     def test_projection_property(self, mesh2):
         rng = np.random.default_rng(5)
         rf = ReggeField(rng.uniform(-1, 1, mesh2.num_edges))
-        wrapped = piecewise_constant_field(mesh2, rf, quad_points=6)
-        back = interpolate_1(mesh2, wrapped)
-        assert np.abs(back.coeffs - rf.coeffs).max() < 1e-12
+        back = np.array([dof_mu_e(mesh2, e, rf)
+                         for e in range(mesh2.num_edges)])
+        assert np.abs(back - rf.coeffs).max() < 1e-12
 
     def test_nodal_interpolation_exact(self, geometry, mesh2):
         v = vector_mode(geometry, np.array([1.0, 0.0, 0.0]), (1, 0, 0))
@@ -122,10 +122,15 @@ class TestInterpolators:
         e0 = 17
         basis = np.zeros(mesh2.num_edges)
         basis[e0] = 1.0
-        upc = piecewise_constant_field(mesh2, ReggeField(basis),
-                                       quad_points=8)
-        em = interpolate_2(mesh2, upc)
+        em = interpolate_2(mesh2, ReggeField(basis))
         expect = mesh2.edge_length * M[:, e0]
+        assert np.abs(em.coeffs - expect).max() < 1e-12
+        # a random field on an anisotropic torus against the mass matrix
+        mesh = build_torus_mesh(
+            TorusGeometry(TAU, 2.5 * np.pi, 3.0 * np.pi), (4, 5, 6))
+        c = np.random.default_rng(18).uniform(-1, 1, mesh.num_edges)
+        em = interpolate_2(mesh, ReggeField(c))
+        expect = mesh.edge_length * (assemble_mass(mesh).matrix @ c)
         assert np.abs(em.coeffs - expect).max() < 1e-12
 
     def test_pairing_identity(self, geometry, mesh2):
@@ -208,14 +213,21 @@ def _trig_modes(mesh, make, amp, freqs):
             for m in freqs for trig in ("sin", "cos")]
 
 
+def _generic_matrix_field(rng):
+    # a plain callable, not a trig mode: the point-evaluation route
+    a, b = random_sym(rng), random_sym(rng)
+    return SmoothField(
+        lambda x: (np.cos(x[..., 0] + 0.3)[..., None, None] * a
+                   + (np.sin(x[..., 1]) * np.cos(x[..., 2]))[..., None, None]
+                   * b), "matrix", 12)
+
+
 def _matrix_fields(mesh, rng):
-    # trig modes (moment route) and a piecewise constant field (points)
+    # trig modes (moment route) and a generic callable (points)
     a = random_sym(rng)
     return [matrix_mode(mesh.geometry, a, (1, 1, 0)),
             *_trig_modes(mesh, matrix_mode, a, [(1, 1, 0), (1, 1, 1)]),
-            piecewise_constant_field(
-                mesh, ReggeField(rng.uniform(-1, 1, mesh.num_edges)),
-                quad_points=12)]
+            _generic_matrix_field(rng)]
 
 
 def _assert_matches_oracle(new, old):
@@ -268,10 +280,7 @@ class TestQuadratureMemory:
     @pytest.mark.parametrize("block", [7, 64])
     def test_blocks_match_one_block_bitwise(self, mesh4, monkeypatch,
                                             block):
-        rng = np.random.default_rng(16)
-        u = piecewise_constant_field(
-            mesh4, ReggeField(rng.uniform(-1, 1, mesh4.num_edges)),
-            quad_points=12)
+        u = _generic_matrix_field(np.random.default_rng(16))
         v = SmoothField(lambda x: np.cos(x), "vector", 12)
         monkeypatch.setattr(spaces, "_TET_BLOCK", mesh4.num_tets)
         whole = (interpolate_2(mesh4, u).coeffs,
@@ -296,6 +305,19 @@ class TestQuadratureMemory:
             finally:
                 tracemalloc.stop()
             assert peak < bound
+
+    def test_commuting_suite_evaluates_no_points(self, mesh2, monkeypatch):
+        # verify integrates only trig modes and Regge fields, both without
+        # the point-evaluation route
+        from reggefem.verify import check_commuting_diagram
+
+        def no_points(*args):
+            raise AssertionError("point evaluation in the commuting suite")
+
+        monkeypatch.setattr(spaces, "_tet_blocks", no_points)
+        results = check_commuting_diagram(mesh2)
+        assert len(results) == 4
+        assert all(r.passed for r in results)
 
 
 class TestDeformation:

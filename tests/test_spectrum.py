@@ -245,6 +245,13 @@ class TestClusters:
         for c in clusters:
             assert np.array_equal(res.eigenvalues[c.indices], c.eigenvalues)
 
+    def test_fewer_oracle_targets_than_requested(self, geometry, pencil2):
+        res = solve_pencil(*pencil2)
+        with pytest.raises(ValueError, match="2 targets .* fewer than the 5"):
+            assign_clusters(res, fourier_oracle(geometry, 1.5), 5)
+        with pytest.raises(ValueError, match="0 targets"):
+            assign_clusters(res, fourier_oracle(geometry, 0.5), 2)
+
     def test_study_monotone_decay(self, geometry):
         study = convergence_study(geometry, [2, 3, 4], n_eigs=2)
         assert set(study["monotone"]) == {1.0, -1.0}
