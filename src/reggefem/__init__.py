@@ -15,9 +15,8 @@ from .spaces import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
                      VertexVectorMeasure, constant_matrix_field,
                      constant_vector_field, deformation, divergence_x2,
                      dof_mu_e, interpolate_0, interpolate_1, interpolate_2,
-                     interpolate_3, matrix_mode, metric_from_edge_lengths,
-                     pair_x2_x1, pair_x3_x0, regge_to_tet_matrices, skew,
-                     vector_mode)
+                     interpolate_3, matrix_mode, pair_x2_x1, pair_x3_x0,
+                     regge_to_tet_matrices, skew, vector_mode)
 from .saint_venant import (MassMatrix, StiffnessMatrix, apply_ctc,
                            assemble_mass, assemble_stiffness,
                            edge_jump_scalar, read_coo, write_coo)

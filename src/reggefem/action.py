@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import LOCAL_EDGES, PeriodicMesh, _star_arrays
-from .spaces import ReggeField, _gram_from_squared_lengths, \
-    regge_to_tet_matrices
+from .spaces import ReggeField, regge_to_tet_matrices
 
 __all__ = [
     "RealizabilityError",
@@ -160,6 +159,18 @@ def _first_not_positive_definite(mats: np.ndarray) -> int:
                 return pos
 
 
+def _gram_from_squared_lengths(s: np.ndarray) -> np.ndarray:
+    """Gram matrices (..., 3, 3) of the spanning edge vectors p_i - p_0 of
+    tets in the sought metric, from six squared lengths (..., 6) each in
+    LOCAL_EDGES order (polarization of the squared lengths)."""
+    G = np.empty(s.shape[:-1] + (3, 3))
+    G[..., 0, 0], G[..., 1, 1], G[..., 2, 2] = s[..., 0], s[..., 1], s[..., 2]
+    G[..., 0, 1] = G[..., 1, 0] = 0.5 * (s[..., 0] + s[..., 1] - s[..., 3])
+    G[..., 0, 2] = G[..., 2, 0] = 0.5 * (s[..., 0] + s[..., 2] - s[..., 4])
+    G[..., 1, 2] = G[..., 2, 1] = 0.5 * (s[..., 1] + s[..., 2] - s[..., 5])
+    return G
+
+
 def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
                              tets=None) -> np.ndarray:
     """Constant metric per tet from the squared edge lengths.
@@ -216,17 +227,15 @@ def _dihedral_angles(p: np.ndarray, u: np.ndarray, slots) -> np.ndarray:
     return np.arccos(np.clip(cd / np.sqrt(cc * dd), -1.0, 1.0))
 
 
-def metric_dihedral_angles(mesh: PeriodicMesh, metrics: np.ndarray,
-                           tets=None) -> np.ndarray:
+def metric_dihedral_angles(mesh: PeriodicMesh,
+                           metrics: np.ndarray) -> np.ndarray:
     """Dihedral angle of every tet at each of its six edges, in its metric.
 
     Returns (T, 6) angles in (0, pi), columns in LOCAL_EDGES order.
     """
-    idx = np.arange(mesh.num_tets) if tets is None else np.atleast_1d(tets)
-    p = mesh.tet_coords[idx]
-    out = np.empty((len(idx), 6))
+    out = np.empty((mesh.num_tets, 6))
     for a in range(6):
-        out[:, a] = _dihedral_angles(p, metrics, a)
+        out[:, a] = _dihedral_angles(mesh.tet_coords, metrics, a)
     return out
 
 
@@ -267,9 +276,9 @@ class EdgeSector:
     ms: np.ndarray           # (s, 3)
     ns: np.ndarray           # (s, 3)
     metrics: np.ndarray      # (s, 3, 3)
-    edge: int = -1
-    faces: tuple = ()
-    tets: tuple = ()
+    edge: int
+    faces: tuple
+    tets: tuple
 
 
 def _sectors(mesh: PeriodicMesh, d: int, v, tet_metrics: np.ndarray):
@@ -524,7 +533,7 @@ class SecondVariationReport:
 
 
 def second_variation_check(mesh: PeriodicMesh, u_prime: ReggeField,
-                           epsilons, stiffness=None) -> SecondVariationReport:
+                           epsilons, stiffness) -> SecondVariationReport:
     """Probe R(I + eps*u') over an eps schedule against eps^2/8 * c'Ac.
 
     Unrealizable eps values are pruned with a warning.  The report carries
@@ -533,10 +542,9 @@ def second_variation_check(mesh: PeriodicMesh, u_prime: ReggeField,
     remainder (cubic or better when the expansion holds).  Keep the
     schedule above ~1e-3: the action is O(eps^2), so smaller eps loses the
     remainder to floating-point cancellation and degrades the slope fit.
+    ``stiffness`` is ``assemble_stiffness(mesh)``; callers assemble it once
+    for all their directions.
     """
-    if stiffness is None:
-        from .saint_venant import assemble_stiffness
-        stiffness = assemble_stiffness(mesh)
     c = u_prime.coeffs
     target = float(c @ (stiffness.matrix @ c)) / 8.0
     eps_ok, actions, pruned = [], [], []

@@ -21,7 +21,8 @@ Conventions
 * An edge lies in 6 faces and 6 tets for the axis directions (d = 0, 1, 3)
   and the body diagonal (d = 6), in 4 of each for the face diagonals
   (d = 2, 4, 5).  Edge incidence is stored once, as the star of every
-  edge (:func:`edge_star`); a sorted star row is the ascending incidence.
+  edge (:func:`edge_star`), counter-clockwise about t_e from the lowest
+  face id; a sorted star row is the ascending incidence.
 * Simplices store *lifted* integer lattice points, normalized per axis to
   the window [0, n_i]; all geometry (tangents, normals, frames, gradients)
   is plain Euclidean geometry on the lift.  Periodicity lives only in the
@@ -359,19 +360,15 @@ def _star_arrays(mesh: PeriodicMesh, e: int):
     return mesh._star_faces[e % 7][e // 7], mesh._star_tets[e % 7][e // 7]
 
 
-def edge_star(mesh: PeriodicMesh, e: int, flip_orientation: bool = False):
+def edge_star(mesh: PeriodicMesh, e: int):
     """Faces and sector tets around edge e in counter-clockwise cyclic order.
 
     Entry i pairs face_i with the tet of the sector between face_i and
     face_{i+1}, counter-clockwise with respect to t_e, starting at the
-    lowest face id.  With ``flip_orientation`` the reference is -t_e: the
-    cycle keeps its first face and runs the other way.
+    lowest face id.
     """
     faces, tets = _star_arrays(mesh, e)
-    faces, tets = faces.tolist(), tets.tolist()
-    if flip_orientation:
-        faces, tets = faces[:1] + faces[:0:-1], tets[::-1]
-    return list(zip(faces, tets))
+    return list(zip(faces.tolist(), tets.tolist()))
 
 
 def mesh_summary(mesh: PeriodicMesh, include_incidence: bool = False) -> dict:

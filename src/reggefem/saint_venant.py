@@ -14,13 +14,12 @@ computed exactly from per-tet constant products.
 
 The module has one face-jump kernel, ``_face_terms``: the frame
 contraction m_ef^T X n_ef of per-face matrices X.  ``assemble_stiffness``
-applies it to the basis matrices of the two tets of every face,
-``apply_ctc`` to the tet-matrix differences of a field, and
-``edge_jump_scalar`` to those of the faces around one edge, summed in
-ascending face order as ``apply_ctc`` sums them, so the two agree exactly.
-The star-ordered ``action.linearized_deficits`` (``linearized_deficit``
-per edge) is a separate, deliberately independent route to half the edge
-jump: ``verify`` cross-checks it against ``apply_ctc``.
+applies it to the basis matrices of the two tets of every face and
+``apply_ctc`` to the tet-matrix differences of a field;
+``edge_jump_scalar`` is one entry of ``apply_ctc``.  The star-ordered
+``action.linearized_deficits`` (``linearized_deficit`` per edge) is a
+separate, deliberately independent route to half the edge jump:
+``verify`` cross-checks it against ``apply_ctc``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import PeriodicMesh, _star_arrays
+from .mesh import PeriodicMesh
 from .spaces import EdgeMeasure, ReggeField, regge_to_tet_matrices
 
 __all__ = [
@@ -46,30 +45,19 @@ __all__ = [
 ]
 
 
-def _face_terms(mesh: PeriodicMesh, X: np.ndarray,
-                faces=slice(None)) -> np.ndarray:
+def _face_terms(mesh: PeriodicMesh, X: np.ndarray) -> np.ndarray:
     """m_ef^T X n_ef for the three edge slots s of each face: X is
-    (F, ..., 3, 3) over ``faces``, the result (F, 3, ...).  Unsigned: the
-    caller orients it by face_side."""
-    return np.einsum("fsi,f...ij,fsj->fs...", mesh.face_m[faces], X,
-                     mesh.face_n[faces])
+    (F, ..., 3, 3), the result (F, 3, ...).  Unsigned: the caller orients
+    it by face_side."""
+    return np.einsum("fsi,f...ij,fsj->fs...", mesh.face_m, X, mesh.face_n)
 
 
 def edge_jump_scalar(mesh: PeriodicMesh, u: ReggeField, e: int) -> float:
-    """[[u]]_e = sum over faces containing e of m_ef^T [u]_ef n_ef; equal to
-    ``apply_ctc(mesh, u).coeffs[e]``."""
-    star = _star_arrays(mesh, e)[0]
-    order = np.argsort(star)
-    faces, slots = star[order], mesh._star_slots[e % 7][e // 7][order]
-    tets = mesh.face_tets[faces]
-    mats = regge_to_tet_matrices(mesh, u, tets.ravel()).reshape(-1, 2, 3, 3)
-    rows = np.arange(len(faces))
-    terms = _face_terms(mesh, mats[:, 1] - mats[:, 0], faces)[rows, slots]
-    sign = np.where(mesh.face_side[faces, slots] == 1, 1.0, -1.0)
-    total = 0.0
-    for term in (sign * terms).tolist():
-        total += term
-    return total
+    """[[u]]_e = sum over faces containing e of m_ef^T [u]_ef n_ef, read
+    from ``apply_ctc(mesh, u)``."""
+    if not 0 <= e < mesh.num_edges:
+        raise ValueError(f"invalid edge id {e}")
+    return float(apply_ctc(mesh, u).coeffs[e])
 
 
 def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
@@ -174,33 +162,27 @@ def constant_kernel_residual(mesh: PeriodicMesh, A: StiffnessMatrix,
                     * max(np.abs(c).max(), 1e-300)))
 
 
-def write_coo(matrix, path):
-    """Write a sparse matrix in coordinate text format.
+def write_coo(matrix: StiffnessMatrix | MassMatrix, path) -> None:
+    """Write a matrix wrapper's sparse matrix to ``path`` in coordinate
+    text format.
 
     Header line "rows cols nnz", then one "i j value" triple per line
     (0-based indices, 17 significant digits), sorted by (i, j).
     """
-    m = matrix.matrix if hasattr(matrix, "matrix") else matrix
-    coo = sp.coo_matrix(m)
+    coo = sp.coo_matrix(matrix.matrix)
     order = np.lexsort((coo.col, coo.row))
     triples = zip(coo.row[order].tolist(), coo.col[order].tolist(),
                   coo.data[order].tolist())
     text = f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n" + "".join(
         map("%d %d %.17g\n".__mod__, triples))
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def read_coo(path) -> sp.csr_matrix:
-    """Read a matrix written by :func:`write_coo`."""
-    if hasattr(path, "read"):
-        lines = path.read().strip().splitlines()
-    else:
-        with open(path) as fh:
-            lines = fh.read().strip().splitlines()
+    """Read the matrix file at ``path`` written by :func:`write_coo`."""
+    with open(path) as fh:
+        lines = fh.read().strip().splitlines()
     nr, nc, nnz = (int(x) for x in lines[0].split())
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)

@@ -16,8 +16,10 @@ Four spaces form the discrete elasticity sequence
 The interpolators integrate a field by one of three routes:
 
 * ``ReggeField`` (``interpolate_2``, ``dof_mu_e``): exactly, from its
-  constant per-tet matrices U_T.  ``interpolate_2`` sums |T| U_T : rho_e
-  over the tets T, ``dof_mu_e`` reads d_e^T U_T d_e on one incident tet.
+  constant per-tet matrices U_T, read through ``regge_to_tet_matrices``
+  (which rejects a field whose length is not the edge count).
+  ``interpolate_2`` sums |T| U_T : rho_e over the tets T, ``dof_mu_e``
+  reads d_e^T U_T d_e on one incident tet.
 * Trig modes (``TrigMatrixField`` from ``matrix_mode``, ``TrigVectorField``
   from ``vector_mode``): a constant amplitude times sin or cos of k.x +
   phase.  ``interpolate_1/2/3`` reduce only the scalar factor, through
@@ -31,7 +33,8 @@ The interpolators integrate a field by one of three routes:
   also the oracle the trig route is tested against.
 
 ``interpolate_0`` and ``dof_mu_e`` evaluate every ``SmoothField`` at
-points.
+points.  ``interpolate_1`` and ``interpolate_3`` take only a
+``SmoothField`` and raise TypeError for anything else.
 
 Symmetric 3x3 matrices are plain ndarrays kept exactly symmetric by
 construction.  All operations are pure functions of immutable inputs.
@@ -67,7 +70,6 @@ __all__ = [
     "deformation_matrix",
     "divergence_x2",
     "regge_to_tet_matrices",
-    "metric_from_edge_lengths",
     "pair_x2_x1",
     "pair_x3_x0",
     "l2_norm_x1",
@@ -283,10 +285,8 @@ def dof_mu_e(mesh: PeriodicMesh, e: int, u) -> float:
         raise ValueError(f"invalid edge id {e}")
     if isinstance(u, ReggeField):
         t = _star_arrays(mesh, e)[1].min()
-        mat = np.einsum("a,aij->ij", u.coeffs[mesh.tet_edges[t]],
-                        mesh.tet_rho[t])
         d = mesh.edge_vec[e]
-        return float(d @ mat @ d)
+        return float(d @ regge_to_tet_matrices(mesh, u, [t])[0] @ d)
     vals, d, w = _edge_quad_values(mesh, u, e)
     return float(np.einsum("q,eqij,ei,ej->", w, vals, d, d))
 
@@ -296,8 +296,15 @@ def interpolate_0(mesh: PeriodicMesh, v: SmoothField) -> VertexVectorField:
     return VertexVectorField(v(mesh.vertex_pos))
 
 
+def _require_smooth(u, name: str) -> None:
+    if not isinstance(u, SmoothField):
+        raise TypeError(f"{name} takes a SmoothField, not a "
+                        f"{type(u).__name__}")
+
+
 def interpolate_1(mesh: PeriodicMesh, u: SmoothField) -> ReggeField:
     """Projection onto the edge metric space: coefficients mu_e(u)."""
+    _require_smooth(u, "interpolate_1")
     if isinstance(u, TrigMatrixField):
         s, w = segment_rule(u.quad_points)
         d = mesh.edge_vec[:7]  # edge 7v + i runs from vertex v along d[i]
@@ -395,6 +402,7 @@ def interpolate_2(mesh: PeriodicMesh,
 
 def interpolate_3(mesh: PeriodicMesh, u: SmoothField) -> VertexVectorMeasure:
     """L2-dual projection onto vertex measures: u_x = int_S u * lambda_x."""
+    _require_smooth(u, "interpolate_3")
     ref, w = tet_rule(u.quad_points)
     # values of the four local hats at the points: the barycentric
     # coordinates of the reference rule, the same in every tet
@@ -464,39 +472,6 @@ def regge_to_tet_matrices(mesh: PeriodicMesh, u: ReggeField,
     idx = slice(None) if tets is None else tets
     return np.einsum("ta,taij->tij", u.coeffs[mesh.tet_edges[idx]],
                      mesh.tet_rho[idx])
-
-
-def _gram_from_squared_lengths(s: np.ndarray) -> np.ndarray:
-    """Gram matrices (..., 3, 3) of the spanning edge vectors p_i - p_0 of
-    tets in the sought metric, from six squared lengths (..., 6) each in
-    LOCAL_EDGES order (polarization of the squared lengths)."""
-    G = np.empty(s.shape[:-1] + (3, 3))
-    G[..., 0, 0], G[..., 1, 1], G[..., 2, 2] = s[..., 0], s[..., 1], s[..., 2]
-    G[..., 0, 1] = G[..., 1, 0] = 0.5 * (s[..., 0] + s[..., 1] - s[..., 3])
-    G[..., 0, 2] = G[..., 2, 0] = 0.5 * (s[..., 0] + s[..., 2] - s[..., 4])
-    G[..., 1, 2] = G[..., 2, 1] = 0.5 * (s[..., 1] + s[..., 2] - s[..., 5])
-    return G
-
-
-def metric_from_edge_lengths(tet_coords: np.ndarray,
-                             squared_lengths) -> np.ndarray:
-    """Unique constant metric with prescribed squared edge lengths on a tet.
-
-    ``tet_coords``: (4, 3) lifted vertices; ``squared_lengths``: six values
-    in LOCAL_EDGES order, interpreted as the edge DOFs mu_e(u).  No
-    positivity is required of the result.
-    """
-    s = np.asarray(squared_lengths, float)
-    if s.shape != (6,):
-        raise ValueError("expected six squared lengths")
-    p = np.asarray(tet_coords, float)
-    B = np.stack([p[i] - p[0] for i in (1, 2, 3)], axis=-1)
-    det = np.linalg.det(B)
-    if abs(det) < 1e-14 * max(np.abs(B).max(), 1.0) ** 3:
-        raise ValueError("malformed tet: degenerate vertex configuration")
-    Binv = np.linalg.inv(B)
-    u = Binv.T @ _gram_from_squared_lengths(s) @ Binv
-    return 0.5 * (u + u.T)
 
 
 # ---------------------------------------------------------------------------

@@ -385,15 +385,16 @@ def _as_grid(g):
     return tuple(int(x) for x in g)
 
 
-def convergence_study(geometry: TorusGeometry, grids, n_eigs: int = 2,
-                      cutoff: float | None = None) -> dict:
+def convergence_study(geometry: TorusGeometry, grids,
+                      n_eigs: int = 2) -> dict:
     """Cluster errors against the oracle over a sequence of grids.
 
     Returns a dict with one row per (grid, target): cluster mean, relative
     error and the window-match diagnostic, plus a per-target flag whether
     the error decreases strictly monotonically over the grids.  Cluster
     mismatches (window count != multiplicity) are reported in the rows, not
-    silently ignored.
+    silently ignored.  The oracle is cut at ``default_cutoff(geometry,
+    n_eigs)``.
     """
     grids = [_as_grid(g) for g in grids]
     if not grids:
@@ -401,9 +402,7 @@ def convergence_study(geometry: TorusGeometry, grids, n_eigs: int = 2,
     sizes = [np.prod(g) for g in grids]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("grids must be strictly increasing")
-    if cutoff is None:
-        cutoff = default_cutoff(geometry, n_eigs)
-    oracle = fourier_oracle(geometry, cutoff)
+    oracle = fourier_oracle(geometry, default_cutoff(geometry, n_eigs))
     rows = []
     errors: dict = {}
     for grid in grids:

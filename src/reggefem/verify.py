@@ -2,7 +2,9 @@
 
 Each suite returns CheckResult entries with a pass flag and a one-line
 detail; ``run_verification`` bundles them for a mesh/seed.  Tolerances are
-the acceptance tolerances.
+the acceptance tolerances, and the random sample counts are fixed: 10 for
+the complex identities, 3 for the dual-path, second-variation and
+Schlafli suites.
 
 The interpolators have three routes (see the ``spaces`` module
 docstring): a ``ReggeField`` is integrated exactly per tet, trig modes
@@ -15,8 +17,8 @@ direction, and the adjoint square passes its random ``ReggeField`` to
 The dual-path suite compares whole-mesh arrays of independent routes: the
 dihedral ``deficit_angles`` against ``holonomy_deficits``, and the
 star-ordered ``linearized_deficits`` against half the face-oriented edge
-jump ``apply_ctc``.  Per edge, the first and last equal
-``deficit_angle_dihedral`` and ``edge_jump_scalar`` exactly.
+jump ``apply_ctc``.  Per edge, ``deficit_angles`` equals the star-local
+``deficit_angle_dihedral`` exactly.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ __all__ = ["CheckResult", "run_verification",
            "check_schlafli"]
 
 
+_N_COMPLEX = 10
+_N_RANDOM = 3
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -62,8 +68,7 @@ def _result(name, value, tol, detail=""):
                        float(tol))
 
 
-def check_complex_identities(mesh: PeriodicMesh, seed: int = 0,
-                             n_random: int = 10) -> list:
+def check_complex_identities(mesh: PeriodicMesh, seed: int = 0) -> list:
     """def -> edge jump -> divergence composes to zero, A symmetric.
 
     Sparse throughout.  The divergence of the jump of basis field e_j is
@@ -76,19 +81,19 @@ def check_complex_identities(mesh: PeriodicMesh, seed: int = 0,
     scale_A = np.abs(Am.data).max()
     out = [_result("stiffness_symmetry", A.symmetry_residual(), 1e-10)]
 
-    worst = max((constant_kernel_residual(mesh, A, rng)
-                 for _ in range(n_random)), default=0.0)
+    worst = max(constant_kernel_residual(mesh, A, rng)
+                for _ in range(_N_COMPLEX))
     out.append(_result("constant_metrics_in_kernel", worst, 1e-12,
-                       f"{n_random} random constants"))
+                       f"{_N_COMPLEX} random constants"))
 
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(_N_COMPLEX):
         v = VertexVectorField(rng.uniform(-1, 1, (mesh.num_vertices, 3)))
         c = deformation(mesh, v).coeffs
         worst = max(worst, np.abs(Am @ c).max()
                     / (scale_A * max(np.abs(c).max(), 1e-300)))
     out.append(_result("deformations_in_kernel", worst, 1e-10,
-                       f"{n_random} random vertex fields"))
+                       f"{_N_COMPLEX} random vertex fields"))
 
     worst = abs(deformation_matrix(mesh).T @ Am).max()
     out.append(_result("divergence_of_jumps_zero", worst, 1e-12,
@@ -96,8 +101,9 @@ def check_complex_identities(mesh: PeriodicMesh, seed: int = 0,
     return out
 
 
-def check_commuting_diagram(mesh: PeriodicMesh, tol: float = 1e-9) -> list:
+def check_commuting_diagram(mesh: PeriodicMesh) -> list:
     """The four interpolation/operator squares on unit-frequency modes."""
+    tol = 1e-9
     g = mesh.geometry
     gen = np.array([[1.0, 0.5, 0.2], [0.5, -0.3, 0.7], [0.2, 0.7, 0.4]])
     e2, e3 = np.eye(3)[1], np.eye(3)[2]
@@ -149,29 +155,28 @@ def check_commuting_diagram(mesh: PeriodicMesh, tol: float = 1e-9) -> list:
     return out
 
 
-def check_dual_path_deficits(mesh: PeriodicMesh, seed: int = 0,
-                             n_random: int = 5) -> list:
+def check_dual_path_deficits(mesh: PeriodicMesh, seed: int = 0) -> list:
     """Holonomy vs dihedral deficits; linearized deficit vs half the jump."""
     rng = np.random.default_rng(seed)
     out = []
 
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         # stay on the principal branch of the holonomy rotation angle
         cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
         th_h = holonomy_deficits(mesh, tet_metrics_from_lengths(mesh, cfg))
         worst = max(worst, np.abs(deficit_angles(mesh, cfg) - th_h).max())
     out.append(_result("holonomy_vs_dihedral", worst, 1e-9,
-                       f"{n_random} random configurations"))
+                       f"{_N_RANDOM} random configurations"))
 
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
         half_jump = 0.5 * apply_ctc(mesh, up).coeffs
         worst = max(worst, np.abs(linearized_deficits(mesh, up)
                                   - half_jump).max())
     out.append(_result("linearized_deficit_vs_half_jump", worst, 1e-12,
-                       f"{n_random} random fields, all edges"))
+                       f"{_N_RANDOM} random fields, all edges"))
 
     # finite differences of the nonlinear deficit against the linearization
     up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
@@ -186,20 +191,19 @@ def check_dual_path_deficits(mesh: PeriodicMesh, seed: int = 0,
     return out
 
 
-def check_second_variation(mesh: PeriodicMesh, seed: int = 0,
-                           n_random: int = 5) -> list:
+def check_second_variation(mesh: PeriodicMesh, seed: int = 0) -> list:
     """R(eps)/eps^2 -> c'Ac/8 with cubic remainder."""
     rng = np.random.default_rng(seed)
     A = assemble_stiffness(mesh)
     eps = np.geomspace(1e-2, 1e-1, 7)
     worst_err, worst_slope = 0.0, np.inf
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
         rep = second_variation_check(mesh, up, eps, A)
         worst_err = max(worst_err, rep.rel_error)
         worst_slope = min(worst_slope, rep.remainder_slope)
     out = [_result("second_variation_coefficient", worst_err, 1e-2,
-                   f"{n_random} random directions")]
+                   f"{_N_RANDOM} random directions")]
     slope_ok = worst_slope >= 2.7
     out.append(CheckResult(
         "second_variation_remainder_slope", slope_ok,
@@ -208,12 +212,11 @@ def check_second_variation(mesh: PeriodicMesh, seed: int = 0,
     return out
 
 
-def check_schlafli(mesh: PeriodicMesh, seed: int = 0,
-                   n_random: int = 5) -> list:
+def check_schlafli(mesh: PeriodicMesh, seed: int = 0) -> list:
     """Length-derivative identity of the action at non-flat configs."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM):
         cfg = random_realizable_config(mesh, rng, scale=0.15)
         direction = rng.uniform(-1.0, 1.0, mesh.num_edges)
         res = schlafli_check(mesh, cfg, direction, step=1e-4)
@@ -221,7 +224,7 @@ def check_schlafli(mesh: PeriodicMesh, seed: int = 0,
         tol = 1e-6 * abs(float(np.sum(theta * direction))) + 1e-10
         worst = max(worst, res / tol)
     return [_result("schlafli_identity", worst, 1.0,
-                    f"{n_random} random non-flat configurations; "
+                    f"{_N_RANDOM} random non-flat configurations; "
                     "residual/tolerance ratio")]
 
 
@@ -231,7 +234,7 @@ def run_verification(geometry, grid, seed: int = 0) -> list:
     results = []
     results += check_complex_identities(mesh, seed)
     results += check_commuting_diagram(mesh)
-    results += check_dual_path_deficits(mesh, seed, n_random=3)
-    results += check_second_variation(mesh, seed, n_random=3)
-    results += check_schlafli(mesh, seed, n_random=3)
+    results += check_dual_path_deficits(mesh, seed)
+    results += check_second_variation(mesh, seed)
+    results += check_schlafli(mesh, seed)
     return results

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from golden import digest
 from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
-                      build_edge_sector, build_torus_mesh,
+                      assemble_stiffness, build_edge_sector, build_torus_mesh,
                       deficit_angle_dihedral, deficit_angle_holonomy,
                       deficit_angles, edge_jump_scalar, edge_star,
                       euclidean_lengths, holonomy_deficits,
@@ -514,7 +514,8 @@ def _action_outputs(grid, lengths) -> dict:
         "tet_metrics_from_lengths": metrics,
         "metric_dihedral_angles": metric_dihedral_angles(mesh, metrics),
         "second_variation_check.actions": second_variation_check(
-            mesh, up, np.geomspace(1e-2, 1e-1, 7)).actions,
+            mesh, up, np.geomspace(1e-2, 1e-1, 7),
+            assemble_stiffness(mesh)).actions,
         "deficit_angle_dihedral": np.array(
             [deficit_angle_dihedral(mesh, e, cfg) for e in edges]),
         "deficit_angle_holonomy": np.array(

@@ -26,8 +26,7 @@ GOLDEN = {
         "edge_dir": "8c7e45d6fba4806d",
         "edge_head": "1edd28297ac1c89d",
         "edge_length": "13902fb889af30a5",
-        "edge_star(flip=False)": "94998c6fca69e52f",
-        "edge_star(flip=True)": "ba99aac0e47f0d52",
+        "edge_star": "94998c6fca69e52f",
         "edge_tail": "d8bcc87c019bd407",
         "edge_tail_lattice": "7fbf66d2e94e52d1",
         "edge_tangent": "c6e713c19c0529f7",
@@ -55,8 +54,7 @@ GOLDEN = {
         "edge_dir": "a05dbedb1723b803",
         "edge_head": "8132b59725eaf05b",
         "edge_length": "d21f55f609f7d93a",
-        "edge_star(flip=False)": "69d1e113f8baeef6",
-        "edge_star(flip=True)": "b23fa5e2cd31438f",
+        "edge_star": "69d1e113f8baeef6",
         "edge_tail": "d8ee7f6e80752e48",
         "edge_tail_lattice": "44619db75ccaa349",
         "edge_tangent": "9a48f0929cf2470b",
@@ -84,8 +82,7 @@ GOLDEN = {
         "edge_dir": "342c9b662e283130",
         "edge_head": "71804ea9ae9aa13c",
         "edge_length": "cdc60b1bf09b9952",
-        "edge_star(flip=False)": "33c0d3da08dcce69",
-        "edge_star(flip=True)": "487b5f0b842bda58",
+        "edge_star": "33c0d3da08dcce69",
         "edge_tail": "1acbd474e8fb2c85",
         "edge_tail_lattice": "db12d457ba029fa5",
         "edge_tangent": "0cf221b05d296de1",
@@ -113,8 +110,7 @@ GOLDEN = {
         "edge_dir": "56e2464db5039da2",
         "edge_head": "db7863d6dae341c9",
         "edge_length": "d6463e1bd6d55238",
-        "edge_star(flip=False)": "c3d2b506594b270f",
-        "edge_star(flip=True)": "a0e732c129a9d056",
+        "edge_star": "c3d2b506594b270f",
         "edge_tail": "00ba6786c413a55b",
         "edge_tail_lattice": "71ca2ab0337c4b5e",
         "edge_tangent": "5d98713f2ef04ad4",
@@ -316,16 +312,6 @@ class TestEdgeStar:
             ang = np.unwrap([np.arctan2(m @ r2, m @ r1) for m in ms])
             assert np.all(np.diff(ang) > 1e-9)
 
-    def test_orientation_flip_reverses_cycle(self, mesh2):
-        for e in range(0, mesh2.num_edges, 7):
-            fwd = [f for f, _ in edge_star(mesh2, e)]
-            rev = [f for f, _ in edge_star(mesh2, e, flip_orientation=True)]
-            # same face set, traversed in the opposite cyclic order
-            assert sorted(fwd) == sorted(rev)
-            i = rev.index(fwd[0])
-            n = len(fwd)
-            assert [rev[(i - k) % n] for k in range(n)] == fwd
-
     def test_invalid_edge_rejected(self, mesh2):
         with pytest.raises(MeshError):
             edge_star(mesh2, mesh2.num_edges)
@@ -382,10 +368,8 @@ class TestQueries:
 def _fingerprint(mesh) -> dict:
     out = {name: digest(value) for name, value in vars(mesh).items()
            if not name.startswith("_")}
-    for flip in (False, True):
-        out[f"edge_star(flip={flip})"] = digest(
-            [edge_star(mesh, e, flip_orientation=flip)
-             for e in range(mesh.num_edges)])
+    out["edge_star"] = digest([edge_star(mesh, e)
+                               for e in range(mesh.num_edges)])
     return out
 
 

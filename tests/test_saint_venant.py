@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -255,20 +254,19 @@ class TestMass:
 
 
 class TestCooFormat:
-    def test_roundtrip(self, pencil2):
+    def test_roundtrip(self, pencil2, tmp_path):
         A, M = pencil2
         for mat in (A, M):
-            buf = io.StringIO()
-            write_coo(mat, buf)
-            buf.seek(0)
-            back = read_coo(buf)
+            path = tmp_path / "matrix.txt"
+            write_coo(mat, path)
+            back = read_coo(path)
             assert np.abs((back - mat.matrix).toarray()).max() == 0.0
 
-    def test_header_and_precision(self, pencil2):
+    def test_header_and_precision(self, pencil2, tmp_path):
         A, _ = pencil2
-        buf = io.StringIO()
-        write_coo(A, buf)
-        lines = buf.getvalue().splitlines()
+        path = tmp_path / "A.txt"
+        write_coo(A, path)
+        lines = path.read_text().splitlines()
         r, c, nnz = (int(x) for x in lines[0].split())
         assert (r, c) == A.shape and nnz == len(lines) - 1
         # 17 significant digits round-trip doubles exactly

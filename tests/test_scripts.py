@@ -1,6 +1,8 @@
-"""Smoke tests: every script in scripts/ runs at its smallest size."""
+"""Smoke tests: every script in scripts/ runs at its smallest size, and so
+does the README's library quickstart."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,13 +23,24 @@ def test_every_script_listed():
         sorted(SCRIPTS)
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs(script):
+def _run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *SCRIPTS[script]],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    _run([str(ROOT / "scripts" / script), *SCRIPTS[script]])
+
+
+def test_readme_quickstart_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    _run(["-c", blocks[0]])

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from reggefem import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
                       build_torus_mesh, deformation, divergence_x2,
                       dof_mu_e, edge_star, interpolate_0, interpolate_1, interpolate_2,
-                      interpolate_3, matrix_mode, metric_from_edge_lengths,
-                      pair_x2_x1, pair_x3_x0, regge_to_tet_matrices,
-                      vector_mode)
+                      interpolate_3, matrix_mode, pair_x2_x1, pair_x3_x0,
+                      regge_to_tet_matrices, vector_mode)
 from reggefem import spaces
+from reggefem.action import EdgeLengthConfig, tet_metrics_from_lengths
 from reggefem.mesh import LOCAL_EDGES, TorusGeometry
 from reggefem.quadrature import segment_rule, tet_points_weights, tet_rule
 from reggefem.spaces import (constant_matrix_field, constant_vector_field,
@@ -69,6 +69,10 @@ class TestDofsAndBasis:
     def test_dof_invalid_edge(self, mesh2):
         with pytest.raises(ValueError):
             dof_mu_e(mesh2, -1, constant_matrix_field(np.eye(3)))
+
+    def test_dof_rejects_regge_field_of_wrong_length(self, mesh2):
+        with pytest.raises(ValueError, match="^edge count mismatch$"):
+            dof_mu_e(mesh2, 0, ReggeField(np.ones(1000)))
 
 
 class TestInterpolators:
@@ -150,6 +154,16 @@ class TestInterpolators:
         out = interpolate_3(mesh3, constant_vector_field(c, quad_points=4))
         expect = c * TAU**3 / mesh3.num_vertices
         assert np.abs(out.values - expect).max() < 1e-12
+
+    @pytest.mark.parametrize("interpolate", [interpolate_1, interpolate_3])
+    @pytest.mark.parametrize("field", [
+        ReggeField(np.ones(56)), EdgeMeasure(np.ones(56)), np.eye(3),
+    ], ids=["ReggeField", "EdgeMeasure", "ndarray"])
+    def test_non_smooth_field_rejected(self, mesh2, interpolate, field):
+        with pytest.raises(TypeError, match=(
+                f"^{interpolate.__name__} takes a SmoothField, not a "
+                f"{type(field).__name__}$")):
+            interpolate(mesh2, field)
 
     def test_unknown_trig_rejected(self, geometry):
         with pytest.raises(ValueError, match="trig"):
@@ -393,60 +407,32 @@ class TestDivergence:
 
 
 class TestMetricReconstruction:
-    def test_euclidean_lengths_give_identity(self, mesh2):
-        t = 7
-        p = mesh2.tet_coords[t]
-        s = np.array([np.sum((p[j] - p[i]) ** 2) for i, j in LOCAL_EDGES])
-        u = metric_from_edge_lengths(p, s)
-        assert np.abs(u - np.eye(3)).max() < 1e-12
-
-    def test_linearity_in_squared_lengths(self, mesh2):
-        t = 3
-        p = mesh2.tet_coords[t]
-        s = np.array([np.sum((p[j] - p[i]) ** 2) for i, j in LOCAL_EDGES])
-        u = metric_from_edge_lengths(p, 4.0 * s)
-        assert np.abs(u - 4.0 * np.eye(3)).max() < 1e-11
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_matches_lstsq_oracle(self, seed):
-        # independent oracle: solve the 6x6 DOF system directly
-        rng = np.random.default_rng(seed)
-        p = rng.uniform(-1.0, 1.0, (4, 3))
-        while abs(np.linalg.det(p[1:] - p[0])) < 0.1:
-            p = rng.uniform(-1.0, 1.0, (4, 3))
-        target = random_sym(rng)  # may be indefinite: no positivity imposed
-        s = np.array([(p[j] - p[i]) @ target @ (p[j] - p[i])
-                      for i, j in LOCAL_EDGES])
-        u = metric_from_edge_lengths(p, s)
-        rows, rhs = [], []
-        for (i, j), sv in zip(LOCAL_EDGES, s):
-            d = p[j] - p[i]
-            rows.append([d[0] ** 2, d[1] ** 2, d[2] ** 2,
-                         2 * d[0] * d[1], 2 * d[0] * d[2], 2 * d[1] * d[2]])
-            rhs.append(sv)
-        x = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
-        oracle = np.array([[x[0], x[3], x[4]],
-                           [x[3], x[1], x[5]],
-                           [x[4], x[5], x[2]]])
-        assert np.abs(u - oracle).max() < 1e-8
-        assert np.abs(u - target).max() < 1e-8
-
-    def test_perturbation_reconstructed_exactly(self, mesh2):
-        rng = np.random.default_rng(9)
-        A = random_sym(rng)
-        t = 11
-        p = mesh2.tet_coords[t]
-        eps = 1e-3
-        s = np.array([(p[j] - p[i]) @ (np.eye(3) + eps * A) @ (p[j] - p[i])
-                      for i, j in LOCAL_EDGES])
-        u = metric_from_edge_lengths(p, s)
-        assert np.abs(u - np.eye(3) - eps * A).max() < 1e-13
-
-    def test_degenerate_tet_rejected(self):
-        p = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
-        with pytest.raises(ValueError, match="malformed"):
-            metric_from_edge_lengths(p, np.ones(6))
+    def test_matches_lstsq_oracle(self):
+        # independent oracle per tet: solve its 6x6 DOF system directly
+        rng = np.random.default_rng(20)
+        X = rng.uniform(-1.0, 1.0, (3, 3))
+        g = np.eye(3) + 0.3 * (X + X.T)
+        assert np.linalg.eigvalsh(g).min() > 0
+        for grid, lengths in [((2, 2, 2), (TAU, TAU, TAU)),
+                              ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi))]:
+            mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+            s = np.einsum("ei,ij,ej->e", mesh.edge_vec, g, mesh.edge_vec)
+            mats = tet_metrics_from_lengths(mesh, EdgeLengthConfig(s))
+            assert np.abs(mats - g).max() < 1e-12
+            for t in range(mesh.num_tets):
+                p = mesh.tet_coords[t]
+                rows = []
+                for i, j in LOCAL_EDGES:
+                    d = p[j] - p[i]
+                    rows.append([d[0] ** 2, d[1] ** 2, d[2] ** 2,
+                                 2 * d[0] * d[1], 2 * d[0] * d[2],
+                                 2 * d[1] * d[2]])
+                x = np.linalg.lstsq(np.array(rows), s[mesh.tet_edges[t]],
+                                    rcond=None)[0]
+                oracle = np.array([[x[0], x[3], x[4]],
+                                   [x[3], x[1], x[5]],
+                                   [x[4], x[5], x[2]]])
+                assert np.abs(mats[t] - oracle).max() < 1e-12
 
 
 class TestContinuity:
