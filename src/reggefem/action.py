@@ -391,14 +391,19 @@ def holonomy_deficits(mesh: PeriodicMesh,
                       tet_metrics: np.ndarray) -> np.ndarray:
     """``deficit_angle_holonomy(build_edge_sector(mesh, e, tet_metrics))``
     of every edge e, shape (E,), in one stacked pass per edge direction;
-    raises what the first failing edge raises there."""
-    out = []
+    raises what the failing edge of lowest id raises there."""
+    out, failing = [], []
     for d in range(7):
         *sector, torn, bent = _sectors(mesh, d, slice(None), tet_metrics)
-        if torn.size or bent >= 0:
-            for e in range(mesh.num_edges):
-                build_edge_sector(mesh, e, tet_metrics)
-        out.append(_holonomy(*sector))
+        # first failing vertex: torn and bent are flat (V, valence) positions
+        valence = mesh._star_faces[d].shape[1]
+        bad = [p // valence for p in (*torn[:1], bent) if p >= 0]
+        if bad:
+            failing.append(7 * min(bad) + d)
+        else:
+            out.append(_holonomy(*sector))
+    if failing:
+        build_edge_sector(mesh, min(failing), tet_metrics)
     return np.stack(out, axis=1).ravel()
 
 

@@ -22,7 +22,11 @@ Conventions
   and the body diagonal (d = 6), in 4 of each for the face diagonals
   (d = 2, 4, 5).  Edge incidence is stored once, as the star of every
   edge (:func:`edge_star`), counter-clockwise about t_e from the lowest
-  face id; a sorted star row is the ascending incidence.
+  face id; a sorted star row is the ascending incidence.  Each direction's
+  star is derived once, at import, for the edge at the origin (base offsets
+  and types of its faces and sector tets, the edge's slot in each face);
+  every incidence array is that template moved to each vertex.  Face i of
+  a star lies between sectors i-1 and i, and n_ef points into sector i.
 * Simplices store *lifted* integer lattice points, normalized per axis to
   the window [0, n_i]; all geometry (tangents, normals, frames, gradients)
   is plain Euclidean geometry on the lift.  Periodicity lives only in the
@@ -79,20 +83,13 @@ _PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 _TET_OFFSETS = np.concatenate(
     [np.zeros((6, 1, 3), dtype=np.int64),
      np.cumsum(np.eye(3, dtype=np.int64)[_PERMS], axis=1)], axis=1)
-# Local points of the face opposite each local vertex of a tet.
-_TET_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-# Face types (i, j) and their offsets, in the lexicographic order of their
-# points; _FACE_TYPE maps (i, j) back to the type.
-_FACE_DIRS = [(i, j) for i in range(7) for j in range(7)
-              if i != j and (i + 1) & (j + 1) == i + 1]
+# Offsets of the face types (i, j), DIRECTIONS[i] strictly inside
+# DIRECTIONS[j], in the lexicographic order of their points.
 _FACE_OFFSETS = np.array([[[0, 0, 0], DIRECTIONS[i], DIRECTIONS[j]]
-                          for i, j in _FACE_DIRS])
-_FACE_TYPE = np.zeros((7, 7), dtype=np.int64)
-_FACE_TYPE[tuple(np.array(_FACE_DIRS).T)] = np.arange(len(_FACE_DIRS))
+                          for i in range(7) for j in range(7)
+                          if i != j and (i + 1) & (j + 1) == i + 1])
 # Local point pairs of the three edge slots of a face.
 _FACE_EDGES = np.array([(0, 1), (0, 2), (1, 2)])
-# Faces (= tets) around an edge of each direction.
-_VALENCE = (6, 6, 4, 6, 4, 4, 6)
 
 
 class MeshError(ValueError):
@@ -135,7 +132,8 @@ class PeriodicMesh:
     edge_vec (E,3), edge_tangent (E,3), edge_length (E,);
     face_coords (F,3,3), face_normal (F,3), face_tets (F,2),
     face_edges (F,3), face_m/(face_n) (F,3,3) per-edge frames, face_side
-    (F,3) index into face_tets of the tet the jump normal n_ef points into.
+    (F,3) index into face_tets of the tet n_ef points into; face_tets rows
+    ascend and face_normal points into face_tets[:, 1].
 
     Edge incidence is held only by the stars: ``_star_faces[d]``,
     ``_star_slots[d]`` and ``_star_tets[d]`` are (V, valence) arrays whose
@@ -194,20 +192,46 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))[..., None]
 
 
-def _by_edge(edge_ids: np.ndarray, nv: int) -> list:
-    """Positions in ``edge_ids`` grouped by edge, one (V, valence) array per
-    direction; each row lists the positions of one edge in ascending order."""
-    order = np.argsort(edge_ids, kind="stable")
-    sorted_dir = edge_ids[order] % 7
-    return [order[sorted_dir == d].reshape(nv, _VALENCE[d]) for d in range(7)]
+def _star_template(d: int):
+    """Star of the edge from the origin to D = DIRECTIONS[d], counter-
+    clockwise about D: the base offsets (s, 3) and types (s,) of the faces,
+    the edge's slot in each, and the base offsets and types of the sector
+    tets (sector i between faces i and i+1).  The order is taken in lattice
+    coordinates; the positive diagonal scaling to the mesh keeps it."""
+    D = DIRECTIONS[d]
+    # the one-box faces (type k, slot s) and tets (type r, local edge a)
+    # with an edge along D, moved so that this edge starts at the origin
+    lo, hi = _FACE_EDGES.T
+    k, s = np.nonzero(
+        (_FACE_OFFSETS[:, hi] - _FACE_OFFSETS[:, lo] == D).all(axis=-1))
+    off = -_FACE_OFFSETS[k, lo[s]]
+    q = off + _FACE_OFFSETS[k, 3 - lo[s] - hi[s]]  # the third points
+    lo, hi = np.array(LOCAL_EDGES).T
+    r, a = np.nonzero(
+        (_TET_OFFSETS[:, hi] - _TET_OFFSETS[:, lo] == D).all(axis=-1))
+    toff = -_TET_OFFSETS[r, lo[a]]
+    t = D / np.linalg.norm(D)
+    m = q - np.outer(q @ t, t)
+    ccw = np.argsort(np.arctan2(m @ np.cross(t, m[0]), m @ m[0]) % (2 * np.pi))
+    # sector i is the tet that holds the third points of faces i and i+1
+    has = ((toff[:, None] + _TET_OFFSETS[r])[:, :, None] == q[ccw]).all(
+        axis=-1).any(axis=1)
+    sector = (has & np.roll(has, -1, axis=1)).argmax(axis=0)
+    return off[ccw], k[ccw], s[ccw], toff[sector], r[sector]
+
+
+# the star of each edge direction at the origin
+_STARS = [_star_template(d) for d in range(7)]
 
 
 def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     """Build the Kuhn triangulation of the torus with the given grid.
 
     Requires n_i >= 2 on every axis so that no edge closes onto its own
-    tail through a wrap.  Every array is the one-box template broadcast over
-    the vertex lattice; the index arithmetic is in the module docstring.
+    tail through a wrap.  Every array is the one-box or edge-star template
+    broadcast over the vertex lattice, by the index arithmetic of the module
+    docstring; face_tets and face_side are read off the stars (n_ef points
+    into sector i), so nothing is sorted or searched mesh-wide.
     """
     if len(grid) != 3 or any(int(g) != g for g in grid):
         raise MeshError("grid must be three integer subdivision counts")
@@ -247,9 +271,8 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
 
     # tet -> edge incidence: every local edge of a chain points upward
     lo, hi = np.array(LOCAL_EDGES).T
-    tet_edges = 7 * _vid(tet_lattice[:, lo], n) + _dir(
+    mesh.tet_edges = 7 * _vid(tet_lattice[:, lo], n) + _dir(
         tet_lattice[:, hi] - tet_lattice[:, lo])
-    mesh.tet_edges = tet_edges
 
     # barycentric gradients, volumes, restricted edge basis matrices
     B = np.stack([mesh.tet_coords[:, i] - mesh.tet_coords[:, 0]
@@ -275,35 +298,6 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     face_coords = face_lattice * cell
     mesh.face_coords = face_coords
 
-    # the four faces of every tet, (tet, opposite vertex) in row-major order;
-    # a face's lowest point is its base vertex, lifted by tau * n
-    sub = tet_lattice[:, _TET_FACES].reshape(-1, 3, 3)
-    tau = sub[:, 0] // n
-    rec_face = 12 * _vid(sub[:, 0], n) + _FACE_TYPE[
-        _dir(sub[:, 1] - sub[:, 0]), _dir(sub[:, 2] - sub[:, 0])]
-    counts = np.bincount(rec_face, minlength=nf)
-    if np.any(counts != 2):
-        bad = int(counts[np.argmax(counts != 2)])
-        raise MeshError(f"face shared by {bad} tets (expected 2)")
-    rec = np.argsort(rec_face, kind="stable").reshape(nf, 2)
-    face_tets = rec // 4
-    if np.any(face_tets[:, 0] == face_tets[:, 1]):
-        raise MeshError("face glued to a single tet; grid too coarse")
-    mesh.face_tets = face_tets
-
-    # unit normal pointing from face_tets[:, 0] into face_tets[:, 1]
-    nr = np.cross(face_coords[:, 1] - face_coords[:, 0],
-                  face_coords[:, 2] - face_coords[:, 0])
-    nr /= _norm(nr)
-    centroid = face_coords.mean(axis=1)
-    opp = tet_lattice.reshape(-1, 3)[rec.ravel()].reshape(nf, 2, 3)
-    q = (opp - tau[rec] * n) * cell
-    side = np.vecdot(nr[:, None], q - centroid[:, None])
-    if np.any(~(side[:, 0] * side[:, 1] < 0)):
-        raise MeshError("adjacent tets on the same side of a face")
-    face_normal = np.where(side[:, 1:] < 0, -nr, nr)
-    mesh.face_normal = face_normal
-
     # per-face edges and (m_ef, n_ef) frames; slot s is the edge between
     # local points _FACE_EDGES[s], always traversed upward
     a, b = _FACE_EDGES.T
@@ -320,31 +314,31 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     mesh.face_edges = face_edges
     mesh.face_m = m
     mesh.face_n = nef
-    mesh.face_side = (np.vecdot(nef, face_normal[:, None]) > 0).astype(
-        np.int64)
 
-    # stars, per direction: incident faces and edge slots by angle about
-    # t_e from the lowest face id, and the tet between each and the next face
+    # stars: templates moved to every vertex, rows rolled to the lowest face
+    # id; face i lies between sectors i-1 and i, n_ef pointing into sector i
+    mesh.face_tets = np.empty((nf, 2), dtype=np.int64)
+    mesh.face_side = np.empty((nf, 3), dtype=np.int64)
     mesh._star_faces, mesh._star_slots, mesh._star_tets = [], [], []
-    for d, loc in enumerate(_by_edge(face_edges.ravel(), nv)):
-        ms = m.reshape(-1, 3)[loc]
-        r1 = ms[:, :1]
-        r2 = np.cross(mesh.edge_tangent[d::7, None], r1)
-        ang = np.arctan2(np.vecdot(ms, r2), np.vecdot(ms, r1))
-        ang = np.where(ang < -1e-12, ang + 2.0 * np.pi, ang)
-        loc = np.take_along_axis(loc, np.argsort(ang, axis=1, kind="stable"),
-                                 axis=1)
-        cyc = loc // 3
-        tets = face_tets[cyc]
-        shared = tets[..., :, None] == np.roll(tets, -1, axis=1)[..., None, :]
-        if np.any(shared.sum(axis=(-2, -1)) != 1):
-            raise MeshError("ambiguous sector around an edge of direction "
-                            f"{DIRECTIONS[d]}")
-        sector = np.where(shared[..., 0, :].any(-1), tets[..., 0],
-                          tets[..., 1])
-        mesh._star_faces.append(cyc)
-        mesh._star_slots.append(loc % 3)
-        mesh._star_tets.append(sector)
+    for off, ftype, slot, toff, ttype in _STARS:
+        faces = 12 * _vid(vertex_lattice[:, None] + off, n) + ftype
+        roll = (faces.argmin(1)[:, None] + np.arange(len(slot))) % len(slot)
+        faces = np.take_along_axis(faces, roll, axis=1)
+        tets = np.take_along_axis(
+            6 * _vid(vertex_lattice[:, None] + toff, n) + ttype, roll, axis=1)
+        prev = np.roll(tets, 1, axis=1)
+        mesh.face_tets[faces] = np.stack([np.minimum(prev, tets),
+                                          np.maximum(prev, tets)], axis=-1)
+        mesh.face_side[faces, slot[roll]] = tets > prev
+        mesh._star_faces.append(faces)
+        mesh._star_slots.append(slot[roll])
+        mesh._star_tets.append(tets)
+
+    # unit normal into face_tets[:, 1]; nr points along n_ef of slot 0
+    nr = np.cross(face_coords[:, 1] - face_coords[:, 0],
+                  face_coords[:, 2] - face_coords[:, 0])
+    nr /= _norm(nr)
+    mesh.face_normal = np.where(mesh.face_side[:, :1] == 1, nr, -nr)
 
     for value in vars(mesh).values():
         for arr in value if isinstance(value, list) else [value]:

@@ -138,7 +138,6 @@ def assemble_mass(mesh: PeriodicMesh) -> MassMatrix:
     """Assemble M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T exactly."""
     local = np.einsum("t,taij,tbij->tab", mesh.tet_volume, mesh.tet_rho,
                       mesh.tet_rho)
-    T = mesh.num_tets
     rows = np.repeat(mesh.tet_edges, 6, axis=1).ravel()
     cols = np.tile(mesh.tet_edges, (1, 6)).ravel()
     E = mesh.num_edges

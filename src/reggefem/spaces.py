@@ -33,8 +33,9 @@ The interpolators integrate a field by one of three routes:
   also the oracle the trig route is tested against.
 
 ``interpolate_0`` and ``dof_mu_e`` evaluate every ``SmoothField`` at
-points.  ``interpolate_1`` and ``interpolate_3`` take only a
-``SmoothField`` and raise TypeError for anything else.
+points.  ``interpolate_0``, ``interpolate_1`` and ``interpolate_3`` take
+only a ``SmoothField``, ``interpolate_2`` and ``dof_mu_e`` a
+``SmoothField`` or ``ReggeField``; anything else raises TypeError.
 
 Symmetric 3x3 matrices are plain ndarrays kept exactly symmetric by
 construction.  All operations are pure functions of immutable inputs.
@@ -133,18 +134,15 @@ class VertexVectorMeasure:
 class SmoothField:
     """Analytic matrix- or vector-valued function of position.
 
-    ``fn`` must accept points of shape (..., 3) and return (..., 3, 3) for
-    ``kind='matrix'`` or (..., 3) for ``kind='vector'``.  Periodicity is the
-    caller's responsibility.  ``quad_points`` is the smoothness tag: the
-    number of Gauss points per direction used when the field is integrated
-    (edge rules are exact to degree 2*quad_points - 1, tet rules likewise).
+    ``fn`` maps points (..., 3) to matrices (..., 3, 3), or to vectors
+    (..., 3) for interpolate_0/3.  Periodicity is the caller's
+    responsibility.  ``quad_points`` is the smoothness tag: the number of
+    Gauss points per direction used when the field is integrated (edge
+    rules are exact to degree 2*quad_points - 1, tet rules likewise).
     """
 
-    def __init__(self, fn, kind="matrix", quad_points=8):
-        if kind not in ("matrix", "vector"):
-            raise ValueError("kind must be 'matrix' or 'vector'")
+    def __init__(self, fn, quad_points=8):
         self.fn = fn
-        self.kind = kind
         self.quad_points = int(quad_points)
 
     def __call__(self, pts):
@@ -154,13 +152,13 @@ class SmoothField:
 def constant_matrix_field(a, quad_points=2) -> SmoothField:
     a = 0.5 * (np.asarray(a, float) + np.asarray(a, float).T)
     return SmoothField(lambda x: np.broadcast_to(a, x.shape[:-1] + (3, 3)),
-                       "matrix", quad_points)
+                       quad_points)
 
 
 def constant_vector_field(b, quad_points=2) -> SmoothField:
     b = np.asarray(b, float)
     return SmoothField(lambda x: np.broadcast_to(b, x.shape[:-1] + (3,)),
-                       "vector", quad_points)
+                       quad_points)
 
 
 def skew(v) -> np.ndarray:
@@ -178,7 +176,7 @@ class _TrigField(SmoothField):
     osc (``_trig_moments``), not by evaluating the field at every point.
     """
 
-    def __init__(self, amp, k, trig, phase, quad_points, kind):
+    def __init__(self, amp, k, trig, phase, quad_points):
         if trig not in ("sin", "cos"):
             raise ValueError("trig must be 'sin' or 'cos'")
         self.k = np.asarray(k, float)
@@ -187,8 +185,7 @@ class _TrigField(SmoothField):
         osc = np.sin if trig == "sin" else np.cos
         axes = (...,) + (None,) * amp.ndim
         super().__init__(
-            lambda x: amp * osc(x @ self.k + self.phase)[axes],
-            kind, quad_points)
+            lambda x: amp * osc(x @ self.k + self.phase)[axes], quad_points)
 
 
 class TrigMatrixField(_TrigField):
@@ -200,7 +197,7 @@ class TrigMatrixField(_TrigField):
 
     def __init__(self, a, k, trig="sin", phase=0.0, quad_points=12):
         self.a = 0.5 * (np.asarray(a, float) + np.asarray(a, float).T)
-        super().__init__(self.a, k, trig, phase, quad_points, "matrix")
+        super().__init__(self.a, k, trig, phase, quad_points)
 
     def curl_t_curl(self) -> "TrigMatrixField":
         # symbol of the edge-jump operator; the overall sign matches the
@@ -225,7 +222,7 @@ class TrigVectorField(_TrigField):
 
     def __init__(self, b, k, trig="sin", phase=0.0, quad_points=12):
         self.b = np.asarray(b, float)
-        super().__init__(self.b, k, trig, phase, quad_points, "vector")
+        super().__init__(self.b, k, trig, phase, quad_points)
 
     def deformation(self) -> TrigMatrixField:
         sym = 0.5 * (np.outer(self.b, self.k) + np.outer(self.k, self.b))
@@ -283,6 +280,7 @@ def dof_mu_e(mesh: PeriodicMesh, e: int, u) -> float:
     """
     if not 0 <= e < mesh.num_edges:
         raise ValueError(f"invalid edge id {e}")
+    _require(u, "dof_mu_e", SmoothField, ReggeField)
     if isinstance(u, ReggeField):
         t = _star_arrays(mesh, e)[1].min()
         d = mesh.edge_vec[e]
@@ -293,18 +291,20 @@ def dof_mu_e(mesh: PeriodicMesh, e: int, u) -> float:
 
 def interpolate_0(mesh: PeriodicMesh, v: SmoothField) -> VertexVectorField:
     """Nodal interpolation: coefficient at vertex x is v(x)."""
+    _require(v, "interpolate_0", SmoothField)
     return VertexVectorField(v(mesh.vertex_pos))
 
 
-def _require_smooth(u, name: str) -> None:
-    if not isinstance(u, SmoothField):
-        raise TypeError(f"{name} takes a SmoothField, not a "
+def _require(u, name: str, *types) -> None:
+    if not isinstance(u, types):
+        raise TypeError(f"{name} takes a "
+                        f"{' or '.join(t.__name__ for t in types)}, not a "
                         f"{type(u).__name__}")
 
 
 def interpolate_1(mesh: PeriodicMesh, u: SmoothField) -> ReggeField:
     """Projection onto the edge metric space: coefficients mu_e(u)."""
-    _require_smooth(u, "interpolate_1")
+    _require(u, "interpolate_1", SmoothField)
     if isinstance(u, TrigMatrixField):
         s, w = segment_rule(u.quad_points)
         d = mesh.edge_vec[:7]  # edge 7v + i runs from vertex v along d[i]
@@ -380,6 +380,7 @@ def interpolate_2(mesh: PeriodicMesh,
     A ReggeField is constant on each tet, so its integral is exact:
     |T| U_T : rho_e per tet T.
     """
+    _require(u, "interpolate_2", SmoothField, ReggeField)
     if isinstance(u, ReggeField):
         per_tet = mesh.tet_volume[:, None] * np.einsum(
             "tij,taij->ta", regge_to_tet_matrices(mesh, u), mesh.tet_rho)
@@ -402,7 +403,7 @@ def interpolate_2(mesh: PeriodicMesh,
 
 def interpolate_3(mesh: PeriodicMesh, u: SmoothField) -> VertexVectorMeasure:
     """L2-dual projection onto vertex measures: u_x = int_S u * lambda_x."""
-    _require_smooth(u, "interpolate_3")
+    _require(u, "interpolate_3", SmoothField)
     ref, w = tet_rule(u.quad_points)
     # values of the four local hats at the points: the barycentric
     # coordinates of the reference rule, the same in every tet

@@ -273,48 +273,52 @@ class TestGeometry:
 
 
 class TestEdgeStar:
-    def test_body_diagonal_star_length_six(self, mesh2):
+    @pytest.fixture
+    def mesh(self, mesh2):
+        return mesh2
+
+    def test_body_diagonal_star_length_six(self, mesh):
         # oracle: brute-force scan of tet incidence
-        diag = [e for e in range(mesh2.num_edges) if mesh2.edge_dir[e] == 6]
+        diag = [e for e in range(mesh.num_edges) if mesh.edge_dir[e] == 6]
         assert diag
         for e in diag:
-            brute = sum(1 for t in range(mesh2.num_tets)
-                        if e in mesh2.tet_edges[t])
-            star = edge_star(mesh2, e)
+            brute = sum(1 for t in range(mesh.num_tets)
+                        if e in mesh.tet_edges[t])
+            star = edge_star(mesh, e)
             assert brute == 6 and len(star) == 6
 
-    def test_star_covers_incident_tets_once(self, mesh2):
+    def test_star_covers_incident_tets_once(self, mesh):
         # oracle: brute-force scan of tet incidence
-        for e in range(mesh2.num_edges):
-            star = edge_star(mesh2, e)
+        for e in range(mesh.num_edges):
+            star = edge_star(mesh, e)
             tets = [t for _, t in star]
-            brute = np.flatnonzero((mesh2.tet_edges == e).any(axis=1))
+            brute = np.flatnonzero((mesh.tet_edges == e).any(axis=1))
             assert sorted(tets) == brute.tolist()
             assert len(set(tets)) == len(tets)
 
-    def test_consecutive_faces_share_sector_tet(self, mesh2):
-        for e in range(0, mesh2.num_edges, 5):
-            star = edge_star(mesh2, e)
+    def test_consecutive_faces_share_sector_tet(self, mesh):
+        for e in range(0, mesh.num_edges, 5):
+            star = edge_star(mesh, e)
             for i, (f, t) in enumerate(star):
                 g = star[(i + 1) % len(star)][0]
-                assert t in mesh2.face_tets[f] and t in mesh2.face_tets[g]
+                assert t in mesh.face_tets[f] and t in mesh.face_tets[g]
 
-    def test_angles_strictly_increase(self, mesh2):
-        for e in range(0, mesh2.num_edges, 3):
-            star = edge_star(mesh2, e)
-            te = mesh2.edge_tangent[e]
+    def test_angles_strictly_increase(self, mesh):
+        for e in range(0, mesh.num_edges, 3):
+            star = edge_star(mesh, e)
+            te = mesh.edge_tangent[e]
             ms = []
             for f, _ in star:
-                s = list(mesh2.face_edges[f]).index(e)
-                ms.append(mesh2.face_m[f, s])
+                s = list(mesh.face_edges[f]).index(e)
+                ms.append(mesh.face_m[f, s])
             r1 = ms[0]
             r2 = np.cross(te, r1)
             ang = np.unwrap([np.arctan2(m @ r2, m @ r1) for m in ms])
             assert np.all(np.diff(ang) > 1e-9)
 
-    def test_invalid_edge_rejected(self, mesh2):
+    def test_invalid_edge_rejected(self, mesh):
         with pytest.raises(MeshError):
-            edge_star(mesh2, mesh2.num_edges)
+            edge_star(mesh, mesh.num_edges)
 
 
 class TestPeriodicity:
@@ -354,6 +358,69 @@ class TestPeriodicity:
 
     def test_every_face_has_two_distinct_tets(self, mesh2):
         assert np.all(mesh2.face_tets[:, 0] != mesh2.face_tets[:, 1])
+
+
+# Tori for the face gluing checks: n_i = 2 wraps, unequal grids and sides.
+GLUING_TORI = {
+    "2x2x2": ((2, 2, 2), (TAU, TAU, TAU)),
+    "2x3x2": ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
+    "4x5x6": ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+    "5x7x3": ((5, 7, 3), (1.0, 2.0, 3.0)),
+}
+
+
+def _torus(label):
+    grid, lengths = GLUING_TORI[label]
+    return build_torus_mesh(TorusGeometry(*lengths), grid)
+
+
+class TestEdgeStarAnisotropic(TestEdgeStar):
+    """The star tests, and the two-tet check of every face, on anisotropic
+    tori."""
+
+    @pytest.fixture(scope="class", params=["4x5x6", "5x7x3"])
+    def mesh(self, request):
+        return _torus(request.param)
+
+    def test_every_face_has_two_distinct_tets(self, mesh):
+        TestPeriodicity.test_every_face_has_two_distinct_tets(self, mesh)
+
+
+def lifted_opposite_points(mesh, k):
+    """For every face f, the lattice point of tet face_tets[f, k] off the
+    face, lifted next to the face's own lifted points.  Asserts that the
+    tet, moved by a period, holds the face.  Uses lattice points only."""
+    n = np.array(mesh.grid)
+    face = np.rint(mesh.face_coords / mesh.cell).astype(np.int64)
+    tet = mesh.tet_lattice[mesh.face_tets[:, k]]
+    diff = face[:, :, None] - tet[:, None]  # (F, 3 face points, 4, 3)
+    same = (diff % n == 0).all(axis=-1)
+    assert np.all(same.sum(axis=-1) == 1)
+    shift = diff[same].reshape(-1, 3, 3)
+    assert np.all(shift == shift[:, :1])
+    off = ~same.any(axis=1)
+    assert np.all(off.sum(axis=1) == 1)
+    return tet[off] + shift[:, 0]
+
+
+class TestFaceGluing:
+    """Independent geometric check of face_tets, face_normal and face_side
+    from the lifted lattice points of the faces and tets."""
+
+    @pytest.mark.parametrize("label", sorted(GLUING_TORI))
+    def test_face_tets_lie_on_either_side(self, label):
+        mesh = _torus(label)
+        assert np.all(mesh.face_tets[:, 0] < mesh.face_tets[:, 1])
+        centroid = mesh.face_coords.mean(axis=1)
+        # (F, 2, 3): offset of each tet's off-face point from the face
+        opp = np.stack([lifted_opposite_points(mesh, k) * mesh.cell
+                        for k in (0, 1)], axis=1) - centroid[:, None]
+        side = np.vecdot(opp, mesh.face_normal[:, None])
+        assert np.all(side[:, 0] < 0) and np.all(side[:, 1] > 0)
+        # n_ef points into face_tets[f, face_side[f, s]], away from the other
+        for into, sign in ((mesh.face_side, 1), (1 - mesh.face_side, -1)):
+            q = np.take_along_axis(opp, into[..., None], axis=1)
+            assert np.all(sign * np.vecdot(q, mesh.face_n) > 0)
 
 
 class TestQueries:

@@ -1,6 +1,9 @@
 """Smoke tests: every script in scripts/ runs at its smallest size, and so
-does the README's library quickstart."""
+does the README's library quickstart; every function the benchmark traces
+still exists in the library."""
 
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -44,3 +47,17 @@ def test_readme_quickstart_runs():
                         re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     _run(["-c", blocks[0]])
+
+
+def test_benchmark_traced_functions_resolve(monkeypatch):
+    # perfbench/spans.py wraps reggefem.<module>.<function> for every key of
+    # TRACED; load it without writing a bytecode cache next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    missing = [(mod, fn) for mod, fn in spans.TRACED if not callable(
+        getattr(importlib.import_module(f"reggefem.{mod}"), fn, None))]
+    assert missing == []

@@ -21,6 +21,20 @@ from reggefem.spaces import (constant_matrix_field, constant_vector_field,
 TAU = 2.0 * np.pi
 
 
+# inputs on the grid-2 mesh (56 edges) that are not a SmoothField
+WRONG_FIELDS = {"ReggeField": ReggeField(np.ones(56)),
+                "EdgeMeasure": EdgeMeasure(np.ones(56)), "ndarray": np.eye(3)}
+# the types each field entry point takes, and a call of it on a mesh
+ENTRY_POINTS = {
+    "interpolate_0": (("SmoothField",), interpolate_0),
+    "interpolate_1": (("SmoothField",), interpolate_1),
+    "interpolate_2": (("SmoothField", "ReggeField"), interpolate_2),
+    "interpolate_3": (("SmoothField",), interpolate_3),
+    "dof_mu_e": (("SmoothField", "ReggeField"),
+                 lambda mesh, u: dof_mu_e(mesh, 0, u)),
+}
+
+
 def random_sym(rng):
     a = rng.uniform(-1.0, 1.0, (3, 3))
     return 0.5 * (a + a.T)
@@ -155,15 +169,16 @@ class TestInterpolators:
         expect = c * TAU**3 / mesh3.num_vertices
         assert np.abs(out.values - expect).max() < 1e-12
 
-    @pytest.mark.parametrize("interpolate", [interpolate_1, interpolate_3])
-    @pytest.mark.parametrize("field", [
-        ReggeField(np.ones(56)), EdgeMeasure(np.ones(56)), np.eye(3),
-    ], ids=["ReggeField", "EdgeMeasure", "ndarray"])
-    def test_non_smooth_field_rejected(self, mesh2, interpolate, field):
+    @pytest.mark.parametrize("name, field", [
+        pytest.param(name, field, id=f"{field}-{name}")
+        for name, (accepted, _) in ENTRY_POINTS.items()
+        for field in WRONG_FIELDS if field not in accepted])
+    def test_non_smooth_field_rejected(self, mesh2, name, field):
+        accepted, call = ENTRY_POINTS[name]
         with pytest.raises(TypeError, match=(
-                f"^{interpolate.__name__} takes a SmoothField, not a "
-                f"{type(field).__name__}$")):
-            interpolate(mesh2, field)
+                f"^{name} takes a {' or '.join(accepted)}, not a "
+                f"{type(WRONG_FIELDS[field]).__name__}$")):
+            call(mesh2, WRONG_FIELDS[field])
 
     def test_unknown_trig_rejected(self, geometry):
         with pytest.raises(ValueError, match="trig"):
@@ -233,7 +248,7 @@ def _generic_matrix_field(rng):
     return SmoothField(
         lambda x: (np.cos(x[..., 0] + 0.3)[..., None, None] * a
                    + (np.sin(x[..., 1]) * np.cos(x[..., 2]))[..., None, None]
-                   * b), "matrix", 12)
+                   * b), quad_points=12)
 
 
 def _matrix_fields(mesh, rng):
@@ -284,7 +299,7 @@ class TestBatchedQuadratureOracle:
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         fields = _trig_modes(mesh, vector_mode, np.array([1.0, -0.5, 2.0]),
                              [(1, 0, 0), (1, 1, 1)])
-        fields.append(SmoothField(lambda x: np.cos(x + 0.3), "vector", 12))
+        fields.append(SmoothField(lambda x: np.cos(x + 0.3), quad_points=12))
         for v in fields:
             _assert_matches_oracle(interpolate_3(mesh, v).values,
                                    _old_interpolate_3(mesh, v))
@@ -295,7 +310,7 @@ class TestQuadratureMemory:
     def test_blocks_match_one_block_bitwise(self, mesh4, monkeypatch,
                                             block):
         u = _generic_matrix_field(np.random.default_rng(16))
-        v = SmoothField(lambda x: np.cos(x), "vector", 12)
+        v = SmoothField(lambda x: np.cos(x), quad_points=12)
         monkeypatch.setattr(spaces, "_TET_BLOCK", mesh4.num_tets)
         whole = (interpolate_2(mesh4, u).coeffs,
                  interpolate_3(mesh4, v).values)
