@@ -253,7 +253,9 @@ def cmd_eigs(cfg) -> int:
         text = _csv_text(cfg, ("eigenvalue", "index", "cluster", "target",
                                "error"), rows)
         _write_text(text, cfg["csv"])
-    _write_text(_json_payload(cfg, res.to_dict()), cfg["output"])
+    body = res.to_dict()
+    body["clusters"] = [cl.to_dict() for cl in clusters]
+    _write_text(_json_payload(cfg, body), cfg["output"])
     return 0
 
 

@@ -3,7 +3,6 @@
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 
 @lru_cache(maxsize=None)
@@ -21,6 +20,10 @@ def tet_rule(npts: int):
     direction, exact on polynomials of total degree 2*npts - 1.  Weights
     sum to 1/6 (reference volume).
     """
+    # imported here: scipy.special is slow to load, and only the
+    # interpolators need this rule
+    from scipy.special import roots_jacobi
+
     x2, w2 = roots_jacobi(npts, 2.0, 0.0)
     x1, w1 = roots_jacobi(npts, 1.0, 0.0)
     x0, w0 = roots_jacobi(npts, 0.0, 0.0)

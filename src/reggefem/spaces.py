@@ -13,24 +13,25 @@ Four spaces form the discrete elasticity sequence
 * ``EdgeMeasure``: matrix line measures u_e t_e t_e^T delta_e.
 * ``VertexVectorMeasure``: vector point measures u_x delta_x.
 
-The interpolators integrate a field by one of three routes:
+The interpolators integrate a field by one of two routes:
 
 * ``ReggeField`` (``interpolate_2``, ``dof_mu_e``): exactly, from its
   constant per-tet matrices U_T, read through ``regge_to_tet_matrices``
   (which rejects a field whose length is not the edge count).
   ``interpolate_2`` sums |T| U_T : rho_e over the tets T, ``dof_mu_e``
   reads d_e^T U_T d_e on one incident tet.
-* Trig modes (``TrigMatrixField`` from ``matrix_mode``, ``TrigVectorField``
-  from ``vector_mode``): a constant amplitude times sin or cos of k.x +
-  phase.  ``interpolate_1/2/3`` reduce only the scalar factor, through
-  per-shape moment tables of the reference rules (the Kuhn complex has
-  six tet shapes and seven edge directions; see ``_trig_moments``), and
-  contract the amplitude once.  Cost O(shapes * Q + T), no field or point
-  array of size T * Q.
-* Every other ``SmoothField`` (the constant fields, user callables):
-  point evaluation at the Gauss points, reduced per tet over blocks of
-  ``_TET_BLOCK`` tets, so memory stays O(_TET_BLOCK * Q).  This route is
-  also the oracle the trig route is tested against.
+* Every ``SmoothField``: through ``_moments``, the quadrature moments of
+  the field on one shape family of the Kuhn complex, which is translation
+  invariant: simplex (v, r) is the r-th member of the family moved to
+  vertex v.  ``interpolate_1`` uses the seven edge directions,
+  ``interpolate_2`` the six tet shapes of a box and ``interpolate_3`` the
+  whole box with the hats folded into the weights.  A trig mode
+  (``TrigMatrixField`` from ``matrix_mode``, ``TrigVectorField`` from
+  ``vector_mode``: a constant amplitude times sin or cos of k.x + phase)
+  is integrated in closed form by angle addition, at cost
+  O(shapes * Q + V) with no array of size V * Q; any other field (the
+  constant fields, user callables) by point evaluation, a fixed block of
+  ``_VERTEX_BLOCK`` vertices at a time.
 
 ``interpolate_0`` and ``dof_mu_e`` evaluate every ``SmoothField`` at
 points.  ``interpolate_0``, ``interpolate_1`` and ``interpolate_3`` take
@@ -44,11 +45,12 @@ construction.  All operations are pure functions of immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import PeriodicMesh, _star_arrays
+from .mesh import _TET_OFFSETS, PeriodicMesh, _star_arrays
 from .quadrature import segment_rule, tet_points_weights, tet_rule
 
 __all__ = [
@@ -173,12 +175,13 @@ class _TrigField(SmoothField):
     """amp * osc(k.x + phase) with a constant amplitude and osc sin or cos.
 
     The interpolators integrate these fields through scalar moments of
-    osc (``_trig_moments``), not by evaluating the field at every point.
+    osc (``_moments``), not by evaluating the field at every point.
     """
 
     def __init__(self, amp, k, trig, phase, quad_points):
         if trig not in ("sin", "cos"):
             raise ValueError("trig must be 'sin' or 'cos'")
+        self.amp = amp
         self.k = np.asarray(k, float)
         self.trig = trig
         self.phase = float(phase)
@@ -259,14 +262,49 @@ def vector_mode(geometry, b, integer_freq, trig="sin", phase=0.0,
 # degrees of freedom and interpolators
 
 
-def _edge_quad_values(mesh, u: SmoothField, edges=None):
-    """Evaluate u at Gauss points of the lifted edge segments: (E, Q, ...)."""
-    s, w = segment_rule(u.quad_points)
-    idx = np.arange(mesh.num_edges) if edges is None else np.atleast_1d(edges)
-    x0 = mesh.vertex_pos[mesh.edge_tail[idx]]
-    d = mesh.edge_vec[idx]
-    pts = x0[:, None, :] + s[None, :, None] * d[:, None, :]
-    return u(pts), d, w
+# vertices per block when a field is evaluated at the quadrature points
+_VERTEX_BLOCK = 8
+
+
+def _moments(mesh, u: SmoothField, offsets, weights) -> np.ndarray:
+    """Quadrature moments of u on one shape family of the Kuhn complex.
+
+    Simplex (v, r) of the family has the points x_v + offsets[r, q], x_v
+    the position of vertex v, and the weights (R, Q, ...); its moment is
+    sum_q weights[r, q, ...] u(x_v + offsets[r, q]).  Returns (V, R, ...),
+    the weight axes before the value axes.
+
+    A trig mode amp * osc(k.x + phase) is integrated by angle addition:
+    with alpha_v = k.x_v + phase and beta_rq = k.offsets[r, q],
+    osc(alpha_v + beta_rq) = sin alpha_v c_rq + cos alpha_v s_rq, where
+    (c, s) = (cos beta, sin beta) for sin and (-sin beta, cos beta) for
+    cos.  So the moments are one product of the (V, 2) array
+    (sin alpha_v, cos alpha_v) with the tables sum_q W_rq (c_rq, s_rq)
+    multiplied out by amp, at cost O((R Q + V R) * W) for W weight entries
+    per point, with no array of size V * Q.  Any other field is evaluated
+    at the points of ``_VERTEX_BLOCK`` vertices at a time and reduced over
+    q by one matmul, so memory stays O(_VERTEX_BLOCK * R * Q) and the
+    arithmetic per vertex does not depend on the block size.
+    """
+    V, (R, Q) = mesh.num_vertices, weights.shape[:2]
+    w = weights.reshape(R, Q, -1)
+    if isinstance(u, _TrigField):
+        beta = offsets @ u.k
+        C, S = (np.matmul(f(beta)[:, None], w)[:, 0] for f in (np.cos, np.sin))
+        tables = np.multiply.outer(
+            np.array([C, S] if u.trig == "sin" else [-S, C]), u.amp)
+        alpha = mesh.vertex_pos @ u.k + u.phase
+        m = np.array([np.sin(alpha), np.cos(alpha)]).T @ tables.reshape(2, -1)
+        return m.reshape((V, R) + weights.shape[2:] + u.amp.shape)
+    wq = w.swapaxes(1, 2)  # (R, W, Q)
+    parts = []
+    for start in range(0, V, _VERTEX_BLOCK):
+        x = mesh.vertex_pos[start:start + _VERTEX_BLOCK, None, None]
+        vals = u(x + offsets)  # (b, R, Q, ...)
+        m = np.matmul(wq, vals.reshape(vals.shape[:3] + (-1,)))
+        parts.append(m.reshape(vals.shape[:2] + weights.shape[2:]
+                               + vals.shape[3:]))
+    return np.concatenate(parts)
 
 
 def dof_mu_e(mesh: PeriodicMesh, e: int, u) -> float:
@@ -281,12 +319,13 @@ def dof_mu_e(mesh: PeriodicMesh, e: int, u) -> float:
     if not 0 <= e < mesh.num_edges:
         raise ValueError(f"invalid edge id {e}")
     _require(u, "dof_mu_e", SmoothField, ReggeField)
+    d = mesh.edge_vec[e]
     if isinstance(u, ReggeField):
         t = _star_arrays(mesh, e)[1].min()
-        d = mesh.edge_vec[e]
         return float(d @ regge_to_tet_matrices(mesh, u, [t])[0] @ d)
-    vals, d, w = _edge_quad_values(mesh, u, e)
-    return float(np.einsum("q,eqij,ei,ej->", w, vals, d, d))
+    s, w = segment_rule(u.quad_points)
+    vals = u(mesh.vertex_pos[mesh.edge_tail[e]] + s[:, None] * d)
+    return float(np.einsum("q,qij,i,j->", w, vals, d, d))
 
 
 def interpolate_0(mesh: PeriodicMesh, v: SmoothField) -> VertexVectorField:
@@ -305,72 +344,34 @@ def _require(u, name: str, *types) -> None:
 def interpolate_1(mesh: PeriodicMesh, u: SmoothField) -> ReggeField:
     """Projection onto the edge metric space: coefficients mu_e(u)."""
     _require(u, "interpolate_1", SmoothField)
-    if isinstance(u, TrigMatrixField):
-        s, w = segment_rule(u.quad_points)
-        d = mesh.edge_vec[:7]  # edge 7v + i runs from vertex v along d[i]
-        moments = _trig_moments(mesh, u, s[:, None] * d[:, None],
-                                np.broadcast_to(w, (7, w.size)))
-        return ReggeField(moments.ravel()
-                          * np.einsum("ei,ij,ej->e", mesh.edge_vec, u.a,
-                                      mesh.edge_vec))
-    vals, d, w = _edge_quad_values(mesh, u)
-    return ReggeField(np.einsum("q,eqij,ei,ej->e", w, vals, d, d))
+    s, w = segment_rule(u.quad_points)
+    d = mesh.edge_vec[:7]  # edge 7v + i runs from vertex v along d[i]
+    mats = _moments(mesh, u, s[:, None] * d[:, None], np.tile(w, (7, 1)))
+    return ReggeField(np.einsum("vrij,rij->vr", mats,
+                                d[:, :, None] * d[:, None]).ravel())
 
 
-# tets per block when a field is evaluated at the quadrature points
-_TET_BLOCK = 64
+@lru_cache(maxsize=None)
+def _box_rule(npts: int):
+    """The tet rule on the six Kuhn tets of the unit box.
 
-
-def _tet_blocks(mesh, u: SmoothField, reduce) -> np.ndarray:
-    """Per-tet quadrature sums by point evaluation, block by block.
-
-    ``reduce(tets, wts, vals)`` maps the weights (b, Q) and field values
-    (b, Q, ...) of the tets ``tets`` (a slice) to their per-tet sums; the
-    results are stacked in tet order.  Memory is O(_TET_BLOCK * Q) and the
-    arithmetic per tet does not depend on the block size.
+    Tet 6v + r of a mesh is tet r scaled by the box sides and moved to
+    vertex v.  Returns the points (6, Q, 3), the weights (6, Q) and, for
+    each box corner c (lattice offset DIRECTIONS[c - 1], or 0 for c = 0),
+    the weights times the hat of c, zero on the tets without c: (6, Q, 8).
     """
-    parts = []
-    for start in range(0, mesh.num_tets, _TET_BLOCK):
-        tets = slice(start, start + _TET_BLOCK)
-        pts, w = tet_points_weights(mesh.tet_coords[tets], u.quad_points)
-        parts.append(reduce(tets, w, u(pts)))
-    return np.concatenate(parts)
-
-
-def _tet_shapes(mesh, ref):
-    """Reference points ``ref`` (Q, 3) on the six one-box tet shapes.
-
-    Point q of tet 6v + r is x_v + B_r ref[q], with x_v the position of
-    vertex v and B_r the spanning edge vectors of tet r of the box at the
-    origin.  Returns the offsets B_r ref (6, Q, 3) and |det B_r| (6,).
-    """
-    p = mesh.tet_coords[:6]
-    B = np.stack([p[:, i] - p[:, 0] for i in (1, 2, 3)], axis=-1)
-    return ref @ B.swapaxes(1, 2), np.abs(np.linalg.det(B))
-
-
-def _trig_moments(mesh, u: _TrigField, offsets, weights) -> np.ndarray:
-    """Quadrature moments of the scalar factor of a trig field on one
-    simplex shape family, by angle addition.
-
-    Simplex (v, r) has the points x_v + offsets[r, q], x_v the position of
-    vertex v, with weights (R, Q, ...).  So
-    k.x + phase = alpha_v + beta_rq with alpha_v = k.x_v + phase and
-    beta_rq = k.offsets[r, q], and the moment
-    sum_q W_rq osc(alpha_v + beta_rq) is sin alpha_v C_r + cos alpha_v S_r
-    for sin (cos alpha_v C_r - sin alpha_v S_r for cos), with the tables
-    C_r = sum_q W_rq cos beta_rq and S_r = sum_q W_rq sin beta_rq.  Cost
-    O(R Q + V); returns (V, R, ...).
-    """
-    beta = offsets @ u.k
-    C = np.einsum("rq,rq...->r...", np.cos(beta), weights)
-    S = np.einsum("rq,rq...->r...", np.sin(beta), weights)
-    alpha = mesh.vertex_pos @ u.k + u.phase
-    axes = (slice(None),) + (None,) * C.ndim
-    sa, ca = np.sin(alpha)[axes], np.cos(alpha)[axes]
-    if u.trig == "sin":
-        return sa * C + ca * S
-    return ca * C - sa * S
+    pts, w = tet_points_weights(_TET_OFFSETS.astype(float), npts)
+    ref = tet_rule(npts)[0]
+    # values of the four local hats at the points: the barycentric
+    # coordinates of the reference rule, the same in every tet
+    lam = np.concatenate([1.0 - ref.sum(axis=1, keepdims=True), ref],
+                         axis=1)  # (Q, 4)
+    corner = _TET_OFFSETS @ [4, 2, 1]  # (6, 4)
+    hats = (w[:, :, None] * lam) @ (corner[:, :, None] == np.arange(8))
+    out = np.ascontiguousarray(pts), w, hats
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def interpolate_2(mesh: PeriodicMesh,
@@ -384,43 +385,35 @@ def interpolate_2(mesh: PeriodicMesh,
     if isinstance(u, ReggeField):
         per_tet = mesh.tet_volume[:, None] * np.einsum(
             "tij,taij->ta", regge_to_tet_matrices(mesh, u), mesh.tet_rho)
-    elif isinstance(u, TrigMatrixField):
-        ref, w = tet_rule(u.quad_points)
-        offsets, jac = _tet_shapes(mesh, ref)
-        moments = _trig_moments(mesh, u, offsets, jac[:, None] * w)
-        per_tet = moments.reshape(-1, 1) * np.einsum(
-            "ij,taij->ta", u.a, mesh.tet_rho)
     else:
-        # reduce over the points first, then pair with the six basis
-        # matrices
-        per_tet = _tet_blocks(mesh, u, lambda tets, wts, vals: np.einsum(
-            "tij,taij->ta", np.einsum("tq,tqij->tij", wts, vals),
-            mesh.tet_rho[tets]))
-    out = np.zeros(mesh.num_edges)
-    np.add.at(out, mesh.tet_edges.ravel(), per_tet.ravel())
+        pts, w, _ = _box_rule(u.quad_points)
+        mats = _moments(mesh, u, pts * mesh.cell, w * np.prod(mesh.cell))
+        per_tet = np.einsum("tij,taij->ta", mats.reshape(-1, 3, 3),
+                            mesh.tet_rho)
+    out = np.bincount(mesh.tet_edges.ravel(), per_tet.ravel(),
+                      mesh.num_edges)
     return EdgeMeasure(out * mesh.edge_length)
 
 
 def interpolate_3(mesh: PeriodicMesh, u: SmoothField) -> VertexVectorMeasure:
-    """L2-dual projection onto vertex measures: u_x = int_S u * lambda_x."""
+    """L2-dual projection onto vertex measures: u_x = int_S u * lambda_x.
+
+    The six tets of the box at vertex v are integrated together, once per
+    box corner c with the hat of c as weight; that part belongs to the
+    vertex at c, which is v for c = 0 and the head of edge 7v + c - 1
+    otherwise.
+    """
     _require(u, "interpolate_3", SmoothField)
-    ref, w = tet_rule(u.quad_points)
-    # values of the four local hats at the points: the barycentric
-    # coordinates of the reference rule, the same in every tet
-    lam = np.concatenate([1.0 - ref.sum(axis=1, keepdims=True), ref],
-                         axis=1)  # (Q, 4)
-    if isinstance(u, TrigVectorField):
-        offsets, jac = _tet_shapes(mesh, ref)
-        moments = _trig_moments(mesh, u, offsets,
-                                jac[:, None, None] * (w[:, None] * lam))
-        hat = np.bincount(mesh.tet_vids.ravel(), moments.ravel(),
-                          mesh.num_vertices)
-        return VertexVectorMeasure(np.multiply.outer(hat, u.b))
-    per_vertex = _tet_blocks(mesh, u, lambda tets, wts, vals: np.matmul(
-        lam.T, wts[:, :, None] * vals))  # (T, 4, 3)
-    out = np.zeros((mesh.num_vertices, 3))
-    np.add.at(out, mesh.tet_vids.ravel(), per_vertex.reshape(-1, 3))
-    return VertexVectorMeasure(out)
+    pts, _, hats = _box_rule(u.quad_points)
+    per_corner = _moments(mesh, u, (pts * mesh.cell).reshape(1, -1, 3),
+                          hats.reshape(1, -1, 8))
+    V = mesh.num_vertices
+    target = np.concatenate([np.arange(V)[:, None],
+                             mesh.edge_head.reshape(V, 7)], axis=1).ravel()
+    # scaled from the unit box to the mesh's box volume last, on (V, 3)
+    return VertexVectorMeasure(np.prod(mesh.cell) * np.stack([
+        np.bincount(target, col, V)
+        for col in per_corner.reshape(-1, 3).T], axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -98,13 +98,12 @@ class FourierSpectrum:
     """Exact nonzero eigenvalues with real multiplicities, up to a cutoff.
 
     ``entries`` is sorted ascending by eigenvalue.  The operator also has an
-    infinite-dimensional kernel, recorded by the ``kernel`` marker field.
+    infinite-dimensional kernel, which no entry lists.
     """
 
     geometry: TorusGeometry
     cutoff: float
     entries: tuple  # ((eigenvalue, multiplicity), ...)
-    kernel: bool = True
 
     def targets_by_magnitude(self, n: int):
         """The n entries of smallest magnitude (for cluster matching)."""
@@ -171,7 +170,6 @@ class SpectrumResult:
     max_residual: float
     asymmetry: float
     metadata: dict = field(default_factory=dict)
-    clusters: list = field(default_factory=list)
 
     @property
     def nonzero(self) -> np.ndarray:
@@ -189,7 +187,7 @@ class SpectrumResult:
         return float(np.abs(self.nonzero).min())
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "kernel_dim": int(self.kernel_dim),
             "threshold": float(self.threshold),
             "max_residual": float(self.max_residual),
@@ -199,9 +197,6 @@ class SpectrumResult:
             "num_eigenvalues": int(self.eigenvalues.size),
             "metadata": self.metadata,
         }
-        if self.clusters:
-            out["clusters"] = [c.to_dict() for c in self.clusters]
-        return out
 
 
 def _block_circulant(row: sp.coo_matrix, grid) -> sp.csr_matrix:
@@ -375,14 +370,7 @@ def assign_clusters(result: SpectrumResult, oracle: FourierSpectrum,
         inside = int(np.sum(np.abs(nz - target) <= window))
         clusters.append(ClusterAssignment(target, mult, w[take], window,
                                           inside, take))
-    result.clusters = clusters
     return clusters
-
-
-def _as_grid(g):
-    if np.isscalar(g):
-        return (int(g),) * 3
-    return tuple(int(x) for x in g)
 
 
 def convergence_study(geometry: TorusGeometry, grids,
@@ -393,10 +381,10 @@ def convergence_study(geometry: TorusGeometry, grids,
     error and the window-match diagnostic, plus a per-target flag whether
     the error decreases strictly monotonically over the grids.  Cluster
     mismatches (window count != multiplicity) are reported in the rows, not
-    silently ignored.  The oracle is cut at ``default_cutoff(geometry,
-    n_eigs)``.
+    silently ignored.  ``grids`` are the sizes n of n x n x n grids.  The
+    oracle is cut at ``default_cutoff(geometry, n_eigs)``.
     """
-    grids = [_as_grid(g) for g in grids]
+    grids = [(int(n),) * 3 for n in grids]
     if not grids:
         raise ValueError("empty grid list")
     sizes = [np.prod(g) for g in grids]

@@ -6,13 +6,15 @@ the acceptance tolerances, and the random sample counts are fixed: 10 for
 the complex identities, 3 for the dual-path, second-variation and
 Schlafli suites.
 
-The interpolators have three routes (see the ``spaces`` module
-docstring): a ``ReggeField`` is integrated exactly per tet, trig modes
-through per-shape moment tables, and any other callable by point
-evaluation.  The commuting squares use only the first two: they integrate
-trig modes (``matrix_mode``, ``vector_mode``) with 12 Gauss points per
-direction, and the adjoint square passes its random ``ReggeField`` to
-``interpolate_2`` directly.
+The interpolators have two routes (see the ``spaces`` module docstring):
+a ``ReggeField`` is integrated exactly per tet, and every ``SmoothField``
+through the shape-family moments of ``spaces._moments``, in closed form
+for trig modes and by point evaluation otherwise.  The commuting squares
+evaluate no field at quadrature points: they integrate trig modes
+(``matrix_mode``, ``vector_mode``) with 12 Gauss points per direction,
+and the adjoint square passes its random ``ReggeField`` to
+``interpolate_2`` directly.  The matrix amplitudes are the
+``sigma_modes`` of frequency (1, 0, 0) and one generic symmetric matrix.
 
 The dual-path suite compares whole-mesh arrays of independent routes: the
 dihedral ``deficit_angles`` against ``holonomy_deficits``, and the
@@ -37,6 +39,7 @@ from .spaces import ReggeField, VertexVectorField, deformation, \
     deformation_matrix, divergence_x2, interpolate_0, interpolate_1, \
     interpolate_2, interpolate_3, matrix_mode, pair_x2_x1, \
     regge_to_tet_matrices, vector_mode
+from .spectrum import sigma_modes
 
 __all__ = ["CheckResult", "run_verification",
            "check_complex_identities", "check_commuting_diagram",
@@ -106,10 +109,7 @@ def check_commuting_diagram(mesh: PeriodicMesh) -> list:
     tol = 1e-9
     g = mesh.geometry
     gen = np.array([[1.0, 0.5, 0.2], [0.5, -0.3, 0.7], [0.2, 0.7, 0.4]])
-    e2, e3 = np.eye(3)[1], np.eye(3)[2]
-    sigmas = [np.outer(e2, e2) + np.outer(e3, e3),
-              np.outer(e2, e3) + np.outer(e3, e2),
-              np.outer(e2, e2) - np.outer(e3, e3)]
+    sigmas = [a for a, _ in sigma_modes((1, 0, 0))]
     out = []
 
     worst = 0.0

@@ -1,6 +1,6 @@
 """Smoke tests: every script in scripts/ runs at its smallest size, and so
 does the README's library quickstart; every function the benchmark traces
-still exists in the library."""
+still exists in the library; the CLI imports no module it need not load."""
 
 import importlib
 import importlib.util
@@ -34,6 +34,7 @@ def _run(args):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    return proc.stdout
 
 
 @pytest.mark.parametrize("script", sorted(SCRIPTS))
@@ -61,3 +62,11 @@ def test_benchmark_traced_functions_resolve(monkeypatch):
     missing = [(mod, fn) for mod, fn in spans.TRACED if not callable(
         getattr(importlib.import_module(f"reggefem.{mod}"), fn, None))]
     assert missing == []
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special costs about half of the package import; only the
+    # tet quadrature rule loads it, on first use
+    out = _run(["-c", "import sys, reggefem.cli; "
+                      "print('scipy.special' in sys.modules)"])
+    assert out.strip() == "False"

@@ -306,17 +306,19 @@ class TestBatchedQuadratureOracle:
 
 
 class TestQuadratureMemory:
-    @pytest.mark.parametrize("block", [7, 64])
+    # 64 is the whole grid-4 mesh in one block
+    @pytest.mark.parametrize("block", [1, 7, 64])
     def test_blocks_match_one_block_bitwise(self, mesh4, monkeypatch,
                                             block):
         u = _generic_matrix_field(np.random.default_rng(16))
         v = SmoothField(lambda x: np.cos(x), quad_points=12)
-        monkeypatch.setattr(spaces, "_TET_BLOCK", mesh4.num_tets)
-        whole = (interpolate_2(mesh4, u).coeffs,
-                 interpolate_3(mesh4, v).values)
-        monkeypatch.setattr(spaces, "_TET_BLOCK", block)
-        assert np.array_equal(interpolate_2(mesh4, u).coeffs, whole[0])
-        assert np.array_equal(interpolate_3(mesh4, v).values, whole[1])
+        runs = (lambda: interpolate_1(mesh4, u).coeffs,
+                lambda: interpolate_2(mesh4, u).coeffs,
+                lambda: interpolate_3(mesh4, v).values)
+        default = [run() for run in runs]
+        monkeypatch.setattr(spaces, "_VERTEX_BLOCK", block)
+        for run, expect in zip(runs, default):
+            assert np.array_equal(run(), expect)
 
     def test_trig_modes_form_no_point_arrays(self, geometry, mesh4):
         # a (T, Q) float array alone would take T * Q * 8 bytes
@@ -340,10 +342,16 @@ class TestQuadratureMemory:
         # the point-evaluation route
         from reggefem.verify import check_commuting_diagram
 
-        def no_points(*args):
-            raise AssertionError("point evaluation in the commuting suite")
+        call = SmoothField.__call__
 
-        monkeypatch.setattr(spaces, "_tet_blocks", no_points)
+        def no_points(u, pts):
+            # vertex positions (V, 3) are fine: interpolate_0 is nodal
+            if np.ndim(pts) > 2:
+                raise AssertionError("point evaluation in the commuting "
+                                     "suite")
+            return call(u, pts)
+
+        monkeypatch.setattr(SmoothField, "__call__", no_points)
         results = check_commuting_diagram(mesh2)
         assert len(results) == 4
         assert all(r.passed for r in results)
