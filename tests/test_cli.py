@@ -584,7 +584,7 @@ GOLDEN_DIGESTS = {
     "oracle": "1a141c3fd934d42e",
     "oracle_lengths": "b230862fa1ee28eb",
     "oracle_negative": "0b3c30ac432fb44c",
-    "verify_bench": "454f071579da1301",
+    "verify_bench": "07b7dd880d26f871",
 }
 
 
