@@ -33,10 +33,11 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .mesh import LOCAL_EDGES, PeriodicMesh, _star_arrays
+from .mesh import _TET_OFFSETS, LOCAL_EDGES, PeriodicMesh, _star_arrays
 from .spaces import ReggeField, regge_to_tet_matrices
 
 __all__ = [
@@ -74,6 +75,19 @@ _CM_LO, _CM_HI = np.array(LOCAL_EDGES).T + 1
 # two vertices, which span the two faces at the edge.
 _EDGE_VERTS = np.array([[i, j] + [x for x in range(4) if x not in (i, j)]
                         for i, j in LOCAL_EDGES])
+
+# Direction index (edge 7v + d runs along DIRECTIONS[d]) of each local edge
+# of the six box-template tets: (6 tets, 6 slots).
+_BOX_EDGE_DIRS = (_TET_OFFSETS[:, _CM_HI - 1]
+                  - _TET_OFFSETS[:, _CM_LO - 1]) @ [4, 2, 1] - 1
+
+# Positions of the entries (i, j) of a symmetric 3x3 matrix packed as the
+# six values 00, 11, 22, 01, 02, 12.
+_SYM = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+# Packed adj G = G[p] * G[q] - G[r] * G[t] for the rows p, q, r, t: the
+# cofactors of the packed G.
+_COFACTORS = np.array([[1, 2, 5, 5], [0, 2, 4, 4], [0, 1, 3, 3],
+                       [4, 5, 3, 2], [3, 5, 4, 1], [3, 4, 0, 5]]).T
 
 _UNIT_ROWS = np.eye(3)[:, None, :]
 
@@ -159,16 +173,53 @@ def _first_not_positive_definite(mats: np.ndarray) -> int:
                 return pos
 
 
-def _gram_from_squared_lengths(s: np.ndarray) -> np.ndarray:
-    """Gram matrices (..., 3, 3) of the spanning edge vectors p_i - p_0 of
-    tets in the sought metric, from six squared lengths (..., 6) each in
-    LOCAL_EDGES order (polarization of the squared lengths)."""
-    G = np.empty(s.shape[:-1] + (3, 3))
-    G[..., 0, 0], G[..., 1, 1], G[..., 2, 2] = s[..., 0], s[..., 1], s[..., 2]
-    G[..., 0, 1] = G[..., 1, 0] = 0.5 * (s[..., 0] + s[..., 1] - s[..., 3])
-    G[..., 0, 2] = G[..., 2, 0] = 0.5 * (s[..., 0] + s[..., 2] - s[..., 4])
-    G[..., 1, 2] = G[..., 2, 1] = 0.5 * (s[..., 1] + s[..., 2] - s[..., 5])
-    return G
+def _gram_adjugate(s: np.ndarray):
+    """Gram data of tets from their squared lengths s (6, T), one row per
+    LOCAL_EDGES slot, each symmetric 3x3 matrix packed as in ``_SYM``.
+
+    Returns the Gram matrices g (6, T) of the spanning edge vectors
+    p_i - p_0 in the sought metric (polarization of the squared lengths),
+    adj G (6, T) from the closed-form cofactors, and det G (T,), the first
+    row of G times the first column of adj G.
+    """
+    g = np.concatenate([s[:3], 0.5 * (s[[0, 0, 1]] + s[[1, 2, 2]] - s[3:])])
+    p, q, r, t = g[_COFACTORS]
+    adj = p * q - r * t
+    return g, adj, (g[_SYM[0]] * adj[_SYM[0]]).sum(axis=0)
+
+
+def _checked_gram(mesh: PeriodicMesh, config: EdgeLengthConfig, tets=None):
+    """The realizability guard of every route from squared lengths.
+
+    Returns, for the squared lengths s (6, T) of the given tets (all by
+    default), ``s, G, adj, det``: the Gram matrices G (T, 3, 3) and the
+    rest from ``_gram_adjugate(s)``.  Raises ValueError on an edge count
+    mismatch, and RealizabilityError tagged with the first offending tet:
+    Cayley-Menger determinant 8 det G below the relative guard, or G not
+    positive definite.
+    """
+    if config.squared_lengths.shape[0] != mesh.num_edges:
+        raise ValueError("edge count mismatch")
+    edges = mesh.tet_edges if tets is None else mesh.tet_edges[tets]
+    s = config.squared_lengths[edges.T]
+    g, adj, det = _gram_adjugate(s)
+    G = g.T[:, _SYM]
+    cm = 8.0 * det
+    bad = np.flatnonzero(~(cm > CM_DET_RTOL * np.max(s, axis=0) ** 3))
+
+    def tag(row):
+        return int(row if tets is None else tets[row])
+
+    if bad.size:
+        row = bad[0]
+        raise RealizabilityError(
+            f"tet {tag(row)}: degenerate edge lengths "
+            f"(Cayley-Menger determinant {cm[row]:.3e})")
+    row = _first_not_positive_definite(G)
+    if row >= 0:
+        raise RealizabilityError(
+            f"tet {tag(row)}: metric not positive definite")
+    return s, G, adj, det
 
 
 def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
@@ -179,25 +230,44 @@ def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
     tet is not realizable: Cayley-Menger determinant below the relative
     guard, or reconstructed metric not positive definite.
     """
-    if config.squared_lengths.shape[0] != mesh.num_edges:
-        raise ValueError("edge count mismatch")
     idx = np.arange(mesh.num_tets) if tets is None else np.atleast_1d(tets)
-    s = config.squared_lengths[mesh.tet_edges[idx]]  # (T,6)
-    cm = cayley_menger_determinant(s)
-    bad = np.flatnonzero(~(cm > CM_DET_RTOL * np.max(s, axis=1) ** 3))
-    if bad.size:
-        row = bad[0]
-        raise RealizabilityError(
-            f"tet {int(idx[row])}: degenerate edge lengths "
-            f"(Cayley-Menger determinant {cm[row]:.3e})")
-    G = _gram_from_squared_lengths(s)
-    row = _first_not_positive_definite(G)
-    if row >= 0:
-        raise RealizabilityError(
-            f"tet {int(idx[row])}: metric not positive definite")
+    G = _checked_gram(mesh, config, idx)[1]
     Gr = mesh.tet_grad[idx][:, 1:]  # rows of B^{-1}
     u = np.einsum("tai,tab,tbj->tij", Gr, G, Gr)
     return 0.5 * (u + np.swapaxes(u, 1, 2))
+
+
+def _dihedral_cs(s: np.ndarray, adj: np.ndarray, det: np.ndarray):
+    """Unnormalised cosines x and sines y (6, T) of the dihedral angles of
+    tets at their six edges, from ``_gram_adjugate``.
+
+    The products of the barycentric gradients, scaled by det G, form the
+    4x4 matrix H: adj G in rows and columns 1..3, minus its row sums in
+    row and column 0.  At the slot (i, j) with opposite vertices k and l,
+    x = -H_kl and y = sqrt(H_kk H_ll - H_kl^2), which equals
+    sqrt(s_ij det G) and is taken in that form, free of cancellation.
+    """
+    x = np.concatenate([-adj[[5, 4, 3]], adj[_SYM[::-1]].sum(axis=1)])
+    return x, np.sqrt(s * det)
+
+
+@lru_cache(maxsize=None)
+def _flat_dihedral_cs(direction_lengths: tuple):
+    """``_dihedral_cs`` (6 slots, 6 tets) of the six box-template tets of
+    a mesh whose edges of direction d have the length
+    ``direction_lengths[d]``: the flat background.  Tet 6v + r has the
+    squared lengths of tet r bit for bit."""
+    s = np.square(direction_lengths)[_BOX_EDGE_DIRS.T]
+    _, adj, det = _gram_adjugate(s)
+    out = _dihedral_cs(s, adj, det)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _flat_background(mesh: PeriodicMesh):
+    """``_flat_dihedral_cs`` of the mesh (edge 7v + d has direction d)."""
+    return _flat_dihedral_cs(tuple(mesh.edge_length[:7].tolist()))
 
 
 def _dihedral_angles(p: np.ndarray, u: np.ndarray, slots) -> np.ndarray:
@@ -231,7 +301,10 @@ def metric_dihedral_angles(mesh: PeriodicMesh,
                            metrics: np.ndarray) -> np.ndarray:
     """Dihedral angle of every tet at each of its six edges, in its metric.
 
-    Returns (T, 6) angles in (0, pi), columns in LOCAL_EDGES order.
+    Returns (T, 6) angles in (0, pi), columns in LOCAL_EDGES order.  This
+    is the metric route: it measures the angles of the lifted tets in the
+    pulled-back metrics (e.g. of ``tet_metrics_from_lengths``), so the
+    tests use it as the oracle of the length-only ``deficit_angles``.
     """
     out = np.empty((mesh.num_tets, 6))
     for a in range(6):
@@ -239,26 +312,42 @@ def metric_dihedral_angles(mesh: PeriodicMesh,
     return out
 
 
+def _angle_gaps(x, y, x0, y0) -> np.ndarray:
+    """alpha0 - alpha of angles with unnormalised cosines and sines (x, y)
+    and background ones (x0, y0); exactly 0 where they agree bit for
+    bit."""
+    return np.arctan2(x * y0 - y * x0, x * x0 + y * y0)
+
+
 def deficit_angles(mesh: PeriodicMesh, config: EdgeLengthConfig) -> np.ndarray:
-    """theta_e = 2*pi - sum of incident dihedral angles, for every edge."""
-    metrics = tet_metrics_from_lengths(mesh, config)
-    ang = metric_dihedral_angles(mesh, metrics)
-    total = np.zeros(mesh.num_edges)
-    np.add.at(total, mesh.tet_edges.ravel(), ang.ravel())
-    return 2.0 * np.pi - total
+    """theta_e = 2*pi - sum of incident dihedral angles, for every edge.
+
+    The angles come from the squared lengths alone, and the sum runs over
+    their gaps to the flat background's angles, which sum to 2*pi around
+    every edge; so theta is exactly 0 at the flat configuration.
+    """
+    s, _, adj, det = _checked_gram(mesh, config)
+    x, y = (c.reshape(6, -1, 6) for c in _dihedral_cs(s, adj, det))
+    x0, y0 = (c[:, None] for c in _flat_background(mesh))
+    gaps = _angle_gaps(x, y, x0, y0).reshape(6, -1).T
+    return np.bincount(mesh.tet_edges.ravel(), gaps.ravel(),
+                       minlength=mesh.num_edges)
 
 
 def deficit_angle_dihedral(mesh: PeriodicMesh, e: int,
                            config: EdgeLengthConfig) -> float:
-    """Deficit angle of one edge via embedded dihedral angles (star-local)."""
+    """Deficit angle of one edge via the dihedral angles of its star tets,
+    summed in tet order as :func:`deficit_angles` sums them."""
     tets = np.sort(_star_arrays(mesh, e)[1])
-    metrics = tet_metrics_from_lengths(mesh, config, tets)
+    s, _, adj, det = _checked_gram(mesh, config, tets)
     slots = np.argmax(mesh.tet_edges[tets] == e, axis=1)
+    cols = np.arange(len(tets))
+    x, y = (c[slots, cols] for c in _dihedral_cs(s, adj, det))
+    x0, y0 = (c[slots, tets % 6] for c in _flat_background(mesh))
     total = 0.0
-    for angle in _dihedral_angles(mesh.tet_coords[tets], metrics,
-                                  slots).tolist():
-        total += angle
-    return float(2.0 * np.pi - total)
+    for gap in _angle_gaps(x, y, x0, y0).tolist():
+        total += gap
+    return total
 
 
 @dataclass(frozen=True)

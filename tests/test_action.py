@@ -16,7 +16,9 @@ from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       linearized_deficit, linearized_deficits,
                       perturbed_lengths, regge_action, schlafli_check,
                       second_variation_check)
-from reggefem.action import (cayley_menger_determinant,
+from reggefem import action as action_module
+from reggefem.action import (_BOX_EDGE_DIRS, _SYM, _dihedral_cs,
+                             _gram_adjugate, cayley_menger_determinant,
                              max_realizable_epsilon, metric_dihedral_angles,
                              random_realizable_config,
                              tet_metrics_from_lengths)
@@ -282,6 +284,90 @@ class TestDeficits:
         mats = 0.5 * (mats + np.swapaxes(mats, 1, 2))
         with pytest.raises(RealizabilityError, match="continuous"):
             build_edge_sector(mesh2, 0, mats)
+
+
+FLAT_GRIDS = [((3, 3, 3), (TAU, TAU, TAU)),
+              ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi))]
+TEMPLATE_GRIDS = [((2, 2, 2), (TAU, TAU, TAU)),
+                  ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+                  ((5, 7, 3), (TAU, 2.5 * np.pi, 3.0 * np.pi))]
+
+
+class TestLengthOnlyDihedrals:
+    """The dihedral route: angles from six squared lengths per tet, summed
+    as gaps to the flat background's angles."""
+
+    @pytest.mark.parametrize("grid, lengths", FLAT_GRIDS,
+                             ids=["3x3x3", "4x5x6"])
+    def test_flat_configuration_exactly_zero(self, grid, lengths):
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        flat = euclidean_lengths(mesh)
+        assert np.all(deficit_angles(mesh, flat) == 0.0)
+        assert regge_action(mesh, flat) == 0.0
+        assert all(deficit_angle_dihedral(mesh, e, flat) == 0.0
+                   for e in range(0, mesh.num_edges, 5))
+
+    @pytest.mark.parametrize("grid, lengths", TEMPLATE_GRIDS,
+                             ids=["2x2x2", "4x5x6", "5x7x3"])
+    def test_box_template_squared_lengths(self, grid, lengths):
+        # tet 6v + r has the squared lengths of tet r bit for bit, and the
+        # cached background reads them from the seven direction lengths
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        s = euclidean_lengths(mesh).squared_lengths[mesh.tet_edges]
+        boxes = s.reshape(-1, 6, 6)
+        assert np.array_equal(boxes, np.broadcast_to(boxes[0], boxes.shape))
+        assert np.array_equal(
+            boxes[0], np.square(mesh.edge_length[:7])[_BOX_EDGE_DIRS])
+
+    @pytest.mark.parametrize("grid, lengths", EXACT_GRIDS, ids=EXACT_IDS)
+    def test_matches_metric_route(self, grid, lengths):
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
+            ang = metric_dihedral_angles(
+                mesh, tet_metrics_from_lengths(mesh, cfg))
+            oracle = 2.0 * np.pi - np.bincount(
+                mesh.tet_edges.ravel(), ang.ravel(), minlength=mesh.num_edges)
+            assert np.abs(deficit_angles(mesh, cfg) - oracle).max() < 1e-13
+
+    def test_guard_determinant_is_cayley_menger(self, mesh3):
+        cfg = random_realizable_config(mesh3, np.random.default_rng(21))
+        s = cfg.squared_lengths[mesh3.tet_edges]
+        cm = cayley_menger_determinant(s)
+        assert np.abs(8.0 * _gram_adjugate(s.T)[2] - cm).max() < \
+            1e-12 * np.abs(cm).min()
+
+    def test_sine_is_the_adjugate_minor(self, mesh3):
+        # y = sqrt(s_ij det G) equals sqrt(H_kk H_ll - H_kl^2) of the
+        # bordered adjugate H, the form that cancels
+        cfg = random_realizable_config(mesh3, np.random.default_rng(22))
+        s = cfg.squared_lengths[mesh3.tet_edges].T
+        g, adj, det = _gram_adjugate(s)
+        H = np.empty((mesh3.num_tets, 4, 4))
+        H[:, 1:, 1:] = adj.T[:, _SYM]
+        H[:, 0, 1:] = H[:, 1:, 0] = -H[:, 1:, 1:].sum(axis=-1)
+        H[:, 0, 0] = H[:, 1:, 1:].sum(axis=(-2, -1))
+        k, l = np.array([[x for x in range(4) if x not in edge]
+                         for edge in LOCAL_EDGES]).T
+        x, y = _dihedral_cs(s, adj, det)
+        assert np.array_equal(x.T, -H[:, k, l])
+        minor = np.sqrt(H[:, k, k] * H[:, l, l] - H[:, k, l] ** 2)
+        assert np.abs(y.T / minor - 1.0).max() < 1e-12
+
+    def test_needs_no_metric_and_no_det(self, mesh2, monkeypatch):
+        cfg = random_realizable_config(mesh2, np.random.default_rng(23))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("metric route or 5x5 determinant used")
+
+        monkeypatch.setattr(action_module, "tet_metrics_from_lengths",
+                            forbidden)
+        monkeypatch.setattr(np.linalg, "det", forbidden)
+        theta = deficit_angles(mesh2, cfg)
+        assert regge_action(mesh2, cfg) == float(np.sum(theta * cfg.lengths))
+        assert [deficit_angle_dihedral(mesh2, e, cfg)
+                for e in range(mesh2.num_edges)] == theta.tolist()
 
 
 class TestLinearization:
