@@ -532,7 +532,10 @@ class TestSchlafli:
 # First 16 hex digits of the SHA-256 (golden.digest) of the action layer's
 # outputs on a seeded realizable configuration, recorded from the per-tet
 # reference implementation; the linearized_deficit and 2x3x2 entries from
-# the per-face loops of the sector, holonomy and linearized routes.
+# the per-face loops of the sector, holonomy and linearized routes.  The
+# deficit_angle_dihedral, deficit_angles and second_variation_check
+# entries are those of the length-only dihedral angles summed as gaps to
+# the flat background.
 GOLDEN_GRIDS = {
     # edges of the 2-wide directions wrap through the period
     "2x3x2": ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
@@ -541,12 +544,12 @@ GOLDEN_GRIDS = {
 }
 GOLDEN = {
     "2x3x2": {
-        "deficit_angle_dihedral": "0990a8db77d9b8ce",
+        "deficit_angle_dihedral": "4543b74a00ebe5d5",
         "deficit_angle_holonomy": "741a4c15184d0486",
-        "deficit_angles": "0990a8db77d9b8ce",
+        "deficit_angles": "4543b74a00ebe5d5",
         "linearized_deficit": "d0d1455dc19becc2",
         "metric_dihedral_angles": "6ea9a1a5e4665153",
-        "second_variation_check.actions": "aa34bae4e78a0dbd",
+        "second_variation_check.actions": "d1080279571791d3",
         "sector.faces_tets": "6015147a6f37d10e",
         "sector.metrics": "f32544131fe1f4ec",
         "sector.ms": "1d9f099c331958d7",
@@ -554,12 +557,12 @@ GOLDEN = {
         "tet_metrics_from_lengths": "efea6fd23221a1b1",
     },
     "3x3x3": {
-        "deficit_angle_dihedral": "8f037863d420eb0e",
+        "deficit_angle_dihedral": "23db855da94ac501",
         "deficit_angle_holonomy": "acaeabe225785c79",
-        "deficit_angles": "8f037863d420eb0e",
+        "deficit_angles": "23db855da94ac501",
         "linearized_deficit": "cf763146f8474b2b",
         "metric_dihedral_angles": "b5d29e37fe2a61b9",
-        "second_variation_check.actions": "10d1fd2014b7672f",
+        "second_variation_check.actions": "6c115092f80317d6",
         "sector.faces_tets": "4aac778ead2753b7",
         "sector.metrics": "ebeebd11e9b35b1c",
         "sector.ms": "95feef8d33c265b8",
@@ -567,12 +570,12 @@ GOLDEN = {
         "tet_metrics_from_lengths": "6cf3a8fee2751eed",
     },
     "4x5x6": {
-        "deficit_angle_dihedral": "b65b00f7e3f62713",
+        "deficit_angle_dihedral": "ce108668568c42fb",
         "deficit_angle_holonomy": "dd57376f5b38a1b8",
-        "deficit_angles": "b65b00f7e3f62713",
+        "deficit_angles": "ce108668568c42fb",
         "linearized_deficit": "a61eba02bf5e262c",
         "metric_dihedral_angles": "6cb87b3237e51f3a",
-        "second_variation_check.actions": "72c0929fd1f4e7d9",
+        "second_variation_check.actions": "7e53ebc27bbd7fe9",
         "sector.faces_tets": "eb6dcac4205b57de",
         "sector.metrics": "51b97ddc9c913033",
         "sector.ms": "7e434f99a37aed3a",

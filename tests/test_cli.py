@@ -556,11 +556,11 @@ GOLDEN_RUNS = {
 GOLDEN_DIGESTS = {
     "action_flat": "30a9cd848cc5fd31",
     "action_lengths_json": "06ae2303093f96ce",
-    "action_perturbed": "44898819c9dc8c3e",
+    "action_perturbed": "a829732ecb0b533a",
     "action_wrong_count": "a4dcfa10f85ab2e6",
     "assemble_bench": "0cca495c448c7781",
     "assemble_seed": "ddbab901c470ba22",
-    "config_action": "87a920a48a2e0a79",
+    "config_action": "a69f2e000918939e",
     "config_converge": "577fe50cebc1b2cb",
     "config_eigs": "1abd13e4b51b70d3",
     "config_mesh": "d6f7a697455379a1",
@@ -584,7 +584,7 @@ GOLDEN_DIGESTS = {
     "oracle": "1a141c3fd934d42e",
     "oracle_lengths": "b230862fa1ee28eb",
     "oracle_negative": "0b3c30ac432fb44c",
-    "verify_bench": "07b7dd880d26f871",
+    "verify_bench": "9da5c5b1146bfd39",
 }
 
 
