@@ -233,8 +233,8 @@ def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
     idx = np.arange(mesh.num_tets) if tets is None else np.atleast_1d(tets)
     G = _checked_gram(mesh, config, idx)[1]
     Gr = mesh.tet_grad[idx][:, 1:]  # rows of B^{-1}
-    u = np.einsum("tai,tab,tbj->tij", Gr, G, Gr)
-    return 0.5 * (u + np.swapaxes(u, 1, 2))
+    u = Gr.mT @ G @ Gr
+    return 0.5 * (u + u.mT)
 
 
 def _dihedral_cs(s: np.ndarray, adj: np.ndarray, det: np.ndarray):
