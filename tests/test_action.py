@@ -545,42 +545,42 @@ GOLDEN_GRIDS = {
 GOLDEN = {
     "2x3x2": {
         "deficit_angle_dihedral": "4543b74a00ebe5d5",
-        "deficit_angle_holonomy": "741a4c15184d0486",
+        "deficit_angle_holonomy": "f8ba2eed04c078e2",
         "deficit_angles": "4543b74a00ebe5d5",
         "linearized_deficit": "d0d1455dc19becc2",
-        "metric_dihedral_angles": "6ea9a1a5e4665153",
+        "metric_dihedral_angles": "3d865dc66a6e79c7",
         "second_variation_check.actions": "d1080279571791d3",
         "sector.faces_tets": "6015147a6f37d10e",
-        "sector.metrics": "f32544131fe1f4ec",
+        "sector.metrics": "1ab5f10f464d64c3",
         "sector.ms": "1d9f099c331958d7",
         "sector.ns": "bdd88bb5fd85639e",
-        "tet_metrics_from_lengths": "efea6fd23221a1b1",
+        "tet_metrics_from_lengths": "6c5cd8850a04cb04",
     },
     "3x3x3": {
         "deficit_angle_dihedral": "23db855da94ac501",
-        "deficit_angle_holonomy": "acaeabe225785c79",
+        "deficit_angle_holonomy": "3e29b742a268a328",
         "deficit_angles": "23db855da94ac501",
         "linearized_deficit": "cf763146f8474b2b",
-        "metric_dihedral_angles": "b5d29e37fe2a61b9",
+        "metric_dihedral_angles": "f253a724e655992f",
         "second_variation_check.actions": "6c115092f80317d6",
         "sector.faces_tets": "4aac778ead2753b7",
-        "sector.metrics": "ebeebd11e9b35b1c",
+        "sector.metrics": "1f9511d5402fc51d",
         "sector.ms": "95feef8d33c265b8",
         "sector.ns": "cf33e6b24905900d",
-        "tet_metrics_from_lengths": "6cf3a8fee2751eed",
+        "tet_metrics_from_lengths": "9de28d3512e6fdee",
     },
     "4x5x6": {
         "deficit_angle_dihedral": "ce108668568c42fb",
-        "deficit_angle_holonomy": "dd57376f5b38a1b8",
+        "deficit_angle_holonomy": "8c8cf8f73370ce26",
         "deficit_angles": "ce108668568c42fb",
         "linearized_deficit": "a61eba02bf5e262c",
-        "metric_dihedral_angles": "6cb87b3237e51f3a",
+        "metric_dihedral_angles": "34f3df6b4c78903e",
         "second_variation_check.actions": "7e53ebc27bbd7fe9",
         "sector.faces_tets": "eb6dcac4205b57de",
-        "sector.metrics": "51b97ddc9c913033",
+        "sector.metrics": "ef43a9d52bb5c5bf",
         "sector.ms": "7e434f99a37aed3a",
         "sector.ns": "84d6f49ba89668fb",
-        "tet_metrics_from_lengths": "cc97e9eec9297e4d",
+        "tet_metrics_from_lengths": "05bcec8ef8e646fe",
     },
 }
 
