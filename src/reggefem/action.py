@@ -563,12 +563,12 @@ def schlafli_check(mesh: PeriodicMesh, config: EdgeLengthConfig,
 
 def max_realizable_epsilon(mesh: PeriodicMesh, u_prime: ReggeField,
                            hi: float = 1.0, iters: int = 60) -> float:
-    """Largest eps <= hi with I + eps*u' realizable, by bisection."""
+    """Largest eps <= hi with I + eps*u' realizable, by bisection; each
+    step runs only the realizability guard, no metric pull-back."""
 
     def ok(eps):
         try:
-            tet_metrics_from_lengths(mesh, perturbed_lengths(mesh, u_prime,
-                                                             eps))
+            _checked_gram(mesh, perturbed_lengths(mesh, u_prime, eps))
             return True
         except RealizabilityError:
             return False

@@ -356,6 +356,7 @@ class TestLengthOnlyDihedrals:
         assert np.abs(y.T / minor - 1.0).max() < 1e-12
 
     def test_needs_no_metric_and_no_det(self, mesh2, monkeypatch):
+        # the action and the bisection guard read lengths only
         cfg = random_realizable_config(mesh2, np.random.default_rng(23))
 
         def forbidden(*args, **kwargs):
@@ -368,6 +369,9 @@ class TestLengthOnlyDihedrals:
         assert regge_action(mesh2, cfg) == float(np.sum(theta * cfg.lengths))
         assert [deficit_angle_dihedral(mesh2, e, cfg)
                 for e in range(mesh2.num_edges)] == theta.tolist()
+        up = ReggeField(np.random.default_rng(24).uniform(
+            -1, 1, mesh2.num_edges))
+        assert 0 < max_realizable_epsilon(mesh2, up, hi=1e3) < 1e3
 
 
 class TestLinearization:
