@@ -9,8 +9,13 @@ face pin the induced 2d metric from both sides.
 Two independent routes to the deficit angle of an edge:
 
 * dihedral: theta_e = 2*pi - sum over incident tets of the dihedral angle
-  at e measured in the tet's metric (positive when the cone angle falls
-  short of 2*pi);
+  at e (positive when the cone angle falls short of 2*pi).  The angles
+  come from the six squared lengths of each tet alone, through the
+  adjugate of its Gram matrix, with no metric pulled back; and the sum
+  runs over their gaps to the flat background's angles, which make up
+  2*pi around every edge, so theta is exactly 0 at the flat
+  configuration.  ``metric_dihedral_angles`` measures the same angles in
+  the pulled-back metrics and serves as the tests' oracle;
 * holonomy: parallel-transport a frame once around the edge through the
   cyclic star of sectors and read off the rotation angle in the plane
   metric-orthogonal to the edge.
@@ -26,6 +31,8 @@ call it on one edge, ``holonomy_deficits`` and ``linearized_deficits`` on
 the V edges of each of the seven directions.  These routes are
 independent on purpose: ``verify`` checks them against ``deficit_angles``
 and against ``saint_venant.apply_ctc``, so they share no code with those.
+The holonomy route reads the metrics of ``tet_metrics_from_lengths``;
+the two routes share only the realizability guard on the squared lengths.
 """
 
 from __future__ import annotations

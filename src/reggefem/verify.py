@@ -17,7 +17,9 @@ and the adjoint square passes its random ``ReggeField`` to
 ``sigma_modes`` of frequency (1, 0, 0) and one generic symmetric matrix.
 
 The dual-path suite compares whole-mesh arrays of independent routes: the
-dihedral ``deficit_angles`` against ``holonomy_deficits``, and the
+dihedral ``deficit_angles``, computed from the squared lengths alone and
+relative to the flat background, against ``holonomy_deficits`` on the
+pulled-back metrics of ``tet_metrics_from_lengths``; and the
 star-ordered ``linearized_deficits`` against half the face-oriented edge
 jump ``apply_ctc``.  Per edge, ``deficit_angles`` equals the star-local
 ``deficit_angle_dihedral`` exactly.

@@ -42,6 +42,15 @@ def test_script_runs(script):
     _run([str(ROOT / "scripts" / script), *SCRIPTS[script]])
 
 
+def test_deficit_profile_starts_flat():
+    # the dihedral route is exactly zero at the flat configuration
+    out = _run([str(ROOT / "scripts" / "deficit_angle_profile.py"),
+                "--grid", "3", "3", "3", "--seeds", "0"])
+    label, action, max_theta, mean_theta, _ = out.splitlines()[1].split()
+    assert label == "flat"
+    assert float(action) == float(max_theta) == float(mean_theta) == 0.0
+
+
 def test_readme_quickstart_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$",
                         (ROOT / "README.md").read_text(),
