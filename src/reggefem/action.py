@@ -31,8 +31,8 @@ call it on one edge, ``holonomy_deficits`` and ``linearized_deficits`` on
 the V edges of each of the seven directions.  These routes are
 independent on purpose: ``verify`` checks them against ``deficit_angles``
 and against ``saint_venant.apply_ctc``, so they share no code with those.
-The holonomy route reads the metrics of ``tet_metrics_from_lengths``;
-the two routes share only the realizability guard on the squared lengths.
+The holonomy route reads the metrics of ``tet_metrics_from_lengths``,
+which shares only the realizability guard with ``deficit_angles``.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ __all__ = [
 # sixth power of the longest edge of the tet.
 CM_DET_RTOL = 1e-14
 
+_LO, _HI = np.array(LOCAL_EDGES).T
 # Bordered Cayley-Menger matrix entries of each LOCAL_EDGES slot.
-_CM_LO, _CM_HI = np.array(LOCAL_EDGES).T + 1
+_CM_LO, _CM_HI = _LO + 1, _HI + 1
 
 # Local vertices per local edge slot: the edge's two ends, then the other
 # two vertices, which span the two faces at the edge.
@@ -85,8 +86,7 @@ _EDGE_VERTS = np.array([[i, j] + [x for x in range(4) if x not in (i, j)]
 
 # Direction index (edge 7v + d runs along DIRECTIONS[d]) of each local edge
 # of the six box-template tets: (6 tets, 6 slots).
-_BOX_EDGE_DIRS = (_TET_OFFSETS[:, _CM_HI - 1]
-                  - _TET_OFFSETS[:, _CM_LO - 1]) @ [4, 2, 1] - 1
+_BOX_EDGE_DIRS = (_TET_OFFSETS[:, _HI] - _TET_OFFSETS[:, _LO]) @ [4, 2, 1] - 1
 
 # Positions of the entries (i, j) of a symmetric 3x3 matrix packed as the
 # six values 00, 11, 22, 01, 02, 12.
@@ -258,7 +258,7 @@ def _dihedral_cs(s: np.ndarray, adj: np.ndarray, det: np.ndarray):
     return x, np.sqrt(s * det)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _flat_dihedral_cs(direction_lengths: tuple):
     """``_dihedral_cs`` (6 slots, 6 tets) of the six box-template tets of
     a mesh whose edges of direction d have the length
