@@ -277,20 +277,15 @@ def _flat_background(mesh: PeriodicMesh):
     return _flat_dihedral_cs(tuple(mesh.edge_length[:7].tolist()))
 
 
-def _dihedral_angles(p: np.ndarray, u: np.ndarray, slots) -> np.ndarray:
-    """Dihedral angle of each tet at one local edge slot per row.
+def _dihedral_angles(p: np.ndarray, u: np.ndarray, slot: int) -> np.ndarray:
+    """Dihedral angle of each tet at one LOCAL_EDGES slot.
 
-    ``p`` (T, 4, 3) tet points, ``u`` (T, 3, 3) metrics, ``slots`` one
-    LOCAL_EDGES slot for all rows or one per row.  Returns (T,) angles in
-    (0, pi): the angle between the two faces at the edge, i.e. between the
-    metric-orthogonal complements of the edge direction inside the two
-    face planes.
+    ``p`` (T, 4, 3) tet points, ``u`` (T, 3, 3) metrics.  Returns (T,)
+    angles in (0, pi): the angle between the two faces at the edge, i.e.
+    between the metric-orthogonal complements of the edge direction inside
+    the two face planes.
     """
-    verts = _EDGE_VERTS[slots]
-    if verts.ndim == 1:  # one slot for all rows: a column pick, no gather
-        q = p[:, verts]
-    else:
-        q = p[np.arange(len(p))[:, None], verts]
+    q = p[:, _EDGE_VERTS[slot]]
     t = q[:, 1] - q[:, 0]
     wc = q[:, 2] - q[:, 0]
     wd = q[:, 3] - q[:, 0]
