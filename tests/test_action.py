@@ -160,11 +160,15 @@ class TestMetricReconstruction:
 
 class TestDeficits:
     def test_flat_background_zero(self, mesh2, mesh3):
-        for mesh in (mesh2, mesh3):
-            theta = deficit_angles(mesh, euclidean_lengths(mesh))
-            assert np.abs(theta).max() < 1e-12
-            assert regge_action(mesh, euclidean_lengths(mesh)) == \
-                pytest.approx(0.0, abs=1e-12)
+        # exactly: every angle gap to the flat background is 0
+        torus = build_torus_mesh(
+            TorusGeometry(TAU, 2.5 * np.pi, 3.0 * np.pi), (4, 5, 6))
+        for mesh in (mesh2, mesh3, torus):
+            flat = euclidean_lengths(mesh)
+            assert np.all(deficit_angles(mesh, flat) == 0.0)
+            assert regge_action(mesh, flat) == 0.0
+            assert all(deficit_angle_dihedral(mesh, e, flat) == 0.0
+                       for e in range(0, mesh.num_edges, 5))
 
     def test_uniform_scaling_invariance(self, mesh2):
         rng = np.random.default_rng(2)
@@ -286,8 +290,6 @@ class TestDeficits:
             build_edge_sector(mesh2, 0, mats)
 
 
-FLAT_GRIDS = [((3, 3, 3), (TAU, TAU, TAU)),
-              ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi))]
 TEMPLATE_GRIDS = [((2, 2, 2), (TAU, TAU, TAU)),
                   ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
                   ((5, 7, 3), (TAU, 2.5 * np.pi, 3.0 * np.pi))]
@@ -296,16 +298,6 @@ TEMPLATE_GRIDS = [((2, 2, 2), (TAU, TAU, TAU)),
 class TestLengthOnlyDihedrals:
     """The dihedral route: angles from six squared lengths per tet, summed
     as gaps to the flat background's angles."""
-
-    @pytest.mark.parametrize("grid, lengths", FLAT_GRIDS,
-                             ids=["3x3x3", "4x5x6"])
-    def test_flat_configuration_exactly_zero(self, grid, lengths):
-        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
-        flat = euclidean_lengths(mesh)
-        assert np.all(deficit_angles(mesh, flat) == 0.0)
-        assert regge_action(mesh, flat) == 0.0
-        assert all(deficit_angle_dihedral(mesh, e, flat) == 0.0
-                   for e in range(0, mesh.num_edges, 5))
 
     @pytest.mark.parametrize("grid, lengths", TEMPLATE_GRIDS,
                              ids=["2x2x2", "4x5x6", "5x7x3"])
