@@ -239,7 +239,7 @@ def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
     """
     idx = np.arange(mesh.num_tets) if tets is None else np.atleast_1d(tets)
     G = _checked_gram(mesh, config, idx)[1]
-    Gr = mesh.tet_grad[idx][:, 1:]  # rows of B^{-1}
+    Gr = mesh.tet_grad[idx % 6, 1:]  # rows of B^{-1} of each tet's template
     u = Gr.mT @ G @ Gr
     return 0.5 * (u + u.mT)
 
@@ -304,13 +304,15 @@ def metric_dihedral_angles(mesh: PeriodicMesh,
     """Dihedral angle of every tet at each of its six edges, in its metric.
 
     Returns (T, 6) angles in (0, pi), columns in LOCAL_EDGES order.  This
-    is the metric route: it measures the angles of the lifted tets in the
-    pulled-back metrics (e.g. of ``tet_metrics_from_lengths``), so the
-    tests use it as the oracle of the length-only ``deficit_angles``.
+    is the metric route: it measures the angles of the tets, translates of
+    the templates ``tet_coords``, in the pulled-back metrics (e.g. of
+    ``tet_metrics_from_lengths``), so the tests use it as the oracle of the
+    length-only ``deficit_angles``.
     """
+    p = np.tile(mesh.tet_coords, (mesh.num_vertices, 1, 1))
     out = np.empty((mesh.num_tets, 6))
     for a in range(6):
-        out[:, a] = _dihedral_angles(mesh.tet_coords, metrics, a)
+        out[:, a] = _dihedral_angles(p, metrics, a)
     return out
 
 
@@ -379,7 +381,7 @@ def _sectors(mesh: PeriodicMesh, d: int, v, tet_metrics: np.ndarray):
     that is not positive definite (-1 if none)."""
     faces, slots = mesh._star_faces[d][v], mesh._star_slots[d][v]
     te = mesh.edge_tangent[d::7][v]
-    ms, ns = mesh.face_m[faces, slots], mesh.face_n[faces, slots]
+    ms, ns = mesh.face_m[faces % 12, slots], mesh.face_n[faces % 12, slots]
     mats = tet_metrics[mesh._star_tets[d][v]]
     scale = np.maximum(np.abs(mats).max(axis=(-3, -2, -1)), 1.0)
     # tangential-tangential part of the jump across face i, in the frame
@@ -504,8 +506,8 @@ def _linearized(mesh: PeriodicMesh, d: int, v, mats) -> np.ndarray:
     terms are summed one at a time in star order."""
     faces, slots = mesh._star_faces[d][v], mesh._star_slots[d][v]
     jump = mats - mats[..., np.arange(-1, faces.shape[-1] - 1), :, :]
-    vals = (mesh.face_m[faces, slots][..., None, :] @ jump
-            @ mesh.face_n[faces, slots][..., None])[..., 0, 0]
+    vals = (mesh.face_m[faces % 12, slots][..., None, :] @ jump
+            @ mesh.face_n[faces % 12, slots][..., None])[..., 0, 0]
     total = 0.0
     for i in range(faces.shape[-1]):
         total = total + vals[..., i]

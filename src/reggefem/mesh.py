@@ -27,11 +27,11 @@ Conventions
   and types of its faces and sector tets, the edge's slot in each face);
   every incidence array is that template moved to each vertex.  Face i of
   a star lies between sectors i-1 and i, and n_ef points into sector i.
-* Simplices store *lifted* integer lattice points, normalized per axis to
-  the window [0, n_i]; all geometry (tangents, normals, frames, gradients)
-  is plain Euclidean geometry on the lift.  Periodicity lives only in the
-  vertex identification, which matters at n_i = 2 where distinct edges can
-  share the same unordered vertex pair through different wraps.
+* Float geometry is stored once per shape, on the six tets and twelve
+  faces at the origin: tet t is a translate of template t % 6, face f of
+  template f % 12.  Periodicity lives only in the vertex identification,
+  which matters at n_i = 2 where distinct edges can share the same
+  unordered vertex pair through different wraps.
 * For each incident (edge e, face f) pair, m_ef lies in the plane of f,
   is orthogonal to e and points into the triangle; n_ef = t_e x m_ef, so
   (m_ef, n_ef, t_e) is a right-handed orthonormal triple.
@@ -118,22 +118,21 @@ class TorusGeometry:
 
 
 class PeriodicMesh:
-    """Combinatorics and lifted geometry of the Kuhn torus triangulation.
+    """Combinatorics and one-box geometry of the Kuhn torus triangulation.
 
     Built by :func:`build_torus_mesh`; treat all attributes as read-only.
     Array attributes (sizes: V vertices, E edges, F faces, T tets):
 
     cell (3,) box side lengths, vertex_pos (V,3);
-    tet_vids (T,4), tet_lattice (T,4,3) int, tet_coords (T,4,3),
-    tet_volume (T,), tet_grad (T,4,3) barycentric gradients,
-    tet_edges (T,6) global edge ids in LOCAL_EDGES order,
-    tet_rho (T,6,3,3) edge basis matrices restricted to the tet;
-    edge_tail/edge_head (E,), edge_tail_lattice (E,3) int,
-    edge_vec (E,3), edge_tangent (E,3), edge_length (E,);
-    face_coords (F,3,3), face_normal (F,3), face_tets (F,2),
-    face_edges (F,3), face_m/(face_n) (F,3,3) per-edge frames, face_side
-    (F,3) index into face_tets of the tet n_ef points into; face_tets rows
-    ascend and face_normal points into face_tets[:, 1].
+    tet_edges (T,6) global edge ids in LOCAL_EDGES order;
+    edge_tail/edge_head/edge_dir (E,), edge_vec (E,3), edge_tangent (E,3),
+    edge_length (E,); face_tets (F,2) ascending, face_edges (F,3),
+    face_side (F,3) index into face_tets of the tet n_ef points into.
+    Shape templates, row r for tet 6v + r and row k for face 12v + k:
+    tet_coords (6,4,3) the tets of the box at the origin, tet_grad (6,4,3)
+    barycentric gradients, tet_rho (6,6,3,3) edge basis matrices restricted
+    to the tet; face_m/face_n (12,3,3) the (m_ef, n_ef) frame of each edge
+    slot.  tet_volume is the (float) volume of every tet.
 
     Edge incidence is held only by the stars: ``_star_faces[d]``,
     ``_star_slots[d]`` and ``_star_tets[d]`` are (V, valence) arrays whose
@@ -158,11 +157,11 @@ class PeriodicMesh:
 
     @property
     def num_faces(self) -> int:
-        return self.face_normal.shape[0]
+        return 12 * self.num_vertices
 
     @property
     def num_tets(self) -> int:
-        return self.tet_vids.shape[0]
+        return 6 * self.num_vertices
 
     def vertex_id(self, lattice_point) -> int:
         n1, n2, n3 = self.grid
@@ -228,10 +227,10 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     """Build the Kuhn triangulation of the torus with the given grid.
 
     Requires n_i >= 2 on every axis so that no edge closes onto its own
-    tail through a wrap.  Every array is the one-box or edge-star template
-    broadcast over the vertex lattice, by the index arithmetic of the module
-    docstring; face_tets and face_side are read off the stars (n_ef points
-    into sector i), so nothing is sorted or searched mesh-wide.
+    tail through a wrap.  Every incidence array is the one-box or edge-star
+    template broadcast over the vertex lattice, by the index arithmetic of
+    the module docstring; face_tets and face_side are read off the stars
+    (n_ef points into sector i), so nothing is sorted or searched mesh-wide.
     """
     if len(grid) != 3 or any(int(g) != g for g in grid):
         raise MeshError("grid must be three integer subdivision counts")
@@ -251,74 +250,55 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     vertex_lattice = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
     mesh.vertex_pos = vertex_lattice * cell
 
-    # tets: tet 6*v + r is the chain of _PERMS[r] from vertex v
-    tet_lattice = (vertex_lattice[:, None, None] + _TET_OFFSETS).reshape(
-        6 * nv, 4, 3)
-    mesh.tet_lattice = tet_lattice
-    mesh.tet_vids = _vid(tet_lattice, n)
-    mesh.tet_coords = tet_lattice * cell
+    # tet 6*v + r is the chain _TET_OFFSETS[r] from vertex v, face 12*v + k
+    # the chain _FACE_OFFSETS[k]; local edges and face slots point upward
+    lo, hi = np.array(LOCAL_EDGES).T
+    tet_lattice = vertex_lattice[:, None, None] + _TET_OFFSETS
+    mesh.tet_edges = (7 * _vid(tet_lattice[:, :, lo], n) + _dir(
+        _TET_OFFSETS[:, hi] - _TET_OFFSETS[:, lo])).reshape(6 * nv, 6)
+    a, b = _FACE_EDGES.T
+    face_lattice = vertex_lattice[:, None, None] + _FACE_OFFSETS
+    mesh.face_edges = (7 * _vid(face_lattice[:, :, a], n) + _dir(
+        _FACE_OFFSETS[:, b] - _FACE_OFFSETS[:, a])).reshape(12 * nv, 3)
 
     # edges: edge 7*v + d runs from v to v + DIRECTIONS[d]
     tail = np.repeat(np.arange(nv), 7)
     dirs = np.tile(np.arange(7), nv)
     mesh.edge_tail = tail
     mesh.edge_dir = dirs
-    mesh.edge_tail_lattice = vertex_lattice[tail]
-    mesh.edge_head = _vid(mesh.edge_tail_lattice + DIRECTIONS[dirs], n)
+    mesh.edge_head = _vid(vertex_lattice[tail] + DIRECTIONS[dirs], n)
     mesh.edge_vec = DIRECTIONS[dirs] * cell
     mesh.edge_length = np.linalg.norm(mesh.edge_vec, axis=1)
     mesh.edge_tangent = mesh.edge_vec / mesh.edge_length[:, None]
 
-    # tet -> edge incidence: every local edge of a chain points upward
-    lo, hi = np.array(LOCAL_EDGES).T
-    mesh.tet_edges = 7 * _vid(tet_lattice[:, lo], n) + _dir(
-        tet_lattice[:, hi] - tet_lattice[:, lo])
-
-    # barycentric gradients, volumes, restricted edge basis matrices
-    B = np.stack([mesh.tet_coords[:, i] - mesh.tet_coords[:, 0]
-                  for i in (1, 2, 3)], axis=-1)
+    # tet templates: the six tets of the box at the origin; barycentric
+    # gradients and restricted edge basis matrices
+    mesh.tet_coords = _TET_OFFSETS * cell
+    B = (mesh.tet_coords[:, 1:] - mesh.tet_coords[:, :1]).mT
+    # every Kuhn tet has volume prod(cell) / 6; |det B| / 6 of template 0
+    mesh.tet_volume = float(abs(np.linalg.det(B[0]))) / 6.0
     Binv = np.linalg.inv(B)
-    grad = np.empty((6 * nv, 4, 3))
-    grad[:, 1:] = Binv
-    grad[:, 0] = -Binv.sum(axis=1)
-    mesh.tet_grad = grad
-    mesh.tet_volume = np.abs(np.linalg.det(B)) / 6.0
-    rho = np.empty((6 * nv, 6, 3, 3))
-    for a, (i, j) in enumerate(LOCAL_EDGES):
-        gi, gj = grad[:, i], grad[:, j]
-        # -1/2 normalization makes the edge DOFs dual to this basis
-        rho[:, a] = -0.5 * (gi[:, :, None] * gj[:, None, :] +
-                            gj[:, :, None] * gi[:, None, :])
-    mesh.tet_rho = rho
+    mesh.tet_grad = grad = np.concatenate(
+        [-Binv.sum(axis=1, keepdims=True), Binv], axis=1)
+    gi, gj = grad[:, lo, :, None], grad[:, hi, None, :]
+    # -1/2 normalization makes the edge DOFs dual to this basis; fancy
+    # indexing on axis 1 leaves the slot axis outermost in memory
+    mesh.tet_rho = np.ascontiguousarray(-0.5 * (gi * gj + gj.mT * gi.mT))
 
-    # faces: face 12*v + type is the chain of _FACE_OFFSETS[type] from v
-    nf = 12 * nv
-    face_lattice = (vertex_lattice[:, None, None] + _FACE_OFFSETS).reshape(
-        nf, 3, 3)
-    face_coords = face_lattice * cell
-    mesh.face_coords = face_coords
-
-    # per-face edges and (m_ef, n_ef) frames; slot s is the edge between
-    # local points _FACE_EDGES[s], always traversed upward
-    a, b = _FACE_EDGES.T
-    c = 3 - a - b
-    face_edges = 7 * _vid(face_lattice[:, a], n) + _dir(
-        face_lattice[:, b] - face_lattice[:, a])
+    # face templates: (m_ef, n_ef) frames of the twelve faces at the origin;
+    # slot s is the edge between local points _FACE_EDGES[s]
+    face_coords = _FACE_OFFSETS * cell
     u = face_coords[:, b] - face_coords[:, a]
     u /= _norm(u)
-    w = face_coords[:, c] - face_coords[:, a]
-    # fancy indexing on axis 1 leaves the slot axis outermost in memory
-    m = np.ascontiguousarray(w - np.vecdot(w, u)[..., None] * u)
+    w = face_coords[:, 3 - a - b] - face_coords[:, a]
+    mesh.face_m = m = np.ascontiguousarray(w - np.vecdot(w, u)[..., None] * u)
     m /= _norm(m)
-    nef = np.cross(mesh.edge_tangent[face_edges], m)
-    mesh.face_edges = face_edges
-    mesh.face_m = m
-    mesh.face_n = nef
+    mesh.face_n = np.cross(mesh.edge_tangent[mesh.face_edges[:12]], m)
 
     # stars: templates moved to every vertex, rows rolled to the lowest face
     # id; face i lies between sectors i-1 and i, n_ef pointing into sector i
-    mesh.face_tets = np.empty((nf, 2), dtype=np.int64)
-    mesh.face_side = np.empty((nf, 3), dtype=np.int64)
+    mesh.face_tets = np.empty((12 * nv, 2), dtype=np.int64)
+    mesh.face_side = np.empty((12 * nv, 3), dtype=np.int64)
     mesh._star_faces, mesh._star_slots, mesh._star_tets = [], [], []
     for off, ftype, slot, toff, ttype in _STARS:
         faces = 12 * _vid(vertex_lattice[:, None] + off, n) + ftype
@@ -333,12 +313,6 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
         mesh._star_faces.append(faces)
         mesh._star_slots.append(slot[roll])
         mesh._star_tets.append(tets)
-
-    # unit normal into face_tets[:, 1]; nr points along n_ef of slot 0
-    nr = np.cross(face_coords[:, 1] - face_coords[:, 0],
-                  face_coords[:, 2] - face_coords[:, 0])
-    nr /= _norm(nr)
-    mesh.face_normal = np.where(mesh.face_side[:, :1] == 1, nr, -nr)
 
     for value in vars(mesh).values():
         for arr in value if isinstance(value, list) else [value]:

@@ -44,7 +44,8 @@ def tet_rule(npts: int):
 def tet_points_weights(tet_coords: np.ndarray, npts: int):
     """Map the reference rule onto a batch of tets.
 
-    tet_coords: (T, 4, 3) lifted vertex coordinates.
+    tet_coords: (T, 4, 3) vertex coordinates of T tets, such as the (6, 4,
+    3) points of the six Kuhn tets of the unit box.
     Returns points (T, Q, 3), a transposed view of a (T, 3, Q) array, and
     weights (T, Q) absorbing |det B| so that sum_q w[t, q] equals the
     volume of tet t.  Point q of tet t is p0 + B ref[q], so its barycentric

@@ -13,9 +13,10 @@ that share a tet.  The mass matrix is the L2 Gram matrix of the edge basis,
 computed exactly from per-tet constant products.
 
 The module has one face-jump kernel, ``_face_terms``: the frame
-contraction m_ef^T X n_ef of per-face matrices X.  ``assemble_stiffness``
-applies it to the basis matrices of the two tets of every face and
-``apply_ctc`` to the tet-matrix differences of a field;
+contraction m_ef^T X n_ef of per-face matrices X in the face templates'
+frames.  ``assemble_stiffness`` applies it to the six tet templates' basis
+matrices on the twelve face templates, ``apply_ctc`` to the tet-matrix
+differences of a field;
 ``edge_jump_scalar`` is one entry of ``apply_ctc``.  The star-ordered
 ``action.linearized_deficits`` (``linearized_deficit`` per edge) is a
 separate, deliberately independent route to half the edge jump:
@@ -47,9 +48,12 @@ __all__ = [
 
 def _face_terms(mesh: PeriodicMesh, X: np.ndarray) -> np.ndarray:
     """m_ef^T X n_ef for the three edge slots s of each face: X is
-    (F, ..., 3, 3), the result (F, 3, ...).  Unsigned: the caller orients
-    it by face_side."""
-    return np.einsum("fsi,f...ij,fsj->fs...", mesh.face_m, X, mesh.face_n)
+    (F, ..., 3, 3), or (12, ..., 3, 3) for the twelve face templates, the
+    result (F, 3, ...) or (12, 3, ...).  Face 12v + k takes the frames of
+    template k.  Unsigned: the caller orients it by face_side."""
+    Xk = X.reshape((-1, 12) + X.shape[1:])
+    out = np.einsum("ksi,vk...ij,ksj->vks...", mesh.face_m, Xk, mesh.face_n)
+    return out.reshape((X.shape[0], 3) + out.shape[3:])
 
 
 def edge_jump_scalar(mesh: PeriodicMesh, u: ReggeField, e: int) -> float:
@@ -125,8 +129,13 @@ def assemble_stiffness(mesh: PeriodicMesh) -> StiffnessMatrix:
     tets = mesh.face_tets[:, ::-1]
     rows = np.broadcast_to(mesh.face_edges[:, :, None, None], (F, 3, 2, 6))
     cols = np.broadcast_to(mesh.tet_edges[tets][:, None], (F, 3, 2, 6))
+    # the terms of every face template k, slot s and tet template r,
+    # (12, 3, 6, 6), read at face f % 12 and its tets' templates
+    terms = _face_terms(mesh, np.broadcast_to(mesh.tet_rho,
+                                              (12,) + mesh.tet_rho.shape))
+    k = np.arange(F)[:, None, None] % 12
     vals = (inv_l[:, :, None, None] * np.array([1.0, -1.0])[:, None]) * \
-        _face_terms(mesh, mesh.tet_rho[tets])
+        terms[k, np.arange(3)[:, None], tets[:, None] % 6]
     E = mesh.num_edges
     A = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
                       shape=(E, E)).tocsr()
@@ -135,13 +144,15 @@ def assemble_stiffness(mesh: PeriodicMesh) -> StiffnessMatrix:
 
 
 def assemble_mass(mesh: PeriodicMesh) -> MassMatrix:
-    """Assemble M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T exactly."""
-    local = np.einsum("t,taij,tbij->tab", mesh.tet_volume, mesh.tet_rho,
+    """Assemble M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T exactly; tet
+    6v + r has the local matrix of template r."""
+    local = np.einsum(",raij,rbij->rab", mesh.tet_volume, mesh.tet_rho,
                       mesh.tet_rho)
     rows = np.repeat(mesh.tet_edges, 6, axis=1).ravel()
     cols = np.tile(mesh.tet_edges, (1, 6)).ravel()
     E = mesh.num_edges
-    M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(E, E)).tocsr()
+    M = sp.coo_matrix((np.tile(local.ravel(), mesh.num_vertices),
+                       (rows, cols)), shape=(E, E)).tocsr()
     M.sum_duplicates()
     return MassMatrix(M, mesh.grid)
 

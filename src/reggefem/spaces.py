@@ -383,14 +383,14 @@ def interpolate_2(mesh: PeriodicMesh,
     """
     _require(u, "interpolate_2", SmoothField, ReggeField)
     if isinstance(u, ReggeField):
-        per_tet = mesh.tet_volume[:, None] * np.einsum(
-            "tij,taij->ta", regge_to_tet_matrices(mesh, u), mesh.tet_rho)
+        mats = mesh.tet_volume * regge_to_tet_matrices(mesh, u)
     else:
         pts, w, _ = _box_rule(u.quad_points)
         mats = _moments(mesh, u, pts * mesh.cell, w * np.prod(mesh.cell))
-        per_tet = np.einsum("tij,taij->ta", mats.reshape(-1, 3, 3),
-                            mesh.tet_rho)
-    out = np.bincount(mesh.tet_edges.ravel(), per_tet.ravel(),
+    # U_T : rho_a as (6, V, 9) @ (6, 9, 6), one product per template
+    per_tet = mats.reshape(-1, 6, 9).swapaxes(0, 1) @ \
+        mesh.tet_rho.reshape(6, 6, 9).mT
+    out = np.bincount(mesh.tet_edges.ravel(), per_tet.swapaxes(0, 1).ravel(),
                       mesh.num_edges)
     return EdgeMeasure(out * mesh.edge_length)
 
@@ -460,12 +460,18 @@ def divergence_x2(mesh: PeriodicMesh, u: EdgeMeasure) -> VertexVectorMeasure:
 def regge_to_tet_matrices(mesh: PeriodicMesh, u: ReggeField,
                           tets=None) -> np.ndarray:
     """Per-tet constant matrices (T, 3, 3) of an edge metric field, or of
-    the tets listed in ``tets`` only."""
+    the tets listed in ``tets`` only; tet t takes the basis matrices of
+    template t % 6."""
     if u.coeffs.shape[0] != mesh.num_edges:
         raise ValueError("edge count mismatch")
-    idx = slice(None) if tets is None else tets
-    return np.einsum("ta,taij->tij", u.coeffs[mesh.tet_edges[idx]],
-                     mesh.tet_rho[idx])
+    # one (1, 6) @ (6, 9) product per tet, whether all or some are asked
+    rho = mesh.tet_rho.reshape(6, 6, 9)
+    if tets is None:
+        c = u.coeffs[mesh.tet_edges].reshape(-1, 6, 1, 6)
+    else:
+        c = u.coeffs[mesh.tet_edges[tets]][:, None]
+        rho = rho[np.asarray(tets) % 6]
+    return (c @ rho).reshape(-1, 3, 3)
 
 
 # ---------------------------------------------------------------------------

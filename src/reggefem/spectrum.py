@@ -49,7 +49,9 @@ __all__ = [
 # observed spectral gap between the kernel and the physical modes
 KERNEL_THRESHOLD_FACTOR = 1e-8
 # largest entrywise deviation from block-circulant structure, relative to
-# max |entry|, that solve_pencil accepts; assembled matrices reach < 1e-15
+# max |entry|, that solve_pencil accepts.  Assembled from the shape
+# templates, every box carries the same values, and only the order in which
+# duplicates are summed differs: A and M reach < 1e-15 (4e-16 at n = 16)
 CIRCULANT_TOL = 1e-12
 
 

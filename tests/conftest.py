@@ -3,8 +3,29 @@ import pytest
 
 from reggefem import (TorusGeometry, assemble_mass, assemble_stiffness,
                       build_torus_mesh)
+from reggefem.mesh import _FACE_OFFSETS, _TET_OFFSETS, DIRECTIONS
 
 TAU = 2.0 * np.pi
+
+# lattice offsets of the points of each simplex template from its base vertex
+_OFFSETS = {"tet": _TET_OFFSETS, "face": _FACE_OFFSETS,
+            "edge": np.stack([np.zeros_like(DIRECTIONS), DIRECTIONS], axis=1)}
+
+
+def lifted_points(mesh, kind, ids=None):
+    """Lifted integer lattice points of simplices of one kind: "tet" (id
+    6v + r), "face" (12v + k) or "edge" (7v + d, tail then head).
+
+    The points are the template offsets moved to the lattice point of base
+    vertex v, read from ``vertex_pos``: (k, 3) for one id, (n, k, 3) for
+    an array of n ids, all simplices of the kind by default.
+    """
+    off = _OFFSETS[kind]
+    if ids is None:
+        ids = np.arange(len(off) * mesh.num_vertices)
+    ids = np.asarray(ids)
+    base = np.rint(mesh.vertex_pos / mesh.cell).astype(np.int64)
+    return base[ids // len(off)][..., None, :] + off[ids % len(off)]
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import lifted_points
 from reggefem import (ReggeField, TorusGeometry, VertexVectorField,
                       apply_ctc, assemble_mass, assemble_stiffness,
                       build_torus_mesh, deformation, divergence_x2,
@@ -26,7 +27,10 @@ class TestAnisotropicPipeline:
         n = 3 * 2 * 2
         assert (mesh.num_vertices, mesh.num_edges, mesh.num_faces,
                 mesh.num_tets) == (n, 7 * n, 12 * n, 6 * n)
-        assert abs(mesh.tet_volume.sum() - geometry.volume) < 1e-12
+        assert abs(mesh.num_tets * mesh.tet_volume - geometry.volume) < 1e-12
+        p = lifted_points(mesh, "tet") * mesh.cell
+        vol = np.abs(np.linalg.det((p[:, 1:] - p[:, :1]).mT)) / 6.0
+        assert abs(vol.sum() - geometry.volume) < 1e-12
 
     def test_flat_background_is_flat(self, aniso):
         _, mesh = aniso

@@ -3,17 +3,21 @@ import json
 import numpy as np
 import pytest
 
+from conftest import lifted_points
 from golden import digest
 from reggefem import MeshError, TorusGeometry, build_torus_mesh, edge_star, \
     mesh_summary
 from reggefem.action import euclidean_lengths, metric_dihedral_angles, \
     tet_metrics_from_lengths
-from reggefem.mesh import _star_arrays
+from reggefem.mesh import LOCAL_EDGES, _star_arrays
 
 TAU = 2.0 * np.pi
 
 # First 16 hex digits of the SHA-256 of every attribute of build_torus_mesh
-# (see _fingerprint), recorded from the per-simplex reference builder.
+# (see _fingerprint), recorded from the per-simplex reference builder; the
+# tet and face templates (tet_coords, tet_grad, tet_rho, face_m, face_n)
+# equal its first 6 or 12 rows bit for bit, and tet_volume its first
+# entry.
 GOLDEN_GRIDS = {
     "2x2x2": ((2, 2, 2), (TAU, TAU, TAU)),
     "3x3x3": ((3, 3, 3), (TAU, TAU, TAU)),
@@ -28,25 +32,20 @@ GOLDEN = {
         "edge_length": "13902fb889af30a5",
         "edge_star": "94998c6fca69e52f",
         "edge_tail": "d8bcc87c019bd407",
-        "edge_tail_lattice": "7fbf66d2e94e52d1",
         "edge_tangent": "c6e713c19c0529f7",
         "edge_vec": "a4264678cb79d4a4",
-        "face_coords": "181915659be90b75",
         "face_edges": "0628b4fbbe0305cb",
-        "face_m": "dfa9fc0aaae68786",
-        "face_n": "8c80f6c91d37c108",
-        "face_normal": "e5ef12912a5ceea4",
+        "face_m": "03d82314e9ddabae",
+        "face_n": "8b24f2b170e2de83",
         "face_side": "fbb5111ed68b1716",
         "face_tets": "7a5c17d363b3173e",
         "geometry": "57c83e798efe21a7",
         "grid": "c8ead7daa57273e9",
-        "tet_coords": "5f28c95427921473",
+        "tet_coords": "ca2a3b93205595c3",
         "tet_edges": "617a6c345767d483",
-        "tet_grad": "96ec7a40f37f39a2",
-        "tet_lattice": "b6464e18cbde5972",
-        "tet_rho": "ab9ae03b16e936ec",
-        "tet_vids": "8042a4ecd40a2c60",
-        "tet_volume": "d819b65805ffeb86",
+        "tet_grad": "e85f421ee57bed27",
+        "tet_rho": "2867af046826a6f5",
+        "tet_volume": "2655bba7740fac26",
         "vertex_pos": "f5a9bb3d9b9baf03",
     },
     "3x2x2": {
@@ -56,25 +55,20 @@ GOLDEN = {
         "edge_length": "d21f55f609f7d93a",
         "edge_star": "69d1e113f8baeef6",
         "edge_tail": "d8ee7f6e80752e48",
-        "edge_tail_lattice": "44619db75ccaa349",
         "edge_tangent": "9a48f0929cf2470b",
         "edge_vec": "be4bf4ac189bb34e",
-        "face_coords": "01c8f03c6fe5193c",
         "face_edges": "4d7d975e85733994",
-        "face_m": "be0955218a523307",
-        "face_n": "3741998daa480e12",
-        "face_normal": "97d8078fcb8fe3db",
+        "face_m": "cfb7d47f8e9977f8",
+        "face_n": "eee4b28c5bf79a6e",
         "face_side": "1e56e62a24bc5afa",
         "face_tets": "0d1a4b057f2aa6a1",
         "geometry": "bfdc9a84a69b69fc",
         "grid": "2de320b5c8879a43",
-        "tet_coords": "acc59709fc396014",
+        "tet_coords": "79af9382242581b6",
         "tet_edges": "acfae813c6db1ab1",
-        "tet_grad": "f9e5650978cbe4b0",
-        "tet_lattice": "dbc44866be04c7b7",
-        "tet_rho": "09bee9d840760def",
-        "tet_vids": "484e0fa603bbec23",
-        "tet_volume": "0acdb376c8c02897",
+        "tet_grad": "52eaa97c14e55975",
+        "tet_rho": "fd990b027d4cf43c",
+        "tet_volume": "e9dc19d8da91c9c6",
         "vertex_pos": "bf417313231d1b24",
     },
     "3x3x3": {
@@ -84,25 +78,20 @@ GOLDEN = {
         "edge_length": "cdc60b1bf09b9952",
         "edge_star": "33c0d3da08dcce69",
         "edge_tail": "1acbd474e8fb2c85",
-        "edge_tail_lattice": "db12d457ba029fa5",
         "edge_tangent": "0cf221b05d296de1",
         "edge_vec": "fbcb7df7907edb03",
-        "face_coords": "b7fa5ea04e3b56a2",
         "face_edges": "e4fa84ec1812b23c",
-        "face_m": "158cc6c359b6a59a",
-        "face_n": "3d0ac653dc17aac5",
-        "face_normal": "440d9f085e0a179c",
+        "face_m": "9e14070e8ce3bae6",
+        "face_n": "0898b8e9ae932cbe",
         "face_side": "56bb5e21ebc77e1d",
         "face_tets": "bef102a5707dc411",
         "geometry": "57c83e798efe21a7",
         "grid": "ebf16796deae7672",
-        "tet_coords": "7ffdf6be526bda19",
+        "tet_coords": "79ea098d18e078a1",
         "tet_edges": "59d4d3f424ac47a7",
-        "tet_grad": "3dd73e189cc4ae27",
-        "tet_lattice": "c213a12fe5dd2e81",
-        "tet_rho": "af039d98428a3704",
-        "tet_vids": "865996684e3f6b4a",
-        "tet_volume": "22be52dea9bdd146",
+        "tet_grad": "383e123f8c4e2177",
+        "tet_rho": "8b9f2b60cfe38f49",
+        "tet_volume": "d8573b2c884ddc5c",
         "vertex_pos": "62ebc45b41d1c41b",
     },
     "4x5x6": {
@@ -112,25 +101,20 @@ GOLDEN = {
         "edge_length": "d6463e1bd6d55238",
         "edge_star": "c3d2b506594b270f",
         "edge_tail": "00ba6786c413a55b",
-        "edge_tail_lattice": "71ca2ab0337c4b5e",
         "edge_tangent": "5d98713f2ef04ad4",
         "edge_vec": "ea82bd915fbeb738",
-        "face_coords": "80c8543cfdbc33fa",
         "face_edges": "bd226cfa005b5754",
-        "face_m": "cd1f7601b28db756",
-        "face_n": "aa26742a0f59d7c8",
-        "face_normal": "c5dd84a5938e48a6",
+        "face_m": "03d82314e9ddabae",
+        "face_n": "8b24f2b170e2de83",
         "face_side": "8fbe968555789f84",
         "face_tets": "92cf65962e6ebe4b",
         "geometry": "11706c8772d59b24",
         "grid": "f373fe8d1d0430c6",
-        "tet_coords": "e31041d2958945c6",
+        "tet_coords": "7dd7da561e110254",
         "tet_edges": "09270752b97df9ad",
-        "tet_grad": "46471d492de472eb",
-        "tet_lattice": "f45ae317d60ef926",
-        "tet_rho": "c569db2a2d30b55a",
-        "tet_vids": "3107b8ec5a459cd5",
-        "tet_volume": "2976a45077a25260",
+        "tet_grad": "c98448ce8690b8af",
+        "tet_rho": "7dec498cdad44ff6",
+        "tet_volume": "20768468f1705add",
         "vertex_pos": "01025935a53f9542",
     },
 }
@@ -163,8 +147,7 @@ def canonical_simplices(mesh):
         tau = pts.min(axis=0) // n
         return tuple(sorted(tuple(int(x) for x in p) for p in pts - tau * n))
 
-    for t in range(mesh.num_tets):
-        lat = mesh.tet_lattice[t]
+    for lat in lifted_points(mesh, "tet"):
         tets.add(canon(lat))
         for i in range(4):
             verts.add(canon(lat[i]))
@@ -205,30 +188,36 @@ class TestCounts:
 class TestGeometry:
     def test_equal_tet_volumes_grid3(self, mesh3):
         expect = (TAU / 3) ** 3 / 6.0
-        assert np.abs(mesh3.tet_volume - expect).max() < 1e-13
+        assert abs(mesh3.tet_volume - expect) < 1e-13
+        p = lifted_points(mesh3, "tet") * mesh3.cell
+        vol = np.abs(np.linalg.det((p[:, 1:] - p[:, :1]).mT)) / 6.0
+        assert np.abs(vol - expect).max() < 1e-13
 
     def test_tets_congruent_under_translation(self, mesh3):
         # quasi-uniformity: per-box shapes repeat exactly
-        rel = mesh3.tet_coords - mesh3.tet_coords[:, :1]
-        assert np.abs(rel[:6] - rel.reshape(-1, 6, 4, 3)).max() < 1e-12
+        rel = lifted_points(mesh3, "tet") * mesh3.cell
+        rel -= rel[:, :1]
+        template = mesh3.tet_coords - mesh3.tet_coords[:, :1]
+        assert np.abs(template - rel.reshape(-1, 6, 4, 3)).max() < 1e-12
 
     def test_lifted_shifts_in_unit_box(self, mesh2, mesh3):
         for mesh in (mesh2, mesh3):
-            rel = mesh.tet_lattice - mesh.tet_lattice[:, :1]
+            lat = lifted_points(mesh, "tet")
+            rel = lat - lat[:, :1]
             assert rel.min() >= 0 and rel.max() <= 1
 
     def test_edge_orientation_lexicographic(self, mesh3):
         # t_e points from the lower lifted endpoint to the higher
-        head = mesh3.edge_tail_lattice + (mesh3.edge_vec / mesh3.cell + 0.5
-                                          ).astype(int)
+        tail = lifted_points(mesh3, "edge")[:, 0]
+        head = tail + (mesh3.edge_vec / mesh3.cell + 0.5).astype(int)
         for e in range(0, mesh3.num_edges, 11):
-            assert tuple(mesh3.edge_tail_lattice[e]) < tuple(head[e])
+            assert tuple(tail[e]) < tuple(head[e])
 
     def test_frames_orthonormal_right_handed(self, mesh2):
         for f in range(mesh2.num_faces):
             for s in range(3):
                 e = mesh2.face_edges[f, s]
-                m, n, t = (mesh2.face_m[f, s], mesh2.face_n[f, s],
+                m, n, t = (mesh2.face_m[f % 12, s], mesh2.face_n[f % 12, s],
                            mesh2.edge_tangent[e])
                 for a, b in ((m, n), (m, t), (n, t)):
                     assert abs(a @ b) < 1e-12
@@ -238,9 +227,13 @@ class TestGeometry:
                 assert abs(det - 1.0) < 1e-12
 
     def test_face_normal_matches_edge_frames_up_to_sign(self, mesh2):
+        # the unit normal of each face from its lifted points
+        p = lifted_points(mesh2, "face") * mesh2.cell
+        normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
         for f in range(mesh2.num_faces):
             for s in range(3):
-                assert abs(abs(mesh2.face_n[f, s] @ mesh2.face_normal[f])
+                assert abs(abs(mesh2.face_n[f % 12, s] @ normal[f])
                            - 1.0) < 1e-12
 
     def test_dihedral_angles_sum_to_two_pi(self, mesh2, mesh3):
@@ -310,7 +303,7 @@ class TestEdgeStar:
             ms = []
             for f, _ in star:
                 s = list(mesh.face_edges[f]).index(e)
-                ms.append(mesh.face_m[f, s])
+                ms.append(mesh.face_m[f % 12, s])
             r1 = ms[0]
             r2 = np.cross(te, r1)
             ang = np.unwrap([np.arctan2(m @ r2, m @ r1) for m in ms])
@@ -337,9 +330,7 @@ class TestPeriodicity:
                     return tuple(sorted(tuple(int(x) for x in q)
                                         for q in p - tau * n))
 
-                moved = set()
-                for t in range(mesh.num_tets):
-                    moved.add(canon(mesh.tet_lattice[t]))
+                moved = {canon(lat) for lat in lifted_points(mesh, "tet")}
                 assert moved == base[3]
 
     def test_parallel_edges_at_n2(self, mesh2):
@@ -391,8 +382,8 @@ def lifted_opposite_points(mesh, k):
     face, lifted next to the face's own lifted points.  Asserts that the
     tet, moved by a period, holds the face.  Uses lattice points only."""
     n = np.array(mesh.grid)
-    face = np.rint(mesh.face_coords / mesh.cell).astype(np.int64)
-    tet = mesh.tet_lattice[mesh.face_tets[:, k]]
+    face = lifted_points(mesh, "face")
+    tet = lifted_points(mesh, "tet", mesh.face_tets[:, k])
     diff = face[:, :, None] - tet[:, None]  # (F, 3 face points, 4, 3)
     same = (diff % n == 0).all(axis=-1)
     assert np.all(same.sum(axis=-1) == 1)
@@ -404,23 +395,82 @@ def lifted_opposite_points(mesh, k):
 
 
 class TestFaceGluing:
-    """Independent geometric check of face_tets, face_normal and face_side
-    from the lifted lattice points of the faces and tets."""
+    """Independent geometric check of face_tets and face_side from the
+    lifted lattice points of the faces and tets."""
 
     @pytest.mark.parametrize("label", sorted(GLUING_TORI))
     def test_face_tets_lie_on_either_side(self, label):
         mesh = _torus(label)
         assert np.all(mesh.face_tets[:, 0] < mesh.face_tets[:, 1])
-        centroid = mesh.face_coords.mean(axis=1)
+        p = lifted_points(mesh, "face") * mesh.cell
         # (F, 2, 3): offset of each tet's off-face point from the face
         opp = np.stack([lifted_opposite_points(mesh, k) * mesh.cell
-                        for k in (0, 1)], axis=1) - centroid[:, None]
-        side = np.vecdot(opp, mesh.face_normal[:, None])
-        assert np.all(side[:, 0] < 0) and np.all(side[:, 1] > 0)
+                        for k in (0, 1)], axis=1) - p.mean(axis=1)[:, None]
+        normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        side = np.vecdot(opp, normal[:, None])
+        assert np.all(side[:, 0] * side[:, 1] < 0)
         # n_ef points into face_tets[f, face_side[f, s]], away from the other
+        face_n = mesh.face_n[np.arange(mesh.num_faces) % 12]
         for into, sign in ((mesh.face_side, 1), (1 - mesh.face_side, -1)):
             q = np.take_along_axis(opp, into[..., None], axis=1)
-            assert np.all(sign * np.vecdot(q, mesh.face_n) > 0)
+            assert np.all(sign * np.vecdot(q, face_n) > 0)
+
+
+def _translate_geometry(mesh):
+    """Geometry of every tet and face, recomputed from its own lifted
+    points: barycentric gradients (T, 4, 3), basis matrices (T, 6, 3, 3),
+    volumes (T,) and the (m_ef, n_ef) frames (F, 3, 3) of the face slots."""
+    p = lifted_points(mesh, "tet") * mesh.cell
+    B = np.stack([p[:, i] - p[:, 0] for i in (1, 2, 3)], axis=-1)
+    Binv = np.linalg.inv(B)
+    grad = np.concatenate([-Binv.sum(axis=1, keepdims=True), Binv], axis=1)
+    rho = np.empty((len(p), 6, 3, 3))
+    for a, (i, j) in enumerate(LOCAL_EDGES):
+        gi, gj = grad[:, i], grad[:, j]
+        rho[:, a] = -0.5 * (np.einsum("ti,tj->tij", gi, gj)
+                            + np.einsum("ti,tj->tij", gj, gi))
+    q = lifted_points(mesh, "face") * mesh.cell
+    m, n = np.empty((2, len(q), 3, 3))
+    for s, (a, b) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        t = q[:, b] - q[:, a]
+        t /= np.linalg.norm(t, axis=1, keepdims=True)
+        w = q[:, 3 - a - b] - q[:, a]
+        ms = w - np.einsum("fi,fi->f", w, t)[:, None] * t
+        m[:, s] = ms / np.linalg.norm(ms, axis=1, keepdims=True)
+        n[:, s] = np.cross(t, m[:, s])
+    return grad, rho, np.abs(np.linalg.det(B)) / 6.0, m, n
+
+
+class TestShapeTemplates:
+    @pytest.mark.parametrize("grid, lengths", [
+        ((2, 2, 2), (TAU, TAU, TAU)),
+        ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+        ((16, 16, 16), (TAU, TAU, TAU)),
+    ], ids=["2x2x2", "4x5x6", "16x16x16"])
+    def test_templates_match_every_translate(self, grid, lengths):
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        grad, rho, vol, m, n = _translate_geometry(mesh)
+        tet = np.arange(mesh.num_tets) % 6
+        face = np.arange(mesh.num_faces) % 12
+        pairs = [(grad, mesh.tet_grad[tet]), (rho, mesh.tet_rho[tet]),
+                 (vol, np.full(mesh.num_tets, mesh.tet_volume)),
+                 (m, mesh.face_m[face]), (n, mesh.face_n[face])]
+        for every, template in pairs:
+            rel = np.abs(every - template).max() / np.abs(template).max()
+            assert rel <= 1e-14
+        assert np.prod(mesh.cell) / 6.0 == pytest.approx(mesh.tet_volume,
+                                                         rel=1e-15)
+
+    def test_no_per_simplex_float_arrays(self):
+        # float geometry is O(1) templates; the O(V) incidence stays
+        mesh = build_torus_mesh(TorusGeometry(TAU, TAU, TAU), (16, 16, 16))
+        arrays = [a for v in vars(mesh).values()
+                  for a in (v if isinstance(v, list) else [v])
+                  if isinstance(a, np.ndarray)]
+        sizes = {mesh.num_tets, mesh.num_faces}
+        assert [a.shape for a in arrays if a.dtype.kind == "f"
+                and sizes & set(a.shape)] == []
+        assert sum(a.nbytes for a in arrays) <= 12e6
 
 
 class TestQueries:

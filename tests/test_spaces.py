@@ -6,6 +6,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lifted_points
 from reggefem import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
                       build_torus_mesh, deformation, divergence_x2,
                       dof_mu_e, edge_star, interpolate_0, interpolate_1, interpolate_2,
@@ -50,7 +51,7 @@ class TestDofsAndBasis:
             for t in np.flatnonzero((mesh2.tet_edges == e).any(axis=1)):
                 for a in range(6):
                     ep = mesh2.tet_edges[t, a]
-                    val = d @ mesh2.tet_rho[t, a] @ d
+                    val = d @ mesh2.tet_rho[t % 6, a] @ d
                     if filled[e, ep]:
                         # the DOF is single-valued no matter the tet used
                         assert abs(D[e, ep] - val) < 1e-12
@@ -123,14 +124,15 @@ class TestInterpolators:
         rf = deformation(mesh3, v)
         mats = regge_to_tet_matrices(mesh3, rf)
         n = np.array(mesh3.grid)
-        for t in range(mesh3.num_tets):
-            if np.all(mesh3.tet_lattice[t] < n):
+        for t, lat in enumerate(lifted_points(mesh3, "tet")):
+            if np.all(lat < n):
                 assert np.abs(mats[t] - A).max() < 1e-12
         # the interpolated coefficients agree with the constant field ones
         const = interpolate_1(mesh3, constant_matrix_field(A, quad_points=4))
+        tails = lifted_points(mesh3, "edge")[:, 0]
         unwrapped = [e for e in range(mesh3.num_edges)
-                     if np.all(mesh3.edge_tail_lattice[e]
-                               + mesh3.edge_vec[e] / mesh3.cell < n - 0.5)]
+                     if np.all(tails[e] + mesh3.edge_vec[e] / mesh3.cell
+                               < n - 0.5)]
         for e in unwrapped[:40]:
             assert abs(rf.coeffs[e] - const.coeffs[e]) < 1e-12
 
@@ -210,9 +212,10 @@ def _old_interpolate_1(mesh, u):
 
 def _old_interpolate_2(mesh, u):
     out = np.zeros(mesh.num_edges)
+    coords = lifted_points(mesh, "tet") * mesh.cell
     for t in range(mesh.num_tets):
-        pts, w = _old_points_weights(mesh.tet_coords[t], u.quad_points)
-        per_tet = np.einsum("q,qij,aij->a", w, u(pts), mesh.tet_rho[t])
+        pts, w = _old_points_weights(coords[t], u.quad_points)
+        per_tet = np.einsum("q,qij,aij->a", w, u(pts), mesh.tet_rho[t % 6])
         for a, e in enumerate(mesh.tet_edges[t]):
             out[e] += per_tet[a]
     return out * mesh.edge_length
@@ -220,15 +223,17 @@ def _old_interpolate_2(mesh, u):
 
 def _old_interpolate_3(mesh, u):
     out = np.zeros((mesh.num_vertices, 3))
+    lattice = lifted_points(mesh, "tet")
     for t in range(mesh.num_tets):
-        pts, w = _old_points_weights(mesh.tet_coords[t], u.quad_points)
-        lam = np.einsum("ai,qi->qa", mesh.tet_grad[t, 1:],
-                        pts - mesh.tet_coords[t, 0])
+        coords = lattice[t] * mesh.cell
+        pts, w = _old_points_weights(coords, u.quad_points)
+        lam = np.einsum("ai,qi->qa", mesh.tet_grad[t % 6, 1:],
+                        pts - coords[0])
         lam = np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam],
                              axis=1)
         per_vertex = np.einsum("q,qa,qi->ai", w, lam, u(pts))
-        for a, x in enumerate(mesh.tet_vids[t]):
-            out[x] += per_vertex[a]
+        for a, x in enumerate(lattice[t]):
+            out[mesh.vertex_id(x)] += per_vertex[a]
     return out
 
 
@@ -275,9 +280,10 @@ class TestBatchedQuadratureOracle:
 
     def test_tet_points_weights(self, grid, lengths):
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
-        pts, w = tet_points_weights(mesh.tet_coords, 12)
+        coords = lifted_points(mesh, "tet") * mesh.cell
+        pts, w = tet_points_weights(coords, 12)
         for t in range(mesh.num_tets):
-            p_old, w_old = _old_points_weights(mesh.tet_coords[t], 12)
+            p_old, w_old = _old_points_weights(coords[t], 12)
             assert _rel_err(pts[t], p_old) <= 1e-13
             assert _rel_err(w[t], w_old) <= 1e-13
 
@@ -443,7 +449,7 @@ class TestMetricReconstruction:
             mats = tet_metrics_from_lengths(mesh, EdgeLengthConfig(s))
             assert np.abs(mats - g).max() < 1e-12
             for t in range(mesh.num_tets):
-                p = mesh.tet_coords[t]
+                p = lifted_points(mesh, "tet", t) * mesh.cell
                 rows = []
                 for i, j in LOCAL_EDGES:
                     d = p[j] - p[i]
@@ -471,7 +477,7 @@ class TestContinuity:
         for f in range(mesh.num_faces):
             t0, t1 = mesh.face_tets[f]
             jump = mats[t1] - mats[t0]
-            pts = mesh.face_coords[f]
+            pts = lifted_points(mesh, "face", f) * mesh.cell
             # the three edge directions span the tangent plane quadratically
             for a, b in ((0, 1), (0, 2), (1, 2)):
                 d = pts[b] - pts[a]

@@ -4,12 +4,14 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lifted_points
 from reggefem import (TorusGeometry, assemble_mass, assemble_stiffness,
                       assign_clusters, build_torus_mesh, convergence_study,
                       fourier_oracle, sigma_modes, solve_pencil)
 from reggefem.mesh import DIRECTIONS
 from reggefem.saint_venant import MassMatrix, StiffnessMatrix
 from reggefem.spaces import deformation_matrix
+from reggefem import spectrum
 from reggefem.spectrum import KERNEL_THRESHOLD_FACTOR, _bloch_symbols, \
     mode_symbol
 
@@ -113,8 +115,9 @@ class TestPencil:
         A, M = pencil2
         n = np.array(mesh2.grid)
         perm = np.empty(mesh2.num_edges, dtype=int)
+        tails = lifted_points(mesh2, "edge")[:, 0]
         for e in range(mesh2.num_edges):
-            moved = mesh2.edge_tail_lattice[e] + np.array([1, 0, 0])
+            moved = tails[e] + np.array([1, 0, 0])
             perm[e] = mesh2.vertex_id(moved) * 7 + mesh2.edge_dir[e]
         assert np.array_equal(np.sort(perm), np.arange(mesh2.num_edges))
         P = np.zeros((mesh2.num_edges, mesh2.num_edges))
@@ -180,6 +183,16 @@ class TestBlochSolve:
         (A2, _), (_, M3) = pencil2, pencil3
         with pytest.raises(ValueError, match="shape"):
             solve_pencil(A2, M3)
+
+    def test_assembled_pencil_block_circulant_to_roundoff(self, geometry,
+                                                          monkeypatch):
+        # every box carries the same template values, so only the order of
+        # summing duplicates can break the circulant structure
+        mesh = build_torus_mesh(geometry, (16, 16, 16))
+        monkeypatch.setattr(spectrum, "CIRCULANT_TOL", 1e-15)
+        for name, S in (("stiffness", assemble_stiffness(mesh)),
+                        ("mass", assemble_mass(mesh))):
+            _bloch_symbols(S.matrix, mesh.grid, name)
 
     @pytest.mark.parametrize("grid, lengths", [
         ((4, 4, 4), (TAU, TAU, TAU)),
