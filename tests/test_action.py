@@ -532,7 +532,9 @@ class TestSchlafli:
 # the per-face loops of the sector, holonomy and linearized routes.  The
 # deficit_angle_dihedral, deficit_angles and second_variation_check
 # entries are those of the length-only dihedral angles summed as gaps to
-# the flat background.
+# the flat background.  The metric, angle, holonomy, linearized and sector
+# entries are those of the one-box shape templates (tet t and face f read
+# the geometry of t % 6 and f % 12).
 GOLDEN_GRIDS = {
     # edges of the 2-wide directions wrap through the period
     "2x3x2": ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
@@ -551,7 +553,7 @@ GOLDEN = {
         "sector.metrics": "1ab5f10f464d64c3",
         "sector.ms": "1d9f099c331958d7",
         "sector.ns": "bdd88bb5fd85639e",
-        "tet_metrics_from_lengths": "6c5cd8850a04cb04",
+        "tet_metrics_from_lengths": "ac5eae7428a04683",
     },
     "3x3x3": {
         "deficit_angle_dihedral": "23db855da94ac501",
@@ -564,7 +566,7 @@ GOLDEN = {
         "sector.metrics": "1f9511d5402fc51d",
         "sector.ms": "95feef8d33c265b8",
         "sector.ns": "cf33e6b24905900d",
-        "tet_metrics_from_lengths": "9de28d3512e6fdee",
+        "tet_metrics_from_lengths": "260e06405f15cc5d",
     },
     "4x5x6": {
         "deficit_angle_dihedral": "ce108668568c42fb",
