@@ -547,7 +547,7 @@ GOLDEN = {
         "deficit_angle_holonomy": "f8ba2eed04c078e2",
         "deficit_angles": "4543b74a00ebe5d5",
         "linearized_deficit": "d0d1455dc19becc2",
-        "metric_dihedral_angles": "3d865dc66a6e79c7",
+        "metric_dihedral_angles": "83703fcdcf06e230",
         "second_variation_check.actions": "d1080279571791d3",
         "sector.faces_tets": "6015147a6f37d10e",
         "sector.metrics": "1ab5f10f464d64c3",
@@ -560,7 +560,7 @@ GOLDEN = {
         "deficit_angle_holonomy": "3e29b742a268a328",
         "deficit_angles": "23db855da94ac501",
         "linearized_deficit": "cf763146f8474b2b",
-        "metric_dihedral_angles": "f253a724e655992f",
+        "metric_dihedral_angles": "02c6994f20bc897b",
         "second_variation_check.actions": "6c115092f80317d6",
         "sector.faces_tets": "4aac778ead2753b7",
         "sector.metrics": "1f9511d5402fc51d",
