@@ -544,7 +544,7 @@ GOLDEN_GRIDS = {
 GOLDEN = {
     "2x3x2": {
         "deficit_angle_dihedral": "4543b74a00ebe5d5",
-        "deficit_angle_holonomy": "f8ba2eed04c078e2",
+        "deficit_angle_holonomy": "ad7d9c2e5259d624",
         "deficit_angles": "4543b74a00ebe5d5",
         "linearized_deficit": "d0d1455dc19becc2",
         "metric_dihedral_angles": "83703fcdcf06e230",
@@ -557,7 +557,7 @@ GOLDEN = {
     },
     "3x3x3": {
         "deficit_angle_dihedral": "23db855da94ac501",
-        "deficit_angle_holonomy": "3e29b742a268a328",
+        "deficit_angle_holonomy": "fc84a88fb90469f2",
         "deficit_angles": "23db855da94ac501",
         "linearized_deficit": "cf763146f8474b2b",
         "metric_dihedral_angles": "02c6994f20bc897b",
