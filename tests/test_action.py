@@ -546,7 +546,7 @@ GOLDEN = {
         "deficit_angle_dihedral": "4543b74a00ebe5d5",
         "deficit_angle_holonomy": "ad7d9c2e5259d624",
         "deficit_angles": "4543b74a00ebe5d5",
-        "linearized_deficit": "d0d1455dc19becc2",
+        "linearized_deficit": "bb5bc3220e328b15",
         "metric_dihedral_angles": "83703fcdcf06e230",
         "second_variation_check.actions": "d1080279571791d3",
         "sector.faces_tets": "6015147a6f37d10e",
@@ -559,7 +559,7 @@ GOLDEN = {
         "deficit_angle_dihedral": "23db855da94ac501",
         "deficit_angle_holonomy": "fc84a88fb90469f2",
         "deficit_angles": "23db855da94ac501",
-        "linearized_deficit": "cf763146f8474b2b",
+        "linearized_deficit": "1233d225d53f4593",
         "metric_dihedral_angles": "02c6994f20bc897b",
         "second_variation_check.actions": "6c115092f80317d6",
         "sector.faces_tets": "4aac778ead2753b7",
@@ -572,7 +572,7 @@ GOLDEN = {
         "deficit_angle_dihedral": "ce108668568c42fb",
         "deficit_angle_holonomy": "8c8cf8f73370ce26",
         "deficit_angles": "ce108668568c42fb",
-        "linearized_deficit": "a61eba02bf5e262c",
+        "linearized_deficit": "63822762736538e1",
         "metric_dihedral_angles": "34f3df6b4c78903e",
         "second_variation_check.actions": "7e53ebc27bbd7fe9",
         "sector.faces_tets": "eb6dcac4205b57de",
