@@ -551,7 +551,7 @@ GOLDEN = {
         "second_variation_check.actions": "d1080279571791d3",
         "sector.faces_tets": "6015147a6f37d10e",
         "sector.metrics": "1ab5f10f464d64c3",
-        "sector.ms": "1d9f099c331958d7",
+        "sector.ms": "cb132ba49559e553",
         "sector.ns": "bdd88bb5fd85639e",
         "tet_metrics_from_lengths": "ac5eae7428a04683",
     },
@@ -564,7 +564,7 @@ GOLDEN = {
         "second_variation_check.actions": "6c115092f80317d6",
         "sector.faces_tets": "4aac778ead2753b7",
         "sector.metrics": "1f9511d5402fc51d",
-        "sector.ms": "95feef8d33c265b8",
+        "sector.ms": "8cdd612f57dd1d55",
         "sector.ns": "cf33e6b24905900d",
         "tet_metrics_from_lengths": "260e06405f15cc5d",
     },
