@@ -552,7 +552,7 @@ GOLDEN = {
         "sector.faces_tets": "6015147a6f37d10e",
         "sector.metrics": "1ab5f10f464d64c3",
         "sector.ms": "cb132ba49559e553",
-        "sector.ns": "bdd88bb5fd85639e",
+        "sector.ns": "228ad7cdb783b267",
         "tet_metrics_from_lengths": "ac5eae7428a04683",
     },
     "3x3x3": {
@@ -565,7 +565,7 @@ GOLDEN = {
         "sector.faces_tets": "4aac778ead2753b7",
         "sector.metrics": "1f9511d5402fc51d",
         "sector.ms": "8cdd612f57dd1d55",
-        "sector.ns": "cf33e6b24905900d",
+        "sector.ns": "91eaf2a990e5e6cb",
         "tet_metrics_from_lengths": "260e06405f15cc5d",
     },
     "4x5x6": {
