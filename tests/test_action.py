@@ -550,7 +550,7 @@ GOLDEN = {
         "metric_dihedral_angles": "83703fcdcf06e230",
         "second_variation_check.actions": "d1080279571791d3",
         "sector.faces_tets": "6015147a6f37d10e",
-        "sector.metrics": "1ab5f10f464d64c3",
+        "sector.metrics": "d20fa9744d6a772a",
         "sector.ms": "cb132ba49559e553",
         "sector.ns": "228ad7cdb783b267",
         "tet_metrics_from_lengths": "ac5eae7428a04683",
@@ -563,7 +563,7 @@ GOLDEN = {
         "metric_dihedral_angles": "02c6994f20bc897b",
         "second_variation_check.actions": "6c115092f80317d6",
         "sector.faces_tets": "4aac778ead2753b7",
-        "sector.metrics": "1f9511d5402fc51d",
+        "sector.metrics": "7dd0f39714c1755c",
         "sector.ms": "8cdd612f57dd1d55",
         "sector.ns": "91eaf2a990e5e6cb",
         "tet_metrics_from_lengths": "260e06405f15cc5d",
