@@ -561,7 +561,7 @@ GOLDEN_DIGESTS = {
     "assemble_bench": "0cca495c448c7781",
     "assemble_seed": "ddbab901c470ba22",
     "config_action": "a69f2e000918939e",
-    "config_converge": "577fe50cebc1b2cb",
+    "config_converge": "9b16586d0ee85ede",
     "config_eigs": "1abd13e4b51b70d3",
     "config_mesh": "d6f7a697455379a1",
     "config_missing": "e396ae7d165ad749",
