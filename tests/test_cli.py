@@ -570,7 +570,7 @@ GOLDEN_DIGESTS = {
     "config_prefix_null": "08392b5498ae21d6",
     "config_unknown": "98177f81e0c069ff",
     "config_verify_seed": "45f15a419dc988d3",
-    "converge_bench": "c4f86dbb2a23c976",
+    "converge_bench": "1739791ad1ae89ef",
     "converge_decreasing": "b306d47ec13f0bde",
     "converge_short": "3f8f572629d5d16d",
     "eigs_csv": "03a42e23ae3e70be",
