@@ -572,7 +572,7 @@ GOLDEN_DIGESTS = {
     "config_verify_seed": "45f15a419dc988d3",
     "converge_bench": "1739791ad1ae89ef",
     "converge_decreasing": "b306d47ec13f0bde",
-    "converge_short": "3f8f572629d5d16d",
+    "converge_short": "7b4022d3782f5adb",
     "eigs_csv": "03a42e23ae3e70be",
     "eigs_cutoff": "72244fa338e8158c",
     "eigs_grid3": "d3564dc2a67d038e",
