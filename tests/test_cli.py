@@ -574,7 +574,7 @@ GOLDEN_DIGESTS = {
     "converge_decreasing": "b306d47ec13f0bde",
     "converge_short": "7b4022d3782f5adb",
     "eigs_csv": "03a42e23ae3e70be",
-    "eigs_cutoff": "72244fa338e8158c",
+    "eigs_cutoff": "8a3522e89977dd19",
     "eigs_grid3": "d3564dc2a67d038e",
     "eigs_too_many": "5cd405e445d8ac8d",
     "mesh": "68618ba4a72bda53",
