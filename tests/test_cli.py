@@ -575,7 +575,7 @@ GOLDEN_DIGESTS = {
     "converge_short": "7b4022d3782f5adb",
     "eigs_csv": "03a42e23ae3e70be",
     "eigs_cutoff": "8a3522e89977dd19",
-    "eigs_grid3": "d3564dc2a67d038e",
+    "eigs_grid3": "f513bc0dc5012631",
     "eigs_too_many": "5cd405e445d8ac8d",
     "mesh": "68618ba4a72bda53",
     "mesh_grid_1": "98d2ca1e01075124",
