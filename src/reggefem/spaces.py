@@ -464,7 +464,8 @@ def regge_to_tet_matrices(mesh: PeriodicMesh, u: ReggeField,
     template t % 6."""
     if u.coeffs.shape[0] != mesh.num_edges:
         raise ValueError("edge count mismatch")
-    # one (1, 6) @ (6, 9) product per tet, whether all or some are asked
+    # one (1, 6) @ (6, 9) product per tet, so that the matrices of some
+    # tets round as those of all tets do
     rho = mesh.tet_rho.reshape(6, 6, 9)
     if tets is None:
         c = u.coeffs[mesh.tet_edges].reshape(-1, 6, 1, 6)
