@@ -16,9 +16,10 @@ Two independent routes to the deficit angle of an edge:
   2*pi around every edge, so theta is exactly 0 at the flat
   configuration.  ``metric_dihedral_angles`` measures the same angles in
   the pulled-back metrics and serves as the tests' oracle;
-* holonomy: parallel-transport a frame once around the edge through the
-  cyclic star of sectors and read off the rotation angle in the plane
-  metric-orthogonal to the edge.
+* holonomy: carry two vectors once around the edge through the cyclic
+  star of sectors, crossing each face by the rank-one map that takes the
+  metric-unit normal before it to the one after it, and read off the
+  rotation angle in the plane metric-orthogonal to the edge.
 
 The action is R = sum_e theta_e * l_e.  Near the flat background,
 R(l(eps)) = eps^2/8 * c' A c + O(eps^3) where c is the coefficient vector
@@ -31,8 +32,8 @@ call it on one edge, ``holonomy_deficits`` and ``linearized_deficits`` on
 the V edges of each of the seven directions.  These routes are
 independent on purpose: ``verify`` checks them against ``deficit_angles``
 and against ``saint_venant.apply_ctc``, so they share no code with those.
-The holonomy route reads the metrics of ``tet_metrics_from_lengths``,
-which shares only the realizability guard with ``deficit_angles``.
+The holonomy route reads the metrics of ``tet_metrics_from_lengths``: the
+realizability guard of ``deficit_angles``, then the Regge basis matrices.
 """
 
 from __future__ import annotations
@@ -95,8 +96,6 @@ _SYM = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 # cofactors of the packed G.
 _COFACTORS = np.array([[1, 2, 5, 5], [0, 2, 4, 4], [0, 1, 3, 3],
                        [4, 5, 3, 2], [3, 5, 4, 1], [3, 4, 0, 5]]).T
-
-_UNIT_ROWS = np.eye(3)[:, None, :]
 
 logger = logging.getLogger(__name__)
 
@@ -181,36 +180,32 @@ def _first_not_positive_definite(mats: np.ndarray) -> int:
 
 
 def _gram_adjugate(s: np.ndarray):
-    """Gram data of tets from their squared lengths s (6, T), one row per
-    LOCAL_EDGES slot, each symmetric 3x3 matrix packed as in ``_SYM``.
-
-    Returns the Gram matrices g (6, T) of the spanning edge vectors
-    p_i - p_0 in the sought metric (polarization of the squared lengths),
-    adj G (6, T) from the closed-form cofactors, and det G (T,), the first
-    row of G times the first column of adj G.
+    """adj G (6, T) from the closed-form cofactors, and det G (T,), the
+    first row of G times the first column of adj G, of the Gram matrices G
+    of the spanning edge vectors p_i - p_0 of tets in the sought metric,
+    polarized from their squared lengths s (6, T).  One row per LOCAL_EDGES
+    slot; each symmetric 3x3 matrix is packed as in ``_SYM``.
     """
     g = np.concatenate([s[:3], 0.5 * (s[[0, 0, 1]] + s[[1, 2, 2]] - s[3:])])
     p, q, r, t = g[_COFACTORS]
     adj = p * q - r * t
-    return g, adj, (g[_SYM[0]] * adj[_SYM[0]]).sum(axis=0)
+    return adj, (g[_SYM[0]] * adj[_SYM[0]]).sum(axis=0)
 
 
 def _checked_gram(mesh: PeriodicMesh, config: EdgeLengthConfig, tets=None):
     """The realizability guard of every route from squared lengths.
 
-    Returns, for the squared lengths s (6, T) of the given tets (all by
-    default), ``s, G, adj, det``: the Gram matrices G (T, 3, 3) and the
-    rest from ``_gram_adjugate(s)``.  Raises ValueError on an edge count
+    Returns ``s, *_gram_adjugate(s)`` for the squared lengths s (6, T) of
+    the given tets (all by default).  Raises ValueError on an edge count
     mismatch, and RealizabilityError tagged with the first offending tet:
-    Cayley-Menger determinant 8 det G below the relative guard, or G not
-    positive definite.
+    Cayley-Menger determinant 8 det G below the relative guard, or else G
+    not positive definite.
     """
     if config.squared_lengths.shape[0] != mesh.num_edges:
         raise ValueError("edge count mismatch")
     edges = mesh.tet_edges if tets is None else mesh.tet_edges[tets]
     s = config.squared_lengths[edges.T]
-    g, adj, det = _gram_adjugate(s)
-    G = g.T[:, _SYM]
+    adj, det = _gram_adjugate(s)
     cm = 8.0 * det
     bad = np.flatnonzero(~(cm > CM_DET_RTOL * np.max(s, axis=0) ** 3))
 
@@ -222,26 +217,28 @@ def _checked_gram(mesh: PeriodicMesh, config: EdgeLengthConfig, tets=None):
         raise RealizabilityError(
             f"tet {tag(row)}: degenerate edge lengths "
             f"(Cayley-Menger determinant {cm[row]:.3e})")
-    row = _first_not_positive_definite(G)
-    if row >= 0:
+    # Sylvester: with g00 = s_01 > 0 and det G > 0, G is positive definite
+    # exactly when its leading 2x2 minor g00 g11 - g01^2 = adj[2] is
+    bad = np.flatnonzero(~(adj[2] > 0))
+    if bad.size:
         raise RealizabilityError(
-            f"tet {tag(row)}: metric not positive definite")
-    return s, G, adj, det
+            f"tet {tag(bad[0])}: metric not positive definite")
+    return s, adj, det
 
 
 def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
                              tets=None) -> np.ndarray:
-    """Constant metric per tet from the squared edge lengths.
+    """Constant metric per tet (T, 3, 3), or of the listed ``tets`` only:
+    the Regge field whose coefficients are the squared edge lengths (the
+    edge DOFs are unisolvent on constants).
 
     Raises RealizabilityError (tagged with the first offending tet) when a
     tet is not realizable: Cayley-Menger determinant below the relative
-    guard, or reconstructed metric not positive definite.
+    guard, or metric not positive definite.
     """
-    idx = np.arange(mesh.num_tets) if tets is None else np.atleast_1d(tets)
-    G = _checked_gram(mesh, config, idx)[1]
-    Gr = mesh.tet_grad[idx % 6, 1:]  # rows of B^{-1} of each tet's template
-    u = Gr.mT @ G @ Gr
-    return 0.5 * (u + u.mT)
+    _checked_gram(mesh, config, tets)
+    return regge_to_tet_matrices(mesh, ReggeField(config.squared_lengths),
+                                 tets)
 
 
 def _dihedral_cs(s: np.ndarray, adj: np.ndarray, det: np.ndarray):
@@ -265,7 +262,7 @@ def _flat_dihedral_cs(direction_lengths: tuple):
     ``direction_lengths[d]``: the flat background.  Tet 6v + r has the
     squared lengths of tet r bit for bit."""
     s = np.square(direction_lengths)[_BOX_EDGE_DIRS.T]
-    _, adj, det = _gram_adjugate(s)
+    adj, det = _gram_adjugate(s)
     out = _dihedral_cs(s, adj, det)
     for a in out:
         a.setflags(write=False)
@@ -330,7 +327,7 @@ def deficit_angles(mesh: PeriodicMesh, config: EdgeLengthConfig) -> np.ndarray:
     their gaps to the flat background's angles, which sum to 2*pi around
     every edge; so theta is exactly 0 at the flat configuration.
     """
-    s, _, adj, det = _checked_gram(mesh, config)
+    s, adj, det = _checked_gram(mesh, config)
     x, y = (c.reshape(6, -1, 6) for c in _dihedral_cs(s, adj, det))
     x0, y0 = (c[:, None] for c in _flat_background(mesh))
     gaps = _angle_gaps(x, y, x0, y0).reshape(6, -1).T
@@ -343,7 +340,7 @@ def deficit_angle_dihedral(mesh: PeriodicMesh, e: int,
     """Deficit angle of one edge via the dihedral angles of its star tets,
     summed in tet order as :func:`deficit_angles` sums them."""
     tets = np.sort(_star_arrays(mesh, e)[1])
-    s, _, adj, det = _checked_gram(mesh, config, tets)
+    s, adj, det = _checked_gram(mesh, config, tets)
     slots = np.argmax(mesh.tet_edges[tets] == e, axis=1)
     cols = np.arange(len(tets))
     x, y = (c[slots, cols] for c in _dihedral_cs(s, adj, det))
@@ -416,63 +413,49 @@ def _holonomy(t, ms, ns, mats) -> np.ndarray:
     """Holonomy rotation angles (...) of stacked sectors: tangents t
     (..., 3), face frames ms and ns (..., s, 3), metrics (..., s, 3, 3)."""
     s = ms.shape[-2]
-    # B[i] has the columns (m_i, n_i, t): the frame of face i
-    B = np.empty(ms.shape + (3,))
-    B[..., 0] = ms
-    B[..., 1] = ns
-    B[..., 2] = t[..., None, :]
-    # metric-unit normals to face i w.r.t. the sector before it (first s
+    # metric-unit normals k to face i w.r.t. the sector before it (first s
     # rows) and after it, oriented to the side of n_i.  n^T x is a matmul,
     # which rounds as a single dot does; einsum does not.
     n2 = np.concatenate([ns, ns], axis=-2)[..., None]
     x = np.linalg.solve(
         np.concatenate([mats[..., np.arange(-1, s - 1), :, :], mats],
                        axis=-3), n2)
-    k = x / np.sqrt(n2.mT @ x)
-    kc = (B.mT[..., None, :, :, :]
-          @ k.reshape(k.shape[:-3] + (2, s, 3, 1)))[..., 0]
-    kmc, kpc = kc[..., 0, :, :], kc[..., 1, :, :]
-    Mp = np.zeros(B.shape)
-    Mp[..., 0, 0] = Mp[..., 2, 2] = 1.0
-    Mp[..., 1] = kpc
-    beta = kmc[..., 1]
-    Mm_inv = np.zeros(B.shape)
-    Mm_inv[..., 0, 0] = Mm_inv[..., 2, 2] = 1.0
-    Mm_inv[..., 0, 1] = -kmc[..., 0] / beta
-    Mm_inv[..., 1, 1] = 1.0 / beta
-    Mm_inv[..., 2, 1] = -kmc[..., 2] / beta
-    # crossing face i: T_i, then the change from the frame of face i to
-    # that of face i+1
-    nxt = B[..., np.arange(1, s + 1) % s, :, :]
-    S = (nxt.mT @ B) @ (Mp @ Mm_inv)
-    E = S[..., 0, :, :]
+    nk = np.sqrt(n2.mT @ x)[..., 0]  # n . k
+    k = x[..., 0] / nk
+    # crossing face i fixes its plane and maps k- to k+:
+    # T_i = I + (k+ - k-) n_i^T / (n_i . k-)
+    T = np.eye(3) + ((k[..., s:, :] - k[..., :s, :])
+                     / nk[..., :s, :])[..., None] * ns[..., None, :]
+    E = T[..., 0, :, :]
     for i in range(1, s):
-        E = S[..., i, :, :] @ E
-    # E acts on coordinates in the frame of face 0; start metric there:
-    U = B[..., 0, :, :].mT @ mats[..., s - 1, :, :] @ B[..., 0, :, :]
-    # metric-orthonormal frame (w1, w2, t_hat), Gram-Schmidt keeps
-    # orientation; the vectors are (..., 1, 3) rows, so a^T U b = a @ U @ b.mT
-    ex, ey, ez = _UNIT_ROWS
-    that = ez / np.sqrt(U[..., 2:, 2:])
-    w1 = ex - (ex @ U @ that.mT) * that
-    w1 = w1 / np.sqrt(w1 @ U @ w1.mT)
-    w2 = ey - (ey @ U @ that.mT) * that - (ey @ U @ w1.mT) * w1
-    w2 = w2 / np.sqrt(w2 @ U @ w2.mT)
-    W = np.concatenate([w1, w2, that], axis=-2).mT.copy()
-    Ep = np.linalg.solve(W, E @ W)
-    return np.arctan2(Ep[..., 1, 0] - Ep[..., 0, 1],
-                      Ep[..., 0, 0] + Ep[..., 1, 1])
+        E = T[..., i, :, :] @ E
+    # Gram-Schmidt of (m_0, n_0, t) in the start metric U, the one before
+    # face 0; a^T U b of rows (..., 1, 3) is a @ U @ b.mT
+    U = mats[..., s - 1, :, :]
+    m0, n0 = ms[..., :1, :], ns[..., :1, :]
+
+    def unit(v):
+        return v / np.sqrt(v @ U @ v.mT)
+
+    that = unit(t[..., None, :])
+    w1 = unit(m0 - (m0 @ U @ that.mT) * that)
+    w2 = unit(n0 - (n0 @ U @ that.mT) * that - (n0 @ U @ w1.mT) * w1)
+    W = np.concatenate([w1, w2], axis=-2)
+    # the holonomy E is a U-isometry that fixes t, and W^-1 = W^T U reads
+    # its rotation in the (w1, w2) plane
+    P = W @ U @ E @ W.mT
+    return np.arctan2(P[..., 1, 0] - P[..., 0, 1], P[..., 0, 0] + P[..., 1, 1])
 
 
 def deficit_angle_holonomy(sector: EdgeSector) -> float:
     """Deficit angle as the rotation angle of the holonomy around the edge.
 
-    Crossing face i maps the metric-unit normal of the before-sector to the
-    after-sector's; composing all crossings (with the basis changes between
-    the face frames) yields an isometry of the start sector metric fixing
-    the edge direction.  Expressed in a metric-orthonormal frame of the
-    orthogonal plane it is a rotation; the angle is positive when the cone
-    angle is less than 2*pi.  A rotation angle is only defined modulo
+    Crossing face i is T_i = I + (k+ - k-) n_i^T / (n_i . k-), which fixes
+    the face and maps the metric-unit normal k- of the before-sector to the
+    after-sector's k+; composing all crossings yields an isometry of the
+    start sector metric U fixing the edge direction.  Read by U-products in
+    a U-orthonormal frame of the orthogonal plane it is a rotation; the
+    angle is positive when the cone angle is less than 2*pi.  A rotation angle is only defined modulo
     2*pi; the principal branch (-pi, pi] is returned, so agreement with the
     dihedral route holds for |deficit| < pi.
     """

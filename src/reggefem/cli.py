@@ -271,6 +271,8 @@ def cmd_oracle(cfg) -> int:
 def cmd_converge(cfg) -> int:
     try:
         study = convergence_study(_geometry(cfg), cfg["grids"], cfg["n_eigs"])
+    except (MeshError, np.linalg.LinAlgError):
+        raise  # a lengths error, see main
     except ValueError as ex:
         raise ConfigError(f"n_eigs: {ex}") from ex
     rows = [(f"{r['grid'][0]}x{r['grid'][1]}x{r['grid'][2]}", r["target"],
@@ -425,8 +427,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command].run(_resolve(args))
-    except (ConfigError, MeshError) as ex:
+    except ConfigError as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except (MeshError, np.linalg.LinAlgError) as ex:
+        # side lengths too far apart for the grid in double precision
+        print(f"error: lengths: {ex}", file=sys.stderr)
         return 2
     except RealizabilityError as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -125,14 +125,14 @@ class PeriodicMesh:
 
     cell (3,) box side lengths, vertex_pos (V,3);
     tet_edges (T,6) global edge ids in LOCAL_EDGES order;
-    edge_tail/edge_head/edge_dir (E,), edge_vec (E,3), edge_tangent (E,3),
+    edge_tail/edge_head (E,), edge_vec (E,3), edge_tangent (E,3),
     edge_length (E,); face_tets (F,2) ascending, face_edges (F,3),
     face_side (F,3) index into face_tets of the tet n_ef points into.
     Shape templates, row r for tet 6v + r and row k for face 12v + k:
-    tet_coords (6,4,3) the tets of the box at the origin, tet_grad (6,4,3)
-    barycentric gradients, tet_rho (6,6,3,3) edge basis matrices restricted
-    to the tet; face_m/face_n (12,3,3) the (m_ef, n_ef) frame of each edge
-    slot.  tet_volume is the (float) volume of every tet.
+    tet_coords (6,4,3) the tets of the box at the origin, tet_rho
+    (6,6,3,3) edge basis matrices restricted to the tet (products of its
+    barycentric gradients); face_m/face_n (12,3,3) the (m_ef, n_ef) frame
+    of each edge slot.  tet_volume is the (float) volume of every tet.
 
     Edge incidence is held only by the stars: ``_star_faces[d]``,
     ``_star_slots[d]`` and ``_star_tets[d]`` are (V, valence) arrays whose
@@ -223,6 +223,8 @@ def _star_template(d: int):
 _STARS = [_star_template(d) for d in range(7)]
 
 
+# the geometry is checked once it is built, so its float warnings are moot
+@np.errstate(all="ignore")
 def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     """Build the Kuhn triangulation of the torus with the given grid.
 
@@ -265,7 +267,6 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     tail = np.repeat(np.arange(nv), 7)
     dirs = np.tile(np.arange(7), nv)
     mesh.edge_tail = tail
-    mesh.edge_dir = dirs
     mesh.edge_head = _vid(vertex_lattice[tail] + DIRECTIONS[dirs], n)
     mesh.edge_vec = DIRECTIONS[dirs] * cell
     mesh.edge_length = np.linalg.norm(mesh.edge_vec, axis=1)
@@ -278,8 +279,7 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     # every Kuhn tet has volume prod(cell) / 6; |det B| / 6 of template 0
     mesh.tet_volume = float(abs(np.linalg.det(B[0]))) / 6.0
     Binv = np.linalg.inv(B)
-    mesh.tet_grad = grad = np.concatenate(
-        [-Binv.sum(axis=1, keepdims=True), Binv], axis=1)
+    grad = np.concatenate([-Binv.sum(axis=1, keepdims=True), Binv], axis=1)
     gi, gj = grad[:, lo, :, None], grad[:, hi, None, :]
     # -1/2 normalization makes the edge DOFs dual to this basis; fancy
     # indexing on axis 1 leaves the slot axis outermost in memory
@@ -294,6 +294,13 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     mesh.face_m = m = np.ascontiguousarray(w - np.vecdot(w, u)[..., None] * u)
     m /= _norm(m)
     mesh.face_n = np.cross(mesh.edge_tangent[mesh.face_edges[:12]], m)
+    # side lengths far apart for the grid underflow a squared length or
+    # overflow a basis matrix in double precision
+    s = np.append(mesh.edge_length[:7] ** 2, mesh.tet_volume)
+    if not (all(np.isfinite(a).all() for a in (
+            s, mesh.tet_rho, mesh.face_m, mesh.face_n)) and s.min() > 0):
+        raise MeshError(f"side lengths {geometry.lengths.tolist()} give grid "
+                        f"{grid} a zero or non-finite cell geometry")
 
     # stars: templates moved to every vertex, rows rolled to the lowest face
     # id; face i lies between sectors i-1 and i, n_ef pointing into sector i

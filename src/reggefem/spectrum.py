@@ -274,7 +274,8 @@ def solve_pencil(A: StiffnessMatrix, M: MassMatrix,
         L = np.linalg.cholesky(Mk)
     except np.linalg.LinAlgError as ex:
         raise np.linalg.LinAlgError(
-            "mass matrix not SPD (assembly bug?)") from ex
+            "mass matrix not SPD (an assembly bug, or cells too anisotropic "
+            "for double precision)") from ex
     # L^-1 A^ L^-H, then x^ = L^-H y.  np.linalg.solve batches in C; scipy's
     # solve_triangular batches only from 1.15 on, and was 6x slower at V=4096
     Y = np.linalg.solve(L, Ak)

@@ -116,6 +116,49 @@ class TestMetricReconstruction:
         stacked = cayley_menger_determinant(s.reshape(-1, 3, 6))
         assert np.array_equal(stacked, cm.reshape(-1, 3))
 
+    def test_guard_verdict_is_cholesky(self, mesh3):
+        # Gram matrices that pass the Cayley-Menger test, definite and
+        # indefinite (one positive eigenvalue, so det G > 0): the guard
+        # accepts a tet exactly when its G has a Cholesky factor
+        rng = np.random.default_rng(25)
+        # the six edge vectors of a tet in the basis p_i - p_0
+        x = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                      [-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
+        verdicts = []
+        for i in range(200):
+            a = rng.normal(size=(3, 3))
+            R = a @ a.T + 0.1 * np.eye(3)
+            if i % 2:
+                G = R
+            else:
+                v = rng.normal(size=3)
+                delta = np.min((x @ v) ** 2 / np.einsum("ei,ij,ej->e",
+                                                         x, R, x))
+                G = np.outer(v, v) - rng.uniform(0.05, 0.95) * delta * R
+            s6 = np.einsum("ei,ij,ej->e", x, G, x)
+            t = int(rng.integers(mesh3.num_tets))
+            s = mesh3.edge_length ** 2
+            s[mesh3.tet_edges[t]] = s6
+            g = 0.5 * (s6[:3, None] + s6[None, :3])
+            g[np.triu_indices(3, 1)] -= 0.5 * s6[3:]
+            g = np.triu(g) + np.triu(g, 1).T
+            if not 8.0 * np.linalg.det(g) > 1e-10 * s6.max() ** 3:
+                continue
+            try:
+                np.linalg.cholesky(g)
+                definite = True
+            except np.linalg.LinAlgError:
+                definite = False
+            try:
+                tet_metrics_from_lengths(mesh3, EdgeLengthConfig(s), [t])
+                accepted = True
+            except RealizabilityError as ex:
+                assert str(ex) == f"tet {t}: metric not positive definite"
+                accepted = False
+            assert accepted == definite
+            verdicts.append(definite)
+        assert 50 < sum(verdicts) < len(verdicts) - 50
+
     def test_first_degenerate_tet_named(self, mesh3):
         s = mesh3.edge_length.copy() ** 2
         # a 60x squared length breaks the triangle inequality in every
@@ -183,15 +226,20 @@ class TestDeficits:
         assert abs(r2 - 2.0 * r1) < 1e-10 * max(abs(r1), 1.0)
 
     def test_dual_paths_agree(self, mesh2):
+        # every third edge of the cube, every edge of an anisotropic torus
+        # with its deficits on the principal branch
         rng = np.random.default_rng(3)
-        for _ in range(3):
-            cfg = random_realizable_config(mesh2, rng)
-            mats = tet_metrics_from_lengths(mesh2, cfg)
-            for e in range(0, mesh2.num_edges, 3):
-                th_d = deficit_angle_dihedral(mesh2, e, cfg)
-                th_h = deficit_angle_holonomy(
-                    build_edge_sector(mesh2, e, mats))
-                assert abs(th_d - th_h) < 1e-9
+        aniso = build_torus_mesh(TorusGeometry(*EXACT_GRIDS[2][1]),
+                                 EXACT_GRIDS[2][0])
+        for mesh, step, bound in ((mesh2, 3, None), (aniso, 1, 2.5)):
+            for _ in range(3):
+                cfg = random_realizable_config(mesh, rng, max_deficit=bound)
+                mats = tet_metrics_from_lengths(mesh, cfg)
+                for e in range(0, mesh.num_edges, step):
+                    th_d = deficit_angle_dihedral(mesh, e, cfg)
+                    th_h = deficit_angle_holonomy(
+                        build_edge_sector(mesh, e, mats))
+                    assert abs(th_d - th_h) < 1e-9
 
     def test_sector_discontinuity_names_first_face(self, mesh2):
         mats = tet_metrics_from_lengths(mesh2, euclidean_lengths(mesh2))
@@ -328,7 +376,7 @@ class TestLengthOnlyDihedrals:
         cfg = random_realizable_config(mesh3, np.random.default_rng(21))
         s = cfg.squared_lengths[mesh3.tet_edges]
         cm = cayley_menger_determinant(s)
-        assert np.abs(8.0 * _gram_adjugate(s.T)[2] - cm).max() < \
+        assert np.abs(8.0 * _gram_adjugate(s.T)[1] - cm).max() < \
             1e-12 * np.abs(cm).min()
 
     def test_sine_is_the_adjugate_minor(self, mesh3):
@@ -336,7 +384,7 @@ class TestLengthOnlyDihedrals:
         # bordered adjugate H, the form that cancels
         cfg = random_realizable_config(mesh3, np.random.default_rng(22))
         s = cfg.squared_lengths[mesh3.tet_edges].T
-        g, adj, det = _gram_adjugate(s)
+        adj, det = _gram_adjugate(s)
         H = np.empty((mesh3.num_tets, 4, 4))
         H[:, 1:, 1:] = adj.T[:, _SYM]
         H[:, 0, 1:] = H[:, 1:, 0] = -H[:, 1:, 1:].sum(axis=-1)
@@ -349,15 +397,22 @@ class TestLengthOnlyDihedrals:
         assert np.abs(y.T / minor - 1.0).max() < 1e-12
 
     def test_needs_no_metric_and_no_det(self, mesh2, monkeypatch):
-        # the action and the bisection guard read lengths only
+        # the action and the bisection guard read lengths only; no route
+        # from lengths, the metric reconstruction included, takes a 5x5
+        # determinant or a Cholesky factor
         cfg = random_realizable_config(mesh2, np.random.default_rng(23))
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("metric route or 5x5 determinant used")
+            raise AssertionError("metric route, 5x5 determinant or "
+                                 "Cholesky factor used")
 
+        monkeypatch.setattr(np.linalg, "det", forbidden)
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        assert np.array_equal(
+            tet_metrics_from_lengths(mesh2, cfg),
+            regge_to_tet_matrices(mesh2, ReggeField(cfg.squared_lengths)))
         monkeypatch.setattr(action_module, "tet_metrics_from_lengths",
                             forbidden)
-        monkeypatch.setattr(np.linalg, "det", forbidden)
         theta = deficit_angles(mesh2, cfg)
         assert regge_action(mesh2, cfg) == float(np.sum(theta * cfg.lengths))
         assert [deficit_angle_dihedral(mesh2, e, cfg)

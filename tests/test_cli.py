@@ -300,6 +300,25 @@ class TestConfigTable:
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("argv", [
+        ("assemble", "--lengths", "1e-170", "1", "1"),
+        ("mesh", "--lengths", "1e200", "1", "1"),
+        ("eigs", "--grid", "2", "2", "2", "--lengths", "1e-8", "1", "1"),
+        ("converge", "--grids", "2", "--lengths", "1e-8", "1", "1"),
+        ("converge", "--grids", "2", "3", "--lengths", "1e-170", "1", "1"),
+    ])
+    def test_side_lengths_beyond_double_precision_are_config_errors(
+            self, capsys, tmp_path, monkeypatch, argv):
+        # valid numbers, too far apart for the grid: the mesh build or the
+        # mass matrix fails, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: lengths: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": [3, 3, 3]}))

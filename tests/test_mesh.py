@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ TAU = 2.0 * np.pi
 
 # First 16 hex digits of the SHA-256 of every attribute of build_torus_mesh
 # (see _fingerprint), recorded from the per-simplex reference builder; the
-# tet and face templates (tet_coords, tet_grad, tet_rho, face_m, face_n)
+# tet and face templates (tet_coords, tet_rho, face_m, face_n)
 # equal its first 6 or 12 rows bit for bit, and tet_volume its first
 # entry.
 GOLDEN_GRIDS = {
@@ -27,7 +28,6 @@ GOLDEN_GRIDS = {
 GOLDEN = {
     "2x2x2": {
         "cell": "2dfbd19cb1692e08",
-        "edge_dir": "8c7e45d6fba4806d",
         "edge_head": "1edd28297ac1c89d",
         "edge_length": "13902fb889af30a5",
         "edge_star": "94998c6fca69e52f",
@@ -43,14 +43,12 @@ GOLDEN = {
         "grid": "c8ead7daa57273e9",
         "tet_coords": "ca2a3b93205595c3",
         "tet_edges": "617a6c345767d483",
-        "tet_grad": "e85f421ee57bed27",
         "tet_rho": "2867af046826a6f5",
         "tet_volume": "2655bba7740fac26",
         "vertex_pos": "f5a9bb3d9b9baf03",
     },
     "3x2x2": {
         "cell": "d63e25afa38928b1",
-        "edge_dir": "a05dbedb1723b803",
         "edge_head": "8132b59725eaf05b",
         "edge_length": "d21f55f609f7d93a",
         "edge_star": "69d1e113f8baeef6",
@@ -66,14 +64,12 @@ GOLDEN = {
         "grid": "2de320b5c8879a43",
         "tet_coords": "79af9382242581b6",
         "tet_edges": "acfae813c6db1ab1",
-        "tet_grad": "52eaa97c14e55975",
         "tet_rho": "fd990b027d4cf43c",
         "tet_volume": "e9dc19d8da91c9c6",
         "vertex_pos": "bf417313231d1b24",
     },
     "3x3x3": {
         "cell": "8e21d587fa973311",
-        "edge_dir": "342c9b662e283130",
         "edge_head": "71804ea9ae9aa13c",
         "edge_length": "cdc60b1bf09b9952",
         "edge_star": "33c0d3da08dcce69",
@@ -89,14 +85,12 @@ GOLDEN = {
         "grid": "ebf16796deae7672",
         "tet_coords": "79ea098d18e078a1",
         "tet_edges": "59d4d3f424ac47a7",
-        "tet_grad": "383e123f8c4e2177",
         "tet_rho": "8b9f2b60cfe38f49",
         "tet_volume": "d8573b2c884ddc5c",
         "vertex_pos": "62ebc45b41d1c41b",
     },
     "4x5x6": {
         "cell": "410a455457be75c0",
-        "edge_dir": "56e2464db5039da2",
         "edge_head": "db7863d6dae341c9",
         "edge_length": "d6463e1bd6d55238",
         "edge_star": "c3d2b506594b270f",
@@ -112,7 +106,6 @@ GOLDEN = {
         "grid": "f373fe8d1d0430c6",
         "tet_coords": "7dd7da561e110254",
         "tet_edges": "09270752b97df9ad",
-        "tet_grad": "c98448ce8690b8af",
         "tet_rho": "7dec498cdad44ff6",
         "tet_volume": "20768468f1705add",
         "vertex_pos": "01025935a53f9542",
@@ -183,6 +176,17 @@ class TestCounts:
     def test_bad_geometry_rejected(self):
         with pytest.raises(MeshError):
             TorusGeometry(1.0, -2.0, 3.0)
+
+    @pytest.mark.parametrize("lengths", [(1e-170, 1.0, 1.0),
+                                         (1e200, 1.0, 1.0),
+                                         (1e-300, 1e-300, 1e-300)])
+    def test_geometry_beyond_double_precision_rejected(self, lengths):
+        # a squared length underflows to 0, or a squared length, the volume
+        # or a basis matrix overflows; no float warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="non-finite cell geometry"):
+                build_torus_mesh(TorusGeometry(*lengths), (2, 2, 2))
 
 
 class TestGeometry:
@@ -258,7 +262,7 @@ class TestGeometry:
             for i, v in enumerate(items):
                 if isinstance(v, np.ndarray):
                     arrays[f"{name}[{i}]"] = v
-        assert {"cell[0]", "edge_dir[0]", "_star_faces[6]",
+        assert {"cell[0]", "edge_tail[0]", "_star_faces[6]",
                 "_star_slots[6]", "_star_tets[6]"} <= set(arrays)
         assert [k for k, v in arrays.items() if v.flags.writeable] == []
         faces, tets = _star_arrays(mesh, 3)
@@ -272,7 +276,7 @@ class TestEdgeStar:
 
     def test_body_diagonal_star_length_six(self, mesh):
         # oracle: brute-force scan of tet incidence
-        diag = [e for e in range(mesh.num_edges) if mesh.edge_dir[e] == 6]
+        diag = [e for e in range(mesh.num_edges) if e % 7 == 6]
         assert diag
         for e in diag:
             brute = sum(1 for t in range(mesh.num_tets)
@@ -418,8 +422,8 @@ class TestFaceGluing:
 
 def _translate_geometry(mesh):
     """Geometry of every tet and face, recomputed from its own lifted
-    points: barycentric gradients (T, 4, 3), basis matrices (T, 6, 3, 3),
-    volumes (T,) and the (m_ef, n_ef) frames (F, 3, 3) of the face slots."""
+    points: basis matrices (T, 6, 3, 3), volumes (T,) and the (m_ef, n_ef)
+    frames (F, 3, 3) of the face slots."""
     p = lifted_points(mesh, "tet") * mesh.cell
     B = np.stack([p[:, i] - p[:, 0] for i in (1, 2, 3)], axis=-1)
     Binv = np.linalg.inv(B)
@@ -438,7 +442,7 @@ def _translate_geometry(mesh):
         ms = w - np.einsum("fi,fi->f", w, t)[:, None] * t
         m[:, s] = ms / np.linalg.norm(ms, axis=1, keepdims=True)
         n[:, s] = np.cross(t, m[:, s])
-    return grad, rho, np.abs(np.linalg.det(B)) / 6.0, m, n
+    return rho, np.abs(np.linalg.det(B)) / 6.0, m, n
 
 
 class TestShapeTemplates:
@@ -449,10 +453,10 @@ class TestShapeTemplates:
     ], ids=["2x2x2", "4x5x6", "16x16x16"])
     def test_templates_match_every_translate(self, grid, lengths):
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
-        grad, rho, vol, m, n = _translate_geometry(mesh)
+        rho, vol, m, n = _translate_geometry(mesh)
         tet = np.arange(mesh.num_tets) % 6
         face = np.arange(mesh.num_faces) % 12
-        pairs = [(grad, mesh.tet_grad[tet]), (rho, mesh.tet_rho[tet]),
+        pairs = [(rho, mesh.tet_rho[tet]),
                  (vol, np.full(mesh.num_tets, mesh.tet_volume)),
                  (m, mesh.face_m[face]), (n, mesh.face_n[face])]
         for every, template in pairs:

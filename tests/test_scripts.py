@@ -1,6 +1,7 @@
 """Smoke tests: every script in scripts/ runs at its smallest size, and so
 does the README's library quickstart; every function the benchmark traces
-still exists in the library; the CLI imports no module it need not load."""
+or calls still exists in the library; the CLI imports no module it need
+not load."""
 
 import importlib
 import importlib.util
@@ -69,6 +70,18 @@ def test_benchmark_traced_functions_resolve(monkeypatch):
     spec.loader.exec_module(spans)
     assert spans.TRACED
     missing = [(mod, fn) for mod, fn in spans.TRACED if not callable(
+        getattr(importlib.import_module(f"reggefem.{mod}"), fn, None))]
+    assert missing == []
+
+
+def test_benchmark_workload_calls_resolve():
+    # perfbench/workloads.py calls the library as <module>.<name>(...);
+    # read it as text, so that nothing of it is imported or compiled
+    text = (ROOT / "perfbench" / "workloads.py").read_text()
+    calls = set(re.findall(
+        r"(?<![\w.])(action|saint_venant|mesh|cli)\.(\w+)\(", text))
+    assert ("action", "deficit_angle_holonomy") in calls
+    missing = [(mod, fn) for mod, fn in sorted(calls) if not callable(
         getattr(importlib.import_module(f"reggefem.{mod}"), fn, None))]
     assert missing == []
 

@@ -227,8 +227,9 @@ def _old_interpolate_3(mesh, u):
     for t in range(mesh.num_tets):
         coords = lattice[t] * mesh.cell
         pts, w = _old_points_weights(coords, u.quad_points)
-        lam = np.einsum("ai,qi->qa", mesh.tet_grad[t % 6, 1:],
-                        pts - coords[0])
+        Binv = np.linalg.inv((mesh.tet_coords[t % 6, 1:]
+                              - mesh.tet_coords[t % 6, :1]).T)
+        lam = np.einsum("ai,qi->qa", Binv, pts - coords[0])
         lam = np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam],
                              axis=1)
         per_vertex = np.einsum("q,qa,qi->ai", w, lam, u(pts))

@@ -118,7 +118,7 @@ class TestPencil:
         tails = lifted_points(mesh2, "edge")[:, 0]
         for e in range(mesh2.num_edges):
             moved = tails[e] + np.array([1, 0, 0])
-            perm[e] = mesh2.vertex_id(moved) * 7 + mesh2.edge_dir[e]
+            perm[e] = mesh2.vertex_id(moved) * 7 + e % 7
         assert np.array_equal(np.sort(perm), np.arange(mesh2.num_edges))
         P = np.zeros((mesh2.num_edges, mesh2.num_edges))
         P[perm, np.arange(mesh2.num_edges)] = 1.0
