@@ -587,9 +587,10 @@ class TestSchlafli:
 # the per-face loops of the sector, holonomy and linearized routes.  The
 # deficit_angle_dihedral, deficit_angles and second_variation_check
 # entries are those of the length-only dihedral angles summed as gaps to
-# the flat background.  The metric, angle, holonomy, linearized and sector
-# entries are those of the one-box shape templates (tet t and face f read
-# the geometry of t % 6 and f % 12).
+# the flat background.  The linearized and sector frame entries are those
+# of the one-box shape templates (tet t and face f read the geometry of
+# t % 6 and f % 12); the metric, angle and holonomy entries those of the
+# metrics from the Regge basis and the rank-one face crossings.
 GOLDEN_GRIDS = {
     # edges of the 2-wide directions wrap through the period
     "2x3x2": ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
@@ -608,7 +609,7 @@ GOLDEN = {
         "sector.metrics": "d20fa9744d6a772a",
         "sector.ms": "cb132ba49559e553",
         "sector.ns": "228ad7cdb783b267",
-        "tet_metrics_from_lengths": "ac5eae7428a04683",
+        "tet_metrics_from_lengths": "6ef3a45afaf0c1c0",
     },
     "3x3x3": {
         "deficit_angle_dihedral": "23db855da94ac501",
@@ -621,7 +622,7 @@ GOLDEN = {
         "sector.metrics": "7dd0f39714c1755c",
         "sector.ms": "8cdd612f57dd1d55",
         "sector.ns": "91eaf2a990e5e6cb",
-        "tet_metrics_from_lengths": "260e06405f15cc5d",
+        "tet_metrics_from_lengths": "4d67ca8457ec3847",
     },
     "4x5x6": {
         "deficit_angle_dihedral": "ce108668568c42fb",
@@ -634,7 +635,7 @@ GOLDEN = {
         "sector.metrics": "ef43a9d52bb5c5bf",
         "sector.ms": "7e434f99a37aed3a",
         "sector.ns": "84d6f49ba89668fb",
-        "tet_metrics_from_lengths": "05bcec8ef8e646fe",
+        "tet_metrics_from_lengths": "58b39bd49b1f19eb",
     },
 }
 
