@@ -606,7 +606,7 @@ GOLDEN = {
         "metric_dihedral_angles": "83703fcdcf06e230",
         "second_variation_check.actions": "d1080279571791d3",
         "sector.faces_tets": "6015147a6f37d10e",
-        "sector.metrics": "d20fa9744d6a772a",
+        "sector.metrics": "53bbf40ba58a1c4b",
         "sector.ms": "cb132ba49559e553",
         "sector.ns": "228ad7cdb783b267",
         "tet_metrics_from_lengths": "6ef3a45afaf0c1c0",
@@ -619,7 +619,7 @@ GOLDEN = {
         "metric_dihedral_angles": "02c6994f20bc897b",
         "second_variation_check.actions": "6c115092f80317d6",
         "sector.faces_tets": "4aac778ead2753b7",
-        "sector.metrics": "7dd0f39714c1755c",
+        "sector.metrics": "84f2d2c0b52c9443",
         "sector.ms": "8cdd612f57dd1d55",
         "sector.ns": "91eaf2a990e5e6cb",
         "tet_metrics_from_lengths": "4d67ca8457ec3847",
@@ -632,7 +632,7 @@ GOLDEN = {
         "metric_dihedral_angles": "34f3df6b4c78903e",
         "second_variation_check.actions": "7e53ebc27bbd7fe9",
         "sector.faces_tets": "eb6dcac4205b57de",
-        "sector.metrics": "ef43a9d52bb5c5bf",
+        "sector.metrics": "41cfb1e1ad75b5a8",
         "sector.ms": "7e434f99a37aed3a",
         "sector.ns": "84d6f49ba89668fb",
         "tet_metrics_from_lengths": "58b39bd49b1f19eb",
