@@ -603,7 +603,7 @@ GOLDEN = {
         "deficit_angle_holonomy": "ad7d9c2e5259d624",
         "deficit_angles": "4543b74a00ebe5d5",
         "linearized_deficit": "bb5bc3220e328b15",
-        "metric_dihedral_angles": "83703fcdcf06e230",
+        "metric_dihedral_angles": "90e24e0c25eaac50",
         "second_variation_check.actions": "d1080279571791d3",
         "sector.faces_tets": "6015147a6f37d10e",
         "sector.metrics": "53bbf40ba58a1c4b",
@@ -616,7 +616,7 @@ GOLDEN = {
         "deficit_angle_holonomy": "fc84a88fb90469f2",
         "deficit_angles": "23db855da94ac501",
         "linearized_deficit": "1233d225d53f4593",
-        "metric_dihedral_angles": "02c6994f20bc897b",
+        "metric_dihedral_angles": "27ab49f091ec802c",
         "second_variation_check.actions": "6c115092f80317d6",
         "sector.faces_tets": "4aac778ead2753b7",
         "sector.metrics": "84f2d2c0b52c9443",
@@ -629,7 +629,7 @@ GOLDEN = {
         "deficit_angle_holonomy": "8c8cf8f73370ce26",
         "deficit_angles": "ce108668568c42fb",
         "linearized_deficit": "63822762736538e1",
-        "metric_dihedral_angles": "34f3df6b4c78903e",
+        "metric_dihedral_angles": "e0edfb6c32f95706",
         "second_variation_check.actions": "7e53ebc27bbd7fe9",
         "sector.faces_tets": "eb6dcac4205b57de",
         "sector.metrics": "41cfb1e1ad75b5a8",
