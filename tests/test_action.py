@@ -600,7 +600,7 @@ GOLDEN_GRIDS = {
 GOLDEN = {
     "2x3x2": {
         "deficit_angle_dihedral": "4543b74a00ebe5d5",
-        "deficit_angle_holonomy": "ad7d9c2e5259d624",
+        "deficit_angle_holonomy": "db3377742a2cf571",
         "deficit_angles": "4543b74a00ebe5d5",
         "linearized_deficit": "bb5bc3220e328b15",
         "metric_dihedral_angles": "90e24e0c25eaac50",
@@ -613,7 +613,7 @@ GOLDEN = {
     },
     "3x3x3": {
         "deficit_angle_dihedral": "23db855da94ac501",
-        "deficit_angle_holonomy": "fc84a88fb90469f2",
+        "deficit_angle_holonomy": "0e7d7a95bfd65522",
         "deficit_angles": "23db855da94ac501",
         "linearized_deficit": "1233d225d53f4593",
         "metric_dihedral_angles": "27ab49f091ec802c",
@@ -626,7 +626,7 @@ GOLDEN = {
     },
     "4x5x6": {
         "deficit_angle_dihedral": "ce108668568c42fb",
-        "deficit_angle_holonomy": "8c8cf8f73370ce26",
+        "deficit_angle_holonomy": "3b4dda6c72c94cee",
         "deficit_angles": "ce108668568c42fb",
         "linearized_deficit": "63822762736538e1",
         "metric_dihedral_angles": "e0edfb6c32f95706",
