@@ -452,12 +452,12 @@ def deficit_angle_holonomy(sector: EdgeSector) -> float:
 
     Crossing face i is T_i = I + (k+ - k-) n_i^T / (n_i . k-), which fixes
     the face and maps the metric-unit normal k- of the before-sector to the
-    after-sector's k+; composing all crossings yields an isometry of the
-    start sector metric U fixing the edge direction.  Read by U-products in
-    a U-orthonormal frame of the orthogonal plane it is a rotation; the
-    angle is positive when the cone angle is less than 2*pi.  A rotation angle is only defined modulo
-    2*pi; the principal branch (-pi, pi] is returned, so agreement with the
-    dihedral route holds for |deficit| < pi.
+    after-sector's k+.  The product of all crossings is an isometry of the
+    start sector metric U fixing the edge direction: a rotation of the
+    orthogonal plane, read by U-products in a U-orthonormal frame.  The
+    angle is positive when the cone angle is less than 2*pi, and returned
+    on the principal branch (-pi, pi], so agreement with the dihedral route
+    holds for |deficit| < pi.
     """
     return float(_holonomy(sector.tangent, sector.ms, sector.ns,
                            sector.metrics))

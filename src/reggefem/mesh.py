@@ -296,9 +296,10 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     mesh.face_n = np.cross(mesh.edge_tangent[mesh.face_edges[:12]], m)
     # side lengths far apart for the grid underflow a squared length or
     # overflow a basis matrix in double precision
-    s = np.append(mesh.edge_length[:7] ** 2, mesh.tet_volume)
-    if not (all(np.isfinite(a).all() for a in (
-            s, mesh.tet_rho, mesh.face_m, mesh.face_n)) and s.min() > 0):
+    sizes = np.append(mesh.edge_length[:7] ** 2, mesh.tet_volume)
+    if not (all(np.isfinite(a).all() for a in (sizes, mesh.tet_rho,
+                                               mesh.face_m, mesh.face_n))
+            and sizes.min() > 0):
         raise MeshError(f"side lengths {geometry.lengths.tolist()} give grid "
                         f"{grid} a zero or non-finite cell geometry")
 
