@@ -12,11 +12,13 @@ A[e', e] = [[rho_e]]_{e'} / l_{e'}, symmetric and supported on edge pairs
 that share a tet.  The mass matrix is the L2 Gram matrix of the edge basis,
 computed exactly from per-tet constant products.
 
-The module has one face-jump kernel, ``_face_terms``: the frame
-contraction m_ef^T X n_ef of per-face matrices X in the face templates'
-frames.  ``assemble_stiffness`` applies it to the six tet templates' basis
-matrices on the twelve face templates, ``apply_ctc`` to the tet-matrix
-differences of a field;
+A and M are block-circulant with 7x7 blocks (edge 7*v + d): each is built
+as its first block row, from the faces or tets of the edges e < 7, and
+``_block_circulant`` moves that row to every vertex.  The module has one
+face-jump kernel, ``_face_terms``: the frame contraction m_ef^T X n_ef of
+per-face matrices X in the face templates' frames.  ``assemble_stiffness``
+applies it to the six tet templates' basis matrices on the twelve face
+templates, ``apply_ctc`` to the tet-matrix differences of a field;
 ``edge_jump_scalar`` is one entry of ``apply_ctc``.  The star-ordered
 ``action.linearized_deficits`` (``linearized_deficit`` per edge) is a
 separate, deliberately independent route to half the edge jump:
@@ -115,46 +117,59 @@ class MassMatrix:
         return self.matrix.toarray()
 
 
-def assemble_stiffness(mesh: PeriodicMesh) -> StiffnessMatrix:
-    """Assemble A[e', e] = [[rho_e]]_{e'} / l_{e'} face by face.
+def _block_circulant(head: sp.spmatrix, grid) -> sp.csr_matrix:
+    """E x E block-circulant matrix with first block row ``head`` (7 x E,
+    duplicates summed): its entry (a, 7*s + b) couples direction a at each
+    vertex v to direction b at v + s, the sum taken mod grid per axis."""
+    head = head.tocsr()
+    shift, b = np.divmod(head.indices, 7)
+    (n1, n2, n3), V = grid, int(np.prod(grid))
+    i, j, k = ((np.arange(n)[:, None] + s) % n
+               for n, s in zip(grid, np.unravel_index(shift, grid)))
+    cols = 7 * n3 * (i[:, None, None] * n2 + j[:, None]) + (7 * k + b)
+    indptr = np.r_[0, np.tile(np.diff(head.indptr), V).cumsum()]
+    S = sp.csr_matrix((np.tile(head.data, V), cols.ravel(), indptr),
+                      shape=(7 * V, 7 * V))
+    S.sort_indices()
+    return S
 
-    Row e' collects, from every face containing e', the frame-contracted
-    difference of the basis matrices on the two adjacent tets; entries only
-    couple edges sharing a tet.
+
+def assemble_stiffness(mesh: PeriodicMesh) -> StiffnessMatrix:
+    """Assemble A[e', e] = [[rho_e]]_{e'} / l_{e'} from its first block row.
+
+    Row e' < 7 collects, from each face containing e', the frame-contracted
+    difference of the basis matrices on its two tets (so entries couple only
+    edges sharing a tet); ``_block_circulant`` moves it to every vertex.
     """
-    F = mesh.num_faces
+    f, s = np.nonzero(mesh.face_edges < 7)
+    rows = mesh.face_edges[f, s]
     # half 0 is the tet n_ef points into (+), half 1 the other one (-)
-    sgn = np.where(mesh.face_side == 1, 1.0, -1.0)
-    inv_l = sgn / mesh.edge_length[mesh.face_edges]
-    tets = mesh.face_tets[:, ::-1]
-    rows = np.broadcast_to(mesh.face_edges[:, :, None, None], (F, 3, 2, 6))
-    cols = np.broadcast_to(mesh.tet_edges[tets][:, None], (F, 3, 2, 6))
+    inv_l = (2.0 * mesh.face_side[f, s] - 1.0) / mesh.edge_length[rows]
+    tets = mesh.face_tets[f, ::-1]
     # the terms of every face template k, slot s and tet template r,
     # (12, 3, 6, 6), read at face f % 12 and its tets' templates
     terms = _face_terms(mesh, np.broadcast_to(mesh.tet_rho,
                                               (12,) + mesh.tet_rho.shape))
-    k = np.arange(F)[:, None, None] % 12
-    vals = (inv_l[:, :, None, None] * np.array([1.0, -1.0])[:, None]) * \
-        terms[k, np.arange(3)[:, None], tets[:, None] % 6]
-    E = mesh.num_edges
-    A = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=(E, E)).tocsr()
-    A.sum_duplicates()
-    return StiffnessMatrix(A, mesh.grid)
+    vals = (inv_l[:, None, None] * np.array([1.0, -1.0])[:, None]) * \
+        terms[(f % 12)[:, None], s[:, None], tets % 6]
+    head = sp.coo_matrix((vals.ravel(), (np.repeat(rows, 12),
+                                         mesh.tet_edges[tets].ravel())),
+                         shape=(7, mesh.num_edges))
+    return StiffnessMatrix(_block_circulant(head, mesh.grid), mesh.grid)
 
 
 def assemble_mass(mesh: PeriodicMesh) -> MassMatrix:
-    """Assemble M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T exactly; tet
-    6v + r has the local matrix of template r."""
+    """Assemble M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T exactly from its
+    first block row: the tets of the edges e < 7, tet 6v + r with the local
+    matrix of template r, expanded by ``_block_circulant``."""
     local = np.einsum(",raij,rbij->rab", mesh.tet_volume, mesh.tet_rho,
                       mesh.tet_rho)
-    rows = np.repeat(mesh.tet_edges, 6, axis=1).ravel()
-    cols = np.tile(mesh.tet_edges, (1, 6)).ravel()
-    E = mesh.num_edges
-    M = sp.coo_matrix((np.tile(local.ravel(), mesh.num_vertices),
-                       (rows, cols)), shape=(E, E)).tocsr()
-    M.sum_duplicates()
-    return MassMatrix(M, mesh.grid)
+    t, a = np.nonzero(mesh.tet_edges < 7)
+    head = sp.coo_matrix((local[t % 6, a].ravel(),
+                          (np.repeat(mesh.tet_edges[t, a], 6),
+                           mesh.tet_edges[t].ravel())),
+                         shape=(7, mesh.num_edges))
+    return MassMatrix(_block_circulant(head, mesh.grid), mesh.grid)
 
 
 def constant_kernel_residual(mesh: PeriodicMesh, A: StiffnessMatrix,

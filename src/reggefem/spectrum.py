@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import TorusGeometry, build_torus_mesh
-from .saint_venant import MassMatrix, StiffnessMatrix, assemble_mass, \
-    assemble_stiffness
+from .saint_venant import MassMatrix, StiffnessMatrix, _block_circulant, \
+    assemble_mass, assemble_stiffness
 from .spaces import skew
 
 __all__ = [
@@ -49,9 +48,9 @@ __all__ = [
 # observed spectral gap between the kernel and the physical modes
 KERNEL_THRESHOLD_FACTOR = 1e-8
 # largest entrywise deviation from block-circulant structure, relative to
-# max |entry|, that solve_pencil accepts.  Assembled from the shape
-# templates, every box carries the same values, and only the order in which
-# duplicates are summed differs: A and M reach < 1e-15 (4e-16 at n = 16)
+# max |entry|, that solve_pencil accepts.  The assembled A and M are
+# expanded from their first block row, so they deviate by exactly 0; the
+# tolerance guards matrices built elsewhere
 CIRCULANT_TOL = 1e-12
 
 
@@ -201,25 +200,7 @@ class SpectrumResult:
         }
 
 
-def _block_circulant(row: sp.coo_matrix, grid) -> sp.csr_matrix:
-    """Block-circulant E x E matrix whose first block of 7 rows is ``row``.
-
-    Entry (a, 7*s + b) of ``row`` couples direction a at every vertex v to
-    direction b at vertex v + s (lattice sum mod grid), in O(nnz) time.
-    """
-    n = np.array(grid)[:, None, None]
-    V = int(n.prod())
-    shift, b = np.divmod(row.col, 7)
-    lattice = np.array(np.unravel_index(np.arange(V), grid))[:, :, None]
-    target = (lattice + np.array(np.unravel_index(shift, grid))[:, None]) % n
-    cols = 7 * np.ravel_multi_index(tuple(target), grid) + b
-    rows = 7 * np.arange(V)[:, None] + row.row
-    vals = np.broadcast_to(row.data, rows.shape)
-    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(7 * V, 7 * V))
-
-
-def _bloch_symbols(S: sp.spmatrix, grid, name: str) -> np.ndarray:
+def _bloch_symbols(S, grid, name: str) -> np.ndarray:
     """The (V, 7, 7) Bloch symbols of a block-circulant matrix.
 
     Symbol k is sum_s B_s exp(-2 pi i k.s / n) over the 7x7 blocks B_s of
@@ -233,7 +214,7 @@ def _bloch_symbols(S: sp.spmatrix, grid, name: str) -> np.ndarray:
                          f"{(7 * V, 7 * V)} for grid {tuple(grid)}")
     head = S[:7]
     scale = max(np.abs(S.data).max(initial=0.0), 1e-300)
-    diff = S - _block_circulant(head.tocoo(), grid)
+    diff = S - _block_circulant(head, grid)
     deviation = np.abs(diff.data).max(initial=0.0) / scale
     if deviation > CIRCULANT_TOL:
         raise ValueError(f"{name} matrix is not block-circulant on grid "

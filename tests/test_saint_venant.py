@@ -1,12 +1,15 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lifted_points
+from golden import digest
 from reggefem import (ReggeField, VertexVectorField, apply_ctc,
-                      assemble_stiffness, build_torus_mesh,
+                      assemble_mass, assemble_stiffness, build_torus_mesh,
                       deformation, divergence_x2, edge_jump_scalar,
                       edge_star, interpolate_1, interpolate_2,
                       matrix_mode, read_coo, skew, write_coo)
@@ -252,6 +255,49 @@ class TestMass:
         t2 = M2.matrix.diagonal().sum()
         t4 = M4.matrix.diagonal().sum()
         assert abs(t4 / t2 - 16.0) < 1e-10
+
+
+# First 16 hex digits of the SHA-256 (golden.digest) of indptr, indices
+# and data of the first block row (rows 0-6) of A and M.  The Bloch symbols,
+# and so every eigenvalue, are read off these rows alone.
+HEAD_GRIDS = {
+    "2x2x2": ((2, 2, 2), (TAU, TAU, TAU)),
+    "2x3x2": ((2, 3, 2), (TAU, TAU, TAU)),
+    "4x5x6": ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+}
+HEAD_DIGESTS = {
+    "2x2x2": {"A": "0b615af406a1a803", "M": "a6ea345fb30c7c54"},
+    "2x3x2": {"A": "6f91346b26919c70", "M": "1c96369ded9d66ab"},
+    "4x5x6": {"A": "e91a117affaff69e", "M": "7d2b2fa62844d0fc"},
+}
+
+
+class TestBlockRow:
+    @pytest.mark.parametrize("label", sorted(HEAD_GRIDS))
+    def test_first_block_row_bit_identical(self, label):
+        grid, lengths = HEAD_GRIDS[label]
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        got = {}
+        for name, assemble in (("A", assemble_stiffness),
+                               ("M", assemble_mass)):
+            head = assemble(mesh).matrix[:7]
+            got[name] = digest([head.indptr, head.indices, head.data])
+        assert got == HEAD_DIGESTS[label]
+
+    @pytest.mark.parametrize("assemble", [assemble_stiffness, assemble_mass])
+    def test_peak_memory_bounded_by_result(self, geometry, assemble):
+        # expanding one block row needs no per-face or per-tet triplets:
+        # the peak stays within a small multiple of the CSR it returns
+        mesh = build_torus_mesh(geometry, (8, 8, 8))
+        assemble(mesh)
+        tracemalloc.start()
+        try:
+            S = assemble(mesh).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * (S.data.nbytes + S.indices.nbytes
+                            + S.indptr.nbytes)
 
 
 class TestCooFormat:

@@ -184,15 +184,18 @@ class TestBlochSolve:
         with pytest.raises(ValueError, match="shape"):
             solve_pencil(A2, M3)
 
-    def test_assembled_pencil_block_circulant_to_roundoff(self, geometry,
-                                                          monkeypatch):
-        # every box carries the same template values, so only the order of
-        # summing duplicates can break the circulant structure
-        mesh = build_torus_mesh(geometry, (16, 16, 16))
-        monkeypatch.setattr(spectrum, "CIRCULANT_TOL", 1e-15)
-        for name, S in (("stiffness", assemble_stiffness(mesh)),
-                        ("mass", assemble_mass(mesh))):
-            _bloch_symbols(S.matrix, mesh.grid, name)
+    def test_assembled_pencil_block_circulant(self, monkeypatch):
+        # A and M are expanded from their first block row, so they are
+        # block-circulant exactly, also at n = 2 where wrapped shifts
+        # coincide
+        monkeypatch.setattr(spectrum, "CIRCULANT_TOL", 0.0)
+        for grid, lengths in (((2, 2, 2), (TAU, TAU, TAU)),
+                              ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+                              ((16, 16, 16), (TAU, TAU, TAU))):
+            mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+            for name, S in (("stiffness", assemble_stiffness(mesh)),
+                            ("mass", assemble_mass(mesh))):
+                _bloch_symbols(S.matrix, grid, name)
 
     @pytest.mark.parametrize("grid, lengths", [
         ((4, 4, 4), (TAU, TAU, TAU)),
