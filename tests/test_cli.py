@@ -577,7 +577,7 @@ GOLDEN_DIGESTS = {
     "action_lengths_json": "06ae2303093f96ce",
     "action_perturbed": "a829732ecb0b533a",
     "action_wrong_count": "a4dcfa10f85ab2e6",
-    "assemble_bench": "0cca495c448c7781",
+    "assemble_bench": "17dbf0b5a0966495",
     "assemble_seed": "ddbab901c470ba22",
     "config_action": "a69f2e000918939e",
     "config_converge": "9b16586d0ee85ede",
