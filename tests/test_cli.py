@@ -578,7 +578,7 @@ GOLDEN_DIGESTS = {
     "action_perturbed": "a829732ecb0b533a",
     "action_wrong_count": "a4dcfa10f85ab2e6",
     "assemble_bench": "17dbf0b5a0966495",
-    "assemble_seed": "ddbab901c470ba22",
+    "assemble_seed": "64bf73279d14ef1c",
     "config_action": "a69f2e000918939e",
     "config_converge": "9b16586d0ee85ede",
     "config_eigs": "1abd13e4b51b70d3",
