@@ -581,7 +581,7 @@ GOLDEN_DIGESTS = {
     "assemble_seed": "64bf73279d14ef1c",
     "config_action": "a69f2e000918939e",
     "config_converge": "9b16586d0ee85ede",
-    "config_eigs": "1abd13e4b51b70d3",
+    "config_eigs": "ad0c58db823fbdad",
     "config_mesh": "d6f7a697455379a1",
     "config_missing": "e396ae7d165ad749",
     "config_oracle_null": "0b3c30ac432fb44c",
