@@ -593,7 +593,7 @@ GOLDEN_DIGESTS = {
     "converge_decreasing": "b306d47ec13f0bde",
     "converge_short": "7b4022d3782f5adb",
     "eigs_csv": "7a9b80f9805ec7e9",
-    "eigs_cutoff": "8a3522e89977dd19",
+    "eigs_cutoff": "762f47f55d99de7e",
     "eigs_grid3": "f513bc0dc5012631",
     "eigs_too_many": "5cd405e445d8ac8d",
     "mesh": "68618ba4a72bda53",
