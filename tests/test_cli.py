@@ -603,7 +603,7 @@ GOLDEN_DIGESTS = {
     "oracle": "1a141c3fd934d42e",
     "oracle_lengths": "b230862fa1ee28eb",
     "oracle_negative": "0b3c30ac432fb44c",
-    "verify_bench": "d8730f064b13efe9",
+    "verify_bench": "77907675c35d5494",
 }
 
 
