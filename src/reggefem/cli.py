@@ -319,7 +319,10 @@ def cmd_action(cfg) -> int:
 
 
 def cmd_verify(cfg) -> int:
-    results = run_verification(_geometry(cfg), cfg["grid"], cfg["seed"])
+    try:
+        results = run_verification(_geometry(cfg), cfg["grid"], cfg["seed"])
+    except RealizabilityError as ex:  # perturbed lengths, not a failed check
+        raise ConfigError(f"lengths: {ex}") from ex
     lines = []
     failures = 0
     for r in results:

@@ -548,6 +548,7 @@ GOLDEN_RUNS = {
                            {"l.json": WRONG_COUNT}),
     "verify_bench": (("verify", "--grid", "2", "2", "2", "--seed", "0",
                       "--output", "v.txt", "--json", "v.json"), {}),
+    "verify_thin": (("verify", "--lengths", "1e-6", "1", "1"), {}),
     "config_mesh": (("mesh", "--config", "c.json"),
                     {"c.json": {"grid": [3, 3, 3], "lengths": [1, 2, 3]}}),
     "config_override": (("mesh", "--config", "c.json", "--grid", "2", "2",
@@ -604,6 +605,7 @@ GOLDEN_DIGESTS = {
     "oracle_lengths": "b230862fa1ee28eb",
     "oracle_negative": "0b3c30ac432fb44c",
     "verify_bench": "77907675c35d5494",
+    "verify_thin": "f34ef32e4443dade",
 }
 
 
