@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import TorusGeometry, build_torus_mesh
 from .saint_venant import MassMatrix, StiffnessMatrix, _block_circulant, \
@@ -200,7 +201,7 @@ class SpectrumResult:
         }
 
 
-def _bloch_symbols(S, grid, name: str) -> np.ndarray:
+def _bloch_symbols(S: sp.spmatrix, grid, name: str) -> np.ndarray:
     """The (V, 7, 7) Bloch symbols of a block-circulant matrix.
 
     Symbol k is sum_s B_s exp(-2 pi i k.s / n) over the 7x7 blocks B_s of
