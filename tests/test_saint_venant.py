@@ -289,7 +289,6 @@ class TestBlockRow:
         # expanding one block row needs no per-face or per-tet triplets:
         # the peak stays within a small multiple of the CSR it returns
         mesh = build_torus_mesh(geometry, (8, 8, 8))
-        assemble(mesh)
         tracemalloc.start()
         try:
             S = assemble(mesh).matrix
