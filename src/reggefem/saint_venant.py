@@ -13,8 +13,10 @@ that share a tet.  The mass matrix is the L2 Gram matrix of the edge basis,
 computed exactly from per-tet constant products.
 
 A and M are block-circulant with 7x7 blocks (edge 7*v + d): each is built
-as its first block row, from the faces or tets of the edges e < 7, and
-``_block_circulant`` moves that row to every vertex.  The module has one
+as its first block row, from the faces or tets of the edges e < 7, and held
+as a ``BlockCirculant``.  It is the one owner of that format: it gives the
+Bloch symbols and the symmetry residual from the row alone, and expands the
+row to the E x E matrix only when ``.matrix`` is read.  The module has one
 face-jump kernel, ``_face_terms``: the frame contraction m_ef^T X n_ef of
 per-face matrices X in the face templates' frames.  ``assemble_stiffness``
 applies it to the six tet templates' basis matrices on the twelve face
@@ -28,6 +30,7 @@ separate, deliberately independent route to half the edge jump:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,8 +41,7 @@ from .spaces import EdgeMeasure, ReggeField, regge_to_tet_matrices
 __all__ = [
     "edge_jump_scalar",
     "apply_ctc",
-    "StiffnessMatrix",
-    "MassMatrix",
+    "BlockCirculant",
     "assemble_stiffness",
     "assemble_mass",
     "constant_kernel_residual",
@@ -77,46 +79,6 @@ def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
     return EdgeMeasure(out)
 
 
-@dataclass(frozen=True)
-class StiffnessMatrix:
-    """Sparse E x E matrix of the Saint-Venant bilinear form.
-
-    ``grid`` is the ``(n1, n2, n3)`` lattice of the mesh it was assembled
-    on; the pencil solver needs it to split the matrix into Bloch blocks.
-    """
-
-    matrix: sp.csr_matrix
-    grid: tuple | None = None
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def symmetry_residual(self) -> float:
-        d = self.matrix - self.matrix.T
-        denom = max(np.abs(self.matrix.data).max(), 1e-300)
-        return float(np.abs(d.data).max() / denom) if d.nnz else 0.0
-
-
-@dataclass(frozen=True)
-class MassMatrix:
-    """Sparse E x E L2 Gram matrix of the edge basis (SPD), with the
-    ``(n1, n2, n3)`` lattice of its mesh as ``grid``."""
-
-    matrix: sp.csr_matrix
-    grid: tuple | None = None
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
 def _block_circulant(head: sp.spmatrix, grid) -> sp.csr_matrix:
     """E x E block-circulant matrix with first block row ``head`` (7 x E,
     duplicates summed): its entry (a, 7*s + b) couples direction a at each
@@ -134,12 +96,63 @@ def _block_circulant(head: sp.spmatrix, grid) -> sp.csr_matrix:
     return S
 
 
-def assemble_stiffness(mesh: PeriodicMesh) -> StiffnessMatrix:
+@dataclass(frozen=True)
+class BlockCirculant:
+    """E x E block-circulant matrix held as its first block row.
+
+    ``head`` is the 7 x E CSR block row (duplicates summed): entry
+    (a, 7*s + b) is block B_s[a, b], coupling direction a at every vertex v
+    to direction b at v + s on the ``(n1, n2, n3)`` lattice ``grid``.
+    ``shape`` is read from the head; ``matrix`` expands it once, on first
+    use.
+    """
+
+    head: sp.csr_matrix
+    grid: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "grid", tuple(int(n) for n in self.grid))
+        E = 7 * int(np.prod(self.grid))
+        if self.head.shape != (7, E):
+            raise ValueError(f"block row has shape {self.head.shape}, "
+                             f"expected {(7, E)} for grid {self.grid}")
+
+    @property
+    def shape(self):
+        return (self.head.shape[1],) * 2
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return _block_circulant(self.head, self.grid)
+
+    def toarray(self) -> np.ndarray:
+        return self.matrix.toarray()
+
+    def _blocks(self) -> np.ndarray:
+        """The head as a dense (7, n1, n2, n3, 7) array of B_s[a, b]."""
+        return self.head.toarray().reshape((7,) + self.grid + (7,))
+
+    def symbols(self) -> np.ndarray:
+        """The (V, 7, 7) Bloch symbols sum_s B_s exp(-2 pi i k.s / n),
+        k in ``np.ndindex(grid)`` order."""
+        symbols = np.fft.fftn(self._blocks(), axes=(1, 2, 3))
+        return np.moveaxis(symbols, 0, -2).reshape(-1, 7, 7)
+
+    def symmetry_residual(self) -> float:
+        """max|S - S^T| / max|S|, read off the blocks: block s of S^T is
+        B_{-s}^T."""
+        B = self._blocks()
+        Bt = np.roll(np.flip(B, (1, 2, 3)), 1, (1, 2, 3)).swapaxes(0, 4)
+        denom = max(np.abs(self.head.data).max(initial=0.0), 1e-300)
+        return float(np.abs(B - Bt).max() / denom)
+
+
+def assemble_stiffness(mesh: PeriodicMesh) -> BlockCirculant:
     """Assemble A[e', e] = [[rho_e]]_{e'} / l_{e'} from its first block row.
 
     Row e' < 7 collects, from each face containing e', the frame-contracted
     difference of the basis matrices on its two tets (so entries couple only
-    edges sharing a tet); ``_block_circulant`` moves it to every vertex.
+    edges sharing a tet); the ``BlockCirculant`` repeats it at every vertex.
     """
     f, s = np.nonzero(mesh.face_edges < 7)
     rows = mesh.face_edges[f, s]
@@ -155,13 +168,13 @@ def assemble_stiffness(mesh: PeriodicMesh) -> StiffnessMatrix:
     head = sp.coo_matrix((vals.ravel(), (np.repeat(rows, 12),
                                          mesh.tet_edges[tets].ravel())),
                          shape=(7, mesh.num_edges))
-    return StiffnessMatrix(_block_circulant(head, mesh.grid), mesh.grid)
+    return BlockCirculant(head.tocsr(), mesh.grid)
 
 
-def assemble_mass(mesh: PeriodicMesh) -> MassMatrix:
+def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
     """Assemble M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T exactly from its
     first block row: the tets of the edges e < 7, tet 6v + r with the local
-    matrix of template r, expanded by ``_block_circulant``."""
+    matrix of template r, held as a ``BlockCirculant``."""
     local = np.einsum(",raij,rbij->rab", mesh.tet_volume, mesh.tet_rho,
                       mesh.tet_rho)
     t, a = np.nonzero(mesh.tet_edges < 7)
@@ -169,10 +182,10 @@ def assemble_mass(mesh: PeriodicMesh) -> MassMatrix:
                           (np.repeat(mesh.tet_edges[t, a], 6),
                            mesh.tet_edges[t].ravel())),
                          shape=(7, mesh.num_edges))
-    return MassMatrix(_block_circulant(head, mesh.grid), mesh.grid)
+    return BlockCirculant(head.tocsr(), mesh.grid)
 
 
-def constant_kernel_residual(mesh: PeriodicMesh, A: StiffnessMatrix,
+def constant_kernel_residual(mesh: PeriodicMesh, A: BlockCirculant,
                              rng: np.random.Generator) -> float:
     """max|A c| / (max|A| max|c|) for the edge values c of one constant
     metric, symmetrised from a uniform [-1, 1] 3x3 draw of ``rng``.
@@ -187,8 +200,8 @@ def constant_kernel_residual(mesh: PeriodicMesh, A: StiffnessMatrix,
                     * max(np.abs(c).max(), 1e-300)))
 
 
-def write_coo(matrix: StiffnessMatrix | MassMatrix, path) -> None:
-    """Write a matrix wrapper's sparse matrix to ``path`` in coordinate
+def write_coo(matrix: BlockCirculant, path) -> None:
+    """Write the expanded ``matrix.matrix`` to ``path`` in coordinate
     text format.
 
     Header line "rows cols nnz", then one "i j value" triple per line
@@ -205,14 +218,21 @@ def write_coo(matrix: StiffnessMatrix | MassMatrix, path) -> None:
 
 
 def read_coo(path) -> sp.csr_matrix:
-    """Read the matrix file at ``path`` written by :func:`write_coo`."""
+    """Read the matrix file at ``path`` written by :func:`write_coo`.
+
+    Raises ValueError unless the file has exactly the header's nnz entry
+    lines.
+    """
     with open(path) as fh:
         lines = fh.read().strip().splitlines()
     nr, nc, nnz = (int(x) for x in lines[0].split())
+    if len(lines) - 1 != nnz:
+        raise ValueError(f"{path}: header says nnz = {nnz}, found "
+                         f"{len(lines) - 1} entries")
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz)
-    for i, line in enumerate(lines[1:nnz + 1]):
+    for i, line in enumerate(lines[1:]):
         r, c, v = line.split()
         rows[i], cols[i], vals[i] = int(r), int(c), float(v)
     return sp.coo_matrix((vals, (rows, cols)), shape=(nr, nc)).tocsr()

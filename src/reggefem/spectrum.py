@@ -11,12 +11,13 @@ from below in magnitude, in sexets/dozens matching the multiplicities.
 
 The pencil is solved per Bloch frequency.  Edge ids are ``7*vertex +
 direction`` on a periodic lattice, so A and M are block-circulant with 7x7
-blocks: an FFT of one block row turns them into V = n1*n2*n3 Hermitian
-7x7 symbols A^(k), M^(k), and the E eigenvalues of the pencil are the
-union of those of the V small pencils A^(k) x = lambda M^(k) x.  The
-kernel is 6-dimensional at k = 0 and 3-dimensional at every other k, so
-3V + 3 in total.  Time and memory are O(E log E), against O(E^3) and
-O(E^2) for a dense solve.
+blocks and are held as their first block row (``BlockCirculant``): an FFT
+of that row, ``BlockCirculant.symbols``, turns them into V = n1*n2*n3
+Hermitian 7x7 symbols A^(k), M^(k), and the E eigenvalues of the pencil
+are the union of those of the V small pencils A^(k) x = lambda M^(k) x.
+No E x E matrix is formed.  The kernel is 6-dimensional at k = 0 and
+3-dimensional at every other k, so 3V + 3 in total.  Time and memory are
+O(E log E), against O(E^3) and O(E^2) for a dense solve.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import TorusGeometry, build_torus_mesh
-from .saint_venant import MassMatrix, StiffnessMatrix, _block_circulant, \
-    assemble_mass, assemble_stiffness
+from .saint_venant import BlockCirculant, assemble_mass, assemble_stiffness
 from .spaces import skew
 
 __all__ = [
@@ -48,11 +47,6 @@ __all__ = [
 # kernel = eigenvalues below this fraction of max |lambda|; justified by the
 # observed spectral gap between the kernel and the physical modes
 KERNEL_THRESHOLD_FACTOR = 1e-8
-# largest entrywise deviation from block-circulant structure, relative to
-# max |entry|, that solve_pencil accepts.  The assembled A and M are
-# expanded from their first block row, so they deviate by exactly 0; the
-# tolerance guards matrices built elsewhere
-CIRCULANT_TOL = 1e-12
 
 
 def mode_symbol(k) -> np.ndarray:
@@ -201,56 +195,30 @@ class SpectrumResult:
         }
 
 
-def _bloch_symbols(S: sp.spmatrix, grid, name: str) -> np.ndarray:
-    """The (V, 7, 7) Bloch symbols of a block-circulant matrix.
-
-    Symbol k is sum_s B_s exp(-2 pi i k.s / n) over the 7x7 blocks B_s of
-    the first block row.  Raises ValueError unless S equals the
-    block-circulant matrix of that row to CIRCULANT_TOL.
-    """
-    S = S.tocsr()
-    V = int(np.prod(grid))
-    if S.shape != (7 * V, 7 * V):
-        raise ValueError(f"{name} matrix has shape {S.shape}, expected "
-                         f"{(7 * V, 7 * V)} for grid {tuple(grid)}")
-    head = S[:7]
-    scale = max(np.abs(S.data).max(initial=0.0), 1e-300)
-    diff = S - _block_circulant(head, grid)
-    deviation = np.abs(diff.data).max(initial=0.0) / scale
-    if deviation > CIRCULANT_TOL:
-        raise ValueError(f"{name} matrix is not block-circulant on grid "
-                         f"{tuple(grid)}: relative deviation {deviation:.3g}"
-                         f" > {CIRCULANT_TOL:g}")
-    row = head.toarray().reshape((7,) + tuple(grid) + (7,))
-    symbols = np.fft.fftn(row, axes=(1, 2, 3))
-    return np.moveaxis(symbols, 0, -2).reshape(V, 7, 7)
-
-
 def _adjoint(X: np.ndarray) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
-def solve_pencil(A: StiffnessMatrix, M: MassMatrix,
+def solve_pencil(A: BlockCirculant, M: BlockCirculant,
                  metadata: dict | None = None) -> SpectrumResult:
     """Full spectrum of A x = lambda M x, one 7x7 Hermitian pencil per
     Bloch frequency.
 
-    ``A.grid`` names the lattice; A and M must be block-circulant on it
-    (checked to CIRCULANT_TOL), else ValueError.  The symbols of A are
-    Hermitised, those of M Cholesky-factored (LinAlgError if M is not SPD),
-    and each pencil is reduced by solves against the Cholesky factor and
-    passed to ``eigh``.  The eigenvalues are the ascending union over the blocks, E
-    in all.  ``max_residual`` is max ||A^ x^ - lambda M^ x^||_2 over every
-    block eigenpair with ||x^||_M^ = 1; because the normalised DFT is
-    unitary this equals the residual ||A x - lambda M x||_2 of the lifted
-    complex eigenvector x with ||x||_M = 1.  The solve is deterministic.
+    A and M must be on the same lattice, else ValueError.  Their symbols
+    are read from their first block rows, so no E x E matrix is built.  The
+    symbols of A are Hermitised, those of M Cholesky-factored (LinAlgError
+    if M is not SPD), and each pencil is reduced by solves against the
+    Cholesky factor and passed to ``eigh``.  The eigenvalues are the
+    ascending union over the blocks, E in all.  ``max_residual`` is
+    max ||A^ x^ - lambda M^ x^||_2 over every block eigenpair with
+    ||x^||_M^ = 1; because the normalised DFT is unitary this equals the
+    residual ||A x - lambda M x||_2 of the lifted complex eigenvector x
+    with ||x||_M = 1.  The solve is deterministic.
     """
-    grid = A.grid
-    if grid is None:
-        raise ValueError("stiffness matrix has no grid: the Bloch solve "
-                         "needs the (n1, n2, n3) lattice it was assembled on")
-    Ak = _bloch_symbols(A.matrix, grid, "stiffness")
-    Mk = _bloch_symbols(M.matrix, grid, "mass")
+    if A.grid != M.grid:
+        raise ValueError(f"stiffness grid {A.grid} and mass grid {M.grid} "
+                         "differ")
+    Ak, Mk = A.symbols(), M.symbols()
     Ak = 0.5 * (Ak + _adjoint(Ak))
     try:
         L = np.linalg.cholesky(Mk)

@@ -14,7 +14,7 @@ from reggefem import (ReggeField, VertexVectorField, apply_ctc,
                       edge_star, interpolate_1, interpolate_2,
                       matrix_mode, read_coo, skew, write_coo)
 from reggefem.mesh import TorusGeometry
-from reggefem.saint_venant import _face_terms
+from reggefem.saint_venant import BlockCirculant, _face_terms
 from reggefem.spaces import deformation_matrix, regge_to_tet_matrices
 
 TAU = 2.0 * np.pi
@@ -280,8 +280,13 @@ class TestBlockRow:
         got = {}
         for name, assemble in (("A", assemble_stiffness),
                                ("M", assemble_mass)):
-            head = assemble(mesh).matrix[:7]
+            S = assemble(mesh)
+            head = S.matrix[:7]
             got[name] = digest([head.indptr, head.indices, head.data])
+            for a, b in ((S.head.indptr, head.indptr),
+                         (S.head.indices, head.indices),
+                         (S.head.data, head.data)):
+                assert np.array_equal(a, b)
         assert got == HEAD_DIGESTS[label]
 
     @pytest.mark.parametrize("assemble", [assemble_stiffness, assemble_mass])
@@ -299,6 +304,29 @@ class TestBlockRow:
                             + S.indptr.nbytes)
 
 
+class TestBlockCirculant:
+    @pytest.mark.parametrize("label", sorted(HEAD_GRIDS))
+    def test_symmetry_residual_matches_full_matrix(self, label):
+        # oracle: |S - S^T| on the expanded matrix; at 2x2x2 the shifts s
+        # and -s wrap onto each other
+        grid, lengths = HEAD_GRIDS[label]
+        A = assemble_stiffness(build_torus_mesh(TorusGeometry(*lengths),
+                                                grid))
+        head = A.head.copy()
+        r, c = next((r, c) for r, c in zip(*head.nonzero()) if r != c)
+        head[r, c] *= 1.5
+        for S in (A, BlockCirculant(head, A.grid)):
+            full = S.toarray()
+            oracle = np.abs(full - full.T).max() / np.abs(full).max()
+            assert S.symmetry_residual() == oracle
+        assert BlockCirculant(head, A.grid).symmetry_residual() > 0.0
+
+    def test_head_of_other_grid_rejected(self, pencil2):
+        A, _ = pencil2
+        with pytest.raises(ValueError, match=r"expected \(7, 189\)"):
+            BlockCirculant(A.head, (3, 3, 3))
+
+
 class TestCooFormat:
     def test_roundtrip(self, pencil2, tmp_path):
         A, M = pencil2
@@ -307,6 +335,20 @@ class TestCooFormat:
             write_coo(mat, path)
             back = read_coo(path)
             assert np.abs((back - mat.matrix).toarray()).max() == 0.0
+
+    @pytest.mark.parametrize("extra", [-1, -100, 1])
+    def test_entry_count_must_match_header(self, pencil2, tmp_path, extra):
+        # a truncated file (extra < 0) or one with extra entry lines
+        A, _ = pencil2
+        path = tmp_path / "A.txt"
+        write_coo(A, path)
+        lines = path.read_text().splitlines()
+        lines = lines[:extra] if extra < 0 else lines + lines[1:1 + extra]
+        path.write_text("\n".join(lines) + "\n")
+        nnz = A.matrix.nnz
+        with pytest.raises(ValueError, match=f"nnz = {nnz}, found "
+                           f"{nnz + extra} entries"):
+            read_coo(path)
 
     def test_header_and_precision(self, pencil2, tmp_path):
         A, _ = pencil2

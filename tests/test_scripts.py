@@ -1,8 +1,9 @@
 """Smoke tests: every script in scripts/ runs at its smallest size, and so
 does the README's library quickstart; every function the benchmark traces
 or calls still exists in the library; the CLI imports no module it need
-not load."""
+not load; no library module or script imports a name it does not use."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -92,3 +93,35 @@ def test_cli_import_leaves_scipy_special_unloaded():
     out = _run(["-c", "import sys, reggefem.cli; "
                       "print('scipy.special' in sys.modules)"])
     assert out.strip() == "False"
+
+
+def _unused_imports(path):
+    """Names that ``path`` imports but neither reads nor lists in
+    ``__all__`` (``from __future__`` imports aside)."""
+    tree = ast.parse(path.read_text())
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    # the package __init__ imports only to re-export
+    paths = [p for p in sorted((ROOT / "src" / "reggefem").glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    unused = [(p.relative_to(ROOT).as_posix(), line, name)
+              for p in paths for line, name in _unused_imports(p)]
+    assert unused == []

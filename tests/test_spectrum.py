@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,12 +10,11 @@ from conftest import lifted_points
 from reggefem import (TorusGeometry, assemble_mass, assemble_stiffness,
                       assign_clusters, build_torus_mesh, convergence_study,
                       fourier_oracle, sigma_modes, solve_pencil)
+from reggefem import saint_venant
 from reggefem.mesh import DIRECTIONS
-from reggefem.saint_venant import MassMatrix, StiffnessMatrix
+from reggefem.saint_venant import BlockCirculant
 from reggefem.spaces import deformation_matrix
-from reggefem import spectrum
-from reggefem.spectrum import KERNEL_THRESHOLD_FACTOR, _bloch_symbols, \
-    mode_symbol
+from reggefem.spectrum import KERNEL_THRESHOLD_FACTOR, mode_symbol
 
 TAU = 2.0 * np.pi
 
@@ -131,7 +132,7 @@ class TestPencil:
 
     def test_non_spd_mass_rejected(self, pencil2):
         A, M = pencil2
-        bad = MassMatrix(matrix=-M.matrix)
+        bad = BlockCirculant(-M.head, M.grid)
         with pytest.raises(np.linalg.LinAlgError, match="not SPD"):
             solve_pencil(A, bad)
 
@@ -160,42 +161,29 @@ class TestBlochSolve:
         assert out["kernel_max_abs"] == res.kernel_max_abs
         assert out["asymmetry"] == res.asymmetry
 
-    def test_non_circulant_stiffness_rejected(self, pencil2):
-        A, M = pencil2
-        bad = A.matrix.copy()
-        bad.data[-1] += 1e-9 * np.abs(bad.data).max()
-        with pytest.raises(ValueError, match="not block-circulant"):
-            solve_pencil(StiffnessMatrix(bad, A.grid), M)
+    def test_grid_of_other_size_rejected(self, geometry):
+        # 2x3x2 and 3x2x2 have the same edge count, 84
+        for a, m in (((2, 2, 2), (3, 3, 3)), ((2, 3, 2), (3, 2, 2))):
+            A = assemble_stiffness(build_torus_mesh(geometry, a))
+            M = assemble_mass(build_torus_mesh(geometry, m))
+            msg = f"stiffness grid {a} and mass grid {m} differ"
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                solve_pencil(A, M)
 
-    def test_non_circulant_mass_rejected(self, pencil2):
-        A, M = pencil2
-        bad = M.matrix.copy()
-        bad.data[-1] += 1e-9 * np.abs(bad.data).max()
-        with pytest.raises(ValueError, match="mass matrix is not"):
-            solve_pencil(A, MassMatrix(bad, M.grid))
+    def test_solve_builds_no_full_matrix(self, geometry, monkeypatch):
+        # assembly, solve and symmetry residual read the first block row
+        # alone; only .matrix expands it
+        def expand(head, grid):
+            raise RuntimeError("E x E matrix built")
 
-    def test_matrix_without_grid_rejected(self, pencil2):
-        A, M = pencil2
-        with pytest.raises(ValueError, match="no grid"):
-            solve_pencil(StiffnessMatrix(A.matrix), M)
-
-    def test_grid_of_other_size_rejected(self, pencil2, pencil3):
-        (A2, _), (_, M3) = pencil2, pencil3
-        with pytest.raises(ValueError, match="shape"):
-            solve_pencil(A2, M3)
-
-    def test_assembled_pencil_block_circulant(self, monkeypatch):
-        # A and M are expanded from their first block row, so they are
-        # block-circulant exactly, also at n = 2 where wrapped shifts
-        # coincide
-        monkeypatch.setattr(spectrum, "CIRCULANT_TOL", 0.0)
-        for grid, lengths in (((2, 2, 2), (TAU, TAU, TAU)),
-                              ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
-                              ((16, 16, 16), (TAU, TAU, TAU))):
-            mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
-            for name, S in (("stiffness", assemble_stiffness(mesh)),
-                            ("mass", assemble_mass(mesh))):
-                _bloch_symbols(S.matrix, grid, name)
+        monkeypatch.setattr(saint_venant, "_block_circulant", expand)
+        mesh = build_torus_mesh(geometry, (8, 8, 8))
+        A, M = assemble_stiffness(mesh), assemble_mass(mesh)
+        res = solve_pencil(A, M)
+        assert res.kernel_dim == 3 * mesh.num_vertices + 3
+        assert res.asymmetry == A.symmetry_residual() <= 1e-14
+        with pytest.raises(RuntimeError, match="E x E"):
+            A.matrix
 
     @pytest.mark.parametrize("grid, lengths", [
         ((4, 4, 4), (TAU, TAU, TAU)),
@@ -204,10 +192,10 @@ class TestBlochSolve:
     def test_symbols_of_complex_compose_to_zero(self, grid, lengths):
         # A D = 0 holds block by block: A^(k) D^(k) = 0 at every Bloch
         # frequency k, with the 7x3 symbol of the deformation matrix taken
-        # from its first block row in the convention of _bloch_symbols
+        # from its first block row in the convention of
+        # BlockCirculant.symbols
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
-        Ak = _bloch_symbols(assemble_stiffness(mesh).matrix, grid,
-                            "stiffness")
+        Ak = assemble_stiffness(mesh).symbols()
         row = deformation_matrix(mesh)[:7].toarray()
         Dk = np.moveaxis(np.fft.fftn(row.reshape((7,) + grid + (3,)),
                                      axes=(1, 2, 3)), 0, -2).reshape(-1, 7, 3)
