@@ -17,6 +17,7 @@ byte-identical on one platform.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -217,10 +218,10 @@ def cmd_assemble(cfg) -> int:
                                     np.random.default_rng(cfg["seed"]))
     body = {
         "stiffness": {"path": a_path,
-                      "nnz": int(A.matrix.nnz),
+                      "nnz": A.nnz,
                       "symmetry_residual": A.symmetry_residual()},
         "mass": {"path": m_path,
-                 "nnz": int(M.matrix.nnz)},
+                 "nnz": M.nnz},
         "constant_kernel_residual": kern,
     }
     _write_text(_json_payload(cfg, body), cfg["output"])
@@ -406,7 +407,9 @@ def _resolve(args) -> dict:
     return cfg
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     ap = argparse.ArgumentParser(
         prog="reggefem",
         description="Linearized Regge calculus on periodic torus meshes")

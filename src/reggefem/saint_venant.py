@@ -15,20 +15,25 @@ computed exactly from per-tet constant products.
 A and M are block-circulant with 7x7 blocks (edge 7*v + d): each is built
 as its first block row, from the faces or tets of the edges e < 7, and held
 as a ``BlockCirculant``.  It is the one owner of that format: it gives the
-Bloch symbols and the symmetry residual from the row alone, and expands the
-row to the E x E matrix only when ``.matrix`` is read.  The module has one
-face-jump kernel, ``_face_terms``: the frame contraction m_ef^T X n_ef of
-per-face matrices X in the face templates' frames.  ``assemble_stiffness``
-applies it to the six tet templates' basis matrices on the twelve face
-templates, ``apply_ctc`` to the tet-matrix differences of a field;
-``edge_jump_scalar`` is one entry of ``apply_ctc``.  The star-ordered
-``action.linearized_deficits`` (``linearized_deficit`` per edge) is a
-separate, deliberately independent route to half the edge jump:
+Bloch symbols, the symmetry residual and the entry count from the row alone,
+and expands the row to the E x E matrix only when ``.matrix`` is read.
+``write_coo`` also works from the row: ``_block_circulant`` gives the one
+index expansion, which ``.matrix`` fills with the head's values and
+``write_coo`` with their text, formatted once per distinct value.
+
+The module has one face-jump kernel, ``_face_terms``: the frame contraction
+m_ef^T X n_ef of per-face matrices X in the face templates' frames.
+``assemble_stiffness`` applies it to the six tet templates' basis matrices
+on the twelve face templates, ``apply_ctc`` to the tet-matrix differences of
+a field; ``edge_jump_scalar`` is one entry of ``apply_ctc``.  The
+star-ordered ``action.linearized_deficits`` (``linearized_deficit`` per
+edge) is a separate, deliberately independent route to half the edge jump:
 ``verify`` cross-checks it against ``apply_ctc``.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,21 +84,26 @@ def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
     return EdgeMeasure(out)
 
 
-def _block_circulant(head: sp.spmatrix, grid) -> sp.csr_matrix:
-    """E x E block-circulant matrix with first block row ``head`` (7 x E,
-    duplicates summed): its entry (a, 7*s + b) couples direction a at each
-    vertex v to direction b at v + s, the sum taken mod grid per axis."""
-    head = head.tocsr()
+def _block_circulant(head: sp.csr_matrix, grid):
+    """Index expansion of the E x E block-circulant matrix with first block
+    row ``head`` (7 x E CSR, duplicates summed): its entry (a, 7*s + b)
+    couples direction a at each vertex v to direction b at v + s, the sum
+    taken mod grid per axis.
+
+    Returns the CSR arrays ``(indptr, indices, src)``, columns sorted in
+    each row: expanded entry k repeats ``head.data[src[k]]``.
+    """
     shift, b = np.divmod(head.indices, 7)
     (n1, n2, n3), V = grid, int(np.prod(grid))
     i, j, k = ((np.arange(n)[:, None] + s) % n
                for n, s in zip(grid, np.unravel_index(shift, grid)))
     cols = 7 * n3 * (i[:, None, None] * n2 + j[:, None]) + (7 * k + b)
     indptr = np.r_[0, np.tile(np.diff(head.indptr), V).cumsum()]
-    S = sp.csr_matrix((np.tile(head.data, V), cols.ravel(), indptr),
-                      shape=(7 * V, 7 * V))
+    # expand the ordinals of the head entries; sorting carries them along
+    S = sp.csr_matrix((np.tile(np.arange(head.nnz), V), cols.ravel(),
+                       indptr), shape=(7 * V, 7 * V))
     S.sort_indices()
-    return S
+    return S.indptr, S.indices, S.data
 
 
 @dataclass(frozen=True)
@@ -121,9 +131,17 @@ class BlockCirculant:
     def shape(self):
         return (self.head.shape[1],) * 2
 
+    @property
+    def nnz(self) -> int:
+        """Stored entries of ``matrix``: the expansion repeats each head
+        entry once per vertex, and neither drops nor merges any."""
+        return self.head.nnz * int(np.prod(self.grid))
+
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        return _block_circulant(self.head, self.grid)
+        indptr, cols, src = _block_circulant(self.head, self.grid)
+        return sp.csr_matrix((self.head.data[src], cols, indptr),
+                             shape=self.shape)
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -201,38 +219,45 @@ def constant_kernel_residual(mesh: PeriodicMesh, A: BlockCirculant,
 
 
 def write_coo(matrix: BlockCirculant, path) -> None:
-    """Write the expanded ``matrix.matrix`` to ``path`` in coordinate
-    text format.
+    """Write the E x E matrix held by ``matrix`` to ``path`` in coordinate
+    text format, working from its block row: each distinct head value is
+    formatted once and repeated at every vertex.
 
     Header line "rows cols nnz", then one "i j value" triple per line
     (0-based indices, 17 significant digits), sorted by (i, j).
     """
-    coo = sp.coo_matrix(matrix.matrix)
-    order = np.lexsort((coo.col, coo.row))
-    triples = zip(coo.row[order].tolist(), coo.col[order].tolist(),
-                  coo.data[order].tolist())
-    text = f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n" + "".join(
-        map("%d %d %.17g\n".__mod__, triples))
+    indptr, cols, src = _block_circulant(matrix.head, matrix.grid)
+    E = matrix.shape[0]
+    index = np.array([f"{i} " for i in range(E)], dtype=object)
+    value = np.array(["%.17g\n" % v for v in matrix.head.data.tolist()],
+                     dtype=object)
+    # the three pieces of every line side by side, joined in one pass
+    pieces = np.stack([np.repeat(index, np.diff(indptr)), index[cols],
+                       value[src]], axis=1)
+    text = f"{E} {E} {matrix.nnz}\n" + "".join(pieces.ravel().tolist())
     with open(path, "w") as fh:
         fh.write(text)
+
+
+_COO_ENTRY = np.dtype([("row", np.int64), ("col", np.int64),
+                       ("value", np.float64)])
 
 
 def read_coo(path) -> sp.csr_matrix:
     """Read the matrix file at ``path`` written by :func:`write_coo`.
 
     Raises ValueError unless the file has exactly the header's nnz entry
-    lines.
+    lines, each an "i j value" triple.
     """
     with open(path) as fh:
-        lines = fh.read().strip().splitlines()
-    nr, nc, nnz = (int(x) for x in lines[0].split())
-    if len(lines) - 1 != nnz:
+        header, _, body = fh.read().partition("\n")
+    nr, nc, nnz = (int(x) for x in header.split())
+    # loadtxt warns on a file with no entry lines, which nnz = 0 allows
+    entries = (np.loadtxt(io.StringIO(body), dtype=_COO_ENTRY, ndmin=1)
+               if body.strip() else np.empty(0, _COO_ENTRY))
+    if len(entries) != nnz:
         raise ValueError(f"{path}: header says nnz = {nnz}, found "
-                         f"{len(lines) - 1} entries")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz)
-    for i, line in enumerate(lines[1:]):
-        r, c, v = line.split()
-        rows[i], cols[i], vals[i] = int(r), int(c), float(v)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nr, nc)).tocsr()
+                         f"{len(entries)} entries")
+    return sp.coo_matrix((entries["value"], (entries["row"],
+                                             entries["col"])),
+                         shape=(nr, nc)).tocsr()

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import warnings
@@ -141,6 +142,34 @@ class TestAssembleCommand:
         back = read_coo(prefix + "_A.txt")
         assert np.abs((back - A.matrix).toarray()).max() == 0.0
 
+    def test_expands_only_stiffness(self, capsys, tmp_path, monkeypatch):
+        # the files and the nnz counts are read off the block rows; only
+        # the constant-kernel residual builds the E x E matrix, of A
+        from reggefem import assemble_mass, assemble_stiffness, \
+            build_torus_mesh
+        from reggefem.mesh import TorusGeometry
+        from reggefem.saint_venant import BlockCirculant
+        expanded = []
+        expand = BlockCirculant.matrix.func
+
+        def matrix(self):
+            expanded.append(self)
+            return expand(self)
+
+        counted = functools.cached_property(matrix)
+        counted.__set_name__(BlockCirculant, "matrix")
+        monkeypatch.setattr(BlockCirculant, "matrix", counted)
+        code, out, _ = run(capsys, "assemble", "--grid", "2", "3", "2",
+                           "--prefix", str(tmp_path / "pencil"))
+        assert code == 0
+        mesh = build_torus_mesh(TorusGeometry(TAU, TAU, TAU), (2, 3, 2))
+        A, M = assemble_stiffness(mesh), assemble_mass(mesh)
+        assert len(expanded) == 1
+        assert (expanded[0].head != A.head).nnz == 0
+        payload = json.loads(out)
+        assert payload["stiffness"]["nnz"] == A.nnz
+        assert payload["mass"]["nnz"] == M.nnz
+
 
 class TestConvergeCommand:
     def test_monotone_exit_zero(self, capsys):
@@ -266,6 +295,9 @@ COMMAND_KEYS = [(name, key) for name, command in COMMANDS.items()
 
 class TestConfigTable:
     """Generated from COMMANDS: every subcommand and each of its keys."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
 
     @pytest.mark.parametrize("command, key", COMMAND_KEYS)
     def test_wrong_typed_value_is_config_error(self, capsys, tmp_path,

@@ -1,8 +1,10 @@
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -327,7 +329,87 @@ class TestBlockCirculant:
             BlockCirculant(A.head, (3, 3, 3))
 
 
+def former_expansion(S):
+    """The E x E matrix of ``S`` as the block row used to be expanded:
+    tile the head's values over the vertices and sort each row."""
+    head, grid = S.head, S.grid
+    shift, b = np.divmod(head.indices, 7)
+    (n1, n2, n3), V = grid, int(np.prod(grid))
+    i, j, k = ((np.arange(n)[:, None] + s) % n
+               for n, s in zip(grid, np.unravel_index(shift, grid)))
+    cols = 7 * n3 * (i[:, None, None] * n2 + j[:, None]) + (7 * k + b)
+    indptr = np.r_[0, np.tile(np.diff(head.indptr), V).cumsum()]
+    full = sp.csr_matrix((np.tile(head.data, V), cols.ravel(), indptr),
+                         shape=(7 * V, 7 * V))
+    full.sort_indices()
+    return full
+
+
+def former_coo_text(full):
+    """The text the writer used to make: every entry of the expanded
+    matrix, sorted by (i, j), formatted one by one."""
+    coo = sp.coo_matrix(full)
+    order = np.lexsort((coo.col, coo.row))
+    triples = zip(coo.row[order].tolist(), coo.col[order].tolist(),
+                  coo.data[order].tolist())
+    return f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n" + "".join(
+        map("%d %d %.17g\n".__mod__, triples))
+
+
+def hand_built_block_row():
+    """A 2x3x2 block row with an explicit 0.0, a -0.0, a tiny value, and
+    duplicates summed by ``tocsr`` (one pair to 0.5, one to 0.0)."""
+    rows = [0, 0, 1, 2, 2, 3, 3, 4, 6]
+    cols = [0, 9, 38, 10, 10, 20, 20, 50, 83]
+    vals = [1.5, 0.0, -0.0, 0.25, 0.25, 1.0, -1.0, -2e-300, 1.0 / 3.0]
+    head = sp.coo_matrix((vals, (rows, cols)), shape=(7, 84)).tocsr()
+    assert head.nnz == 7 and np.signbit(head.data).sum() == 2
+    return BlockCirculant(head, (2, 3, 2))
+
+
+def coo_cases(label):
+    if label == "hand-built":
+        return [hand_built_block_row()]
+    grid, lengths = HEAD_GRIDS[label]
+    mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+    return [assemble_stiffness(mesh), assemble_mass(mesh)]
+
+
 class TestCooFormat:
+    @pytest.mark.parametrize("label", sorted(HEAD_GRIDS) + ["hand-built"])
+    def test_bytes_match_former_writer(self, label, tmp_path):
+        # at 2x2x2 the shifts +1 and -1 fold onto each other
+        for S in coo_cases(label):
+            full = former_expansion(S)
+            path = tmp_path / "S.txt"
+            write_coo(S, path)
+            assert path.read_bytes() == former_coo_text(full).encode()
+            assert S.nnz == S.matrix.nnz == full.nnz
+            for a, b in ((S.matrix.indptr, full.indptr),
+                         (S.matrix.indices, full.indices),
+                         (S.matrix.data, full.data)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_header_only_file_reads_back(self, tmp_path):
+        S = BlockCirculant(sp.csr_matrix((7, 56)), (2, 2, 2))
+        path = tmp_path / "S.txt"
+        write_coo(S, path)
+        assert path.read_text() == "56 56 0\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_coo(path)
+        assert back.shape == (56, 56) and back.nnz == 0
+
+    def test_malformed_entry_rejected(self, pencil2, tmp_path):
+        A, _ = pencil2
+        path = tmp_path / "A.txt"
+        write_coo(A, path)
+        lines = path.read_text().splitlines()
+        lines[5] = " ".join(lines[5].split()[:2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_coo(path)
+
     def test_roundtrip(self, pencil2, tmp_path):
         A, M = pencil2
         for mat in (A, M):

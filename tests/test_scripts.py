@@ -1,11 +1,13 @@
 """Smoke tests: every script in scripts/ runs at its smallest size, and so
 does the README's library quickstart; every function the benchmark traces
-or calls still exists in the library; the CLI imports no module it need
-not load; no library module or script imports a name it does not use."""
+or calls still exists in the library, and its fine_assemble workload runs
+and passes its checks; the CLI imports no module it need not load; no
+library module or script imports a name it does not use."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -85,6 +87,20 @@ def test_benchmark_workload_calls_resolve():
     missing = [(mod, fn) for mod, fn in sorted(calls) if not callable(
         getattr(importlib.import_module(f"reggefem.{mod}"), fn, None))]
     assert missing == []
+
+
+def test_benchmark_fine_assemble_runs():
+    # a short run of the benchmark workload that times `reggefem
+    # assemble`; its finish() reads the pencil files back into the
+    # written matrices, so this checks write_coo and read_coo end to end
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         "fine_assemble", "--seed", "0", "--seconds", "0.2", "--trace", "0"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
