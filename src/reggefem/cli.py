@@ -31,7 +31,7 @@ from .action import EdgeLengthConfig, RealizabilityError, \
     deficit_angles, euclidean_lengths, perturbed_lengths
 from .mesh import MeshError, TorusGeometry, build_torus_mesh, mesh_summary
 from .saint_venant import assemble_mass, assemble_stiffness, \
-    constant_kernel_residual, write_coo
+    constant_kernel_residual, stencil_operators, write_coo
 from .spaces import ReggeField
 from .spectrum import assign_clusters, convergence_study, default_cutoff, \
     fourier_oracle, solve_pencil
@@ -230,8 +230,7 @@ def cmd_assemble(cfg) -> int:
 
 def cmd_eigs(cfg) -> int:
     geometry = _geometry(cfg)
-    mesh = build_torus_mesh(geometry, cfg["grid"])
-    res = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh),
+    res = solve_pencil(*stencil_operators(geometry, cfg["grid"]),
                        {"grid": cfg["grid"], "lengths": cfg["lengths"]})
     cutoff = cfg["cutoff"]
     if cutoff is None:

@@ -51,6 +51,8 @@ __all__ = [
     "TorusGeometry",
     "PeriodicMesh",
     "build_torus_mesh",
+    "checked_grid",
+    "cell_geometry_error",
     "edge_star",
     "mesh_summary",
     "DIRECTIONS",
@@ -223,6 +225,26 @@ def _star_template(d: int):
 _STARS = [_star_template(d) for d in range(7)]
 
 
+def checked_grid(grid) -> tuple:
+    """``grid`` as three ints n_i >= 2, so that no edge closes onto its
+    own tail through a wrap; MeshError otherwise."""
+    if len(grid) != 3 or any(int(g) != g for g in grid):
+        raise MeshError("grid must be three integer subdivision counts")
+    grid = tuple(int(g) for g in grid)
+    if min(grid) < 2:
+        raise MeshError("grid too coarse for periodic identification "
+                        f"(need n_i >= 2, got {grid})")
+    return grid
+
+
+def cell_geometry_error(geometry: TorusGeometry, grid) -> MeshError:
+    """The error for side lengths so far apart for the grid that a squared
+    edge length underflows or a basis matrix overflows in double
+    precision."""
+    return MeshError(f"side lengths {geometry.lengths.tolist()} give grid "
+                     f"{grid} a zero or non-finite cell geometry")
+
+
 # the geometry is checked once it is built, so its float warnings are moot
 @np.errstate(all="ignore")
 def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
@@ -234,15 +256,12 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     the module docstring; face_tets and face_side are read off the stars
     (n_ef points into sector i), so nothing is sorted or searched mesh-wide.
     """
-    if len(grid) != 3 or any(int(g) != g for g in grid):
-        raise MeshError("grid must be three integer subdivision counts")
-    grid = tuple(int(g) for g in grid)
-    if min(grid) < 2:
-        raise MeshError("grid too coarse for periodic identification "
-                        f"(need n_i >= 2, got {grid})")
+    grid = checked_grid(grid)
     n = np.array(grid, dtype=np.int64)
     mesh = PeriodicMesh(geometry, grid)
     cell = geometry.lengths / n
+    if not cell.min() > 0:  # a side length underflows on division by n
+        raise cell_geometry_error(geometry, grid)
     mesh.cell = cell
     n1, n2, n3 = grid
     nv = n1 * n2 * n3
@@ -300,8 +319,7 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     if not (all(np.isfinite(a).all() for a in (sizes, mesh.tet_rho,
                                                mesh.face_m, mesh.face_n))
             and sizes.min() > 0):
-        raise MeshError(f"side lengths {geometry.lengths.tolist()} give grid "
-                        f"{grid} a zero or non-finite cell geometry")
+        raise cell_geometry_error(geometry, grid)
 
     # stars: templates moved to every vertex, rows rolled to the lowest face
     # id; face i lies between sectors i-1 and i, n_ef pointing into sector i

@@ -15,11 +15,21 @@ computed exactly from per-tet constant products.
 A and M are block-circulant with 7x7 blocks (edge 7*v + d): each is built
 as its first block row, from the faces or tets of the edges e < 7, and held
 as a ``BlockCirculant``.  It is the one owner of that format: it gives the
-Bloch symbols, the symmetry residual and the entry count from the row alone,
-and expands the row to the E x E matrix only when ``.matrix`` is read.
-``write_coo`` also works from the row: ``_block_circulant`` gives the one
-index expansion, which ``.matrix`` fills with the head's values and
-``write_coo`` with their text, formatted once per distinct value.
+entry count from the row alone, and expands the row to the E x E matrix
+only when ``.matrix`` is read.  ``write_coo`` also works from the row:
+``_block_circulant`` gives the one index expansion, which ``.matrix`` fills
+with the head's values and ``write_coo`` with their text, formatted once
+per distinct value.
+
+The row holds at most 27 nonzero blocks B_s, s in {-1, 0, 1}^3, which
+depend only on the cell.  A ``Stencil`` holds just those blocks and owns
+the Bloch symbols (one routine over half the Brillouin zone) and the
+symmetry residual; ``BlockCirculant.stencil`` reads it off the row.  Two
+deliberately independent routes give the blocks of a grid, and a test
+compares them symbol by symbol: the meshed head of the grid, which
+``assemble``, ``write_coo`` and ``verify`` use, and ``stencil_operators``,
+the heads of the 3x3x3 torus with the same cell, which the spectra
+(``converge``, ``eigs``) use without a mesh of the grid.
 
 The module has one face-jump kernel, ``_face_terms``: the frame contraction
 m_ef^T X n_ef of per-face matrices X in the face templates' frames.
@@ -34,19 +44,22 @@ edge) is a separate, deliberately independent route to half the edge jump:
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import PeriodicMesh
+from .mesh import MeshError, PeriodicMesh, TorusGeometry, build_torus_mesh, \
+    cell_geometry_error, checked_grid
 from .spaces import EdgeMeasure, ReggeField, regge_to_tet_matrices
 
 __all__ = [
     "edge_jump_scalar",
     "apply_ctc",
     "BlockCirculant",
+    "Stencil",
+    "stencil_operators",
     "assemble_stiffness",
     "assemble_mass",
     "constant_kernel_residual",
@@ -146,23 +159,104 @@ class BlockCirculant:
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def _blocks(self) -> np.ndarray:
-        """The head as a dense (7, n1, n2, n3, 7) array of B_s[a, b]."""
-        return self.head.toarray().reshape((7,) + self.grid + (7,))
+    @cached_property
+    def stencil(self) -> "Stencil":
+        """The head's blocks as a ``Stencil``: one block per distinct shift
+        residue s mod grid that the head holds, at its representative in
+        (-n/2, n/2] per axis, so a folded +-1 shift of a 2-wide axis is
+        read once."""
+        shift, b = np.divmod(self.head.indices, 7)
+        a = np.repeat(np.arange(7), np.diff(self.head.indptr))
+        offsets, index = [], []
+        for r, n in zip(np.unravel_index(shift, self.grid), self.grid):
+            residues, rank = _residues(n, r)
+            offsets.append(np.where(residues <= n // 2, residues,
+                                    residues - n))
+            index.append(rank[r])
+        blocks = np.zeros(tuple(map(len, offsets)) + (7, 7))
+        blocks[(*index, a, b)] = self.head.data
+        return Stencil(blocks, tuple(offsets), self.grid)
 
-    def symbols(self) -> np.ndarray:
-        """The (V, 7, 7) Bloch symbols sum_s B_s exp(-2 pi i k.s / n),
-        k in ``np.ndindex(grid)`` order."""
-        symbols = np.fft.fftn(self._blocks(), axes=(1, 2, 3))
-        return np.moveaxis(symbols, 0, -2).reshape(-1, 7, 7)
+    def symbols(self, k1=slice(None)) -> np.ndarray:
+        """The half-zone Bloch symbols of ``Stencil.symbols``, from the
+        blocks read off the head: (n1, n2, n3//2 + 1, 7, 7) for the default
+        ``k1``.  No FFT of the dense head and no array of size E."""
+        return self.stencil.symbols(k1)
 
     def symmetry_residual(self) -> float:
-        """max|S - S^T| / max|S|, read off the blocks: block s of S^T is
-        B_{-s}^T."""
-        B = self._blocks()
-        Bt = np.roll(np.flip(B, (1, 2, 3)), 1, (1, 2, 3)).swapaxes(0, 4)
-        denom = max(np.abs(self.head.data).max(initial=0.0), 1e-300)
-        return float(np.abs(B - Bt).max() / denom)
+        """``Stencil.symmetry_residual`` of the blocks read off the head:
+        max|S - S^T| / max|S|."""
+        return self.stencil.symmetry_residual()
+
+
+def _residues(n: int, s: np.ndarray):
+    """The distinct residues of the shifts ``s`` mod n, ascending, and the
+    rank of every residue 0..n-1 among them (by a mask, not a sort)."""
+    present = np.zeros(n, dtype=bool)
+    present[s % n] = True
+    return np.flatnonzero(present), np.cumsum(present) - 1
+
+
+def _roots(n: int, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i k s / n) for frequencies k and shifts s, (len k, len s),
+    read from one table of the n-th roots of unity by k s mod n: shifts of
+    the same residue get the same phase, bit for bit."""
+    table = np.exp(-2j * np.pi * np.arange(n) / n)
+    return table[np.outer(k, s) % n]
+
+
+@dataclass(frozen=True)
+class Stencil:
+    """E x E block-circulant matrix held as its nonzero 7x7 blocks.
+
+    ``blocks[i, j, l]`` is B_s for s = (offsets[0][i], offsets[1][j],
+    offsets[2][l]): entry (a, b) couples direction a at every vertex v to
+    direction b at v + s on the ``(n1, n2, n3)`` lattice ``grid``, s taken
+    mod grid, and shifts of the same residue add.  Nothing of size E is
+    stored: a ``stencil_operators`` pair holds 27 blocks on any grid.
+    """
+
+    blocks: np.ndarray
+    offsets: tuple
+    grid: tuple
+
+    @property
+    def shape(self):
+        return (7 * int(np.prod(self.grid)),) * 2
+
+    def symbols(self, k1=slice(None)) -> np.ndarray:
+        """Bloch symbols sum_s B_s exp(-2 pi i k.s / n) over half the
+        Brillouin zone, k3 in 0..n3//2, and the planes ``k1`` (a slice of
+        0..n1-1) of the first axis: an (n1, n2, n3//2 + 1, 7, 7) array for
+        the default slice, ``np.ndindex`` order within it.
+
+        The symbol at -k is the conjugate of the one at k, because the
+        blocks are real, so the half zone determines the whole spectrum.
+        Each axis is one phase contraction of its shifts, the third first.
+        """
+        n1, n2, n3 = self.grid
+        ks = (np.arange(n1)[k1], np.arange(n2), np.arange(n3 // 2 + 1))
+        out = self.blocks
+        for axis in (2, 1, 0):
+            phases = _roots(self.grid[axis], ks[axis], self.offsets[axis])
+            out = np.moveaxis(np.einsum("km,m...->k...", phases,
+                                        np.moveaxis(out, axis, 0)), 0, axis)
+        return out
+
+    def symmetry_residual(self) -> float:
+        """max|S - S^T| / max|S|, read off the blocks folded onto their
+        residues mod grid: block s of S^T is B_{-s}^T."""
+        folds, partners = [], []
+        for s, n in zip(self.offsets, self.grid):
+            # the residues of the shifts and of their negatives, each once
+            residues, rank = _residues(n, np.concatenate([s, -s]))
+            folds.append(rank[s % n])
+            partners.append(rank[-residues % n])
+        B = np.zeros(tuple(map(len, partners)) + (7, 7))
+        np.add.at(B, np.ix_(*folds), self.blocks)
+        Bt = B[np.ix_(*partners)].swapaxes(-1, -2)
+        denom = max(np.abs(B).max(initial=0.0), 1e-300)
+        return float(np.abs(B - Bt).max(initial=0.0) / denom)
 
 
 def assemble_stiffness(mesh: PeriodicMesh) -> BlockCirculant:
@@ -201,6 +295,28 @@ def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
                            mesh.tet_edges[t].ravel())),
                          shape=(7, mesh.num_edges))
     return BlockCirculant(head.tocsr(), mesh.grid)
+
+
+def stencil_operators(geometry: TorusGeometry, grid):
+    """A and M on the ``grid`` of ``geometry`` as two ``Stencil``s, built
+    without a mesh of the grid.
+
+    The blocks B_s, s in {-1, 0, 1}^3, depend only on the cell h_i =
+    l_i / n_i, and the 3x3x3 torus of sides 3 h_i has that cell and a
+    distinct residue for every such s: its meshed heads give them all,
+    from the one assembly of ``assemble_stiffness`` and ``assemble_mass``.
+    A MeshError names ``geometry`` and ``grid``, as building their mesh
+    would.
+    """
+    grid = checked_grid(grid)
+    try:
+        mesh = build_torus_mesh(
+            TorusGeometry(*(3.0 * (geometry.lengths / np.array(grid)))),
+            (3, 3, 3))
+    except MeshError as ex:
+        raise cell_geometry_error(geometry, grid) from ex
+    return tuple(replace(S.stencil, grid=grid)
+                 for S in (assemble_stiffness(mesh), assemble_mass(mesh)))
 
 
 def constant_kernel_residual(mesh: PeriodicMesh, A: BlockCirculant,

@@ -11,13 +11,27 @@ from below in magnitude, in sexets/dozens matching the multiplicities.
 
 The pencil is solved per Bloch frequency.  Edge ids are ``7*vertex +
 direction`` on a periodic lattice, so A and M are block-circulant with 7x7
-blocks and are held as their first block row (``BlockCirculant``): an FFT
-of that row, ``BlockCirculant.symbols``, turns them into V = n1*n2*n3
-Hermitian 7x7 symbols A^(k), M^(k), and the E eigenvalues of the pencil
-are the union of those of the V small pencils A^(k) x = lambda M^(k) x.
-No E x E matrix is formed.  The kernel is 6-dimensional at k = 0 and
-3-dimensional at every other k, so 3V + 3 in total.  Time and memory are
-O(E log E), against O(E^3) and O(E^2) for a dense solve.
+blocks B_s, nonzero only for s in {-1, 0, 1}^3, and their symbols are
+A^(k) = sum_s B_s exp(-2 pi i k.s / n), three per-axis phase contractions
+(``Stencil.symbols``).  The E eigenvalues of the pencil are the union of
+those of the V = n1*n2*n3 Hermitian pencils A^(k) x = lambda M^(k) x.  The
+blocks are real, so the symbol at -k is the conjugate of the one at k,
+with the same eigenvalues: only the half zone k3 in 0..n3//2 is solved, a
+block standing for itself and its partner except on the self-conjugate
+planes k3 = 0 and, for even n3, k3 = n3/2.  No E x E matrix is formed.
+The kernel is 6-dimensional at k = 0 and 3-dimensional at every other k,
+so 3V + 3 in total.  Time is O(E), and O(E log E) for the final sort.
+The blocks are solved in slabs of whole k1 planes, about ``_SLAB_BLOCKS``
+blocks (one plane at least), so the working memory is bounded by the slab
+and only the E eigenvalues grow with the grid.
+
+Two deliberately independent routes give the blocks, and a test compares
+them symbol by symbol.  ``convergence_study`` (so ``converge``) and the CLI
+``eigs`` read them off the 3x3x3 torus of the same cell,
+``saint_venant.stencil_operators``, and build no mesh of the grid; a
+``BlockCirculant`` assembled on the grid's own mesh, as ``assemble`` and
+``verify`` do, reads them off its first block row.  ``solve_pencil``
+takes either.
 """
 
 from __future__ import annotations
@@ -26,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import TorusGeometry, build_torus_mesh
-from .saint_venant import BlockCirculant, assemble_mass, assemble_stiffness
+from .mesh import TorusGeometry
+from .saint_venant import stencil_operators
 from .spaces import skew
 
 __all__ = [
@@ -44,9 +58,17 @@ __all__ = [
     "KERNEL_THRESHOLD_FACTOR",
 ]
 
-# kernel = eigenvalues below this fraction of max |lambda|; justified by the
-# observed spectral gap between the kernel and the physical modes
+# kernel = eigenvalues below this fraction of max |lambda|.  Measured per
+# Bloch block on 2x2x2, 2x3x2, 4x5x6 and 12x10x8 (sides 2pi, 2.5pi, 3pi), a
+# block's largest kernel |lambda| is at most 1.2e-14 of its smallest
+# nonzero |lambda| (worst at 12x10x8; 2.1e-13 at 32^3), and this threshold
+# splits every block into 6 kernel eigenvalues at k = 0 and 3 elsewhere
 KERNEL_THRESHOLD_FACTOR = 1e-8
+
+# Bloch blocks per slab of the solve: a slab holds about eight complex
+# (blocks, 7, 7) arrays at once, 784 bytes per block each, so some 26 MB;
+# grids up to 16^3 (2304 half-zone blocks) are solved in one slab
+_SLAB_BLOCKS = 4096
 
 
 def mode_symbol(k) -> np.ndarray:
@@ -199,26 +221,9 @@ def _adjoint(X: np.ndarray) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
 
 
-def solve_pencil(A: BlockCirculant, M: BlockCirculant,
-                 metadata: dict | None = None) -> SpectrumResult:
-    """Full spectrum of A x = lambda M x, one 7x7 Hermitian pencil per
-    Bloch frequency.
-
-    A and M must be on the same lattice, else ValueError.  Their symbols
-    are read from their first block rows, so no E x E matrix is built.  The
-    symbols of A are Hermitised, those of M Cholesky-factored (LinAlgError
-    if M is not SPD), and each pencil is reduced by solves against the
-    Cholesky factor and passed to ``eigh``.  The eigenvalues are the
-    ascending union over the blocks, E in all.  ``max_residual`` is
-    max ||A^ x^ - lambda M^ x^||_2 over every block eigenpair with
-    ||x^||_M^ = 1; because the normalised DFT is unitary this equals the
-    residual ||A x - lambda M x||_2 of the lifted complex eigenvector x
-    with ||x||_M = 1.  The solve is deterministic.
-    """
-    if A.grid != M.grid:
-        raise ValueError(f"stiffness grid {A.grid} and mass grid {M.grid} "
-                         "differ")
-    Ak, Mk = A.symbols(), M.symbols()
+def _solve_blocks(Ak: np.ndarray, Mk: np.ndarray):
+    """Eigenvalues (..., 7) of the pencils Ak^ x = lambda Mk^ x, Ak^ the
+    Hermitian part of Ak, and the largest residual of their eigenpairs."""
     Ak = 0.5 * (Ak + _adjoint(Ak))
     try:
         L = np.linalg.cholesky(Mk)
@@ -231,9 +236,49 @@ def solve_pencil(A: BlockCirculant, M: BlockCirculant,
     Y = np.linalg.solve(L, Ak)
     w, y = np.linalg.eigh(_adjoint(np.linalg.solve(L, _adjoint(Y))))
     x = np.linalg.solve(_adjoint(L), y)
-    resid = Ak @ x - (Mk @ x) * w[:, None, :]
-    max_residual = float(np.linalg.norm(resid, axis=-2).max())
-    w = np.sort(w.ravel())
+    resid = Ak @ x - (Mk @ x) * w[..., None, :]
+    return w, float(np.linalg.norm(resid, axis=-2).max())
+
+
+def solve_pencil(A, M, metadata: dict | None = None) -> SpectrumResult:
+    """Full spectrum of A x = lambda M x, one 7x7 Hermitian pencil per
+    Bloch frequency of half the zone.
+
+    A and M are ``BlockCirculant``s or ``Stencil``s on the same lattice,
+    else ValueError.  Their symbols come from their blocks, so no E x E
+    matrix is built.  The symbols at -k are the conjugates of those at k
+    and have the same eigenvalues, so only k3 in 0..n3//2 is solved, and
+    each block counts twice except on the self-conjugate planes k3 = 0
+    and, for even n3, k3 = n3/2.  The blocks are solved in slabs of whole
+    k1 planes, about ``_SLAB_BLOCKS`` at a time.  In each, the symbols of A
+    are Hermitised, those of M Cholesky-factored (LinAlgError if M is not
+    SPD), and each pencil is reduced by solves against the Cholesky factor
+    and passed to ``eigh``.  The eigenvalues are the ascending union over
+    the blocks with their weights, E in all.  ``max_residual`` is
+    max ||A^ x^ - lambda M^ x^||_2 over every block eigenpair with
+    ||x^||_M^ = 1; because the normalised DFT is unitary this equals the
+    residual ||A x - lambda M x||_2 of the lifted complex eigenvector x
+    with ||x||_M = 1.  The solve is deterministic.
+    """
+    if A.grid != M.grid:
+        raise ValueError(f"stiffness grid {A.grid} and mass grid {M.grid} "
+                         "differ")
+    n1, n2, n3 = A.grid
+    # weight of a half-zone block per k3: it stands for itself and its
+    # conjugate, except on the planes k3 = 0 and, for even n3, k3 = n3/2
+    weight = np.full(n3 // 2 + 1, 2)
+    weight[0] = 1
+    if n3 % 2 == 0:
+        weight[-1] = 1
+    planes = max(1, _SLAB_BLOCKS // (n2 * weight.size))
+    values, max_residual = [], 0.0
+    for start in range(0, n1, planes):
+        k1 = slice(start, start + planes)
+        w, residual = _solve_blocks(A.symbols(k1), M.symbols(k1))
+        max_residual = max(max_residual, residual)
+        values.append(np.repeat(w.ravel(), np.broadcast_to(
+            weight[:, None], w.shape).ravel()))
+    w = np.sort(np.concatenate(values))
     tau = KERNEL_THRESHOLD_FACTOR * np.abs(w).max()
     kernel_dim = int(np.sum(np.abs(w) < tau))
     return SpectrumResult(w, kernel_dim, float(tau), max_residual,
@@ -347,10 +392,8 @@ def convergence_study(geometry: TorusGeometry, grids,
     rows = []
     errors: dict = {}
     for grid in grids:
-        mesh = build_torus_mesh(geometry, grid)
-        A = assemble_stiffness(mesh)
-        M = assemble_mass(mesh)
-        res = solve_pencil(A, M, {"grid": list(grid)})
+        res = solve_pencil(*stencil_operators(geometry, grid),
+                           {"grid": list(grid)})
         for cl in assign_clusters(res, oracle, n_eigs):
             rows.append({
                 "grid": list(grid),

@@ -351,6 +351,23 @@ class TestConfigHandling:
         assert err.startswith("error: lengths: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (("eigs", "--grid", "2", "2", "2", "--lengths", "1e-8", "1", "1"),
+         "mass matrix not SPD (an assembly bug, or cells too anisotropic "
+         "for double precision)"),
+        (("eigs", "--grid", "2", "3", "4", "--lengths", "1e-200", "1", "1"),
+         "side lengths [1e-200, 1.0, 1.0] give grid (2, 3, 4) a zero or "
+         "non-finite cell geometry"),
+        (("converge", "--grids", "2", "3", "--lengths", "1e-170", "1", "1"),
+         "side lengths [1e-170, 1.0, 1.0] give grid (2, 2, 2) a zero or "
+         "non-finite cell geometry"),
+    ])
+    def test_spectrum_lengths_error_names_the_users_torus(self, capsys,
+                                                         argv, message):
+        # the spectra are built from a 3x3x3 torus; its sides and grid
+        # appear in no message
+        assert run(capsys, *argv) == (2, "", f"error: lengths: {message}\n")
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid": [3, 3, 3]}))

@@ -1,7 +1,7 @@
 """Smoke tests: every script in scripts/ runs at its smallest size, and so
 does the README's library quickstart; every function the benchmark traces
-or calls still exists in the library, and its fine_assemble workload runs
-and passes its checks; the CLI imports no module it need not load; no
+or calls still exists in the library, and its fine_assemble and
+spectrum_ladder workloads run and pass their checks; the CLI imports no module it need not load; no
 library module or script imports a name it does not use."""
 
 import ast
@@ -98,6 +98,20 @@ def test_benchmark_fine_assemble_runs():
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
          "fine_assemble", "--seed", "0", "--seconds", "0.2", "--trace", "0"],
         capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+
+
+def test_benchmark_spectrum_ladder_runs():
+    # a short run of the workload that times `reggefem converge --grids 3
+    # 4 5`: it checks the cluster errors against its pinned values, the
+    # 3V+3 kernel and one solve_pencil call per grid
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         "spectrum_ladder", "--seed", "0", "--seconds", "0.2", "--trace",
+         "0"], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0

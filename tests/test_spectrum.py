@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from conftest import lifted_points
 from reggefem import (TorusGeometry, assemble_mass, assemble_stiffness,
                       assign_clusters, build_torus_mesh, convergence_study,
                       fourier_oracle, sigma_modes, solve_pencil)
-from reggefem import saint_venant
+from reggefem import cli, saint_venant, spectrum
 from reggefem.mesh import DIRECTIONS
-from reggefem.saint_venant import BlockCirculant
+from reggefem.saint_venant import BlockCirculant, stencil_operators
 from reggefem.spaces import deformation_matrix
 from reggefem.spectrum import KERNEL_THRESHOLD_FACTOR, mode_symbol
 
@@ -191,17 +192,20 @@ class TestBlochSolve:
     ], ids=["4x4x4", "4x5x6"])
     def test_symbols_of_complex_compose_to_zero(self, grid, lengths):
         # A D = 0 holds block by block: A^(k) D^(k) = 0 at every Bloch
-        # frequency k, with the 7x3 symbol of the deformation matrix taken
-        # from its first block row in the convention of
-        # BlockCirculant.symbols
+        # frequency k of the half zone (the other half is its conjugate),
+        # with the 7x3 symbol of the deformation matrix taken from its
+        # first block row in the convention of BlockCirculant.symbols
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
-        Ak = assemble_stiffness(mesh).symbols()
+        half = grid[2] // 2 + 1
+        Ak = assemble_stiffness(mesh).symbols().reshape(-1, 7, 7)
         row = deformation_matrix(mesh)[:7].toarray()
         Dk = np.moveaxis(np.fft.fftn(row.reshape((7,) + grid + (3,)),
-                                     axes=(1, 2, 3)), 0, -2).reshape(-1, 7, 3)
+                                     axes=(1, 2, 3)), 0, -2)
+        Dk = Dk[:, :, :half].reshape(-1, 7, 3)
         # closed form: row i of D^(k) is d_i (exp(-2 pi i k.DIRECTIONS[i]/n)
         # - 1), the head minus the tail of edge direction i
-        k = np.stack(np.meshgrid(*map(np.arange, grid), indexing="ij"),
+        k = np.stack(np.meshgrid(*map(np.arange, grid[:2] + (half,)),
+                                 indexing="ij"),
                      axis=-1).reshape(-1, 3) / np.array(grid)
         shift = np.exp(-2j * np.pi * k @ DIRECTIONS.T) - 1.0
         assert np.abs(Dk - shift[:, :, None] * mesh.edge_vec[:7]).max() \
@@ -222,6 +226,111 @@ class TestBlochSolve:
         assert res.kernel_dim == 3 * mesh.num_vertices + 3
         assert res.asymmetry <= 1e-14
         assert res.max_residual <= 1e-12 * np.abs(res.eigenvalues).max()
+
+
+# the cross-check pair of routes to the symbols: the stencil of the 3x3x3
+# torus and the meshed head of the grid itself
+STENCIL_GRIDS = [(2, 2, 2), (2, 3, 2), (4, 5, 6), (12, 10, 8)]
+STENCIL_SIDES = TorusGeometry(TAU, 2.5 * np.pi, 3.0 * np.pi)
+
+
+def fftn_symbols(S):
+    """The former full-zone symbols: the FFT of the dense head, as an
+    (n1, n2, n3, 7, 7) array."""
+    blocks = S.head.toarray().reshape((7,) + S.grid + (7,))
+    return np.moveaxis(np.fft.fftn(blocks, axes=(1, 2, 3)), 0, -2)
+
+
+def block_eigenvalues(A, M):
+    """The 7 eigenvalues of every half-zone Bloch pencil, (blocks, 7)."""
+    Ak, Mk = (S.symbols().reshape(-1, 7, 7) for S in (A, M))
+    return np.stack([sla.eigh(0.5 * (a + a.conj().T), m, eigvals_only=True)
+                     for a, m in zip(Ak, Mk)])
+
+
+class TestStencilRoute:
+    @pytest.mark.parametrize("grid", STENCIL_GRIDS, ids=str)
+    def test_symbols_match_meshed_head_and_fftn(self, grid):
+        mesh = build_torus_mesh(STENCIL_SIDES, grid)
+        meshed = (assemble_stiffness(mesh), assemble_mass(mesh))
+        half = grid[2] // 2 + 1
+        for H, S in zip(meshed, stencil_operators(STENCIL_SIDES, grid)):
+            full = fftn_symbols(H)
+            tol = 1e-14 * np.abs(full).max()
+            assert S.shape == H.shape
+            assert H.symbols().shape == (grid[:2] + (half, 7, 7))
+            assert np.abs(S.symbols() - H.symbols()).max() <= tol
+            for route in (S, H):
+                assert np.abs(route.symbols() - full[:, :, :half]).max() \
+                    <= tol
+            # each skipped block is the conjugate of its partner at -k
+            partner = np.roll(full[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
+            assert np.abs(full - partner.conj()).max() <= tol
+            # roundoff either way; a 2-wide axis folds B_1 and B_-1 in the
+            # meshed head, and adds them in another order in the stencil
+            assert abs(S.symmetry_residual() - H.symmetry_residual()) \
+                <= 1e-15
+            # planes of k1 are those of the whole half zone, bit for bit
+            assert np.array_equal(S.symbols(slice(1, None)),
+                                  S.symbols()[1:])
+
+    @pytest.mark.parametrize("grid", STENCIL_GRIDS, ids=str)
+    def test_eigenvalues_match_meshed_head(self, grid):
+        mesh = build_torus_mesh(STENCIL_SIDES, grid)
+        meshed = solve_pencil(assemble_stiffness(mesh), assemble_mass(mesh))
+        res = solve_pencil(*stencil_operators(STENCIL_SIDES, grid))
+        scale = np.abs(meshed.eigenvalues).max()
+        assert np.abs(res.eigenvalues - meshed.eigenvalues).max() \
+            <= 1e-14 * scale
+        assert res.kernel_dim == meshed.kernel_dim \
+            == 3 * mesh.num_vertices + 3
+        assert abs(res.asymmetry - meshed.asymmetry) <= 1e-15
+
+    @pytest.mark.parametrize("grid", STENCIL_GRIDS, ids=str)
+    def test_kernel_per_block(self, grid):
+        # under the global threshold, the block k = 0 holds 6 kernel
+        # eigenvalues and every other block 3; a block's largest kernel
+        # |lambda| is at most 1.2e-14 of its smallest nonzero |lambda|
+        # (measured worst, at 12x10x8)
+        A, M = stencil_operators(STENCIL_SIDES, grid)
+        res = solve_pencil(A, M)
+        w = np.abs(block_eigenvalues(A, M))
+        kernel = w < res.threshold
+        assert kernel[0].sum() == 6
+        assert (kernel[1:].sum(axis=1) == 3).all()
+        ratio = np.where(kernel, w, 0.0).max(axis=1) \
+            / np.where(kernel, np.inf, w).min(axis=1)
+        assert ratio.max() <= 1e-13
+
+    @pytest.mark.parametrize("grid", [(8, 8, 8), (17, 9, 40)], ids=str)
+    def test_slabs_give_the_one_slab_spectrum(self, grid, monkeypatch):
+        A, M = stencil_operators(STENCIL_SIDES, grid)
+        whole = solve_pencil(A, M)
+        monkeypatch.setattr(spectrum, "_SLAB_BLOCKS", 1)
+        sliced = solve_pencil(A, M)
+        assert np.array_equal(sliced.eigenvalues, whole.eigenvalues)
+        assert sliced.max_residual == whole.max_residual
+        assert sliced.kernel_dim == whole.kernel_dim \
+            == 3 * A.shape[0] // 7 + 3
+
+    def test_spectra_build_only_the_stencil_torus(self, geometry,
+                                                  monkeypatch, tmp_path):
+        built = []
+        original = build_torus_mesh
+
+        def counted(geometry, grid):
+            built.append(tuple(grid))
+            return original(geometry, grid)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("reggefem") and \
+                    getattr(module, "build_torus_mesh", None) is original:
+                monkeypatch.setattr(module, "build_torus_mesh", counted)
+        convergence_study(geometry, [2, 3, 4], n_eigs=2)
+        assert built == [(3, 3, 3)] * 3
+        assert cli.main(["eigs", "--grid", "4", "5", "6", "--output",
+                         str(tmp_path / "eigs.json")]) == 0
+        assert built == [(3, 3, 3)] * 4
 
 
 class TestClusters:
