@@ -630,8 +630,8 @@ GOLDEN_DIGESTS = {
     "assemble_bench": "17dbf0b5a0966495",
     "assemble_seed": "64bf73279d14ef1c",
     "config_action": "a69f2e000918939e",
-    "config_converge": "9b16586d0ee85ede",
-    "config_eigs": "ad0c58db823fbdad",
+    "config_converge": "4bac9ae8ff7e6279",
+    "config_eigs": "fce10d6d0a9bdd28",
     "config_mesh": "d6f7a697455379a1",
     "config_missing": "e396ae7d165ad749",
     "config_oracle_null": "0b3c30ac432fb44c",
@@ -639,12 +639,12 @@ GOLDEN_DIGESTS = {
     "config_prefix_null": "08392b5498ae21d6",
     "config_unknown": "98177f81e0c069ff",
     "config_verify_seed": "45f15a419dc988d3",
-    "converge_bench": "1739791ad1ae89ef",
+    "converge_bench": "7b993affe5aa0f7c",
     "converge_decreasing": "b306d47ec13f0bde",
-    "converge_short": "7b4022d3782f5adb",
-    "eigs_csv": "7a9b80f9805ec7e9",
-    "eigs_cutoff": "762f47f55d99de7e",
-    "eigs_grid3": "f513bc0dc5012631",
+    "converge_short": "43aa837c98f6d5d4",
+    "eigs_csv": "29c950aaf02d01e2",
+    "eigs_cutoff": "7e790a4e53e3d115",
+    "eigs_grid3": "e48c197afd77e216",
     "eigs_too_many": "5cd405e445d8ac8d",
     "mesh": "68618ba4a72bda53",
     "mesh_grid_1": "98d2ca1e01075124",
