@@ -324,13 +324,16 @@ def constant_kernel_residual(mesh: PeriodicMesh, A: BlockCirculant,
     """max|A c| / (max|A| max|c|) for the edge values c of one constant
     metric, symmetrised from a uniform [-1, 1] 3x3 draw of ``rng``.
 
-    Constant metrics lie in the kernel, so this is roundoff-sized.
+    Constant metrics lie in the kernel, so this is roundoff-sized.  c
+    repeats per direction, so every block row of A c holds the products of
+    the first one, summed in another order: the head gives A c and max|A|
+    without expanding A.
     """
     g = rng.uniform(-1.0, 1.0, (3, 3))
     g = 0.5 * (g + g.T)
     c = np.einsum("ei,ij,ej->e", mesh.edge_vec, g, mesh.edge_vec)
-    return float(np.abs(A.matrix @ c).max()
-                 / (np.abs(A.matrix.data).max()
+    return float(np.abs(A.head @ c).max()
+                 / (np.abs(A.head.data).max()
                     * max(np.abs(c).max(), 1e-300)))
 
 
