@@ -628,8 +628,8 @@ GOLDEN_DIGESTS = {
     "action_lengths_json": "06ae2303093f96ce",
     "action_perturbed": "a829732ecb0b533a",
     "action_wrong_count": "a4dcfa10f85ab2e6",
-    "assemble_bench": "17dbf0b5a0966495",
-    "assemble_seed": "64bf73279d14ef1c",
+    "assemble_bench": "ce8bc28ccdfea21b",
+    "assemble_seed": "929afcb435c78909",
     "config_action": "a69f2e000918939e",
     "config_converge": "4bac9ae8ff7e6279",
     "config_eigs": "fce10d6d0a9bdd28",
