@@ -29,9 +29,12 @@ Conventions
   a star lies between sectors i-1 and i, and n_ef points into sector i.
 * Float geometry is stored once per shape, on the six tets and twelve
   faces at the origin: tet t is a translate of template t % 6, face f of
-  template f % 12.  Periodicity lives only in the vertex identification,
-  which matters at n_i = 2 where distinct edges can share the same
-  unordered vertex pair through different wraps.
+  template f % 12.  ``_box_templates`` computes these templates and the
+  seven edge lengths from the cell alone; the mesh and
+  ``saint_venant.stencil_operators`` both read them.  Periodicity lives
+  only in the vertex identification, which matters at n_i = 2 where
+  distinct edges can share the same unordered vertex pair through
+  different wraps.
 * For each incident (edge e, face f) pair, m_ef lies in the plane of f,
   is orthogonal to e and points into the triangle; n_ef = t_e x m_ef, so
   (m_ef, n_ef, t_e) is a right-handed orthonormal triple.
@@ -247,6 +250,58 @@ def cell_geometry_error(geometry: TorusGeometry, grid) -> MeshError:
 
 # the geometry is checked once it is built, so its float warnings are moot
 @np.errstate(all="ignore")
+def _box_templates(geometry: TorusGeometry, grid) -> dict:
+    """The float geometry of one box of ``grid``, every shape once: the
+    ``cell``; ``edge_length`` (7,) and ``edge_tangent`` (7, 3) of the edges
+    7v + d, d = 0..6; and the tet and face templates of ``PeriodicMesh``
+    (``tet_coords``, ``tet_volume``, ``tet_rho``, ``face_m``, ``face_n``).
+
+    MeshError (``cell_geometry_error``) for side lengths so far apart for
+    the grid that a squared edge length underflows or a basis matrix
+    overflows in double precision.
+    """
+    cell = geometry.lengths / np.array(grid)
+    if not cell.min() > 0:  # a side length underflows on division by n
+        raise cell_geometry_error(geometry, grid)
+    vec = DIRECTIONS * cell
+    edge_length = np.linalg.norm(vec, axis=1)
+    edge_tangent = vec / edge_length[:, None]
+
+    # tet templates: the six tets of the box at the origin; barycentric
+    # gradients and restricted edge basis matrices
+    tet_coords = _TET_OFFSETS * cell
+    B = (tet_coords[:, 1:] - tet_coords[:, :1]).mT
+    # every Kuhn tet has volume prod(cell) / 6; |det B| / 6 of template 0
+    tet_volume = float(abs(np.linalg.det(B[0]))) / 6.0
+    Binv = np.linalg.inv(B)
+    grad = np.concatenate([-Binv.sum(axis=1, keepdims=True), Binv], axis=1)
+    lo, hi = np.array(LOCAL_EDGES).T
+    gi, gj = grad[:, lo, :, None], grad[:, hi, None, :]
+    # -1/2 normalization makes the edge DOFs dual to this basis; fancy
+    # indexing on axis 1 leaves the slot axis outermost in memory
+    tet_rho = np.ascontiguousarray(-0.5 * (gi * gj + gj.mT * gi.mT))
+
+    # face templates: (m_ef, n_ef) frames of the twelve faces at the origin;
+    # slot s is the edge between local points _FACE_EDGES[s]
+    a, b = _FACE_EDGES.T
+    face_coords = _FACE_OFFSETS * cell
+    u = face_coords[:, b] - face_coords[:, a]
+    u /= _norm(u)
+    w = face_coords[:, 3 - a - b] - face_coords[:, a]
+    face_m = np.ascontiguousarray(w - np.vecdot(w, u)[..., None] * u)
+    face_m /= _norm(face_m)
+    face_n = np.cross(edge_tangent[_dir(_FACE_OFFSETS[:, b]
+                                        - _FACE_OFFSETS[:, a])], face_m)
+    sizes = np.append(edge_length ** 2, tet_volume)
+    if not (all(np.isfinite(x).all() for x in (sizes, tet_rho, face_m,
+                                                face_n))
+            and sizes.min() > 0):
+        raise cell_geometry_error(geometry, grid)
+    return dict(cell=cell, edge_length=edge_length, edge_tangent=edge_tangent,
+                tet_coords=tet_coords, tet_volume=tet_volume, tet_rho=tet_rho,
+                face_m=face_m, face_n=face_n)
+
+
 def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     """Build the Kuhn triangulation of the torus with the given grid.
 
@@ -255,21 +310,20 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     template broadcast over the vertex lattice, by the index arithmetic of
     the module docstring; face_tets and face_side are read off the stars
     (n_ef points into sector i), so nothing is sorted or searched mesh-wide.
+    The float geometry is that of ``_box_templates``.
     """
     grid = checked_grid(grid)
     n = np.array(grid, dtype=np.int64)
     mesh = PeriodicMesh(geometry, grid)
-    cell = geometry.lengths / n
-    if not cell.min() > 0:  # a side length underflows on division by n
-        raise cell_geometry_error(geometry, grid)
-    mesh.cell = cell
+    box = _box_templates(geometry, grid)
+    vars(mesh).update(box)
     n1, n2, n3 = grid
     nv = n1 * n2 * n3
 
     ii, jj, kk = np.meshgrid(np.arange(n1), np.arange(n2), np.arange(n3),
                              indexing="ij")
     vertex_lattice = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
-    mesh.vertex_pos = vertex_lattice * cell
+    mesh.vertex_pos = vertex_lattice * mesh.cell
 
     # tet 6*v + r is the chain _TET_OFFSETS[r] from vertex v, face 12*v + k
     # the chain _FACE_OFFSETS[k]; local edges and face slots point upward
@@ -282,44 +336,15 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     mesh.face_edges = (7 * _vid(face_lattice[:, :, a], n) + _dir(
         _FACE_OFFSETS[:, b] - _FACE_OFFSETS[:, a])).reshape(12 * nv, 3)
 
-    # edges: edge 7*v + d runs from v to v + DIRECTIONS[d]
+    # edges: edge 7*v + d runs from v to v + DIRECTIONS[d], the box's edge d
+    # moved to v
     tail = np.repeat(np.arange(nv), 7)
     dirs = np.tile(np.arange(7), nv)
     mesh.edge_tail = tail
     mesh.edge_head = _vid(vertex_lattice[tail] + DIRECTIONS[dirs], n)
-    mesh.edge_vec = DIRECTIONS[dirs] * cell
-    mesh.edge_length = np.linalg.norm(mesh.edge_vec, axis=1)
-    mesh.edge_tangent = mesh.edge_vec / mesh.edge_length[:, None]
-
-    # tet templates: the six tets of the box at the origin; barycentric
-    # gradients and restricted edge basis matrices
-    mesh.tet_coords = _TET_OFFSETS * cell
-    B = (mesh.tet_coords[:, 1:] - mesh.tet_coords[:, :1]).mT
-    # every Kuhn tet has volume prod(cell) / 6; |det B| / 6 of template 0
-    mesh.tet_volume = float(abs(np.linalg.det(B[0]))) / 6.0
-    Binv = np.linalg.inv(B)
-    grad = np.concatenate([-Binv.sum(axis=1, keepdims=True), Binv], axis=1)
-    gi, gj = grad[:, lo, :, None], grad[:, hi, None, :]
-    # -1/2 normalization makes the edge DOFs dual to this basis; fancy
-    # indexing on axis 1 leaves the slot axis outermost in memory
-    mesh.tet_rho = np.ascontiguousarray(-0.5 * (gi * gj + gj.mT * gi.mT))
-
-    # face templates: (m_ef, n_ef) frames of the twelve faces at the origin;
-    # slot s is the edge between local points _FACE_EDGES[s]
-    face_coords = _FACE_OFFSETS * cell
-    u = face_coords[:, b] - face_coords[:, a]
-    u /= _norm(u)
-    w = face_coords[:, 3 - a - b] - face_coords[:, a]
-    mesh.face_m = m = np.ascontiguousarray(w - np.vecdot(w, u)[..., None] * u)
-    m /= _norm(m)
-    mesh.face_n = np.cross(mesh.edge_tangent[mesh.face_edges[:12]], m)
-    # side lengths far apart for the grid underflow a squared length or
-    # overflow a basis matrix in double precision
-    sizes = np.append(mesh.edge_length[:7] ** 2, mesh.tet_volume)
-    if not (all(np.isfinite(a).all() for a in (sizes, mesh.tet_rho,
-                                               mesh.face_m, mesh.face_n))
-            and sizes.min() > 0):
-        raise cell_geometry_error(geometry, grid)
+    mesh.edge_vec = DIRECTIONS[dirs] * mesh.cell
+    mesh.edge_length = np.tile(box["edge_length"], nv)
+    mesh.edge_tangent = np.tile(box["edge_tangent"], (nv, 1))
 
     # stars: templates moved to every vertex, rows rolled to the lowest face
     # id; face i lies between sectors i-1 and i, n_ef pointing into sector i

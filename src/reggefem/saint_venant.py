@@ -28,14 +28,17 @@ symmetry residual; ``BlockCirculant.stencil`` reads it off the row.  Two
 deliberately independent routes give the blocks of a grid, and a test
 compares them symbol by symbol: the meshed head of the grid, which
 ``assemble``, ``write_coo`` and ``verify`` use, and ``stencil_operators``,
-the heads of the 3x3x3 torus with the same cell, which the spectra
-(``converge``, ``eigs``) use without a mesh of the grid.
+which the spectra (``converge``, ``eigs``) use.  It builds no mesh and no
+head: it scatters the one-box templates (``mesh._box_templates``, which
+the mesh reads too) into the blocks by two index tables, built once at
+import from the edge stars at the origin.
 
 The module has one face-jump kernel, ``_face_terms``: the frame contraction
 m_ef^T X n_ef of per-face matrices X in the face templates' frames.
-``assemble_stiffness`` applies it to the six tet templates' basis matrices
-on the twelve face templates, ``apply_ctc`` to the tet-matrix differences of
-a field; ``edge_jump_scalar`` is one entry of ``apply_ctc``.  The
+``assemble_stiffness`` and ``stencil_operators`` apply it to the six tet
+templates' basis matrices on the twelve face templates
+(``_template_terms``), ``apply_ctc`` to the tet-matrix differences of a
+field; ``edge_jump_scalar`` is one entry of ``apply_ctc``.  The
 star-ordered ``action.linearized_deficits`` (``linearized_deficit`` per
 edge) is a separate, deliberately independent route to half the edge jump:
 ``verify`` cross-checks it against ``apply_ctc``.
@@ -44,14 +47,14 @@ edge) is a separate, deliberately independent route to half the edge jump:
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import MeshError, PeriodicMesh, TorusGeometry, build_torus_mesh, \
-    cell_geometry_error, checked_grid
+from .mesh import LOCAL_EDGES, PeriodicMesh, TorusGeometry, _STARS, \
+    _TET_OFFSETS, _box_templates, _dir, checked_grid
 from .spaces import EdgeMeasure, ReggeField, regge_to_tet_matrices
 
 __all__ = [
@@ -68,14 +71,29 @@ __all__ = [
 ]
 
 
-def _face_terms(mesh: PeriodicMesh, X: np.ndarray) -> np.ndarray:
+def _face_terms(face_m: np.ndarray, face_n: np.ndarray,
+                X: np.ndarray) -> np.ndarray:
     """m_ef^T X n_ef for the three edge slots s of each face: X is
     (F, ..., 3, 3), or (12, ..., 3, 3) for the twelve face templates, the
-    result (F, 3, ...) or (12, 3, ...).  Face 12v + k takes the frames of
-    template k.  Unsigned: the caller orients it by face_side."""
+    result (F, 3, ...) or (12, 3, ...).  Face 12v + k takes the frames
+    ``face_m[k]``, ``face_n[k]`` (12, 3, 3) of template k.  Unsigned: the
+    caller orients it by face_side."""
     Xk = X.reshape((-1, 12) + X.shape[1:])
-    out = np.einsum("ksi,vk...ij,ksj->vks...", mesh.face_m, Xk, mesh.face_n)
+    out = np.einsum("ksi,vk...ij,ksj->vks...", face_m, Xk, face_n)
     return out.reshape((X.shape[0], 3) + out.shape[3:])
+
+
+def _template_terms(face_m, face_n, tet_rho) -> np.ndarray:
+    """``_face_terms`` of the six tet templates' basis matrices on the
+    twelve face templates, (12, 3, 6, 6): face k, slot s, tet template r,
+    local edge a."""
+    return _face_terms(face_m, face_n,
+                       np.broadcast_to(tet_rho, (12,) + tet_rho.shape))
+
+
+def _tet_mass(tet_volume, tet_rho) -> np.ndarray:
+    """|T| rho_a : rho_b of the six tet templates, (6, 6, 6)."""
+    return np.einsum(",raij,rbij->rab", tet_volume, tet_rho, tet_rho)
 
 
 def edge_jump_scalar(mesh: PeriodicMesh, u: ReggeField, e: int) -> float:
@@ -93,7 +111,7 @@ def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
     sign = np.where(mesh.face_side == 1, 1.0, -1.0)
     out = np.zeros(mesh.num_edges)
     np.add.at(out, mesh.face_edges.ravel(),
-              (sign * _face_terms(mesh, diff)).ravel())
+              (sign * _face_terms(mesh.face_m, mesh.face_n, diff)).ravel())
     return EdgeMeasure(out)
 
 
@@ -271,10 +289,9 @@ def assemble_stiffness(mesh: PeriodicMesh) -> BlockCirculant:
     # half 0 is the tet n_ef points into (+), half 1 the other one (-)
     inv_l = (2.0 * mesh.face_side[f, s] - 1.0) / mesh.edge_length[rows]
     tets = mesh.face_tets[f, ::-1]
-    # the terms of every face template k, slot s and tet template r,
-    # (12, 3, 6, 6), read at face f % 12 and its tets' templates
-    terms = _face_terms(mesh, np.broadcast_to(mesh.tet_rho,
-                                              (12,) + mesh.tet_rho.shape))
+    # the terms of every face template k, slot s and tet template r, read
+    # at face f % 12 and its tets' templates
+    terms = _template_terms(mesh.face_m, mesh.face_n, mesh.tet_rho)
     vals = (inv_l[:, None, None] * np.array([1.0, -1.0])[:, None]) * \
         terms[(f % 12)[:, None], s[:, None], tets % 6]
     head = sp.coo_matrix((vals.ravel(), (np.repeat(rows, 12),
@@ -287,8 +304,7 @@ def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
     """Assemble M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T exactly from its
     first block row: the tets of the edges e < 7, tet 6v + r with the local
     matrix of template r, held as a ``BlockCirculant``."""
-    local = np.einsum(",raij,rbij->rab", mesh.tet_volume, mesh.tet_rho,
-                      mesh.tet_rho)
+    local = _tet_mass(mesh.tet_volume, mesh.tet_rho)
     t, a = np.nonzero(mesh.tet_edges < 7)
     head = sp.coo_matrix((local[t % 6, a].ravel(),
                           (np.repeat(mesh.tet_edges[t, a], 6),
@@ -297,26 +313,71 @@ def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
     return BlockCirculant(head.tocsr(), mesh.grid)
 
 
+def _stencil_tables():
+    """Where the entries of the 27 stencil blocks come from, read off the
+    stars of the seven edges at the origin: face i of a star lies between
+    sectors i-1 and i, and n_ef points into sector i.
+
+    Each table pairs flat indices into one-box values with the flat block
+    entries (s + 1, d, b) of the (3, 3, 3, 7, 7) blocks they add to: row d
+    is the star's direction, and b and s in {-1, 0, 1}^3 are the direction
+    and the tail offset of local edge a of a sector tet of type r.  The
+    stiffness table takes every star face (type k, the edge in slot s) with
+    its two sector tets and their six local edges into the (12, 3, 6, 6)
+    ``_template_terms``, with the side (+1 for sector i, -1 for sector i-1)
+    and the row, to scale by side / l_d.  The mass table takes every sector
+    tet into the (6, 6, 6) ``_tet_mass`` at (r, a_d, a), a_d the local
+    edge of the star's edge.
+    """
+    valence = np.array([len(star[1]) for star in _STARS])
+    _, k, slot, toff, r = (np.concatenate(x) for x in zip(*_STARS))
+    d = np.repeat(np.arange(7), valence)
+    # sector i - 1 of every star face, cyclic within its star
+    prev = np.arange(len(d)) - 1
+    prev[np.cumsum(valence) - valence] += valence
+    # the tail offset and direction of every local edge of every sector tet
+    lo, hi = np.array(LOCAL_EDGES).T
+    corners = _TET_OFFSETS[r]
+    tail = toff[:, None] + corners[:, lo]
+    b = _dir(corners[:, hi] - corners[:, lo])
+    block = ((tail + 1) @ [9, 3, 1]) * 49 + 7 * d[:, None] + b
+    a = np.arange(6)
+    # both sectors of every star face, sector i first
+    sector = np.stack([np.arange(len(d)), prev], axis=1)
+    terms = (((k * 3 + slot)[:, None] * 6 + r[sector]) * 6)[..., None] + a
+    stiffness = (terms.ravel(), np.tile(np.repeat([1.0, -1.0], 6), len(d)),
+                 np.repeat(d, 12), block[sector].ravel())
+    a_d = ((tail == 0).all(axis=-1) & (b == d[:, None])).argmax(axis=1)
+    return stiffness, (((r * 6 + a_d)[:, None] * 6 + a).ravel(), block.ravel())
+
+
+_STIFFNESS_TABLE, _MASS_TABLE = _stencil_tables()
+_BLOCK_OFFSETS = (np.arange(-1, 2),) * 3
+
+
 def stencil_operators(geometry: TorusGeometry, grid):
     """A and M on the ``grid`` of ``geometry`` as two ``Stencil``s, built
-    without a mesh of the grid.
+    without a mesh.
 
     The blocks B_s, s in {-1, 0, 1}^3, depend only on the cell h_i =
-    l_i / n_i, and the 3x3x3 torus of sides 3 h_i has that cell and a
-    distinct residue for every such s: its meshed heads give them all,
-    from the one assembly of ``assemble_stiffness`` and ``assemble_mass``.
-    A MeshError names ``geometry`` and ``grid``, as building their mesh
-    would.
+    l_i / n_i: they are the one-box templates of ``_box_templates``
+    (``face_m``, ``face_n``, ``tet_rho``, ``tet_volume``, the seven edge
+    lengths) contracted by ``_face_terms`` and ``_tet_mass`` and scattered
+    by the index tables of the edge stars at the origin.  Nothing depends
+    on the grid beyond the cell, so any grid takes the same time.  A
+    MeshError names ``geometry`` and ``grid``, as building their mesh would.
     """
     grid = checked_grid(grid)
-    try:
-        mesh = build_torus_mesh(
-            TorusGeometry(*(3.0 * (geometry.lengths / np.array(grid)))),
-            (3, 3, 3))
-    except MeshError as ex:
-        raise cell_geometry_error(geometry, grid) from ex
-    return tuple(replace(S.stencil, grid=grid)
-                 for S in (assemble_stiffness(mesh), assemble_mass(mesh)))
+    box = _box_templates(geometry, grid)
+    gather, side, row, block = _STIFFNESS_TABLE
+    terms = _template_terms(box["face_m"], box["face_n"], box["tet_rho"])
+    A = np.bincount(block, side / box["edge_length"][row]
+                    * terms.ravel()[gather], 27 * 49)
+    gather, block = _MASS_TABLE
+    M = np.bincount(block, _tet_mass(box["tet_volume"],
+                                     box["tet_rho"]).ravel()[gather], 27 * 49)
+    return tuple(Stencil(B.reshape(3, 3, 3, 7, 7), _BLOCK_OFFSETS, grid)
+                 for B in (A, M))
 
 
 def constant_kernel_residual(mesh: PeriodicMesh, A: BlockCirculant,

@@ -27,11 +27,11 @@ and only the E eigenvalues grow with the grid.
 
 Two deliberately independent routes give the blocks, and a test compares
 them symbol by symbol.  ``convergence_study`` (so ``converge``) and the CLI
-``eigs`` read them off the 3x3x3 torus of the same cell,
-``saint_venant.stencil_operators``, and build no mesh of the grid; a
-``BlockCirculant`` assembled on the grid's own mesh, as ``assemble`` and
-``verify`` do, reads them off its first block row.  ``solve_pencil``
-takes either.
+``eigs`` take them from ``saint_venant.stencil_operators``, which scatters
+the one-box shape templates of the cell into them and builds no mesh at
+all; a ``BlockCirculant`` assembled on the grid's own mesh, as
+``assemble`` and ``verify`` do, reads them off its first block row.
+``solve_pencil`` takes either.
 """
 
 from __future__ import annotations

@@ -365,9 +365,17 @@ class TestConfigHandling:
     ])
     def test_spectrum_lengths_error_names_the_users_torus(self, capsys,
                                                          argv, message):
-        # the spectra are built from a 3x3x3 torus; its sides and grid
-        # appear in no message
+        # the spectra are built from the one-box templates of the user's
+        # sides and grid, and no other torus is named
         assert run(capsys, *argv) == (2, "", f"error: lengths: {message}\n")
+
+    def test_spectrum_of_a_thin_cell_is_solved(self, capsys, tmp_path):
+        # a side 1e-7 of the others keeps the mass symbols SPD, where the
+        # 1e-8 and 1e-200 cases above fail
+        code, _, err = run(capsys, "eigs", "--grid", "3", "3", "3",
+                           "--lengths", "1e-7", "1", "1",
+                           "--output", str(tmp_path / "eigs.json"))
+        assert (code, err) == (0, "")
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

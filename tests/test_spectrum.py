@@ -1,5 +1,4 @@
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from reggefem import (TorusGeometry, assemble_mass, assemble_stiffness,
                       assign_clusters, build_torus_mesh, convergence_study,
                       fourier_oracle, sigma_modes, solve_pencil)
 from reggefem import cli, saint_venant, spectrum
-from reggefem.mesh import DIRECTIONS
+from reggefem.mesh import DIRECTIONS, PeriodicMesh
 from reggefem.saint_venant import BlockCirculant, stencil_operators
 from reggefem.spaces import deformation_matrix
 from reggefem.spectrum import KERNEL_THRESHOLD_FACTOR, mode_symbol
@@ -228,10 +227,12 @@ class TestBlochSolve:
         assert res.max_residual <= 1e-12 * np.abs(res.eigenvalues).max()
 
 
-# the cross-check pair of routes to the symbols: the stencil of the 3x3x3
-# torus and the meshed head of the grid itself
+# the cross-check pair of routes to the symbols: the stencil of the one-box
+# templates and the meshed head of the grid itself
 STENCIL_GRIDS = [(2, 2, 2), (2, 3, 2), (4, 5, 6), (12, 10, 8)]
 STENCIL_SIDES = TorusGeometry(TAU, 2.5 * np.pi, 3.0 * np.pi)
+# a thin cell: one side 1e-3 of the others
+THIN_SIDES = TorusGeometry(1e-3 * TAU, TAU, TAU)
 
 
 def fftn_symbols(S):
@@ -248,31 +249,46 @@ def block_eigenvalues(A, M):
                      for a, m in zip(Ak, Mk)])
 
 
+def assert_symbols_match_meshed_head_and_fftn(sides, grid):
+    mesh = build_torus_mesh(sides, grid)
+    meshed = (assemble_stiffness(mesh), assemble_mass(mesh))
+    half = grid[2] // 2 + 1
+    for H, S in zip(meshed, stencil_operators(sides, grid)):
+        full = fftn_symbols(H)
+        tol = 1e-14 * np.abs(full).max()
+        assert S.shape == H.shape
+        assert H.symbols().shape == (grid[:2] + (half, 7, 7))
+        assert np.abs(S.symbols() - H.symbols()).max() <= tol
+        for route in (S, H):
+            assert np.abs(route.symbols() - full[:, :, :half]).max() <= tol
+        # each skipped block is the conjugate of its partner at -k
+        partner = np.roll(full[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
+        assert np.abs(full - partner.conj()).max() <= tol
+        # roundoff either way; a 2-wide axis folds B_1 and B_-1 in the
+        # meshed head, and adds them in another order in the stencil
+        assert abs(S.symmetry_residual() - H.symmetry_residual()) <= 1e-15
+        # planes of k1 are those of the whole half zone, bit for bit
+        assert np.array_equal(S.symbols(slice(1, None)), S.symbols()[1:])
+
+
 class TestStencilRoute:
     @pytest.mark.parametrize("grid", STENCIL_GRIDS, ids=str)
     def test_symbols_match_meshed_head_and_fftn(self, grid):
-        mesh = build_torus_mesh(STENCIL_SIDES, grid)
-        meshed = (assemble_stiffness(mesh), assemble_mass(mesh))
-        half = grid[2] // 2 + 1
-        for H, S in zip(meshed, stencil_operators(STENCIL_SIDES, grid)):
-            full = fftn_symbols(H)
-            tol = 1e-14 * np.abs(full).max()
-            assert S.shape == H.shape
-            assert H.symbols().shape == (grid[:2] + (half, 7, 7))
-            assert np.abs(S.symbols() - H.symbols()).max() <= tol
-            for route in (S, H):
-                assert np.abs(route.symbols() - full[:, :, :half]).max() \
-                    <= tol
-            # each skipped block is the conjugate of its partner at -k
-            partner = np.roll(full[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
-            assert np.abs(full - partner.conj()).max() <= tol
-            # roundoff either way; a 2-wide axis folds B_1 and B_-1 in the
-            # meshed head, and adds them in another order in the stencil
-            assert abs(S.symmetry_residual() - H.symmetry_residual()) \
-                <= 1e-15
-            # planes of k1 are those of the whole half zone, bit for bit
-            assert np.array_equal(S.symbols(slice(1, None)),
-                                  S.symbols()[1:])
+        assert_symbols_match_meshed_head_and_fftn(STENCIL_SIDES, grid)
+
+    @pytest.mark.parametrize("grid", [(2, 3, 2), (4, 5, 6)], ids=str)
+    def test_thin_cell_symbols_match_meshed_head_and_fftn(self, grid):
+        assert_symbols_match_meshed_head_and_fftn(THIN_SIDES, grid)
+
+    def test_blocks_depend_only_on_the_cell(self):
+        # grid (10^5)^3 has E = 7e15, which no array could hold; its cell
+        # (1, 2, 3) is exactly that of the 3x3x3 torus of sides (3, 6, 9)
+        big = stencil_operators(TorusGeometry(1e5, 2e5, 3e5), (10 ** 5,) * 3)
+        small = stencil_operators(TorusGeometry(3.0, 6.0, 9.0), (3, 3, 3))
+        for B, S in zip(big, small):
+            assert B.shape == (7 * 10 ** 15,) * 2
+            assert B.blocks.shape == (3, 3, 3, 7, 7)
+            assert np.array_equal(B.blocks, S.blocks)
 
     @pytest.mark.parametrize("grid", STENCIL_GRIDS, ids=str)
     def test_eigenvalues_match_meshed_head(self, grid):
@@ -313,24 +329,21 @@ class TestStencilRoute:
         assert sliced.kernel_dim == whole.kernel_dim \
             == 3 * A.shape[0] // 7 + 3
 
-    def test_spectra_build_only_the_stencil_torus(self, geometry,
-                                                  monkeypatch, tmp_path):
+    def test_spectra_build_no_mesh(self, geometry, monkeypatch, tmp_path):
         built = []
-        original = build_torus_mesh
+        init = PeriodicMesh.__init__
 
-        def counted(geometry, grid):
+        def counted(self, geometry, grid):
             built.append(tuple(grid))
-            return original(geometry, grid)
+            init(self, geometry, grid)
 
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("reggefem") and \
-                    getattr(module, "build_torus_mesh", None) is original:
-                monkeypatch.setattr(module, "build_torus_mesh", counted)
+        monkeypatch.setattr(PeriodicMesh, "__init__", counted)
         convergence_study(geometry, [2, 3, 4], n_eigs=2)
-        assert built == [(3, 3, 3)] * 3
         assert cli.main(["eigs", "--grid", "4", "5", "6", "--output",
                          str(tmp_path / "eigs.json")]) == 0
-        assert built == [(3, 3, 3)] * 4
+        assert built == []
+        build_torus_mesh(geometry, (2, 3, 2))  # the counter sees a mesh
+        assert built == [(2, 3, 2)]
 
 
 class TestClusters:
