@@ -639,8 +639,8 @@ GOLDEN_DIGESTS = {
     "assemble_bench": "ce8bc28ccdfea21b",
     "assemble_seed": "929afcb435c78909",
     "config_action": "a69f2e000918939e",
-    "config_converge": "4bac9ae8ff7e6279",
-    "config_eigs": "fce10d6d0a9bdd28",
+    "config_converge": "9b16586d0ee85ede",
+    "config_eigs": "5c041a117fcedddc",
     "config_mesh": "d6f7a697455379a1",
     "config_missing": "e396ae7d165ad749",
     "config_oracle_null": "0b3c30ac432fb44c",
@@ -648,12 +648,12 @@ GOLDEN_DIGESTS = {
     "config_prefix_null": "08392b5498ae21d6",
     "config_unknown": "98177f81e0c069ff",
     "config_verify_seed": "45f15a419dc988d3",
-    "converge_bench": "7b993affe5aa0f7c",
+    "converge_bench": "fb4c482f1994ea79",
     "converge_decreasing": "b306d47ec13f0bde",
-    "converge_short": "43aa837c98f6d5d4",
-    "eigs_csv": "29c950aaf02d01e2",
-    "eigs_cutoff": "7e790a4e53e3d115",
-    "eigs_grid3": "e48c197afd77e216",
+    "converge_short": "774a21ab44a6a803",
+    "eigs_csv": "035b38b016b2d532",
+    "eigs_cutoff": "8f19732170969b73",
+    "eigs_grid3": "61940fab6a16d1ca",
     "eigs_too_many": "5cd405e445d8ac8d",
     "mesh": "68618ba4a72bda53",
     "mesh_grid_1": "98d2ca1e01075124",
