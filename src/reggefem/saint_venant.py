@@ -347,7 +347,8 @@ def _stencil_tables():
     terms = (((k * 3 + slot)[:, None] * 6 + r[sector]) * 6)[..., None] + a
     stiffness = (terms.ravel(), np.tile(np.repeat([1.0, -1.0], 6), len(d)),
                  np.repeat(d, 12), block[sector].ravel())
-    a_d = ((tail == 0).all(axis=-1) & (b == d[:, None])).argmax(axis=1)
+    # the six edges of a Kuhn tet have six distinct directions
+    a_d = (b == d[:, None]).argmax(axis=1)
     return stiffness, (((r * 6 + a_d)[:, None] * 6 + a).ravel(), block.ravel())
 
 
