@@ -46,6 +46,7 @@ safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -226,6 +227,47 @@ def _star_template(d: int):
 
 # the star of each edge direction at the origin
 _STARS = [_star_template(d) for d in range(7)]
+
+
+@cache
+def _stencil_tables():
+    """The incidences of the edges 0..6 that give the 27 blocks of a
+    block-circulant operator on the edges, read off their stars: face i of
+    a star lies between sectors i-1 and i, and n_ef points into sector i.
+    Built on first use, so that importing the package does not pay for it.
+
+    Each table pairs flat indices into one-box template values with the
+    flat entries (s + 1, d, b) of (3, 3, 3, 7, 7) blocks: row d is the
+    star's direction, and b and s in {-1, 0, 1}^3 are the direction and
+    the tail offset of local edge a of a sector tet of type r.  The face
+    table ``(index, side, d, entry)`` holds every star face (type k, the
+    edge's slot in it) with its two sector tets and their six local edges,
+    ``index`` into (12, 3, 6, 6) values per (k, slot, r, a) and side +1
+    for sector i, -1 for sector i-1.  The tet table ``(index, entry)``
+    holds every sector tet, ``index`` into (6, 6, 6) values per (r, a_d,
+    a), a_d the local edge of the star's edge.
+    """
+    valence = np.array([len(star[1]) for star in _STARS])
+    _, k, slot, toff, r = (np.concatenate(x) for x in zip(*_STARS))
+    d = np.repeat(np.arange(7), valence)
+    # sector i - 1 of every star face, cyclic within its star
+    prev = np.arange(len(d)) - 1
+    prev[np.cumsum(valence) - valence] += valence
+    # the tail offset and direction of every local edge of every sector tet
+    lo, hi = np.array(LOCAL_EDGES).T
+    corners = _TET_OFFSETS[r]
+    tail = toff[:, None] + corners[:, lo]
+    b = _dir(corners[:, hi] - corners[:, lo])
+    entry = ((tail + 1) @ [9, 3, 1]) * 49 + 7 * d[:, None] + b
+    a = np.arange(6)
+    # both sectors of every star face, sector i first
+    sector = np.stack([np.arange(len(d)), prev], axis=1)
+    index = (((k * 3 + slot)[:, None] * 6 + r[sector]) * 6)[..., None] + a
+    faces = (index.ravel(), np.tile(np.repeat([1.0, -1.0], 6), len(d)),
+             np.repeat(d, 12), entry[sector].ravel())
+    # the six edges of a Kuhn tet have six distinct directions
+    a_d = (b == d[:, None]).argmax(axis=1)
+    return faces, (((r * 6 + a_d)[:, None] * 6 + a).ravel(), entry.ravel())
 
 
 def checked_grid(grid) -> tuple:

@@ -30,8 +30,8 @@ compares them symbol by symbol: the meshed head of the grid, which
 ``assemble``, ``write_coo`` and ``verify`` use, and ``stencil_operators``,
 which the spectra (``converge``, ``eigs``) use.  It builds no mesh and no
 head: it scatters the one-box templates (``mesh._box_templates``, which
-the mesh reads too) into the blocks by two index tables, built once at
-import from the edge stars at the origin.
+the mesh reads too) into the blocks by the two index tables of
+``mesh._stencil_tables``, read once off the edge stars at the origin.
 
 The module has one face-jump kernel, ``_face_terms``: the frame contraction
 m_ef^T X n_ef of per-face matrices X in the face templates' frames.
@@ -53,8 +53,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import LOCAL_EDGES, PeriodicMesh, TorusGeometry, _STARS, \
-    _TET_OFFSETS, _box_templates, _dir, checked_grid
+from .mesh import PeriodicMesh, TorusGeometry, _box_templates, \
+    _stencil_tables, checked_grid
 from .spaces import EdgeMeasure, ReggeField, regge_to_tet_matrices
 
 __all__ = [
@@ -180,16 +180,14 @@ class BlockCirculant:
     @cached_property
     def stencil(self) -> "Stencil":
         """The head's blocks as a ``Stencil``: one block per distinct shift
-        residue s mod grid that the head holds, at its representative in
-        (-n/2, n/2] per axis, so a folded +-1 shift of a 2-wide axis is
-        read once."""
+        residue s mod grid that the head holds, so a folded +-1 shift of a
+        2-wide axis is read once."""
         shift, b = np.divmod(self.head.indices, 7)
         a = np.repeat(np.arange(7), np.diff(self.head.indptr))
         offsets, index = [], []
         for r, n in zip(np.unravel_index(shift, self.grid), self.grid):
             residues, rank = _residues(n, r)
-            offsets.append(np.where(residues <= n // 2, residues,
-                                    residues - n))
+            offsets.append(residues)
             index.append(rank[r])
         blocks = np.zeros(tuple(map(len, offsets)) + (7, 7))
         blocks[(*index, a, b)] = self.head.data
@@ -313,46 +311,6 @@ def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
     return BlockCirculant(head.tocsr(), mesh.grid)
 
 
-def _stencil_tables():
-    """Where the entries of the 27 stencil blocks come from, read off the
-    stars of the seven edges at the origin: face i of a star lies between
-    sectors i-1 and i, and n_ef points into sector i.
-
-    Each table pairs flat indices into one-box values with the flat block
-    entries (s + 1, d, b) of the (3, 3, 3, 7, 7) blocks they add to: row d
-    is the star's direction, and b and s in {-1, 0, 1}^3 are the direction
-    and the tail offset of local edge a of a sector tet of type r.  The
-    stiffness table takes every star face (type k, the edge in slot s) with
-    its two sector tets and their six local edges into the (12, 3, 6, 6)
-    ``_template_terms``, with the side (+1 for sector i, -1 for sector i-1)
-    and the row, to scale by side / l_d.  The mass table takes every sector
-    tet into the (6, 6, 6) ``_tet_mass`` at (r, a_d, a), a_d the local
-    edge of the star's edge.
-    """
-    valence = np.array([len(star[1]) for star in _STARS])
-    _, k, slot, toff, r = (np.concatenate(x) for x in zip(*_STARS))
-    d = np.repeat(np.arange(7), valence)
-    # sector i - 1 of every star face, cyclic within its star
-    prev = np.arange(len(d)) - 1
-    prev[np.cumsum(valence) - valence] += valence
-    # the tail offset and direction of every local edge of every sector tet
-    lo, hi = np.array(LOCAL_EDGES).T
-    corners = _TET_OFFSETS[r]
-    tail = toff[:, None] + corners[:, lo]
-    b = _dir(corners[:, hi] - corners[:, lo])
-    block = ((tail + 1) @ [9, 3, 1]) * 49 + 7 * d[:, None] + b
-    a = np.arange(6)
-    # both sectors of every star face, sector i first
-    sector = np.stack([np.arange(len(d)), prev], axis=1)
-    terms = (((k * 3 + slot)[:, None] * 6 + r[sector]) * 6)[..., None] + a
-    stiffness = (terms.ravel(), np.tile(np.repeat([1.0, -1.0], 6), len(d)),
-                 np.repeat(d, 12), block[sector].ravel())
-    # the six edges of a Kuhn tet have six distinct directions
-    a_d = (b == d[:, None]).argmax(axis=1)
-    return stiffness, (((r * 6 + a_d)[:, None] * 6 + a).ravel(), block.ravel())
-
-
-_STIFFNESS_TABLE, _MASS_TABLE = _stencil_tables()
 _BLOCK_OFFSETS = (np.arange(-1, 2),) * 3
 
 
@@ -364,19 +322,19 @@ def stencil_operators(geometry: TorusGeometry, grid):
     l_i / n_i: they are the one-box templates of ``_box_templates``
     (``face_m``, ``face_n``, ``tet_rho``, ``tet_volume``, the seven edge
     lengths) contracted by ``_face_terms`` and ``_tet_mass`` and scattered
-    by the index tables of the edge stars at the origin.  Nothing depends
+    by the index tables of ``mesh._stencil_tables``.  Nothing depends
     on the grid beyond the cell, so any grid takes the same time.  A
     MeshError names ``geometry`` and ``grid``, as building their mesh would.
     """
     grid = checked_grid(grid)
     box = _box_templates(geometry, grid)
-    gather, side, row, block = _STIFFNESS_TABLE
+    (index, side, row, entry), tets = _stencil_tables()
     terms = _template_terms(box["face_m"], box["face_n"], box["tet_rho"])
-    A = np.bincount(block, side / box["edge_length"][row]
-                    * terms.ravel()[gather], 27 * 49)
-    gather, block = _MASS_TABLE
-    M = np.bincount(block, _tet_mass(box["tet_volume"],
-                                     box["tet_rho"]).ravel()[gather], 27 * 49)
+    A = np.bincount(entry, side / box["edge_length"][row]
+                    * terms.ravel()[index], 27 * 49)
+    index, entry = tets
+    M = np.bincount(entry, _tet_mass(box["tet_volume"],
+                                     box["tet_rho"]).ravel()[index], 27 * 49)
     return tuple(Stencil(B.reshape(3, 3, 3, 7, 7), _BLOCK_OFFSETS, grid)
                  for B in (A, M))
 
