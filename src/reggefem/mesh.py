@@ -385,8 +385,8 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     mesh.edge_tail = tail
     mesh.edge_head = _vid(vertex_lattice[tail] + DIRECTIONS[dirs], n)
     mesh.edge_vec = DIRECTIONS[dirs] * mesh.cell
-    mesh.edge_length = np.tile(box["edge_length"], nv)
-    mesh.edge_tangent = np.tile(box["edge_tangent"], (nv, 1))
+    mesh.edge_length = box["edge_length"][dirs]
+    mesh.edge_tangent = box["edge_tangent"][dirs]
 
     # stars: templates moved to every vertex, rows rolled to the lowest face
     # id; face i lies between sectors i-1 and i, n_ef pointing into sector i
