@@ -267,7 +267,10 @@ def _stencil_tables():
              np.repeat(d, 12), entry[sector].ravel())
     # the six edges of a Kuhn tet have six distinct directions
     a_d = (b == d[:, None]).argmax(axis=1)
-    return faces, (((r * 6 + a_d)[:, None] * 6 + a).ravel(), entry.ravel())
+    tets = (((r * 6 + a_d)[:, None] * 6 + a).ravel(), entry.ravel())
+    for arr in faces + tets:  # every caller shares the cached arrays
+        arr.setflags(write=False)
+    return faces, tets
 
 
 def checked_grid(grid) -> tuple:

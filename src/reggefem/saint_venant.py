@@ -311,9 +311,6 @@ def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
     return BlockCirculant(head.tocsr(), mesh.grid)
 
 
-_BLOCK_OFFSETS = (np.arange(-1, 2),) * 3
-
-
 def stencil_operators(geometry: TorusGeometry, grid):
     """A and M on the ``grid`` of ``geometry`` as two ``Stencil``s, built
     without a mesh.
@@ -335,8 +332,8 @@ def stencil_operators(geometry: TorusGeometry, grid):
     index, entry = tets
     M = np.bincount(entry, _tet_mass(box["tet_volume"],
                                      box["tet_rho"]).ravel()[index], 27 * 49)
-    return tuple(Stencil(B.reshape(3, 3, 3, 7, 7), _BLOCK_OFFSETS, grid)
-                 for B in (A, M))
+    return tuple(Stencil(B.reshape(3, 3, 3, 7, 7), (np.arange(-1, 2),) * 3,
+                         grid) for B in (A, M))
 
 
 def constant_kernel_residual(mesh: PeriodicMesh, A: BlockCirculant,
