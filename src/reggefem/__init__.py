@@ -17,10 +17,9 @@ from .spaces import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
                      dof_mu_e, interpolate_0, interpolate_1, interpolate_2,
                      interpolate_3, matrix_mode, pair_x2_x1, pair_x3_x0,
                      regge_to_tet_matrices, skew, vector_mode)
-from .saint_venant import (BlockCirculant, Stencil, apply_ctc,
-                           assemble_mass, assemble_stiffness,
-                           edge_jump_scalar, read_coo, stencil_operators,
-                           write_coo)
+from .saint_venant import (BlockCirculant, apply_ctc, assemble_mass,
+                           assemble_stiffness, edge_jump_scalar, read_coo,
+                           stencil_operators, write_coo)
 from .spectrum import (FourierSpectrum, SpectrumResult, assign_clusters,
                        convergence_study, fourier_oracle, sigma_modes,
                        solve_pencil)

@@ -29,9 +29,10 @@ import numpy as np
 from . import __version__
 from .action import EdgeLengthConfig, RealizabilityError, \
     deficit_angles, euclidean_lengths, perturbed_lengths
-from .mesh import MeshError, TorusGeometry, build_torus_mesh, mesh_summary
-from .saint_venant import assemble_mass, assemble_stiffness, \
-    constant_kernel_residual, stencil_operators, write_coo
+from .mesh import DIRECTIONS, MeshError, TorusGeometry, build_torus_mesh, \
+    mesh_summary
+from .saint_venant import constant_kernel_residual, stencil_operators, \
+    write_coo
 from .spaces import ReggeField
 from .spectrum import assign_clusters, convergence_study, default_cutoff, \
     fourier_oracle, solve_pencil
@@ -208,13 +209,13 @@ def cmd_mesh(cfg) -> int:
 
 
 def cmd_assemble(cfg) -> int:
-    mesh = build_torus_mesh(_geometry(cfg), cfg["grid"])
-    A = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
+    geometry = _geometry(cfg)
+    A, M = stencil_operators(geometry, cfg["grid"])
     a_path, m_path = (cfg["prefix"] + s for s in _PENCIL_SUFFIXES)
     write_coo(A, a_path)
     write_coo(M, m_path)
-    kern = constant_kernel_residual(mesh, A,
+    cell = geometry.lengths / np.array(A.grid)
+    kern = constant_kernel_residual(DIRECTIONS * cell, A,
                                     np.random.default_rng(cfg["seed"]))
     body = {
         "stiffness": {"path": a_path,

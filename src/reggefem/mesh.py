@@ -30,11 +30,11 @@ Conventions
 * Float geometry is stored once per shape, on the six tets and twelve
   faces at the origin: tet t is a translate of template t % 6, face f of
   template f % 12.  ``_box_templates`` computes these templates and the
-  seven edge lengths from the cell alone; the mesh and
-  ``saint_venant.stencil_operators`` both read them.  Periodicity lives
-  only in the vertex identification, which matters at n_i = 2 where
-  distinct edges can share the same unordered vertex pair through
-  different wraps.
+  seven edge lengths from the cell alone; the mesh holds them, and
+  ``saint_venant.stencil_operators`` reads them without building one.
+  Periodicity lives only in the vertex identification, which matters at
+  n_i = 2 where distinct edges can share the same unordered vertex pair
+  through different wraps.
 * For each incident (edge e, face f) pair, m_ef lies in the plane of f,
   is orthogonal to e and points into the triangle; n_ef = t_e x m_ef, so
   (m_ef, n_ef, t_e) is a right-handed orthonormal triple.
@@ -132,8 +132,7 @@ class PeriodicMesh:
     cell (3,) box side lengths, vertex_pos (V,3);
     tet_edges (T,6) global edge ids in LOCAL_EDGES order;
     edge_tail/edge_head (E,), edge_vec (E,3), edge_tangent (E,3),
-    edge_length (E,); face_tets (F,2) ascending, face_edges (F,3),
-    face_side (F,3) index into face_tets of the tet n_ef points into.
+    edge_length (E,); face_tets (F,2) ascending, face_edges (F,3).
     Shape templates, row r for tet 6v + r and row k for face 12v + k:
     tet_coords (6,4,3) the tets of the box at the origin, tet_rho
     (6,6,3,3) edge basis matrices restricted to the tet (products of its
@@ -353,8 +352,8 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     Requires n_i >= 2 on every axis so that no edge closes onto its own
     tail through a wrap.  Every incidence array is the one-box or edge-star
     template broadcast over the vertex lattice, by the index arithmetic of
-    the module docstring; face_tets and face_side are read off the stars
-    (n_ef points into sector i), so nothing is sorted or searched mesh-wide.
+    the module docstring; face_tets is read off the stars (face i lies
+    between sectors i-1 and i), so nothing is sorted or searched mesh-wide.
     The float geometry is that of ``_box_templates``.
     """
     grid = checked_grid(grid)
@@ -394,7 +393,6 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     # stars: templates moved to every vertex, rows rolled to the lowest face
     # id; face i lies between sectors i-1 and i, n_ef pointing into sector i
     mesh.face_tets = np.empty((12 * nv, 2), dtype=np.int64)
-    mesh.face_side = np.empty((12 * nv, 3), dtype=np.int64)
     mesh._star_faces, mesh._star_slots, mesh._star_tets = [], [], []
     for off, ftype, slot, toff, ttype in _STARS:
         faces = 12 * _vid(vertex_lattice[:, None] + off, n) + ftype
@@ -405,7 +403,6 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
         prev = np.roll(tets, 1, axis=1)
         mesh.face_tets[faces] = np.stack([np.minimum(prev, tets),
                                           np.maximum(prev, tets)], axis=-1)
-        mesh.face_side[faces, slot[roll]] = tets > prev
         mesh._star_faces.append(faces)
         mesh._star_slots.append(slot[roll])
         mesh._star_tets.append(tets)

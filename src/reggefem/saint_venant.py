@@ -12,35 +12,30 @@ A[e', e] = [[rho_e]]_{e'} / l_{e'}, symmetric and supported on edge pairs
 that share a tet.  The mass matrix is the L2 Gram matrix of the edge basis,
 computed exactly from per-tet constant products.
 
-A and M are block-circulant with 7x7 blocks (edge 7*v + d): each is built
-as its first block row, from the faces or tets of the edges e < 7, and held
-as a ``BlockCirculant``.  It is the one owner of that format: it gives the
-entry count from the row alone, and expands the row to the E x E matrix
-only when ``.matrix`` is read.  ``write_coo`` also works from the row:
-``_block_circulant`` gives the one index expansion, which ``.matrix`` fills
-with the head's values and ``write_coo`` with their text, formatted once
-per distinct value.
+A and M are block-circulant with 7x7 blocks (edge 7*v + d), and only the
+27 blocks B_s, s in {-1, 0, 1}^3, can be nonzero.  A ``BlockCirculant``
+holds those blocks and the grid, nothing of size E, and is the one owner
+of the format.  It gives the Bloch symbols over half the Brillouin zone,
+the symmetry residual and the matvec ``A @ c`` from the blocks alone.  Its
+first block row ``head`` folds them mod grid through one index table, the
+structural couplings (the edge pairs that share a tet); ``write_coo``
+works from the head, and ``.matrix`` expands it to the E x E matrix only
+when read.  ``_block_circulant`` gives that one index expansion, which
+``.matrix`` fills with the head's values and ``write_coo`` with their
+text, formatted once per distinct value.
 
-The row holds at most 27 nonzero blocks B_s, s in {-1, 0, 1}^3, which
-depend only on the cell.  A ``Stencil`` holds just those blocks and owns
-the Bloch symbols (one routine over half the Brillouin zone) and the
-symmetry residual; ``BlockCirculant.stencil`` reads it off the row.  Two
-deliberately independent routes give the blocks of a grid, and a test
-compares them symbol by symbol: the meshed head of the grid, which
-``assemble``, ``write_coo`` and ``verify`` use, and ``stencil_operators``,
-which the spectra (``converge``, ``eigs``) use.  It builds no mesh and no
-head: it scatters the one-box templates (``mesh._box_templates``, which
-the mesh reads too) into the blocks by the two index tables of
-``mesh._stencil_tables``, read once off the edge stars at the origin.
-
-The module has one face-jump kernel, ``_face_terms``: the frame contraction
-m_ef^T X n_ef of per-face matrices X in the face templates' frames.
-``assemble_stiffness`` and ``stencil_operators`` apply it to the six tet
-templates' basis matrices on the twelve face templates
-(``_template_terms``), ``apply_ctc`` to the tet-matrix differences of a
-field; ``edge_jump_scalar`` is one entry of ``apply_ctc``.  The
-star-ordered ``action.linearized_deficits`` (``linearized_deficit`` per
-edge) is a separate, deliberately independent route to half the edge jump:
+The blocks depend only on the cell and have one builder, ``_operators``.
+It contracts the one-box templates (``face_m``, ``face_n``, ``tet_rho``,
+``tet_volume`` and the seven edge lengths) with the face-jump kernel
+``_face_terms`` and the tet mass ``_tet_mass``, and scatters the results
+by the two index tables of ``mesh._stencil_tables``, read once off the
+edge stars at the origin.  ``stencil_operators`` feeds it
+``mesh._box_templates`` and builds no mesh; ``assemble_stiffness`` and
+``assemble_mass`` feed it the same templates as a mesh holds them.
+``apply_ctc`` is the matvec scaled by the edge lengths, l * (A c);
+``edge_jump_scalar`` is one entry of it.  The star-ordered
+``action.linearized_deficits`` (``linearized_deficit`` per edge) is a
+separate, deliberately independent route to half the edge jump:
 ``verify`` cross-checks it against ``apply_ctc``.
 """
 
@@ -52,16 +47,16 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mesh import PeriodicMesh, TorusGeometry, _box_templates, \
-    _stencil_tables, checked_grid
-from .spaces import EdgeMeasure, ReggeField, regge_to_tet_matrices
+    _stencil_tables, _vid, checked_grid
+from .spaces import EdgeMeasure, ReggeField
 
 __all__ = [
     "edge_jump_scalar",
     "apply_ctc",
     "BlockCirculant",
-    "Stencil",
     "stencil_operators",
     "assemble_stiffness",
     "assemble_mass",
@@ -70,6 +65,9 @@ __all__ = [
     "read_coo",
 ]
 
+# the shifts s_i of the blocks along each axis
+_SHIFTS = np.arange(-1, 2)
+
 
 def _face_terms(face_m: np.ndarray, face_n: np.ndarray,
                 X: np.ndarray) -> np.ndarray:
@@ -77,7 +75,7 @@ def _face_terms(face_m: np.ndarray, face_n: np.ndarray,
     (F, ..., 3, 3), or (12, ..., 3, 3) for the twelve face templates, the
     result (F, 3, ...) or (12, 3, ...).  Face 12v + k takes the frames
     ``face_m[k]``, ``face_n[k]`` (12, 3, 3) of template k.  Unsigned: the
-    caller orients it by face_side."""
+    caller orients it by the sectors of the edge's star."""
     Xk = X.reshape((-1, 12) + X.shape[1:])
     out = np.einsum("ksi,vk...ij,ksj->vks...", face_m, Xk, face_n)
     return out.reshape((X.shape[0], 3) + out.shape[3:])
@@ -96,28 +94,9 @@ def _tet_mass(tet_volume, tet_rho) -> np.ndarray:
     return np.einsum(",raij,rbij->rab", tet_volume, tet_rho, tet_rho)
 
 
-def edge_jump_scalar(mesh: PeriodicMesh, u: ReggeField, e: int) -> float:
-    """[[u]]_e = sum over faces containing e of m_ef^T [u]_ef n_ef, read
-    from ``apply_ctc(mesh, u)``."""
-    if not 0 <= e < mesh.num_edges:
-        raise ValueError(f"invalid edge id {e}")
-    return float(apply_ctc(mesh, u).coeffs[e])
-
-
-def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
-    """Saint-Venant operator: edge measure with coefficients [[u]]_e."""
-    mats = regge_to_tet_matrices(mesh, u)
-    diff = mats[mesh.face_tets[:, 1]] - mats[mesh.face_tets[:, 0]]  # (F,3,3)
-    sign = np.where(mesh.face_side == 1, 1.0, -1.0)
-    out = np.zeros(mesh.num_edges)
-    np.add.at(out, mesh.face_edges.ravel(),
-              (sign * _face_terms(mesh.face_m, mesh.face_n, diff)).ravel())
-    return EdgeMeasure(out)
-
-
 def _block_circulant(head: sp.csr_matrix, grid):
     """Index expansion of the E x E block-circulant matrix with first block
-    row ``head`` (7 x E CSR, duplicates summed): its entry (a, 7*s + b)
+    row ``head`` (7 x E CSR, no duplicates): its entry (a, 7*s + b)
     couples direction a at each vertex v to direction b at v + s, the sum
     taken mod grid per axis.
 
@@ -137,74 +116,6 @@ def _block_circulant(head: sp.csr_matrix, grid):
     return S.indptr, S.indices, S.data
 
 
-@dataclass(frozen=True)
-class BlockCirculant:
-    """E x E block-circulant matrix held as its first block row.
-
-    ``head`` is the 7 x E CSR block row (duplicates summed): entry
-    (a, 7*s + b) is block B_s[a, b], coupling direction a at every vertex v
-    to direction b at v + s on the ``(n1, n2, n3)`` lattice ``grid``.
-    ``shape`` is read from the head; ``matrix`` expands it once, on first
-    use.
-    """
-
-    head: sp.csr_matrix
-    grid: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(int(n) for n in self.grid))
-        E = 7 * int(np.prod(self.grid))
-        if self.head.shape != (7, E):
-            raise ValueError(f"block row has shape {self.head.shape}, "
-                             f"expected {(7, E)} for grid {self.grid}")
-
-    @property
-    def shape(self):
-        return (self.head.shape[1],) * 2
-
-    @property
-    def nnz(self) -> int:
-        """Stored entries of ``matrix``: the expansion repeats each head
-        entry once per vertex, and neither drops nor merges any."""
-        return self.head.nnz * int(np.prod(self.grid))
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        indptr, cols, src = _block_circulant(self.head, self.grid)
-        return sp.csr_matrix((self.head.data[src], cols, indptr),
-                             shape=self.shape)
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    @cached_property
-    def stencil(self) -> "Stencil":
-        """The head's blocks as a ``Stencil``: one block per distinct shift
-        residue s mod grid that the head holds, so a folded +-1 shift of a
-        2-wide axis is read once."""
-        shift, b = np.divmod(self.head.indices, 7)
-        a = np.repeat(np.arange(7), np.diff(self.head.indptr))
-        offsets, index = [], []
-        for r, n in zip(np.unravel_index(shift, self.grid), self.grid):
-            residues, rank = _residues(n, r)
-            offsets.append(residues)
-            index.append(rank[r])
-        blocks = np.zeros(tuple(map(len, offsets)) + (7, 7))
-        blocks[(*index, a, b)] = self.head.data
-        return Stencil(blocks, tuple(offsets), self.grid)
-
-    def symbols(self, k1=slice(None)) -> np.ndarray:
-        """The half-zone Bloch symbols of ``Stencil.symbols``, from the
-        blocks read off the head: (n1, n2, n3//2 + 1, 7, 7) for the default
-        ``k1``.  No FFT of the dense head and no array of size E."""
-        return self.stencil.symbols(k1)
-
-    def symmetry_residual(self) -> float:
-        """``Stencil.symmetry_residual`` of the blocks read off the head:
-        max|S - S^T| / max|S|."""
-        return self.stencil.symmetry_residual()
-
-
 def _residues(n: int, s: np.ndarray):
     """The distinct residues of the shifts ``s`` mod n, ascending, and the
     rank of every residue 0..n-1 among them (by a mask, not a sort)."""
@@ -222,23 +133,83 @@ def _roots(n: int, k: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Stencil:
-    """E x E block-circulant matrix held as its nonzero 7x7 blocks.
+class BlockCirculant:
+    """E x E block-circulant matrix held as its 27 nonzero 7x7 blocks.
 
-    ``blocks[i, j, l]`` is B_s for s = (offsets[0][i], offsets[1][j],
-    offsets[2][l]): entry (a, b) couples direction a at every vertex v to
-    direction b at v + s on the ``(n1, n2, n3)`` lattice ``grid``, s taken
-    mod grid, and shifts of the same residue add.  Nothing of size E is
-    stored: a ``stencil_operators`` pair holds 27 blocks on any grid.
+    ``blocks[s1 + 1, s2 + 1, s3 + 1]`` is B_s, s in {-1, 0, 1}^3: entry
+    (a, b) couples direction a at every vertex v to direction b at v + s on
+    the ``(n1, n2, n3)`` lattice ``grid``, s taken mod grid, so that the
+    shifts +1 and -1 of a 2-wide axis add.  The blocks are all it holds:
+    ``head`` and the E x E ``matrix`` are derived on first use.
     """
 
     blocks: np.ndarray
-    offsets: tuple
     grid: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "grid", checked_grid(self.grid))
+        if self.blocks.shape != (3, 3, 3, 7, 7):
+            raise ValueError(f"blocks have shape {self.blocks.shape}, "
+                             "expected (3, 3, 3, 7, 7)")
 
     @property
     def shape(self):
         return (7 * int(np.prod(self.grid)),) * 2
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of ``matrix``: the expansion repeats each head
+        entry once per vertex, and neither drops nor merges any."""
+        return self.head.nnz * int(np.prod(self.grid))
+
+    @cached_property
+    def head(self) -> sp.csr_matrix:
+        """The 7 x E first block row, columns sorted in each row.
+
+        Its entries are the structural couplings, the (s, a, b) for which
+        edge a at the origin and edge b at s share a tet: entry
+        (a, 7*v + b) is B_s[a, b] for s = v mod grid.  A coupling of value
+        0 stays an explicit entry, so the entries depend on the grid alone.
+        On a 2-wide axis the shifts +1 and -1 fold onto one column, but no
+        (a, b) couples at two shifts that fold, so each entry is one block
+        value.
+        """
+        entry = np.unique(_stencil_tables()[1][1])  # flat (s + 1, a, b)
+        s, a, b = np.unravel_index(entry, (27, 7, 7))
+        s = np.stack(np.unravel_index(s, (3, 3, 3)), axis=-1) - 1
+        E = self.shape[0]
+        key = a * E + 7 * _vid(s, np.array(self.grid)) + b
+        order = np.argsort(key)
+        row, col = np.divmod(key[order], E)
+        return sp.csr_matrix((self.blocks.ravel()[entry[order]], col,
+                              np.searchsorted(row, np.arange(8))),
+                             shape=(7, E))
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        indptr, cols, src = _block_circulant(self.head, self.grid)
+        return sp.csr_matrix((self.head.data[src], cols, indptr),
+                             shape=self.shape)
+
+    def toarray(self) -> np.ndarray:
+        return self.matrix.toarray()
+
+    def __matmul__(self, c) -> np.ndarray:
+        """A c for a vector c of E values, without forming A: the 3x3x3
+        window of every vertex in the wrap-padded (n1 + 2, n2 + 2, n3 + 2,
+        7) field, contracted with the blocks in one product."""
+        c = np.asarray(c, dtype=float)
+        if c.shape != self.shape[1:]:
+            raise ValueError(f"vector has shape {c.shape}, expected "
+                             f"{self.shape[1:]}")
+        field = c.reshape(self.grid + (7,))
+        for axis, n in enumerate(self.grid):
+            field = np.take(field, np.arange(-1, n + 1), axis, mode="wrap")
+        # (n1, n2, n3, 3, 3, 3, 7): window s + 1 of each vertex, then b
+        windows = np.moveaxis(sliding_window_view(field, (3, 3, 3),
+                                                  axis=(0, 1, 2)), 3, -1)
+        return (windows.reshape(-1, 27 * 7)
+                @ self.blocks.swapaxes(-1, -2).reshape(27 * 7, 7)).ravel()
 
     def symbols(self, k1=slice(None)) -> np.ndarray:
         """Bloch symbols sum_s B_s exp(-2 pi i k.s / n) over half the
@@ -249,12 +220,13 @@ class Stencil:
         The symbol at -k is the conjugate of the one at k, because the
         blocks are real, so the half zone determines the whole spectrum.
         Each axis is one phase contraction of its shifts, the third first.
+        No array of size E is formed.
         """
         n1, n2, n3 = self.grid
         ks = (np.arange(n1)[k1], np.arange(n2), np.arange(n3 // 2 + 1))
         out = self.blocks
         for axis in (2, 1, 0):
-            phases = _roots(self.grid[axis], ks[axis], self.offsets[axis])
+            phases = _roots(self.grid[axis], ks[axis], _SHIFTS)
             out = np.moveaxis(np.einsum("km,m...->k...", phases,
                                         np.moveaxis(out, axis, 0)), 0, axis)
         return out
@@ -263,10 +235,11 @@ class Stencil:
         """max|S - S^T| / max|S|, read off the blocks folded onto their
         residues mod grid: block s of S^T is B_{-s}^T."""
         folds, partners = [], []
-        for s, n in zip(self.offsets, self.grid):
+        for n in self.grid:
             # the residues of the shifts and of their negatives, each once
-            residues, rank = _residues(n, np.concatenate([s, -s]))
-            folds.append(rank[s % n])
+            residues, rank = _residues(n, np.concatenate([_SHIFTS,
+                                                          -_SHIFTS]))
+            folds.append(rank[_SHIFTS % n])
             partners.append(rank[-residues % n])
         B = np.zeros(tuple(map(len, partners)) + (7, 7))
         np.add.at(B, np.ix_(*folds), self.blocks)
@@ -275,71 +248,76 @@ class Stencil:
         return float(np.abs(B - Bt).max(initial=0.0) / denom)
 
 
-def assemble_stiffness(mesh: PeriodicMesh) -> BlockCirculant:
-    """Assemble A[e', e] = [[rho_e]]_{e'} / l_{e'} from its first block row.
+def _operators(t, grid):
+    """A and M as two ``BlockCirculant``s on ``grid``, from the one-box
+    templates ``t``: a mapping of ``face_m``, ``face_n``, ``tet_rho``,
+    ``tet_volume`` and ``edge_length``, of which the first seven entries
+    (the edges 0..6) are read.
 
-    Row e' < 7 collects, from each face containing e', the frame-contracted
-    difference of the basis matrices on its two tets (so entries couple only
-    edges sharing a tet); the ``BlockCirculant`` repeats it at every vertex.
+    The face table of ``mesh._stencil_tables`` scatters the frame-contracted
+    basis matrices of the tet templates (``_template_terms``), signed by
+    the sector the face's n_ef points into and divided by the length of
+    the star's edge; the tet table scatters ``_tet_mass``.  Each is one
+    ``np.bincount`` (the same in-order scatter-add as ``np.add.at``).
     """
-    f, s = np.nonzero(mesh.face_edges < 7)
-    rows = mesh.face_edges[f, s]
-    # half 0 is the tet n_ef points into (+), half 1 the other one (-)
-    inv_l = (2.0 * mesh.face_side[f, s] - 1.0) / mesh.edge_length[rows]
-    tets = mesh.face_tets[f, ::-1]
-    # the terms of every face template k, slot s and tet template r, read
-    # at face f % 12 and its tets' templates
-    terms = _template_terms(mesh.face_m, mesh.face_n, mesh.tet_rho)
-    vals = (inv_l[:, None, None] * np.array([1.0, -1.0])[:, None]) * \
-        terms[(f % 12)[:, None], s[:, None], tets % 6]
-    head = sp.coo_matrix((vals.ravel(), (np.repeat(rows, 12),
-                                         mesh.tet_edges[tets].ravel())),
-                         shape=(7, mesh.num_edges))
-    return BlockCirculant(head.tocsr(), mesh.grid)
-
-
-def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
-    """Assemble M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T exactly from its
-    first block row: the tets of the edges e < 7, tet 6v + r with the local
-    matrix of template r, held as a ``BlockCirculant``."""
-    local = _tet_mass(mesh.tet_volume, mesh.tet_rho)
-    t, a = np.nonzero(mesh.tet_edges < 7)
-    head = sp.coo_matrix((local[t % 6, a].ravel(),
-                          (np.repeat(mesh.tet_edges[t, a], 6),
-                           mesh.tet_edges[t].ravel())),
-                         shape=(7, mesh.num_edges))
-    return BlockCirculant(head.tocsr(), mesh.grid)
+    (index, side, row, entry), tets = _stencil_tables()
+    terms = _template_terms(t["face_m"], t["face_n"], t["tet_rho"])
+    A = np.bincount(entry, side / t["edge_length"][row]
+                    * terms.ravel()[index], 27 * 49)
+    index, entry = tets
+    M = np.bincount(entry, _tet_mass(t["tet_volume"],
+                                     t["tet_rho"]).ravel()[index], 27 * 49)
+    return tuple(BlockCirculant(B.reshape(3, 3, 3, 7, 7), grid)
+                 for B in (A, M))
 
 
 def stencil_operators(geometry: TorusGeometry, grid):
-    """A and M on the ``grid`` of ``geometry`` as two ``Stencil``s, built
-    without a mesh.
+    """A and M on the ``grid`` of ``geometry``, built without a mesh.
 
-    The blocks B_s, s in {-1, 0, 1}^3, depend only on the cell h_i =
-    l_i / n_i: they are the one-box templates of ``_box_templates``
-    (``face_m``, ``face_n``, ``tet_rho``, ``tet_volume``, the seven edge
-    lengths) contracted by ``_face_terms`` and ``_tet_mass`` and scattered
-    by the index tables of ``mesh._stencil_tables``.  Nothing depends
-    on the grid beyond the cell, so any grid takes the same time.  A
-    MeshError names ``geometry`` and ``grid``, as building their mesh would.
+    The blocks depend only on the cell h_i = l_i / n_i: ``_operators`` of
+    the one-box templates of ``_box_templates``.  Nothing depends on the
+    grid beyond the cell, so any grid takes the same time.  A MeshError
+    names ``geometry`` and ``grid``, as building their mesh would.
     """
     grid = checked_grid(grid)
-    box = _box_templates(geometry, grid)
-    (index, side, row, entry), tets = _stencil_tables()
-    terms = _template_terms(box["face_m"], box["face_n"], box["tet_rho"])
-    A = np.bincount(entry, side / box["edge_length"][row]
-                    * terms.ravel()[index], 27 * 49)
-    index, entry = tets
-    M = np.bincount(entry, _tet_mass(box["tet_volume"],
-                                     box["tet_rho"]).ravel()[index], 27 * 49)
-    return tuple(Stencil(B.reshape(3, 3, 3, 7, 7), (np.arange(-1, 2),) * 3,
-                         grid) for B in (A, M))
+    return _operators(_box_templates(geometry, grid), grid)
 
 
-def constant_kernel_residual(mesh: PeriodicMesh, A: BlockCirculant,
+def assemble_stiffness(mesh: PeriodicMesh) -> BlockCirculant:
+    """A[e', e] = [[rho_e]]_{e'} / l_{e'}: ``_operators`` of the one-box
+    templates the mesh holds, so entries couple only edges sharing a tet."""
+    return _operators(vars(mesh), mesh.grid)[0]
+
+
+def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
+    """M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T, exact: ``_operators`` of
+    the one-box templates the mesh holds."""
+    return _operators(vars(mesh), mesh.grid)[1]
+
+
+def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
+    """Saint-Venant operator: edge measure with coefficients [[u]]_e.
+
+    Since A[e', e] = [[rho_e]]_{e'} / l_{e'}, the jump is l * (A c) for
+    the coefficients c of u, by the matvec of ``BlockCirculant``.
+    """
+    return EdgeMeasure(mesh.edge_length
+                       * (assemble_stiffness(mesh) @ u.coeffs))
+
+
+def edge_jump_scalar(mesh: PeriodicMesh, u: ReggeField, e: int) -> float:
+    """[[u]]_e = sum over faces containing e of m_ef^T [u]_ef n_ef, read
+    from ``apply_ctc(mesh, u)``."""
+    if not 0 <= e < mesh.num_edges:
+        raise ValueError(f"invalid edge id {e}")
+    return float(apply_ctc(mesh, u).coeffs[e])
+
+
+def constant_kernel_residual(edge_vec: np.ndarray, A: BlockCirculant,
                              rng: np.random.Generator) -> float:
     """max|A c| / (max|A| max|c|) for the edge values c of one constant
-    metric, symmetrised from a uniform [-1, 1] 3x3 draw of ``rng``.
+    metric, symmetrised from a uniform [-1, 1] 3x3 draw of ``rng``;
+    ``edge_vec`` holds the cell's seven edge vectors, DIRECTIONS * cell.
 
     Constant metrics lie in the kernel, so this is roundoff-sized.  c
     repeats per direction, so every block row of A c holds the products of
@@ -348,7 +326,8 @@ def constant_kernel_residual(mesh: PeriodicMesh, A: BlockCirculant,
     """
     g = rng.uniform(-1.0, 1.0, (3, 3))
     g = 0.5 * (g + g.T)
-    c = np.einsum("ei,ij,ej->e", mesh.edge_vec, g, mesh.edge_vec)
+    c = np.tile(np.einsum("ei,ij,ej->e", edge_vec, g, edge_vec),
+                int(np.prod(A.grid)))
     return float(np.abs(A.head @ c).max()
                  / (np.abs(A.head.data).max()
                     * max(np.abs(c).max(), 1e-300)))

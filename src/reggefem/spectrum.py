@@ -13,7 +13,7 @@ The pencil is solved per Bloch frequency.  Edge ids are ``7*vertex +
 direction`` on a periodic lattice, so A and M are block-circulant with 7x7
 blocks B_s, nonzero only for s in {-1, 0, 1}^3, and their symbols are
 A^(k) = sum_s B_s exp(-2 pi i k.s / n), three per-axis phase contractions
-(``Stencil.symbols``).  The E eigenvalues of the pencil are the union of
+(``BlockCirculant.symbols``).  The E eigenvalues of the pencil are the union of
 those of the V = n1*n2*n3 Hermitian pencils A^(k) x = lambda M^(k) x.  The
 blocks are real, so the symbol at -k is the conjugate of the one at k,
 with the same eigenvalues: only the half zone k3 in 0..n3//2 is solved, a
@@ -25,13 +25,11 @@ The blocks are solved in slabs of whole k1 planes, about ``_SLAB_BLOCKS``
 blocks (one plane at least), so the working memory is bounded by the slab
 and only the E eigenvalues grow with the grid.
 
-Two deliberately independent routes give the blocks, and a test compares
-them symbol by symbol.  ``convergence_study`` (so ``converge``) and the CLI
-``eigs`` take them from ``saint_venant.stencil_operators``, which scatters
-the one-box shape templates of the cell into them and builds no mesh at
-all; a ``BlockCirculant`` assembled on the grid's own mesh, as
-``assemble`` and ``verify`` do, reads them off its first block row.
-``solve_pencil`` takes either.
+The blocks have one builder.  ``convergence_study`` (so ``converge``) and
+the CLI ``eigs`` take them from ``saint_venant.stencil_operators``, which
+scatters the one-box shape templates of the cell into them and builds no
+mesh at all; ``assemble_stiffness`` and ``assemble_mass`` of a mesh give
+the same blocks from the same templates, as the mesh holds them.
 """
 
 from __future__ import annotations
@@ -244,13 +242,12 @@ def solve_pencil(A, M, metadata: dict | None = None) -> SpectrumResult:
     """Full spectrum of A x = lambda M x, one 7x7 Hermitian pencil per
     Bloch frequency of half the zone.
 
-    A and M are ``BlockCirculant``s or ``Stencil``s on the same lattice,
-    else ValueError.  Their symbols come from their blocks, so no E x E
-    matrix is built.  The symbols at -k are the conjugates of those at k
-    and have the same eigenvalues, so only k3 in 0..n3//2 is solved, and
-    each block counts twice except on the self-conjugate planes k3 = 0
-    and, for even n3, k3 = n3/2.  The blocks are solved in slabs of whole
-    k1 planes, about ``_SLAB_BLOCKS`` at a time.  In each, the symbols of A
+    A and M are ``BlockCirculant``s on the same lattice, else ValueError.
+    Their symbols come from their blocks, so no E x E matrix is built.
+    The symbols at -k are the conjugates of those at k and have the same
+    eigenvalues, so only k3 in 0..n3//2 is solved, and each block counts
+    twice except on the self-conjugate planes k3 = 0 and, for even n3,
+    k3 = n3/2.  The blocks are solved in slabs of whole k1 planes, about ``_SLAB_BLOCKS`` at a time.  In each, the symbols of A
     are Hermitised, those of M Cholesky-factored (LinAlgError if M is not
     SPD), and each pencil is reduced by solves against the Cholesky factor
     and passed to ``eigh``.  The eigenvalues are the ascending union over

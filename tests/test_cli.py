@@ -144,9 +144,11 @@ class TestAssembleCommand:
 
     def test_expands_no_matrix(self, capsys, tmp_path, monkeypatch):
         # the files, the nnz counts and the constant-kernel residual are
-        # all read off the block rows: no E x E matrix is built
-        from reggefem import assemble_mass, assemble_stiffness, \
-            build_torus_mesh
+        # all read off the block rows, and the edge jump is the window
+        # matvec of the blocks: no E x E matrix is built
+        from reggefem import ReggeField, apply_ctc, assemble_mass, \
+            assemble_stiffness, build_torus_mesh, edge_jump_scalar, \
+            saint_venant
         from reggefem.mesh import TorusGeometry
         from reggefem.saint_venant import BlockCirculant
         expanded = []
@@ -162,6 +164,16 @@ class TestAssembleCommand:
         code, out, _ = run(capsys, "assemble", "--grid", "2", "3", "2",
                            "--prefix", str(tmp_path / "pencil"))
         assert code == 0
+        mesh = build_torus_mesh(TorusGeometry(TAU, 2.5 * np.pi, 3 * np.pi),
+                                (4, 5, 6))
+        u = ReggeField(np.random.default_rng(0).uniform(-1, 1,
+                                                        mesh.num_edges))
+        with monkeypatch.context() as m:
+            # nor the index expansion of a head, which write_coo uses
+            m.setattr(saint_venant, "_block_circulant", None)
+            jump = apply_ctc(mesh, u).coeffs
+            assert edge_jump_scalar(mesh, u, 17) == jump[17]
+        assert expanded == []
         mesh = build_torus_mesh(TorusGeometry(TAU, TAU, TAU), (2, 3, 2))
         A, M = assemble_stiffness(mesh), assemble_mass(mesh)
         assert expanded == []

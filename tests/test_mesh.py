@@ -37,7 +37,6 @@ GOLDEN = {
         "face_edges": "0628b4fbbe0305cb",
         "face_m": "03d82314e9ddabae",
         "face_n": "8b24f2b170e2de83",
-        "face_side": "fbb5111ed68b1716",
         "face_tets": "7a5c17d363b3173e",
         "geometry": "57c83e798efe21a7",
         "grid": "c8ead7daa57273e9",
@@ -58,7 +57,6 @@ GOLDEN = {
         "face_edges": "4d7d975e85733994",
         "face_m": "cfb7d47f8e9977f8",
         "face_n": "eee4b28c5bf79a6e",
-        "face_side": "1e56e62a24bc5afa",
         "face_tets": "0d1a4b057f2aa6a1",
         "geometry": "bfdc9a84a69b69fc",
         "grid": "2de320b5c8879a43",
@@ -79,7 +77,6 @@ GOLDEN = {
         "face_edges": "e4fa84ec1812b23c",
         "face_m": "9e14070e8ce3bae6",
         "face_n": "0898b8e9ae932cbe",
-        "face_side": "56bb5e21ebc77e1d",
         "face_tets": "bef102a5707dc411",
         "geometry": "57c83e798efe21a7",
         "grid": "ebf16796deae7672",
@@ -100,7 +97,6 @@ GOLDEN = {
         "face_edges": "bd226cfa005b5754",
         "face_m": "03d82314e9ddabae",
         "face_n": "8b24f2b170e2de83",
-        "face_side": "8fbe968555789f84",
         "face_tets": "92cf65962e6ebe4b",
         "geometry": "11706c8772d59b24",
         "grid": "f373fe8d1d0430c6",
@@ -381,13 +377,14 @@ class TestEdgeStarAnisotropic(TestEdgeStar):
         TestPeriodicity.test_every_face_has_two_distinct_tets(self, mesh)
 
 
-def lifted_opposite_points(mesh, k):
-    """For every face f, the lattice point of tet face_tets[f, k] off the
-    face, lifted next to the face's own lifted points.  Asserts that the
-    tet, moved by a period, holds the face.  Uses lattice points only."""
+def lifted_opposite_points(mesh, faces, tets):
+    """For every face ``faces[i]``, the lattice point of tet ``tets[i]``
+    off the face, lifted next to the face's own lifted points.  Asserts
+    that the tet, moved by a period, holds the face.  Uses lattice points
+    only."""
     n = np.array(mesh.grid)
-    face = lifted_points(mesh, "face")
-    tet = lifted_points(mesh, "tet", mesh.face_tets[:, k])
+    face = lifted_points(mesh, "face", faces)
+    tet = lifted_points(mesh, "tet", tets)
     diff = face[:, :, None] - tet[:, None]  # (F, 3 face points, 4, 3)
     same = (diff % n == 0).all(axis=-1)
     assert np.all(same.sum(axis=-1) == 1)
@@ -399,25 +396,41 @@ def lifted_opposite_points(mesh, k):
 
 
 class TestFaceGluing:
-    """Independent geometric check of face_tets and face_side from the
-    lifted lattice points of the faces and tets."""
+    """Independent geometric check, from the lifted lattice points of the
+    faces and tets, of face_tets and of the star convention the stencil
+    tables read: face i of a star lies between sectors i-1 and i, and its
+    n_ef points into sector i, away from sector i-1."""
 
     @pytest.mark.parametrize("label", sorted(GLUING_TORI))
     def test_face_tets_lie_on_either_side(self, label):
         mesh = _torus(label)
+        faces = np.arange(mesh.num_faces)
         assert np.all(mesh.face_tets[:, 0] < mesh.face_tets[:, 1])
         p = lifted_points(mesh, "face") * mesh.cell
         # (F, 2, 3): offset of each tet's off-face point from the face
-        opp = np.stack([lifted_opposite_points(mesh, k) * mesh.cell
-                        for k in (0, 1)], axis=1) - p.mean(axis=1)[:, None]
+        opp = np.stack([lifted_opposite_points(mesh, faces,
+                                               mesh.face_tets[:, k])
+                        * mesh.cell for k in (0, 1)], axis=1) \
+            - p.mean(axis=1)[:, None]
         normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         side = np.vecdot(opp, normal[:, None])
         assert np.all(side[:, 0] * side[:, 1] < 0)
-        # n_ef points into face_tets[f, face_side[f, s]], away from the other
-        face_n = mesh.face_n[np.arange(mesh.num_faces) % 12]
-        for into, sign in ((mesh.face_side, 1), (1 - mesh.face_side, -1)):
-            q = np.take_along_axis(opp, into[..., None], axis=1)
-            assert np.all(sign * np.vecdot(q, face_n) > 0)
+        # every (face, slot) pair lies in one star, between the face's two
+        # tets, with n_ef pointing into sector i and away from sector i-1
+        seen = np.zeros((mesh.num_faces, 3), dtype=np.int64)
+        for f, s, t in zip(mesh._star_faces, mesh._star_slots,
+                           mesh._star_tets):
+            prev = np.roll(t, 1, axis=1).ravel()
+            f, s, t = f.ravel(), s.ravel(), t.ravel()
+            seen[f, s] += 1
+            assert np.array_equal(np.sort(np.stack([prev, t], axis=1)),
+                                  mesh.face_tets[f])
+            n = mesh.face_n[f % 12, s]
+            centre = p[f].mean(axis=1)
+            for tets, sign in ((t, 1), (prev, -1)):
+                q = lifted_opposite_points(mesh, f, tets) * mesh.cell - centre
+                assert np.all(sign * np.vecdot(q, n) > 0)
+        assert np.all(seen == 1)
 
 
 def _translate_geometry(mesh):

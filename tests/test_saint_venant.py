@@ -14,12 +14,31 @@ from reggefem import (ReggeField, VertexVectorField, apply_ctc,
                       assemble_mass, assemble_stiffness, build_torus_mesh,
                       deformation, divergence_x2, edge_jump_scalar,
                       edge_star, interpolate_1, interpolate_2,
-                      matrix_mode, read_coo, skew, write_coo)
-from reggefem.mesh import TorusGeometry
+                      linearized_deficits, matrix_mode, read_coo, skew,
+                      write_coo)
+from reggefem.mesh import MeshError, TorusGeometry
 from reggefem.saint_venant import BlockCirculant, _face_terms
 from reggefem.spaces import deformation_matrix, regge_to_tet_matrices
 
 TAU = 2.0 * np.pi
+
+# First 16 hex digits of the SHA-256 (golden.digest) of indptr, indices
+# and data of the first block row (rows 0-6) of A and M, which the pencil
+# files are written from, and of its indptr and indices alone: the entry
+# set, the same for A and M, recorded when the row was assembled from the
+# faces and tets of a mesh.
+HEAD_GRIDS = {
+    "2x2x2": ((2, 2, 2), (TAU, TAU, TAU)),
+    "2x3x2": ((2, 3, 2), (TAU, TAU, TAU)),
+    "4x5x6": ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+}
+HEAD_DIGESTS = {
+    "2x2x2": {"A": "0b615af406a1a803", "M": "a6ea345fb30c7c54"},
+    "2x3x2": {"A": "6f91346b26919c70", "M": "1c96369ded9d66ab"},
+    "4x5x6": {"A": "e91a117affaff69e", "M": "7d2b2fa62844d0fc"},
+}
+HEAD_INDEX_DIGESTS = {"2x2x2": "c04223c9f95d782a", "2x3x2": "34341681ee1519dd",
+                      "4x5x6": "52c71dd6d75b4f27"}
 
 
 def random_sym(rng):
@@ -123,14 +142,34 @@ class TestApplyOperator:
         out = apply_ctc(mesh2, ReggeField(c))
         assert np.abs(out.coeffs).max() < 1e-13
 
-    def test_agrees_with_matrix_route(self, mesh2, pencil2):
-        # two independent code paths: face-loop jumps vs assembled rows
-        A, _ = pencil2
+    def test_agrees_with_matrix_route(self):
+        # the window matvec of the blocks against the CSR expansion of the
+        # head; a 2-wide axis folds two windows onto one column
         rng = np.random.default_rng(4)
-        rf = ReggeField(rng.uniform(-1, 1, mesh2.num_edges))
-        direct = apply_ctc(mesh2, rf).coeffs
-        via_matrix = (A.matrix @ rf.coeffs) * mesh2.edge_length
-        assert np.abs(direct - via_matrix).max() < 1e-12
+        for grid, lengths in HEAD_GRIDS.values():
+            mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+            for A in (assemble_stiffness(mesh), assemble_mass(mesh)):
+                c = rng.uniform(-1, 1, mesh.num_edges)
+                expect = A.matrix @ c
+                assert np.abs(A @ c - expect).max() \
+                    <= 1e-15 * np.abs(expect).max()
+        with pytest.raises(ValueError, match="expected"):
+            A @ np.ones(mesh.num_edges + 1)
+
+    @pytest.mark.parametrize("grid, lengths", [
+        ((2, 3, 2), (TAU, TAU, TAU)),
+        ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+        ((4, 5, 6), (1e-3 * TAU, TAU, TAU)),
+    ], ids=["2x3x2", "4x5x6", "4x5x6-thin"])
+    def test_is_twice_the_linearized_deficit(self, grid, lengths):
+        # an independent route: the star-ordered linearized deficit reads
+        # the tet matrices sector by sector, with no operator blocks
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        rf = ReggeField(np.random.default_rng(10).uniform(
+            -1, 1, mesh.num_edges))
+        expect = 2.0 * linearized_deficits(mesh, rf)
+        assert np.abs(apply_ctc(mesh, rf).coeffs - expect).max() \
+            <= 1e-12 * np.abs(expect).max()
 
     def test_commutes_with_interpolation(self, geometry, mesh2):
         for a in (random_sym(np.random.default_rng(5)),):
@@ -259,21 +298,6 @@ class TestMass:
         assert abs(t4 / t2 - 16.0) < 1e-10
 
 
-# First 16 hex digits of the SHA-256 (golden.digest) of indptr, indices
-# and data of the first block row (rows 0-6) of A and M.  The Bloch symbols,
-# and so every eigenvalue, are read off these rows alone.
-HEAD_GRIDS = {
-    "2x2x2": ((2, 2, 2), (TAU, TAU, TAU)),
-    "2x3x2": ((2, 3, 2), (TAU, TAU, TAU)),
-    "4x5x6": ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
-}
-HEAD_DIGESTS = {
-    "2x2x2": {"A": "0b615af406a1a803", "M": "a6ea345fb30c7c54"},
-    "2x3x2": {"A": "6f91346b26919c70", "M": "1c96369ded9d66ab"},
-    "4x5x6": {"A": "e91a117affaff69e", "M": "7d2b2fa62844d0fc"},
-}
-
-
 class TestBlockRow:
     @pytest.mark.parametrize("label", sorted(HEAD_GRIDS))
     def test_first_block_row_bit_identical(self, label):
@@ -289,6 +313,8 @@ class TestBlockRow:
                          (S.head.indices, head.indices),
                          (S.head.data, head.data)):
                 assert np.array_equal(a, b)
+            assert digest([head.indptr, head.indices]) \
+                == HEAD_INDEX_DIGESTS[label]
         assert got == HEAD_DIGESTS[label]
 
     @pytest.mark.parametrize("assemble", [assemble_stiffness, assemble_mass])
@@ -314,19 +340,22 @@ class TestBlockCirculant:
         grid, lengths = HEAD_GRIDS[label]
         A = assemble_stiffness(build_torus_mesh(TorusGeometry(*lengths),
                                                 grid))
-        head = A.head.copy()
-        r, c = next((r, c) for r, c in zip(*head.nonzero()) if r != c)
-        head[r, c] *= 1.5
-        for S in (A, BlockCirculant(head, A.grid)):
+        blocks = A.blocks.copy()
+        entry = next(i for i in zip(*np.nonzero(blocks)) if i[3] != i[4])
+        blocks[entry] *= 1.5
+        skewed = BlockCirculant(blocks, A.grid)
+        for S in (A, skewed):
             full = S.toarray()
             oracle = np.abs(full - full.T).max() / np.abs(full).max()
             assert S.symmetry_residual() == oracle
-        assert BlockCirculant(head, A.grid).symmetry_residual() > 0.0
+        assert skewed.symmetry_residual() > 0.0
 
-    def test_head_of_other_grid_rejected(self, pencil2):
+    def test_bad_blocks_or_grid_rejected(self, pencil2):
         A, _ = pencil2
-        with pytest.raises(ValueError, match=r"expected \(7, 189\)"):
-            BlockCirculant(A.head, (3, 3, 3))
+        with pytest.raises(ValueError, match=r"expected \(3, 3, 3, 7, 7\)"):
+            BlockCirculant(A.head.toarray(), A.grid)
+        with pytest.raises(MeshError, match="too coarse"):
+            BlockCirculant(A.blocks, (1, 3, 3))
 
 
 def former_expansion(S):
@@ -357,14 +386,21 @@ def former_coo_text(full):
 
 
 def hand_built_block_row():
-    """A 2x3x2 block row with an explicit 0.0, a -0.0, a tiny value, and
-    duplicates summed by ``tocsr`` (one pair to 0.5, one to 0.0)."""
-    rows = [0, 0, 1, 2, 2, 3, 3, 4, 6]
-    cols = [0, 9, 38, 10, 10, 20, 20, 50, 83]
-    vals = [1.5, 0.0, -0.0, 0.25, 0.25, 1.0, -1.0, -2e-300, 1.0 / 3.0]
-    head = sp.coo_matrix((vals, (rows, cols)), shape=(7, 84)).tocsr()
-    assert head.nnz == 7 and np.signbit(head.data).sum() == 2
-    return BlockCirculant(head, (2, 3, 2))
+    """A 2x3x2 operator with few nonzero blocks: an explicit 0.0 (as every
+    unset coupling is), a -0.0, a tiny value, and the shifts +1 and -1 of
+    the 2-wide first axis folding onto one block column of the head."""
+    blocks = np.zeros((3, 3, 3, 7, 7))
+    for s, a, b, value in (((0, 0, 0), 0, 0, 1.5), ((0, 0, 0), 0, 2, -0.0),
+                           ((1, 0, 1), 0, 1, 1.0), ((-1, 0, 0), 0, 3, -1.0),
+                           ((0, 0, 0), 0, 4, 0.0), ((0, 0, 1), 0, 5, 0.25),
+                           ((0, 1, 1), 0, 3, -2e-300),
+                           ((0, 0, 0), 6, 6, 1.0 / 3.0)):
+        blocks[tuple(np.add(s, 1)) + (a, b)] = value
+    S = BlockCirculant(blocks, (2, 3, 2))
+    # every coupling is an entry; first-axis shifts +1 and -1 land at 1
+    assert S.head.nnz == 115 and np.signbit(S.head.data).sum() == 3
+    assert S.head[0, 7 * 7 + 1] == 1.0 and S.head[0, 7 * 6 + 3] == -1.0
+    return S
 
 
 def coo_cases(label):
@@ -391,10 +427,9 @@ class TestCooFormat:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_header_only_file_reads_back(self, tmp_path):
-        S = BlockCirculant(sp.csr_matrix((7, 56)), (2, 2, 2))
+        # every operator has entries, so this file is written by hand
         path = tmp_path / "S.txt"
-        write_coo(S, path)
-        assert path.read_text() == "56 56 0\n"
+        path.write_text("56 56 0\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             back = read_coo(path)
