@@ -648,8 +648,8 @@ GOLDEN_DIGESTS = {
     "action_lengths_json": "06ae2303093f96ce",
     "action_perturbed": "a829732ecb0b533a",
     "action_wrong_count": "a4dcfa10f85ab2e6",
-    "assemble_bench": "ce8bc28ccdfea21b",
-    "assemble_seed": "929afcb435c78909",
+    "assemble_bench": "7d8f462ab548bd2b",
+    "assemble_seed": "48e92d303f14ede5",
     "config_action": "a69f2e000918939e",
     "config_converge": "9b16586d0ee85ede",
     "config_eigs": "5c041a117fcedddc",
@@ -674,7 +674,7 @@ GOLDEN_DIGESTS = {
     "oracle": "1a141c3fd934d42e",
     "oracle_lengths": "b230862fa1ee28eb",
     "oracle_negative": "0b3c30ac432fb44c",
-    "verify_bench": "77907675c35d5494",
+    "verify_bench": "b13f7c1b9ab59473",
     "verify_thin": "f34ef32e4443dade",
 }
 

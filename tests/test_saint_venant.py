@@ -33,9 +33,9 @@ HEAD_GRIDS = {
     "4x5x6": ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
 }
 HEAD_DIGESTS = {
-    "2x2x2": {"A": "0b615af406a1a803", "M": "a6ea345fb30c7c54"},
-    "2x3x2": {"A": "6f91346b26919c70", "M": "1c96369ded9d66ab"},
-    "4x5x6": {"A": "e91a117affaff69e", "M": "7d2b2fa62844d0fc"},
+    "2x2x2": {"A": "e822e68e4cb94553", "M": "1132a939fd5b9c19"},
+    "2x3x2": {"A": "fa0f89a450ff5198", "M": "efa8ffc34858af66"},
+    "4x5x6": {"A": "811bd3971939b09d", "M": "396f8a62aadc3f75"},
 }
 HEAD_INDEX_DIGESTS = {"2x2x2": "c04223c9f95d782a", "2x3x2": "34341681ee1519dd",
                       "4x5x6": "52c71dd6d75b4f27"}
