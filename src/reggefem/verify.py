@@ -21,8 +21,9 @@ dihedral ``deficit_angles``, computed from the squared lengths alone and
 relative to the flat background, against ``holonomy_deficits`` on the
 pulled-back metrics of ``tet_metrics_from_lengths``; and the
 star-ordered ``linearized_deficits`` against half the edge jump
-``apply_ctc``, the matvec of the stiffness blocks.  Per edge, ``deficit_angles`` equals the star-local
-``deficit_angle_dihedral`` exactly.
+``apply_ctc``, the matvec of the stiffness blocks.  Per edge,
+``deficit_angles`` equals the star-local ``deficit_angle_dihedral``
+exactly.
 """
 
 from __future__ import annotations

@@ -22,24 +22,6 @@ from reggefem.spaces import deformation_matrix, regge_to_tet_matrices
 
 TAU = 2.0 * np.pi
 
-# First 16 hex digits of the SHA-256 (golden.digest) of indptr, indices
-# and data of the first block row (rows 0-6) of A and M, which the pencil
-# files are written from, and of its indptr and indices alone: the entry
-# set, the same for A and M, recorded when the row was assembled from the
-# faces and tets of a mesh.
-HEAD_GRIDS = {
-    "2x2x2": ((2, 2, 2), (TAU, TAU, TAU)),
-    "2x3x2": ((2, 3, 2), (TAU, TAU, TAU)),
-    "4x5x6": ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
-}
-HEAD_DIGESTS = {
-    "2x2x2": {"A": "e822e68e4cb94553", "M": "1132a939fd5b9c19"},
-    "2x3x2": {"A": "fa0f89a450ff5198", "M": "efa8ffc34858af66"},
-    "4x5x6": {"A": "811bd3971939b09d", "M": "396f8a62aadc3f75"},
-}
-HEAD_INDEX_DIGESTS = {"2x2x2": "c04223c9f95d782a", "2x3x2": "34341681ee1519dd",
-                      "4x5x6": "52c71dd6d75b4f27"}
-
 
 def random_sym(rng):
     a = rng.uniform(-1.0, 1.0, (3, 3))
@@ -296,6 +278,25 @@ class TestMass:
         t2 = M2.matrix.diagonal().sum()
         t4 = M4.matrix.diagonal().sum()
         assert abs(t4 / t2 - 16.0) < 1e-10
+
+
+# First 16 hex digits of the SHA-256 (golden.digest) of indptr, indices
+# and data of the first block row (rows 0-6) of A and M, which the pencil
+# files are written from, and of its indptr and indices alone: the entry
+# set, the same for A and M, recorded when the row was assembled from the
+# faces and tets of a mesh.
+HEAD_GRIDS = {
+    "2x2x2": ((2, 2, 2), (TAU, TAU, TAU)),
+    "2x3x2": ((2, 3, 2), (TAU, TAU, TAU)),
+    "4x5x6": ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+}
+HEAD_DIGESTS = {
+    "2x2x2": {"A": "e822e68e4cb94553", "M": "1132a939fd5b9c19"},
+    "2x3x2": {"A": "fa0f89a450ff5198", "M": "efa8ffc34858af66"},
+    "4x5x6": {"A": "811bd3971939b09d", "M": "396f8a62aadc3f75"},
+}
+HEAD_INDEX_DIGESTS = {"2x2x2": "c04223c9f95d782a", "2x3x2": "34341681ee1519dd",
+                      "4x5x6": "52c71dd6d75b4f27"}
 
 
 class TestBlockRow:
