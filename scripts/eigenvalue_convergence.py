@@ -38,7 +38,8 @@ def main():
         for row, grid in zip(rows, args.grids):
             rate = ""
             if prev is not None:
-                rate = (f"{np.log(prev[1] / row['rel_error']) / np.log(grid / prev[0]):.2f}")
+                order = np.log(prev[1] / row["rel_error"])
+                rate = f"{order / np.log(grid / prev[0]):.2f}"
             print(f"{target:8.3f} {grid:6d} {row['multiplicity']:5d} "
                   f"{row['cluster_mean']:14.6f} {row['rel_error']:10.4f} "
                   f"{rate:>6}")

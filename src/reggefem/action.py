@@ -29,7 +29,9 @@ linearized deficit equals half the assembled edge jump.
 The sector build with its checks, the holonomy and the linearized deficit
 are each one private kernel over stacked stars: the per-edge functions
 call it on one edge, ``holonomy_deficits`` and ``linearized_deficits`` on
-the V edges of each of the seven directions.  These routes are
+the V edges of each of the seven directions.  A star runs in the order of
+its direction's template ``mesh._STARS[d]``, whose tangent and face frames
+are constants; only the sector tets are read per edge.  These routes are
 independent on purpose: ``verify`` checks them against ``deficit_angles``
 and against ``saint_venant.apply_ctc``, so they share no code with those.
 The holonomy route reads the metrics of ``tet_metrics_from_lengths``: the
@@ -45,7 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import _TET_OFFSETS, LOCAL_EDGES, PeriodicMesh, _star_arrays
+from .mesh import _BOX_EDGE_DIRS, _STARS, LOCAL_EDGES, PeriodicMesh, \
+    _edge_tets, _star_arrays
 from .spaces import ReggeField, regge_to_tet_matrices
 
 __all__ = [
@@ -76,18 +79,13 @@ __all__ = [
 # sixth power of the longest edge of the tet.
 CM_DET_RTOL = 1e-14
 
-_LO, _HI = np.array(LOCAL_EDGES).T
 # Bordered Cayley-Menger matrix entries of each LOCAL_EDGES slot.
-_CM_LO, _CM_HI = _LO + 1, _HI + 1
+_CM_LO, _CM_HI = np.array(LOCAL_EDGES).T + 1
 
 # Local vertices per local edge slot: the edge's two ends, then the other
 # two vertices, which span the two faces at the edge.
 _EDGE_VERTS = np.array([[i, j] + [x for x in range(4) if x not in (i, j)]
                         for i, j in LOCAL_EDGES])
-
-# Direction index (edge 7v + d runs along DIRECTIONS[d]) of each local edge
-# of the six box-template tets: (6 tets, 6 slots).
-_BOX_EDGE_DIRS = (_TET_OFFSETS[:, _HI] - _TET_OFFSETS[:, _LO]) @ [4, 2, 1] - 1
 
 # Positions of the entries (i, j) of a symmetric 3x3 matrix packed as the
 # six values 00, 11, 22, 01, 02, 12.
@@ -141,13 +139,14 @@ class EdgeLengthConfig:
 
 def euclidean_lengths(mesh: PeriodicMesh) -> EdgeLengthConfig:
     """Background configuration: squared Euclidean edge lengths."""
-    return EdgeLengthConfig(mesh.edge_length**2)
+    return EdgeLengthConfig(np.tile(mesh.edge_length**2, mesh.num_vertices))
 
 
 def perturbed_lengths(mesh: PeriodicMesh, u_prime: ReggeField,
                       eps: float) -> EdgeLengthConfig:
     """Squared lengths of the metric I + eps*u': l_e^2 + eps*c_e exactly."""
-    return EdgeLengthConfig(mesh.edge_length**2 + eps * u_prime.coeffs)
+    return EdgeLengthConfig(np.tile(mesh.edge_length**2, mesh.num_vertices)
+                            + eps * u_prime.coeffs)
 
 
 def cayley_menger_determinant(s6):
@@ -271,7 +270,7 @@ def _flat_dihedral_cs(direction_lengths: tuple):
 
 def _flat_background(mesh: PeriodicMesh):
     """``_flat_dihedral_cs`` of the mesh (edge 7v + d has direction d)."""
-    return _flat_dihedral_cs(tuple(mesh.edge_length[:7].tolist()))
+    return _flat_dihedral_cs(tuple(mesh.edge_length.tolist()))
 
 
 def _dihedral_angles(p: np.ndarray, u: np.ndarray, slot: int) -> np.ndarray:
@@ -339,7 +338,7 @@ def deficit_angle_dihedral(mesh: PeriodicMesh, e: int,
                            config: EdgeLengthConfig) -> float:
     """Deficit angle of one edge via the dihedral angles of its star tets,
     summed in tet order as :func:`deficit_angles` sums them."""
-    tets = np.sort(_star_arrays(mesh, e)[1])
+    tets = np.sort(_edge_tets(mesh, e))
     s, adj, det = _checked_gram(mesh, config, tets)
     slots = np.argmax(mesh.tet_edges[tets] == e, axis=1)
     cols = np.arange(len(tets))
@@ -359,7 +358,8 @@ class EdgeSector:
     ``metrics[i]`` is the constant metric of the sector between faces i and
     i+1 (cyclically); ``ms[i]``/``ns[i]`` are the in-face and normal frame
     vectors of face i, right-handed with the tangent.  Consecutive sector
-    metrics agree tangentially on the shared face.
+    metrics agree tangentially on the shared face.  ``faces`` and ``tets``
+    run in star template order, not from the lowest face as in edge_star.
     """
 
     tangent: np.ndarray      # (3,)
@@ -372,21 +372,20 @@ class EdgeSector:
 
 
 def _sectors(mesh: PeriodicMesh, d: int, v, tet_metrics: np.ndarray):
-    """Tangents, face frames ms and ns, and metrics of the sectors of the
-    edges 7*v + d (v a vertex or a slice), then the flat positions of the
-    faces the metrics jump across tangentially and of the first metric
-    that is not positive definite (-1 if none)."""
-    faces, slots = mesh._star_faces[d][v], mesh._star_slots[d][v]
-    te = mesh.edge_tangent[d::7][v]
-    ms, ns = mesh.face_m[faces % 12, slots], mesh.face_n[faces % 12, slots]
+    """Tangent (3,), face frames ms and ns (s, 3) and the metrics of the
+    sectors of the edges 7*v + d (v a vertex or a slice), then the flat
+    positions of the faces the metrics jump across tangentially and of the
+    first metric that is not positive definite (-1 if none)."""
+    _, k, slot = _STARS[d][:3]
+    ms, ns = mesh.face_m[k, slot], mesh.face_n[k, slot]
+    te = mesh.edge_tangent[d]
     mats = tet_metrics[mesh._star_tets[d][v]]
     scale = np.maximum(np.abs(mats).max(axis=(-3, -2, -1)), 1.0)
     # tangential-tangential part of the jump across face i, in the frame
     # (t_e, m_i) of the face
-    frames = np.empty(ms.shape[:-1] + (2, 3))
-    frames[..., 0, :] = te[..., None, :]
-    frames[..., 1, :] = ms
-    jump = mats - mats[..., np.arange(-1, faces.shape[-1] - 1), :, :]
+    frames = np.empty((len(ms), 2, 3))
+    frames[:, 0], frames[:, 1] = te, ms
+    jump = mats - mats[..., np.arange(-1, len(ms) - 1), :, :]
     tt = frames @ jump @ frames.mT
     torn = np.flatnonzero(
         (np.abs(tt) > 1e-9 * scale[..., None, None, None]).any(axis=(-2, -1)))
@@ -410,8 +409,8 @@ def build_edge_sector(mesh: PeriodicMesh, e: int,
 
 
 def _holonomy(t, ms, ns, mats) -> np.ndarray:
-    """Holonomy rotation angles (...) of stacked sectors: tangents t
-    (..., 3), face frames ms and ns (..., s, 3), metrics (..., s, 3, 3)."""
+    """Holonomy rotation angles (...) of stacked sectors: tangent t (3,),
+    face frames ms and ns (s, 3), metrics (..., s, 3, 3)."""
     s = ms.shape[-2]
     # metric-unit normals k to face i w.r.t. the sector before it (first s
     # rows) and after it, oriented to the side of n_i.  n^T x is a matmul,
@@ -472,7 +471,7 @@ def holonomy_deficits(mesh: PeriodicMesh,
     for d in range(7):
         *sector, torn, bent = _sectors(mesh, d, slice(None), tet_metrics)
         # first failing vertex: torn and bent are flat (V, valence) positions
-        valence = mesh._star_faces[d].shape[1]
+        valence = mesh._star_tets[d].shape[1]
         bad = [p // valence for p in (*torn[:1], bent) if p >= 0]
         if bad:
             failing.append(7 * min(bad) + d)
@@ -483,16 +482,16 @@ def holonomy_deficits(mesh: PeriodicMesh,
     return np.stack(out, axis=1).ravel()
 
 
-def _linearized(mesh: PeriodicMesh, d: int, v, mats) -> np.ndarray:
-    """Linearized deficits of the edges 7*v + d (v a vertex or a slice)
-    from the matrices (..., s, 3, 3) of u' on their sector tets; the face
-    terms are summed one at a time in star order."""
-    faces, slots = mesh._star_faces[d][v], mesh._star_slots[d][v]
-    jump = mats - mats[..., np.arange(-1, faces.shape[-1] - 1), :, :]
-    vals = (mesh.face_m[faces % 12, slots][..., None, :] @ jump
-            @ mesh.face_n[faces % 12, slots][..., None])[..., 0, 0]
+def _linearized(mesh: PeriodicMesh, d: int, mats) -> np.ndarray:
+    """Linearized deficits of edges of direction d from the matrices
+    (..., s, 3, 3) of u' on their sector tets; the face terms are summed
+    one at a time in star order."""
+    _, k, slot = _STARS[d][:3]
+    jump = mats - mats[..., np.arange(-1, len(k) - 1), :, :]
+    vals = (mesh.face_m[k, slot][:, None, :] @ jump
+            @ mesh.face_n[k, slot][..., None])[..., 0, 0]
     total = 0.0
-    for i in range(faces.shape[-1]):
+    for i in range(len(k)):
         total = total + vals[..., i]
     return 0.5 * total
 
@@ -505,8 +504,8 @@ def linearized_deficit(mesh: PeriodicMesh, e: int,
     n_f, the after/before sectors taken in counter-clockwise order; equals
     half the assembled edge jump of u'.
     """
-    mats = regge_to_tet_matrices(mesh, u_prime, _star_arrays(mesh, e)[1])
-    return float(_linearized(mesh, e % 7, e // 7, mats))
+    mats = regge_to_tet_matrices(mesh, u_prime, _edge_tets(mesh, e))
+    return float(_linearized(mesh, e % 7, mats))
 
 
 def linearized_deficits(mesh: PeriodicMesh,
@@ -514,8 +513,7 @@ def linearized_deficits(mesh: PeriodicMesh,
     """``linearized_deficit`` of every edge, shape (E,), in one stacked
     pass per edge direction."""
     mats = regge_to_tet_matrices(mesh, u_prime)
-    return np.stack([_linearized(mesh, d, slice(None),
-                                 mats[mesh._star_tets[d]])
+    return np.stack([_linearized(mesh, d, mats[mesh._star_tets[d]])
                      for d in range(7)], axis=1).ravel()
 
 
@@ -667,7 +665,7 @@ def random_realizable_config(mesh: PeriodicMesh, rng, scale: float = 0.2,
     branch for holonomy comparisons).
     """
     r = rng.uniform(-1.0, 1.0, mesh.num_edges)
-    s0 = mesh.edge_length**2
+    s0 = np.tile(mesh.edge_length**2, mesh.num_vertices)
     factor = scale
     for _ in range(40):
         try:

@@ -20,18 +20,17 @@ Conventions
   the higher one.
 * An edge lies in 6 faces and 6 tets for the axis directions (d = 0, 1, 3)
   and the body diagonal (d = 6), in 4 of each for the face diagonals
-  (d = 2, 4, 5).  Edge incidence is stored once, as the star of every
-  edge (:func:`edge_star`), counter-clockwise about t_e from the lowest
-  face id; a sorted star row is the ascending incidence.  Each direction's
-  star is derived once, at import, for the edge at the origin (base offsets
-  and types of its faces and sector tets, the edge's slot in each face);
-  every incidence array is that template moved to each vertex.  Face i of
-  a star lies between sectors i-1 and i, and n_ef points into sector i.
-* Float geometry is stored once per shape, on the six tets and twelve
-  faces at the origin: tet t is a translate of template t % 6, face f of
-  template f % 12.  ``_box_templates`` computes these templates and the
-  seven edge lengths from the cell alone; the mesh holds them, and
-  ``saint_venant.stencil_operators`` reads them without building one.
+  (d = 2, 4, 5).  Each direction's star, counter-clockwise about t_e, is
+  derived once, at import, for the edge at the origin (``_STARS``: base
+  offsets and types of its faces and sector tets, the edge's slot in each
+  face); the star of edge 7v + d is that template moved to v, in template
+  order.  Face i of a star lies between sectors i-1 and i, and n_ef points
+  into sector i.  Only the sector tets are stored; :func:`edge_star` lists
+  a star from its lowest face id.
+* Float geometry is stored once per shape: tet t, face f and edge e are
+  translates of the templates t % 6, f % 12 and e % 7 of the box at the
+  origin, which ``_box_templates`` computes from the cell alone; the mesh
+  holds them, and ``saint_venant.stencil_operators`` reads them meshless.
   Periodicity lives only in the vertex identification, which matters at
   n_i = 2 where distinct edges can share the same unordered vertex pair
   through different wraps.
@@ -127,24 +126,23 @@ class PeriodicMesh:
     """Combinatorics and one-box geometry of the Kuhn torus triangulation.
 
     Built by :func:`build_torus_mesh`; treat all attributes as read-only.
-    Array attributes (sizes: V vertices, E edges, F faces, T tets):
+    Array attributes (sizes: V vertices, E = 7V edges, T = 6V tets):
 
-    cell (3,) box side lengths, vertex_pos (V,3);
-    tet_edges (T,6) global edge ids in LOCAL_EDGES order;
-    edge_tail/edge_head (E,), edge_vec (E,3), edge_tangent (E,3),
-    edge_length (E,); face_tets (F,2) ascending, face_edges (F,3).
-    Shape templates, row r for tet 6v + r and row k for face 12v + k:
+    cell (3,) box side lengths, vertex_pos (V,3), edge_tail/edge_head (E,);
+    tet_edges (T,6) global edge ids in LOCAL_EDGES order.
+    Shape templates, row d for edge 7v + d, row r for tet 6v + r and row k
+    for face 12v + k: edge_vec/edge_tangent (7,3) and edge_length (7,);
     tet_coords (6,4,3) the tets of the box at the origin, tet_rho
     (6,6,3,3) edge basis matrices restricted to the tet (products of its
     barycentric gradients); face_m/face_n (12,3,3) the (m_ef, n_ef) frame
     of each edge slot.  tet_volume is the (float) volume of every tet.
 
-    Edge incidence is held only by the stars: ``_star_faces[d]``,
-    ``_star_slots[d]`` and ``_star_tets[d]`` are (V, valence) arrays whose
-    row v lists, in :func:`edge_star` order, the faces of edge 7*v + d, the
-    slot of the edge in each face (face_edges[f, slot] == e) and the sector
-    tets.  Read one edge's faces and tets through ``_star_arrays``;
-    ``np.sort`` of a row gives the ascending incident faces or tets.
+    Edge incidence is held only by the stars: ``_star_tets[d]`` is a
+    (V, valence) array whose row v lists the sector tets of edge 7*v + d
+    in the order of the template ``_STARS[d]``, which also gives the face
+    types and the edge's slot in each face.  Read one edge's faces and
+    tets through ``_star_arrays``; ``np.sort`` of a row gives the
+    ascending incident tets.  ``mesh_summary`` forms the face tables.
     """
 
     def __init__(self, geometry: TorusGeometry, grid):
@@ -158,7 +156,7 @@ class PeriodicMesh:
 
     @property
     def num_edges(self) -> int:
-        return self.edge_tangent.shape[0]
+        return 7 * self.num_vertices
 
     @property
     def num_faces(self) -> int:
@@ -187,8 +185,19 @@ def _vid(points, n: np.ndarray) -> np.ndarray:
 
 
 def _dir(d: np.ndarray) -> np.ndarray:
-    """Direction index of nonzero 0/1 difference vectors (any leading shape)."""
+    """Direction index of nonzero 0/1 difference vectors (any shape)."""
     return d @ np.array([4, 2, 1]) - 1
+
+
+def _lattice(grid, v) -> np.ndarray:
+    """Lattice points (..., 3) of the vertex ids v of ``grid``."""
+    return np.array(np.unravel_index(v, grid), order="F").T
+
+
+# Local edge a of tet 6v + r runs from v + _BOX_EDGE_TAILS[r, a] along
+# DIRECTIONS[_BOX_EDGE_DIRS[r, a]]: (6 tets, 6 slots, 3) and (6, 6).
+_BOX_EDGE_TAILS = _TET_OFFSETS[:, LOCAL_EDGES][:, :, 0]
+_BOX_EDGE_DIRS = _dir(np.diff(_TET_OFFSETS[:, LOCAL_EDGES], axis=2)[:, :, 0])
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -253,10 +262,8 @@ def _stencil_tables():
     prev = np.arange(len(d)) - 1
     prev[np.cumsum(valence) - valence] += valence
     # the tail offset and direction of every local edge of every sector tet
-    lo, hi = np.array(LOCAL_EDGES).T
-    corners = _TET_OFFSETS[r]
-    tail = toff[:, None] + corners[:, lo]
-    b = _dir(corners[:, hi] - corners[:, lo])
+    tail = toff[:, None] + _BOX_EDGE_TAILS[r]
+    b = _BOX_EDGE_DIRS[r]
     entry = ((tail + 1) @ [9, 3, 1]) * 49 + 7 * d[:, None] + b
     a = np.arange(6)
     # both sectors of every star face, sector i first
@@ -296,9 +303,10 @@ def cell_geometry_error(geometry: TorusGeometry, grid) -> MeshError:
 @np.errstate(all="ignore")
 def _box_templates(geometry: TorusGeometry, grid) -> dict:
     """The float geometry of one box of ``grid``, every shape once: the
-    ``cell``; ``edge_length`` (7,) and ``edge_tangent`` (7, 3) of the edges
-    7v + d, d = 0..6; and the tet and face templates of ``PeriodicMesh``
-    (``tet_coords``, ``tet_volume``, ``tet_rho``, ``face_m``, ``face_n``).
+    ``cell``; ``edge_length`` (7,), ``edge_vec`` and ``edge_tangent``
+    (7, 3) of the edges 7v + d, d = 0..6; and the tet and face templates of
+    ``PeriodicMesh`` (``tet_coords``, ``tet_volume``, ``tet_rho``,
+    ``face_m``, ``face_n``).
 
     MeshError (``cell_geometry_error``) for side lengths so far apart for
     the grid that a squared edge length underflows or a basis matrix
@@ -341,9 +349,10 @@ def _box_templates(geometry: TorusGeometry, grid) -> dict:
                                                 face_n))
             and sizes.min() > 0):
         raise cell_geometry_error(geometry, grid)
-    return dict(cell=cell, edge_length=edge_length, edge_tangent=edge_tangent,
-                tet_coords=tet_coords, tet_volume=tet_volume, tet_rho=tet_rho,
-                face_m=face_m, face_n=face_n)
+    return dict(cell=cell, edge_length=edge_length, edge_vec=vec,
+                edge_tangent=edge_tangent, tet_coords=tet_coords,
+                tet_volume=tet_volume, tet_rho=tet_rho, face_m=face_m,
+                face_n=face_n)
 
 
 def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
@@ -352,73 +361,53 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     Requires n_i >= 2 on every axis so that no edge closes onto its own
     tail through a wrap.  Every incidence array is the one-box or edge-star
     template broadcast over the vertex lattice, by the index arithmetic of
-    the module docstring; face_tets is read off the stars (face i lies
-    between sectors i-1 and i), so nothing is sorted or searched mesh-wide.
-    The float geometry is that of ``_box_templates``.
+    the module docstring, so nothing is sorted or searched mesh-wide.  The
+    float geometry is that of ``_box_templates``.
     """
     grid = checked_grid(grid)
     n = np.array(grid, dtype=np.int64)
     mesh = PeriodicMesh(geometry, grid)
-    box = _box_templates(geometry, grid)
-    vars(mesh).update(box)
-    n1, n2, n3 = grid
-    nv = n1 * n2 * n3
-
-    ii, jj, kk = np.meshgrid(np.arange(n1), np.arange(n2), np.arange(n3),
-                             indexing="ij")
-    vertex_lattice = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
+    vars(mesh).update(_box_templates(geometry, grid))
+    vertex_lattice = _lattice(grid, np.arange(np.prod(grid)))
     mesh.vertex_pos = vertex_lattice * mesh.cell
 
-    # tet 6*v + r is the chain _TET_OFFSETS[r] from vertex v, face 12*v + k
-    # the chain _FACE_OFFSETS[k]; local edges and face slots point upward
-    lo, hi = np.array(LOCAL_EDGES).T
-    tet_lattice = vertex_lattice[:, None, None] + _TET_OFFSETS
-    mesh.tet_edges = (7 * _vid(tet_lattice[:, :, lo], n) + _dir(
-        _TET_OFFSETS[:, hi] - _TET_OFFSETS[:, lo])).reshape(6 * nv, 6)
-    a, b = _FACE_EDGES.T
-    face_lattice = vertex_lattice[:, None, None] + _FACE_OFFSETS
-    mesh.face_edges = (7 * _vid(face_lattice[:, :, a], n) + _dir(
-        _FACE_OFFSETS[:, b] - _FACE_OFFSETS[:, a])).reshape(12 * nv, 3)
+    # tet 6*v + r is the chain _TET_OFFSETS[r] from vertex v
+    tails = vertex_lattice[:, None, None] + _BOX_EDGE_TAILS
+    mesh.tet_edges = (7 * _vid(tails, n) + _BOX_EDGE_DIRS).reshape(-1, 6)
 
-    # edges: edge 7*v + d runs from v to v + DIRECTIONS[d], the box's edge d
-    # moved to v
-    tail = np.repeat(np.arange(nv), 7)
-    dirs = np.tile(np.arange(7), nv)
-    mesh.edge_tail = tail
-    mesh.edge_head = _vid(vertex_lattice[tail] + DIRECTIONS[dirs], n)
-    mesh.edge_vec = DIRECTIONS[dirs] * mesh.cell
-    mesh.edge_length = box["edge_length"][dirs]
-    mesh.edge_tangent = box["edge_tangent"][dirs]
+    # edge 7*v + d runs from v to v + DIRECTIONS[d]
+    mesh.edge_tail = np.repeat(np.arange(len(vertex_lattice)), 7)
+    mesh.edge_head = _vid(vertex_lattice[:, None] + DIRECTIONS, n).ravel()
 
-    # stars: templates moved to every vertex, rows rolled to the lowest face
-    # id; face i lies between sectors i-1 and i, n_ef pointing into sector i
-    mesh.face_tets = np.empty((12 * nv, 2), dtype=np.int64)
-    mesh._star_faces, mesh._star_slots, mesh._star_tets = [], [], []
-    for off, ftype, slot, toff, ttype in _STARS:
-        faces = 12 * _vid(vertex_lattice[:, None] + off, n) + ftype
-        roll = (faces.argmin(1)[:, None] + np.arange(len(slot))) % len(slot)
-        faces = np.take_along_axis(faces, roll, axis=1)
-        tets = np.take_along_axis(
-            6 * _vid(vertex_lattice[:, None] + toff, n) + ttype, roll, axis=1)
-        prev = np.roll(tets, 1, axis=1)
-        mesh.face_tets[faces] = np.stack([np.minimum(prev, tets),
-                                          np.maximum(prev, tets)], axis=-1)
-        mesh._star_faces.append(faces)
-        mesh._star_slots.append(slot[roll])
-        mesh._star_tets.append(tets)
+    # the sector tets of every star: each template moved to every vertex
+    mesh._star_tets = [6 * _vid(vertex_lattice[:, None] + toff, n) + ttype
+                       for *_, toff, ttype in _STARS]
 
-    for value in vars(mesh).values():
-        for arr in value if isinstance(value, list) else [value]:
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
+    for arr in [*vars(mesh).values(), *mesh._star_tets]:
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
     return mesh
 
 
-def _star_arrays(mesh: PeriodicMesh, e: int):
-    """The faces and sector tets of :func:`edge_star` as two int arrays."""
+def _star_faces(mesh: PeriodicMesh, d: int, v) -> np.ndarray:
+    """Faces (..., valence) of the stars of the edges 7v + d, in template
+    order, for a vertex id or ids v."""
+    off, ftype = _STARS[d][:2]
+    return 12 * _vid(_lattice(mesh.grid, v)[..., None, :] + off,
+                     np.array(mesh.grid)) + ftype
+
+
+def _edge_tets(mesh: PeriodicMesh, e: int) -> np.ndarray:
+    """The sector tets of the star of edge e, in template order."""
     if not 0 <= e < mesh.num_edges:
         raise MeshError(f"invalid edge id {e}")
-    return mesh._star_faces[e % 7][e // 7], mesh._star_tets[e % 7][e // 7]
+    return mesh._star_tets[e % 7][e // 7]
+
+
+def _star_arrays(mesh: PeriodicMesh, e: int):
+    """Faces and sector tets of the star of edge e, in template order."""
+    tets = _edge_tets(mesh, e)
+    return _star_faces(mesh, e % 7, e // 7), tets
 
 
 def edge_star(mesh: PeriodicMesh, e: int):
@@ -429,11 +418,13 @@ def edge_star(mesh: PeriodicMesh, e: int):
     lowest face id.
     """
     faces, tets = _star_arrays(mesh, e)
-    return list(zip(faces.tolist(), tets.tolist()))
+    k = -faces.argmin()
+    return list(zip(np.roll(faces, k).tolist(), np.roll(tets, k).tolist()))
 
 
 def mesh_summary(mesh: PeriodicMesh, include_incidence: bool = False) -> dict:
-    """JSON-ready summary: counts, geometry and optional incidence tables."""
+    """JSON-ready summary: counts, geometry and optional incidence tables,
+    of which the face tables are formed here from the templates."""
     out = {
         "geometry": {"l1": mesh.geometry.l1, "l2": mesh.geometry.l2,
                      "l3": mesh.geometry.l3},
@@ -451,12 +442,25 @@ def mesh_summary(mesh: PeriodicMesh, include_incidence: bool = False) -> dict:
              for i in range(4) for j in range(i)])),
     }
     if include_incidence:
-        stars = [_star_arrays(mesh, e) for e in range(mesh.num_edges)]
+        a, b = _FACE_EDGES.T
+        v = np.arange(mesh.num_vertices)
+        tails = _lattice(mesh.grid, v)[:, None, None] + _FACE_OFFSETS[:, a]
+        face_edges = 7 * _vid(tails, np.array(mesh.grid)) + _dir(
+            _FACE_OFFSETS[:, b] - _FACE_OFFSETS[:, a])
+        faces = [_star_faces(mesh, d, v) for d in range(7)]
+        face_tets = np.empty((mesh.num_faces, 2), dtype=np.int64)
+        for f, t in zip(faces, mesh._star_tets):
+            face_tets[f] = np.sort(np.stack([np.roll(t, 1, axis=1), t], -1))
+
+        def per_edge(stars):  # row v of direction d is edge 7v + d
+            rows = [np.sort(x, axis=1).tolist() for x in stars]
+            return [rows[e % 7][e // 7] for e in range(mesh.num_edges)]
+
         out["incidence"] = {
             "tet_edges": mesh.tet_edges.tolist(),
-            "face_tets": mesh.face_tets.tolist(),
-            "face_edges": mesh.face_edges.tolist(),
-            "edge_tets": [np.sort(t).tolist() for _, t in stars],
-            "edge_faces": [np.sort(f).tolist() for f, _ in stars],
+            "face_tets": face_tets.tolist(),
+            "face_edges": face_edges.reshape(-1, 3).tolist(),
+            "edge_tets": per_edge(mesh._star_tets),
+            "edge_faces": per_edge(faces),
         }
     return out

@@ -1,4 +1,4 @@
-"""Fixed-order Gauss rules on the unit interval and the reference tetrahedron."""
+"""Fixed-order Gauss rules on the unit interval and reference tetrahedron."""
 
 from functools import lru_cache
 
@@ -53,7 +53,7 @@ def tet_points_weights(tet_coords: np.ndarray, npts: int):
     """
     ref, w = tet_rule(npts)
     p0 = tet_coords[:, 0]
-    B = np.stack([tet_coords[:, i] - p0 for i in (1, 2, 3)], axis=-1)  # (T,3,3)
+    B = np.stack([tet_coords[:, i] - p0 for i in (1, 2, 3)], -1)  # (T,3,3)
     # (T, 3, Q) layout: the translation by p0 runs along the long point axis
     pts = np.matmul(B, ref.T)
     pts += p0[:, :, None]

@@ -24,14 +24,14 @@ when read.  ``_block_circulant`` gives that one index expansion, which
 ``.matrix`` fills with the head's values and ``write_coo`` with their
 text, formatted once per distinct value.
 
-The blocks depend only on the cell and have one builder, ``_operators``.
-It contracts the one-box templates (``face_m``, ``face_n``, ``tet_rho``,
-``tet_volume`` and the seven edge lengths) with the face-jump kernel
-``_face_terms`` and the tet mass ``_tet_mass``, and scatters the results
-by the two index tables of ``mesh._stencil_tables``, read once off the
-edge stars at the origin.  ``stencil_operators`` feeds it
+The blocks depend only on the cell and have one builder each, from the
+one-box templates: ``_stiffness`` contracts ``face_m``, ``face_n``,
+``tet_rho`` and the seven edge lengths with the face-jump kernel
+``_face_terms``, ``_mass`` forms the tet masses, and each
+scatters by its index table of ``mesh._stencil_tables``, read once off the
+edge stars at the origin.  ``stencil_operators`` feeds both
 ``mesh._box_templates`` and builds no mesh; ``assemble_stiffness`` and
-``assemble_mass`` feed it the same templates as a mesh holds them.
+``assemble_mass`` feed one each the templates a mesh holds.
 ``apply_ctc`` is the matvec scaled by the edge lengths, l * (A c);
 ``edge_jump_scalar`` is one entry of it.  The star-ordered
 ``action.linearized_deficits`` (``linearized_deficit`` per edge) is a
@@ -79,19 +79,6 @@ def _face_terms(face_m: np.ndarray, face_n: np.ndarray,
     Xk = X.reshape((-1, 12) + X.shape[1:])
     out = np.einsum("ksi,vk...ij,ksj->vks...", face_m, Xk, face_n)
     return out.reshape((X.shape[0], 3) + out.shape[3:])
-
-
-def _template_terms(face_m, face_n, tet_rho) -> np.ndarray:
-    """``_face_terms`` of the six tet templates' basis matrices on the
-    twelve face templates, (12, 3, 6, 6): face k, slot s, tet template r,
-    local edge a."""
-    return _face_terms(face_m, face_n,
-                       np.broadcast_to(tet_rho, (12,) + tet_rho.shape))
-
-
-def _tet_mass(tet_volume, tet_rho) -> np.ndarray:
-    """|T| rho_a : rho_b of the six tet templates, (6, 6, 6)."""
-    return np.einsum(",raij,rbij->rab", tet_volume, tet_rho, tet_rho)
 
 
 def _block_circulant(head: sp.csr_matrix, grid):
@@ -248,51 +235,56 @@ class BlockCirculant:
         return float(np.abs(B - Bt).max(initial=0.0) / denom)
 
 
-def _operators(t, grid):
-    """A and M as two ``BlockCirculant``s on ``grid``, from the one-box
-    templates ``t``: a mapping of ``face_m``, ``face_n``, ``tet_rho``,
-    ``tet_volume`` and ``edge_length``, of which the first seven entries
-    (the edges 0..6) are read.
-
-    The face table of ``mesh._stencil_tables`` scatters the frame-contracted
-    basis matrices of the tet templates (``_template_terms``), signed by
-    the sector the face's n_ef points into and divided by the length of
-    the star's edge; the tet table scatters ``_tet_mass``.  Each is one
-    ``np.bincount`` (the same in-order scatter-add as ``np.add.at``).
-    """
-    (index, side, row, entry), tets = _stencil_tables()
-    terms = _template_terms(t["face_m"], t["face_n"], t["tet_rho"])
+def _stiffness(t, grid) -> BlockCirculant:
+    """A on ``grid`` from the templates ``face_m``, ``face_n``, ``tet_rho``
+    and ``edge_length`` in ``t``: the face table of ``_stencil_tables``
+    scatters ``_face_terms`` of the tet templates on the face templates,
+    (12, 3, 6, 6) per face k, slot s, tet r and local edge a, signed by the
+    sector n_ef points into and divided by the length of the star's edge,
+    in one ``np.bincount`` (an in-order scatter-add)."""
+    index, side, row, entry = _stencil_tables()[0]
+    rho = t["tet_rho"]
+    terms = _face_terms(t["face_m"], t["face_n"],
+                        np.broadcast_to(rho, (12,) + rho.shape))
     A = np.bincount(entry, side / t["edge_length"][row]
                     * terms.ravel()[index], 27 * 49)
-    index, entry = tets
-    M = np.bincount(entry, _tet_mass(t["tet_volume"],
-                                     t["tet_rho"]).ravel()[index], 27 * 49)
-    return tuple(BlockCirculant(B.reshape(3, 3, 3, 7, 7), grid)
-                 for B in (A, M))
+    return BlockCirculant(A.reshape(3, 3, 3, 7, 7), grid)
+
+
+def _mass(t, grid) -> BlockCirculant:
+    """M on ``grid`` from the templates ``tet_volume`` and ``tet_rho`` in
+    ``t``: the tet table of ``_stencil_tables`` scatters the tet masses
+    |T| rho_a : rho_b (6, 6, 6) per tet template r and local edges a, b."""
+    index, entry = _stencil_tables()[1]
+    rho = t["tet_rho"]
+    mass = np.einsum(",raij,rbij->rab", t["tet_volume"], rho, rho)
+    M = np.bincount(entry, mass.ravel()[index], 27 * 49)
+    return BlockCirculant(M.reshape(3, 3, 3, 7, 7), grid)
 
 
 def stencil_operators(geometry: TorusGeometry, grid):
     """A and M on the ``grid`` of ``geometry``, built without a mesh.
 
-    The blocks depend only on the cell h_i = l_i / n_i: ``_operators`` of
-    the one-box templates of ``_box_templates``.  Nothing depends on the
-    grid beyond the cell, so any grid takes the same time.  A MeshError
-    names ``geometry`` and ``grid``, as building their mesh would.
+    The blocks depend only on the cell h_i = l_i / n_i, so any grid takes
+    the same time: ``_stiffness`` and ``_mass`` of ``_box_templates``.  A
+    MeshError names ``geometry`` and ``grid``, as building their mesh
+    would.
     """
     grid = checked_grid(grid)
-    return _operators(_box_templates(geometry, grid), grid)
+    t = _box_templates(geometry, grid)
+    return _stiffness(t, grid), _mass(t, grid)
 
 
 def assemble_stiffness(mesh: PeriodicMesh) -> BlockCirculant:
-    """A[e', e] = [[rho_e]]_{e'} / l_{e'}: ``_operators`` of the one-box
+    """A[e', e] = [[rho_e]]_{e'} / l_{e'}: ``_stiffness`` of the one-box
     templates the mesh holds, so entries couple only edges sharing a tet."""
-    return _operators(vars(mesh), mesh.grid)[0]
+    return _stiffness(vars(mesh), mesh.grid)
 
 
 def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
-    """M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T, exact: ``_operators`` of
-    the one-box templates the mesh holds."""
-    return _operators(vars(mesh), mesh.grid)[1]
+    """M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T, exact: ``_mass`` of the
+    one-box templates the mesh holds."""
+    return _mass(vars(mesh), mesh.grid)
 
 
 def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
@@ -301,8 +293,8 @@ def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
     Since A[e', e] = [[rho_e]]_{e'} / l_{e'}, the jump is l * (A c) for
     the coefficients c of u, by the matvec of ``BlockCirculant``.
     """
-    return EdgeMeasure(mesh.edge_length
-                       * (assemble_stiffness(mesh) @ u.coeffs))
+    jump = (assemble_stiffness(mesh) @ u.coeffs).reshape(-1, 7)
+    return EdgeMeasure(mesh.edge_length * jump)
 
 
 def edge_jump_scalar(mesh: PeriodicMesh, u: ReggeField, e: int) -> float:

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import _TET_OFFSETS, PeriodicMesh, _star_arrays
+from .mesh import _TET_OFFSETS, PeriodicMesh
 from .quadrature import segment_rule, tet_points_weights, tet_rule
 
 __all__ = [
@@ -221,7 +221,7 @@ class TrigMatrixField(_TrigField):
 
 
 class TrigVectorField(_TrigField):
-    """v(x) = b * trig(k.x + phase) with its symmetrized gradient in closed form."""
+    """v(x) = b * trig(k.x + phase); closed-form symmetrized gradient."""
 
     def __init__(self, b, k, trig="sin", phase=0.0, quad_points=12):
         self.b = np.asarray(b, float)
@@ -319,9 +319,9 @@ def dof_mu_e(mesh: PeriodicMesh, e: int, u) -> float:
     if not 0 <= e < mesh.num_edges:
         raise ValueError(f"invalid edge id {e}")
     _require(u, "dof_mu_e", SmoothField, ReggeField)
-    d = mesh.edge_vec[e]
+    d = mesh.edge_vec[e % 7]
     if isinstance(u, ReggeField):
-        t = _star_arrays(mesh, e)[1].min()
+        t = mesh._star_tets[e % 7][e // 7].min()
         return float(d @ regge_to_tet_matrices(mesh, u, [t])[0] @ d)
     s, w = segment_rule(u.quad_points)
     vals = u(mesh.vertex_pos[mesh.edge_tail[e]] + s[:, None] * d)
@@ -345,7 +345,7 @@ def interpolate_1(mesh: PeriodicMesh, u: SmoothField) -> ReggeField:
     """Projection onto the edge metric space: coefficients mu_e(u)."""
     _require(u, "interpolate_1", SmoothField)
     s, w = segment_rule(u.quad_points)
-    d = mesh.edge_vec[:7]  # edge 7v + i runs from vertex v along d[i]
+    d = mesh.edge_vec  # edge 7v + i runs from vertex v along d[i]
     mats = _moments(mesh, u, s[:, None] * d[:, None], np.tile(w, (7, 1)))
     return ReggeField(np.einsum("vrij,rij->vr", mats,
                                 d[:, :, None] * d[:, None]).ravel())
@@ -392,7 +392,7 @@ def interpolate_2(mesh: PeriodicMesh,
         mesh.tet_rho.reshape(6, 6, 9).mT
     out = np.bincount(mesh.tet_edges.ravel(), per_tet.swapaxes(0, 1).ravel(),
                       mesh.num_edges)
-    return EdgeMeasure(out * mesh.edge_length)
+    return EdgeMeasure(out.reshape(-1, 7) * mesh.edge_length)
 
 
 def interpolate_3(mesh: PeriodicMesh, u: SmoothField) -> VertexVectorMeasure:
@@ -429,7 +429,8 @@ def deformation(mesh: PeriodicMesh, v: VertexVectorField) -> ReggeField:
     if v.values.shape[0] != mesh.num_vertices:
         raise ValueError("vertex count mismatch")
     dv = v.values[mesh.edge_head] - v.values[mesh.edge_tail]
-    return ReggeField(np.einsum("ei,ei->e", mesh.edge_vec, dv))
+    d = np.tile(mesh.edge_vec, (mesh.num_vertices, 1))
+    return ReggeField(np.einsum("ei,ei->e", d, dv))
 
 
 def deformation_matrix(mesh: PeriodicMesh) -> sp.csr_matrix:
@@ -438,7 +439,7 @@ def deformation_matrix(mesh: PeriodicMesh) -> sp.csr_matrix:
     E, V = mesh.num_edges, mesh.num_vertices
     ends = np.stack([mesh.edge_head, mesh.edge_tail], axis=1)
     cols = 3 * ends[:, :, None] + np.arange(3)
-    vals = np.stack([mesh.edge_vec, -mesh.edge_vec], axis=1)
+    vals = np.tile(np.stack([mesh.edge_vec, -mesh.edge_vec], 1), (V, 1, 1))
     rows = np.repeat(np.arange(E), 6)
     return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())),
                          shape=(E, 3 * V))
@@ -451,7 +452,7 @@ def divergence_x2(mesh: PeriodicMesh, u: EdgeMeasure) -> VertexVectorMeasure:
     accumulate +- u_e t_e at the edge endpoints.
     """
     out = np.zeros((mesh.num_vertices, 3))
-    flow = u.coeffs[:, None] * mesh.edge_tangent
+    flow = (u.coeffs.reshape(-1, 7, 1) * mesh.edge_tangent).reshape(-1, 3)
     np.add.at(out, mesh.edge_head, flow)
     np.add.at(out, mesh.edge_tail, -flow)
     return VertexVectorMeasure(out)
@@ -485,7 +486,8 @@ def pair_x2_x1(mesh: PeriodicMesh, em: EdgeMeasure, rf: ReggeField) -> float:
     <t_e t_e^T delta_e, rho_e'> = delta_ee' / l_e, so the pairing is
     sum_e em_e c_e / l_e.
     """
-    return float(np.sum(em.coeffs * rf.coeffs / mesh.edge_length))
+    l = np.tile(mesh.edge_length, mesh.num_vertices)
+    return float(np.sum(em.coeffs * rf.coeffs / l))
 
 
 def pair_x3_x0(mesh: PeriodicMesh, vm: VertexVectorMeasure,

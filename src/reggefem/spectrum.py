@@ -247,10 +247,11 @@ def solve_pencil(A, M, metadata: dict | None = None) -> SpectrumResult:
     The symbols at -k are the conjugates of those at k and have the same
     eigenvalues, so only k3 in 0..n3//2 is solved, and each block counts
     twice except on the self-conjugate planes k3 = 0 and, for even n3,
-    k3 = n3/2.  The blocks are solved in slabs of whole k1 planes, about ``_SLAB_BLOCKS`` at a time.  In each, the symbols of A
-    are Hermitised, those of M Cholesky-factored (LinAlgError if M is not
-    SPD), and each pencil is reduced by solves against the Cholesky factor
-    and passed to ``eigh``.  The eigenvalues are the ascending union over
+    k3 = n3/2.  The blocks are solved in slabs of whole k1 planes, about
+    ``_SLAB_BLOCKS`` at a time.  In each, the symbols of A are Hermitised,
+    those of M Cholesky-factored (LinAlgError if M is not SPD), and each
+    pencil is reduced by solves against the Cholesky factor and passed to
+    ``eigh``.  The eigenvalues are the ascending union over
     the blocks with their weights, E in all.  ``max_residual`` is
     max ||A^ x^ - lambda M^ x^||_2 over every block eigenpair with
     ||x^||_M^ = 1; because the normalised DFT is unitary this equals the

@@ -87,7 +87,7 @@ def check_complex_identities(mesh: PeriodicMesh, seed: int = 0) -> list:
     scale_A = np.abs(Am.data).max()
     out = [_result("stiffness_symmetry", A.symmetry_residual(), 1e-10)]
 
-    worst = max(constant_kernel_residual(mesh.edge_vec[:7], A, rng)
+    worst = max(constant_kernel_residual(mesh.edge_vec, A, rng)
                 for _ in range(_N_COMPLEX))
     out.append(_result("constant_metrics_in_kernel", worst, 1e-12,
                        f"{_N_COMPLEX} random constants"))

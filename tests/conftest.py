@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reggefem import (TorusGeometry, assemble_mass, assemble_stiffness,
-                      build_torus_mesh)
+                      build_torus_mesh, mesh_summary)
 from reggefem.mesh import _FACE_OFFSETS, _TET_OFFSETS, DIRECTIONS
 
 TAU = 2.0 * np.pi
@@ -26,6 +26,26 @@ def lifted_points(mesh, kind, ids=None):
     ids = np.asarray(ids)
     base = np.rint(mesh.vertex_pos / mesh.cell).astype(np.int64)
     return base[ids // len(off)][..., None, :] + off[ids % len(off)]
+
+
+def per_edge(mesh, values):
+    """A per-direction array (7, ...) of the mesh repeated to one row per
+    edge: row e is row e % 7."""
+    values = np.asarray(values)
+    return np.tile(values, (mesh.num_vertices,) + (1,) * (values.ndim - 1))
+
+
+def constant_metric(mesh, g):
+    """Edge values d_e^T g d_e of the constant metric g, one per edge."""
+    d = mesh.edge_vec
+    return per_edge(mesh, np.einsum("di,ij,dj->d", d, g, d))
+
+
+def face_tables(mesh):
+    """The face tables of ``mesh_summary``: face_edges (F, 3), the edge in
+    each slot, and face_tets (F, 2), the two tets of each face ascending."""
+    incidence = mesh_summary(mesh, include_incidence=True)["incidence"]
+    return np.array(incidence["face_edges"]), np.array(incidence["face_tets"])
 
 
 @pytest.fixture(scope="session")

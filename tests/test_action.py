@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lifted_points
+from conftest import constant_metric, face_tables, lifted_points, \
+    per_edge
 from golden import digest
 from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       assemble_stiffness, build_edge_sector, build_torus_mesh,
@@ -18,12 +19,13 @@ from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       perturbed_lengths, regge_action, schlafli_check,
                       second_variation_check)
 from reggefem import action as action_module
-from reggefem.action import (_BOX_EDGE_DIRS, _SYM, _dihedral_cs,
+from reggefem.action import (_SYM, _dihedral_cs,
                              _gram_adjugate, cayley_menger_determinant,
                              max_realizable_epsilon, metric_dihedral_angles,
                              random_realizable_config,
                              tet_metrics_from_lengths)
-from reggefem.mesh import LOCAL_EDGES, TorusGeometry
+from reggefem.mesh import _BOX_EDGE_DIRS, LOCAL_EDGES, TorusGeometry, \
+    _star_arrays
 from reggefem.spaces import (VertexVectorField, deformation,
                              regge_to_tet_matrices)
 
@@ -38,14 +40,14 @@ EXACT_IDS = ["2x2x2", "3x3x3", "4x5x6"]
 
 class TestConfigs:
     def test_positive_lengths_required(self, mesh2):
-        s = mesh2.edge_length**2
+        s = per_edge(mesh2, mesh2.edge_length) ** 2
         s[0] = -1.0
         with pytest.raises(RealizabilityError):
             EdgeLengthConfig(s)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_finite_lengths_required(self, mesh2, bad):
-        s = mesh2.edge_length**2
+        s = per_edge(mesh2, mesh2.edge_length) ** 2
         s[0] = bad
         with pytest.raises(RealizabilityError, match="finite"):
             EdgeLengthConfig(s)
@@ -70,7 +72,7 @@ class TestConfigs:
         rng = np.random.default_rng(0)
         up = ReggeField(rng.uniform(-1, 1, mesh2.num_edges))
         cfg = perturbed_lengths(mesh2, up, 1e-3)
-        expect = mesh2.edge_length**2 + 1e-3 * up.coeffs
+        expect = per_edge(mesh2, mesh2.edge_length) ** 2 + 1e-3 * up.coeffs
         assert np.array_equal(cfg.squared_lengths, expect)
 
 
@@ -98,7 +100,7 @@ class TestMetricReconstruction:
         assert abs(cm - 288.0 * vol**2) < 1e-8 * abs(cm)
 
     def test_degenerate_lengths_rejected_with_tet_tag(self, mesh2):
-        s = mesh2.edge_length.copy() ** 2
+        s = per_edge(mesh2, mesh2.edge_length) ** 2
         # collapse one tet: force a long edge to violate realizability
         t = 10
         s[mesh2.tet_edges[t, 0]] *= 60.0
@@ -137,7 +139,7 @@ class TestMetricReconstruction:
                 G = np.outer(v, v) - rng.uniform(0.05, 0.95) * delta * R
             s6 = np.einsum("ei,ij,ej->e", x, G, x)
             t = int(rng.integers(mesh3.num_tets))
-            s = mesh3.edge_length ** 2
+            s = per_edge(mesh3, mesh3.edge_length) ** 2
             s[mesh3.tet_edges[t]] = s6
             g = 0.5 * (s6[:3, None] + s6[None, :3])
             g[np.triu_indices(3, 1)] -= 0.5 * s6[3:]
@@ -160,7 +162,7 @@ class TestMetricReconstruction:
         assert 50 < sum(verdicts) < len(verdicts) - 50
 
     def test_first_degenerate_tet_named(self, mesh3):
-        s = mesh3.edge_length.copy() ** 2
+        s = per_edge(mesh3, mesh3.edge_length) ** 2
         # a 60x squared length breaks the triangle inequality in every
         # face, so every tet at either stretched edge is degenerate
         ea, eb = mesh3.tet_edges[17, 0], mesh3.tet_edges[100, 0]
@@ -187,8 +189,8 @@ class TestMetricReconstruction:
         assert all("amplitude halved" in m for m in halved)
         r = np.random.default_rng(19).uniform(-1.0, 1.0, mesh2.num_edges)
         factor = 8.0 * 0.5 ** len(halved)
-        assert np.array_equal(cfg.squared_lengths,
-                              mesh2.edge_length**2 * (1.0 + factor * r))
+        s0 = per_edge(mesh2, mesh2.edge_length) ** 2
+        assert np.array_equal(cfg.squared_lengths, s0 * (1.0 + factor * r))
 
     def test_max_deficit_halving_logged(self, mesh2, caplog):
         with caplog.at_level(logging.DEBUG, logger="reggefem.action"):
@@ -264,7 +266,7 @@ class TestDeficits:
         # message the per-edge loop raises
         mesh = build_torus_mesh(TorusGeometry(TAU, 2.5 * np.pi, TAU),
                                 (2, 3, 2))
-        c = mesh.edge_length ** 2
+        c = per_edge(mesh, mesh.edge_length) ** 2
         if long_edge is not None:
             c[long_edge] *= 10.0
         mats = regge_to_tet_matrices(mesh, ReggeField(c))
@@ -358,7 +360,7 @@ class TestLengthOnlyDihedrals:
         boxes = s.reshape(-1, 6, 6)
         assert np.array_equal(boxes, np.broadcast_to(boxes[0], boxes.shape))
         assert np.array_equal(
-            boxes[0], np.square(mesh.edge_length[:7])[_BOX_EDGE_DIRS])
+            boxes[0], np.square(mesh.edge_length)[_BOX_EDGE_DIRS])
 
     @pytest.mark.parametrize("grid, lengths", EXACT_GRIDS, ids=EXACT_IDS)
     def test_matches_metric_route(self, grid, lengths):
@@ -433,16 +435,18 @@ class TestLinearization:
 
     @pytest.mark.parametrize("grid, lengths", EXACT_GRIDS, ids=EXACT_IDS)
     def test_star_tets_match_all_tets_exactly(self, grid, lengths):
-        # the star-ordered sum over matrices of all T tets, bit for bit
+        # the sum in template star order over matrices of all T tets, bit
+        # for bit, with each slot searched in the summary's face table
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         up = ReggeField(np.random.default_rng(12).uniform(
             -1, 1, mesh.num_edges))
         mats = regge_to_tet_matrices(mesh, up)
+        face_edges = face_tables(mesh)[0]
         for e in range(mesh.num_edges):
-            star = edge_star(mesh, e)
+            star = list(zip(*_star_arrays(mesh, e)))
             total = 0.0
             for i, (f, t_after) in enumerate(star):
-                slot = list(mesh.face_edges[f]).index(e)
+                slot = list(face_edges[f]).index(e)
                 jump = mats[t_after] - mats[star[i - 1][1]]
                 total += float(mesh.face_m[f % 12, slot] @ jump
                                @ mesh.face_n[f % 12, slot])
@@ -473,7 +477,7 @@ class TestLinearization:
     def test_constant_direction_zero(self, mesh2):
         g = 0.5 * (lambda a: a + a.T)(np.random.default_rng(9)
                                       .uniform(-1, 1, (3, 3)))
-        c = np.einsum("ei,ij,ej->e", mesh2.edge_vec, g, mesh2.edge_vec)
+        c = constant_metric(mesh2, g)
         for e in range(0, mesh2.num_edges, 5):
             assert abs(linearized_deficit(mesh2, e, ReggeField(c))) < 1e-13
 
@@ -640,6 +644,28 @@ GOLDEN = {
 }
 
 
+class TestWholeMeshRoutes:
+    @pytest.mark.parametrize("grid, lengths", [
+        ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
+        ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+        ((4, 5, 6), (1e-3 * TAU, 2.5 * np.pi, 3.0 * np.pi)),
+    ], ids=["2x3x2", "4x5x6", "thin"])
+    def test_per_edge_routes_equal_whole_mesh(self, grid, lengths):
+        # one stacked pass per direction against one edge at a time, bit
+        # for bit, on a cell with one side 1e-3 of the others too
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        rng = np.random.default_rng(30)
+        metrics = tet_metrics_from_lengths(
+            mesh, random_realizable_config(mesh, rng, max_deficit=2.5))
+        up = ReggeField(rng.uniform(-1.0, 1.0, mesh.num_edges))
+        edges = range(mesh.num_edges)
+        assert holonomy_deficits(mesh, metrics).tolist() == [
+            deficit_angle_holonomy(build_edge_sector(mesh, e, metrics))
+            for e in edges]
+        assert linearized_deficits(mesh, up).tolist() == [
+            linearized_deficit(mesh, e, up) for e in edges]
+
+
 # The whole-mesh passes must reproduce the per-edge routes' digests.
 WHOLE_MESH = {"holonomy_deficits": "deficit_angle_holonomy",
               "linearized_deficits": "linearized_deficit"}
@@ -653,6 +679,14 @@ def _action_outputs(grid, lengths) -> dict:
     metrics = tet_metrics_from_lengths(mesh, cfg)
     edges = range(mesh.num_edges)
     sectors = [build_edge_sector(mesh, e, metrics) for e in edges]
+
+    def lowest_first(sector, name):
+        # sector data run in template order; pinned in the edge_star order
+        first = -int(np.argmin(sector.faces))
+        rolled = np.roll(getattr(sector, name), first, axis=0)
+        return tuple(rolled.tolist()) if name in ("faces", "tets") \
+            else rolled
+
     return {
         "deficit_angles": deficit_angles(mesh, cfg),
         "tet_metrics_from_lengths": metrics,
@@ -668,10 +702,11 @@ def _action_outputs(grid, lengths) -> dict:
             [linearized_deficit(mesh, e, up) for e in edges]),
         "holonomy_deficits": holonomy_deficits(mesh, metrics),
         "linearized_deficits": linearized_deficits(mesh, up),
-        "sector.ms": [s.ms for s in sectors],
-        "sector.ns": [s.ns for s in sectors],
-        "sector.metrics": [s.metrics for s in sectors],
-        "sector.faces_tets": [(s.faces, s.tets) for s in sectors],
+        "sector.ms": [lowest_first(s, "ms") for s in sectors],
+        "sector.ns": [lowest_first(s, "ns") for s in sectors],
+        "sector.metrics": [lowest_first(s, "metrics") for s in sectors],
+        "sector.faces_tets": [(lowest_first(s, "faces"),
+                               lowest_first(s, "tets")) for s in sectors],
     }
 
 

@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import lifted_points
+from conftest import face_tables, lifted_points, per_edge
 from golden import digest
 from reggefem import MeshError, TorusGeometry, build_torus_mesh, edge_star, \
     mesh_summary
 from reggefem.action import euclidean_lengths, metric_dihedral_angles, \
     tet_metrics_from_lengths
-from reggefem.mesh import LOCAL_EDGES, _star_arrays
+from reggefem.mesh import _STARS, LOCAL_EDGES, _star_arrays, _star_faces
 
 TAU = 2.0 * np.pi
 
@@ -18,7 +18,11 @@ TAU = 2.0 * np.pi
 # (see _fingerprint), recorded from the per-simplex reference builder; the
 # tet and face templates (tet_coords, tet_rho, face_m, face_n)
 # equal its first 6 or 12 rows bit for bit, and tet_volume its first
-# entry.
+# entry.  The per-direction edge_length, edge_tangent and edge_vec are
+# digested repeated to one row per edge, and face_edges and face_tets are
+# the tables of mesh_summary, as the builders that stored them held them.
+# the edge templates, one row per direction d of the edges 7v + d
+PER_DIRECTION = {"edge_length", "edge_tangent", "edge_vec"}
 GOLDEN_GRIDS = {
     "2x2x2": ((2, 2, 2), (TAU, TAU, TAU)),
     "3x3x3": ((3, 3, 3), (TAU, TAU, TAU)),
@@ -209,16 +213,18 @@ class TestGeometry:
     def test_edge_orientation_lexicographic(self, mesh3):
         # t_e points from the lower lifted endpoint to the higher
         tail = lifted_points(mesh3, "edge")[:, 0]
-        head = tail + (mesh3.edge_vec / mesh3.cell + 0.5).astype(int)
+        head = tail + (per_edge(mesh3, mesh3.edge_vec) / mesh3.cell
+                       + 0.5).astype(int)
         for e in range(0, mesh3.num_edges, 11):
             assert tuple(tail[e]) < tuple(head[e])
 
     def test_frames_orthonormal_right_handed(self, mesh2):
+        face_edges = face_tables(mesh2)[0]
         for f in range(mesh2.num_faces):
             for s in range(3):
-                e = mesh2.face_edges[f, s]
+                e = face_edges[f, s]
                 m, n, t = (mesh2.face_m[f % 12, s], mesh2.face_n[f % 12, s],
-                           mesh2.edge_tangent[e])
+                           mesh2.edge_tangent[e % 7])
                 for a, b in ((m, n), (m, t), (n, t)):
                     assert abs(a @ b) < 1e-12
                 for a in (m, n, t):
@@ -252,17 +258,11 @@ class TestGeometry:
     def test_every_public_array_read_only(self, geometry, grid):
         # every ndarray reachable from the mesh, private star arrays too
         mesh = build_torus_mesh(geometry, grid)
-        arrays = {}
-        for name, value in vars(mesh).items():
-            items = value if isinstance(value, list) else [value]
-            for i, v in enumerate(items):
-                if isinstance(v, np.ndarray):
-                    arrays[f"{name}[{i}]"] = v
-        assert {"cell[0]", "edge_tail[0]", "_star_faces[6]",
-                "_star_slots[6]", "_star_tets[6]"} <= set(arrays)
+        arrays = _arrays(mesh)
+        assert {"cell", "edge_tail", "edge_vec", "_star_tets[6]"} \
+            <= set(arrays)
         assert [k for k, v in arrays.items() if v.flags.writeable] == []
-        faces, tets = _star_arrays(mesh, 3)
-        assert not faces.flags.writeable and not tets.flags.writeable
+        assert not _star_arrays(mesh, 3)[1].flags.writeable
 
 
 class TestEdgeStar:
@@ -290,19 +290,21 @@ class TestEdgeStar:
             assert len(set(tets)) == len(tets)
 
     def test_consecutive_faces_share_sector_tet(self, mesh):
+        face_tets = face_tables(mesh)[1]
         for e in range(0, mesh.num_edges, 5):
             star = edge_star(mesh, e)
             for i, (f, t) in enumerate(star):
                 g = star[(i + 1) % len(star)][0]
-                assert t in mesh.face_tets[f] and t in mesh.face_tets[g]
+                assert t in face_tets[f] and t in face_tets[g]
 
     def test_angles_strictly_increase(self, mesh):
+        face_edges = face_tables(mesh)[0]
         for e in range(0, mesh.num_edges, 3):
             star = edge_star(mesh, e)
-            te = mesh.edge_tangent[e]
+            te = mesh.edge_tangent[e % 7]
             ms = []
             for f, _ in star:
-                s = list(mesh.face_edges[f]).index(e)
+                s = list(face_edges[f]).index(e)
                 ms.append(mesh.face_m[f % 12, s])
             r1 = ms[0]
             r2 = np.cross(te, r1)
@@ -348,7 +350,8 @@ class TestPeriodicity:
             assert len(edge_star(mesh2, e)) == brute
 
     def test_every_face_has_two_distinct_tets(self, mesh2):
-        assert np.all(mesh2.face_tets[:, 0] != mesh2.face_tets[:, 1])
+        face_tets = face_tables(mesh2)[1]
+        assert np.all(face_tets[:, 0] != face_tets[:, 1])
 
 
 # Tori for the face gluing checks: n_i = 2 wraps, unequal grids and sides.
@@ -397,19 +400,20 @@ def lifted_opposite_points(mesh, faces, tets):
 
 class TestFaceGluing:
     """Independent geometric check, from the lifted lattice points of the
-    faces and tets, of face_tets and of the star convention the stencil
-    tables read: face i of a star lies between sectors i-1 and i, and its
-    n_ef points into sector i, away from sector i-1."""
+    faces and tets, of mesh_summary's face_tets and of the star convention
+    the stencil tables read: face i of a star lies between sectors i-1 and
+    i, and its n_ef points into sector i, away from sector i-1."""
 
     @pytest.mark.parametrize("label", sorted(GLUING_TORI))
     def test_face_tets_lie_on_either_side(self, label):
         mesh = _torus(label)
         faces = np.arange(mesh.num_faces)
-        assert np.all(mesh.face_tets[:, 0] < mesh.face_tets[:, 1])
+        face_tets = face_tables(mesh)[1]
+        assert np.all(face_tets[:, 0] < face_tets[:, 1])
         p = lifted_points(mesh, "face") * mesh.cell
         # (F, 2, 3): offset of each tet's off-face point from the face
         opp = np.stack([lifted_opposite_points(mesh, faces,
-                                               mesh.face_tets[:, k])
+                                               face_tets[:, k])
                         * mesh.cell for k in (0, 1)], axis=1) \
             - p.mean(axis=1)[:, None]
         normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
@@ -418,13 +422,14 @@ class TestFaceGluing:
         # every (face, slot) pair lies in one star, between the face's two
         # tets, with n_ef pointing into sector i and away from sector i-1
         seen = np.zeros((mesh.num_faces, 3), dtype=np.int64)
-        for f, s, t in zip(mesh._star_faces, mesh._star_slots,
-                           mesh._star_tets):
+        for d, t in enumerate(mesh._star_tets):
+            f = _star_faces(mesh, d, np.arange(mesh.num_vertices))
+            s = np.broadcast_to(_STARS[d][2], f.shape).ravel()
             prev = np.roll(t, 1, axis=1).ravel()
-            f, s, t = f.ravel(), s.ravel(), t.ravel()
+            f, t = f.ravel(), t.ravel()
             seen[f, s] += 1
             assert np.array_equal(np.sort(np.stack([prev, t], axis=1)),
-                                  mesh.face_tets[f])
+                                  face_tets[f])
             n = mesh.face_n[f % 12, s]
             centre = p[f].mean(axis=1)
             for tets, sign in ((t, 1), (prev, -1)):
@@ -490,6 +495,40 @@ class TestShapeTemplates:
         assert sum(a.nbytes for a in arrays) <= 12e6
 
 
+def _arrays(mesh) -> dict:
+    """Every ndarray the mesh holds, by attribute name (name[i] for the
+    entries of a list attribute)."""
+    out = {}
+    for name, value in vars(mesh).items():
+        items = value if isinstance(value, list) else [value]
+        for i, a in enumerate(items):
+            if isinstance(a, np.ndarray):
+                out[f"{name}[{i}]" if isinstance(value, list) else name] = a
+    return out
+
+
+class TestStorage:
+    def test_only_incidence_scales_with_the_grid(self):
+        # the arrays whose shape changes with the grid are the vertex
+        # positions, the tet edges, the edge ends and the star tets, 712
+        # bytes per vertex; every other array is a one-box template
+        lengths = (TAU, 2.5 * np.pi, 3.0 * np.pi)
+        mesh = build_torus_mesh(TorusGeometry(*lengths), (4, 5, 6))
+        small = _arrays(build_torus_mesh(TorusGeometry(*lengths), (2, 2, 2)))
+        arrays = _arrays(mesh)
+        assert arrays.keys() == small.keys()
+        scaling = {k for k, a in arrays.items() if a.shape != small[k].shape}
+        assert {k.split("[")[0] for k in scaling} == {
+            "vertex_pos", "tet_edges", "edge_tail", "edge_head", "_star_tets"}
+        V = mesh.num_vertices
+        assert {arrays[k].shape[0] for k in scaling} <= {V, 6 * V, 7 * V}
+        assert sum(arrays[k].nbytes for k in scaling) == 712 * V
+        assert max(a.size for k, a in arrays.items()
+                   if k not in scaling) <= mesh.tet_rho.size
+        assert not any(hasattr(mesh, name) for name in (
+            "face_tets", "face_edges", "_star_faces", "_star_slots"))
+
+
 class TestQueries:
     def test_summary_roundtrip(self, mesh2):
         import json
@@ -500,8 +539,10 @@ class TestQueries:
 
 
 def _fingerprint(mesh) -> dict:
-    out = {name: digest(value) for name, value in vars(mesh).items()
-           if not name.startswith("_")}
+    out = {name: digest(per_edge(mesh, value) if name in PER_DIRECTION
+                        else value)
+           for name, value in vars(mesh).items() if not name.startswith("_")}
+    out["face_edges"], out["face_tets"] = map(digest, face_tables(mesh))
     out["edge_star"] = digest([edge_star(mesh, e)
                                for e in range(mesh.num_edges)])
     return out
@@ -509,15 +550,17 @@ def _fingerprint(mesh) -> dict:
 
 def _incidence_fingerprint(mesh) -> dict:
     faces, slots, tets = [], [], []
+    face_edges = face_tables(mesh)[0]
     for e in range(mesh.num_edges):
         f, t = _star_arrays(mesh, e)
         f = np.sort(f)
         faces.append(f)
-        slots.append(np.argmax(mesh.face_edges[f] == e, axis=1))
+        slots.append(np.argmax(face_edges[f] == e, axis=1))
         tets.append(np.sort(t))
     summary = json.dumps(mesh_summary(mesh, include_incidence=True))
     return {"faces": digest(faces), "slots": digest(slots),
             "tets": digest(tets), "summary": digest(summary)}
+
 
 class TestGoldenFingerprints:
     @pytest.mark.parametrize("label", sorted(GOLDEN_GRIDS))
@@ -536,15 +579,17 @@ class TestGoldenFingerprints:
 
     @pytest.mark.parametrize("label", sorted(GOLDEN_GRIDS))
     def test_stored_star_slots_reproduce_pinned_slots(self, label):
-        # the slots kept at build time, in ascending face order as the
-        # fingerprint's argmax search lists them
+        # the slots of the star templates, which every star of a direction
+        # shares, in ascending face order as the fingerprint's argmax
+        # search lists them
         grid, lengths = GOLDEN_GRIDS[label]
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        face_edges = face_tables(mesh)[0]
         slots = []
         for e in range(mesh.num_edges):
             faces = _star_arrays(mesh, e)[0]
-            stored = mesh._star_slots[e % 7][e // 7]
-            assert np.array_equal(mesh.face_edges[faces, stored],
+            stored = _STARS[e % 7][2]
+            assert np.array_equal(face_edges[faces, stored],
                                   np.full(len(faces), e))
             slots.append(stored[np.argsort(faces)])
         assert digest(slots) == GOLDEN_INCIDENCE[label]["slots"]

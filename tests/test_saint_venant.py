@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lifted_points
+from conftest import constant_metric, face_tables, lifted_points
 from golden import digest
 from reggefem import (ReggeField, VertexVectorField, apply_ctc,
                       assemble_mass, assemble_stiffness, build_torus_mesh,
@@ -45,13 +45,14 @@ class TestSkew:
 def face_jumps(mesh, rf):
     """Tet-matrix jumps across every face, T1 minus T0 (F, 3, 3)."""
     mats = regge_to_tet_matrices(mesh, rf)
-    return mats[mesh.face_tets[:, 1]] - mats[mesh.face_tets[:, 0]]
+    face_tets = face_tables(mesh)[1]
+    return mats[face_tets[:, 1]] - mats[face_tets[:, 0]]
 
 
 class TestJumps:
     def test_constant_field_has_zero_jumps(self, mesh2):
         g = random_sym(np.random.default_rng(0))
-        c = np.einsum("ei,ij,ej->e", mesh2.edge_vec, g, mesh2.edge_vec)
+        c = constant_metric(mesh2, g)
         rf = ReggeField(c)
         J = face_jumps(mesh2, rf)
         assert np.abs(J).max() < 1e-13
@@ -78,8 +79,9 @@ class TestJumps:
         support = {t for _, t in edge_star(mesh2, e0)}
         J = face_jumps(mesh2, rf)
         terms = _face_terms(mesh2.face_m, mesh2.face_n, J)
+        face_tets = face_tables(mesh2)[1]
         for f in range(mesh2.num_faces):
-            if set(int(t) for t in mesh2.face_tets[f]).isdisjoint(support):
+            if set(int(t) for t in face_tets[f]).isdisjoint(support):
                 assert np.abs(J[f]).max() == 0.0
                 assert np.abs(terms[f]).max() == 0.0
 
@@ -120,7 +122,7 @@ class TestJumps:
 class TestApplyOperator:
     def test_zero_on_constants(self, mesh2):
         g = random_sym(np.random.default_rng(3))
-        c = np.einsum("ei,ij,ej->e", mesh2.edge_vec, g, mesh2.edge_vec)
+        c = constant_metric(mesh2, g)
         out = apply_ctc(mesh2, ReggeField(c))
         assert np.abs(out.coeffs).max() < 1e-13
 
@@ -186,7 +188,7 @@ class TestStiffness:
         mesh = build_torus_mesh(geometry, (2, 2, 2))
         A = assemble_stiffness(mesh).toarray()
         g = random_sym(np.random.default_rng(seed))
-        c = np.einsum("ei,ij,ej->e", mesh.edge_vec, g, mesh.edge_vec)
+        c = constant_metric(mesh, g)
         denom = np.abs(A).max() * max(np.abs(c).max(), 1e-300)
         assert np.abs(A @ c).max() <= 1e-12 * denom
 

@@ -1,8 +1,10 @@
 """Smoke tests: every script in scripts/ runs at its smallest size, and so
 does the README's library quickstart; every function the benchmark traces
 or calls still exists in the library, and its fine_assemble and
-spectrum_ladder workloads run and pass their checks; the CLI imports no module it need not load; no
-library module or script imports a name it does not use."""
+spectrum_ladder workloads run and pass their checks; the CLI imports no
+module it need not load; no library module or script imports a name it
+does not use, and no line of the sources, scripts or tests is longer than
+79 characters."""
 
 import ast
 import importlib
@@ -145,6 +147,16 @@ def _unused_imports(path):
             used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
+
+
+def test_no_line_longer_than_79_characters():
+    paths = [p for d in ("src", "scripts", "tests")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    long = [(p.relative_to(ROOT).as_posix(), n)
+            for p in paths
+            for n, line in enumerate(p.read_text().splitlines(), 1)
+            if len(line) > 79]
+    assert long == []
 
 
 def test_no_unused_imports():
