@@ -594,7 +594,9 @@ class TestSchlafli:
 # the flat background.  The linearized and sector frame entries are those
 # of the one-box shape templates (tet t and face f read the geometry of
 # t % 6 and f % 12); the metric, angle and holonomy entries those of the
-# metrics from the Regge basis and the rank-one face crossings.
+# metrics from the Regge basis and the rank-one face crossings.  The
+# holonomy and linearized entries are those of stars run in template
+# order; the sector entries are pinned in edge_star order.
 GOLDEN_GRIDS = {
     # edges of the 2-wide directions wrap through the period
     "2x3x2": ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
@@ -604,9 +606,9 @@ GOLDEN_GRIDS = {
 GOLDEN = {
     "2x3x2": {
         "deficit_angle_dihedral": "4543b74a00ebe5d5",
-        "deficit_angle_holonomy": "db3377742a2cf571",
+        "deficit_angle_holonomy": "fbfc123bfe675b1b",
         "deficit_angles": "4543b74a00ebe5d5",
-        "linearized_deficit": "bb5bc3220e328b15",
+        "linearized_deficit": "93e6f880f5ad59a9",
         "metric_dihedral_angles": "90e24e0c25eaac50",
         "second_variation_check.actions": "d1080279571791d3",
         "sector.faces_tets": "6015147a6f37d10e",
@@ -617,9 +619,9 @@ GOLDEN = {
     },
     "3x3x3": {
         "deficit_angle_dihedral": "23db855da94ac501",
-        "deficit_angle_holonomy": "0e7d7a95bfd65522",
+        "deficit_angle_holonomy": "97fe41019e163534",
         "deficit_angles": "23db855da94ac501",
-        "linearized_deficit": "1233d225d53f4593",
+        "linearized_deficit": "cc175d750c58b5c6",
         "metric_dihedral_angles": "27ab49f091ec802c",
         "second_variation_check.actions": "6c115092f80317d6",
         "sector.faces_tets": "4aac778ead2753b7",
@@ -630,9 +632,9 @@ GOLDEN = {
     },
     "4x5x6": {
         "deficit_angle_dihedral": "ce108668568c42fb",
-        "deficit_angle_holonomy": "3b4dda6c72c94cee",
+        "deficit_angle_holonomy": "8a3da7dd086e5ec2",
         "deficit_angles": "ce108668568c42fb",
-        "linearized_deficit": "63822762736538e1",
+        "linearized_deficit": "94aa9b3cfe0f569d",
         "metric_dihedral_angles": "e0edfb6c32f95706",
         "second_variation_check.actions": "7e53ebc27bbd7fe9",
         "sector.faces_tets": "eb6dcac4205b57de",
