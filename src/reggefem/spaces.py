@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import _TET_OFFSETS, PeriodicMesh
+from .mesh import _TET_OFFSETS, PeriodicMesh, _edge_tets
 from .quadrature import segment_rule, tet_points_weights, tet_rule
 
 __all__ = [
@@ -321,7 +321,7 @@ def dof_mu_e(mesh: PeriodicMesh, e: int, u) -> float:
     _require(u, "dof_mu_e", SmoothField, ReggeField)
     d = mesh.edge_vec[e % 7]
     if isinstance(u, ReggeField):
-        t = mesh._star_tets[e % 7][e // 7].min()
+        t = _edge_tets(mesh, e).min()
         return float(d @ regge_to_tet_matrices(mesh, u, [t])[0] @ d)
     s, w = segment_rule(u.quad_points)
     vals = u(mesh.vertex_pos[mesh.edge_tail[e]] + s[:, None] * d)
@@ -486,8 +486,8 @@ def pair_x2_x1(mesh: PeriodicMesh, em: EdgeMeasure, rf: ReggeField) -> float:
     <t_e t_e^T delta_e, rho_e'> = delta_ee' / l_e, so the pairing is
     sum_e em_e c_e / l_e.
     """
-    l = np.tile(mesh.edge_length, mesh.num_vertices)
-    return float(np.sum(em.coeffs * rf.coeffs / l))
+    lengths = np.tile(mesh.edge_length, mesh.num_vertices)
+    return float(np.sum(em.coeffs * rf.coeffs / lengths))
 
 
 def pair_x3_x0(mesh: PeriodicMesh, vm: VertexVectorMeasure,
