@@ -189,9 +189,9 @@ def _dir(d: np.ndarray) -> np.ndarray:
     return d @ np.array([4, 2, 1]) - 1
 
 
-def _lattice(grid, v) -> np.ndarray:
-    """Lattice points (..., 3) of the vertex ids v of ``grid``."""
-    return np.array(np.unravel_index(v, grid), order="F").T
+def _lattice(grid) -> np.ndarray:
+    """Lattice points (V, 3) of the vertices of ``grid``, by id."""
+    return np.stack(np.unravel_index(np.arange(np.prod(grid)), grid), axis=-1)
 
 
 # Local edge a of tet 6v + r runs from v + _BOX_EDGE_TAILS[r, a] along
@@ -368,7 +368,7 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     n = np.array(grid, dtype=np.int64)
     mesh = PeriodicMesh(geometry, grid)
     vars(mesh).update(_box_templates(geometry, grid))
-    vertex_lattice = _lattice(grid, np.arange(np.prod(grid)))
+    vertex_lattice = _lattice(grid)
     mesh.vertex_pos = vertex_lattice * mesh.cell
 
     # tet 6*v + r is the chain _TET_OFFSETS[r] from vertex v
@@ -389,14 +389,6 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     return mesh
 
 
-def _star_faces(mesh: PeriodicMesh, d: int, v) -> np.ndarray:
-    """Faces (..., valence) of the stars of the edges 7v + d, in template
-    order, for a vertex id or ids v."""
-    off, ftype = _STARS[d][:2]
-    return 12 * _vid(_lattice(mesh.grid, v)[..., None, :] + off,
-                     np.array(mesh.grid)) + ftype
-
-
 def _edge_tets(mesh: PeriodicMesh, e: int) -> np.ndarray:
     """The sector tets of the star of edge e, in template order."""
     if not 0 <= e < mesh.num_edges:
@@ -405,9 +397,17 @@ def _edge_tets(mesh: PeriodicMesh, e: int) -> np.ndarray:
 
 
 def _star_arrays(mesh: PeriodicMesh, e: int):
-    """Faces and sector tets of the star of edge e, in template order."""
+    """Faces and sector tets of the star of edge e, in template order.  The
+    faces are the template's moved to the vertex v = e // 7; their base
+    vertex ids are found in plain integers, several times faster than
+    numpy for the few points of one star."""
     tets = _edge_tets(mesh, e)
-    return _star_faces(mesh, e % 7, e // 7), tets
+    off, ftype = _STARS[e % 7][:2]
+    (n1, n2, n3), v = mesh.grid, e // 7
+    i, j, k = v // (n2 * n3), v // n3 % n2, v % n3
+    base = [((i + a) % n1 * n2 + (j + b) % n2) * n3 + (k + c) % n3
+            for a, b, c in off.tolist()]
+    return 12 * np.array(base) + ftype, tets
 
 
 def edge_star(mesh: PeriodicMesh, e: int):
@@ -443,24 +443,19 @@ def mesh_summary(mesh: PeriodicMesh, include_incidence: bool = False) -> dict:
     }
     if include_incidence:
         a, b = _FACE_EDGES.T
-        v = np.arange(mesh.num_vertices)
-        tails = _lattice(mesh.grid, v)[:, None, None] + _FACE_OFFSETS[:, a]
+        tails = _lattice(mesh.grid)[:, None, None] + _FACE_OFFSETS[:, a]
         face_edges = 7 * _vid(tails, np.array(mesh.grid)) + _dir(
             _FACE_OFFSETS[:, b] - _FACE_OFFSETS[:, a])
-        faces = [_star_faces(mesh, d, v) for d in range(7)]
+        stars = [_star_arrays(mesh, e) for e in range(mesh.num_edges)]
         face_tets = np.empty((mesh.num_faces, 2), dtype=np.int64)
-        for f, t in zip(faces, mesh._star_tets):
+        for d, t in enumerate(mesh._star_tets):
+            f = np.array([faces for faces, _ in stars[d::7]])
             face_tets[f] = np.sort(np.stack([np.roll(t, 1, axis=1), t], -1))
-
-        def per_edge(stars):  # row v of direction d is edge 7v + d
-            rows = [np.sort(x, axis=1).tolist() for x in stars]
-            return [rows[e % 7][e // 7] for e in range(mesh.num_edges)]
-
         out["incidence"] = {
             "tet_edges": mesh.tet_edges.tolist(),
             "face_tets": face_tets.tolist(),
             "face_edges": face_edges.reshape(-1, 3).tolist(),
-            "edge_tets": per_edge(mesh._star_tets),
-            "edge_faces": per_edge(faces),
+            "edge_tets": [np.sort(t).tolist() for _, t in stars],
+            "edge_faces": [np.sort(f).tolist() for f, _ in stars],
         }
     return out
