@@ -14,6 +14,9 @@ from reggefem.mesh import _STARS, LOCAL_EDGES, _star_arrays
 
 TAU = 2.0 * np.pi
 
+# The edge templates, one row per direction d of the edges 7v + d.
+PER_DIRECTION = {"edge_length", "edge_tangent", "edge_vec"}
+
 # First 16 hex digits of the SHA-256 of every attribute of build_torus_mesh
 # (see _fingerprint), recorded from the per-simplex reference builder; the
 # tet and face templates (tet_coords, tet_rho, face_m, face_n)
@@ -21,8 +24,6 @@ TAU = 2.0 * np.pi
 # entry.  The per-direction edge_length, edge_tangent and edge_vec are
 # digested repeated to one row per edge, and face_edges and face_tets are
 # the tables of mesh_summary, as the builders that stored them held them.
-# the edge templates, one row per direction d of the edges 7v + d
-PER_DIRECTION = {"edge_length", "edge_tangent", "edge_vec"}
 GOLDEN_GRIDS = {
     "2x2x2": ((2, 2, 2), (TAU, TAU, TAU)),
     "3x3x3": ((3, 3, 3), (TAU, TAU, TAU)),
