@@ -30,7 +30,7 @@ Conventions
 * Float geometry is stored once per shape: tet t, face f and edge e are
   translates of the templates t % 6, f % 12 and e % 7 of the box at the
   origin, which ``_box_templates`` computes from the cell alone; the mesh
-  holds them, and ``saint_venant.stencil_operators`` reads them meshless.
+  holds them, and ``saint_venant.stencil_operators`` reads them without a mesh.
   Periodicity lives only in the vertex identification, which matters at
   n_i = 2 where distinct edges can share the same unordered vertex pair
   through different wraps.
