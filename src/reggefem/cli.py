@@ -288,8 +288,9 @@ def cmd_converge(cfg) -> int:
     return 0 if ok else 1
 
 
-def cmd_action(cfg) -> int:
-    mesh = build_torus_mesh(_geometry(cfg), cfg["grid"])
+def _action_lengths(cfg, mesh) -> EdgeLengthConfig:
+    """The squared lengths ``action`` evaluates: read from lengths_json,
+    perturbed by a seeded direction, or the flat background's."""
     if cfg["lengths_json"]:
         try:
             with open(cfg["lengths_json"]) as fh:
@@ -299,13 +300,21 @@ def cmd_action(cfg) -> int:
         if config.squared_lengths.shape[0] != mesh.num_edges:
             raise ConfigError("lengths_json: expected one squared length "
                               f"per edge ({mesh.num_edges})")
-    elif cfg["perturb_seed"] is not None:
+        return config
+    if cfg["perturb_seed"] is not None:
         rng = np.random.default_rng(cfg["perturb_seed"])
         up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
-        config = perturbed_lengths(mesh, up, cfg["perturb_scale"])
-    else:
-        config = euclidean_lengths(mesh)
-    theta = deficit_angles(mesh, config)
+        return perturbed_lengths(mesh, up, cfg["perturb_scale"])
+    return euclidean_lengths(mesh)
+
+
+def cmd_action(cfg) -> int:
+    mesh = build_torus_mesh(_geometry(cfg), cfg["grid"])
+    try:
+        config = _action_lengths(cfg, mesh)
+        theta = deficit_angles(mesh, config)
+    except RealizabilityError as ex:  # unrealizable lengths: bad input
+        raise ConfigError(f"lengths: {ex}") from ex
     total = float(np.sum(theta * config.lengths))
     if cfg["csv"]:
         rows = [(e, float(config.lengths[e]), float(theta[e]))

@@ -262,6 +262,36 @@ class TestActionCommand:
         assert err.startswith("error: lengths_json:")
 
 
+    @pytest.mark.parametrize("argv, message", [
+        # a thin cell whose flat tets fail the relative guard
+        (("--grid", "3", "3", "3", "--lengths", "1e-7", "1", "1"),
+         "tet 0: degenerate edge lengths"),
+        # amplitudes that break a triangle inequality, or a squared length
+        (("--perturb-seed", "0", "--perturb-scale", "5"),
+         "tet 14: degenerate edge lengths"),
+        (("--perturb-seed", "0", "--perturb-scale", "100"),
+         "squared lengths must be positive"),
+        (("--lengths-json", "stretched.json"),
+         "tet 0: degenerate edge lengths"),
+    ], ids=["thin-cell", "perturb-degenerate", "perturb-negative", "json"])
+    def test_unrealizable_lengths_are_config_error(self, capsys, tmp_path,
+                                                   monkeypatch, argv,
+                                                   message):
+        from reggefem import build_torus_mesh, euclidean_lengths
+        from reggefem.mesh import TorusGeometry
+        mesh = build_torus_mesh(TorusGeometry(2 * np.pi, 2 * np.pi,
+                                              2 * np.pi), (2, 2, 2))
+        s = euclidean_lengths(mesh).squared_lengths.copy()
+        s[mesh.tet_edges[0, 0]] *= 60.0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "stretched.json").write_text(
+            json.dumps({"squared_lengths": s.tolist()}))
+        code, out, err = run(capsys, "action", "--grid", "2", "2", "2",
+                             *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: lengths: {message}")
+
+
 class TestVerifyCommand:
     def test_grid2_seed0_passes(self, capsys, tmp_path):
         js = tmp_path / "verify.json"
