@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import _BOX_EDGE_DIRS, _STARS, LOCAL_EDGES, PeriodicMesh, \
+from .mesh import _BOX_EDGE_DIRS, _TET_SLOTS, LOCAL_EDGES, PeriodicMesh, \
     _edge_tets, _star_arrays
 from .spaces import ReggeField, regge_to_tet_matrices
 
@@ -94,6 +94,24 @@ _SYM = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 # cofactors of the packed G.
 _COFACTORS = np.array([[1, 2, 5, 5], [0, 2, 4, 4], [0, 1, 3, 3],
                        [4, 5, 3, 2], [3, 5, 4, 1], [3, 4, 0, 5]]).T
+# g_ij = (s_0i + s_0j - s_ij) / 2 for the off-diagonal (i, j) = 01, 02, 12:
+# the slots 0i and 0j of each.
+_POLAR_I, _POLAR_J = np.array([0, 0, 1]), np.array([1, 2, 2])
+# The slots (i, j) = 01, 02, 03 have the opposite vertices (k, l) = 23,
+# 13, 12, whose H_kl = adj G packed at 12, 02, 01; the slots 12, 13, 23
+# take their H_0l from the rows of adj G of l = 3, 2, 1.
+_OPPOSITE = np.array([5, 4, 3])
+_ROWS = np.ascontiguousarray(_SYM[::-1])
+
+# The sectors on the two sides of the faces of a star of valence s: sector
+# i - 1 (cyclically) before face i, then sector i after it.
+_SIDES = {s: np.concatenate([np.arange(-1, s - 1), np.arange(s)])
+          for s in (4, 6)}
+_EYE3 = np.eye(3)
+_NONE = np.array([], dtype=np.intp)
+for _a in (_POLAR_I, _POLAR_J, _OPPOSITE, _ROWS, *_SIDES.values(), _EYE3,
+           _NONE):
+    _a.setflags(write=False)
 
 logger = logging.getLogger(__name__)
 
@@ -185,10 +203,10 @@ def _gram_adjugate(s: np.ndarray):
     polarized from their squared lengths s (6, T).  One row per LOCAL_EDGES
     slot; each symmetric 3x3 matrix is packed as in ``_SYM``.
     """
-    g = np.concatenate([s[:3], 0.5 * (s[[0, 0, 1]] + s[[1, 2, 2]] - s[3:])])
+    g = np.concatenate([s[:3], 0.5 * (s[_POLAR_I] + s[_POLAR_J] - s[3:])])
     p, q, r, t = g[_COFACTORS]
     adj = p * q - r * t
-    return adj, (g[_SYM[0]] * adj[_SYM[0]]).sum(axis=0)
+    return adj, g[0] * adj[0] + g[3] * adj[3] + g[4] * adj[4]
 
 
 def _checked_gram(mesh: PeriodicMesh, config: EdgeLengthConfig, tets=None):
@@ -198,7 +216,8 @@ def _checked_gram(mesh: PeriodicMesh, config: EdgeLengthConfig, tets=None):
     the given tets (all by default).  Raises ValueError on an edge count
     mismatch, and RealizabilityError tagged with the first offending tet:
     Cayley-Menger determinant 8 det G below the relative guard, or else G
-    not positive definite.
+    not positive definite.  Both guards are one boolean test; the offender
+    is searched for only when it fails.
     """
     if config.squared_lengths.shape[0] != mesh.num_edges:
         raise ValueError("edge count mismatch")
@@ -206,22 +225,20 @@ def _checked_gram(mesh: PeriodicMesh, config: EdgeLengthConfig, tets=None):
     s = config.squared_lengths[edges.T]
     adj, det = _gram_adjugate(s)
     cm = 8.0 * det
-    bad = np.flatnonzero(~(cm > CM_DET_RTOL * np.max(s, axis=0) ** 3))
-
-    def tag(row):
-        return int(row if tets is None else tets[row])
-
-    if bad.size:
-        row = bad[0]
-        raise RealizabilityError(
-            f"tet {tag(row)}: degenerate edge lengths "
-            f"(Cayley-Menger determinant {cm[row]:.3e})")
+    flat = cm > CM_DET_RTOL * s.max(axis=0) ** 3
     # Sylvester: with g00 = s_01 > 0 and det G > 0, G is positive definite
     # exactly when its leading 2x2 minor g00 g11 - g01^2 = adj[2] is
-    bad = np.flatnonzero(~(adj[2] > 0))
-    if bad.size:
-        raise RealizabilityError(
-            f"tet {tag(bad[0])}: metric not positive definite")
+    realizable = flat & (adj[2] > 0)
+    if not realizable.all():
+        degenerate = np.flatnonzero(~flat)
+        row = (degenerate if degenerate.size
+               else np.flatnonzero(~realizable))[0]
+        tet = int(row if tets is None else tets[row])
+        if degenerate.size:
+            raise RealizabilityError(
+                f"tet {tet}: degenerate edge lengths "
+                f"(Cayley-Menger determinant {cm[row]:.3e})")
+        raise RealizabilityError(f"tet {tet}: metric not positive definite")
     return s, adj, det
 
 
@@ -250,7 +267,7 @@ def _dihedral_cs(s: np.ndarray, adj: np.ndarray, det: np.ndarray):
     x = -H_kl and y = sqrt(H_kk H_ll - H_kl^2), which equals
     sqrt(s_ij det G) and is taken in that form, free of cancellation.
     """
-    x = np.concatenate([-adj[[5, 4, 3]], adj[_SYM[::-1]].sum(axis=1)])
+    x = np.concatenate([-adj[_OPPOSITE], adj[_ROWS].sum(axis=1)])
     return x, np.sqrt(s * det)
 
 
@@ -340,10 +357,11 @@ def deficit_angle_dihedral(mesh: PeriodicMesh, e: int,
     summed in tet order as :func:`deficit_angles` sums them."""
     tets = np.sort(_edge_tets(mesh, e))
     s, adj, det = _checked_gram(mesh, config, tets)
-    slots = np.argmax(mesh.tet_edges[tets] == e, axis=1)
+    types = tets % 6
+    slots = _TET_SLOTS[types, e % 7]
     cols = np.arange(len(tets))
     x, y = (c[slots, cols] for c in _dihedral_cs(s, adj, det))
-    x0, y0 = (c[slots, tets % 6] for c in _flat_background(mesh))
+    x0, y0 = (c[slots, types] for c in _flat_background(mesh))
     total = 0.0
     for gap in _angle_gaps(x, y, x0, y0).tolist():
         total += gap
@@ -372,31 +390,27 @@ class EdgeSector:
 
 
 def _sectors(mesh: PeriodicMesh, d: int, v, tet_metrics: np.ndarray):
-    """Tangent (3,), face frames ms and ns (s, 3) and the metrics of the
+    """The star frame of direction d and the metrics (..., s, 3, 3) of the
     sectors of the edges 7*v + d (v a vertex or a slice), then the flat
     positions of the faces the metrics jump across tangentially and of the
     first metric that is not positive definite (-1 if none)."""
-    _, k, slot = _STARS[d][:3]
-    ms, ns = mesh.face_m[k, slot], mesh.face_n[k, slot]
-    te = mesh.edge_tangent[d]
+    frame = mesh._star_frames[d]
     mats = tet_metrics[mesh._star_tets[d][v]]
-    scale = np.maximum(np.abs(mats).max(axis=(-3, -2, -1)), 1.0)
+    scale = np.maximum(np.abs(mats).max(axis=(-3, -2, -1), keepdims=True),
+                       1.0)
     # tangential-tangential part of the jump across face i, in the frame
     # (t_e, m_i) of the face
-    frames = np.empty((len(ms), 2, 3))
-    frames[:, 0], frames[:, 1] = te, ms
-    jump = mats - mats[..., np.arange(-1, len(ms) - 1), :, :]
-    tt = frames @ jump @ frames.mT
-    torn = np.flatnonzero(
-        (np.abs(tt) > 1e-9 * scale[..., None, None, None]).any(axis=(-2, -1)))
-    return te, ms, ns, mats, torn, _first_not_positive_definite(mats)
+    jump = mats - mats[..., frame.prev, :, :]
+    torn = np.abs(frame.tm @ jump @ frame.tm.mT) > 1e-9 * scale
+    torn = np.flatnonzero(torn.any(axis=(-2, -1))) if torn.any() else _NONE
+    return frame, mats, torn, _first_not_positive_definite(mats)
 
 
 def build_edge_sector(mesh: PeriodicMesh, e: int,
                       tet_metrics: np.ndarray) -> EdgeSector:
     """Assemble the sector data of edge e from per-tet constant metrics."""
     faces, tets = _star_arrays(mesh, e)
-    te, ms, ns, mats, torn, bent = _sectors(mesh, e % 7, e // 7, tet_metrics)
+    frame, mats, torn, bent = _sectors(mesh, e % 7, e // 7, tet_metrics)
     if torn.size:
         raise RealizabilityError(
             f"sector metrics of edge {e} are not tangentially "
@@ -404,27 +418,31 @@ def build_edge_sector(mesh: PeriodicMesh, e: int,
     if bent >= 0:
         raise RealizabilityError(
             f"sector {bent}: metric not positive definite")
-    return EdgeSector(te, ms, ns, mats, e, tuple(faces.tolist()),
-                      tuple(tets.tolist()))
+    return EdgeSector(frame.tangent, frame.ms, frame.ns, mats, e,
+                      tuple(faces.tolist()), tuple(tets.tolist()))
+
+
+def _unit_normals(ns, mats):
+    """Metric-unit normals k (..., 2s, 3) to the faces of stacked stars,
+    with n . k (..., 2s, 1): face frames ns (s, 3), sector metrics (..., s,
+    3, 3).  Row i is k- of face i, in the sector before it, and row s + i
+    its k+, in the sector after it; each points to the side of n_i."""
+    # n^T x is a matmul, which rounds as a single dot does; einsum does not
+    n2 = np.concatenate([ns, ns], axis=-2)[..., None]
+    x = np.linalg.solve(mats[..., _SIDES[ns.shape[-2]], :, :], n2)
+    nk = np.sqrt(n2.mT @ x)[..., 0]
+    return x[..., 0] / nk, nk
 
 
 def _holonomy(t, ms, ns, mats) -> np.ndarray:
     """Holonomy rotation angles (...) of stacked sectors: tangent t (3,),
     face frames ms and ns (s, 3), metrics (..., s, 3, 3)."""
     s = ms.shape[-2]
-    # metric-unit normals k to face i w.r.t. the sector before it (first s
-    # rows) and after it, oriented to the side of n_i.  n^T x is a matmul,
-    # which rounds as a single dot does; einsum does not.
-    n2 = np.concatenate([ns, ns], axis=-2)[..., None]
-    x = np.linalg.solve(
-        np.concatenate([mats[..., np.arange(-1, s - 1), :, :], mats],
-                       axis=-3), n2)
-    nk = np.sqrt(n2.mT @ x)[..., 0]  # n . k
-    k = x[..., 0] / nk
+    k, nk = _unit_normals(ns, mats)
     # crossing face i fixes its plane and maps k- to k+:
     # T_i = I + (k+ - k-) n_i^T / (n_i . k-)
-    T = np.eye(3) + ((k[..., s:, :] - k[..., :s, :])
-                     / nk[..., :s, :])[..., None] * ns[..., None, :]
+    T = _EYE3 + ((k[..., s:, :] - k[..., :s, :])
+                 / nk[..., :s, :])[..., None] * ns[..., None, :]
     E = T[..., 0, :, :]
     for i in range(1, s):
         E = T[..., i, :, :] @ E
@@ -469,14 +487,14 @@ def holonomy_deficits(mesh: PeriodicMesh,
     raises what the failing edge of lowest id raises there."""
     out, failing = [], []
     for d in range(7):
-        *sector, torn, bent = _sectors(mesh, d, slice(None), tet_metrics)
+        frame, mats, torn, bent = _sectors(mesh, d, slice(None), tet_metrics)
         # first failing vertex: torn and bent are flat (V, valence) positions
-        valence = mesh._star_tets[d].shape[1]
+        valence = len(frame.prev)
         bad = [p // valence for p in (*torn[:1], bent) if p >= 0]
         if bad:
             failing.append(7 * min(bad) + d)
         else:
-            out.append(_holonomy(*sector))
+            out.append(_holonomy(frame.tangent, frame.ms, frame.ns, mats))
     if failing:
         build_edge_sector(mesh, min(failing), tet_metrics)
     return np.stack(out, axis=1).ravel()
@@ -486,12 +504,11 @@ def _linearized(mesh: PeriodicMesh, d: int, mats) -> np.ndarray:
     """Linearized deficits of edges of direction d from the matrices
     (..., s, 3, 3) of u' on their sector tets; the face terms are summed
     one at a time in star order."""
-    _, k, slot = _STARS[d][:3]
-    jump = mats - mats[..., np.arange(-1, len(k) - 1), :, :]
-    vals = (mesh.face_m[k, slot][:, None, :] @ jump
-            @ mesh.face_n[k, slot][..., None])[..., 0, 0]
+    frame = mesh._star_frames[d]
+    jump = mats - mats[..., frame.prev, :, :]
+    vals = (frame.ms[:, None, :] @ jump @ frame.ns[..., None])[..., 0, 0]
     total = 0.0
-    for i in range(len(k)):
+    for i in range(len(frame.prev)):
         total = total + vals[..., i]
     return 0.5 * total
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,6 +144,9 @@ class PeriodicMesh:
     types and the edge's slot in each face.  Read one edge's faces and
     tets through ``_star_arrays``; ``np.sort`` of a row gives the
     ascending incident tets.  ``mesh_summary`` forms the face tables.
+    ``_star_frames[d]``, a ``_StarFrame``, holds the float constants every
+    star of direction d shares: its tangent, its face frames in template
+    order and the index of each face's sector before it.
     """
 
     def __init__(self, geometry: TorusGeometry, grid):
@@ -235,6 +239,41 @@ def _star_template(d: int):
 
 # the star of each edge direction at the origin
 _STARS = [_star_template(d) for d in range(7)]
+
+# The slot of the edge of direction d in a tet of type r, (6, 7); -1 for
+# the one direction a Kuhn tet lacks (its six edges have six directions).
+_TET_SLOTS = np.full((6, 7), -1)
+_TET_SLOTS[np.arange(6)[:, None], _BOX_EDGE_DIRS] = np.arange(6)
+_TET_SLOTS.setflags(write=False)
+
+
+class _StarFrame(NamedTuple):
+    """The float constants of the stars of one edge direction d, in the
+    order of the template ``_STARS[d]``: face i has the frame (m_ef, n_ef)
+    and lies between sectors ``prev[i]`` = i - 1 (cyclically) and i."""
+
+    tangent: np.ndarray  # (3,) t_e
+    ms: np.ndarray       # (s, 3) m_ef of face i
+    ns: np.ndarray       # (s, 3) n_ef of face i
+    tm: np.ndarray       # (s, 2, 3) rows t_e and m_ef: face i's plane
+    prev: np.ndarray     # (s,) the sector before face i
+
+
+def _star_frames(edge_tangent: np.ndarray, face_m: np.ndarray,
+                 face_n: np.ndarray) -> list:
+    """The ``_StarFrame`` of each direction, gathered once from the edge
+    and face templates; every array is read-only."""
+    frames = []
+    for d, (_, k, slot, _, _) in enumerate(_STARS):
+        ms, ns = face_m[k, slot], face_n[k, slot]
+        tm = np.stack([np.broadcast_to(edge_tangent[d], ms.shape), ms],
+                      axis=1)
+        frame = _StarFrame(edge_tangent[d], ms, ns, tm,
+                          np.arange(-1, len(k) - 1))
+        for arr in frame:
+            arr.setflags(write=False)
+        frames.append(frame)
+    return frames
 
 
 @cache
@@ -382,6 +421,8 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     # the sector tets of every star: each template moved to every vertex
     mesh._star_tets = [6 * _vid(vertex_lattice[:, None] + toff, n) + ttype
                        for *_, toff, ttype in _STARS]
+    mesh._star_frames = _star_frames(mesh.edge_tangent, mesh.face_m,
+                                     mesh.face_n)
 
     for arr in [*vars(mesh).values(), *mesh._star_tets]:
         if isinstance(arr, np.ndarray):

@@ -19,13 +19,14 @@ from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       perturbed_lengths, regge_action, schlafli_check,
                       second_variation_check)
 from reggefem import action as action_module
-from reggefem.action import (_SYM, _dihedral_cs,
-                             _gram_adjugate, cayley_menger_determinant,
+from reggefem.action import (_SYM, CM_DET_RTOL, _dihedral_cs,
+                             _gram_adjugate, _unit_normals,
+                             cayley_menger_determinant,
                              max_realizable_epsilon, metric_dihedral_angles,
                              random_realizable_config,
                              tet_metrics_from_lengths)
-from reggefem.mesh import _BOX_EDGE_DIRS, LOCAL_EDGES, TorusGeometry, \
-    _star_arrays
+from reggefem.mesh import _BOX_EDGE_DIRS, _STARS, _TET_SLOTS, LOCAL_EDGES, \
+    TorusGeometry, _edge_tets, _star_arrays
 from reggefem.spaces import (VertexVectorField, deformation,
                              regge_to_tet_matrices)
 
@@ -175,6 +176,51 @@ class TestMetricReconstruction:
         with pytest.raises(RealizabilityError,
                            match=r"^tet 100: degenerate"):
             tet_metrics_from_lengths(mesh3, cfg, [100, 17])
+
+    def test_degenerate_named_before_indefinite(self, mesh3):
+        # the one fused guard keeps the two guards' priority: a degenerate
+        # tet is named before any indefinite one, wherever they stand
+        g = np.full((3, 3), 1.0 / 3.0) - 0.2 * np.eye(3)  # signature (+--)
+        s = constant_metric(mesh3, g)
+        assert s.min() > 0  # every edge is timelike
+        stretched = s.copy()
+        stretched[mesh3.tet_edges[100, 0]] *= 5.0
+
+        def verdicts(s):
+            # per tet, by a 5x5 determinant and a Cholesky factor
+            rows = s[mesh3.tet_edges]
+            cm = cayley_menger_determinant(rows)
+            degenerate = ~(cm > CM_DET_RTOL * rows.max(axis=1) ** 3)
+            definite = []
+            for row in rows:
+                G = 0.5 * (row[:3, None] + row[None, :3])
+                G[[0, 0, 1], [1, 2, 2]] -= 0.5 * row[3:]
+                try:
+                    np.linalg.cholesky(np.triu(G) + np.triu(G, 1).T)
+                    definite.append(True)
+                except np.linalg.LinAlgError:
+                    definite.append(False)
+            return (np.flatnonzero(degenerate),
+                    np.flatnonzero(~degenerate & ~np.array(definite)))
+
+        def message(s, t):
+            cm = 8.0 * _gram_adjugate(s[mesh3.tet_edges[[t]]].T)[1][0]
+            return (f"tet {t}: degenerate edge lengths "
+                    f"(Cayley-Menger determinant {cm:.3e})")
+
+        degenerate, indefinite = verdicts(stretched)
+        assert degenerate.tolist() == [24, 26, 43, 81, 100, 101]
+        assert indefinite[0] == 0 and len(indefinite) == 156
+        cases = [(stretched, None, message(stretched, 24)),
+                 (stretched, [3, 101, 26, 150], message(stretched, 101)),
+                 (s, None, "tet 0: metric not positive definite"),
+                 (s, [40, 7, 0], "tet 40: metric not positive definite")]
+        assert verdicts(s)[0].size == 0
+        for lengths, tets, want in cases:
+            with pytest.raises(RealizabilityError,
+                               match=f"^{re.escape(want)}$"):
+                tet_metrics_from_lengths(mesh3, EdgeLengthConfig(lengths),
+                                         tets)
 
     def test_amplitude_halving_logged(self, mesh2, caplog):
         # amplitude 8 gives negative squared lengths until it is down to 1
@@ -424,6 +470,37 @@ class TestLengthOnlyDihedrals:
         assert 0 < max_realizable_epsilon(mesh2, up, hi=1e3) < 1e3
 
 
+# The template tori, a torus whose 2-wide axes wrap, and a cell with one
+# side 1e-3 of the others.
+STAR_GRIDS = TEMPLATE_GRIDS + [((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
+                               ((4, 5, 6), (1e-3 * TAU, 2.5 * np.pi,
+                                            3.0 * np.pi))]
+
+
+class TestStarConstants:
+    """The per-direction constants the star routes read instead of
+    gathering them on every call."""
+
+    @pytest.mark.parametrize("grid, lengths", STAR_GRIDS,
+                             ids=["2x2x2", "4x5x6", "5x7x3", "2x3x2", "thin"])
+    def test_equal_the_gathers_they_replace(self, grid, lengths):
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        for d, frame in enumerate(mesh._star_frames):
+            _, k, slot = _STARS[d][:3]
+            assert np.array_equal(frame.ms, mesh.face_m[k, slot])
+            assert np.array_equal(frame.ns, mesh.face_n[k, slot])
+            assert np.array_equal(frame.tangent, mesh.edge_tangent[d])
+            assert np.array_equal(frame.tm, np.stack(
+                [np.tile(mesh.edge_tangent[d], (len(k), 1)), frame.ms],
+                axis=1))
+            assert frame.prev.tolist() == list(range(-1, len(k) - 1))
+            assert not any(a.flags.writeable for a in frame)
+        for e in range(mesh.num_edges):
+            tets = _edge_tets(mesh, e)
+            assert np.array_equal(_TET_SLOTS[tets % 6, e % 7], np.argmax(
+                mesh.tet_edges[tets] == e, axis=1))
+
+
 class TestLinearization:
     def test_linearized_deficit_equals_half_jump(self, mesh2):
         rng = np.random.default_rng(6)
@@ -666,6 +743,37 @@ class TestWholeMeshRoutes:
             for e in edges]
         assert linearized_deficits(mesh, up).tolist() == [
             linearized_deficit(mesh, e, up) for e in edges]
+
+
+class TestHolonomyReadOff:
+    @pytest.mark.parametrize("grid, lengths", [*GOLDEN_GRIDS.values(),
+                                               STAR_GRIDS[-1]],
+                             ids=[*GOLDEN_GRIDS, "thin"])
+    def test_k_minus_of_face_zero_is_gram_schmidt_w2(self, grid, lengths):
+        # the holonomy reads its rotation in the frame (w1, k-) of face 0;
+        # k- is the vector that Gram-Schmidt of (t, m_0, n_0) in the start
+        # metric U gives last, up to rounding
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        metrics = tet_metrics_from_lengths(mesh, random_realizable_config(
+            mesh, np.random.default_rng(0), max_deficit=2.5))
+        for d, frame in enumerate(mesh._star_frames):
+            mats = metrics[mesh._star_tets[d]]
+            k = _unit_normals(frame.ns, mats)[0][:, 0]
+            U = mats[:, -1]
+
+            def dot(a, b):
+                return np.einsum("vi,vij,vj->v", a, U, b)[:, None]
+
+            def unit(v):
+                return v / np.sqrt(dot(v, v))
+
+            t, m0, n0 = (np.broadcast_to(v, k.shape) for v in
+                         (frame.tangent, frame.ms[0], frame.ns[0]))
+            that = unit(t)
+            w1 = unit(m0 - dot(m0, that) * that)
+            w2 = unit(n0 - dot(n0, that) * that - dot(n0, w1) * w1)
+            assert (np.abs(k - w2).max(axis=1)
+                    <= 4 * np.finfo(float).eps * np.abs(w2).max(axis=1)).all()
 
 
 # The whole-mesh passes must reproduce the per-edge routes' digests.

@@ -260,8 +260,8 @@ class TestGeometry:
         # every ndarray reachable from the mesh, private star arrays too
         mesh = build_torus_mesh(geometry, grid)
         arrays = _arrays(mesh)
-        assert {"cell", "edge_tail", "edge_vec", "_star_tets[6]"} \
-            <= set(arrays)
+        assert {"cell", "edge_tail", "edge_vec", "_star_tets[6]",
+                "_star_frames[6].tm"} <= set(arrays)
         assert [k for k, v in arrays.items() if v.flags.writeable] == []
         assert not _star_arrays(mesh, 3)[1].flags.writeable
 
@@ -499,13 +499,18 @@ class TestShapeTemplates:
 
 def _arrays(mesh) -> dict:
     """Every ndarray the mesh holds, by attribute name (name[i] for the
-    entries of a list attribute)."""
+    entries of a list attribute, name[i].field for the fields of a named
+    tuple entry)."""
     out = {}
     for name, value in vars(mesh).items():
         items = value if isinstance(value, list) else [value]
         for i, a in enumerate(items):
-            if isinstance(a, np.ndarray):
-                out[f"{name}[{i}]" if isinstance(value, list) else name] = a
+            key = f"{name}[{i}]" if isinstance(value, list) else name
+            if hasattr(a, "_asdict"):
+                out.update({f"{key}.{field}": v
+                            for field, v in a._asdict().items()})
+            elif isinstance(a, np.ndarray):
+                out[key] = a
     return out
 
 
