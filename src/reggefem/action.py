@@ -446,18 +446,19 @@ def _holonomy(t, ms, ns, mats) -> np.ndarray:
     E = T[..., 0, :, :]
     for i in range(1, s):
         E = T[..., i, :, :] @ E
-    # Gram-Schmidt of (m_0, n_0, t) in the start metric U, the one before
-    # face 0; a^T U b of rows (..., 1, 3) is a @ U @ b.mT
+    # a U-orthonormal frame of the plane U-orthogonal to t, in the start
+    # metric U, the one before face 0: w1 by Gram-Schmidt of m_0 against t
+    # (a^T U b of rows (..., 1, 3) is a @ U @ b.mT), and w2 = k- of face 0,
+    # which is U-unit, U-orthogonal to face 0 and on the side of n_0
     U = mats[..., s - 1, :, :]
-    m0, n0 = ms[..., :1, :], ns[..., :1, :]
+    m0 = ms[..., :1, :]
 
     def unit(v):
         return v / np.sqrt(v @ U @ v.mT)
 
     that = unit(t[..., None, :])
     w1 = unit(m0 - (m0 @ U @ that.mT) * that)
-    w2 = unit(n0 - (n0 @ U @ that.mT) * that - (n0 @ U @ w1.mT) * w1)
-    W = np.concatenate([w1, w2], axis=-2)
+    W = np.concatenate([w1, k[..., :1, :]], axis=-2)
     # the holonomy E is a U-isometry that fixes t, and W^-1 = W^T U reads
     # its rotation in the (w1, w2) plane
     P = W @ U @ E @ W.mT
@@ -471,7 +472,8 @@ def deficit_angle_holonomy(sector: EdgeSector) -> float:
     the face and maps the metric-unit normal k- of the before-sector to the
     after-sector's k+.  The product of all crossings is an isometry of the
     start sector metric U fixing the edge direction: a rotation of the
-    orthogonal plane, read by U-products in a U-orthonormal frame.  The
+    orthogonal plane, read by U-products in a U-orthonormal frame of it,
+    whose second vector is the k- of face 0.  The
     angle is positive when the cone angle is less than 2*pi, and returned
     on the principal branch (-pi, pi], so agreement with the dihedral route
     holds for |deficit| < pi.
