@@ -673,7 +673,8 @@ class TestSchlafli:
 # t % 6 and f % 12); the metric, angle and holonomy entries those of the
 # metrics from the Regge basis and the rank-one face crossings.  The
 # holonomy and linearized entries are those of stars run in template
-# order; the sector entries are pinned in edge_star order.
+# order; the sector entries are pinned in edge_star order.  The holonomy
+# entries read the rotation in the frame of w1 and the k- of face 0.
 GOLDEN_GRIDS = {
     # edges of the 2-wide directions wrap through the period
     "2x3x2": ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
@@ -683,7 +684,7 @@ GOLDEN_GRIDS = {
 GOLDEN = {
     "2x3x2": {
         "deficit_angle_dihedral": "4543b74a00ebe5d5",
-        "deficit_angle_holonomy": "fbfc123bfe675b1b",
+        "deficit_angle_holonomy": "30890360a920e75c",
         "deficit_angles": "4543b74a00ebe5d5",
         "linearized_deficit": "93e6f880f5ad59a9",
         "metric_dihedral_angles": "90e24e0c25eaac50",
@@ -696,7 +697,7 @@ GOLDEN = {
     },
     "3x3x3": {
         "deficit_angle_dihedral": "23db855da94ac501",
-        "deficit_angle_holonomy": "97fe41019e163534",
+        "deficit_angle_holonomy": "090e26c1ccdb579c",
         "deficit_angles": "23db855da94ac501",
         "linearized_deficit": "cc175d750c58b5c6",
         "metric_dihedral_angles": "27ab49f091ec802c",
@@ -709,7 +710,7 @@ GOLDEN = {
     },
     "4x5x6": {
         "deficit_angle_dihedral": "ce108668568c42fb",
-        "deficit_angle_holonomy": "8a3da7dd086e5ec2",
+        "deficit_angle_holonomy": "5250bb6b8bf63870",
         "deficit_angles": "ce108668568c42fb",
         "linearized_deficit": "94aa9b3cfe0f569d",
         "metric_dihedral_angles": "e0edfb6c32f95706",
