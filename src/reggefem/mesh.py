@@ -310,8 +310,7 @@ def _stencil_tables():
     index = (((k * 3 + slot)[:, None] * 6 + r[sector]) * 6)[..., None] + a
     faces = (index.ravel(), np.tile(np.repeat([1.0, -1.0], 6), len(d)),
              np.repeat(d, 12), entry[sector].ravel())
-    # the six edges of a Kuhn tet have six distinct directions
-    a_d = (b == d[:, None]).argmax(axis=1)
+    a_d = _TET_SLOTS[r, d]
     tets = (((r * 6 + a_d)[:, None] * 6 + a).ravel(), entry.ravel())
     for arr in faces + tets:  # every caller shares the cached arrays
         arr.setflags(write=False)
