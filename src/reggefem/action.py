@@ -15,11 +15,17 @@ Two independent routes to the deficit angle of an edge:
   runs over their gaps to the flat background's angles, which make up
   2*pi around every edge, so theta is exactly 0 at the flat
   configuration.  ``metric_dihedral_angles`` measures the same angles in
-  the pulled-back metrics and serves as the tests' oracle;
+  the pulled-back metrics and serves as the tests' oracle.  The
+  realizability guard tests both of its conditions (Cayley-Menger
+  determinant, positive definite Gram matrix) in one boolean array and
+  looks for the offending tet only when that test fails;
 * holonomy: carry two vectors once around the edge through the cyclic
   star of sectors, crossing each face by the rank-one map that takes the
   metric-unit normal before it to the one after it, and read off the
-  rotation angle in the plane metric-orthogonal to the edge.
+  rotation angle in the plane metric-orthogonal to the edge.  The frame
+  of that plane is w1, the part of m_0 metric-orthogonal to the edge made
+  unit, and the metric-unit normal k- of face 0, which the crossings
+  already solve for.
 
 The action is R = sum_e theta_e * l_e.  Near the flat background,
 R(l(eps)) = eps^2/8 * c' A c + O(eps^3) where c is the coefficient vector
@@ -30,12 +36,15 @@ The sector build with its checks, the holonomy and the linearized deficit
 are each one private kernel over stacked stars: the per-edge functions
 call it on one edge, ``holonomy_deficits`` and ``linearized_deficits`` on
 the V edges of each of the seven directions.  A star runs in the order of
-its direction's template ``mesh._STARS[d]``, whose tangent and face frames
-are constants; only the sector tets are read per edge.  These routes are
-independent on purpose: ``verify`` checks them against ``deficit_angles``
-and against ``saint_venant.apply_ctc``, so they share no code with those.
-The holonomy route reads the metrics of ``tet_metrics_from_lengths``: the
-realizability guard of ``deficit_angles``, then the Regge basis matrices.
+its direction's template ``mesh._STARS[d]``.  Its tangent, face frames and
+the sector before each face are constants that ``build_torus_mesh`` keeps
+in ``mesh._star_frames[d]``, and a tet's slot of an edge direction is read
+from ``mesh._TET_SLOTS``; only the sector tets are read per edge.  These
+routes are independent on purpose: ``verify`` checks them against
+``deficit_angles`` and against ``saint_venant.apply_ctc``, so they share no
+code with those.  The holonomy route reads the metrics of
+``tet_metrics_from_lengths``: the realizability guard of
+``deficit_angles``, then the Regge basis matrices.
 """
 
 from __future__ import annotations

@@ -261,7 +261,6 @@ class TestActionCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: lengths_json:")
 
-
     @pytest.mark.parametrize("argv, message", [
         # a thin cell whose flat tets fail the relative guard
         (("--grid", "3", "3", "3", "--lengths", "1e-7", "1", "1"),
