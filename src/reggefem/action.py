@@ -482,10 +482,10 @@ def deficit_angle_holonomy(sector: EdgeSector) -> float:
     after-sector's k+.  The product of all crossings is an isometry of the
     start sector metric U fixing the edge direction: a rotation of the
     orthogonal plane, read by U-products in a U-orthonormal frame of it,
-    whose second vector is the k- of face 0.  The
-    angle is positive when the cone angle is less than 2*pi, and returned
-    on the principal branch (-pi, pi], so agreement with the dihedral route
-    holds for |deficit| < pi.
+    whose second vector is the k- of face 0.  The angle is positive when
+    the cone angle is less than 2*pi, and returned on the principal branch
+    (-pi, pi], so agreement with the dihedral route holds for
+    |deficit| < pi.
     """
     return float(_holonomy(sector.tangent, sector.ms, sector.ns,
                            sector.metrics))
