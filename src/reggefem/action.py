@@ -111,6 +111,10 @@ _POLAR_I, _POLAR_J = np.array([0, 0, 1]), np.array([1, 2, 2])
 # take their H_0l from the rows of adj G of l = 3, 2, 1.
 _OPPOSITE = np.array([5, 4, 3])
 _ROWS = np.ascontiguousarray(_SYM[::-1])
+# The packed adj G entries of x at each slot, as ``_dihedral_cs`` forms
+# it: the one negated entry of slots 01, 02, 03, the row summed of 12, 13,
+# 23.
+_SLOT_TERMS = [(o,) for o in _OPPOSITE.tolist()] + _ROWS.tolist()
 
 # The sectors on the two sides of the faces of a star of valence s: sector
 # i - 1 (cyclically) before face i, then sector i after it.
@@ -369,7 +373,13 @@ def deficit_angle_dihedral(mesh: PeriodicMesh, e: int,
     types = tets % 6
     slots = _TET_SLOTS[types, e % 7]
     cols = np.arange(len(tets))
-    x, y = (c[slots, cols] for c in _dihedral_cs(s, adj, det))
+    # x and y of _dihedral_cs at the edge's one slot per tet only, in the
+    # same arithmetic: a handful of scalars, so plain floats
+    x = np.array([-g[_SLOT_TERMS[k][0]] if k < 3 else
+                  g[_SLOT_TERMS[k][0]] + g[_SLOT_TERMS[k][1]]
+                  + g[_SLOT_TERMS[k][2]]
+                  for g, k in zip(adj.T.tolist(), slots.tolist())])
+    y = np.sqrt(s[slots, cols] * det)
     x0, y0 = (c[slots, types] for c in _flat_background(mesh))
     total = 0.0
     for gap in _angle_gaps(x, y, x0, y0).tolist():

@@ -16,13 +16,16 @@ A and M are block-circulant with 7x7 blocks (edge 7*v + d), and only the
 27 blocks B_s, s in {-1, 0, 1}^3, can be nonzero.  A ``BlockCirculant``
 holds those blocks and the grid, nothing of size E, and is the one owner
 of the format.  It gives the Bloch symbols over half the Brillouin zone,
-the symmetry residual and the matvec ``A @ c`` from the blocks alone.  Its
-first block row ``head`` folds them mod grid through one index table, the
-structural couplings (the edge pairs that share a tet); ``write_coo``
-works from the head, and ``.matrix`` expands it to the E x E matrix only
-when read.  ``_block_circulant`` gives that one index expansion, which
-``.matrix`` fills with the head's values and ``write_coo`` with their
-text, formatted once per distinct value.
+the symmetry residual and the matvec ``A @ c`` from the blocks alone.
+Where the entries sit depends on the grid alone: the 115 structural
+couplings (the edge pairs that share a tet), folded mod grid.
+``_pattern`` builds that sparsity once per grid and keeps the last one:
+the block entry and CSR place of each entry of the first block row, its
+expansion to E x E, and the index texts of the rows.  The operators read
+their values through it.  ``head`` gathers the 115 values from the
+blocks, ``.matrix`` repeats them along the expansion only when read,
+``nnz`` is the expansion's length, and ``write_coo`` formats the 115
+values once and streams the lines in slabs.
 
 The blocks depend only on the cell and have one builder each, from the
 one-box templates: ``_stiffness`` contracts ``face_m``, ``face_n``,
@@ -43,7 +46,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,6 +72,11 @@ __all__ = [
 # the shifts s_i of the blocks along each axis
 _SHIFTS = np.arange(-1, 2)
 
+# entry lines per slab of ``write_coo``: about 30 bytes of text each, and
+# while the slab is joined three list slots per line and the gathered
+# texts, so a write holds some 6 MB beyond the pattern at any grid size
+_SLAB_LINES = 1 << 16
+
 
 def _face_terms(face_m: np.ndarray, face_n: np.ndarray,
                 X: np.ndarray) -> np.ndarray:
@@ -81,26 +90,60 @@ def _face_terms(face_m: np.ndarray, face_n: np.ndarray,
     return out.reshape((X.shape[0], 3) + out.shape[3:])
 
 
-def _block_circulant(head: sp.csr_matrix, grid):
-    """Index expansion of the E x E block-circulant matrix with first block
-    row ``head`` (7 x E CSR, no duplicates): its entry (a, 7*s + b)
-    couples direction a at each vertex v to direction b at v + s, the sum
-    taken mod grid per axis.
+class _Pattern(NamedTuple):
+    """The sparsity of every block-circulant operator on one grid, shared
+    by ``head``, ``matrix``, ``nnz`` and ``write_coo``; its arrays are
+    read-only.  ``entry`` holds the flat (s + 1, a, b) block entry of each
+    entry of the 7 x E head, in the CSR order of ``head_indptr`` and
+    ``head_indices``.  ``indptr`` and ``indices`` are the E x E expansion,
+    columns sorted in each row, whose entry k repeats head entry
+    ``src[k]``.  ``label`` holds the index texts f"{i} ", i < E."""
 
-    Returns the CSR arrays ``(indptr, indices, src)``, columns sorted in
-    each row: expanded entry k repeats ``head.data[src[k]]``.
+    entry: np.ndarray
+    head_indptr: np.ndarray
+    head_indices: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    src: np.ndarray
+    label: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _pattern(grid: tuple) -> _Pattern:
+    """The ``_Pattern`` of the (checked) ``grid``, built on first use.
+
+    The head's entries are the (s, a, b) for which edge a at the origin
+    and edge b at s share a tet: entry (a, 7*u + b) for u = s mod grid.
+    The expansion repeats each at (7*v + a, 7*w + b) for every vertex v,
+    w = v + u taken mod grid per axis.
     """
-    shift, b = np.divmod(head.indices, 7)
+    entry = np.unique(_stencil_tables()[1][1])  # flat (s + 1, a, b)
+    s, a, b = np.unravel_index(entry, (27, 7, 7))
+    s = np.stack(np.unravel_index(s, (3, 3, 3)), axis=-1) - 1
     (n1, n2, n3), V = grid, int(np.prod(grid))
-    i, j, k = ((np.arange(n)[:, None] + s) % n
-               for n, s in zip(grid, np.unravel_index(shift, grid)))
+    E = 7 * V
+    key = a * E + 7 * _vid(s, np.array(grid)) + b
+    order = np.argsort(key)
+    row, col = np.divmod(key[order], E)
+    # scipy picks the index dtypes; the data carries the block entries
+    head = sp.csr_matrix((entry[order], col,
+                          np.searchsorted(row, np.arange(8))), shape=(7, E))
+    # head entry (a, 7*u + b) repeats at (7*v + a, 7*w + b), w = v + u
+    u, b = np.divmod(head.indices, 7)
+    i, j, k = ((np.arange(n)[:, None] + ui) % n
+               for n, ui in zip(grid, np.unravel_index(u, grid)))
     cols = 7 * n3 * (i[:, None, None] * n2 + j[:, None]) + (7 * k + b)
     indptr = np.r_[0, np.tile(np.diff(head.indptr), V).cumsum()]
     # expand the ordinals of the head entries; sorting carries them along
     S = sp.csr_matrix((np.tile(np.arange(head.nnz), V), cols.ravel(),
-                       indptr), shape=(7 * V, 7 * V))
+                       indptr), shape=(E, E))
     S.sort_indices()
-    return S.indptr, S.indices, S.data
+    label = np.array([f"{i} " for i in range(E)], dtype=object)
+    out = _Pattern(head.data, head.indptr, head.indices, S.indptr,
+                   S.indices, S.data, label)
+    for arr in out:  # every operator on the grid shares them
+        arr.setflags(write=False)
+    return out
 
 
 def _residues(n: int, s: np.ndarray):
@@ -147,7 +190,7 @@ class BlockCirculant:
     def nnz(self) -> int:
         """Stored entries of ``matrix``: the expansion repeats each head
         entry once per vertex, and neither drops nor merges any."""
-        return self.head.nnz * int(np.prod(self.grid))
+        return len(_pattern(self.grid).src)
 
     @cached_property
     def head(self) -> sp.csr_matrix:
@@ -156,26 +199,23 @@ class BlockCirculant:
         Its entries are the structural couplings, the (s, a, b) for which
         edge a at the origin and edge b at s share a tet: entry
         (a, 7*v + b) is B_s[a, b] for s = v mod grid.  A coupling of value
-        0 stays an explicit entry, so the entries depend on the grid alone.
-        On a 2-wide axis the shifts +1 and -1 fold onto one column, but no
-        (a, b) couples at two shifts that fold, so each entry is one block
-        value.
+        0 stays an explicit entry, so the entries depend on the grid alone,
+        and ``_pattern`` holds them.  On a 2-wide axis the shifts +1 and
+        -1 fold onto one column, but no (a, b) couples at two shifts that
+        fold, so each entry is one block value.
         """
-        entry = np.unique(_stencil_tables()[1][1])  # flat (s + 1, a, b)
-        s, a, b = np.unravel_index(entry, (27, 7, 7))
-        s = np.stack(np.unravel_index(s, (3, 3, 3)), axis=-1) - 1
-        E = self.shape[0]
-        key = a * E + 7 * _vid(s, np.array(self.grid)) + b
-        order = np.argsort(key)
-        row, col = np.divmod(key[order], E)
-        return sp.csr_matrix((self.blocks.ravel()[entry[order]], col,
-                              np.searchsorted(row, np.arange(8))),
-                             shape=(7, E))
+        p = _pattern(self.grid)
+        return sp.csr_matrix((self.blocks.ravel()[p.entry], p.head_indices,
+                              p.head_indptr), shape=(7, self.shape[0]))
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        indptr, cols, src = _block_circulant(self.head, self.grid)
-        return sp.csr_matrix((self.head.data[src], cols, indptr),
+        """The E x E matrix: the head's values along the expansion of
+        ``_pattern``.  Its index arrays are the pattern's own, read-only,
+        so a change of its structure in place (``eliminate_zeros``) needs
+        a ``copy()`` first."""
+        p = _pattern(self.grid)
+        return sp.csr_matrix((self.head.data[p.src], p.indices, p.indptr),
                              shape=self.shape)
 
     def toarray(self) -> np.ndarray:
@@ -327,23 +367,33 @@ def constant_kernel_residual(edge_vec: np.ndarray, A: BlockCirculant,
 
 def write_coo(matrix: BlockCirculant, path) -> None:
     """Write the E x E matrix held by ``matrix`` to ``path`` in coordinate
-    text format, working from its block row: each distinct head value is
-    formatted once and repeated at every vertex.
+    text format, working from its block row and the grid's ``_pattern``:
+    each head value is formatted once, the pattern's index texts are
+    reused, and the lines are joined and written ``_SLAB_LINES`` at a
+    time, so the text in memory stays bounded as the file grows.
 
     Header line "rows cols nnz", then one "i j value" triple per line
     (0-based indices, 17 significant digits), sorted by (i, j).
     """
-    indptr, cols, src = _block_circulant(matrix.head, matrix.grid)
-    E = matrix.shape[0]
-    index = np.array([f"{i} " for i in range(E)], dtype=object)
+    p = _pattern(matrix.grid)
+    E, nnz = matrix.shape[0], len(p.src)
     value = np.array(["%.17g\n" % v for v in matrix.head.data.tolist()],
                      dtype=object)
-    # the three pieces of every line side by side, joined in one pass
-    pieces = np.stack([np.repeat(index, np.diff(indptr)), index[cols],
-                       value[src]], axis=1)
-    text = f"{E} {E} {matrix.nnz}\n" + "".join(pieces.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(f"{E} {E} {nnz}\n")
+        for lo in range(0, nnz, _SLAB_LINES):
+            hi = min(lo + _SLAB_LINES, nnz)
+            # the rows first..last hold the entries lo..hi-1
+            first, last = np.searchsorted(p.indptr, [lo, hi - 1],
+                                          "right") - 1
+            counts = np.diff(np.clip(p.indptr[first:last + 2], lo, hi))
+            # the three pieces of every line, interleaved in one list
+            pieces = [""] * (3 * (hi - lo))
+            pieces[0::3] = np.repeat(p.label[first:last + 1],
+                                     counts).tolist()
+            pieces[1::3] = p.label[p.indices[lo:hi]].tolist()
+            pieces[2::3] = value[p.src[lo:hi]].tolist()
+            fh.write("".join(pieces))
 
 
 _COO_ENTRY = np.dtype([("row", np.int64), ("col", np.int64),

@@ -1,4 +1,6 @@
 
+import os
+import tempfile
 import tracemalloc
 import warnings
 
@@ -14,10 +16,10 @@ from reggefem import (ReggeField, VertexVectorField, apply_ctc,
                       assemble_mass, assemble_stiffness, build_torus_mesh,
                       deformation, divergence_x2, edge_jump_scalar,
                       edge_star, interpolate_1, interpolate_2,
-                      linearized_deficits, matrix_mode, read_coo, skew,
-                      write_coo)
+                      linearized_deficits, matrix_mode, read_coo,
+                      saint_venant, skew, stencil_operators, write_coo)
 from reggefem.mesh import MeshError, TorusGeometry
-from reggefem.saint_venant import BlockCirculant, _face_terms
+from reggefem.saint_venant import BlockCirculant, _face_terms, _pattern
 from reggefem.spaces import deformation_matrix, regge_to_tet_matrices
 
 TAU = 2.0 * np.pi
@@ -361,6 +363,48 @@ class TestBlockCirculant:
             BlockCirculant(A.blocks, (1, 3, 3))
 
 
+def dense_by_matvec(S):
+    """The E x E matrix of ``S`` column by column, ``S @ e_j``: the
+    window matvec reads the blocks and no sparsity pattern."""
+    return np.stack([S @ e for e in np.eye(S.shape[0])], axis=1)
+
+
+class TestPattern:
+    def test_alternating_grids(self):
+        # one pattern is kept: g1, g2, g1 rebuilds each time, and every
+        # operator reads the one of its own grid
+        grids = {"2x2x2": (2, 2, 2), "2x3x2": (2, 3, 2)}
+        first = {}
+        _pattern.cache_clear()
+        for label in ("2x2x2", "2x3x2", "2x2x2", "2x3x2"):
+            A, M = stencil_operators(TorusGeometry(TAU, 2.5 * np.pi, TAU),
+                                     grids[label])
+            V = int(np.prod(A.grid))
+            got = []
+            for S in (A, M):
+                assert S.nnz == S.matrix.nnz == S.head.nnz * V == 115 * V
+                assert (S.matrix[:7] != S.head).nnz == 0
+                assert np.array_equal(S.toarray(), dense_by_matvec(S))
+                got.append([a.tobytes() for m in (S.head, S.matrix)
+                            for a in (m.indptr, m.indices, m.data)])
+            assert first.setdefault(label, got) == got
+            assert _pattern.cache_info().currsize == 1
+        assert _pattern.cache_info().misses == 4
+
+    def test_shared_arrays_are_read_only(self, pencil2):
+        A, M = pencil2
+        p = _pattern(A.grid)
+        shared = list(p) + [S.head.indptr for S in (A, M)] + \
+            [S.matrix.indices for S in (A, M)]
+        for arr in shared:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            A.matrix.indices[0] = 1
+        # the values are each operator's own
+        assert A.matrix.data.flags.writeable
+        assert not np.shares_memory(A.matrix.data, M.matrix.data)
+
+
 def former_expansion(S):
     """The E x E matrix of ``S`` as the block row used to be expanded:
     tile the head's values over the vertices and sort each row."""
@@ -406,28 +450,52 @@ def hand_built_block_row():
     return S
 
 
+# the tori of the writer's tests: the head grids and a thin cell
+COO_GRIDS = dict(HEAD_GRIDS, thin=((4, 5, 6), (1e-3 * TAU, TAU, TAU)))
+
+
 def coo_cases(label):
     if label == "hand-built":
         return [hand_built_block_row()]
-    grid, lengths = HEAD_GRIDS[label]
+    grid, lengths = COO_GRIDS[label]
     mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
     return [assemble_stiffness(mesh), assemble_mass(mesh)]
 
 
 class TestCooFormat:
-    @pytest.mark.parametrize("label", sorted(HEAD_GRIDS) + ["hand-built"])
-    def test_bytes_match_former_writer(self, label, tmp_path):
-        # at 2x2x2 the shifts +1 and -1 fold onto each other
+    @pytest.mark.parametrize("label", sorted(COO_GRIDS) + ["hand-built"])
+    def test_bytes_match_former_writer(self, label, tmp_path, monkeypatch):
+        # at 2x2x2 the shifts +1 and -1 fold onto each other; slabs of 37
+        # lines end inside rows (13 or 19 entries each) and cut the 115
+        # entries of a block row at no fixed place
         for S in coo_cases(label):
             full = former_expansion(S)
             path = tmp_path / "S.txt"
-            write_coo(S, path)
-            assert path.read_bytes() == former_coo_text(full).encode()
+            for slab in (saint_venant._SLAB_LINES, 37):
+                monkeypatch.setattr(saint_venant, "_SLAB_LINES", slab)
+                write_coo(S, path)
+                assert path.read_bytes() == former_coo_text(full).encode()
             assert S.nnz == S.matrix.nnz == full.nnz
             for a, b in ((S.matrix.indptr, full.indptr),
                          (S.matrix.indices, full.indices),
                          (S.matrix.data, full.data)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(grid=st.tuples(*[st.integers(2, 6)] * 3),
+           lengths=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+           slab=st.integers(1, 300))
+    def test_slabs_match_former_writer_on_random_tori(self, grid, lengths,
+                                                      slab):
+        S = stencil_operators(TorusGeometry(*lengths), grid)[0]
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as m:
+            m.setattr(saint_venant, "_SLAB_LINES", slab)
+            path = os.path.join(tmp, "S.txt")
+            write_coo(S, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == \
+                    former_coo_text(former_expansion(S)).encode()
 
     def test_header_only_file_reads_back(self, tmp_path):
         # every operator has entries, so this file is written by hand

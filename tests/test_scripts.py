@@ -2,9 +2,9 @@
 does the README's library quickstart; every function the benchmark traces
 or calls still exists in the library, and its fine_assemble and
 spectrum_ladder workloads run and pass their checks; the CLI imports no
-module it need not load; no library module or script imports a name it
-does not use, and no line of the sources, scripts or tests is longer than
-79 characters."""
+module it need not load and builds no table on import; no library module
+or script imports a name it does not use, and no line of the sources,
+scripts or tests is longer than 79 characters."""
 
 import ast
 import importlib
@@ -125,6 +125,16 @@ def test_cli_import_leaves_scipy_special_unloaded():
     out = _run(["-c", "import sys, reggefem.cli; "
                       "print('scipy.special' in sys.modules)"])
     assert out.strip() == "False"
+
+
+def test_cli_import_builds_no_table():
+    # the block tables and the sparsity pattern are built on first use:
+    # importing the CLI, the benchmark's set-up, pays for neither
+    out = _run(["-c", "import reggefem.cli; "
+                      "from reggefem import mesh, saint_venant; "
+                      "print(saint_venant._pattern.cache_info().currsize, "
+                      "mesh._stencil_tables.cache_info().currsize)"])
+    assert out.split() == ["0", "0"]
 
 
 def _unused_imports(path):
