@@ -10,7 +10,7 @@ Fourier spectrum of the flat torus.
 __version__ = "0.1.0"
 
 from .mesh import (MeshError, PeriodicMesh, TorusGeometry, build_torus_mesh,
-                   edge_star, mesh_summary)
+                   mesh_summary)
 from .spaces import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
                      VertexVectorMeasure, constant_matrix_field,
                      constant_vector_field, deformation, divergence_x2,

@@ -39,7 +39,8 @@ the V edges of each of the seven directions.  A star runs in the order of
 its direction's template ``mesh._STARS[d]``.  Its tangent, face frames and
 the sector before each face are constants that ``build_torus_mesh`` keeps
 in ``mesh._star_frames[d]``, and a tet's slot of an edge direction is read
-from ``mesh._TET_SLOTS``; only the sector tets are read per edge.  These
+from ``mesh._TET_SLOTS``; only the sector tets are read per edge, and a
+face id is formed only to name a torn face in an error.  These
 routes are independent on purpose: ``verify`` checks them against
 ``deficit_angles`` and against ``saint_venant.apply_ctc``, so they share no
 code with those.  The holonomy route reads the metrics of
@@ -57,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import _BOX_EDGE_DIRS, _TET_SLOTS, LOCAL_EDGES, PeriodicMesh, \
-    _edge_tets, _star_arrays
+    _edge_tets, _star_faces
 from .spaces import ReggeField, regge_to_tet_matrices
 
 __all__ = [
@@ -80,7 +81,6 @@ __all__ = [
     "schlafli_check",
     "second_variation_check",
     "SecondVariationReport",
-    "max_realizable_epsilon",
     "random_realizable_config",
 ]
 
@@ -111,10 +111,6 @@ _POLAR_I, _POLAR_J = np.array([0, 0, 1]), np.array([1, 2, 2])
 # take their H_0l from the rows of adj G of l = 3, 2, 1.
 _OPPOSITE = np.array([5, 4, 3])
 _ROWS = np.ascontiguousarray(_SYM[::-1])
-# The packed adj G entries of x at each slot, as ``_dihedral_cs`` forms
-# it: the one negated entry of slots 01, 02, 03, the row summed of 12, 13,
-# 23.
-_SLOT_TERMS = [(o,) for o in _OPPOSITE.tolist()] + _ROWS.tolist()
 
 # The sectors on the two sides of the faces of a star of valence s: sector
 # i - 1 (cyclically) before face i, then sector i after it.
@@ -156,16 +152,21 @@ class EdgeLengthConfig:
 
     @staticmethod
     def from_json(payload: dict) -> "EdgeLengthConfig":
-        """Inverse of :meth:`to_json`; ValueError for any other payload
-        (RealizabilityError, a ValueError, for non-positive lengths)."""
+        """Inverse of :meth:`to_json`; ValueError for any other payload,
+        a nested list, booleans or strings included (RealizabilityError,
+        a ValueError, for non-positive lengths)."""
         if not (isinstance(payload, dict) and "squared_lengths" in payload):
             raise ValueError('need a JSON object with a "squared_lengths" '
                              "list")
+        s = payload["squared_lengths"]
+        if not (isinstance(s, list) and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                for x in s)):
+            raise ValueError("squared_lengths: need a flat list of numbers")
         try:
-            s = np.asarray(payload["squared_lengths"], float)
-        except (TypeError, ValueError) as ex:
+            return EdgeLengthConfig(np.array(s, float))
+        except OverflowError as ex:  # an integer beyond the float range
             raise ValueError(f"squared_lengths: {ex}") from ex
-        return EdgeLengthConfig(s)
 
 
 def euclidean_lengths(mesh: PeriodicMesh) -> EdgeLengthConfig:
@@ -255,19 +256,18 @@ def _checked_gram(mesh: PeriodicMesh, config: EdgeLengthConfig, tets=None):
     return s, adj, det
 
 
-def tet_metrics_from_lengths(mesh: PeriodicMesh, config: EdgeLengthConfig,
-                             tets=None) -> np.ndarray:
-    """Constant metric per tet (T, 3, 3), or of the listed ``tets`` only:
-    the Regge field whose coefficients are the squared edge lengths (the
-    edge DOFs are unisolvent on constants).
+def tet_metrics_from_lengths(mesh: PeriodicMesh,
+                             config: EdgeLengthConfig) -> np.ndarray:
+    """Constant metric per tet (T, 3, 3): the Regge field whose
+    coefficients are the squared edge lengths (the edge DOFs are unisolvent
+    on constants).
 
     Raises RealizabilityError (tagged with the first offending tet) when a
     tet is not realizable: Cayley-Menger determinant below the relative
     guard, or metric not positive definite.
     """
-    _checked_gram(mesh, config, tets)
-    return regge_to_tet_matrices(mesh, ReggeField(config.squared_lengths),
-                                 tets)
+    _checked_gram(mesh, config)
+    return regge_to_tet_matrices(mesh, ReggeField(config.squared_lengths))
 
 
 def _dihedral_cs(s: np.ndarray, adj: np.ndarray, det: np.ndarray):
@@ -373,13 +373,7 @@ def deficit_angle_dihedral(mesh: PeriodicMesh, e: int,
     types = tets % 6
     slots = _TET_SLOTS[types, e % 7]
     cols = np.arange(len(tets))
-    # x and y of _dihedral_cs at the edge's one slot per tet only, in the
-    # same arithmetic: a handful of scalars, so plain floats
-    x = np.array([-g[_SLOT_TERMS[k][0]] if k < 3 else
-                  g[_SLOT_TERMS[k][0]] + g[_SLOT_TERMS[k][1]]
-                  + g[_SLOT_TERMS[k][2]]
-                  for g, k in zip(adj.T.tolist(), slots.tolist())])
-    y = np.sqrt(s[slots, cols] * det)
+    x, y = (c[slots, cols] for c in _dihedral_cs(s, adj, det))
     x0, y0 = (c[slots, types] for c in _flat_background(mesh))
     total = 0.0
     for gap in _angle_gaps(x, y, x0, y0).tolist():
@@ -394,27 +388,24 @@ class EdgeSector:
 
     ``metrics[i]`` is the constant metric of the sector between faces i and
     i+1 (cyclically); ``ms[i]``/``ns[i]`` are the in-face and normal frame
-    vectors of face i, right-handed with the tangent.  Consecutive sector
-    metrics agree tangentially on the shared face.  ``faces`` and ``tets``
-    run in star template order, not from the lowest face as in edge_star.
+    vectors of face i, right-handed with the tangent, in the order of the
+    star's template.  Consecutive sector metrics agree tangentially on the
+    shared face.
     """
 
     tangent: np.ndarray      # (3,)
     ms: np.ndarray           # (s, 3)
     ns: np.ndarray           # (s, 3)
     metrics: np.ndarray      # (s, 3, 3)
-    edge: int
-    faces: tuple
-    tets: tuple
 
 
-def _sectors(mesh: PeriodicMesh, d: int, v, tet_metrics: np.ndarray):
+def _sectors(mesh: PeriodicMesh, d: int, tets, tet_metrics: np.ndarray):
     """The star frame of direction d and the metrics (..., s, 3, 3) of the
-    sectors of the edges 7*v + d (v a vertex or a slice), then the flat
+    sector ``tets`` (..., s) of stars of that direction, then the flat
     positions of the faces the metrics jump across tangentially and of the
     first metric that is not positive definite (-1 if none)."""
     frame = mesh._star_frames[d]
-    mats = tet_metrics[mesh._star_tets[d][v]]
+    mats = tet_metrics[tets]
     scale = np.maximum(np.abs(mats).max(axis=(-3, -2, -1), keepdims=True),
                        1.0)
     # tangential-tangential part of the jump across face i, in the frame
@@ -428,17 +419,17 @@ def _sectors(mesh: PeriodicMesh, d: int, v, tet_metrics: np.ndarray):
 def build_edge_sector(mesh: PeriodicMesh, e: int,
                       tet_metrics: np.ndarray) -> EdgeSector:
     """Assemble the sector data of edge e from per-tet constant metrics."""
-    faces, tets = _star_arrays(mesh, e)
-    frame, mats, torn, bent = _sectors(mesh, e % 7, e // 7, tet_metrics)
+    frame, mats, torn, bent = _sectors(mesh, e % 7, _edge_tets(mesh, e),
+                                       tet_metrics)
     if torn.size:
+        face = _star_faces(mesh, e % 7, e // 7)[torn[0]]
         raise RealizabilityError(
             f"sector metrics of edge {e} are not tangentially "
-            f"continuous across face {int(faces[torn[0]])}")
+            f"continuous across face {face}")
     if bent >= 0:
         raise RealizabilityError(
             f"sector {bent}: metric not positive definite")
-    return EdgeSector(frame.tangent, frame.ms, frame.ns, mats, e,
-                      tuple(faces.tolist()), tuple(tets.tolist()))
+    return EdgeSector(frame.tangent, frame.ms, frame.ns, mats)
 
 
 def _unit_normals(ns, mats):
@@ -508,7 +499,8 @@ def holonomy_deficits(mesh: PeriodicMesh,
     raises what the failing edge of lowest id raises there."""
     out, failing = [], []
     for d in range(7):
-        frame, mats, torn, bent = _sectors(mesh, d, slice(None), tet_metrics)
+        frame, mats, torn, bent = _sectors(mesh, d, mesh._star_tets[d],
+                                           tet_metrics)
         # first failing vertex: torn and bent are flat (V, valence) positions
         valence = len(frame.prev)
         bad = [p // valence for p in (*torn[:1], bent) if p >= 0]
@@ -582,30 +574,6 @@ def schlafli_check(mesh: PeriodicMesh, config: EdgeLengthConfig,
     theta = deficit_angles(mesh, config)
     rhs = float(np.sum(theta * direction))
     return abs(dR - rhs)
-
-
-def max_realizable_epsilon(mesh: PeriodicMesh, u_prime: ReggeField,
-                           hi: float = 1.0, iters: int = 60) -> float:
-    """Largest eps <= hi with I + eps*u' realizable, by bisection; each
-    step runs only the realizability guard, no metric pull-back."""
-
-    def ok(eps):
-        try:
-            _checked_gram(mesh, perturbed_lengths(mesh, u_prime, eps))
-            return True
-        except RealizabilityError:
-            return False
-
-    if ok(hi):
-        return hi
-    lo, up = 0.0, hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + up)
-        if ok(mid):
-            lo = mid
-        else:
-            up = mid
-    return lo
 
 
 def _neville(xs, ys, x0=0.0) -> float:

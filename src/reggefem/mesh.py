@@ -25,8 +25,8 @@ Conventions
   offsets and types of its faces and sector tets, the edge's slot in each
   face); the star of edge 7v + d is that template moved to v, in template
   order.  Face i of a star lies between sectors i-1 and i, and n_ef points
-  into sector i.  Only the sector tets are stored; :func:`edge_star` lists
-  a star from its lowest face id.
+  into sector i.  Only the sector tets are stored; ``_star_faces`` forms
+  the face ids of a direction's stars by the same index arithmetic.
 * Float geometry is stored once per shape: tet t, face f and edge e are
   translates of the templates t % 6, f % 12 and e % 7 of the box at the
   origin, which ``_box_templates`` computes from the cell alone; the mesh
@@ -57,7 +57,6 @@ __all__ = [
     "build_torus_mesh",
     "checked_grid",
     "cell_geometry_error",
-    "edge_star",
     "mesh_summary",
     "DIRECTIONS",
     "LOCAL_EDGES",
@@ -141,9 +140,10 @@ class PeriodicMesh:
     Edge incidence is held only by the stars: ``_star_tets[d]`` is a
     (V, valence) array whose row v lists the sector tets of edge 7*v + d
     in the order of the template ``_STARS[d]``, which also gives the face
-    types and the edge's slot in each face.  Read one edge's faces and
-    tets through ``_star_arrays``; ``np.sort`` of a row gives the
-    ascending incident tets.  ``mesh_summary`` forms the face tables.
+    types and the edge's slot in each face.  ``_edge_tets`` reads one
+    edge's row, and ``np.sort`` of it gives the ascending incident tets;
+    ``_star_faces`` forms the face ids of the stars, which are not stored,
+    and ``mesh_summary`` the face tables.
     ``_star_frames[d]``, a ``_StarFrame``, holds the float constants every
     star of direction d shares: its tangent, its face frames in template
     order and the index of each face's sector before it.
@@ -436,30 +436,14 @@ def _edge_tets(mesh: PeriodicMesh, e: int) -> np.ndarray:
     return mesh._star_tets[e % 7][e // 7]
 
 
-def _star_arrays(mesh: PeriodicMesh, e: int):
-    """Faces and sector tets of the star of edge e, in template order.  The
-    faces are the template's moved to the vertex v = e // 7; their base
-    vertex ids are found in plain integers, several times faster than
-    numpy for the few points of one star."""
-    tets = _edge_tets(mesh, e)
-    off, ftype = _STARS[e % 7][:2]
-    (n1, n2, n3), v = mesh.grid, e // 7
-    i, j, k = v // (n2 * n3), v // n3 % n2, v % n3
-    base = [((i + a) % n1 * n2 + (j + b) % n2) * n3 + (k + c) % n3
-            for a, b, c in off.tolist()]
-    return 12 * np.array(base) + ftype, tets
-
-
-def edge_star(mesh: PeriodicMesh, e: int):
-    """Faces and sector tets around edge e in counter-clockwise cyclic order.
-
-    Entry i pairs face_i with the tet of the sector between face_i and
-    face_{i+1}, counter-clockwise with respect to t_e, starting at the
-    lowest face id.
-    """
-    faces, tets = _star_arrays(mesh, e)
-    k = -faces.argmin()
-    return list(zip(np.roll(faces, k).tolist(), np.roll(tets, k).tolist()))
+def _star_faces(mesh: PeriodicMesh, d: int, v=None) -> np.ndarray:
+    """The face ids of the stars of direction d in template order, (V, s),
+    or of the star of edge 7*v + d alone, (s,): the template's faces moved
+    to each vertex, as ``build_torus_mesh`` moves its sector tets."""
+    off, ftype = _STARS[d][:2]
+    points = (_lattice(mesh.grid) if v is None
+              else np.array(np.unravel_index(v, mesh.grid)))
+    return 12 * _vid(points[..., None, :] + off, np.array(mesh.grid)) + ftype
 
 
 def mesh_summary(mesh: PeriodicMesh, include_incidence: bool = False) -> dict:
@@ -486,16 +470,21 @@ def mesh_summary(mesh: PeriodicMesh, include_incidence: bool = False) -> dict:
         tails = _lattice(mesh.grid)[:, None, None] + _FACE_OFFSETS[:, a]
         face_edges = 7 * _vid(tails, np.array(mesh.grid)) + _dir(
             _FACE_OFFSETS[:, b] - _FACE_OFFSETS[:, a])
-        stars = [_star_arrays(mesh, e) for e in range(mesh.num_edges)]
+        faces = [_star_faces(mesh, d) for d in range(7)]
         face_tets = np.empty((mesh.num_faces, 2), dtype=np.int64)
-        for d, t in enumerate(mesh._star_tets):
-            f = np.array([faces for faces, _ in stars[d::7]])
+        for f, t in zip(faces, mesh._star_tets):
             face_tets[f] = np.sort(np.stack([np.roll(t, 1, axis=1), t], -1))
+
+        def by_edge(stars):
+            # row v of direction d, ascending, is the list of edge 7v + d
+            rows = [np.sort(s, axis=1).tolist() for s in stars]
+            return [row for vertex in zip(*rows) for row in vertex]
+
         out["incidence"] = {
             "tet_edges": mesh.tet_edges.tolist(),
             "face_tets": face_tets.tolist(),
             "face_edges": face_edges.reshape(-1, 3).tolist(),
-            "edge_tets": [np.sort(t).tolist() for _, t in stars],
-            "edge_faces": [np.sort(f).tolist() for f, _ in stars],
+            "edge_tets": by_edge(mesh._star_tets),
+            "edge_faces": by_edge(faces),
         }
     return out

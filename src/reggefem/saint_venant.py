@@ -128,9 +128,11 @@ def _pattern(grid: tuple) -> _Pattern:
     # scipy picks the index dtypes; the data carries the block entries
     head = sp.csr_matrix((entry[order], col,
                           np.searchsorted(row, np.arange(8))), shape=(7, E))
-    # head entry (a, 7*u + b) repeats at (7*v + a, 7*w + b), w = v + u
+    # head entry (a, 7*u + b) repeats at (7*v + a, 7*w + b), w = v + u;
+    # the columns take the head's index dtype, which scipy keeps without a
+    # copy, and the ordinals stay intp: .matrix gathers by them
     u, b = np.divmod(head.indices, 7)
-    i, j, k = ((np.arange(n)[:, None] + ui) % n
+    i, j, k = (((np.arange(n)[:, None] + ui) % n).astype(b.dtype)
                for n, ui in zip(grid, np.unravel_index(u, grid)))
     cols = 7 * n3 * (i[:, None, None] * n2 + j[:, None]) + (7 * k + b)
     indptr = np.r_[0, np.tile(np.diff(head.indptr), V).cumsum()]

@@ -3,7 +3,8 @@ import pytest
 
 from reggefem import (TorusGeometry, assemble_mass, assemble_stiffness,
                       build_torus_mesh, mesh_summary)
-from reggefem.mesh import _FACE_OFFSETS, _TET_OFFSETS, DIRECTIONS
+from reggefem.mesh import _FACE_OFFSETS, _TET_OFFSETS, DIRECTIONS, \
+    _edge_tets, _star_faces
 
 TAU = 2.0 * np.pi
 
@@ -39,6 +40,23 @@ def constant_metric(mesh, g):
     """Edge values d_e^T g d_e of the constant metric g, one per edge."""
     d = mesh.edge_vec
     return per_edge(mesh, np.einsum("di,ij,dj->d", d, g, d))
+
+
+def lowest_face_first(mesh, e, values):
+    """Rows of ``values``, which run in the template order of the star of
+    edge e, rolled to start at its lowest face id."""
+    faces = _star_faces(mesh, e % 7, e // 7)
+    return np.roll(values, -int(faces.argmin()), axis=0)
+
+
+def edge_star(mesh, e):
+    """The star of edge e as (face, sector tet) pairs of ints, counter-
+    clockwise about t_e from its lowest face id: pair i holds face i and
+    the sector between faces i and i + 1."""
+    tets = _edge_tets(mesh, e)  # MeshError for an invalid id
+    faces = _star_faces(mesh, e % 7, e // 7)
+    return list(zip(*(lowest_face_first(mesh, e, x).tolist()
+                      for x in (faces, tets))))
 
 
 def face_tables(mesh):

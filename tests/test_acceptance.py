@@ -9,11 +9,9 @@ import numpy as np
 
 from conftest import constant_metric
 from reggefem import (ReggeField, VertexVectorField, apply_ctc,
-                      build_edge_sector, convergence_study,
-                      deficit_angle_dihedral, deficit_angle_holonomy,
-                      deformation, divergence_x2, edge_jump_scalar,
-                      interpolate_0, interpolate_1,
-                      interpolate_2, interpolate_3, linearized_deficit,
+                      convergence_study, deformation, divergence_x2,
+                      holonomy_deficits, interpolate_0, interpolate_1,
+                      interpolate_2, interpolate_3, linearized_deficits,
                       matrix_mode, perturbed_lengths, schlafli_check,
                       second_variation_check, solve_pencil, vector_mode)
 from reggefem.action import deficit_angles, random_realizable_config, \
@@ -166,26 +164,23 @@ class TestAcceptance:
         h = 1e-2
         for _ in range(5):
             up = ReggeField(rng.uniform(-1, 1, mesh2.num_edges))
-            for e in range(mesh2.num_edges):
-                lin = linearized_deficit(mesh2, e, up)
-                worst_half = max(worst_half, abs(
-                    lin - 0.5 * edge_jump_scalar(mesh2, up, e)))
+            lin = linearized_deficits(mesh2, up)
+            worst_half = max(worst_half, np.abs(
+                lin - 0.5 * apply_ctc(mesh2, up).coeffs).max())
 
-            def theta(eps, e, path):
+            def theta(eps, path):
+                # every edge's deficit, one route
                 cfg = perturbed_lengths(mesh2, up, eps)
                 if path == "dihedral":
-                    return deficit_angle_dihedral(mesh2, e, cfg)
-                mats = tet_metrics_from_lengths(mesh2, cfg)
-                return deficit_angle_holonomy(
-                    build_edge_sector(mesh2, e, mats))
+                    return deficit_angles(mesh2, cfg)
+                return holonomy_deficits(
+                    mesh2, tet_metrics_from_lengths(mesh2, cfg))
 
-            for e in range(mesh2.num_edges):
-                lin = linearized_deficit(mesh2, e, up)
-                for path in ("dihedral", "holonomy"):
-                    d1 = (theta(h, e, path) - theta(-h, e, path)) / (2 * h)
-                    d2 = (theta(h / 2, e, path)
-                          - theta(-h / 2, e, path)) / h
-                    worst_fd = max(worst_fd, abs((4 * d2 - d1) / 3 - lin))
+            for path in ("dihedral", "holonomy"):
+                d1 = (theta(h, path) - theta(-h, path)) / (2 * h)
+                d2 = (theta(h / 2, path) - theta(-h / 2, path)) / h
+                worst_fd = max(worst_fd,
+                               np.abs((4 * d2 - d1) / 3 - lin).max())
         dt = time.time() - t0
         ok = worst_half <= 1e-12 and worst_fd <= 1e-7 and dt < 60.0
         report(6, ok, "linearized deficit bridge on (2,2,2), 5 seeds, all "
@@ -218,11 +213,8 @@ class TestAcceptance:
             # rotation angles live on the principal branch: stay below pi
             cfg = random_realizable_config(mesh2, rng, max_deficit=2.5)
             mats = tet_metrics_from_lengths(mesh2, cfg)
-            for e in range(mesh2.num_edges):
-                th_d = deficit_angle_dihedral(mesh2, e, cfg)
-                th_h = deficit_angle_holonomy(
-                    build_edge_sector(mesh2, e, mats))
-                worst = max(worst, abs(th_d - th_h))
+            worst = max(worst, np.abs(deficit_angles(mesh2, cfg)
+                                      - holonomy_deficits(mesh2, mats)).max())
         dt = time.time() - t0
         ok = worst <= 1e-9 and dt < 60.0
         report(8, ok, "dual-path deficits, 50 random configs on (2,2,2): "

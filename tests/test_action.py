@@ -8,25 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_metric, face_tables, lifted_points, \
-    per_edge
+    lowest_face_first, per_edge
 from golden import digest
 from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       assemble_stiffness, build_edge_sector, build_torus_mesh,
                       deficit_angle_dihedral, deficit_angle_holonomy,
-                      deficit_angles, edge_jump_scalar, edge_star,
+                      deficit_angles, edge_jump_scalar,
                       euclidean_lengths, holonomy_deficits,
                       linearized_deficit, linearized_deficits,
                       perturbed_lengths, regge_action, schlafli_check,
                       second_variation_check)
 from reggefem import action as action_module
-from reggefem.action import (_SYM, CM_DET_RTOL, _dihedral_cs,
-                             _gram_adjugate, _unit_normals,
+from reggefem.action import (_SYM, CM_DET_RTOL, _checked_gram,
+                             _dihedral_cs, _gram_adjugate, _unit_normals,
                              cayley_menger_determinant,
-                             max_realizable_epsilon, metric_dihedral_angles,
+                             metric_dihedral_angles,
                              random_realizable_config,
                              tet_metrics_from_lengths)
 from reggefem.mesh import _BOX_EDGE_DIRS, _STARS, _TET_SLOTS, LOCAL_EDGES, \
-    TorusGeometry, _edge_tets, _star_arrays
+    TorusGeometry, _edge_tets, _star_faces
 from reggefem.spaces import (VertexVectorField, deformation,
                              regge_to_tet_matrices)
 
@@ -58,6 +58,8 @@ class TestConfigs:
         {"squared_lengths": "abc"}, {"squared_lengths": [[1.0], [1.0, 2.0]]},
         {"squared_lengths": [1.0, None]}, {"squared_lengths": [-1.0]},
         {"squared_lengths": [float("nan")]},
+        {"squared_lengths": [[1.0], [1.0]]}, {"squared_lengths": [True]},
+        {"squared_lengths": ["1.0"]}, {"squared_lengths": [10 ** 400]},
     ])
     def test_from_json_rejects_malformed_payload(self, payload):
         with pytest.raises(ValueError):
@@ -153,7 +155,7 @@ class TestMetricReconstruction:
             except np.linalg.LinAlgError:
                 definite = False
             try:
-                tet_metrics_from_lengths(mesh3, EdgeLengthConfig(s), [t])
+                _checked_gram(mesh3, EdgeLengthConfig(s), [t])
                 accepted = True
             except RealizabilityError as ex:
                 assert str(ex) == f"tet {t}: metric not positive definite"
@@ -169,13 +171,13 @@ class TestMetricReconstruction:
         ea, eb = mesh3.tet_edges[17, 0], mesh3.tet_edges[100, 0]
         s[[ea, eb]] *= 60.0
         cfg = EdgeLengthConfig(s)
-        first = min(t for e in (ea, eb) for _, t in edge_star(mesh3, e))
+        first = min(int(_edge_tets(mesh3, e).min()) for e in (ea, eb))
         with pytest.raises(RealizabilityError,
                            match=rf"^tet {first}: degenerate"):
             tet_metrics_from_lengths(mesh3, cfg)
         with pytest.raises(RealizabilityError,
                            match=r"^tet 100: degenerate"):
-            tet_metrics_from_lengths(mesh3, cfg, [100, 17])
+            _checked_gram(mesh3, cfg, [100, 17])
 
     def test_degenerate_named_before_indefinite(self, mesh3):
         # the one fused guard keeps the two guards' priority: a degenerate
@@ -219,8 +221,7 @@ class TestMetricReconstruction:
         for lengths, tets, want in cases:
             with pytest.raises(RealizabilityError,
                                match=f"^{re.escape(want)}$"):
-                tet_metrics_from_lengths(mesh3, EdgeLengthConfig(lengths),
-                                         tets)
+                _checked_gram(mesh3, EdgeLengthConfig(lengths), tets)
 
     def test_amplitude_halving_logged(self, mesh2, caplog):
         # amplitude 8 gives negative squared lengths until it is down to 1
@@ -292,13 +293,13 @@ class TestDeficits:
     def test_sector_discontinuity_names_first_face(self, mesh2):
         mats = tet_metrics_from_lengths(mesh2, euclidean_lengths(mesh2))
         e = 3
-        sector = build_edge_sector(mesh2, e, mats)
         # a tangential change of sector 2 breaks faces 2 and 3
         bent = mats.copy()
-        bent[sector.tets[2]] += 1e-6 * np.eye(3)
+        bent[_edge_tets(mesh2, e)[2]] += 1e-6 * np.eye(3)
+        face = _star_faces(mesh2, e % 7, e // 7)[2]
         with pytest.raises(RealizabilityError, match=(
                 rf"^sector metrics of edge {e} are not tangentially "
-                rf"continuous across face {sector.faces[2]}$")):
+                rf"continuous across face {face}$")):
             build_edge_sector(mesh2, e, bent)
 
     @pytest.mark.parametrize("long_edge, bent_tet", [
@@ -445,9 +446,9 @@ class TestLengthOnlyDihedrals:
         assert np.abs(y.T / minor - 1.0).max() < 1e-12
 
     def test_needs_no_metric_and_no_det(self, mesh2, monkeypatch):
-        # the action and the bisection guard read lengths only; no route
-        # from lengths, the metric reconstruction included, takes a 5x5
-        # determinant or a Cholesky factor
+        # the action and the realizability guard read lengths only; no
+        # route from lengths, the metric reconstruction included, takes a
+        # 5x5 determinant or a Cholesky factor
         cfg = random_realizable_config(mesh2, np.random.default_rng(23))
 
         def forbidden(*args, **kwargs):
@@ -467,7 +468,8 @@ class TestLengthOnlyDihedrals:
                 for e in range(mesh2.num_edges)] == theta.tolist()
         up = ReggeField(np.random.default_rng(24).uniform(
             -1, 1, mesh2.num_edges))
-        assert 0 < max_realizable_epsilon(mesh2, up, hi=1e3) < 1e3
+        with pytest.raises(RealizabilityError, match="^tet 8: degenerate"):
+            _checked_gram(mesh2, perturbed_lengths(mesh2, up, 5.0))
 
 
 # The template tori, a torus whose 2-wide axes wrap, and a cell with one
@@ -520,7 +522,8 @@ class TestLinearization:
         mats = regge_to_tet_matrices(mesh, up)
         face_edges = face_tables(mesh)[0]
         for e in range(mesh.num_edges):
-            star = list(zip(*_star_arrays(mesh, e)))
+            star = list(zip(_star_faces(mesh, e % 7, e // 7),
+                            _edge_tets(mesh, e)))
             total = 0.0
             for i, (f, t_after) in enumerate(star):
                 slot = list(face_edges[f]).index(e)
@@ -591,25 +594,16 @@ class TestActionExpansion:
         A, _ = pencil2
         rng = np.random.default_rng(12)
         up = ReggeField(rng.uniform(-1, 1, mesh2.num_edges))
-        hi = max_realizable_epsilon(mesh2, up, hi=1e3)
+        # at eps = 5 a tet is degenerate, and every squared length is
+        # still positive (each is pi^2 or more, each |c_e| below 1)
+        with pytest.raises(RealizabilityError, match="degenerate"):
+            deficit_angles(mesh2, perturbed_lengths(mesh2, up, 5.0))
         with pytest.warns(UserWarning, match="pruned"), \
                 caplog.at_level(logging.DEBUG, logger="reggefem.action"):
-            rep = second_variation_check(
-                mesh2, up, [1e-2, 3e-2, 2.0 * hi], A)
-        assert rep.pruned == [2.0 * hi]
+            rep = second_variation_check(mesh2, up, [1e-2, 3e-2, 5.0], A)
+        assert rep.pruned == [5.0]
         assert [r.getMessage() for r in caplog.records] == [
-            "second_variation_check: pruned unrealizable epsilons "
-            f"{[2.0 * hi]}"]
-
-    def test_max_realizable_epsilon_bisection(self, mesh2):
-        rng = np.random.default_rng(13)
-        up = ReggeField(rng.uniform(-1, 1, mesh2.num_edges))
-        hi = max_realizable_epsilon(mesh2, up, hi=1e3)
-        assert 0 < hi < 1e3
-        tet_metrics_from_lengths(mesh2, perturbed_lengths(mesh2, up, hi))
-        with pytest.raises(RealizabilityError):
-            tet_metrics_from_lengths(mesh2,
-                                     perturbed_lengths(mesh2, up, 1.05 * hi))
+            "second_variation_check: pruned unrealizable epsilons [5.0]"]
 
 
 class TestSchlafli:
@@ -673,8 +667,9 @@ class TestSchlafli:
 # t % 6 and f % 12); the metric, angle and holonomy entries those of the
 # metrics from the Regge basis and the rank-one face crossings.  The
 # holonomy and linearized entries are those of stars run in template
-# order; the sector entries are pinned in edge_star order.  The holonomy
-# entries read the rotation in the frame of w1 and the k- of face 0.
+# order; the sector entries are pinned from each star's lowest face.  The
+# holonomy entries read the rotation in the frame of w1 and the k- of
+# face 0.
 GOLDEN_GRIDS = {
     # edges of the 2-wide directions wrap through the period
     "2x3x2": ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
@@ -791,12 +786,14 @@ def _action_outputs(grid, lengths) -> dict:
     edges = range(mesh.num_edges)
     sectors = [build_edge_sector(mesh, e, metrics) for e in edges]
 
-    def lowest_first(sector, name):
-        # sector data run in template order; pinned in the edge_star order
-        first = -int(np.argmin(sector.faces))
-        rolled = np.roll(getattr(sector, name), first, axis=0)
-        return tuple(rolled.tolist()) if name in ("faces", "tets") \
-            else rolled
+    def lowest_first(e, name):
+        # sector data run in template order; pinned from the lowest face
+        return lowest_face_first(mesh, e, getattr(sectors[e], name))
+
+    def faces_tets(e):
+        faces = _star_faces(mesh, e % 7, e // 7)
+        return tuple(tuple(lowest_face_first(mesh, e, x).tolist())
+                     for x in (faces, _edge_tets(mesh, e)))
 
     return {
         "deficit_angles": deficit_angles(mesh, cfg),
@@ -813,11 +810,10 @@ def _action_outputs(grid, lengths) -> dict:
             [linearized_deficit(mesh, e, up) for e in edges]),
         "holonomy_deficits": holonomy_deficits(mesh, metrics),
         "linearized_deficits": linearized_deficits(mesh, up),
-        "sector.ms": [lowest_first(s, "ms") for s in sectors],
-        "sector.ns": [lowest_first(s, "ns") for s in sectors],
-        "sector.metrics": [lowest_first(s, "metrics") for s in sectors],
-        "sector.faces_tets": [(lowest_first(s, "faces"),
-                               lowest_first(s, "tets")) for s in sectors],
+        "sector.ms": [lowest_first(e, "ms") for e in edges],
+        "sector.ns": [lowest_first(e, "ns") for e in edges],
+        "sector.metrics": [lowest_first(e, "metrics") for e in edges],
+        "sector.faces_tets": [faces_tets(e) for e in edges],
     }
 
 

@@ -253,6 +253,14 @@ class TestActionCommand:
         '{"squared_lengths": [-1]}',
         pytest.param('{"squared_lengths": [NaN' + ', 1.0' * 55 + ']}',
                      id="nan-among-56"),
+        # 56 realizable values each, of a type other than a flat list of
+        # numbers: nested, JSON booleans (read as 1.0), numeric strings
+        pytest.param(json.dumps({"squared_lengths": [[1.0] * 7] * 8}),
+                     id="nested-8x7"),
+        pytest.param(json.dumps({"squared_lengths": [True] * 56}),
+                     id="bools-56"),
+        pytest.param(json.dumps({"squared_lengths": ["1.0"] * 56}),
+                     id="strings-56"),
     ])
     def test_malformed_lengths_json_is_config_error(self, capsys, tmp_path,
                                                     payload):

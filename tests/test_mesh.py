@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import face_tables, lifted_points, per_edge
+from conftest import edge_star, face_tables, lifted_points, per_edge
 from golden import digest
-from reggefem import MeshError, TorusGeometry, build_torus_mesh, edge_star, \
+from reggefem import MeshError, TorusGeometry, build_torus_mesh, \
     mesh_summary
 from reggefem.action import euclidean_lengths, metric_dihedral_angles, \
     tet_metrics_from_lengths
-from reggefem.mesh import _STARS, LOCAL_EDGES, _star_arrays
+from reggefem.mesh import _STARS, LOCAL_EDGES, _edge_tets, _star_faces
 
 TAU = 2.0 * np.pi
 
@@ -263,7 +263,7 @@ class TestGeometry:
         assert {"cell", "edge_tail", "edge_vec", "_star_tets[6]",
                 "_star_frames[6].tm"} <= set(arrays)
         assert [k for k, v in arrays.items() if v.flags.writeable] == []
-        assert not _star_arrays(mesh, 3)[1].flags.writeable
+        assert not _edge_tets(mesh, 3).flags.writeable
 
 
 class TestEdgeStar:
@@ -313,8 +313,17 @@ class TestEdgeStar:
             assert np.all(np.diff(ang) > 1e-9)
 
     def test_invalid_edge_rejected(self, mesh):
-        with pytest.raises(MeshError):
-            edge_star(mesh, mesh.num_edges)
+        for e in (-1, mesh.num_edges):
+            with pytest.raises(MeshError, match=f"^invalid edge id {e}$"):
+                _edge_tets(mesh, e)
+
+    def test_one_star_is_its_row_of_the_table(self, mesh):
+        # the error path forms one vertex's faces, the summary every row
+        for d in range(7):
+            table = _star_faces(mesh, d)
+            assert table.shape == (mesh.num_vertices, len(_STARS[d][1]))
+            for v in range(mesh.num_vertices):
+                assert np.array_equal(_star_faces(mesh, d, v), table[v])
 
 
 class TestPeriodicity:
@@ -424,8 +433,7 @@ class TestFaceGluing:
         # tets, with n_ef pointing into sector i and away from sector i-1
         seen = np.zeros((mesh.num_faces, 3), dtype=np.int64)
         for d, t in enumerate(mesh._star_tets):
-            f = np.array([_star_arrays(mesh, e)[0]
-                          for e in range(d, mesh.num_edges, 7)])
+            f = _star_faces(mesh, d)
             s = np.broadcast_to(_STARS[d][2], f.shape).ravel()
             prev = np.roll(t, 1, axis=1).ravel()
             f, t = f.ravel(), t.ravel()
@@ -559,11 +567,10 @@ def _incidence_fingerprint(mesh) -> dict:
     faces, slots, tets = [], [], []
     face_edges = face_tables(mesh)[0]
     for e in range(mesh.num_edges):
-        f, t = _star_arrays(mesh, e)
-        f = np.sort(f)
+        f = np.sort(_star_faces(mesh, e % 7, e // 7))
         faces.append(f)
         slots.append(np.argmax(face_edges[f] == e, axis=1))
-        tets.append(np.sort(t))
+        tets.append(np.sort(_edge_tets(mesh, e)))
     summary = json.dumps(mesh_summary(mesh, include_incidence=True))
     return {"faces": digest(faces), "slots": digest(slots),
             "tets": digest(tets), "summary": digest(summary)}
@@ -594,7 +601,7 @@ class TestGoldenFingerprints:
         face_edges = face_tables(mesh)[0]
         slots = []
         for e in range(mesh.num_edges):
-            faces = _star_arrays(mesh, e)[0]
+            faces = _star_faces(mesh, e % 7, e // 7)
             stored = _STARS[e % 7][2]
             assert np.array_equal(face_edges[faces, stored],
                                   np.full(len(faces), e))

@@ -15,10 +15,10 @@ from golden import digest
 from reggefem import (ReggeField, VertexVectorField, apply_ctc,
                       assemble_mass, assemble_stiffness, build_torus_mesh,
                       deformation, divergence_x2, edge_jump_scalar,
-                      edge_star, interpolate_1, interpolate_2,
+                      interpolate_1, interpolate_2,
                       linearized_deficits, matrix_mode, read_coo,
                       saint_venant, skew, stencil_operators, write_coo)
-from reggefem.mesh import MeshError, TorusGeometry
+from reggefem.mesh import MeshError, TorusGeometry, _edge_tets
 from reggefem.saint_venant import BlockCirculant, _face_terms, _pattern
 from reggefem.spaces import deformation_matrix, regge_to_tet_matrices
 
@@ -78,7 +78,7 @@ class TestJumps:
         basis = np.zeros(mesh2.num_edges)
         basis[e0] = 1.0
         rf = ReggeField(basis)
-        support = {t for _, t in edge_star(mesh2, e0)}
+        support = set(_edge_tets(mesh2, e0).tolist())
         J = face_jumps(mesh2, rf)
         terms = _face_terms(mesh2.face_m, mesh2.face_n, J)
         face_tets = face_tables(mesh2)[1]

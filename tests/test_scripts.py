@@ -2,7 +2,8 @@
 does the README's library quickstart; every function the benchmark traces
 or calls still exists in the library, and its fine_assemble and
 spectrum_ladder workloads run and pass their checks; the CLI imports no
-module it need not load and builds no table on import; no library module
+module it need not load and builds no table on import; the package
+imports and every name in a module's ``__all__`` exists; no library module
 or script imports a name it does not use, and no line of the sources,
 scripts or tests is longer than 79 characters."""
 
@@ -135,6 +136,17 @@ def test_cli_import_builds_no_table():
                       "print(saint_venant._pattern.cache_info().currsize, "
                       "mesh._stencil_tables.cache_info().currsize)"])
     assert out.split() == ["0", "0"]
+
+
+def test_every_listed_name_resolves():
+    # a stale __all__ entry fails only on `import *`: star-import every
+    # module of the package in a fresh interpreter, after the package
+    modules = sorted(p.stem for p in (ROOT / "src" / "reggefem").glob("*.py")
+                     if p.stem != "__init__")
+    assert "action" in modules and "mesh" in modules
+    code = "".join(["import reggefem\n"]
+                   + [f"from reggefem.{m} import *\n" for m in modules])
+    _run(["-c", code + "print('ok')"])
 
 
 def _unused_imports(path):

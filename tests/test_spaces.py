@@ -10,12 +10,12 @@ from conftest import constant_metric, face_tables, lifted_points, \
     per_edge
 from reggefem import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
                       build_torus_mesh, deformation, divergence_x2,
-                      dof_mu_e, edge_star, interpolate_0, interpolate_1,
+                      dof_mu_e, interpolate_0, interpolate_1,
                       interpolate_2, interpolate_3, matrix_mode, pair_x2_x1,
                       pair_x3_x0, regge_to_tet_matrices, vector_mode)
 from reggefem import spaces
 from reggefem.action import EdgeLengthConfig, tet_metrics_from_lengths
-from reggefem.mesh import LOCAL_EDGES, TorusGeometry
+from reggefem.mesh import LOCAL_EDGES, TorusGeometry, _edge_tets
 from reggefem.quadrature import segment_rule, tet_points_weights, tet_rule
 from reggefem.spaces import (constant_matrix_field, constant_vector_field,
                              deformation_matrix, l2_norm_x1)
@@ -493,7 +493,7 @@ class TestContinuity:
         basis = np.zeros(mesh2.num_edges)
         basis[e0] = 1.0
         mats = regge_to_tet_matrices(mesh2, ReggeField(basis))
-        star = {t for _, t in edge_star(mesh2, e0)}
+        star = set(_edge_tets(mesh2, e0).tolist())
         for t in range(mesh2.num_tets):
             if t in star:
                 assert np.abs(mats[t]).max() > 1e-3
