@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 from .mesh import (MeshError, PeriodicMesh, TorusGeometry, build_torus_mesh,
                    mesh_summary)
 from .spaces import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
-                     VertexVectorMeasure, constant_matrix_field,
-                     constant_vector_field, deformation, divergence_x2,
-                     dof_mu_e, interpolate_0, interpolate_1, interpolate_2,
-                     interpolate_3, matrix_mode, pair_x2_x1, pair_x3_x0,
+                     VertexVectorMeasure, deformation, divergence_x2,
+                     interpolate_0, interpolate_1, interpolate_2,
+                     interpolate_3, matrix_mode, pair_x2_x1,
                      regge_to_tet_matrices, skew, vector_mode)
 from .saint_venant import (BlockCirculant, apply_ctc, assemble_mass,
                            assemble_stiffness, edge_jump_scalar, read_coo,

@@ -14,11 +14,10 @@ Two independent routes to the deficit angle of an edge:
   adjugate of its Gram matrix, with no metric pulled back; and the sum
   runs over their gaps to the flat background's angles, which make up
   2*pi around every edge, so theta is exactly 0 at the flat
-  configuration.  ``metric_dihedral_angles`` measures the same angles in
-  the pulled-back metrics and serves as the tests' oracle.  The
-  realizability guard tests both of its conditions (Cayley-Menger
-  determinant, positive definite Gram matrix) in one boolean array and
-  looks for the offending tet only when that test fails;
+  configuration.  The realizability guard tests both of its conditions
+  (Cayley-Menger determinant, positive definite Gram matrix) in one
+  boolean array and looks for the offending tet only when that test
+  fails;
 * holonomy: carry two vectors once around the edge through the cyclic
   star of sectors, crossing each face by the rank-one map that takes the
   metric-unit normal before it to the one after it, and read off the
@@ -29,8 +28,8 @@ Two independent routes to the deficit angle of an edge:
 
 The action is R = sum_e theta_e * l_e.  Near the flat background,
 R(l(eps)) = eps^2/8 * c' A c + O(eps^3) where c is the coefficient vector
-of the metric perturbation and A the assembled stiffness matrix; the
-linearized deficit equals half the assembled edge jump.
+of the metric perturbation and A the stiffness operator, applied by its
+matvec; the linearized deficit equals half the assembled edge jump.
 
 The sector build with its checks, the holonomy and the linearized deficit
 are each one private kernel over stacked stars: the per-edge functions
@@ -57,8 +56,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import _BOX_EDGE_DIRS, _TET_SLOTS, LOCAL_EDGES, PeriodicMesh, \
-    _edge_tets, _star_faces
+from .mesh import _BOX_EDGE_DIRS, _TET_SLOTS, PeriodicMesh, _edge_tets, \
+    _star_faces
 from .spaces import ReggeField, regge_to_tet_matrices
 
 __all__ = [
@@ -68,8 +67,6 @@ __all__ = [
     "euclidean_lengths",
     "perturbed_lengths",
     "tet_metrics_from_lengths",
-    "cayley_menger_determinant",
-    "metric_dihedral_angles",
     "deficit_angles",
     "deficit_angle_dihedral",
     "build_edge_sector",
@@ -87,14 +84,6 @@ __all__ = [
 # Realizability guard on the Cayley-Menger determinant, relative to the
 # sixth power of the longest edge of the tet.
 CM_DET_RTOL = 1e-14
-
-# Bordered Cayley-Menger matrix entries of each LOCAL_EDGES slot.
-_CM_LO, _CM_HI = np.array(LOCAL_EDGES).T + 1
-
-# Local vertices per local edge slot: the edge's two ends, then the other
-# two vertices, which span the two faces at the edge.
-_EDGE_VERTS = np.array([[i, j] + [x for x in range(4) if x not in (i, j)]
-                        for i, j in LOCAL_EDGES])
 
 # Positions of the entries (i, j) of a symmetric 3x3 matrix packed as the
 # six values 00, 11, 22, 01, 02, 12.
@@ -131,12 +120,21 @@ class RealizabilityError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeLengthConfig:
-    """One positive finite squared length per edge (length^2 units)."""
+    """One positive finite squared length per edge (length^2 units).
+
+    The lengths are a 1-D array of real numbers, stored as floats: any
+    other shape or dtype (booleans included) is a ValueError, and a
+    non-finite or non-positive value a RealizabilityError.
+    """
 
     squared_lengths: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.squared_lengths, float).ravel()
+        s = np.asarray(self.squared_lengths)
+        if s.ndim != 1 or s.dtype.kind not in "iuf":
+            raise ValueError("squared lengths must be a 1-D array of real "
+                             f"numbers, not {s.dtype} of shape {s.shape}")
+        s = s.astype(float, copy=False)
         object.__setattr__(self, "squared_lengths", s)
         if not np.all(np.isfinite(s)):
             raise RealizabilityError("squared lengths must be finite")
@@ -179,21 +177,6 @@ def perturbed_lengths(mesh: PeriodicMesh, u_prime: ReggeField,
     """Squared lengths of the metric I + eps*u': l_e^2 + eps*c_e exactly."""
     return EdgeLengthConfig(np.tile(mesh.edge_length**2, mesh.num_vertices)
                             + eps * u_prime.coeffs)
-
-
-def cayley_menger_determinant(s6):
-    """Cayley-Menger determinants of tets from six squared lengths each.
-
-    ``s6`` has shape (..., 6), LOCAL_EDGES order; the result has shape
-    (...), one determinant of a bordered 5x5 distance matrix per tet (a
-    float for a single tet).  Equals 288 V^2 for a realizable tet.
-    """
-    s = np.asarray(s6, float)
-    M = np.ones(s.shape[:-1] + (5, 5))
-    diag = np.arange(5)
-    M[..., diag, diag] = 0.0
-    M[..., _CM_LO, _CM_HI] = M[..., _CM_HI, _CM_LO] = s
-    return np.linalg.det(M)
 
 
 def _first_not_positive_definite(mats: np.ndarray) -> int:
@@ -301,45 +284,6 @@ def _flat_dihedral_cs(direction_lengths: tuple):
 def _flat_background(mesh: PeriodicMesh):
     """``_flat_dihedral_cs`` of the mesh (edge 7v + d has direction d)."""
     return _flat_dihedral_cs(tuple(mesh.edge_length.tolist()))
-
-
-def _dihedral_angles(p: np.ndarray, u: np.ndarray, slot: int) -> np.ndarray:
-    """Dihedral angle of each tet at one LOCAL_EDGES slot.
-
-    ``p`` (T, 4, 3) tet points, ``u`` (T, 3, 3) metrics.  Returns (T,)
-    angles in (0, pi): the angle between the two faces at the edge, i.e.
-    between the metric-orthogonal complements of the edge direction inside
-    the two face planes.
-    """
-    q = p[:, _EDGE_VERTS[slot]]
-    t = q[:, 1] - q[:, 0]
-    wc = q[:, 2] - q[:, 0]
-    wd = q[:, 3] - q[:, 0]
-    ut = np.einsum("tij,tj->ti", u, t)
-    tt = np.einsum("ti,ti->t", t, ut)
-    vc = wc - (np.einsum("ti,ti->t", wc, ut) / tt)[:, None] * t
-    vd = wd - (np.einsum("ti,ti->t", wd, ut) / tt)[:, None] * t
-    cc = np.einsum("ti,tij,tj->t", vc, u, vc)
-    dd = np.einsum("ti,tij,tj->t", vd, u, vd)
-    cd = np.einsum("ti,tij,tj->t", vc, u, vd)
-    return np.arccos(np.clip(cd / np.sqrt(cc * dd), -1.0, 1.0))
-
-
-def metric_dihedral_angles(mesh: PeriodicMesh,
-                           metrics: np.ndarray) -> np.ndarray:
-    """Dihedral angle of every tet at each of its six edges, in its metric.
-
-    Returns (T, 6) angles in (0, pi), columns in LOCAL_EDGES order.  This
-    is the metric route: it measures the angles of the tets, translates of
-    the templates ``tet_coords``, in the pulled-back metrics (e.g. of
-    ``tet_metrics_from_lengths``), so the tests use it as the oracle of the
-    length-only ``deficit_angles``.
-    """
-    p = np.tile(mesh.tet_coords, (mesh.num_vertices, 1, 1))
-    out = np.empty((mesh.num_tets, 6))
-    for a in range(6):
-        out[:, a] = _dihedral_angles(p, metrics, a)
-    return out
 
 
 def _angle_gaps(x, y, x0, y0) -> np.ndarray:
@@ -595,7 +539,7 @@ class SecondVariationReport:
     actions: np.ndarray
     ratios: np.ndarray           # R(eps)/eps^2
     extrapolated: float          # Richardson limit of the ratios at 0
-    target: float                # c' A c / 8 from the assembled matrix
+    target: float                # c' A c / 8 by the stiffness matvec
     remainder_slope: float       # log-log slope of |R - eps^2 * target|
     pruned: list = field(default_factory=list)
 
@@ -628,10 +572,10 @@ def second_variation_check(mesh: PeriodicMesh, u_prime: ReggeField,
     schedule above ~1e-3: the action is O(eps^2), so smaller eps loses the
     remainder to floating-point cancellation and degrades the slope fit.
     ``stiffness`` is ``assemble_stiffness(mesh)``; callers assemble it once
-    for all their directions.
+    for all their directions, and its matvec gives the target.
     """
     c = u_prime.coeffs
-    target = float(c @ (stiffness.matrix @ c)) / 8.0
+    target = float(c @ (stiffness @ c)) / 8.0
     eps_ok, actions, pruned = [], [], []
     for eps in sorted(float(e) for e in epsilons):
         try:

@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .action import EdgeLengthConfig, RealizabilityError, \
     deficit_angles, euclidean_lengths, perturbed_lengths
-from .mesh import DIRECTIONS, MeshError, TorusGeometry, build_torus_mesh, \
-    mesh_summary
+from .mesh import _MAX_VERTICES, DIRECTIONS, MeshError, TorusGeometry, \
+    build_torus_mesh, mesh_summary
 from .saint_venant import constant_kernel_residual, stencil_operators, \
     write_coo
 from .spaces import ReggeField
@@ -103,13 +103,21 @@ def _require(test, reason: str) -> Callable:
     return check
 
 
+def _check_vertices(count: int) -> None:
+    if count > _MAX_VERTICES:
+        raise ConfigError(f"more than {_MAX_VERTICES} vertices, too many "
+                          "for numpy arrays")
+
+
 def _grid(x) -> list:
     if not _is_triple(x, _is_whole):
         raise ConfigError("need three integer subdivision counts")
     if min(x) < 2:
         raise ConfigError("subdivisions must be at least 2 "
                           "(periodic identification)")
-    return [int(n) for n in x]
+    x = [int(n) for n in x]
+    _check_vertices(math.prod(x))
+    return x
 
 
 def _grids(x) -> list:
@@ -120,6 +128,7 @@ def _grids(x) -> list:
         raise ConfigError("subdivisions must be at least 2")
     if any(b <= a for a, b in zip(x, x[1:])):
         raise ConfigError("must be strictly increasing")
+    _check_vertices(x[-1] ** 3)
     return x
 
 
@@ -236,7 +245,11 @@ def cmd_eigs(cfg) -> int:
     cutoff = cfg["cutoff"]
     if cutoff is None:
         cutoff = default_cutoff(geometry, cfg["n_targets"])
-    oracle = fourier_oracle(geometry, cutoff)
+    try:
+        oracle = fourier_oracle(geometry, cutoff)
+    except ValueError as ex:  # a frequency box too large to enumerate
+        key = "n_targets" if cfg["cutoff"] is None else "cutoff"
+        raise ConfigError(f"{key}: {ex}") from ex
     try:
         clusters = assign_clusters(res, oracle, cfg["n_targets"])
     except ValueError as ex:
@@ -261,7 +274,10 @@ def cmd_eigs(cfg) -> int:
 
 
 def cmd_oracle(cfg) -> int:
-    sp = fourier_oracle(_geometry(cfg), cfg["cutoff"])
+    try:
+        sp = fourier_oracle(_geometry(cfg), cfg["cutoff"])
+    except ValueError as ex:  # a frequency box too large to enumerate
+        raise ConfigError(f"cutoff: {ex}") from ex
     rows = [(0.0, -1, "kernel")]
     rows += [(lam, mult, "mode") for lam, mult in sp.entries]
     _write_text(_csv_text(cfg, ("eigenvalue", "multiplicity", "kind"), rows),
@@ -440,8 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = {}
     try:
-        return COMMANDS[args.command].run(_resolve(args))
+        cfg = _resolve(args)
+        return COMMANDS[args.command].run(cfg)
+    except MemoryError:
+        # a grid the key checks admit, yet too large for this machine
+        if not {"grid", "grids"} & cfg.keys():
+            raise
+        key = "grids" if "grids" in cfg else "grid"
+        print(f"error: {key}: {cfg.get(key)} needs more memory than is "
+              "available", file=sys.stderr)
+        return 2
     except ConfigError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

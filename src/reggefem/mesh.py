@@ -44,6 +44,7 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -317,15 +318,26 @@ def _stencil_tables():
     return faces, tets
 
 
+# vertices of the largest grid whose arrays numpy can index: its largest
+# index array, the E x E expansion of ``saint_venant._pattern``, holds 115
+# entries of intp per vertex, and numpy refuses an array of more than the
+# largest intp in bytes
+_MAX_VERTICES = np.iinfo(np.intp).max // (115 * np.dtype(np.intp).itemsize)
+
+
 def checked_grid(grid) -> tuple:
     """``grid`` as three ints n_i >= 2, so that no edge closes onto its
-    own tail through a wrap; MeshError otherwise."""
+    own tail through a wrap, of at most ``_MAX_VERTICES`` vertices;
+    MeshError otherwise."""
     if len(grid) != 3 or any(int(g) != g for g in grid):
         raise MeshError("grid must be three integer subdivision counts")
     grid = tuple(int(g) for g in grid)
     if min(grid) < 2:
         raise MeshError("grid too coarse for periodic identification "
                         f"(need n_i >= 2, got {grid})")
+    if math.prod(grid) > _MAX_VERTICES:
+        raise MeshError(f"grid {grid} has more than {_MAX_VERTICES} "
+                        "vertices, too many for numpy arrays")
     return grid
 
 

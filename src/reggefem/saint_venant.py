@@ -16,7 +16,9 @@ A and M are block-circulant with 7x7 blocks (edge 7*v + d), and only the
 27 blocks B_s, s in {-1, 0, 1}^3, can be nonzero.  A ``BlockCirculant``
 holds those blocks and the grid, nothing of size E, and is the one owner
 of the format.  It gives the Bloch symbols over half the Brillouin zone,
-the symmetry residual and the matvec ``A @ c`` from the blocks alone.
+the symmetry residual and the matvec ``A @ c`` from the blocks alone;
+``_fold`` sums blocks onto their shifts' residues mod grid, as the E x E
+matrix holds them, for the symmetry residual and ``verify``'s D^T A.
 Where the entries sit depends on the grid alone: the 115 structural
 couplings (the edge pairs that share a tet), folded mod grid.
 ``_pattern`` builds that sparsity once per grid and keeps the last one:
@@ -156,6 +158,19 @@ def _residues(n: int, s: np.ndarray):
     return np.flatnonzero(present), np.cumsum(present) - 1
 
 
+def _fold(blocks: np.ndarray, shifts: np.ndarray, grid) -> tuple:
+    """``blocks`` (len(shifts),) * 3 + (...), block [i, j, k] at the shift
+    (shifts[i], shifts[j], shifts[k]), summed onto the residues of the
+    shifts mod ``grid``, as the E x E operator holds them: the residues of
+    each axis, ascending, and the folded blocks (m1, m2, m3, ...), m_i
+    residues on axis i."""
+    residues, ranks = zip(*(_residues(n, shifts) for n in grid))
+    out = np.zeros(tuple(map(len, residues)) + blocks.shape[3:])
+    np.add.at(out, np.ix_(*(rank[shifts % n]
+                            for rank, n in zip(ranks, grid))), blocks)
+    return residues, out
+
+
 def _roots(n: int, k: np.ndarray, s: np.ndarray) -> np.ndarray:
     """exp(-2 pi i k s / n) for frequencies k and shifts s, (len k, len s),
     read from one table of the n-th roots of unity by k s mod n: shifts of
@@ -263,15 +278,10 @@ class BlockCirculant:
     def symmetry_residual(self) -> float:
         """max|S - S^T| / max|S|, read off the blocks folded onto their
         residues mod grid: block s of S^T is B_{-s}^T."""
-        folds, partners = [], []
-        for n in self.grid:
-            # the residues of the shifts and of their negatives, each once
-            residues, rank = _residues(n, np.concatenate([_SHIFTS,
-                                                          -_SHIFTS]))
-            folds.append(rank[_SHIFTS % n])
-            partners.append(rank[-residues % n])
-        B = np.zeros(tuple(map(len, partners)) + (7, 7))
-        np.add.at(B, np.ix_(*folds), self.blocks)
+        residues, B = _fold(self.blocks, _SHIFTS, self.grid)
+        # the shifts are their own negatives, and so are their residues
+        partners = [np.searchsorted(r, -r % n)
+                    for r, n in zip(residues, self.grid)]
         Bt = B[np.ix_(*partners)].swapaxes(-1, -2)
         denom = max(np.abs(B).max(initial=0.0), 1e-300)
         return float(np.abs(B - Bt).max(initial=0.0) / denom)

@@ -9,17 +9,17 @@ Four spaces form the discrete elasticity sequence
   3-vector coefficient per vertex (hat function basis).
 * ``ReggeField``: piecewise constant symmetric matrix fields with
   tangential-tangential continuity, one coefficient per edge in the basis
-  dual to the edge line-integral degrees of freedom ``dof_mu_e``.
+  dual to the edge degrees of freedom, the line integrals of the metric
+  mu_e(u) = int_0^1 d_e^T u(x_e + s d_e) d_e ds.
 * ``EdgeMeasure``: matrix line measures u_e t_e t_e^T delta_e.
 * ``VertexVectorMeasure``: vector point measures u_x delta_x.
 
 The interpolators integrate a field by one of two routes:
 
-* ``ReggeField`` (``interpolate_2``, ``dof_mu_e``): exactly, from its
-  constant per-tet matrices U_T, read through ``regge_to_tet_matrices``
-  (which rejects a field whose length is not the edge count).
-  ``interpolate_2`` sums |T| U_T : rho_e over the tets T, ``dof_mu_e``
-  reads d_e^T U_T d_e on one incident tet.
+* ``ReggeField`` (``interpolate_2``): exactly, from its constant per-tet
+  matrices U_T, read through ``regge_to_tet_matrices`` (which rejects a
+  field whose length is not the edge count): |T| U_T : rho_e summed over
+  the tets T.
 * Every ``SmoothField``: through ``_moments``, the quadrature moments of
   the field on one shape family of the Kuhn complex, which is translation
   invariant: simplex (v, r) is the r-th member of the family moved to
@@ -29,14 +29,17 @@ The interpolators integrate a field by one of two routes:
   (``TrigMatrixField`` from ``matrix_mode``, ``TrigVectorField`` from
   ``vector_mode``: a constant amplitude times sin or cos of k.x + phase)
   is integrated in closed form by angle addition, at cost
-  O(shapes * Q + V) with no array of size V * Q; any other field (the
-  constant fields, user callables) by point evaluation, a fixed block of
-  ``_VERTEX_BLOCK`` vertices at a time.
+  O(shapes * Q + V) with no array of size V * Q; any other field (a
+  user callable) by point evaluation, a fixed block of ``_VERTEX_BLOCK``
+  vertices at a time.
 
-``interpolate_0`` and ``dof_mu_e`` evaluate every ``SmoothField`` at
-points.  ``interpolate_0``, ``interpolate_1`` and ``interpolate_3`` take
-only a ``SmoothField``, ``interpolate_2`` and ``dof_mu_e`` a
-``SmoothField`` or ``ReggeField``; anything else raises TypeError.
+``interpolate_0`` evaluates every ``SmoothField`` at points.
+``interpolate_0``, ``interpolate_1`` and ``interpolate_3`` take only a
+``SmoothField``, ``interpolate_2`` a ``SmoothField`` or ``ReggeField``;
+anything else raises TypeError.
+
+The deformation map is applied, never stored as a matrix: ``verify``
+checks the complex on the blocks of the stiffness operator.
 
 Symmetric 3x3 matrices are plain ndarrays kept exactly symmetric by
 construction.  All operations are pure functions of immutable inputs.
@@ -48,9 +51,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
-from .mesh import _TET_OFFSETS, PeriodicMesh, _edge_tets
+from .mesh import _TET_OFFSETS, PeriodicMesh
 from .quadrature import segment_rule, tet_points_weights, tet_rule
 
 __all__ = [
@@ -61,21 +63,15 @@ __all__ = [
     "VertexVectorMeasure",
     "matrix_mode",
     "vector_mode",
-    "constant_matrix_field",
-    "constant_vector_field",
     "skew",
-    "dof_mu_e",
     "interpolate_0",
     "interpolate_1",
     "interpolate_2",
     "interpolate_3",
     "deformation",
-    "deformation_matrix",
     "divergence_x2",
     "regge_to_tet_matrices",
     "pair_x2_x1",
-    "pair_x3_x0",
-    "l2_norm_x1",
 ]
 
 
@@ -149,18 +145,6 @@ class SmoothField:
 
     def __call__(self, pts):
         return self.fn(np.asarray(pts, float))
-
-
-def constant_matrix_field(a, quad_points=2) -> SmoothField:
-    a = 0.5 * (np.asarray(a, float) + np.asarray(a, float).T)
-    return SmoothField(lambda x: np.broadcast_to(a, x.shape[:-1] + (3, 3)),
-                       quad_points)
-
-
-def constant_vector_field(b, quad_points=2) -> SmoothField:
-    b = np.asarray(b, float)
-    return SmoothField(lambda x: np.broadcast_to(b, x.shape[:-1] + (3,)),
-                       quad_points)
 
 
 def skew(v) -> np.ndarray:
@@ -307,27 +291,6 @@ def _moments(mesh, u: SmoothField, offsets, weights) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def dof_mu_e(mesh: PeriodicMesh, e: int, u) -> float:
-    """Edge degree of freedom: the line integral of the metric along e.
-
-    mu_e(u) = int_0^1 (y-x)^T u(x + s(y-x)) (y-x) ds with x, y the lifted
-    endpoints.  For a ReggeField the value is exact (the field is constant
-    on any incident tet and single-valued along the edge by
-    tangential-tangential continuity); for a SmoothField it is computed by
-    Gauss quadrature at the field's declared order.
-    """
-    if not 0 <= e < mesh.num_edges:
-        raise ValueError(f"invalid edge id {e}")
-    _require(u, "dof_mu_e", SmoothField, ReggeField)
-    d = mesh.edge_vec[e % 7]
-    if isinstance(u, ReggeField):
-        t = _edge_tets(mesh, e).min()
-        return float(d @ regge_to_tet_matrices(mesh, u, [t])[0] @ d)
-    s, w = segment_rule(u.quad_points)
-    vals = u(mesh.vertex_pos[mesh.edge_tail[e]] + s[:, None] * d)
-    return float(np.einsum("q,qij,i,j->", w, vals, d, d))
-
-
 def interpolate_0(mesh: PeriodicMesh, v: SmoothField) -> VertexVectorField:
     """Nodal interpolation: coefficient at vertex x is v(x)."""
     _require(v, "interpolate_0", SmoothField)
@@ -433,18 +396,6 @@ def deformation(mesh: PeriodicMesh, v: VertexVectorField) -> ReggeField:
     return ReggeField(np.einsum("ei,ei->e", d, dv))
 
 
-def deformation_matrix(mesh: PeriodicMesh) -> sp.csr_matrix:
-    """Sparse (E, 3V) matrix of the deformation map on stacked coefficients:
-    row e holds +d_e at the head's three columns and -d_e at the tail's."""
-    E, V = mesh.num_edges, mesh.num_vertices
-    ends = np.stack([mesh.edge_head, mesh.edge_tail], axis=1)
-    cols = 3 * ends[:, :, None] + np.arange(3)
-    vals = np.tile(np.stack([mesh.edge_vec, -mesh.edge_vec], 1), (V, 1, 1))
-    rows = np.repeat(np.arange(E), 6)
-    return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())),
-                         shape=(E, 3 * V))
-
-
 def divergence_x2(mesh: PeriodicMesh, u: EdgeMeasure) -> VertexVectorMeasure:
     """Distributional divergence of an edge measure.
 
@@ -477,7 +428,7 @@ def regge_to_tet_matrices(mesh: PeriodicMesh, u: ReggeField,
 
 
 # ---------------------------------------------------------------------------
-# pairings and norms
+# pairing
 
 
 def pair_x2_x1(mesh: PeriodicMesh, em: EdgeMeasure, rf: ReggeField) -> float:
@@ -488,17 +439,3 @@ def pair_x2_x1(mesh: PeriodicMesh, em: EdgeMeasure, rf: ReggeField) -> float:
     """
     lengths = np.tile(mesh.edge_length, mesh.num_vertices)
     return float(np.sum(em.coeffs * rf.coeffs / lengths))
-
-
-def pair_x3_x0(mesh: PeriodicMesh, vm: VertexVectorMeasure,
-               vf: VertexVectorField) -> float:
-    """Duality pairing of a vertex measure with a vertex field."""
-    return float(np.sum(vm.values * vf.values))
-
-
-def l2_norm_x1(mesh: PeriodicMesh, u: ReggeField) -> float:
-    """L2 norm via per-tet Frobenius norms of the constant matrices."""
-    mats = regge_to_tet_matrices(mesh, u)
-    return float(np.sqrt(np.sum(mesh.tet_volume
-                                * np.einsum("tij,tij->t", mats, mats))))
-

@@ -35,13 +35,13 @@ import numpy as np
 from .action import deficit_angles, holonomy_deficits, \
     linearized_deficits, perturbed_lengths, random_realizable_config, \
     schlafli_check, second_variation_check, tet_metrics_from_lengths
-from .mesh import PeriodicMesh, build_torus_mesh
-from .saint_venant import apply_ctc, assemble_stiffness, \
-    constant_kernel_residual
+from .mesh import DIRECTIONS, PeriodicMesh, build_torus_mesh
+from .saint_venant import BlockCirculant, _fold, apply_ctc, \
+    assemble_stiffness, constant_kernel_residual
 from .spaces import ReggeField, VertexVectorField, deformation, \
-    deformation_matrix, divergence_x2, interpolate_0, interpolate_1, \
-    interpolate_2, interpolate_3, matrix_mode, pair_x2_x1, \
-    regge_to_tet_matrices, vector_mode
+    divergence_x2, interpolate_0, interpolate_1, interpolate_2, \
+    interpolate_3, matrix_mode, pair_x2_x1, regge_to_tet_matrices, \
+    vector_mode
 from .spectrum import sigma_modes
 
 __all__ = ["CheckResult", "run_verification",
@@ -74,17 +74,43 @@ def _result(name, value, tol, detail=""):
                        float(tol))
 
 
+# the shifts of the blocks of D^T A on each axis: t with t or t + d in
+# {-1, 0, 1} for a direction d of DIRECTIONS
+_DIVERGENCE_SHIFTS = np.arange(-2, 2)
+
+
+def _divergence_of_jumps(A: BlockCirculant, edge_vec: np.ndarray) -> tuple:
+    """The blocks of D^T A, folded onto their residues mod grid as
+    ``saint_venant._fold`` returns them: D is the E x 3V deformation
+    matrix, whose row e holds +d_e at the three columns of its head and
+    -d_e at those of its tail, and ``edge_vec`` the seven d.
+
+    Entry (i, b) of block t couples column 3w + i to edge 7(w + t) + b.
+    Edge 7v + d has its tail at v and its head at v + DIRECTIONS[d], so
+    block t, t in {-2..1}^3, is sum_d d_d (x) (B_{t + DIRECTIONS[d]}[d] -
+    B_t[d]), (3, 7), with B_s = 0 outside {-1, 0, 1}^3.  These are the
+    products the sparse D^T A sums, on 27 blocks of A instead of E x E.
+    """
+    B = np.zeros((5, 5, 5, 7, 7))
+    B[1:4, 1:4, 1:4] = A.blocks  # B_s at s + 2
+    heads = np.stack([B[i:i + 4, j:j + 4, k:k + 4, d]
+                      for d, (i, j, k) in enumerate(DIRECTIONS)], axis=3)
+    blocks = np.einsum("di,tuvdb->tuvib", edge_vec, heads - B[:4, :4, :4])
+    return _fold(blocks, _DIVERGENCE_SHIFTS, A.grid)
+
+
 def check_complex_identities(mesh: PeriodicMesh, seed: int = 0) -> list:
     """def -> edge jump -> divergence composes to zero, A symmetric.
 
-    Sparse throughout.  The divergence of the jump of basis field e_j is
-    column j of D^T A (D the deformation matrix): apply_ctc(e_j) is
-    l * A[:, j] and divergence_x2 is D^T diag(1/l).
+    On the 27 blocks of A throughout, with no E x E matrix formed.  The
+    divergence of the jump of basis field e_j is column j of D^T A (D the
+    deformation matrix): apply_ctc(e_j) is l * A[:, j] and divergence_x2
+    is D^T diag(1/l).  ``_divergence_of_jumps`` gives every entry of D^T A
+    from the blocks, and the deformations go through the matvec A @ c.
     """
     rng = np.random.default_rng(seed)
     A = assemble_stiffness(mesh)
-    Am = A.matrix
-    scale_A = np.abs(Am.data).max()
+    scale_A = np.abs(A.blocks).max()
     out = [_result("stiffness_symmetry", A.symmetry_residual(), 1e-10)]
 
     worst = max(constant_kernel_residual(mesh.edge_vec, A, rng)
@@ -96,12 +122,12 @@ def check_complex_identities(mesh: PeriodicMesh, seed: int = 0) -> list:
     for _ in range(_N_COMPLEX):
         v = VertexVectorField(rng.uniform(-1, 1, (mesh.num_vertices, 3)))
         c = deformation(mesh, v).coeffs
-        worst = max(worst, np.abs(Am @ c).max()
+        worst = max(worst, np.abs(A @ c).max()
                     / (scale_A * max(np.abs(c).max(), 1e-300)))
     out.append(_result("deformations_in_kernel", worst, 1e-10,
                        f"{_N_COMPLEX} random vertex fields"))
 
-    worst = abs(deformation_matrix(mesh).T @ Am).max()
+    worst = np.abs(_divergence_of_jumps(A, mesh.edge_vec)[1]).max()
     out.append(_result("divergence_of_jumps_zero", worst, 1e-12,
                        "all basis fields"))
     return out

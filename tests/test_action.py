@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import constant_metric, face_tables, lifted_points, \
     lowest_face_first, per_edge
 from golden import digest
+from oracles import cayley_menger_determinant, metric_dihedral_angles
 from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       assemble_stiffness, build_edge_sector, build_torus_mesh,
                       deficit_angle_dihedral, deficit_angle_holonomy,
@@ -21,8 +22,6 @@ from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
 from reggefem import action as action_module
 from reggefem.action import (_SYM, CM_DET_RTOL, _checked_gram,
                              _dihedral_cs, _gram_adjugate, _unit_normals,
-                             cayley_menger_determinant,
-                             metric_dihedral_angles,
                              random_realizable_config,
                              tet_metrics_from_lengths)
 from reggefem.mesh import _BOX_EDGE_DIRS, _STARS, _TET_SLOTS, LOCAL_EDGES, \
@@ -52,6 +51,32 @@ class TestConfigs:
         s[0] = bad
         with pytest.raises(RealizabilityError, match="finite"):
             EdgeLengthConfig(s)
+
+    @pytest.mark.parametrize("bad, reason", [
+        (np.ones((8, 7)), "float64 of shape (8, 7)"),
+        (np.ones((56, 1)), "float64 of shape (56, 1)"),
+        (np.float64(1.0), "float64 of shape ()"),
+        (np.array([True] * 56), "bool of shape (56,)"),
+        (np.ones(56, complex), "complex128 of shape (56,)"),
+        (np.array(["1.0"] * 56), "<U3 of shape (56,)"),
+        (np.array([1.0] * 56, dtype=object), "object of shape (56,)"),
+    ], ids=["2-D", "column", "0-D", "bool", "complex", "str", "object"])
+    def test_constructor_refuses_other_shapes_and_dtypes(self, bad, reason):
+        # the one check of the lengths' form, for library callers and
+        # from_json alike: nothing is flattened or read as 1.0
+        with pytest.raises(ValueError) as info:
+            EdgeLengthConfig(bad)
+        assert str(info.value) == ("squared lengths must be a 1-D array "
+                                   f"of real numbers, not {reason}")
+        assert not isinstance(info.value, RealizabilityError)
+
+    def test_constructor_takes_real_1d_arrays(self, mesh2):
+        ints = EdgeLengthConfig(np.arange(1, 57, dtype=np.int32))
+        assert ints.squared_lengths.dtype == float
+        assert np.array_equal(ints.squared_lengths, np.arange(1.0, 57.0))
+        s = per_edge(mesh2, mesh2.edge_length) ** 2
+        assert EdgeLengthConfig(s).squared_lengths is s
+        assert np.array_equal(EdgeLengthConfig(s.tolist()).squared_lengths, s)
 
     @pytest.mark.parametrize("payload", [
         [1, 2, 3], 5, None, {}, {"lengths": [1.0]},

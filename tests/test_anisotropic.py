@@ -78,8 +78,8 @@ class TestAnisotropicPipeline:
 
     def test_dihedral_sums(self, aniso):
         _, mesh = aniso
-        from reggefem.action import (metric_dihedral_angles,
-                                     tet_metrics_from_lengths)
+        from oracles import metric_dihedral_angles
+        from reggefem.action import tet_metrics_from_lengths
         mats = tet_metrics_from_lengths(mesh, euclidean_lengths(mesh))
         ang = metric_dihedral_angles(mesh, mats)
         total = np.zeros(mesh.num_edges)

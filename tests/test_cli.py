@@ -37,6 +37,56 @@ class TestMeshCommand:
         assert code == 2
         assert "grid" in err
 
+    @pytest.mark.parametrize("n", [10 ** 18, 10 ** 20])
+    def test_grid_beyond_numpy_arrays_refused_before_any_array(
+            self, capsys, tmp_path, monkeypatch, n):
+        # 10**18 once ended in "array is too big", 10**20 in an
+        # OverflowError: the key checks now refuse both, building nothing
+        from reggefem import cli, mesh
+        from reggefem.mesh import MeshError, checked_grid
+
+        def no_build(*args):
+            raise AssertionError("an array was built")
+        for name in ("build_torus_mesh", "stencil_operators",
+                     "convergence_study"):
+            monkeypatch.setattr(cli, name, no_build)
+        monkeypatch.setattr(np, "arange", no_build)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"grid": [2, 2, float(n)]}))
+        for argv in (("mesh", "--grid", "2", "2", str(n)),
+                     ("eigs", "--grid", str(n), "2", "2"),
+                     ("mesh", "--config", str(path)),
+                     ("converge", "--grids", "2", str(n))):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert re.fullmatch(r"error: grids?: more than \d+ vertices, "
+                                r"too many for numpy arrays\n", err)
+        monkeypatch.undo()
+        with pytest.raises(MeshError, match="too many"):
+            checked_grid((2, 2, n))
+        # the bound is on the vertex count
+        largest = (2, 2, mesh._MAX_VERTICES // 4)
+        assert checked_grid(largest) == largest
+        with pytest.raises(MeshError, match="too many"):
+            checked_grid((2, 2, largest[2] + 1))
+
+    def test_out_of_memory_names_the_grid(self, capsys, monkeypatch):
+        # a grid the checks admit but the machine cannot hold: no real
+        # allocation is tried, the build raises as an oversized one would
+        from reggefem import cli
+
+        def out_of_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr(cli, "build_torus_mesh", out_of_memory)
+        monkeypatch.setattr(cli, "convergence_study", out_of_memory)
+        code, out, err = run(capsys, "mesh", "--grid", "2", "2", "1000")
+        assert (code, out) == (2, "")
+        assert err == ("error: grid: [2, 2, 1000] needs more memory than is "
+                       "available\n")
+        code, _, err = run(capsys, "converge", "--grids", "2", "300")
+        assert code == 2
+        assert err.startswith("error: grids: [2, 300] needs more memory")
+
 
 class TestEigsCommand:
     def test_grid_1_config_error(self, capsys):
@@ -117,6 +167,23 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "--cutoff", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, key", [
+        (("oracle", "--cutoff", "1e308"), "cutoff"),
+        (("oracle", "--cutoff", "1e5"), "cutoff"),
+        (("oracle", "--lengths", "1e300", "1", "1", "--cutoff", "1e300"),
+         "cutoff"),
+        (("eigs", "--cutoff", "1e308"), "cutoff"),
+        (("eigs", "--n-targets", "100000000"), "n_targets"),
+    ])
+    def test_box_too_large_to_enumerate_is_config_error(self, capsys, argv,
+                                                        key):
+        # once a hang (1e308) or tens of seconds: refused before the
+        # enumeration, naming the key that sets the cutoff
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(rf"error: {key}: cutoff \S+ needs more than "
+                            r"16777216 frequencies to enumerate\n", err)
+
     def test_cutoff_below_first_mode_reports_kernel_only(self, capsys):
         code, out, _ = run(capsys, "oracle", "--cutoff", "0.5")
         assert code == 0
@@ -148,7 +215,7 @@ class TestAssembleCommand:
         # matvec of the blocks: no E x E matrix is built
         from reggefem import ReggeField, apply_ctc, assemble_mass, \
             assemble_stiffness, build_torus_mesh, edge_jump_scalar, \
-            saint_venant
+            saint_venant, second_variation_check
         from reggefem.mesh import TorusGeometry
         from reggefem.saint_venant import BlockCirculant
         expanded = []
@@ -183,6 +250,18 @@ class TestAssembleCommand:
         payload = json.loads(out)
         assert payload["stiffness"]["nnz"] == A.nnz
         assert payload["mass"]["nnz"] == M.nnz
+        # verify checks the complex on the blocks and applies A by its
+        # matvec, and so does the second-variation target
+        expanded.clear()
+        code, out, _ = run(capsys, "verify", "--grid", "2", "3", "2")
+        assert code == 0 and out.endswith("14/14 checks passed\n")
+        c = np.random.default_rng(1).uniform(-1, 1, mesh.num_edges)
+        rep = second_variation_check(mesh, ReggeField(c),
+                                     np.geomspace(1e-2, 1e-1, 7), A)
+        assert expanded == []
+        assert abs(rep.target - c @ (A.matrix @ c) / 8) \
+            <= 1e-14 * abs(rep.target)
+        assert rep.rel_error < 1e-2
 
 
 class TestConvergeCommand:

@@ -6,10 +6,10 @@ import pytest
 
 from conftest import edge_star, face_tables, lifted_points, per_edge
 from golden import digest
+from oracles import metric_dihedral_angles
 from reggefem import MeshError, TorusGeometry, build_torus_mesh, \
     mesh_summary
-from reggefem.action import euclidean_lengths, metric_dihedral_angles, \
-    tet_metrics_from_lengths
+from reggefem.action import euclidean_lengths, tet_metrics_from_lengths
 from reggefem.mesh import _STARS, LOCAL_EDGES, _edge_tets, _star_faces
 
 TAU = 2.0 * np.pi

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import constant_metric, face_tables, lifted_points
 from golden import digest
+from oracles import deformation_matrix
 from reggefem import (ReggeField, VertexVectorField, apply_ctc,
                       assemble_mass, assemble_stiffness, build_torus_mesh,
                       deformation, divergence_x2, edge_jump_scalar,
@@ -20,7 +21,8 @@ from reggefem import (ReggeField, VertexVectorField, apply_ctc,
                       saint_venant, skew, stencil_operators, write_coo)
 from reggefem.mesh import MeshError, TorusGeometry, _edge_tets
 from reggefem.saint_venant import BlockCirculant, _face_terms, _pattern
-from reggefem.spaces import deformation_matrix, regge_to_tet_matrices
+from reggefem.spaces import regge_to_tet_matrices
+from reggefem.verify import _divergence_of_jumps
 
 TAU = 2.0 * np.pi
 
@@ -176,6 +178,39 @@ class TestApplyOperator:
         assert np.abs(loop).max() < 1e-12
         product = deformation_matrix(mesh3).T @ pencil3[0].matrix
         assert np.abs(product.toarray() - loop).max() <= 1e-13
+
+
+    @pytest.mark.parametrize("grid, lengths", [
+        ((2, 2, 2), (TAU, TAU, TAU)), ((2, 3, 2), (TAU, TAU, TAU)),
+        ((3, 3, 3), (TAU, TAU, TAU)),
+        ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+        ((3, 4, 2), (1e-3 * TAU, 2.5 * np.pi, 3.0 * np.pi)),
+    ], ids=["2x2x2", "2x3x2", "3x3x3", "4x5x6", "thin"])
+    def test_folded_divergence_blocks_are_the_sparse_product(self, grid,
+                                                             lengths):
+        # verify's divergence_of_jumps_zero reads D^T A off 27 blocks of A;
+        # entry (3w + i, 7u + b) sits in the block of residue u - w
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        A = assemble_stiffness(mesh)
+        residues, blocks = _divergence_of_jumps(A, mesh.edge_vec)
+        product = (deformation_matrix(mesh).T @ A.matrix).toarray()
+        V = mesh.num_vertices
+        pos = np.stack(np.unravel_index(np.arange(V), grid), axis=1)
+        t = (pos[None] - pos[:, None]) % grid  # (w, u, 3): u - w
+        rank = []
+        for r, n in zip(residues, grid):
+            lut = np.full(n, -1)
+            lut[r] = np.arange(len(r))
+            rank.append(lut)
+        at = [lut[t[..., axis]] for axis, lut in enumerate(rank)]
+        held = np.all([a >= 0 for a in at], axis=0)
+        expect = np.where(held[..., None, None], blocks[tuple(at)], 0.0)
+        expect = expect.swapaxes(1, 2).reshape(3 * V, 7 * V)
+        scale = np.abs(A.blocks).max() * np.abs(mesh.edge_vec).max()
+        assert np.abs(expect - product).max() <= 1e-15 * scale
+        # every entry is compared, zeros included; and all are roundoff
+        assert np.abs(blocks).max() <= 1e-14 * scale
+        assert blocks.shape == tuple(map(len, residues)) + (3, 7)
 
 
 class TestStiffness:

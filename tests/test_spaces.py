@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 
 from conftest import constant_metric, face_tables, lifted_points, \
     per_edge
+from oracles import constant_matrix_field, constant_vector_field, \
+    deformation_matrix, dof_mu_e, l2_norm_x1, pair_x3_x0
 from reggefem import (EdgeMeasure, ReggeField, SmoothField, VertexVectorField,
                       build_torus_mesh, deformation, divergence_x2,
-                      dof_mu_e, interpolate_0, interpolate_1,
-                      interpolate_2, interpolate_3, matrix_mode, pair_x2_x1,
-                      pair_x3_x0, regge_to_tet_matrices, vector_mode)
+                      interpolate_0, interpolate_1, interpolate_2,
+                      interpolate_3, matrix_mode, pair_x2_x1,
+                      regge_to_tet_matrices, vector_mode)
 from reggefem import spaces
 from reggefem.action import EdgeLengthConfig, tet_metrics_from_lengths
 from reggefem.mesh import LOCAL_EDGES, TorusGeometry, _edge_tets
 from reggefem.quadrature import segment_rule, tet_points_weights, tet_rule
-from reggefem.spaces import (constant_matrix_field, constant_vector_field,
-                             deformation_matrix, l2_norm_x1)
 
 TAU = 2.0 * np.pi
 

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lifted_points
+from golden import digest
+from oracles import deformation_matrix, fourier_entries
 from reggefem import (TorusGeometry, assemble_mass, assemble_stiffness,
                       assign_clusters, build_torus_mesh, convergence_study,
                       fourier_oracle, sigma_modes, solve_pencil)
 from reggefem import cli, saint_venant, spectrum
 from reggefem.mesh import DIRECTIONS, PeriodicMesh
 from reggefem.saint_venant import BlockCirculant, stencil_operators
-from reggefem.spaces import deformation_matrix
 from reggefem.spectrum import KERNEL_THRESHOLD_FACTOR, mode_symbol
 
 TAU = 2.0 * np.pi
@@ -53,6 +54,54 @@ class TestOracle:
     def test_non_finite_cutoff(self, geometry, cutoff):
         with pytest.raises(ValueError, match="finite"):
             fourier_oracle(geometry, cutoff)
+
+    @pytest.mark.parametrize("lengths", [
+        (TAU, TAU, TAU), (6.0, 7.0, 8.0), (TAU, 2.5 * np.pi, 3.0 * np.pi),
+        (1.0, 2.0, 3.0), (1e-3 * TAU, TAU, TAU), (1.3, 0.7, 2.9),
+    ])
+    @pytest.mark.parametrize("cutoff", [0.5, 4.5, 1e2, 4e2])
+    def test_planes_give_the_loop_entries(self, lengths, cutoff):
+        # the same floats summed in the same order, merged as the loop
+        # merges them: the entries are identical, not just close
+        g = TorusGeometry(*lengths)
+        assert fourier_oracle(g, cutoff).entries \
+            == fourier_entries(g, cutoff)
+
+    def test_cube_entries_at_cutoff_1e4(self, geometry):
+        # 5.6 s by the loop (fourier_entries); its entries' digest
+        entries = fourier_oracle(geometry, 1e4).entries
+        assert len(entries) == 16670
+        assert digest(list(entries)) == "88faeedf1601c925"
+
+    @pytest.mark.parametrize("cutoff", [1e5, 1e308])
+    def test_box_too_large_refused_at_once(self, geometry, cutoff):
+        with pytest.raises(ValueError, match="needs more than 16777216 "
+                           "frequencies"):
+            fourier_oracle(geometry, cutoff)
+        with pytest.raises(ValueError, match="16777216"):
+            fourier_oracle(TorusGeometry(1e300, 1.0, 1.0), cutoff)
+
+    def test_box_bound_on_the_cube(self, geometry):
+        # |m_i| <= 127 below cutoff 128^2: 255^3 < 2^24 < 257^3 frequencies
+        assert len(fourier_oracle(geometry, 1.6e4).entries) == 26670
+        with pytest.raises(ValueError, match="16777216"):
+            fourier_oracle(geometry, 128.0 ** 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 3e-10, 6e-10, 7e-10, 1.1e-9,
+                                     5e-9, 1.0, 1.0 + 5e-10, 1.0 + 1e-9,
+                                     2.0 + 3e-9, 2.0 + 4e-9, 1e9, 1e9 + 1.5]),
+                    max_size=30))
+    def test_merge_heads_decide_as_the_loop(self, values):
+        # runs whose values chain within 1e-9 of each other but not of
+        # their first need the sequential decision
+        lam = np.sort(np.array(values, float))
+        heads, head = [], None
+        for j, x in enumerate(lam.tolist()):
+            if head is None or abs(x - head) > 1e-9 * max(1.0, abs(x)):
+                heads.append(j)
+                head = x
+        assert spectrum._merge_heads(lam).tolist() == heads
 
     def test_mode_symbol_matches_oracle_values(self, geometry):
         # every sigma mode's analytic Rayleigh quotient is an oracle value
