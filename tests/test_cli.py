@@ -791,7 +791,7 @@ GOLDEN_DIGESTS = {
     "oracle": "1a141c3fd934d42e",
     "oracle_lengths": "b230862fa1ee28eb",
     "oracle_negative": "0b3c30ac432fb44c",
-    "verify_bench": "b13f7c1b9ab59473",
+    "verify_bench": "4a107fd84707c56f",
     "verify_thin": "f34ef32e4443dade",
 }
 
