@@ -6,6 +6,11 @@ the acceptance tolerances, and the random sample counts are fixed: 10 for
 the complex identities, 3 for the dual-path, second-variation and
 Schlafli suites.
 
+No suite expands an E x E or E x 3V matrix.  The complex identities read
+the 27 blocks of the stiffness operator A: D^T A, for the deformation
+matrix D, as the folded blocks of ``_divergence_of_jumps``, and A c by the
+matvec ``A @ c``, which also gives the second-variation target.
+
 The interpolators have two routes (see the ``spaces`` module docstring):
 a ``ReggeField`` is integrated exactly per tet, and every ``SmoothField``
 through the shape-family moments of ``spaces._moments``, in closed form
