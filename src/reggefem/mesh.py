@@ -343,8 +343,8 @@ def checked_grid(grid) -> tuple:
 
 def cell_geometry_error(geometry: TorusGeometry, grid) -> MeshError:
     """The error for side lengths so far apart for the grid that a squared
-    edge length underflows or a basis matrix overflows in double
-    precision."""
+    edge length underflows or a basis matrix or a mass entry overflows in
+    double precision."""
     return MeshError(f"side lengths {geometry.lengths.tolist()} give grid "
                      f"{grid} a zero or non-finite cell geometry")
 
@@ -359,8 +359,8 @@ def _box_templates(geometry: TorusGeometry, grid) -> dict:
     ``face_m``, ``face_n``).
 
     MeshError (``cell_geometry_error``) for side lengths so far apart for
-    the grid that a squared edge length underflows or a basis matrix
-    overflows in double precision.
+    the grid that a squared edge length underflows or a basis matrix or
+    an entry of the mass blocks overflows in double precision.
     """
     cell = geometry.lengths / np.array(grid)
     if not cell.min() > 0:  # a side length underflows on division by n
@@ -394,7 +394,12 @@ def _box_templates(geometry: TorusGeometry, grid) -> dict:
     face_m /= _norm(face_m)
     face_n = np.cross(edge_tangent[_dir(_FACE_OFFSETS[:, b]
                                         - _FACE_OFFSETS[:, a])], face_m)
-    sizes = np.append(edge_length ** 2, tet_volume)
+    # an entry of the mass blocks sums the tet masses |T| rho_a : rho_b of
+    # at most six tets (an edge's star), each at most the largest
+    # |T| rho_a : rho_a; on a thin cell these grow like h2 h3 / h1^3 and
+    # overflow long before the templates do
+    mass = np.einsum(",raij,raij->ra", tet_volume, tet_rho, tet_rho)
+    sizes = np.append(edge_length ** 2, [tet_volume, 6.0 * mass.max()])
     if not (all(np.isfinite(x).all() for x in (sizes, tet_rho, face_m,
                                                 face_n))
             and sizes.min() > 0):

@@ -15,19 +15,19 @@ computed exactly from per-tet constant products.
 A and M are block-circulant with 7x7 blocks (edge 7*v + d), and only the
 27 blocks B_s, s in {-1, 0, 1}^3, can be nonzero.  A ``BlockCirculant``
 holds those blocks and the grid, nothing of size E, and is the one owner
-of the format.  It gives the Bloch symbols over half the Brillouin zone,
-the symmetry residual and the matvec ``A @ c`` from the blocks alone;
-``_fold`` sums blocks onto their shifts' residues mod grid, as the E x E
-matrix holds them, for the symmetry residual and ``verify``'s D^T A.
-Where the entries sit depends on the grid alone: the 115 structural
-couplings (the edge pairs that share a tet), folded mod grid.
-``_pattern`` builds that sparsity once per grid and keeps the last one:
-the block entry and CSR place of each entry of the first block row, its
-expansion to E x E, and the index texts of the rows.  The operators read
-their values through it.  ``head`` gathers the 115 values from the
-blocks, ``.matrix`` repeats them along the expansion only when read,
-``nnz`` is the expansion's length, and ``write_coo`` formats the 115
-values once and streams the lines in slabs.
+of the format.  Every library path reads the blocks alone: the Bloch
+symbols over half the Brillouin zone, the symmetry residual, the matvec
+``A @ c`` and ``constant_kernel_residual``; ``_fold`` sums blocks onto
+their shifts' residues mod grid, as the E x E matrix holds them, for the
+symmetry residual and ``verify``'s D^T A.  Only the E x E outputs,
+``.matrix``, ``nnz`` and ``write_coo``, need to know where the entries
+sit, which depends on the grid alone: the 115 structural couplings (the
+edge pairs that share a tet), folded mod grid.  ``_pattern`` builds that
+sparsity once per grid and keeps the last one: the block entry of each
+entry of the first block row, its expansion to E x E, and the index texts
+of the rows.  ``.matrix`` repeats the 115 block values along the
+expansion only when read, ``nnz`` is the expansion's length, and
+``write_coo`` formats the 115 values once and streams the lines in slabs.
 
 The blocks depend only on the cell and have one builder each, from the
 one-box templates: ``_stiffness`` contracts ``face_m``, ``face_n``,
@@ -94,16 +94,14 @@ def _face_terms(face_m: np.ndarray, face_n: np.ndarray,
 
 class _Pattern(NamedTuple):
     """The sparsity of every block-circulant operator on one grid, shared
-    by ``head``, ``matrix``, ``nnz`` and ``write_coo``; its arrays are
-    read-only.  ``entry`` holds the flat (s + 1, a, b) block entry of each
-    entry of the 7 x E head, in the CSR order of ``head_indptr`` and
-    ``head_indices``.  ``indptr`` and ``indices`` are the E x E expansion,
-    columns sorted in each row, whose entry k repeats head entry
-    ``src[k]``.  ``label`` holds the index texts f"{i} ", i < E."""
+    by ``matrix``, ``nnz`` and ``write_coo``; its arrays are read-only.
+    ``entry`` holds the flat (s + 1, a, b) block entry of each of the 115
+    entries of the 7 x E first block row, in CSR order.  ``indptr`` and
+    ``indices`` are the E x E expansion, columns sorted in each row, whose
+    entry k repeats first-row entry ``src[k]``.  ``label`` holds the index
+    texts f"{i} ", i < E."""
 
     entry: np.ndarray
-    head_indptr: np.ndarray
-    head_indices: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     src: np.ndarray
@@ -114,10 +112,14 @@ class _Pattern(NamedTuple):
 def _pattern(grid: tuple) -> _Pattern:
     """The ``_Pattern`` of the (checked) ``grid``, built on first use.
 
-    The head's entries are the (s, a, b) for which edge a at the origin
-    and edge b at s share a tet: entry (a, 7*u + b) for u = s mod grid.
-    The expansion repeats each at (7*v + a, 7*w + b) for every vertex v,
-    w = v + u taken mod grid per axis.
+    The entries of the first block row are the structural couplings, the
+    (s, a, b) for which edge a at the origin and edge b at s share a tet:
+    entry (a, 7*u + b) holds B_s[a, b] for u = s mod grid.  A coupling of
+    value 0 stays an explicit entry, so the entries depend on the grid
+    alone.  On a 2-wide axis the shifts +1 and -1 fold onto one column,
+    but no (a, b) couples at two shifts that fold, so each entry is one
+    block value.  The expansion repeats each at (7*v + a, 7*w + b) for
+    every vertex v, w = v + u taken mod grid per axis.
     """
     entry = np.unique(_stencil_tables()[1][1])  # flat (s + 1, a, b)
     s, a, b = np.unravel_index(entry, (27, 7, 7))
@@ -128,23 +130,22 @@ def _pattern(grid: tuple) -> _Pattern:
     order = np.argsort(key)
     row, col = np.divmod(key[order], E)
     # scipy picks the index dtypes; the data carries the block entries
-    head = sp.csr_matrix((entry[order], col,
-                          np.searchsorted(row, np.arange(8))), shape=(7, E))
-    # head entry (a, 7*u + b) repeats at (7*v + a, 7*w + b), w = v + u;
-    # the columns take the head's index dtype, which scipy keeps without a
+    first = sp.csr_matrix((entry[order], col,
+                           np.searchsorted(row, np.arange(8))), shape=(7, E))
+    # first-row entry (a, 7*u + b) repeats at (7*v + a, 7*w + b), w = v + u;
+    # the columns take the row's index dtype, which scipy keeps without a
     # copy, and the ordinals stay intp: .matrix gathers by them
-    u, b = np.divmod(head.indices, 7)
+    u, b = np.divmod(first.indices, 7)
     i, j, k = (((np.arange(n)[:, None] + ui) % n).astype(b.dtype)
                for n, ui in zip(grid, np.unravel_index(u, grid)))
     cols = 7 * n3 * (i[:, None, None] * n2 + j[:, None]) + (7 * k + b)
-    indptr = np.r_[0, np.tile(np.diff(head.indptr), V).cumsum()]
-    # expand the ordinals of the head entries; sorting carries them along
-    S = sp.csr_matrix((np.tile(np.arange(head.nnz), V), cols.ravel(),
+    indptr = np.r_[0, np.tile(np.diff(first.indptr), V).cumsum()]
+    # expand the ordinals of the first row's entries; sorting carries them
+    S = sp.csr_matrix((np.tile(np.arange(first.nnz), V), cols.ravel(),
                        indptr), shape=(E, E))
     S.sort_indices()
     label = np.array([f"{i} " for i in range(E)], dtype=object)
-    out = _Pattern(head.data, head.indptr, head.indices, S.indptr,
-                   S.indices, S.data, label)
+    out = _Pattern(first.data, S.indptr, S.indices, S.data, label)
     for arr in out:  # every operator on the grid shares them
         arr.setflags(write=False)
     return out
@@ -187,7 +188,7 @@ class BlockCirculant:
     (a, b) couples direction a at every vertex v to direction b at v + s on
     the ``(n1, n2, n3)`` lattice ``grid``, s taken mod grid, so that the
     shifts +1 and -1 of a 2-wide axis add.  The blocks are all it holds:
-    ``head`` and the E x E ``matrix`` are derived on first use.
+    the E x E ``matrix`` is derived on first use.
     """
 
     blocks: np.ndarray
@@ -205,38 +206,20 @@ class BlockCirculant:
 
     @property
     def nnz(self) -> int:
-        """Stored entries of ``matrix``: the expansion repeats each head
-        entry once per vertex, and neither drops nor merges any."""
+        """Stored entries of ``matrix``: the expansion repeats each entry
+        of the first block row once per vertex, and neither drops nor
+        merges any."""
         return len(_pattern(self.grid).src)
 
     @cached_property
-    def head(self) -> sp.csr_matrix:
-        """The 7 x E first block row, columns sorted in each row.
-
-        Its entries are the structural couplings, the (s, a, b) for which
-        edge a at the origin and edge b at s share a tet: entry
-        (a, 7*v + b) is B_s[a, b] for s = v mod grid.  A coupling of value
-        0 stays an explicit entry, so the entries depend on the grid alone,
-        and ``_pattern`` holds them.  On a 2-wide axis the shifts +1 and
-        -1 fold onto one column, but no (a, b) couples at two shifts that
-        fold, so each entry is one block value.
-        """
-        p = _pattern(self.grid)
-        return sp.csr_matrix((self.blocks.ravel()[p.entry], p.head_indices,
-                              p.head_indptr), shape=(7, self.shape[0]))
-
-    @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The E x E matrix: the head's values along the expansion of
-        ``_pattern``.  Its index arrays are the pattern's own, read-only,
-        so a change of its structure in place (``eliminate_zeros``) needs
-        a ``copy()`` first."""
+        """The E x E matrix: the block values of the first block row along
+        the expansion of ``_pattern``.  Its index arrays are the pattern's
+        own, read-only, so a change of its structure in place
+        (``eliminate_zeros``) needs a ``copy()`` first."""
         p = _pattern(self.grid)
-        return sp.csr_matrix((self.head.data[p.src], p.indices, p.indptr),
-                             shape=self.shape)
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
+        return sp.csr_matrix((self.blocks.ravel()[p.entry][p.src], p.indices,
+                              p.indptr), shape=self.shape)
 
     def __matmul__(self, c) -> np.ndarray:
         """A c for a vector c of E values, without forming A: the 3x3x3
@@ -364,32 +347,34 @@ def constant_kernel_residual(edge_vec: np.ndarray, A: BlockCirculant,
     ``edge_vec`` holds the cell's seven edge vectors, DIRECTIONS * cell.
 
     Constant metrics lie in the kernel, so this is roundoff-sized.  c
-    repeats per direction, so every block row of A c holds the products of
-    the first one, summed in another order: the head gives A c and max|A|
-    without expanding A.
+    repeats the seven values c0 at every vertex, so (A c)_v is
+    (sum_s B_s) c0 at every v, whether or not shifts fold mod grid; and
+    max|A| is max|B_s|, since no two couplings fold onto one entry (see
+    ``_pattern``).  The cost does not grow with the grid, and nothing of
+    size E is formed.
     """
     g = rng.uniform(-1.0, 1.0, (3, 3))
     g = 0.5 * (g + g.T)
-    c = np.tile(np.einsum("ei,ij,ej->e", edge_vec, g, edge_vec),
-                int(np.prod(A.grid)))
-    return float(np.abs(A.head @ c).max()
-                 / (np.abs(A.head.data).max()
-                    * max(np.abs(c).max(), 1e-300)))
+    c = np.einsum("ei,ij,ej->e", edge_vec, g, edge_vec)
+    return float(np.abs(A.blocks.sum(axis=(0, 1, 2)) @ c).max()
+                 / (np.abs(A.blocks).max() * max(np.abs(c).max(), 1e-300)))
 
 
 def write_coo(matrix: BlockCirculant, path) -> None:
     """Write the E x E matrix held by ``matrix`` to ``path`` in coordinate
-    text format, working from its block row and the grid's ``_pattern``:
-    each head value is formatted once, the pattern's index texts are
-    reused, and the lines are joined and written ``_SLAB_LINES`` at a
-    time, so the text in memory stays bounded as the file grows.
+    text format, working from its blocks and the grid's ``_pattern``:
+    each value of the first block row is formatted once, the pattern's
+    index texts are reused, and the lines are joined and written
+    ``_SLAB_LINES`` at a time, so the text in memory stays bounded as the
+    file grows.
 
     Header line "rows cols nnz", then one "i j value" triple per line
     (0-based indices, 17 significant digits), sorted by (i, j).
     """
     p = _pattern(matrix.grid)
     E, nnz = matrix.shape[0], len(p.src)
-    value = np.array(["%.17g\n" % v for v in matrix.head.data.tolist()],
+    value = np.array(["%.17g\n" % v
+                      for v in matrix.blocks.ravel()[p.entry].tolist()],
                      dtype=object)
     with open(path, "w") as fh:
         fh.write(f"{E} {E} {nnz}\n")

@@ -6,10 +6,12 @@ the acceptance tolerances, and the random sample counts are fixed: 10 for
 the complex identities, 3 for the dual-path, second-variation and
 Schlafli suites.
 
-No suite expands an E x E or E x 3V matrix.  The complex identities read
-the 27 blocks of the stiffness operator A: D^T A, for the deformation
-matrix D, as the folded blocks of ``_divergence_of_jumps``, and A c by the
-matvec ``A @ c``, which also gives the second-variation target.
+No suite expands an E x E or E x 3V matrix or builds a sparsity pattern.
+The complex identities read the 27 blocks of the stiffness operator A:
+D^T A, for the deformation matrix D, as the folded blocks of
+``_divergence_of_jumps``, A c for a constant metric as the k = 0 block
+sum, and A c for a deformation by the matvec ``A @ c``, which also gives
+the second-variation target.
 
 The interpolators have two routes (see the ``spaces`` module docstring):
 a ``ReggeField`` is integrated exactly per tet, and every ``SmoothField``
@@ -111,7 +113,9 @@ def check_complex_identities(mesh: PeriodicMesh, seed: int = 0) -> list:
     divergence of the jump of basis field e_j is column j of D^T A (D the
     deformation matrix): apply_ctc(e_j) is l * A[:, j] and divergence_x2
     is D^T diag(1/l).  ``_divergence_of_jumps`` gives every entry of D^T A
-    from the blocks, and the deformations go through the matvec A @ c.
+    from the blocks, the constant metrics go through the k = 0 block sum
+    of ``constant_kernel_residual`` and the deformations through the
+    matvec A @ c.
     """
     rng = np.random.default_rng(seed)
     A = assemble_stiffness(mesh)

@@ -29,7 +29,7 @@ class TestAcceptance:
     def test_criterion_1_complex_exactness(self, mesh3, pencil3):
         t0 = time.time()
         A, _ = pencil3
-        Ad = A.toarray()
+        Ad = A.matrix.toarray()
         scale_A = np.abs(Ad).max()
         rng = np.random.default_rng(0)
         worst_def = 0.0
@@ -106,7 +106,7 @@ class TestAcceptance:
             ok &= res.kernel_dim == 3 * v + 3
             details.append(f"grid {mesh.grid}: dim ker = {res.kernel_dim} "
                            f"(3V-3 = {3 * v - 3}, frozen 3V+3 = {3 * v + 3})")
-            Ad = A.toarray()
+            Ad = A.matrix.toarray()
             worst = 0.0
             for _ in range(10):
                 g = rng.uniform(-1, 1, (3, 3))

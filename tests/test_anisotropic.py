@@ -40,7 +40,7 @@ class TestAnisotropicPipeline:
     def test_complex_identities(self, aniso):
         _, mesh = aniso
         A = assemble_stiffness(mesh)
-        Ad = A.toarray()
+        Ad = A.matrix.toarray()
         assert A.symmetry_residual() < 1e-10
         rng = np.random.default_rng(0)
         v = VertexVectorField(rng.uniform(-1, 1, (mesh.num_vertices, 3)))

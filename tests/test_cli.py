@@ -251,10 +251,15 @@ class TestAssembleCommand:
         assert payload["stiffness"]["nnz"] == A.nnz
         assert payload["mass"]["nnz"] == M.nnz
         # verify checks the complex on the blocks and applies A by its
-        # matvec, and so does the second-variation target
+        # matvec, and so does the second-variation target; neither it nor
+        # the constant-kernel residual builds the sparsity pattern
         expanded.clear()
+        saint_venant._pattern.cache_clear()
         code, out, _ = run(capsys, "verify", "--grid", "2", "3", "2")
         assert code == 0 and out.endswith("14/14 checks passed\n")
+        assert saint_venant.constant_kernel_residual(
+            mesh.edge_vec, A, np.random.default_rng(0)) < 1e-15
+        assert saint_venant._pattern.cache_info().currsize == 0
         c = np.random.default_rng(1).uniform(-1, 1, mesh.num_edges)
         rep = second_variation_check(mesh, ReggeField(c),
                                      np.geomspace(1e-2, 1e-1, 7), A)
@@ -468,11 +473,19 @@ class TestConfigHandling:
         ("eigs", "--grid", "2", "2", "2", "--lengths", "1e-8", "1", "1"),
         ("converge", "--grids", "2", "--lengths", "1e-8", "1", "1"),
         ("converge", "--grids", "2", "3", "--lengths", "1e-170", "1", "1"),
+        # the mass entries overflow (about h2 h3 / h1^3) where the
+        # templates are still finite
+        ("assemble", "--lengths", "1e-103", "1", "1"),
+        ("assemble", "--lengths", "1e-150", "1", "1"),
+        ("mesh", "--lengths", "1e-103", "1", "1"),
+        ("eigs", "--lengths", "1e-150", "1", "1"),
+        ("converge", "--lengths", "1e-150", "1", "1"),
+        ("verify", "--lengths", "1e-150", "1", "1"),
     ])
     def test_side_lengths_beyond_double_precision_are_config_errors(
             self, capsys, tmp_path, monkeypatch, argv):
-        # valid numbers, too far apart for the grid: the mesh build or the
-        # mass matrix fails, and nothing is written
+        # valid numbers, too far apart for the grid: the one-box templates
+        # or the mass matrix fail, and nothing is written
         monkeypatch.chdir(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -490,6 +503,13 @@ class TestConfigHandling:
          "non-finite cell geometry"),
         (("converge", "--grids", "2", "3", "--lengths", "1e-170", "1", "1"),
          "side lengths [1e-170, 1.0, 1.0] give grid (2, 2, 2) a zero or "
+         "non-finite cell geometry"),
+        # the mass entries overflow: refused before any solve
+        (("eigs", "--grid", "2", "2", "2", "--lengths", "1e-150", "1", "1"),
+         "side lengths [1e-150, 1.0, 1.0] give grid (2, 2, 2) a zero or "
+         "non-finite cell geometry"),
+        (("converge", "--grids", "2", "3", "--lengths", "1e-150", "1", "1"),
+         "side lengths [1e-150, 1.0, 1.0] give grid (2, 2, 2) a zero or "
          "non-finite cell geometry"),
     ])
     def test_spectrum_lengths_error_names_the_users_torus(self, capsys,

@@ -180,10 +180,12 @@ class TestCounts:
 
     @pytest.mark.parametrize("lengths", [(1e-170, 1.0, 1.0),
                                          (1e200, 1.0, 1.0),
-                                         (1e-300, 1e-300, 1e-300)])
+                                         (1e-300, 1e-300, 1e-300),
+                                         (1e-103, 1.0, 1.0),
+                                         (1.0, 1e-70, 1e100)])
     def test_geometry_beyond_double_precision_rejected(self, lengths):
-        # a squared length underflows to 0, or a squared length, the volume
-        # or a basis matrix overflows; no float warning escapes
+        # a squared length underflows to 0, or a squared length, the volume,
+        # a basis matrix or a mass entry overflows; no float warning escapes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MeshError, match="non-finite cell geometry"):

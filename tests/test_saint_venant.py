@@ -19,8 +19,9 @@ from reggefem import (ReggeField, VertexVectorField, apply_ctc,
                       interpolate_1, interpolate_2,
                       linearized_deficits, matrix_mode, read_coo,
                       saint_venant, skew, stencil_operators, write_coo)
-from reggefem.mesh import MeshError, TorusGeometry, _edge_tets
-from reggefem.saint_venant import BlockCirculant, _face_terms, _pattern
+from reggefem.mesh import DIRECTIONS, MeshError, TorusGeometry, _edge_tets
+from reggefem.saint_venant import BlockCirculant, _face_terms, _pattern, \
+    constant_kernel_residual
 from reggefem.spaces import regge_to_tet_matrices
 from reggefem.verify import _divergence_of_jumps
 
@@ -132,7 +133,7 @@ class TestApplyOperator:
 
     def test_agrees_with_matrix_route(self):
         # the window matvec of the blocks against the CSR expansion of the
-        # head; a 2-wide axis folds two windows onto one column
+        # first block row; a 2-wide axis folds two windows onto one column
         rng = np.random.default_rng(4)
         for grid, lengths in HEAD_GRIDS.values():
             mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
@@ -223,7 +224,7 @@ class TestStiffness:
     def test_constant_metrics_annihilated(self, seed):
         geometry = TorusGeometry(TAU, TAU, TAU)
         mesh = build_torus_mesh(geometry, (2, 2, 2))
-        A = assemble_stiffness(mesh).toarray()
+        A = assemble_stiffness(mesh).matrix.toarray()
         g = random_sym(np.random.default_rng(seed))
         c = constant_metric(mesh, g)
         denom = np.abs(A).max() * max(np.abs(c).max(), 1e-300)
@@ -231,7 +232,7 @@ class TestStiffness:
 
     def test_deformation_range_annihilated(self, mesh2, pencil2):
         A, _ = pencil2
-        Ad = A.toarray()
+        Ad = A.matrix.toarray()
         rng = np.random.default_rng(6)
         for _ in range(5):
             v = VertexVectorField(rng.uniform(-1, 1,
@@ -285,10 +286,51 @@ class TestStiffness:
             assert all(b < a for a, b in zip(seq, seq[1:])), seq
 
 
+class TestConstantKernelResidual:
+    @pytest.mark.parametrize("grid, lengths", [
+        ((2, 2, 2), (TAU, TAU, TAU)), ((2, 3, 2), (TAU, TAU, TAU)),
+        ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+        ((3, 4, 2), (1e-3 * TAU, 2.5 * np.pi, 3.0 * np.pi)),
+    ], ids=["2x2x2", "2x3x2", "4x5x6", "thin"])
+    def test_matches_the_matvec(self, grid, lengths):
+        # oracle: A c over the whole grid by the window matvec, for the
+        # constant metric's edge values from the mesh, and max|A| over the
+        # entries of the E x E matrix; the residual reads the k = 0 block
+        # sum and takes one 3x3 draw of its generator
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        A = assemble_stiffness(mesh)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            got = constant_kernel_residual(mesh.edge_vec, A, rng)
+            replay = np.random.default_rng(seed)
+            c = constant_metric(mesh, random_sym(replay))
+            oracle = np.abs(A @ c).max() / (np.abs(A.matrix.data).max()
+                                           * np.abs(c).max())
+            assert abs(got - oracle) <= 1e-15
+            assert rng.uniform() == replay.uniform()
+
+    def test_grid_64_builds_no_pattern(self):
+        # the block sum's cost does not grow with the grid: at 64^3
+        # (E = 1835008) it forms no array of size E and no pattern
+        A, _ = stencil_operators(TorusGeometry(TAU, TAU, TAU), (64, 64, 64))
+        edge_vec = DIRECTIONS * (TAU / 64)
+        _pattern.cache_clear()
+        tracemalloc.start()
+        try:
+            got = constant_kernel_residual(edge_vec, A,
+                                           np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got <= 1e-15
+        assert peak < 8 * A.shape[0] // 100
+        assert _pattern.cache_info().currsize == 0
+
+
 class TestMass:
     def test_spd(self, pencil2, pencil3):
         for _, M in (pencil2, pencil3):
-            np.linalg.cholesky(M.toarray())
+            np.linalg.cholesky(M.matrix.toarray())
 
     def test_quadratic_form_is_l2_norm(self, mesh2, pencil2):
         _, M = pencil2
@@ -317,6 +359,23 @@ class TestMass:
         t2 = M2.matrix.diagonal().sum()
         t4 = M4.matrix.diagonal().sum()
         assert abs(t4 / t2 - 16.0) < 1e-10
+
+    @pytest.mark.parametrize("grid", [(2, 2, 2), (3, 5, 7)])
+    def test_accepted_cells_give_finite_blocks(self, grid):
+        # thin and flat cells on both sides of the overflow of the mass
+        # entries (about h2 h3 / h1^3): the templates refuse a cell, or
+        # both operators' blocks are finite
+        accepted = 0
+        for thin in np.logspace(-90, -170, 81):
+            for lengths in ((thin, 1.0, 1.0), (1.0, thin, 1e20)):
+                try:
+                    A, M = stencil_operators(TorusGeometry(*lengths), grid)
+                except MeshError:
+                    continue
+                accepted += 1
+                assert np.isfinite(A.blocks).all()
+                assert np.isfinite(M.blocks).all()
+        assert 0 < accepted < 162
 
 
 # First 16 hex digits of the SHA-256 (golden.digest) of indptr, indices
@@ -349,10 +408,6 @@ class TestBlockRow:
             S = assemble(mesh)
             head = S.matrix[:7]
             got[name] = digest([head.indptr, head.indices, head.data])
-            for a, b in ((S.head.indptr, head.indptr),
-                         (S.head.indices, head.indices),
-                         (S.head.data, head.data)):
-                assert np.array_equal(a, b)
             assert digest([head.indptr, head.indices]) \
                 == HEAD_INDEX_DIGESTS[label]
         assert got == HEAD_DIGESTS[label]
@@ -385,7 +440,7 @@ class TestBlockCirculant:
         blocks[entry] *= 1.5
         skewed = BlockCirculant(blocks, A.grid)
         for S in (A, skewed):
-            full = S.toarray()
+            full = S.matrix.toarray()
             oracle = np.abs(full - full.T).max() / np.abs(full).max()
             assert S.symmetry_residual() == oracle
         assert skewed.symmetry_residual() > 0.0
@@ -393,7 +448,7 @@ class TestBlockCirculant:
     def test_bad_blocks_or_grid_rejected(self, pencil2):
         A, _ = pencil2
         with pytest.raises(ValueError, match=r"expected \(3, 3, 3, 7, 7\)"):
-            BlockCirculant(A.head.toarray(), A.grid)
+            BlockCirculant(A.matrix[:7].toarray(), A.grid)
         with pytest.raises(MeshError, match="too coarse"):
             BlockCirculant(A.blocks, (1, 3, 3))
 
@@ -417,11 +472,12 @@ class TestPattern:
             V = int(np.prod(A.grid))
             got = []
             for S in (A, M):
-                assert S.nnz == S.matrix.nnz == S.head.nnz * V == 115 * V
-                assert (S.matrix[:7] != S.head).nnz == 0
-                assert np.array_equal(S.toarray(), dense_by_matvec(S))
-                got.append([a.tobytes() for m in (S.head, S.matrix)
-                            for a in (m.indptr, m.indices, m.data)])
+                assert S.nnz == S.matrix.nnz == S.matrix[:7].nnz * V \
+                    == 115 * V
+                assert np.array_equal(S.matrix.toarray(), dense_by_matvec(S))
+                got.append([a.tobytes() for a in (S.matrix.indptr,
+                                                  S.matrix.indices,
+                                                  S.matrix.data)])
             assert first.setdefault(label, got) == got
             assert _pattern.cache_info().currsize == 1
         assert _pattern.cache_info().misses == 4
@@ -429,8 +485,7 @@ class TestPattern:
     def test_shared_arrays_are_read_only(self, pencil2):
         A, M = pencil2
         p = _pattern(A.grid)
-        shared = list(p) + [S.head.indptr for S in (A, M)] + \
-            [S.matrix.indices for S in (A, M)]
+        shared = list(p) + [S.matrix.indices for S in (A, M)]
         for arr in shared:
             assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -442,8 +497,9 @@ class TestPattern:
 
 def former_expansion(S):
     """The E x E matrix of ``S`` as the block row used to be expanded:
-    tile the head's values over the vertices and sort each row."""
-    head, grid = S.head, S.grid
+    tile the values of its first block row over the vertices and sort
+    each row."""
+    head, grid = S.matrix[:7], S.grid
     shift, b = np.divmod(head.indices, 7)
     (n1, n2, n3), V = grid, int(np.prod(grid))
     i, j, k = ((np.arange(n)[:, None] + s) % n
@@ -470,7 +526,7 @@ def former_coo_text(full):
 def hand_built_block_row():
     """A 2x3x2 operator with few nonzero blocks: an explicit 0.0 (as every
     unset coupling is), a -0.0, a tiny value, and the shifts +1 and -1 of
-    the 2-wide first axis folding onto one block column of the head."""
+    the 2-wide first axis folding onto one column of the first block row."""
     blocks = np.zeros((3, 3, 3, 7, 7))
     for s, a, b, value in (((0, 0, 0), 0, 0, 1.5), ((0, 0, 0), 0, 2, -0.0),
                            ((1, 0, 1), 0, 1, 1.0), ((-1, 0, 0), 0, 3, -1.0),
@@ -480,8 +536,9 @@ def hand_built_block_row():
         blocks[tuple(np.add(s, 1)) + (a, b)] = value
     S = BlockCirculant(blocks, (2, 3, 2))
     # every coupling is an entry; first-axis shifts +1 and -1 land at 1
-    assert S.head.nnz == 115 and np.signbit(S.head.data).sum() == 3
-    assert S.head[0, 7 * 7 + 1] == 1.0 and S.head[0, 7 * 6 + 3] == -1.0
+    head = S.matrix[:7]
+    assert head.nnz == 115 and np.signbit(head.data).sum() == 3
+    assert head[0, 7 * 7 + 1] == 1.0 and head[0, 7 * 6 + 3] == -1.0
     return S
 
 

@@ -139,7 +139,7 @@ class TestInterpolators:
 
     def test_interpolate_2_closed_form_vs_mass_column(self, mesh2):
         from reggefem import assemble_mass
-        M = assemble_mass(mesh2).toarray()
+        M = assemble_mass(mesh2).matrix.toarray()
         e0 = 17
         basis = np.zeros(mesh2.num_edges)
         basis[e0] = 1.0

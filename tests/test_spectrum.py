@@ -172,7 +172,7 @@ class TestPencil:
         assert np.array_equal(np.sort(perm), np.arange(mesh2.num_edges))
         P = np.zeros((mesh2.num_edges, mesh2.num_edges))
         P[perm, np.arange(mesh2.num_edges)] = 1.0
-        Ad, Md = A.toarray(), M.toarray()
+        Ad, Md = A.matrix.toarray(), M.matrix.toarray()
         w1 = solve_pencil(A, M).eigenvalues
         import scipy.linalg as sla
         w2 = sla.eigh(P @ Ad @ P.T, P @ Md @ P.T, eigvals_only=True)
@@ -196,8 +196,9 @@ class TestBlochSolve:
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         A, M = assemble_stiffness(mesh), assemble_mass(mesh)
         res = solve_pencil(A, M)
-        Ad = A.toarray()
-        dense = sla.eigh(0.5 * (Ad + Ad.T), M.toarray(), eigvals_only=True)
+        Ad = A.matrix.toarray()
+        dense = sla.eigh(0.5 * (Ad + Ad.T), M.matrix.toarray(),
+                         eigvals_only=True)
         scale = np.abs(dense).max()
         assert np.abs(res.eigenvalues - dense).max() <= 1e-13 * scale
         tau = KERNEL_THRESHOLD_FACTOR * scale
@@ -284,9 +285,9 @@ THIN_SIDES = TorusGeometry(1e-3 * TAU, TAU, TAU)
 
 
 def fftn_symbols(S):
-    """The former full-zone symbols: the FFT of the dense head, as an
-    (n1, n2, n3, 7, 7) array."""
-    blocks = S.head.toarray().reshape((7,) + S.grid + (7,))
+    """The former full-zone symbols: the FFT of the dense first block
+    row, as an (n1, n2, n3, 7, 7) array."""
+    blocks = S.matrix[:7].toarray().reshape((7,) + S.grid + (7,))
     return np.moveaxis(np.fft.fftn(blocks, axes=(1, 2, 3)), 0, -2)
 
 
