@@ -785,7 +785,7 @@ GOLDEN_DIGESTS = {
     "action_lengths_json": "06ae2303093f96ce",
     "action_perturbed": "a829732ecb0b533a",
     "action_wrong_count": "a4dcfa10f85ab2e6",
-    "assemble_bench": "7d8f462ab548bd2b",
+    "assemble_bench": "af598493fcde9c82",
     "assemble_seed": "48e92d303f14ede5",
     "config_action": "a69f2e000918939e",
     "config_converge": "9b16586d0ee85ede",
