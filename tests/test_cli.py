@@ -786,7 +786,7 @@ GOLDEN_DIGESTS = {
     "action_perturbed": "a829732ecb0b533a",
     "action_wrong_count": "a4dcfa10f85ab2e6",
     "assemble_bench": "af598493fcde9c82",
-    "assemble_seed": "48e92d303f14ede5",
+    "assemble_seed": "3bbd3269bd671ff3",
     "config_action": "a69f2e000918939e",
     "config_converge": "9b16586d0ee85ede",
     "config_eigs": "5c041a117fcedddc",
