@@ -811,7 +811,7 @@ GOLDEN_DIGESTS = {
     "oracle": "1a141c3fd934d42e",
     "oracle_lengths": "b230862fa1ee28eb",
     "oracle_negative": "0b3c30ac432fb44c",
-    "verify_bench": "4a107fd84707c56f",
+    "verify_bench": "70511afc5c368711",
     "verify_thin": "f34ef32e4443dade",
 }
 
