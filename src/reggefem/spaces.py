@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import _TET_OFFSETS, PeriodicMesh
+from .mesh import _TET_OFFSETS, DIRECTIONS, PeriodicMesh
 from .quadrature import segment_rule, tet_points_weights, tet_rule
 
 __all__ = [
@@ -248,15 +248,73 @@ def vector_mode(geometry, b, integer_freq, trig="sin", phase=0.0,
 
 # vertices per block when a field is evaluated at the quadrature points
 _VERTEX_BLOCK = 8
+# trig-moment tables kept, one per shape family, quadrature order, cell
+# and frequency; a verify run looks up 22 and builds 3
+_TRIG_TABLES = 64
 
 
-def _moments(mesh, u: SmoothField, offsets, weights) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _box_rule(npts: int):
+    """The tet rule on the six Kuhn tets of the unit box.
+
+    Tet 6v + r of a mesh is tet r scaled by the box sides and moved to
+    vertex v.  Returns the points (6, Q, 3), the weights (6, Q) and, for
+    each box corner c (lattice offset DIRECTIONS[c - 1], or 0 for c = 0),
+    the weights times the hat of c, zero on the tets without c: (6, Q, 8).
+    """
+    pts, w = tet_points_weights(_TET_OFFSETS.astype(float), npts)
+    ref = tet_rule(npts)[0]
+    # values of the four local hats at the points: the barycentric
+    # coordinates of the reference rule, the same in every tet
+    lam = np.concatenate([1.0 - ref.sum(axis=1, keepdims=True), ref],
+                         axis=1)  # (Q, 4)
+    corner = _TET_OFFSETS @ [4, 2, 1]  # (6, 4)
+    hats = (w[:, :, None] * lam) @ (corner[:, :, None] == np.arange(8))
+    out = np.ascontiguousarray(pts), w, hats
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _family(family: str, npts: int, cell: np.ndarray):
+    """Offsets (R, Q, 3) and weights (R, Q, ...) of the simplices of one
+    shape family at the origin of a mesh with box sides ``cell``: the seven
+    edge directions for "segment", the six tets of a box for "tet", and the
+    whole box with the hats of its eight corners as weights for "hat"."""
+    if family == "segment":
+        s, w = segment_rule(npts)
+        return s[:, None] * (DIRECTIONS * cell)[:, None], np.tile(w, (7, 1))
+    pts, w, hats = _box_rule(npts)
+    if family == "tet":
+        return pts * cell, w * np.prod(cell)
+    return (pts * cell).reshape(1, -1, 3), hats.reshape(1, -1, 8)
+
+
+@lru_cache(maxsize=_TRIG_TABLES)
+def _trig_tables(family: str, npts: int, cell: bytes, k: bytes):
+    """The weighted tables sum_q W_rq (cos beta_rq, sin beta_rq), (2, R,
+    ...), of ``_family`` with beta_rq = k.offsets[r, q], for the float64
+    bytes of the cell and of the frequency k: bytes, so that -0.0 and 0.0
+    never share a table.  Read-only, as every caller shares it."""
+    offsets, weights = _family(family, npts, np.frombuffer(cell))
+    R, Q = weights.shape[:2]
+    w = weights.reshape(R, Q, -1)
+    beta = offsets @ np.frombuffer(k)
+    out = np.array([np.matmul(f(beta)[:, None], w)[:, 0]
+                    for f in (np.cos, np.sin)]).reshape(
+        (2, R) + weights.shape[2:])
+    out.setflags(write=False)
+    return out
+
+
+def _moments(mesh, u: SmoothField, family: str) -> np.ndarray:
     """Quadrature moments of u on one shape family of the Kuhn complex.
 
     Simplex (v, r) of the family has the points x_v + offsets[r, q], x_v
-    the position of vertex v, and the weights (R, Q, ...); its moment is
-    sum_q weights[r, q, ...] u(x_v + offsets[r, q]).  Returns (V, R, ...),
-    the weight axes before the value axes.
+    the position of vertex v, and the weights (R, Q, ...) of ``_family``
+    at u's quadrature order; its moment is sum_q weights[r, q, ...]
+    u(x_v + offsets[r, q]).  Returns (V, R, ...), the weight axes before
+    the value axes.
 
     A trig mode amp * osc(k.x + phase) is integrated by angle addition:
     with alpha_v = k.x_v + phase and beta_rq = k.offsets[r, q],
@@ -264,23 +322,25 @@ def _moments(mesh, u: SmoothField, offsets, weights) -> np.ndarray:
     (c, s) = (cos beta, sin beta) for sin and (-sin beta, cos beta) for
     cos.  So the moments are one product of the (V, 2) array
     (sin alpha_v, cos alpha_v) with the tables sum_q W_rq (c_rq, s_rq)
-    multiplied out by amp, at cost O((R Q + V R) * W) for W weight entries
-    per point, with no array of size V * Q.  Any other field is evaluated
-    at the points of ``_VERTEX_BLOCK`` vertices at a time and reduced over
-    q by one matmul, so memory stays O(_VERTEX_BLOCK * R * Q) and the
-    arithmetic per vertex does not depend on the block size.
+    multiplied out by amp, with no array of size V * Q.  The tables depend
+    on the family, the order, the cell and k alone, and ``_trig_tables``
+    builds each once.  Any other field is evaluated at the points of
+    ``_VERTEX_BLOCK`` vertices at a time and reduced over q by one matmul,
+    so memory stays O(_VERTEX_BLOCK * R * Q) and the arithmetic per vertex
+    does not depend on the block size.
     """
-    V, (R, Q) = mesh.num_vertices, weights.shape[:2]
-    w = weights.reshape(R, Q, -1)
+    V = mesh.num_vertices
     if isinstance(u, _TrigField):
-        beta = offsets @ u.k
-        C, S = (np.matmul(f(beta)[:, None], w)[:, 0] for f in (np.cos, np.sin))
+        C, S = _trig_tables(family, u.quad_points, mesh.cell.tobytes(),
+                            u.k.tobytes())
         tables = np.multiply.outer(
             np.array([C, S] if u.trig == "sin" else [-S, C]), u.amp)
         alpha = mesh.vertex_pos @ u.k + u.phase
         m = np.array([np.sin(alpha), np.cos(alpha)]).T @ tables.reshape(2, -1)
-        return m.reshape((V, R) + weights.shape[2:] + u.amp.shape)
-    wq = w.swapaxes(1, 2)  # (R, W, Q)
+        return m.reshape((V,) + C.shape + u.amp.shape)
+    offsets, weights = _family(family, u.quad_points, mesh.cell)
+    R, Q = weights.shape[:2]
+    wq = weights.reshape(R, Q, -1).swapaxes(1, 2)  # (R, W, Q)
     parts = []
     for start in range(0, V, _VERTEX_BLOCK):
         x = mesh.vertex_pos[start:start + _VERTEX_BLOCK, None, None]
@@ -307,34 +367,10 @@ def _require(u, name: str, *types) -> None:
 def interpolate_1(mesh: PeriodicMesh, u: SmoothField) -> ReggeField:
     """Projection onto the edge metric space: coefficients mu_e(u)."""
     _require(u, "interpolate_1", SmoothField)
-    s, w = segment_rule(u.quad_points)
     d = mesh.edge_vec  # edge 7v + i runs from vertex v along d[i]
-    mats = _moments(mesh, u, s[:, None] * d[:, None], np.tile(w, (7, 1)))
+    mats = _moments(mesh, u, "segment")
     return ReggeField(np.einsum("vrij,rij->vr", mats,
                                 d[:, :, None] * d[:, None]).ravel())
-
-
-@lru_cache(maxsize=None)
-def _box_rule(npts: int):
-    """The tet rule on the six Kuhn tets of the unit box.
-
-    Tet 6v + r of a mesh is tet r scaled by the box sides and moved to
-    vertex v.  Returns the points (6, Q, 3), the weights (6, Q) and, for
-    each box corner c (lattice offset DIRECTIONS[c - 1], or 0 for c = 0),
-    the weights times the hat of c, zero on the tets without c: (6, Q, 8).
-    """
-    pts, w = tet_points_weights(_TET_OFFSETS.astype(float), npts)
-    ref = tet_rule(npts)[0]
-    # values of the four local hats at the points: the barycentric
-    # coordinates of the reference rule, the same in every tet
-    lam = np.concatenate([1.0 - ref.sum(axis=1, keepdims=True), ref],
-                         axis=1)  # (Q, 4)
-    corner = _TET_OFFSETS @ [4, 2, 1]  # (6, 4)
-    hats = (w[:, :, None] * lam) @ (corner[:, :, None] == np.arange(8))
-    out = np.ascontiguousarray(pts), w, hats
-    for a in out:
-        a.setflags(write=False)
-    return out
 
 
 def interpolate_2(mesh: PeriodicMesh,
@@ -348,8 +384,7 @@ def interpolate_2(mesh: PeriodicMesh,
     if isinstance(u, ReggeField):
         mats = mesh.tet_volume * regge_to_tet_matrices(mesh, u)
     else:
-        pts, w, _ = _box_rule(u.quad_points)
-        mats = _moments(mesh, u, pts * mesh.cell, w * np.prod(mesh.cell))
+        mats = _moments(mesh, u, "tet")
     # U_T : rho_a as (6, V, 9) @ (6, 9, 6), one product per template
     per_tet = mats.reshape(-1, 6, 9).swapaxes(0, 1) @ \
         mesh.tet_rho.reshape(6, 6, 9).mT
@@ -367,9 +402,7 @@ def interpolate_3(mesh: PeriodicMesh, u: SmoothField) -> VertexVectorMeasure:
     otherwise.
     """
     _require(u, "interpolate_3", SmoothField)
-    pts, _, hats = _box_rule(u.quad_points)
-    per_corner = _moments(mesh, u, (pts * mesh.cell).reshape(1, -1, 3),
-                          hats.reshape(1, -1, 8))
+    per_corner = _moments(mesh, u, "hat")
     V = mesh.num_vertices
     target = np.concatenate([np.arange(V)[:, None],
                              mesh.edge_head.reshape(V, 7)], axis=1).ravel()

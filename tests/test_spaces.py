@@ -366,6 +366,46 @@ class TestQuadratureMemory:
         assert all(r.passed for r in results)
 
 
+class TestSharedTables:
+    def test_verify_builds_one_table_per_frequency(self, geometry):
+        # the commuting squares look up 22 tables (interpolate_1 x10,
+        # interpolate_2 x8 on trig modes, interpolate_3 x4), all at
+        # k = (1, 0, 0) and 12 points: one per shape family
+        from reggefem.verify import run_verification
+
+        spaces._trig_tables.cache_clear()
+        run_verification(geometry, (2, 2, 2), seed=0)
+        info = spaces._trig_tables.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 19, 3)
+
+    def test_verify_output_same_cold_and_warm(self, tmp_path):
+        from reggefem import cli
+
+        def verify_json(name):
+            path = tmp_path / name
+            cli.main(["verify", "--grid", "2", "2", "2", "--seed", "0",
+                      "--output", str(tmp_path / "v.txt"),
+                      "--json", str(path)])
+            # the file names are part of the echoed config
+            return path.read_bytes().replace(name.encode(), b"v.json")
+
+        spaces._trig_tables.cache_clear()
+        cold = verify_json("cold.json")
+        assert spaces._trig_tables.cache_info().currsize == 3
+        assert verify_json("warm.json") == cold
+
+    def test_tables_read_only(self, geometry, mesh2):
+        u = matrix_mode(geometry, np.eye(3), (1, 0, 0), "cos")
+        expect = interpolate_2(mesh2, u).coeffs
+        for family in ("segment", "tet", "hat"):
+            table = spaces._trig_tables(family, 12, mesh2.cell.tobytes(),
+                                        u.k.tobytes())
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[:] *= 2.0
+        assert np.array_equal(interpolate_2(mesh2, u).coeffs, expect)
+
+
 class TestDeformation:
     def test_translations_in_kernel(self, mesh2):
         v = VertexVectorField(np.tile([1.0, -2.0, 0.3],
