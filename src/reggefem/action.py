@@ -376,23 +376,25 @@ def build_edge_sector(mesh: PeriodicMesh, e: int,
     return EdgeSector(frame.tangent, frame.ms, frame.ns, mats)
 
 
-def _unit_normals(ns, mats):
+def _unit_normals(ns, inv):
     """Metric-unit normals k (..., 2s, 3) to the faces of stacked stars,
-    with n . k (..., 2s, 1): face frames ns (s, 3), sector metrics (..., s,
-    3, 3).  Row i is k- of face i, in the sector before it, and row s + i
-    its k+, in the sector after it; each points to the side of n_i."""
+    with n . k (..., 2s, 1): face frames ns (s, 3), inverse sector metrics
+    (..., s, 3, 3).  Row i is k- of face i, in the sector before it, and
+    row s + i its k+, in the sector after it; each points to the side of
+    n_i."""
     # n^T x is a matmul, which rounds as a single dot does; einsum does not
     n2 = np.concatenate([ns, ns], axis=-2)[..., None]
-    x = np.linalg.solve(mats[..., _SIDES[ns.shape[-2]], :, :], n2)
+    x = inv[..., _SIDES[ns.shape[-2]], :, :] @ n2
     nk = np.sqrt(n2.mT @ x)[..., 0]
     return x[..., 0] / nk, nk
 
 
-def _holonomy(t, ms, ns, mats) -> np.ndarray:
+def _holonomy(t, ms, ns, mats, inv) -> np.ndarray:
     """Holonomy rotation angles (...) of stacked sectors: tangent t (3,),
-    face frames ms and ns (s, 3), metrics (..., s, 3, 3)."""
+    face frames ms and ns (s, 3), metrics and their inverses (..., s, 3,
+    3)."""
     s = ms.shape[-2]
-    k, nk = _unit_normals(ns, mats)
+    k, nk = _unit_normals(ns, inv)
     # crossing face i fixes its plane and maps k- to k+:
     # T_i = I + (k+ - k-) n_i^T / (n_i . k-)
     T = _EYE3 + ((k[..., s:, :] - k[..., :s, :])
@@ -433,27 +435,36 @@ def deficit_angle_holonomy(sector: EdgeSector) -> float:
     |deficit| < pi.
     """
     return float(_holonomy(sector.tangent, sector.ms, sector.ns,
-                           sector.metrics))
+                           sector.metrics, np.linalg.inv(sector.metrics)))
 
 
 def holonomy_deficits(mesh: PeriodicMesh,
                       tet_metrics: np.ndarray) -> np.ndarray:
     """``deficit_angle_holonomy(build_edge_sector(mesh, e, tet_metrics))``
     of every edge e, shape (E,), in one stacked pass per edge direction;
-    raises what the failing edge of lowest id raises there."""
-    out, failing = [], []
+    raises what the failing edge of lowest id raises there.
+
+    The sector checks of all seven directions run first.  They find every
+    tet metric positive definite, so all T are then inverted in one call
+    and each star gathers its inverses, bit for bit those of the per-edge
+    route."""
+    failing = []
     for d in range(7):
-        frame, mats, torn, bent = _sectors(mesh, d, mesh._star_tets[d],
-                                           tet_metrics)
+        frame, _, torn, bent = _sectors(mesh, d, mesh._star_tets[d],
+                                        tet_metrics)
         # first failing vertex: torn and bent are flat (V, valence) positions
         valence = len(frame.prev)
         bad = [p // valence for p in (*torn[:1], bent) if p >= 0]
         if bad:
             failing.append(7 * min(bad) + d)
-        else:
-            out.append(_holonomy(frame.tangent, frame.ms, frame.ns, mats))
     if failing:
         build_edge_sector(mesh, min(failing), tet_metrics)
+    inv = np.linalg.inv(tet_metrics)
+    out = []
+    for d, frame in enumerate(mesh._star_frames):
+        tets = mesh._star_tets[d]
+        out.append(_holonomy(frame.tangent, frame.ms, frame.ns,
+                             tet_metrics[tets], inv[tets]))
     return np.stack(out, axis=1).ravel()
 
 

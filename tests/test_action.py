@@ -766,6 +766,23 @@ class TestWholeMeshRoutes:
             linearized_deficit(mesh, e, up) for e in edges]
 
 
+    def test_holonomy_inverts_instead_of_solving(self, monkeypatch):
+        # each tet metric is inverted once, not solved against once per
+        # face normal
+        mesh = build_torus_mesh(TorusGeometry(TAU, 2.5 * np.pi, TAU),
+                                (2, 3, 2))
+        metrics = tet_metrics_from_lengths(mesh, random_realizable_config(
+            mesh, np.random.default_rng(31), max_deficit=2.5))
+        sector = build_edge_sector(mesh, 5, metrics)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        whole = holonomy_deficits(mesh, metrics)
+        assert deficit_angle_holonomy(sector) == whole[5]
+
+
 class TestHolonomyReadOff:
     @pytest.mark.parametrize("grid, lengths", [*GOLDEN_GRIDS.values(),
                                                STAR_GRIDS[-1]],
@@ -779,7 +796,7 @@ class TestHolonomyReadOff:
             mesh, np.random.default_rng(0), max_deficit=2.5))
         for d, frame in enumerate(mesh._star_frames):
             mats = metrics[mesh._star_tets[d]]
-            k = _unit_normals(frame.ns, mats)[0][:, 0]
+            k = _unit_normals(frame.ns, np.linalg.inv(mats))[0][:, 0]
             U = mats[:, -1]
 
             def dot(a, b):
