@@ -694,7 +694,7 @@ class TestSchlafli:
 # holonomy and linearized entries are those of stars run in template
 # order; the sector entries are pinned from each star's lowest face.  The
 # holonomy entries read the rotation in the frame of w1 and the k- of
-# face 0.
+# face 0, with the face normals taken through the inverse tet metrics.
 GOLDEN_GRIDS = {
     # edges of the 2-wide directions wrap through the period
     "2x3x2": ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
@@ -704,7 +704,7 @@ GOLDEN_GRIDS = {
 GOLDEN = {
     "2x3x2": {
         "deficit_angle_dihedral": "4543b74a00ebe5d5",
-        "deficit_angle_holonomy": "30890360a920e75c",
+        "deficit_angle_holonomy": "4a8021bc0a44f276",
         "deficit_angles": "4543b74a00ebe5d5",
         "linearized_deficit": "93e6f880f5ad59a9",
         "metric_dihedral_angles": "90e24e0c25eaac50",
@@ -717,7 +717,7 @@ GOLDEN = {
     },
     "3x3x3": {
         "deficit_angle_dihedral": "23db855da94ac501",
-        "deficit_angle_holonomy": "090e26c1ccdb579c",
+        "deficit_angle_holonomy": "ef5607d3389b8647",
         "deficit_angles": "23db855da94ac501",
         "linearized_deficit": "cc175d750c58b5c6",
         "metric_dihedral_angles": "27ab49f091ec802c",
@@ -730,7 +730,7 @@ GOLDEN = {
     },
     "4x5x6": {
         "deficit_angle_dihedral": "ce108668568c42fb",
-        "deficit_angle_holonomy": "5250bb6b8bf63870",
+        "deficit_angle_holonomy": "fb5091c452108b94",
         "deficit_angles": "ce108668568c42fb",
         "linearized_deficit": "94aa9b3cfe0f569d",
         "metric_dihedral_angles": "e0edfb6c32f95706",
