@@ -1,4 +1,8 @@
-"""Fixed-order Gauss rules on the unit interval and reference tetrahedron."""
+"""Fixed-order Gauss rules on the unit interval and reference tetrahedron.
+
+The rules are cached per order and shared by every caller, so their arrays
+are read-only.
+"""
 
 from functools import lru_cache
 
@@ -9,7 +13,7 @@ import numpy as np
 def segment_rule(npts: int):
     """Gauss-Legendre nodes/weights on [0, 1]; exact to degree 2*npts - 1."""
     x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _read_only(0.5 * (x + 1.0), 0.5 * w)
 
 
 @lru_cache(maxsize=None)
@@ -38,7 +42,13 @@ def tet_rule(npts: int):
     z = c * (1.0 - a) * (1.0 - b)
     pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=-1)
     w = (wa * wb * wc).ravel()
-    return pts, w
+    return _read_only(pts, w)
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def tet_points_weights(tet_coords: np.ndarray, npts: int):

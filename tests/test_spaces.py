@@ -405,6 +405,23 @@ class TestSharedTables:
                 table[:] *= 2.0
         assert np.array_equal(interpolate_2(mesh2, u).coeffs, expect)
 
+    def test_cached_rules_read_only(self, geometry, mesh2):
+        # a caller that scales a cached rule in place would change every
+        # later interpolant in the process
+        u = matrix_mode(geometry, np.eye(3), (1, 0, 0), "cos")
+        v = SmoothField(lambda x: np.cos(x), quad_points=3)
+        runs = (lambda: interpolate_1(mesh2, u).coeffs,
+                lambda: interpolate_2(mesh2, u).coeffs,
+                lambda: interpolate_3(mesh2, v).values)
+        before = [run() for run in runs]
+        for rule in (segment_rule(12), tet_rule(12), segment_rule(3),
+                     tet_rule(3)):
+            for arr in rule:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[:] *= 2.0
+        for run, expect in zip(runs, before):
+            assert np.array_equal(run(), expect)
+
 
 class TestDeformation:
     def test_translations_in_kernel(self, mesh2):
