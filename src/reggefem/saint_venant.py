@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -108,6 +108,16 @@ class _Pattern(NamedTuple):
     label: np.ndarray
 
 
+@cache
+def _couplings() -> np.ndarray:
+    """The flat (s + 1, a, b) block entries, ascending, of the 115
+    structural couplings: the (s, a, b) for which edge a at the origin and
+    edge b at s share a tet.  Read-only."""
+    out = np.unique(_stencil_tables()[1][1])
+    out.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=1)
 def _pattern(grid: tuple) -> _Pattern:
     """The ``_Pattern`` of the (checked) ``grid``, built on first use.
@@ -121,7 +131,7 @@ def _pattern(grid: tuple) -> _Pattern:
     block value.  The expansion repeats each at (7*v + a, 7*w + b) for
     every vertex v, w = v + u taken mod grid per axis.
     """
-    entry = np.unique(_stencil_tables()[1][1])  # flat (s + 1, a, b)
+    entry = _couplings()
     s, a, b = np.unravel_index(entry, (27, 7, 7))
     s = np.stack(np.unravel_index(s, (3, 3, 3)), axis=-1) - 1
     (n1, n2, n3), V = grid, int(np.prod(grid))
@@ -188,7 +198,10 @@ class BlockCirculant:
     (a, b) couples direction a at every vertex v to direction b at v + s on
     the ``(n1, n2, n3)`` lattice ``grid``, s taken mod grid, so that the
     shifts +1 and -1 of a 2-wide axis add.  The blocks are all it holds:
-    the E x E ``matrix`` is derived on first use.
+    the E x E ``matrix`` is derived on first use.  Only the 115 structural
+    couplings may be nonzero, so that every route reads one operator; a
+    nonzero entry elsewhere is a ValueError (a zero of either sign is
+    fine).
     """
 
     blocks: np.ndarray
@@ -199,6 +212,14 @@ class BlockCirculant:
         if self.blocks.shape != (3, 3, 3, 7, 7):
             raise ValueError(f"blocks have shape {self.blocks.shape}, "
                              "expected (3, 3, 3, 7, 7)")
+        outside = self.blocks.ravel().copy()
+        outside[_couplings()] = 0.0
+        bad = np.flatnonzero(outside)
+        if bad.size:
+            s, a, b = np.unravel_index(bad[0], (27, 7, 7))
+            s = tuple(int(i) - 1 for i in np.unravel_index(s, (3, 3, 3)))
+            raise ValueError(f"block entry (s, a, b) = ({s}, {a}, {b}) is "
+                             "not one of the 115 structural couplings")
 
     @property
     def shape(self):

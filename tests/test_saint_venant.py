@@ -1,5 +1,6 @@
 
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -451,6 +452,23 @@ class TestBlockCirculant:
             BlockCirculant(A.matrix[:7].toarray(), A.grid)
         with pytest.raises(MeshError, match="too coarse"):
             BlockCirculant(A.blocks, (1, 3, 3))
+
+    def test_entry_outside_couplings_rejected(self):
+        # B_0[0, 0] is a coupling, B_(1,1,1)[0, 1] is not: the matvec
+        # would read it and the E x E matrix drop it
+        blocks = np.zeros((3, 3, 3, 7, 7))
+        blocks[1, 1, 1, 0, 0] = 1.0
+        blocks[2, 2, 2, 0, 1] = 5.0
+        with pytest.raises(ValueError, match=re.escape(
+                "block entry (s, a, b) = ((1, 1, 1), 0, 1) is not one of "
+                "the 115 structural couplings")):
+            BlockCirculant(blocks, (2, 3, 2))
+        blocks[2, 2, 2, 0, 1] = -0.0
+        S = BlockCirculant(blocks, (2, 3, 2))
+        assert np.abs(S @ np.ones(S.shape[0])).max() == np.abs(
+            S.matrix @ np.ones(S.shape[0])).max() == 1.0
+        # the hand-built operator, with its explicit zeros, still constructs
+        hand_built_block_row()
 
 
 def dense_by_matvec(S):
