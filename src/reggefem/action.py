@@ -24,7 +24,11 @@ Two independent routes to the deficit angle of an edge:
   rotation angle in the plane metric-orthogonal to the edge.  The frame
   of that plane is w1, the part of m_0 metric-orthogonal to the edge made
   unit, and the metric-unit normal k- of face 0, which the crossings
-  already solve for.
+  already compute.  A metric-unit normal is G^-1 n / sqrt(n^T G^-1 n) for
+  the sector metric G, taken from the inverse of G: the whole-mesh route
+  inverts every tet metric once after the sector checks have found them
+  all positive definite, and a single edge inverts its own sector
+  metrics, which rounds the same.
 
 The action is R = sum_e theta_e * l_e.  Near the flat background,
 R(l(eps)) = eps^2/8 * c' A c + O(eps^3) where c is the coefficient vector

@@ -32,6 +32,12 @@ The interpolators integrate a field by one of two routes:
   O(shapes * Q + V) with no array of size V * Q; any other field (a
   user callable) by point evaluation, a fixed block of ``_VERTEX_BLOCK``
   vertices at a time.
+* The weighted (cos, sin) tables of the trig route depend only on the
+  shape family, the quadrature order, the cell and the frequency k, not
+  on the amplitude, the phase or sin/cos.  ``_trig_tables`` builds each
+  once and keeps at most ``_TRIG_TABLES`` of them, read-only, so the 22
+  trig interpolations of a ``verify`` run, all at k = (1, 0, 0) with 12
+  points, share three tables.
 
 ``interpolate_0`` evaluates every ``SmoothField`` at points.
 ``interpolate_0``, ``interpolate_1`` and ``interpolate_3`` take only a
