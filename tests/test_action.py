@@ -765,7 +765,6 @@ class TestWholeMeshRoutes:
         assert linearized_deficits(mesh, up).tolist() == [
             linearized_deficit(mesh, e, up) for e in edges]
 
-
     def test_holonomy_inverts_instead_of_solving(self, monkeypatch):
         # each tet metric is inverted once, not solved against once per
         # face normal
