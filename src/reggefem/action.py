@@ -26,8 +26,8 @@ Two independent routes to the deficit angle of an edge:
   unit, and the metric-unit normal k- of face 0, which the crossings
   already compute.  A metric-unit normal is G^-1 n / sqrt(n^T G^-1 n) for
   the sector metric G, taken from the inverse of G: the whole-mesh route
-  inverts every tet metric once after the sector checks have found them
-  all positive definite, and a single edge inverts its own sector
+  inverts every tet metric once after one batched Cholesky test has found
+  them all positive definite, and a single edge inverts its own sector
   metrics, which rounds the same.
 
 The action is R = sum_e theta_e * l_e.  Near the flat background,
@@ -35,20 +35,27 @@ R(l(eps)) = eps^2/8 * c' A c + O(eps^3) where c is the coefficient vector
 of the metric perturbation and A the stiffness operator, applied by its
 matvec; the linearized deficit equals half the assembled edge jump.
 
-The sector build with its checks, the holonomy and the linearized deficit
-are each one private kernel over stacked stars: the per-edge functions
-call it on one edge, ``holonomy_deficits`` and ``linearized_deficits`` on
-the V edges of each of the seven directions.  A star runs in the order of
-its direction's template ``mesh._STARS[d]``.  Its tangent, face frames and
+The holonomy and the linearized deficit are each one private kernel over
+stacked stars: ``holonomy_deficits`` and ``linearized_deficits`` run it
+on the V edges of each of the seven directions, ``deficit_angle_holonomy``
+on the one star of ``build_edge_sector``, and ``linearized_deficit``
+reads entry e of ``linearized_deficits``.  A star runs in the order of its
+direction's template ``mesh._STARS[d]``.  Its tangent, face frames and
 the sector before each face are constants that ``build_torus_mesh`` keeps
 in ``mesh._star_frames[d]``, and a tet's slot of an edge direction is read
 from ``mesh._TET_SLOTS``; only the sector tets are read per edge, and a
 face id is formed only to name a torn face in an error.  These
 routes are independent on purpose: ``verify`` checks them against
 ``deficit_angles`` and against ``saint_venant.apply_ctc``, so they share no
-code with those.  The holonomy route reads the metrics of
+code with those.
+
+``holonomy_deficits`` takes squared lengths and forms the metrics with
 ``tet_metrics_from_lengths``: the realizability guard of
-``deficit_angles``, then the Regge basis matrices.
+``deficit_angles``, then the Regge basis matrices.  Such metrics agree
+tangentially across every face by construction, so only
+``build_edge_sector``, which takes metrics from its caller, tests each
+star face for a tangential jump and each sector metric for a Cholesky
+factor.
 """
 
 from __future__ import annotations
@@ -110,9 +117,7 @@ _ROWS = np.ascontiguousarray(_SYM[::-1])
 _SIDES = {s: np.concatenate([np.arange(-1, s - 1), np.arange(s)])
           for s in (4, 6)}
 _EYE3 = np.eye(3)
-_NONE = np.array([], dtype=np.intp)
-for _a in (_POLAR_I, _POLAR_J, _OPPOSITE, _ROWS, *_SIDES.values(), _EYE3,
-           _NONE):
+for _a in (_POLAR_I, _POLAR_J, _OPPOSITE, _ROWS, *_SIDES.values(), _EYE3):
     _a.setflags(write=False)
 
 logger = logging.getLogger(__name__)
@@ -179,7 +184,7 @@ def euclidean_lengths(mesh: PeriodicMesh) -> EdgeLengthConfig:
 def perturbed_lengths(mesh: PeriodicMesh, u_prime: ReggeField,
                       eps: float) -> EdgeLengthConfig:
     """Squared lengths of the metric I + eps*u': l_e^2 + eps*c_e exactly."""
-    return EdgeLengthConfig(np.tile(mesh.edge_length**2, mesh.num_vertices)
+    return EdgeLengthConfig(euclidean_lengths(mesh).squared_lengths
                             + eps * u_prime.coeffs)
 
 
@@ -347,36 +352,28 @@ class EdgeSector:
     metrics: np.ndarray      # (s, 3, 3)
 
 
-def _sectors(mesh: PeriodicMesh, d: int, tets, tet_metrics: np.ndarray):
-    """The star frame of direction d and the metrics (..., s, 3, 3) of the
-    sector ``tets`` (..., s) of stars of that direction, then the flat
-    positions of the faces the metrics jump across tangentially and of the
-    first metric that is not positive definite (-1 if none)."""
-    frame = mesh._star_frames[d]
-    mats = tet_metrics[tets]
-    scale = np.maximum(np.abs(mats).max(axis=(-3, -2, -1), keepdims=True),
-                       1.0)
-    # tangential-tangential part of the jump across face i, in the frame
-    # (t_e, m_i) of the face
-    jump = mats - mats[..., frame.prev, :, :]
-    torn = np.abs(frame.tm @ jump @ frame.tm.mT) > 1e-9 * scale
-    torn = np.flatnonzero(torn.any(axis=(-2, -1))) if torn.any() else _NONE
-    return frame, mats, torn, _first_not_positive_definite(mats)
-
-
 def build_edge_sector(mesh: PeriodicMesh, e: int,
                       tet_metrics: np.ndarray) -> EdgeSector:
-    """Assemble the sector data of edge e from per-tet constant metrics."""
-    frame, mats, torn, bent = _sectors(mesh, e % 7, _edge_tets(mesh, e),
-                                       tet_metrics)
+    """Assemble the sector data of edge e from per-tet constant metrics;
+    RealizabilityError when they jump tangentially across a star face or
+    one is not positive definite."""
+    frame = mesh._star_frames[e % 7]
+    mats = tet_metrics[_edge_tets(mesh, e)]
+    scale = max(np.abs(mats).max(), 1.0)
+    # tangential-tangential part of the jump across face i, in the frame
+    # (t_e, m_i) of the face
+    jump = mats - mats[frame.prev]
+    torn = np.flatnonzero((np.abs(frame.tm @ jump @ frame.tm.mT)
+                           > 1e-9 * scale).any(axis=(-2, -1)))
     if torn.size:
         face = _star_faces(mesh, e % 7, e // 7)[torn[0]]
         raise RealizabilityError(
             f"sector metrics of edge {e} are not tangentially "
             f"continuous across face {face}")
+    bent = _first_not_positive_definite(mats)
     if bent >= 0:
         raise RealizabilityError(
-            f"sector {bent}: metric not positive definite")
+            f"edge {e}, sector {bent}: metric not positive definite")
     return EdgeSector(frame.tangent, frame.ms, frame.ns, mats)
 
 
@@ -443,26 +440,23 @@ def deficit_angle_holonomy(sector: EdgeSector) -> float:
 
 
 def holonomy_deficits(mesh: PeriodicMesh,
-                      tet_metrics: np.ndarray) -> np.ndarray:
-    """``deficit_angle_holonomy(build_edge_sector(mesh, e, tet_metrics))``
-    of every edge e, shape (E,), in one stacked pass per edge direction;
-    raises what the failing edge of lowest id raises there.
+                      config: EdgeLengthConfig) -> np.ndarray:
+    """Holonomy deficit angle of every edge, shape (E,), in one stacked
+    pass per edge direction: entry e is
+    ``deficit_angle_holonomy(build_edge_sector(mesh, e, metrics))`` for
+    the metrics of ``tet_metrics_from_lengths``.
 
-    The sector checks of all seven directions run first.  They find every
-    tet metric positive definite, so all T are then inverted in one call
-    and each star gathers its inverses, bit for bit those of the per-edge
-    route."""
-    failing = []
-    for d in range(7):
-        frame, _, torn, bent = _sectors(mesh, d, mesh._star_tets[d],
-                                        tet_metrics)
-        # first failing vertex: torn and bent are flat (V, valence) positions
-        valence = len(frame.prev)
-        bad = [p // valence for p in (*torn[:1], bent) if p >= 0]
-        if bad:
-            failing.append(7 * min(bad) + d)
-    if failing:
-        build_edge_sector(mesh, min(failing), tet_metrics)
+    Those metrics pass the realizability guard of ``deficit_angles`` and
+    agree tangentially across every face by construction, so no star is
+    checked again.  One batched Cholesky test confirms that each float
+    metric about to be inverted is positive definite (the guard judges the
+    Gram matrix polarized from the lengths, not this one); then all T are
+    inverted in one call and each star gathers its inverses, bit for bit
+    those of the per-edge route."""
+    tet_metrics = tet_metrics_from_lengths(mesh, config)
+    bent = _first_not_positive_definite(tet_metrics)
+    if bent >= 0:
+        raise RealizabilityError(f"tet {bent}: metric not positive definite")
     inv = np.linalg.inv(tet_metrics)
     out = []
     for d, frame in enumerate(mesh._star_frames):
@@ -491,10 +485,12 @@ def linearized_deficit(mesh: PeriodicMesh, e: int,
 
     theta'_e = 1/2 * sum over the star faces of m_f^T (u'_after - u'_before)
     n_f, the after/before sectors taken in counter-clockwise order; equals
-    half the assembled edge jump of u'.
+    half the assembled edge jump of u'.  Entry e of
+    ``linearized_deficits``.
     """
-    mats = regge_to_tet_matrices(mesh, u_prime, _edge_tets(mesh, e))
-    return float(_linearized(mesh, e % 7, mats))
+    if not 0 <= e < mesh.num_edges:
+        raise ValueError(f"invalid edge id {e}")
+    return float(linearized_deficits(mesh, u_prime)[e])
 
 
 def linearized_deficits(mesh: PeriodicMesh,
@@ -630,7 +626,7 @@ def random_realizable_config(mesh: PeriodicMesh, rng, scale: float = 0.2,
     branch for holonomy comparisons).
     """
     r = rng.uniform(-1.0, 1.0, mesh.num_edges)
-    s0 = np.tile(mesh.edge_length**2, mesh.num_vertices)
+    s0 = euclidean_lengths(mesh).squared_lengths
     factor = scale
     for _ in range(40):
         try:

@@ -448,22 +448,13 @@ def divergence_x2(mesh: PeriodicMesh, u: EdgeMeasure) -> VertexVectorMeasure:
     return VertexVectorMeasure(out)
 
 
-def regge_to_tet_matrices(mesh: PeriodicMesh, u: ReggeField,
-                          tets=None) -> np.ndarray:
-    """Per-tet constant matrices (T, 3, 3) of an edge metric field, or of
-    the tets listed in ``tets`` only; tet t takes the basis matrices of
-    template t % 6."""
+def regge_to_tet_matrices(mesh: PeriodicMesh, u: ReggeField) -> np.ndarray:
+    """Per-tet constant matrices (T, 3, 3) of an edge metric field; tet t
+    takes the basis matrices of template t % 6."""
     if u.coeffs.shape[0] != mesh.num_edges:
         raise ValueError("edge count mismatch")
-    # one (1, 6) @ (6, 9) product per tet, so that the matrices of some
-    # tets round as those of all tets do
-    rho = mesh.tet_rho.reshape(6, 6, 9)
-    if tets is None:
-        c = u.coeffs[mesh.tet_edges].reshape(-1, 6, 1, 6)
-    else:
-        c = u.coeffs[mesh.tet_edges[tets]][:, None]
-        rho = rho[np.asarray(tets) % 6]
-    return (c @ rho).reshape(-1, 3, 3)
+    c = u.coeffs[mesh.tet_edges].reshape(-1, 6, 1, 6)
+    return (c @ mesh.tet_rho.reshape(6, 6, 9)).reshape(-1, 3, 3)
 
 
 # ---------------------------------------------------------------------------

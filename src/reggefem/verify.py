@@ -23,14 +23,14 @@ and the adjoint square passes its random ``ReggeField`` to
 ``interpolate_2`` directly.  The matrix amplitudes are the
 ``sigma_modes`` of frequency (1, 0, 0) and one generic symmetric matrix.
 
-The dual-path suite compares whole-mesh arrays of independent routes: the
-dihedral ``deficit_angles``, computed from the squared lengths alone and
-relative to the flat background, against ``holonomy_deficits`` on the
-pulled-back metrics of ``tet_metrics_from_lengths``; and the
-star-ordered ``linearized_deficits`` against half the edge jump
-``apply_ctc``, the matvec of the stiffness blocks.  Per edge,
-``deficit_angles`` equals the star-local ``deficit_angle_dihedral``
-exactly.
+The dual-path suite compares whole-mesh arrays of independent routes, each
+called on the same squared lengths: the dihedral ``deficit_angles``,
+computed from the lengths alone and relative to the flat background,
+against ``holonomy_deficits``, which rotates frames through the metrics
+that ``tet_metrics_from_lengths`` builds from them; and the star-ordered
+``linearized_deficits`` against half the edge jump ``apply_ctc``, the
+matvec of the stiffness blocks.  Per edge, ``deficit_angles`` equals the
+star-local ``deficit_angle_dihedral`` exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .action import deficit_angles, holonomy_deficits, \
     linearized_deficits, perturbed_lengths, random_realizable_config, \
-    schlafli_check, second_variation_check, tet_metrics_from_lengths
+    schlafli_check, second_variation_check
 from .mesh import DIRECTIONS, PeriodicMesh, build_torus_mesh
 from .saint_venant import BlockCirculant, _fold, apply_ctc, \
     assemble_stiffness, constant_kernel_residual
@@ -202,7 +202,7 @@ def check_dual_path_deficits(mesh: PeriodicMesh, seed: int = 0) -> list:
     for _ in range(_N_RANDOM):
         # stay on the principal branch of the holonomy rotation angle
         cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
-        th_h = holonomy_deficits(mesh, tet_metrics_from_lengths(mesh, cfg))
+        th_h = holonomy_deficits(mesh, cfg)
         worst = max(worst, np.abs(deficit_angles(mesh, cfg) - th_h).max())
     out.append(_result("holonomy_vs_dihedral", worst, 1e-9,
                        f"{_N_RANDOM} random configurations"))

@@ -105,7 +105,7 @@ def dof_mu_e(mesh, e: int, u) -> float:
     d = mesh.edge_vec[e % 7]
     if isinstance(u, ReggeField):
         t = _edge_tets(mesh, e).min()
-        return float(d @ regge_to_tet_matrices(mesh, u, [t])[0] @ d)
+        return float(d @ regge_to_tet_matrices(mesh, u)[t] @ d)
     s, w = segment_rule(u.quad_points)
     vals = u(mesh.vertex_pos[mesh.edge_tail[e]] + s[:, None] * d)
     return float(np.einsum("q,qij,i,j->", w, vals, d, d))

@@ -14,8 +14,7 @@ from reggefem import (ReggeField, VertexVectorField, apply_ctc,
                       interpolate_2, interpolate_3, linearized_deficits,
                       matrix_mode, perturbed_lengths, schlafli_check,
                       second_variation_check, solve_pencil, vector_mode)
-from reggefem.action import deficit_angles, random_realizable_config, \
-    tet_metrics_from_lengths
+from reggefem.action import deficit_angles, random_realizable_config
 from reggefem.spaces import regge_to_tet_matrices
 
 
@@ -173,8 +172,7 @@ class TestAcceptance:
                 cfg = perturbed_lengths(mesh2, up, eps)
                 if path == "dihedral":
                     return deficit_angles(mesh2, cfg)
-                return holonomy_deficits(
-                    mesh2, tet_metrics_from_lengths(mesh2, cfg))
+                return holonomy_deficits(mesh2, cfg)
 
             for path in ("dihedral", "holonomy"):
                 d1 = (theta(h, path) - theta(-h, path)) / (2 * h)
@@ -212,9 +210,8 @@ class TestAcceptance:
         for _ in range(50):
             # rotation angles live on the principal branch: stay below pi
             cfg = random_realizable_config(mesh2, rng, max_deficit=2.5)
-            mats = tet_metrics_from_lengths(mesh2, cfg)
             worst = max(worst, np.abs(deficit_angles(mesh2, cfg)
-                                      - holonomy_deficits(mesh2, mats)).max())
+                                      - holonomy_deficits(mesh2, cfg)).max())
         dt = time.time() - t0
         ok = worst <= 1e-9 and dt < 60.0
         report(8, ok, "dual-path deficits, 50 random configs on (2,2,2): "

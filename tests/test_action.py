@@ -327,32 +327,66 @@ class TestDeficits:
                 rf"continuous across face {face}$")):
             build_edge_sector(mesh2, e, bent)
 
-    @pytest.mark.parametrize("long_edge, bent_tet", [
-        (None, 3),  # first at edge 1; direction 0 first fails at edge 14
-        (60, None),  # not positive definite, first at edge 14
-        (3, 0),  # edge 3 fails both checks, continuity first
-    ], ids=["bent", "indefinite", "both"])
-    def test_whole_mesh_raises_first_per_edge_error(self, long_edge,
-                                                    bent_tet):
-        # the error of the first failing edge in ascending id, with the
-        # message the per-edge loop raises
-        mesh = build_torus_mesh(TorusGeometry(TAU, 2.5 * np.pi, TAU),
-                                (2, 3, 2))
-        c = per_edge(mesh, mesh.edge_length) ** 2
-        if long_edge is not None:
-            c[long_edge] *= 10.0
-        mats = regge_to_tet_matrices(mesh, ReggeField(c))
-        if bent_tet is not None:
-            mats[bent_tet] += 1e-6 * np.eye(3)
-        for e in range(mesh.num_edges):
-            try:
-                build_edge_sector(mesh, e, mats)
-            except RealizabilityError as ex:
-                message = str(ex)
-                break
+    @pytest.mark.parametrize("bad, prefix", [
+        ("degenerate", "tet 24: degenerate edge lengths"),
+        ("indefinite", "tet 0: metric not positive definite"),
+    ])
+    def test_whole_mesh_raises_the_guard_error(self, mesh3, bad, prefix):
+        # the holonomy forms its metrics through the realizability guard
+        # of deficit_angles, so both refuse the same lengths alike
+        g = np.full((3, 3), 1.0 / 3.0) - 0.2 * np.eye(3)  # signature (+--)
+        s = constant_metric(mesh3, g)
+        if bad == "degenerate":
+            s[mesh3.tet_edges[100, 0]] *= 5.0
+        cfg = EdgeLengthConfig(s)
+        with pytest.raises(RealizabilityError) as dihedral:
+            deficit_angles(mesh3, cfg)
+        message = str(dihedral.value)
+        assert message.startswith(prefix)
         with pytest.raises(RealizabilityError,
                            match=f"^{re.escape(message)}$"):
-            holonomy_deficits(mesh, mats)
+            holonomy_deficits(mesh3, cfg)
+
+    def test_whole_mesh_names_an_indefinite_metric(self, mesh2,
+                                                   monkeypatch):
+        # the guard judges the Gram matrices polarized from the lengths;
+        # a metric about to be inverted that has no Cholesky factor is
+        # still refused, by its tet
+        cfg = random_realizable_config(mesh2, np.random.default_rng(32))
+        metrics = tet_metrics_from_lengths(mesh2, cfg)
+        metrics[13] = np.diag([1.0, 1.0, -1.0])
+        monkeypatch.setattr(action_module, "tet_metrics_from_lengths",
+                            lambda mesh, config: metrics)
+        with pytest.raises(RealizabilityError,
+                           match="^tet 13: metric not positive definite$"):
+            holonomy_deficits(mesh2, cfg)
+
+    def test_whole_mesh_factors_once(self, mesh2, monkeypatch):
+        # one batched Cholesky test of the T metrics, no per-star checks
+        cfg = random_realizable_config(mesh2, np.random.default_rng(33),
+                                       max_deficit=2.5)
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            shapes.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        holonomy_deficits(mesh2, cfg)
+        assert shapes == [(mesh2.num_tets, 3, 3)]
+
+    def test_whole_mesh_on_a_thin_cell(self):
+        # at one side 1e-7 the rounding of the Regge basis trips the
+        # per-edge continuity test; metrics from lengths are continuous by
+        # construction, and the whole-mesh route does not test them again
+        mesh = build_torus_mesh(TorusGeometry(1e-7, 1.0, 1.0), (4, 5, 6))
+        cfg = random_realizable_config(mesh, np.random.default_rng(0),
+                                       max_deficit=2.5)
+        with pytest.raises(RealizabilityError, match=(
+                "^sector metrics of edge 16 are not tangentially")):
+            build_edge_sector(mesh, 16, tet_metrics_from_lengths(mesh, cfg))
+        assert np.isfinite(holonomy_deficits(mesh, cfg)).all()
 
     @pytest.mark.parametrize("route", [
         lambda mesh, e: build_edge_sector(mesh, e, np.tile(np.eye(3), (
@@ -401,8 +435,9 @@ class TestDeficits:
     def test_sector_requires_positive_metrics(self, mesh2):
         mats = np.broadcast_to(np.diag([1.0, 1.0, -1.0]),
                                (mesh2.num_tets, 3, 3))
-        with pytest.raises(RealizabilityError):
-            build_edge_sector(mesh2, 0, mats)
+        with pytest.raises(RealizabilityError, match=(
+                "^edge 9, sector 0: metric not positive definite$")):
+            build_edge_sector(mesh2, 9, mats)
 
     def test_sector_tt_continuity_enforced(self, mesh2):
         rng = np.random.default_rng(5)
@@ -546,6 +581,7 @@ class TestLinearization:
             -1, 1, mesh.num_edges))
         mats = regge_to_tet_matrices(mesh, up)
         face_edges = face_tables(mesh)[0]
+        lin = linearized_deficits(mesh, up)
         for e in range(mesh.num_edges):
             star = list(zip(_star_faces(mesh, e % 7, e // 7),
                             _edge_tets(mesh, e)))
@@ -555,7 +591,7 @@ class TestLinearization:
                 jump = mats[t_after] - mats[star[i - 1][1]]
                 total += float(mesh.face_m[f % 12, slot] @ jump
                                @ mesh.face_n[f % 12, slot])
-            assert linearized_deficit(mesh, e, up) == 0.5 * total
+            assert lin[e] == 0.5 * total
 
     def test_deformation_directions_flat(self, mesh2):
         rng = np.random.default_rng(7)
@@ -683,8 +719,9 @@ class TestSchlafli:
 
 # First 16 hex digits of the SHA-256 (golden.digest) of the action layer's
 # outputs on a seeded realizable configuration, recorded from the per-tet
-# reference implementation; the linearized_deficit and 2x3x2 entries from
-# the per-face loops of the sector, holonomy and linearized routes.  The
+# reference implementation; the linearized and 2x3x2 entries from the
+# per-face loops of the sector, holonomy and linearized routes (the
+# linearized_deficits entries were recorded edge by edge).  The
 # deficit_angle_dihedral, deficit_angles and second_variation_check
 # entries are those of the length-only dihedral angles summed as gaps to
 # the flat background.  The linearized and sector frame entries are those
@@ -706,7 +743,7 @@ GOLDEN = {
         "deficit_angle_dihedral": "4543b74a00ebe5d5",
         "deficit_angle_holonomy": "4a8021bc0a44f276",
         "deficit_angles": "4543b74a00ebe5d5",
-        "linearized_deficit": "93e6f880f5ad59a9",
+        "linearized_deficits": "93e6f880f5ad59a9",
         "metric_dihedral_angles": "90e24e0c25eaac50",
         "second_variation_check.actions": "d1080279571791d3",
         "sector.faces_tets": "6015147a6f37d10e",
@@ -719,7 +756,7 @@ GOLDEN = {
         "deficit_angle_dihedral": "23db855da94ac501",
         "deficit_angle_holonomy": "ef5607d3389b8647",
         "deficit_angles": "23db855da94ac501",
-        "linearized_deficit": "cc175d750c58b5c6",
+        "linearized_deficits": "cc175d750c58b5c6",
         "metric_dihedral_angles": "27ab49f091ec802c",
         "second_variation_check.actions": "6c115092f80317d6",
         "sector.faces_tets": "4aac778ead2753b7",
@@ -732,7 +769,7 @@ GOLDEN = {
         "deficit_angle_dihedral": "ce108668568c42fb",
         "deficit_angle_holonomy": "fb5091c452108b94",
         "deficit_angles": "ce108668568c42fb",
-        "linearized_deficit": "94aa9b3cfe0f569d",
+        "linearized_deficits": "94aa9b3cfe0f569d",
         "metric_dihedral_angles": "e0edfb6c32f95706",
         "second_variation_check.actions": "7e53ebc27bbd7fe9",
         "sector.faces_tets": "eb6dcac4205b57de",
@@ -755,30 +792,34 @@ class TestWholeMeshRoutes:
         # for bit, on a cell with one side 1e-3 of the others too
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         rng = np.random.default_rng(30)
-        metrics = tet_metrics_from_lengths(
-            mesh, random_realizable_config(mesh, rng, max_deficit=2.5))
+        cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
+        metrics = tet_metrics_from_lengths(mesh, cfg)
         up = ReggeField(rng.uniform(-1.0, 1.0, mesh.num_edges))
         edges = range(mesh.num_edges)
-        assert holonomy_deficits(mesh, metrics).tolist() == [
+        assert holonomy_deficits(mesh, cfg).tolist() == [
             deficit_angle_holonomy(build_edge_sector(mesh, e, metrics))
             for e in edges]
-        assert linearized_deficits(mesh, up).tolist() == [
-            linearized_deficit(mesh, e, up) for e in edges]
+        # one edge reads entry e of the whole-mesh pass
+        lin = linearized_deficits(mesh, up)
+        last = np.arange(mesh.num_edges - 7, mesh.num_edges)
+        assert [linearized_deficit(mesh, e, up) for e in last] == \
+            lin[last].tolist()
 
     def test_holonomy_inverts_instead_of_solving(self, monkeypatch):
         # each tet metric is inverted once, not solved against once per
         # face normal
         mesh = build_torus_mesh(TorusGeometry(TAU, 2.5 * np.pi, TAU),
                                 (2, 3, 2))
-        metrics = tet_metrics_from_lengths(mesh, random_realizable_config(
-            mesh, np.random.default_rng(31), max_deficit=2.5))
-        sector = build_edge_sector(mesh, 5, metrics)
+        cfg = random_realizable_config(mesh, np.random.default_rng(31),
+                                       max_deficit=2.5)
+        sector = build_edge_sector(mesh, 5,
+                                   tet_metrics_from_lengths(mesh, cfg))
 
         def no_solve(*args, **kwargs):
             raise AssertionError("np.linalg.solve called")
 
         monkeypatch.setattr(np.linalg, "solve", no_solve)
-        whole = holonomy_deficits(mesh, metrics)
+        whole = holonomy_deficits(mesh, cfg)
         assert deficit_angle_holonomy(sector) == whole[5]
 
 
@@ -813,9 +854,8 @@ class TestHolonomyReadOff:
                     <= 4 * np.finfo(float).eps * np.abs(w2).max(axis=1)).all()
 
 
-# The whole-mesh passes must reproduce the per-edge routes' digests.
-WHOLE_MESH = {"holonomy_deficits": "deficit_angle_holonomy",
-              "linearized_deficits": "linearized_deficit"}
+# The whole-mesh holonomy must reproduce the per-edge route's digest.
+WHOLE_MESH = {"holonomy_deficits": "deficit_angle_holonomy"}
 
 
 def _action_outputs(grid, lengths) -> dict:
@@ -847,9 +887,7 @@ def _action_outputs(grid, lengths) -> dict:
             [deficit_angle_dihedral(mesh, e, cfg) for e in edges]),
         "deficit_angle_holonomy": np.array(
             [deficit_angle_holonomy(s) for s in sectors]),
-        "linearized_deficit": np.array(
-            [linearized_deficit(mesh, e, up) for e in edges]),
-        "holonomy_deficits": holonomy_deficits(mesh, metrics),
+        "holonomy_deficits": holonomy_deficits(mesh, cfg),
         "linearized_deficits": linearized_deficits(mesh, up),
         "sector.ms": [lowest_first(e, "ms") for e in edges],
         "sector.ns": [lowest_first(e, "ns") for e in edges],

@@ -22,8 +22,9 @@ MODULES = [importlib.import_module(f"reggefem.{m.name}")
 ALLOWED = {
     # item 5: the block checks of the complex read the mode symbol
     "mode_symbol",
-    # item 7: the per-edge layer, timed by name in perfbench/spans.py,
-    # retires with the whole-mesh routes
+    # item 7: entry e of linearized_deficits and of apply_ctc, kept only
+    # because perfbench/spans.py times them by name; they retire with the
+    # rest of the per-edge layer
     "linearized_deficit",
     "edge_jump_scalar",
     # item 7: the mesh's mass builder, timed by name in perfbench/spans.py
