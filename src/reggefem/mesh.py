@@ -38,8 +38,11 @@ Conventions
   is orthogonal to e and points into the triangle; n_ef = t_e x m_ef, so
   (m_ef, n_ef, t_e) is a right-handed orthonormal triple.
 
-The mesh is immutable after construction and all queries are pure, so it is
-safe to share between threads.
+Apart from one cache, the stiffness operator that
+``saint_venant.assemble_stiffness`` builds on first use and keeps on it,
+the mesh is immutable after construction and all queries are pure, so it
+is safe to share between threads; threads that fill the cache at once
+build equal operators.
 """
 
 from __future__ import annotations
@@ -148,6 +151,9 @@ class PeriodicMesh:
     ``_star_frames[d]``, a ``_StarFrame``, holds the float constants every
     star of direction d shares: its tangent, its face frames in template
     order and the index of each face's sector before it.
+    ``_star_classes`` stacks those frames by valence, for the directions
+    0, 1, 3, 6 (valence 6) and 2, 4, 5 (valence 4), so that one pass can
+    run the stars of a whole class.
     """
 
     def __init__(self, geometry: TorusGeometry, grid):
@@ -275,6 +281,34 @@ def _star_frames(edge_tangent: np.ndarray, face_m: np.ndarray,
             arr.setflags(write=False)
         frames.append(frame)
     return frames
+
+
+class _StarClass(NamedTuple):
+    """The frames of the edge directions ``dirs`` whose stars share one
+    valence s, stacked on a leading axis with a unit axis after it, where
+    the stars of one direction stack: ``tangent``, ``ms`` and ``ns`` of
+    ``_star_frames[dirs[j]]`` at [j, 0]."""
+
+    dirs: np.ndarray     # (k,) the directions, ascending
+    tangent: np.ndarray  # (k, 1, 3)
+    ms: np.ndarray       # (k, 1, s, 3)
+    ns: np.ndarray       # (k, 1, s, 3)
+
+
+def _star_classes(frames: list) -> list:
+    """The ``_StarClass`` of each valence, 6 then 4, from the
+    ``_star_frames``; every array is read-only."""
+    valence = np.array([len(f.prev) for f in frames])
+    classes = []
+    for s in (6, 4):
+        dirs = np.flatnonzero(valence == s)
+        cls = _StarClass(dirs, *(np.stack([getattr(frames[d], name)[None]
+                                           for d in dirs])
+                                 for name in ("tangent", "ms", "ns")))
+        for arr in cls:
+            arr.setflags(write=False)
+        classes.append(cls)
+    return classes
 
 
 @cache
@@ -439,6 +473,7 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
                        for *_, toff, ttype in _STARS]
     mesh._star_frames = _star_frames(mesh.edge_tangent, mesh.face_m,
                                      mesh.face_n)
+    mesh._star_classes = _star_classes(mesh._star_frames)
 
     for arr in [*vars(mesh).values(), *mesh._star_tets]:
         if isinstance(arr, np.ndarray):

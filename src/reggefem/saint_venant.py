@@ -36,8 +36,10 @@ one-box templates: ``_stiffness`` contracts ``face_m``, ``face_n``,
 scatters by its index table of ``mesh._stencil_tables``, read once off the
 edge stars at the origin.  ``stencil_operators`` feeds both
 ``mesh._box_templates`` and builds no mesh; ``assemble_stiffness`` and
-``assemble_mass`` feed one each the templates a mesh holds.
-``apply_ctc`` is the matvec scaled by the edge lengths, l * (A c);
+``assemble_mass`` feed one each the templates a mesh holds, and
+``assemble_stiffness`` keeps its A, read-only, on the mesh, so a mesh
+builds its stiffness blocks once.
+``apply_ctc`` is that A's matvec scaled by the edge lengths, l * (A c);
 ``edge_jump_scalar`` is one entry of it.  The star-ordered
 ``action.linearized_deficits`` (``linearized_deficit`` per edge) is a
 separate, deliberately independent route to half the edge jump:
@@ -304,6 +306,7 @@ def _stiffness(t, grid) -> BlockCirculant:
                         np.broadcast_to(rho, (12,) + rho.shape))
     A = np.bincount(entry, side / t["edge_length"][row]
                     * terms.ravel()[index], 27 * 49)
+    A.setflags(write=False)  # a mesh keeps its operator for every caller
     return BlockCirculant(A.reshape(3, 3, 3, 7, 7), grid)
 
 
@@ -333,8 +336,14 @@ def stencil_operators(geometry: TorusGeometry, grid):
 
 def assemble_stiffness(mesh: PeriodicMesh) -> BlockCirculant:
     """A[e', e] = [[rho_e]]_{e'} / l_{e'}: ``_stiffness`` of the one-box
-    templates the mesh holds, so entries couple only edges sharing a tet."""
-    return _stiffness(vars(mesh), mesh.grid)
+    templates the mesh holds, so entries couple only edges sharing a tet.
+
+    Built once per mesh, on first use, and kept on it: every later call
+    returns the same operator, whose blocks are read-only."""
+    A = vars(mesh).get("_stiffness_operator")
+    if A is None:
+        A = mesh._stiffness_operator = _stiffness(vars(mesh), mesh.grid)
+    return A
 
 
 def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
@@ -347,7 +356,8 @@ def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
     """Saint-Venant operator: edge measure with coefficients [[u]]_e.
 
     Since A[e', e] = [[rho_e]]_{e'} / l_{e'}, the jump is l * (A c) for
-    the coefficients c of u, by the matvec of ``BlockCirculant``.
+    the coefficients c of u, by the matvec of the ``BlockCirculant`` that
+    ``assemble_stiffness`` keeps on the mesh, so no call rebuilds A.
     """
     jump = (assemble_stiffness(mesh) @ u.coeffs).reshape(-1, 7)
     return EdgeMeasure(mesh.edge_length * jump)

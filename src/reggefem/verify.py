@@ -11,7 +11,10 @@ The complex identities read the 27 blocks of the stiffness operator A:
 D^T A, for the deformation matrix D, as the folded blocks of
 ``_divergence_of_jumps``, A c for a constant metric as the k = 0 block
 sum, and A c for a deformation by the matvec ``A @ c``, which also gives
-the second-variation target.
+the second-variation target.  A is built once per mesh:
+``assemble_stiffness`` keeps it on the mesh, so the complex and
+second-variation suites and every ``apply_ctc`` call of a run share one
+build.
 
 The interpolators have two routes (see the ``spaces`` module docstring):
 a ``ReggeField`` is integrated exactly per tet, and every ``SmoothField``
@@ -30,7 +33,11 @@ against ``holonomy_deficits``, which rotates frames through the metrics
 that ``tet_metrics_from_lengths`` builds from them; and the star-ordered
 ``linearized_deficits`` against half the edge jump ``apply_ctc``, the
 matvec of the stiffness blocks.  Per edge, ``deficit_angles`` equals the
-star-local ``deficit_angle_dihedral`` exactly.
+star-local ``deficit_angle_dihedral`` exactly.  The holonomy and the
+linearized deficits run one stacked pass per valence class of edge
+stars, and each second-variation schedule runs its eps values in stacked
+dihedral passes, so a run's passes through the action layer do not
+multiply by the seven edge directions or the seven eps values.
 """
 
 from __future__ import annotations

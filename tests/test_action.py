@@ -557,6 +557,16 @@ class TestStarConstants:
                 axis=1))
             assert frame.prev.tolist() == list(range(-1, len(k) - 1))
             assert not any(a.flags.writeable for a in frame)
+        # the same frames stacked by valence, a unit axis for the stars
+        assert [(cls.dirs.tolist(), cls.ms.shape[-2])
+                for cls in mesh._star_classes] == [([0, 1, 3, 6], 6),
+                                                   ([2, 4, 5], 4)]
+        for cls in mesh._star_classes:
+            for j, d in enumerate(cls.dirs):
+                frame = mesh._star_frames[d]
+                for name in ("tangent", "ms", "ns"):
+                    assert np.array_equal(getattr(cls, name)[j, 0],
+                                          getattr(frame, name))
         for e in range(mesh.num_edges):
             tets = _edge_tets(mesh, e)
             assert np.array_equal(_TET_SLOTS[tets % 6, e % 7], np.argmax(
@@ -665,6 +675,77 @@ class TestActionExpansion:
         assert rep.pruned == [5.0]
         assert [r.getMessage() for r in caplog.records] == [
             "second_variation_check: pruned unrealizable epsilons [5.0]"]
+
+
+def per_eps_report(mesh, up, epsilons, stiffness):
+    """The report fields of ``second_variation_check`` from one
+    ``regge_action(perturbed_lengths(...))`` per eps, pruning the eps
+    whose configuration either refuses."""
+    eps_ok, actions, pruned = [], [], []
+    for eps in sorted(epsilons):
+        try:
+            actions.append(regge_action(mesh,
+                                        perturbed_lengths(mesh, up, eps)))
+            eps_ok.append(eps)
+        except RealizabilityError:
+            pruned.append(eps)
+    eps, act = np.array(eps_ok), np.array(actions)
+    target = float(up.coeffs @ (stiffness @ up.coeffs)) / 8.0
+    rem = np.abs(act - eps**2 * target)
+    slope = np.polyfit(np.log(eps[rem > 0]), np.log(rem[rem > 0]), 1)[0]
+    return {"actions": act, "ratios": act / eps**2,
+            "extrapolated": action_module._neville(eps, act / eps**2),
+            "remainder_slope": float(slope), "pruned": pruned}
+
+
+class TestStackedSchedule:
+    """``second_variation_check`` runs its schedule in stacked slabs of
+    rows; each row equals its own ``regge_action`` bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_equals_one_action_per_eps(self, n):
+        mesh = build_torus_mesh(TorusGeometry(TAU, TAU, TAU), (n, n, n))
+        up = ReggeField(np.random.default_rng(41).uniform(
+            -1, 1, mesh.num_edges))
+        eps = np.geomspace(1e-2, 1e-1, 7)
+        # one slab at 2^3, several rows a slab and several slabs at 4^3,
+        # one row a slab at 6^3
+        slabs = action_module._slabs(len(eps), mesh.num_tets)
+        assert [len(range(7)[p]) for p in slabs] == {
+            2: [7], 4: [5, 2], 6: [1] * 7}[n]
+        A = assemble_stiffness(mesh)
+        rep = second_variation_check(mesh, up, eps, A)
+        ref = per_eps_report(mesh, up, eps.tolist(), A)
+        assert rep.actions.tolist() == ref["actions"].tolist()
+        assert rep.ratios.tolist() == ref["ratios"].tolist()
+        assert rep.extrapolated == ref["extrapolated"]
+        assert rep.remainder_slope == ref["remainder_slope"]
+        assert rep.pruned == ref["pruned"] == []
+
+    @pytest.mark.parametrize("bad, reason", [
+        (5.0, "degenerate"), (-40.0, "squared lengths must be positive")])
+    def test_refused_row_in_a_slab_pruned(self, mesh2, pencil2, caplog,
+                                          bad, reason):
+        # the refused row shares its slab with the realizable ones
+        A, _ = pencil2
+        up = ReggeField(np.random.default_rng(12).uniform(
+            -1, 1, mesh2.num_edges))
+        with pytest.raises(RealizabilityError, match=reason):
+            regge_action(mesh2, perturbed_lengths(mesh2, up, bad))
+        eps = [2e-2, bad, 1e-2, 4e-2]
+        assert len(action_module._slabs(len(eps), mesh2.num_tets)) == 1
+        with pytest.warns(UserWarning, match="pruned") as record, \
+                caplog.at_level(logging.DEBUG, logger="reggefem.action"):
+            rep = second_variation_check(mesh2, up, eps, A)
+        assert not [w for w in record
+                    if issubclass(w.category, RuntimeWarning)]
+        assert rep.pruned == [bad]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"second_variation_check: pruned unrealizable epsilons [{bad}]"]
+        ref = per_eps_report(mesh2, up, eps, A)
+        assert rep.epsilons.tolist() == [1e-2, 2e-2, 4e-2]
+        assert rep.actions.tolist() == ref["actions"].tolist()
+        assert rep.remainder_slope == ref["remainder_slope"]
 
 
 class TestSchlafli:
@@ -788,22 +869,30 @@ class TestWholeMeshRoutes:
         ((4, 5, 6), (1e-3 * TAU, 2.5 * np.pi, 3.0 * np.pi)),
     ], ids=["2x3x2", "4x5x6", "thin"])
     def test_per_edge_routes_equal_whole_mesh(self, grid, lengths):
-        # one stacked pass per direction against one edge at a time, bit
-        # for bit, on a cell with one side 1e-3 of the others too
+        # one stacked pass per valence class against one edge at a time,
+        # and against one direction at a time, bit for bit, on a cell with
+        # one side 1e-3 of the others too
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         rng = np.random.default_rng(30)
         cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
         metrics = tet_metrics_from_lengths(mesh, cfg)
         up = ReggeField(rng.uniform(-1.0, 1.0, mesh.num_edges))
         edges = range(mesh.num_edges)
-        assert holonomy_deficits(mesh, cfg).tolist() == [
+        holonomy = holonomy_deficits(mesh, cfg)
+        assert holonomy.tolist() == [
             deficit_angle_holonomy(build_edge_sector(mesh, e, metrics))
             for e in edges]
-        # one edge reads entry e of the whole-mesh pass
+        # each star kernel on the stars of one direction, as the per-
+        # direction passes ran it
+        inv = np.linalg.inv(metrics)
+        mats = regge_to_tet_matrices(mesh, up)
         lin = linearized_deficits(mesh, up)
-        last = np.arange(mesh.num_edges - 7, mesh.num_edges)
-        assert [linearized_deficit(mesh, e, up) for e in last] == \
-            lin[last].tolist()
+        for d, frame in enumerate(mesh._star_frames):
+            tets = mesh._star_tets[d]
+            assert holonomy[d::7].tolist() == action_module._holonomy(
+                frame, metrics[tets], inv[tets]).tolist()
+            assert lin[d::7].tolist() == action_module._linearized(
+                frame, mats[tets]).tolist()
 
     def test_holonomy_inverts_instead_of_solving(self, monkeypatch):
         # each tet metric is inverted once, not solved against once per

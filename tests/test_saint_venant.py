@@ -24,7 +24,7 @@ from reggefem.mesh import DIRECTIONS, MeshError, TorusGeometry, _edge_tets
 from reggefem.saint_venant import BlockCirculant, _face_terms, _pattern, \
     constant_kernel_residual
 from reggefem.spaces import regge_to_tet_matrices
-from reggefem.verify import _divergence_of_jumps
+from reggefem.verify import _divergence_of_jumps, run_verification
 
 TAU = 2.0 * np.pi
 
@@ -285,6 +285,38 @@ class TestStiffness:
                 diffs[i].append(abs(ah - aa))
         for seq in diffs.values():
             assert all(b < a for a, b in zip(seq, seq[1:])), seq
+
+
+class TestStiffnessBuiltOncePerMesh:
+    def test_same_operator_every_call(self, geometry):
+        mesh = build_torus_mesh(geometry, (2, 3, 2))
+        A = assemble_stiffness(mesh)
+        assert assemble_stiffness(mesh) is A
+        # apply_ctc reads the mesh's operator: l * (A c)
+        c = np.random.default_rng(40).uniform(-1, 1, mesh.num_edges)
+        assert np.array_equal(apply_ctc(mesh, ReggeField(c)).coeffs,
+                              (mesh.edge_length * (A @ c).reshape(-1, 7))
+                              .ravel())
+
+    def test_blocks_read_only(self, geometry):
+        A = assemble_stiffness(build_torus_mesh(geometry, (2, 2, 2)))
+        with pytest.raises(ValueError, match="read-only"):
+            A.blocks[1, 1, 1, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            A.blocks *= 2.0
+
+    def test_one_build_per_verify_run(self, geometry, monkeypatch):
+        # seven apply_ctc calls and two suites share one build of A
+        built = []
+        stiffness = saint_venant._stiffness
+
+        def counted(*args):
+            built.append(args)
+            return stiffness(*args)
+
+        monkeypatch.setattr(saint_venant, "_stiffness", counted)
+        run_verification(geometry, (2, 2, 2))
+        assert len(built) == 1
 
 
 class TestConstantKernelResidual:
