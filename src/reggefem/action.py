@@ -507,12 +507,8 @@ def _by_valence(mesh: PeriodicMesh, kernel, *per_tet) -> np.ndarray:
         row_tets = mesh.num_vertices * cls.ms.shape[-2]  # V stars of s
         for part in _slabs(len(cls.dirs), row_tets):
             dirs = cls.dirs[part]
-            if len(dirs) == 1:  # a stack of one would only add its cost
-                frames, tets = (mesh._star_frames[dirs[0]],
-                                mesh._star_tets[dirs[0]])
-            else:
-                frames = type(cls)(*(a[part] for a in cls))
-                tets = np.stack([mesh._star_tets[d] for d in dirs])
+            frames = type(cls)(*(a[part] for a in cls))
+            tets = np.stack([mesh._star_tets[d] for d in dirs])
             out[dirs] = kernel(frames, *(a[tets] for a in per_tet))
     return out.T.ravel()
 

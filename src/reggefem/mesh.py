@@ -39,10 +39,11 @@ Conventions
   (m_ef, n_ef, t_e) is a right-handed orthonormal triple.
 
 Apart from one cache, the stiffness operator that
-``saint_venant.assemble_stiffness`` builds on first use and keeps on it,
-the mesh is immutable after construction and all queries are pure, so it
-is safe to share between threads; threads that fill the cache at once
-build equal operators.
+``saint_venant.assemble_stiffness`` builds on first use and keeps on it
+(with its E x E ``matrix`` once that is read), the mesh is immutable
+after construction and all queries are pure, so it is safe to share
+between threads; threads that fill the cache at once build equal
+operators.
 """
 
 from __future__ import annotations

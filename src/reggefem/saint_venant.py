@@ -339,7 +339,9 @@ def assemble_stiffness(mesh: PeriodicMesh) -> BlockCirculant:
     templates the mesh holds, so entries couple only edges sharing a tet.
 
     Built once per mesh, on first use, and kept on it: every later call
-    returns the same operator, whose blocks are read-only."""
+    returns the same operator, whose blocks are read-only.  The operator
+    caches its ``matrix`` once read, so a ``.matrix`` read off it stays
+    alive, E x E, as long as the mesh does."""
     A = vars(mesh).get("_stiffness_operator")
     if A is None:
         A = mesh._stiffness_operator = _stiffness(vars(mesh), mesh.grid)

@@ -867,11 +867,13 @@ class TestWholeMeshRoutes:
         ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
         ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
         ((4, 5, 6), (1e-3 * TAU, 2.5 * np.pi, 3.0 * np.pi)),
-    ], ids=["2x3x2", "4x5x6", "thin"])
+        ((6, 6, 6), (TAU, TAU, TAU)),
+    ], ids=["2x3x2", "4x5x6", "thin", "6^3"])
     def test_per_edge_routes_equal_whole_mesh(self, grid, lengths):
         # one stacked pass per valence class against one edge at a time,
         # and against one direction at a time, bit for bit, on a cell with
-        # one side 1e-3 of the others too
+        # one side 1e-3 of the others too; at 6^3 the classes split into
+        # slabs down to a stack of one direction
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         rng = np.random.default_rng(30)
         cfg = random_realizable_config(mesh, rng, max_deficit=2.5)

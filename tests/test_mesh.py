@@ -7,8 +7,8 @@ import pytest
 from conftest import edge_star, face_tables, lifted_points, per_edge
 from golden import digest
 from oracles import metric_dihedral_angles
-from reggefem import MeshError, TorusGeometry, build_torus_mesh, \
-    mesh_summary
+from reggefem import MeshError, TorusGeometry, assemble_stiffness, \
+    build_torus_mesh, mesh_summary
 from reggefem.action import euclidean_lengths, tet_metrics_from_lengths
 from reggefem.mesh import _STARS, LOCAL_EDGES, _edge_tets, _star_faces
 
@@ -544,6 +544,22 @@ class TestStorage:
                    if k not in scaling) <= mesh.tet_rho.size
         assert not any(hasattr(mesh, name) for name in (
             "face_tets", "face_edges", "_star_faces", "_star_slots"))
+
+    def test_stiffness_cache_keeps_the_blocks_and_a_read_matrix(self):
+        # assemble_stiffness keeps its operator on the mesh: the 27 one-box
+        # blocks, 10584 bytes whatever the grid; the E x E matrix joins
+        # them only once read, and then lives as long as the mesh
+        mesh = build_torus_mesh(TorusGeometry(TAU, 2.5 * np.pi, 3.0 * np.pi),
+                                (4, 5, 6))
+        before = set(vars(mesh))
+        A = assemble_stiffness(mesh)
+        assert set(vars(mesh)) - before == {"_stiffness_operator"}
+        assert vars(A).keys() == {"blocks", "grid"}
+        assert A.blocks.nbytes == 27 * 49 * 8
+        assert vars(mesh)["_stiffness_operator"] is A
+        matrix = A.matrix
+        assert vars(A)["matrix"] is matrix
+        assert matrix.shape == (mesh.num_edges,) * 2
 
 
 class TestQueries:
