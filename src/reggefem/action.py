@@ -45,7 +45,8 @@ stacked stars: ``holonomy_deficits`` and ``linearized_deficits`` run it
 on the stars of each valence class, the directions 0, 1, 3, 6 (valence
 6) and 2, 4, 5 (valence 4), stacked on a leading axis, so two passes
 cover every edge (more only once a class holds over ``_SLAB_TETS``
-sector tets); ``deficit_angle_holonomy`` runs it on the one star of
+sector tets, and a direction's stars run in vertex chunks once they
+do); ``deficit_angle_holonomy`` runs it on the one star of
 ``build_edge_sector``, and ``linearized_deficit`` reads entry e of
 ``linearized_deficits``.  A star runs in the order of its direction's
 template ``mesh._STARS[d]``.  Its tangent, face frames and the sector
@@ -130,7 +131,8 @@ for _a in (_POLAR_I, _POLAR_J, _OPPOSITE, _ROWS, *_SIDES.values(), _EYE3):
 
 # Tets per stacked pass: ``second_variation_check`` puts as many eps rows
 # (T tets each) into one dihedral pass as fit, and ``_by_valence`` as many
-# directions of a class (V stars of s sector tets each), one at least.  In
+# directions of a class (V stars of s sector tets each), one at least, or
+# as many stars of one direction when its V stars do not fit.  In
 # process (one BLAS thread, budgets interleaved, medians), stacking the
 # seven rows of a schedule took 1.55 -> 0.68 ms at 2^3 and 3.0 -> 2.3 ms
 # at 4^3, but unbounded it took 15 against 10 ms at 8^3 and 50 against
@@ -500,16 +502,23 @@ def _by_valence(mesh: PeriodicMesh, kernel, *per_tet) -> np.ndarray:
     """``kernel(frames, *gathered)`` of every edge, shape (E,), in one
     stacked pass per valence class of ``mesh._star_classes``, or per slab
     of its directions once the class holds over ``_SLAB_TETS`` sector
-    tets: the stacked frames, and each per-tet array of ``per_tet``
-    gathered on the sector tets of their stars, (k, V, s, ...)."""
-    out = np.empty((7, mesh.num_vertices))
+    tets, and per chunk of vertices within that budget once a single
+    direction's stars do: the stacked frames, and each per-tet array of
+    ``per_tet`` gathered on the sector tets of their stars, (k, V, s, ...)
+    or (1, chunk, s, ...).  A star's value depends on its own rows alone,
+    so the chunks give the values of the whole pass, bit for bit."""
+    V = mesh.num_vertices
+    out = np.empty((7, V))
     for cls in mesh._star_classes:
-        row_tets = mesh.num_vertices * cls.ms.shape[-2]  # V stars of s
-        for part in _slabs(len(cls.dirs), row_tets):
+        s = cls.ms.shape[-2]
+        for part in _slabs(len(cls.dirs), V * s):  # V stars of s tets
             dirs = cls.dirs[part]
             frames = type(cls)(*(a[part] for a in cls))
-            tets = np.stack([mesh._star_tets[d] for d in dirs])
-            out[dirs] = kernel(frames, *(a[tets] for a in per_tet))
+            # all V stars at once, unless one direction's exceed the budget
+            for chunk in _slabs(V, s):
+                tets = np.stack([mesh._star_tets[d][chunk] for d in dirs])
+                out[dirs, chunk] = kernel(frames,
+                                          *(a[tets] for a in per_tet))
     return out.T.ravel()
 
 

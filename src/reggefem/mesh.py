@@ -131,6 +131,9 @@ class PeriodicMesh:
     """Combinatorics and one-box geometry of the Kuhn torus triangulation.
 
     Built by :func:`build_torus_mesh`; treat all attributes as read-only.
+    The one attribute set later is ``_stiffness_operator``, the stiffness
+    ``saint_venant.assemble_stiffness`` builds on first use and keeps on
+    the mesh, its blocks read-only, for every later call.
     Array attributes (sizes: V vertices, E = 7V edges, T = 6V tets):
 
     cell (3,) box side lengths, vertex_pos (V,3), edge_tail/edge_head (E,);

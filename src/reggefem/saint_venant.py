@@ -28,6 +28,11 @@ entry of the first block row, its expansion to E x E, and the index texts
 of the rows.  ``.matrix`` repeats the 115 block values along the
 expansion only when read, ``nnz`` is the expansion's length, and
 ``write_coo`` formats the 115 values once and streams the lines in slabs.
+The matvec gathers the values at the 27 neighbours of every vertex by
+``_neighbours``, a (V, 27) table of the grid kept like ``_pattern``; and
+``_axis_permutations`` maps the couplings under the six axis
+permutations, from which ``spectrum.solve_pencil`` reads the symmetries
+of its pencil.
 
 The blocks depend only on the cell and have one builder each, from the
 one-box templates: ``_stiffness`` contracts ``face_m``, ``face_n``,
@@ -51,14 +56,14 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .mesh import PeriodicMesh, TorusGeometry, _box_templates, \
-    _stencil_tables, _vid, checked_grid
+from .mesh import DIRECTIONS, PeriodicMesh, TorusGeometry, _box_templates, \
+    _dir, _stencil_tables, _vid, checked_grid
 from .spaces import EdgeMeasure, ReggeField
 
 __all__ = [
@@ -116,6 +121,41 @@ def _couplings() -> np.ndarray:
     structural couplings: the (s, a, b) for which edge a at the origin and
     edge b at s share a tet.  Read-only."""
     out = np.unique(_stencil_tables()[1][1])
+    out.setflags(write=False)
+    return out
+
+
+@cache
+def _axis_permutations() -> tuple:
+    """The six axis permutations p, (6, 3) with the identity first, and
+    the flat block entry (p.s + 1, p.a, p.b) of each structural coupling
+    (s, a, b) of ``_couplings()`` under each, (6, 115): p acts on a shift
+    and on a direction vector ``DIRECTIONS[d]`` by permuting coordinates,
+    (p.x)_i = x_{p_i}.  Read-only."""
+    perms = np.array(list(permutations(range(3))))
+    s, a, b = np.unravel_index(_couplings(), (27, 7, 7))
+    s = np.stack(np.unravel_index(s, (3, 3, 3)), axis=-1)
+    images = np.stack([
+        np.ravel_multi_index(s[:, p].T, (3, 3, 3)) * 49
+        + 7 * _dir(DIRECTIONS[a][:, p]) + _dir(DIRECTIONS[b][:, p])
+        for p in perms])
+    for arr in (perms, images):
+        arr.setflags(write=False)
+    return perms, images
+
+
+@lru_cache(maxsize=1)
+def _neighbours(grid: tuple) -> np.ndarray:
+    """The vertex ids of v + s, s in {-1, 0, 1}^3 taken mod the (checked)
+    ``grid``, of every vertex v: a read-only (V, 27) array, s + 1 in
+    ``np.ndindex`` order, built by index arithmetic on first use and kept
+    for the last grid, like ``_pattern``."""
+    n1, n2, n3 = grid
+    # the id strides times the residues of i + s on each axis, (n, 3)
+    i, j, k = ((np.arange(n)[:, None] + _SHIFTS) % n * stride
+               for n, stride in zip(grid, (n2 * n3, n3, 1)))
+    ij = i[:, None, :, None] + j[:, None, :]
+    out = (ij[:, :, None, :, :, None] + k[:, None, None, :]).reshape(-1, 27)
     out.setflags(write=False)
     return out
 
@@ -245,20 +285,16 @@ class BlockCirculant:
                               p.indptr), shape=self.shape)
 
     def __matmul__(self, c) -> np.ndarray:
-        """A c for a vector c of E values, without forming A: the 3x3x3
-        window of every vertex in the wrap-padded (n1 + 2, n2 + 2, n3 + 2,
-        7) field, contracted with the blocks in one product."""
+        """A c for a vector c of E values, without forming A: the seven
+        values at each of the 27 neighbours v + s of every vertex v
+        (``_neighbours``), gathered in one take, (V, 27 * 7), contracted
+        with the blocks in one product."""
         c = np.asarray(c, dtype=float)
         if c.shape != self.shape[1:]:
             raise ValueError(f"vector has shape {c.shape}, expected "
                              f"{self.shape[1:]}")
-        field = c.reshape(self.grid + (7,))
-        for axis, n in enumerate(self.grid):
-            field = np.take(field, np.arange(-1, n + 1), axis, mode="wrap")
-        # (n1, n2, n3, 3, 3, 3, 7): window s + 1 of each vertex, then b
-        windows = np.moveaxis(sliding_window_view(field, (3, 3, 3),
-                                                  axis=(0, 1, 2)), 3, -1)
-        return (windows.reshape(-1, 27 * 7)
+        operand = np.take(c.reshape(-1, 7), _neighbours(self.grid), axis=0)
+        return (operand.reshape(-1, 27 * 7)
                 @ self.blocks.swapaxes(-1, -2).reshape(27 * 7, 7)).ravel()
 
     def symbols(self, k1=slice(None)) -> np.ndarray:

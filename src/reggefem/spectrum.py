@@ -14,16 +14,24 @@ direction`` on a periodic lattice, so A and M are block-circulant with 7x7
 blocks B_s, nonzero only for s in {-1, 0, 1}^3, and their symbols are
 A^(k) = sum_s B_s exp(-2 pi i k.s / n), three per-axis phase contractions
 (``BlockCirculant.symbols``).  The E eigenvalues of the pencil are the union of
-those of the V = n1*n2*n3 Hermitian pencils A^(k) x = lambda M^(k) x.  The
-blocks are real, so the symbol at -k is the conjugate of the one at k,
-with the same eigenvalues: only the half zone k3 in 0..n3//2 is solved, a
-block standing for itself and its partner except on the self-conjugate
-planes k3 = 0 and, for even n3, k3 = n3/2.  No E x E matrix is formed.
-The kernel is 6-dimensional at k = 0 and 3-dimensional at every other k,
-so 3V + 3 in total.  Time is O(E), and O(E log E) for the final sort.
-The blocks are solved in slabs of whole k1 planes, about ``_SLAB_BLOCKS``
-blocks (one plane at least), so the working memory is bounded by the slab
-and only the E eigenvalues grow with the grid.
+those of the V = n1*n2*n3 Hermitian pencils A^(k) x = lambda M^(k) x.
+Frequencies in one orbit of the pencil's symmetry group G give blocks with
+the same eigenvalues, so one block per orbit is solved and its eigenvalues
+count once per member.  G holds k -> -k, since the blocks are real and the
+symbol at -k is the conjugate of the one at k; and k -> p.k for each axis
+permutation p of the Kuhn subdivision that fixes the grid counts and maps
+the blocks of A and of M onto themselves, B_{p.s}[p.a, p.b] = B_s[a, b],
+for then the symbol at p.k is the one at k with rows and columns
+permuted.  A permutation qualifies only on a cell with equal sides along
+the axes it moves: on the cube G has 12 elements and an orbit up to 48
+frequencies, on a cell with no equal axes G is {+-1}.  Each orbit is
+solved at its first member in the half zone k3 in 0..n3//2.  No E x E
+matrix is formed.  The kernel is 6-dimensional at k = 0 and
+3-dimensional at every other k, so 3V + 3 in total.  Time is O(E), and
+O(E log E) for the final sort.  The half zone is taken in slabs of whole
+k1 planes, about ``_SLAB_BLOCKS`` blocks (one plane at least), so the
+working memory is bounded by the slab and only the E eigenvalues grow
+with the grid.
 
 The blocks have one builder.  ``convergence_study`` (so ``converge``) and
 the CLI ``eigs`` take them from ``saint_venant.stencil_operators``, which
@@ -39,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import TorusGeometry
-from .saint_venant import stencil_operators
+from .saint_venant import _axis_permutations, stencil_operators
 from .spaces import skew
 
 __all__ = [
@@ -63,9 +71,20 @@ __all__ = [
 # splits every block into 6 kernel eigenvalues at k = 0 and 3 elsewhere
 KERNEL_THRESHOLD_FACTOR = 1e-8
 
-# Bloch blocks per slab of the solve: a slab holds about eight complex
-# (blocks, 7, 7) arrays at once, 784 bytes per block each, so some 26 MB;
-# grids up to 16^3 (2304 half-zone blocks) are solved in one slab
+# an axis permutation is a symmetry of the pencil when it maps every
+# structural coupling of A and of M onto one of the same value to within
+# this fraction of the operator's max|B|.  Measured defects of the blocks
+# of ``stencil_operators`` under the permutations that hold: at most
+# 2.0e-16 on the 2 pi cube, the unit cube, 2x3x2 of sides (2 pi, 2.5 pi,
+# 2 pi) and (0.7, 1.3, 0.7) (axes 1 and 3), and 2.6e-16 on (1, 1, 1 +
+# 1e-7) (axes 1 and 2).  There the four permutations that move axis 3 keep
+# A within 6.6e-16 but M only within 2.4e-7, so both operators are checked
+_SYMMETRY_RTOL = 8 * np.finfo(float).eps
+
+# half-zone Bloch blocks per slab of the solve: a slab holds the symbols
+# of A and M on its blocks and about eight complex (solved, 7, 7) arrays
+# of its orbits' members at once, 784 bytes per block each, so at most
+# some 26 MB; grids up to 16^3 (2304 half-zone blocks) take one slab
 _SLAB_BLOCKS = 4096
 
 # frequencies ``fourier_oracle`` enumerates at most.  It sums |k|^2 one
@@ -277,22 +296,78 @@ def _solve_blocks(Ak: np.ndarray, Mk: np.ndarray):
     return w, float(np.linalg.norm(resid, axis=-2).max())
 
 
+def _symmetries(A, M) -> np.ndarray:
+    """The axis permutations p, (g, 3), under which the pencil is
+    invariant: p fixes the grid counts, and B_{p.s}[p.a, p.b] = B_s[a, b]
+    holds on every structural coupling of A and of M to within
+    ``_SYMMETRY_RTOL`` of the operator's max|B|; closed under composition,
+    so a group, the identity first."""
+    perms, images = _axis_permutations()
+    # the identity's images are the couplings, which hold every nonzero
+    B = np.stack([A.blocks.ravel(), M.blocks.ravel()]).take(images, axis=1)
+    defect = np.abs(B - B[:, :1]).max(axis=-1)
+    scale = np.abs(B[:, :1]).max(axis=-1)
+    grid = np.array(A.grid)
+    held = (defect <= _SYMMETRY_RTOL * scale).all(axis=0) \
+        & (grid[perms] == grid).all(axis=1)
+    group = set(map(tuple, perms[held].tolist()))
+    while len(group) < len(perms):  # all six are closed
+        # p.(q.x) = x[q][p]
+        closed = {tuple(q[i] for i in p) for p in group for q in group}
+        if closed <= group:
+            break
+        group |= closed
+    return np.array(sorted(group))
+
+
+def _orbits(grid, perms: np.ndarray, k1=slice(None)):
+    """The Bloch frequencies of the planes ``k1`` of the half zone that
+    ``solve_pencil`` solves, and what each stands for, under the group G
+    of the maps k -> +-p.k, p in ``perms`` (a group): the position of each
+    frequency that is its orbit's first member in the half zone, in the
+    ``np.ndindex`` order of the (planes, n2, n3//2 + 1) slab, and the
+    orbit's size in the whole zone, |G| / |stabiliser of k|.
+
+    Every orbit meets the half zone, whose order is that of the whole
+    zone's flat index, so k is its orbit's first member when no image of
+    k in the half zone has a smaller flat index.  All of G at once: the
+    slab's (|G|, 3, blocks) images, with nothing of the whole zone's size.
+    """
+    n1, n2, n3 = grid
+    h3 = n3 // 2 + 1
+    planes = range(n1)[k1]
+    k = np.array(np.unravel_index(np.arange(planes.start * n2 * h3,
+                                            planes.stop * n2 * h3),
+                                  (n1, n2, h3)))
+    x = np.concatenate([k[perms], (-k % np.array(grid)[:, None])[perms]])
+    strides = np.array([n2 * n3, n3, 1])
+    index, own = strides @ x, strides @ k
+    first = np.where(x[:, 2] < h3, index, n1 * n2 * n3).min(axis=0)
+    reps = np.flatnonzero(first == own)
+    return reps, len(x) // (index[:, reps] == own[reps]).sum(axis=0)
+
+
 def solve_pencil(A, M, metadata: dict | None = None) -> SpectrumResult:
     """Full spectrum of A x = lambda M x, one 7x7 Hermitian pencil per
-    Bloch frequency of half the zone.
+    orbit of the Bloch frequencies under the pencil's symmetries.
 
     A and M are ``BlockCirculant``s on the same lattice, else ValueError.
     Their symbols come from their blocks, so no E x E matrix is built.
-    The symbols at -k are the conjugates of those at k and have the same
-    eigenvalues, so only k3 in 0..n3//2 is solved, and each block counts
-    twice except on the self-conjugate planes k3 = 0 and, for even n3,
-    k3 = n3/2.  The blocks are solved in slabs of whole k1 planes, about
-    ``_SLAB_BLOCKS`` at a time.  In each, the symbols of A are Hermitised,
-    those of M Cholesky-factored (LinAlgError if M is not SPD), and each
-    pencil is reduced by solves against the Cholesky factor and passed to
-    ``eigh``.  The eigenvalues are the ascending union over
-    the blocks with their weights, E in all.  ``max_residual`` is
-    max ||A^ x^ - lambda M^ x^||_2 over every block eigenpair with
+    The blocks at k and -k are conjugate, and on a cell with equal axes
+    the blocks at k and p.k are similar under an axis permutation p
+    (``_symmetries``), so all blocks of an orbit of the group G these
+    generate have the same eigenvalues.  One block per orbit is solved,
+    its first member in the half zone k3 in 0..n3//2, and its eigenvalues
+    count once per frequency of the orbit (``_orbits``); G is {+-1} on a
+    cell with no equal axes.  The half zone is taken in slabs of whole k1
+    planes, about ``_SLAB_BLOCKS`` blocks at a time; the orbits' members
+    in a slab are gathered from its symbols, and a slab with none is
+    skipped.  In each, the symbols of A are Hermitised, those of M
+    Cholesky-factored (LinAlgError if M is not SPD), and each pencil is
+    reduced by solves against the Cholesky factor and passed to ``eigh``.
+    The eigenvalues are the ascending union over the solved blocks with
+    their weights, E in all.  ``max_residual`` is
+    max ||A^ x^ - lambda M^ x^||_2 over every solved block eigenpair with
     ||x^||_M^ = 1; because the normalised DFT is unitary this equals the
     residual ||A x - lambda M x||_2 of the lifted complex eigenvector x
     with ||x||_M = 1.  The solve is deterministic.
@@ -301,21 +376,25 @@ def solve_pencil(A, M, metadata: dict | None = None) -> SpectrumResult:
         raise ValueError(f"stiffness grid {A.grid} and mass grid {M.grid} "
                          "differ")
     n1, n2, n3 = A.grid
-    # weight of a half-zone block per k3: it stands for itself and its
-    # conjugate, except on the planes k3 = 0 and, for even n3, k3 = n3/2
-    weight = np.full(n3 // 2 + 1, 2)
-    weight[0] = 1
-    if n3 % 2 == 0:
-        weight[-1] = 1
-    planes = max(1, _SLAB_BLOCKS // (n2 * weight.size))
-    values, max_residual = [], 0.0
+    perms = _symmetries(A, M)
+    planes = max(1, _SLAB_BLOCKS // (n2 * (n3 // 2 + 1)))
+    # the E eigenvalues are written in place and sorted there, so that no
+    # second or third array of E values is held
+    w = np.empty(A.shape[0])
+    filled, max_residual = 0, 0.0
     for start in range(0, n1, planes):
         k1 = slice(start, start + planes)
-        w, residual = _solve_blocks(A.symbols(k1), M.symbols(k1))
+        reps, weight = _orbits(A.grid, perms, k1)
+        if not reps.size:
+            continue
+        values, residual = _solve_blocks(
+            A.symbols(k1).reshape(-1, 7, 7)[reps],
+            M.symbols(k1).reshape(-1, 7, 7)[reps])
         max_residual = max(max_residual, residual)
-        values.append(np.repeat(w.ravel(), np.broadcast_to(
-            weight[:, None], w.shape).ravel()))
-    w = np.sort(np.concatenate(values))
+        values = np.repeat(values, weight, axis=0).ravel()
+        w[filled:filled + values.size] = values
+        filled += values.size
+    w.sort()
     tau = KERNEL_THRESHOLD_FACTOR * np.abs(w).max()
     kernel_dim = int(np.sum(np.abs(w) < tau))
     return SpectrumResult(w, kernel_dim, float(tau), max_residual,

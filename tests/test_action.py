@@ -896,6 +896,38 @@ class TestWholeMeshRoutes:
             assert lin[d::7].tolist() == action_module._linearized(
                 frame, mats[tets]).tolist()
 
+    @pytest.mark.parametrize("grid, passes", [
+        ((2, 2, 2), [(4, 8), (3, 8)]),
+        ((10, 10, 10), [(1, 341), (1, 341), (1, 318)] * 4
+         + [(1, 512), (1, 488)] * 3),
+    ], ids=str)
+    def test_vertex_chunks_equal_one_direction_pass(self, grid, passes):
+        # at 10^3 one direction's stars (6000 and 4000 sector tets) exceed
+        # the budget of 2048, so each runs in vertex chunks of 341 stars
+        # (valence 6) or 512 (valence 4); the chunks give the one-direction
+        # kernel call bit for bit.  Grid 2 keeps one pass a class
+        mesh = build_torus_mesh(TorusGeometry(1.0, 1.2, 0.9), grid)
+        rng = np.random.default_rng(32)
+        metrics = tet_metrics_from_lengths(mesh, random_realizable_config(
+            mesh, rng, max_deficit=0.5))
+        inv = np.linalg.inv(metrics)
+        mats = regge_to_tet_matrices(mesh, ReggeField(
+            rng.uniform(-1.0, 1.0, mesh.num_edges)))
+        for kernel, per_tet in ((action_module._holonomy, (metrics, inv)),
+                                (action_module._linearized, (mats,))):
+            stacks = []
+
+            def counted(frames, *gathered):
+                stacks.append(gathered[0].shape[:2])
+                return kernel(frames, *gathered)
+
+            out = action_module._by_valence(mesh, counted, *per_tet)
+            assert stacks == passes
+            for d, frame in enumerate(mesh._star_frames):
+                tets = mesh._star_tets[d]
+                assert np.array_equal(out[d::7], kernel(
+                    frame, *(a[tets] for a in per_tet)))
+
     def test_holonomy_inverts_instead_of_solving(self, monkeypatch):
         # each tet metric is inverted once, not solved against once per
         # face normal

@@ -1,4 +1,5 @@
 
+import itertools
 import os
 import re
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import constant_metric, face_tables, lifted_points
 from golden import digest
@@ -20,9 +22,10 @@ from reggefem import (ReggeField, VertexVectorField, apply_ctc,
                       interpolate_1, interpolate_2,
                       linearized_deficits, matrix_mode, read_coo,
                       saint_venant, skew, stencil_operators, write_coo)
-from reggefem.mesh import DIRECTIONS, MeshError, TorusGeometry, _edge_tets
-from reggefem.saint_venant import BlockCirculant, _face_terms, _pattern, \
-    constant_kernel_residual
+from reggefem.mesh import DIRECTIONS, MeshError, TorusGeometry, _edge_tets, \
+    _lattice, _vid
+from reggefem.saint_venant import BlockCirculant, _face_terms, _neighbours, \
+    _pattern, constant_kernel_residual
 from reggefem.spaces import regge_to_tet_matrices
 from reggefem.verify import _divergence_of_jumps, run_verification
 
@@ -133,8 +136,9 @@ class TestApplyOperator:
         assert np.abs(out.coeffs).max() < 1e-13
 
     def test_agrees_with_matrix_route(self):
-        # the window matvec of the blocks against the CSR expansion of the
-        # first block row; a 2-wide axis folds two windows onto one column
+        # the gather matvec of the blocks against the CSR expansion of the
+        # first block row; a 2-wide axis folds two neighbours onto one
+        # column
         rng = np.random.default_rng(4)
         for grid, lengths in HEAD_GRIDS.values():
             mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
@@ -145,6 +149,30 @@ class TestApplyOperator:
                     <= 1e-15 * np.abs(expect).max()
         with pytest.raises(ValueError, match="expected"):
             A @ np.ones(mesh.num_edges + 1)
+
+    @pytest.mark.parametrize("grid", [(2, 2, 2), (2, 3, 2), (6, 6, 6),
+                                      (24, 24, 24)], ids=str)
+    def test_gather_is_the_window_matvec(self, grid):
+        # the former route, the 3x3x3 windows of the wrap-padded field,
+        # forms the same (V, 189) operand, so the product is bit for bit
+        A, M = stencil_operators(TorusGeometry(1.0, 1.3, 0.8), grid)
+        c = np.random.default_rng(11).standard_normal(A.shape[0])
+        for S in (A, M):
+            field = c.reshape(grid + (7,))
+            for axis, n in enumerate(grid):
+                field = np.take(field, np.arange(-1, n + 1), axis,
+                                mode="wrap")
+            windows = np.moveaxis(sliding_window_view(
+                field, (3, 3, 3), axis=(0, 1, 2)), 3, -1)
+            expect = (windows.reshape(-1, 27 * 7)
+                      @ S.blocks.swapaxes(-1, -2).reshape(27 * 7, 7))
+            assert np.array_equal(S @ c, expect.ravel())
+        # the neighbour table: vertex ids of the lifted points v + s
+        table = _neighbours(grid)
+        points = _lattice(grid)[:, None] + np.stack(np.unravel_index(
+            np.arange(27), (3, 3, 3)), axis=-1) - 1
+        assert np.array_equal(table, _vid(points, np.array(grid)))
+        assert not table.flags.writeable
 
     @pytest.mark.parametrize("grid, lengths", [
         ((2, 3, 2), (TAU, TAU, TAU)),
@@ -326,7 +354,7 @@ class TestConstantKernelResidual:
         ((3, 4, 2), (1e-3 * TAU, 2.5 * np.pi, 3.0 * np.pi)),
     ], ids=["2x2x2", "2x3x2", "4x5x6", "thin"])
     def test_matches_the_matvec(self, grid, lengths):
-        # oracle: A c over the whole grid by the window matvec, for the
+        # oracle: A c over the whole grid by the gather matvec, for the
         # constant metric's edge values from the mesh, and max|A| over the
         # entries of the E x E matrix; the residual reads the k = 0 block
         # sum and takes one 3x3 draw of its generator
@@ -503,9 +531,79 @@ class TestBlockCirculant:
         hand_built_block_row()
 
 
+def point_group():
+    """The 12 maps of the Kuhn complex onto itself, from ``DIRECTIONS``:
+    each axis permutation p, with and without the point reflection, and
+    the flat block entry each map sends every structural coupling
+    (s, a, b) to.  The reflection maps edge (v, d) onto (-v - d, d), so
+    B_s[a, b] onto B_{-s + d_a - d_b}[a, b]; then p maps it onto
+    B_{p.s}[p.a, p.b], (p.x)_i = x_{p_i}."""
+    c = saint_venant._couplings()
+    s, a, b = np.unravel_index(c, (27, 7, 7))
+    s = np.stack(np.unravel_index(s, (3, 3, 3)), axis=-1) - 1
+    index = {tuple(d): i for i, d in enumerate(DIRECTIONS.tolist())}
+    maps = []
+    for p in itertools.permutations(range(3)):
+        p = list(p)
+        for reflect in (False, True):
+            t = -s + DIRECTIONS[a] - DIRECTIONS[b] if reflect else s
+            pa, pb = ([index[tuple(d)] for d in DIRECTIONS[x][:, p].tolist()]
+                      for x in (a, b))
+            image = (np.ravel_multi_index((t[:, p] + 1).T, (3, 3, 3)) * 49
+                     + 7 * np.array(pa) + np.array(pb))
+            maps.append((p, reflect, image))
+    return maps
+
+
+class TestPointGroup:
+    def test_maps_permute_the_couplings(self):
+        maps = point_group()
+        assert len(maps) == 12
+        couplings = saint_venant._couplings().tolist()
+        for _, _, image in maps:
+            assert sorted(image.tolist()) == couplings
+        # the helper the solver reads: the six maps without reflection
+        perms, images = saint_venant._axis_permutations()
+        assert perms.tolist() == [p for p, r, _ in maps if not r]
+        assert np.array_equal(images, [i for _, r, i in maps if not r])
+        assert not perms.flags.writeable and not images.flags.writeable
+
+    @pytest.mark.parametrize("sides, grid", [
+        ((TAU, TAU, TAU), (3, 3, 3)),
+        ((1.0, 2.0, 3.0), (4, 5, 6)),
+        ((1e-3, 1.0, 1.0), (2, 3, 4)),
+    ], ids=["cube", "1:2:3", "thin"])
+    def test_blocks_map_under_the_point_group(self, sides, grid):
+        # the torus (l_p1, l_p2, l_p3) on grid (n_p1, n_p2, n_p3) holds at
+        # the image of each coupling the value the torus holds at it.  A
+        # coupling sums at most 12 face terms of A and 6 tet terms of M,
+        # each a rounded product of the templates; the mapped torus forms
+        # them from its own templates, in another order, so the two differ
+        # by (terms + 4) ulps of max|B| at most (measured: 3.8e-16 of
+        # max|A|, 1.8e-16 of max|M|)
+        couplings = saint_venant._couplings()
+        ops = stencil_operators(TorusGeometry(*sides), grid)
+        for p, _, image in point_group():
+            mapped = stencil_operators(
+                TorusGeometry(*np.array(sides)[p]), tuple(np.array(grid)[p]))
+            for S, T, terms in zip(ops, mapped, (12, 6)):
+                bound = (terms + 4) * np.finfo(float).eps \
+                    * np.abs(S.blocks).max()
+                assert np.abs(T.blocks.ravel()[image]
+                              - S.blocks.ravel()[couplings]).max() <= bound
+
+    def test_valence_classes_are_orbits_of_the_permutations(self, mesh2):
+        # the axes with the body diagonal (valence 6) and the face
+        # diagonals (valence 4)
+        for cls in mesh2._star_classes:
+            for p in itertools.permutations(range(3)):
+                images = {tuple(d) for d in DIRECTIONS[cls.dirs][:, p]}
+                assert images == {tuple(d) for d in DIRECTIONS[cls.dirs]}
+
+
 def dense_by_matvec(S):
     """The E x E matrix of ``S`` column by column, ``S @ e_j``: the
-    window matvec reads the blocks and no sparsity pattern."""
+    gather matvec reads the blocks and no sparsity pattern."""
     return np.stack([S @ e for e in np.eye(S.shape[0])], axis=1)
 
 

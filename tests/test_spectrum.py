@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -401,6 +402,155 @@ class TestStencilRoute:
         assert built == []
         build_torus_mesh(geometry, (2, 3, 2))  # the counter sees a mesh
         assert built == [(2, 3, 2)]
+
+
+def brute_orbits(grid, perms):
+    """The orbits of the whole zone under k -> +-p.k, p in ``perms``, by
+    enumeration: a list of frozensets of frequencies."""
+    n = np.array(grid)
+    seen, orbits = set(), []
+    for k in np.ndindex(*grid):
+        if k in seen:
+            continue
+        images = frozenset(tuple(int(x) for x in sign * np.array(k)[list(p)]
+                                 % n)
+                           for p in perms for sign in (1, -1))
+        seen |= images
+        orbits.append(images)
+    return orbits
+
+
+def half_zone_weights(grid):
+    """The former weights of the half-zone blocks: 1 on the planes k3 = 0
+    and, for even n3, k3 = n3/2, else 2 (a block and its conjugate)."""
+    weight = np.full(grid[2] // 2 + 1, 2)
+    weight[0] = 1
+    if grid[2] % 2 == 0:
+        weight[-1] = 1
+    return np.broadcast_to(weight, grid[:2] + weight.shape).ravel()
+
+
+SWAP_13 = [(0, 1, 2), (2, 1, 0)]
+ALL_PERMS = sorted(itertools.permutations(range(3)))
+# (sides, grid, the axis permutations of the pencil, blocks solved)
+ORBIT_CASES = {
+    "2^3": ((TAU,) * 3, (2, 2, 2), ALL_PERMS, 4),
+    "3^3": ((TAU,) * 3, (3, 3, 3), ALL_PERMS, 6),
+    "4^3": ((TAU,) * 3, (4, 4, 4), ALL_PERMS, 13),
+    "5^3": ((TAU,) * 3, (5, 5, 5), ALL_PERMS, 19),
+    "6^3": ((TAU,) * 3, (6, 6, 6), ALL_PERMS, 32),
+    "7^3": ((TAU,) * 3, (7, 7, 7), ALL_PERMS, 44),
+    "8^3": ((TAU,) * 3, (8, 8, 8), ALL_PERMS, 65),
+    "2x3x2": ((TAU, 2.5 * np.pi, TAU), (2, 3, 2), SWAP_13, 6),
+    "4x5x6": ((TAU, 2.5 * np.pi, 3.0 * np.pi), (4, 5, 6), [(0, 1, 2)], 62),
+    "cube-cell-3x4x3": ((3.0, 4.0, 3.0), (3, 4, 3), SWAP_13, 14),
+    "thin": ((1e-3 * TAU, TAU, TAU), (3, 3, 3), [(0, 1, 2), (0, 2, 1)],
+             10),
+    "1+1e-7": ((1.0, 1.0, 1.0 + 1e-7), (3, 3, 3), [(0, 1, 2), (1, 0, 2)],
+               10),
+}
+
+
+class TestOrbitSolve:
+    @pytest.mark.parametrize("name", ORBIT_CASES)
+    def test_orbits_and_their_blocks(self, name, monkeypatch):
+        sides, grid, perms, solved = ORBIT_CASES[name]
+        A, M = stencil_operators(TorusGeometry(*sides), grid)
+        # the group read off the blocks: on (1, 1, 1 + 1e-7) A keeps all
+        # six permutations to roundoff, M only those that fix axis 3
+        assert spectrum._symmetries(A, M).tolist() == [list(p)
+                                                      for p in perms]
+        orbits = brute_orbits(grid, perms)
+        reps, weight = spectrum._orbits(grid, np.array(perms))
+        assert len(reps) == len(orbits) == solved
+        # each orbit's first half-zone member in np.ndindex order, and
+        # its size in the whole zone
+        half = grid[:2] + (grid[2] // 2 + 1,)
+        first = sorted(np.ravel_multi_index(min(k for k in orbit
+                                                if k[2] < half[2]), half)
+                       for orbit in orbits)
+        assert reps.tolist() == first
+        size = {np.ravel_multi_index(min(k for k in o if k[2] < half[2]),
+                                     half): len(o) for o in orbits}
+        assert weight.tolist() == [size[r] for r in reps.tolist()]
+        assert 7 * weight.sum() == A.shape[0]
+
+        calls = []
+        solve_blocks = spectrum._solve_blocks
+
+        def counted(Ak, Mk):
+            out = solve_blocks(Ak, Mk)
+            calls.append((Ak, Mk, out[0]))
+            return out
+
+        monkeypatch.setattr(spectrum, "_solve_blocks", counted)
+        res = solve_pencil(A, M)
+        assert sum(len(Ak) for Ak, _, _ in calls) == solved
+        assert res.eigenvalues.size == A.shape[0]
+        assert res.kernel_dim == 3 * A.shape[0] // 7 + 3
+        # a solved block is the half-zone symbol, and its eigenvalues are
+        # those of the whole half zone in one call, bit for bit
+        Ak, Mk = (S.symbols().reshape(-1, 7, 7) for S in (A, M))
+        whole = solve_blocks(Ak, Mk)[0]
+        assert np.array_equal(np.concatenate([a for a, _, _ in calls]),
+                              Ak[reps])
+        assert np.array_equal(np.concatenate([m for _, m, _ in calls]),
+                              Mk[reps])
+        assert np.array_equal(np.concatenate([w for _, _, w in calls]),
+                              whole[reps])
+        # against every half-zone block solved on its own by scipy, with
+        # the half-zone weights
+        oracle = np.sort(np.repeat(block_eigenvalues(A, M),
+                                   half_zone_weights(grid), axis=0).ravel())
+        scale = np.abs(oracle).max()
+        if name == "thin":
+            # a block is solved to about eps ||A^|| ||M^-1|| (the
+            # Cholesky reduction), 1.3e7 of max|lambda| on this cell, so
+            # similar blocks differ by 2.8e-11 of it
+            Ah = 0.5 * (Ak + Ak.conj().swapaxes(-1, -2))
+            scale = (np.linalg.norm(Ah, 2, axis=(-2, -1))
+                     / np.linalg.svd(Mk, compute_uv=False)[:, -1]).max()
+        assert np.abs(res.eigenvalues - oracle).max() <= 1e-14 * scale
+
+    def test_symmetries_need_both_operators_and_the_grid(self):
+        # A alone keeps every permutation on (1, 1, 1 + 1e-7); the grid
+        # counts decide on a cubic cell
+        A, M = stencil_operators(TorusGeometry(1.0, 1.0, 1.0 + 1e-7),
+                                 (3, 3, 3))
+        assert len(spectrum._symmetries(A, A)) == 6
+        assert len(spectrum._symmetries(M, M)) == 2
+        A, M = stencil_operators(TorusGeometry(2.0, 3.0, 4.0), (2, 3, 4))
+        assert spectrum._symmetries(A, M).tolist() == [[0, 1, 2]]
+
+    def test_group_closed_under_composition(self, monkeypatch):
+        # two transpositions generate all six permutations, and a 3-cycle
+        # its inverse too; the other images are made to fail the check
+        A, M = stencil_operators(TorusGeometry(TAU, TAU, TAU), (3, 3, 3))
+        perms, images = saint_venant._axis_permutations()
+        for held, group in (((1, 2), 6), ((3,), 3), ((5,), 2)):
+            blocked = images.copy()
+            blocked[[j for j in range(1, 6) if j not in held]] \
+                = images[0][::-1]
+            monkeypatch.setattr(spectrum, "_axis_permutations",
+                                lambda: (perms, blocked))
+            assert len(spectrum._symmetries(A, M)) == group
+
+    def test_slabs_skip_planes_without_a_representative(self, monkeypatch):
+        # at 16^3, one k1 plane a slab, only the planes k1 <= 8 hold an
+        # orbit's first member
+        A, M = stencil_operators(TorusGeometry(TAU, TAU, TAU), (16,) * 3)
+        planes = []
+        symbols = BlockCirculant.symbols
+
+        def counted(self, k1=slice(None)):
+            planes.append(k1.start)
+            return symbols(self, k1)
+
+        monkeypatch.setattr(spectrum, "_SLAB_BLOCKS", 1)
+        monkeypatch.setattr(BlockCirculant, "symbols", counted)
+        res = solve_pencil(A, M)
+        assert sorted(set(planes)) == list(range(9))
+        assert res.kernel_dim == 3 * 16 ** 3 + 3
 
 
 class TestClusters:
