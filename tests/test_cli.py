@@ -788,8 +788,8 @@ GOLDEN_DIGESTS = {
     "assemble_bench": "af598493fcde9c82",
     "assemble_seed": "3bbd3269bd671ff3",
     "config_action": "a69f2e000918939e",
-    "config_converge": "9b16586d0ee85ede",
-    "config_eigs": "5c041a117fcedddc",
+    "config_converge": "d369235391955126",
+    "config_eigs": "0e171650725231c6",
     "config_mesh": "d6f7a697455379a1",
     "config_missing": "e396ae7d165ad749",
     "config_oracle_null": "0b3c30ac432fb44c",
@@ -797,12 +797,12 @@ GOLDEN_DIGESTS = {
     "config_prefix_null": "08392b5498ae21d6",
     "config_unknown": "98177f81e0c069ff",
     "config_verify_seed": "45f15a419dc988d3",
-    "converge_bench": "fb4c482f1994ea79",
+    "converge_bench": "47b581aecc3b8455",
     "converge_decreasing": "b306d47ec13f0bde",
-    "converge_short": "774a21ab44a6a803",
-    "eigs_csv": "035b38b016b2d532",
-    "eigs_cutoff": "8f19732170969b73",
-    "eigs_grid3": "61940fab6a16d1ca",
+    "converge_short": "fd0e8b6e76147206",
+    "eigs_csv": "18fdce7dd101a22e",
+    "eigs_cutoff": "8af4703de43bc4df",
+    "eigs_grid3": "d67f409dd6f71a23",
     "eigs_too_many": "5cd405e445d8ac8d",
     "mesh": "68618ba4a72bda53",
     "mesh_grid_1": "98d2ca1e01075124",
