@@ -34,15 +34,24 @@ The action is R = sum_e theta_e * l_e.  Near the flat background,
 R(l(eps)) = eps^2/8 * c' A c + O(eps^3) where c is the coefficient vector
 of the metric perturbation and A the stiffness operator, applied by its
 matvec; the linearized deficit equals half the assembled edge jump.
-``second_variation_check`` evaluates its eps schedule in stacked
-dihedral passes: the rows s0 + eps*c go through the kernel of
-``deficit_angles``, whose one-row case that function is, as many at a
-time as fit ``_SLAB_TETS`` tets, and a row is pruned exactly when
-``regge_action`` would refuse its configuration.
+
+Every whole-mesh route takes a leading rows axis, one configuration or
+field a row, and each public one-configuration function is its one-row
+case: ``deficit_angles`` of ``_dihedral_rows``, ``holonomy_deficits`` of
+``_holonomy_rows``, ``linearized_deficits`` of ``_linearized_rows``,
+``schlafli_check`` of ``_schlafli_rows`` and ``second_variation_check``
+of ``_second_variation_rows``.  ``verify`` runs a suite's random draws
+through them as the rows of one pass.  A pass holds as many rows as fit
+``_SLAB_TETS`` tets (sector tets for the star routes), one at least, and
+a row's values do not depend on the rows stacked with it, so each equals
+its own call bit for bit.  A row that ``EdgeLengthConfig`` or the
+realizability guard refuses raises what its own call raises, the first
+such row first; ``second_variation_check`` prunes such an eps row
+instead, with a warning per direction.
 
 The holonomy and the linearized deficit are each one private kernel over
-stacked stars: ``holonomy_deficits`` and ``linearized_deficits`` run it
-on the stars of each valence class, the directions 0, 1, 3, 6 (valence
+stacked stars: ``_holonomy_rows`` and ``_linearized_rows`` run it on the
+stars of each valence class of every row, the directions 0, 1, 3, 6 (valence
 6) and 2, 4, 5 (valence 4), stacked on a leading axis, so two passes
 cover every edge (more only once a class holds over ``_SLAB_TETS``
 sector tets, and a direction's stars run in vertex chunks once they
@@ -78,7 +87,7 @@ import numpy as np
 
 from .mesh import _BOX_EDGE_DIRS, _TET_SLOTS, PeriodicMesh, _edge_tets, \
     _star_faces
-from .spaces import ReggeField, regge_to_tet_matrices
+from .spaces import ReggeField, _tet_matrices, regge_to_tet_matrices
 
 __all__ = [
     "RealizabilityError",
@@ -170,7 +179,10 @@ class EdgeLengthConfig:
         if s.ndim != 1 or s.dtype.kind not in "iuf":
             raise ValueError("squared lengths must be a 1-D array of real "
                              f"numbers, not {s.dtype} of shape {s.shape}")
-        s = s.astype(float, copy=False)
+        # a read-only copy: the caller's array, and later writes, cannot
+        # change a configuration once it is checked
+        s = np.array(s, dtype=float)
+        s.setflags(write=False)
         object.__setattr__(self, "squared_lengths", s)
         if not np.all(np.isfinite(s)):
             raise RealizabilityError("squared lengths must be finite")
@@ -260,36 +272,68 @@ def _guard(s: np.ndarray, adj: np.ndarray, det: np.ndarray):
     return cm, flat, flat & (adj[2] > 0)
 
 
-def _checked_gram(mesh: PeriodicMesh, config: EdgeLengthConfig, tets=None):
+def _gram(mesh: PeriodicMesh, S: np.ndarray, tets=None):
     """The realizability guard of every route from squared lengths.
 
-    Returns ``s, *_gram_adjugate(s)`` for the squared lengths s (6, T) of
-    the given tets (all by default).  Raises ValueError on an edge count
-    mismatch, and RealizabilityError tagged with the first offending tet:
+    S holds the squared lengths (E,) of one configuration, or (r, E) of r
+    stacked on a leading rows axis, each accepted by ``EdgeLengthConfig``.
+    Returns ``s, adj, det, refused``: the squared lengths s (6, T) or (6,
+    T, r) of the given tets (all by default), ``_gram_adjugate`` of them,
+    and None, or when the guard refuses a tet, the first refused row and
+    its RealizabilityError, tagged with the row's first offending tet:
     Cayley-Menger determinant 8 det G below the relative guard, or else G
     not positive definite.  Both guards are one boolean test, ``_guard``;
-    the offender is searched for only when it fails.
+    the offender is searched for only when it fails.  Raises ValueError on
+    an edge count mismatch.
     """
-    if config.squared_lengths.shape[0] != mesh.num_edges:
+    if S.shape[-1] != mesh.num_edges:
         raise ValueError("edge count mismatch")
     edges = mesh.tet_edges if tets is None else mesh.tet_edges[tets]
     # np.take lays s out slot by slot (C order); indexing with edges.T
     # would lay it out tet by tet, which the kernels downstream read about
     # a third slower at 6^3 and 16^3
-    s = np.take(config.squared_lengths, edges.T)
+    s = np.take(S.T, edges.T, axis=0)
     adj, det = _gram_adjugate(s)
     cm, flat, realizable = _guard(s, adj, det)
-    if not realizable.all():
-        degenerate = np.flatnonzero(~flat)
-        row = (degenerate if degenerate.size
-               else np.flatnonzero(~realizable))[0]
-        tet = int(row if tets is None else tets[row])
-        if degenerate.size:
-            raise RealizabilityError(
-                f"tet {tet}: degenerate edge lengths "
-                f"(Cayley-Menger determinant {cm[row]:.3e})")
-        raise RealizabilityError(f"tet {tet}: metric not positive definite")
-    return s, adj, det
+    if realizable.all():
+        return s, adj, det, None
+    cm, flat, realizable = (a.reshape(len(edges), -1)
+                            for a in (cm, flat, realizable))
+    row = int(np.flatnonzero(~realizable.all(axis=0))[0])
+    degenerate = np.flatnonzero(~flat[:, row])
+    t = (degenerate if degenerate.size
+         else np.flatnonzero(~realizable[:, row]))[0]
+    tet = int(t if tets is None else tets[t])
+    if degenerate.size:
+        return s, adj, det, (row, RealizabilityError(
+            f"tet {tet}: degenerate edge lengths "
+            f"(Cayley-Menger determinant {cm[t, row]:.3e})"))
+    return s, adj, det, (row, RealizabilityError(
+        f"tet {tet}: metric not positive definite"))
+
+
+def _checked_gram(mesh: PeriodicMesh, config: EdgeLengthConfig,
+                  tets=None) -> list:
+    """``s, adj, det`` of ``_gram`` for one configuration; raises the
+    guard's error."""
+    *gram, refused = _gram(mesh, config.squared_lengths, tets)
+    if refused is not None:
+        raise refused[1]
+    return gram
+
+
+def _checked_rows(mesh: PeriodicMesh, S: np.ndarray) -> list:
+    """``_checked_gram`` of the rows of S (r, E), which no
+    ``EdgeLengthConfig`` has checked yet: raises, for the first row that
+    it or the guard refuses, what that row's own config and call raise."""
+    ok = np.isfinite(S).all(axis=1) & (S > 0).all(axis=1)
+    n = len(S) if ok.all() else int(ok.argmin())
+    *gram, refused = _gram(mesh, S[:n])
+    if refused is not None:
+        raise refused[1]
+    if n < len(S):
+        EdgeLengthConfig(S[n])
+    return gram
 
 
 def tet_metrics_from_lengths(mesh: PeriodicMesh,
@@ -369,9 +413,21 @@ def deficit_angles(mesh: PeriodicMesh, config: EdgeLengthConfig) -> np.ndarray:
     their gaps to the flat background's angles, which sum to 2*pi around
     every edge; so theta is exactly 0 at the flat configuration.  The one
     row of ``_deficit_rows``, which ``second_variation_check`` runs on
-    its eps schedule.
+    its eps schedules and ``_dihedral_rows`` on stacked configurations.
     """
     return _deficit_rows(mesh, *_checked_gram(mesh, config))[0]
+
+
+def _dihedral_rows(mesh: PeriodicMesh, S: np.ndarray) -> list:
+    """``deficit_angles`` of the configurations in the rows of S (r, E),
+    each bit for bit, in stacked passes of as many rows as fit
+    ``_SLAB_TETS`` tets.  Raises, for the first row that
+    ``EdgeLengthConfig`` or the guard refuses, what that row's own config
+    and call raise."""
+    out = []
+    for part in _slabs(len(S), mesh.num_tets):
+        out += _deficit_rows(mesh, *_checked_rows(mesh, S[part]))
+    return out
 
 
 def deficit_angle_dihedral(mesh: PeriodicMesh, e: int,
@@ -499,27 +555,33 @@ def deficit_angle_holonomy(sector: EdgeSector) -> float:
 
 
 def _by_valence(mesh: PeriodicMesh, kernel, *per_tet) -> np.ndarray:
-    """``kernel(frames, *gathered)`` of every edge, shape (E,), in one
-    stacked pass per valence class of ``mesh._star_classes``, or per slab
-    of its directions once the class holds over ``_SLAB_TETS`` sector
-    tets, and per chunk of vertices within that budget once a single
-    direction's stars do: the stacked frames, and each per-tet array of
-    ``per_tet`` gathered on the sector tets of their stars, (k, V, s, ...)
-    or (1, chunk, s, ...).  A star's value depends on its own rows alone,
-    so the chunks give the values of the whole pass, bit for bit."""
-    V = mesh.num_vertices
-    out = np.empty((7, V))
+    """``kernel(frames, *gathered)`` of every edge of r rows, shape (r,
+    E), from per-tet arrays (r, T, ...) of ``per_tet``: one stacked pass
+    per valence class of ``mesh._star_classes`` for as many rows as fit
+    ``_SLAB_TETS`` sector tets; past one row, the row's passes run per
+    slab of the class's directions, and per chunk of vertices within that
+    budget once a single direction's stars exceed it.  The kernel gets
+    the stacked frames and each array gathered on the sector tets of the
+    stars, (n, k, V, s, ...), (1, k, V, s, ...) or (1, 1, chunk, s, ...).
+    A star's value depends on its own rows alone, so the stack gives the
+    values of one row and one direction at a time, bit for bit."""
+    r, V = len(per_tet[0]), mesh.num_vertices
+    out = np.empty((r, 7, V))
     for cls in mesh._star_classes:
-        s = cls.ms.shape[-2]
-        for part in _slabs(len(cls.dirs), V * s):  # V stars of s tets
-            dirs = cls.dirs[part]
-            frames = type(cls)(*(a[part] for a in cls))
-            # all V stars at once, unless one direction's exceed the budget
-            for chunk in _slabs(V, s):
-                tets = np.stack([mesh._star_tets[d][chunk] for d in dirs])
-                out[dirs, chunk] = kernel(frames,
-                                          *(a[tets] for a in per_tet))
-    return out.T.ravel()
+        k, s = len(cls.dirs), cls.ms.shape[-2]
+        for rows in _slabs(r, k * V * s):  # k directions of V stars a row
+            n = len(range(r)[rows])
+            for part in _slabs(k, n * V * s):
+                dirs = cls.dirs[part]
+                frames = type(cls)(*(a[part] for a in cls))
+                # all V stars at once, unless one direction's exceed the
+                # budget
+                for chunk in _slabs(V, n * s):
+                    tets = np.stack([mesh._star_tets[d][chunk]
+                                     for d in dirs])
+                    out[rows, dirs, chunk] = kernel(
+                        frames, *(a[rows][:, tets] for a in per_tet))
+    return out.transpose(0, 2, 1).reshape(r, -1)
 
 
 def holonomy_deficits(mesh: PeriodicMesh,
@@ -527,21 +589,43 @@ def holonomy_deficits(mesh: PeriodicMesh,
     """Holonomy deficit angle of every edge, shape (E,), in one stacked
     pass per valence class, two in all: entry e is
     ``deficit_angle_holonomy(build_edge_sector(mesh, e, metrics))`` for
-    the metrics of ``tet_metrics_from_lengths``.
+    the metrics of ``tet_metrics_from_lengths``.  The one row of
+    ``_holonomy_rows``."""
+    return _holonomy_rows(mesh, config.squared_lengths[None])[0]
 
-    Those metrics pass the realizability guard of ``deficit_angles`` and
-    agree tangentially across every face by construction, so no star is
-    checked again.  One batched Cholesky test confirms that each float
-    metric about to be inverted is positive definite (the guard judges the
-    Gram matrix polarized from the lengths, not this one); then all T are
+
+def _holonomy_rows(mesh: PeriodicMesh, S: np.ndarray) -> np.ndarray:
+    """``holonomy_deficits`` of the configurations in the rows of S (r,
+    E), each accepted by ``EdgeLengthConfig``, shape (r, E), each row bit
+    for bit.
+
+    The rows run in slabs of as many as fit ``_SLAB_TETS`` tets, all of
+    them at 2^3 and one a slab from 6^3 on, so the memory of a pass does
+    not grow with the rows.  The metrics of a slab pass the realizability
+    guard of ``deficit_angles``, one for all its rows, and agree
+    tangentially across every face by construction, so no star is checked
+    again.  One batched Cholesky test confirms that each float metric
+    about to be inverted is positive definite (the guard judges the Gram
+    matrix polarized from the lengths, not this one); then all are
     inverted in one call and each star gathers its inverses, bit for bit
-    those of the per-edge route."""
-    tet_metrics = tet_metrics_from_lengths(mesh, config)
-    bent = _first_not_positive_definite(tet_metrics)
-    if bent >= 0:
-        raise RealizabilityError(f"tet {bent}: metric not positive definite")
-    return _by_valence(mesh, _holonomy, tet_metrics,
-                       np.linalg.inv(tet_metrics))
+    those of the per-edge route.  A refused row raises what its own call
+    raises: the rows before the first one the guard refuses are tested
+    for a Cholesky factor first.
+    """
+    out = np.empty(S.shape)
+    for part in _slabs(len(S), mesh.num_tets):
+        refused = _gram(mesh, S[part])[3]
+        rows = S[part][:None if refused is None else refused[0]]
+        metrics = _tet_matrices(mesh, rows)
+        bent = _first_not_positive_definite(metrics.reshape(-1, 3, 3))
+        if bent >= 0:
+            raise RealizabilityError(f"tet {bent % mesh.num_tets}: metric "
+                                     "not positive definite")
+        if refused is not None:
+            raise refused[1]
+        out[part] = _by_valence(mesh, _holonomy, metrics,
+                                np.linalg.inv(metrics))
+    return out
 
 
 def _linearized(star, mats) -> np.ndarray:
@@ -576,9 +660,20 @@ def linearized_deficit(mesh: PeriodicMesh, e: int,
 def linearized_deficits(mesh: PeriodicMesh,
                         u_prime: ReggeField) -> np.ndarray:
     """``linearized_deficit`` of every edge, shape (E,), in one stacked
-    pass per valence class, two in all."""
-    return _by_valence(mesh, _linearized,
-                       regge_to_tet_matrices(mesh, u_prime))
+    pass per valence class, two in all.  The one row of
+    ``_linearized_rows``."""
+    return _linearized_rows(mesh, u_prime.coeffs[None])[0]
+
+
+def _linearized_rows(mesh: PeriodicMesh, coeffs: np.ndarray) -> np.ndarray:
+    """``linearized_deficits`` of the fields whose coefficients are the
+    rows of coeffs (r, E), shape (r, E), each row bit for bit, in slabs
+    of rows as ``_holonomy_rows`` runs them."""
+    out = np.empty(coeffs.shape)
+    for part in _slabs(len(coeffs), mesh.num_tets):
+        out[part] = _by_valence(mesh, _linearized,
+                                _tet_matrices(mesh, coeffs[part]))
+    return out
 
 
 def regge_action(mesh: PeriodicMesh, config: EdgeLengthConfig) -> float:
@@ -598,16 +693,31 @@ def schlafli_check(mesh: PeriodicMesh, config: EdgeLengthConfig,
     direction = np.asarray(direction, float).ravel()
     if direction.shape[0] != mesh.num_edges:
         raise ValueError("direction must have one entry per edge")
-    l0 = config.lengths
+    return _schlafli_rows(mesh, [config], [direction], step)[0][0]
 
-    def action_at(eps):
-        return regge_action(mesh,
-                            EdgeLengthConfig((l0 + eps * direction) ** 2))
 
-    dR = (action_at(step) - action_at(-step)) / (2.0 * step)
-    theta = deficit_angles(mesh, config)
-    rhs = float(np.sum(theta * direction))
-    return abs(dR - rhs)
+def _schlafli_rows(mesh: PeriodicMesh, configs, directions,
+                   step: float) -> list:
+    """(residual, sum_e theta_e * dl_e) of ``schlafli_check`` for each
+    pair of a config and a direction (E,), each bit for bit, from one
+    ``_dihedral_rows`` call on the squared lengths at +step, at -step and
+    of the config of every pair, in that order: the actions R(+-step) are
+    ``regge_action`` of the first two rows, and theta is the third's."""
+    rows = []
+    for config, direction in zip(configs, directions):
+        l0 = config.lengths
+        rows += [(l0 + eps * direction) ** 2 for eps in (step, -step)]
+        rows.append(config.squared_lengths)
+    S = np.array(rows)
+    theta = _dihedral_rows(mesh, S)
+    out = []
+    for i, direction in enumerate(directions):
+        plus, minus = (float(np.sum(theta[j] * np.sqrt(S[j])))
+                       for j in (3 * i, 3 * i + 1))
+        dR = (plus - minus) / (2.0 * step)
+        rhs = float(np.sum(theta[3 * i + 2] * direction))
+        out.append((abs(dR - rhs), rhs))
+    return out
 
 
 def _neville(xs, ys, x0=0.0) -> float:
@@ -653,11 +763,12 @@ class SecondVariationReport:
 
 def _slab_actions(mesh: PeriodicMesh, s0, c, eps) -> tuple:
     """``regge_action(mesh, perturbed_lengths(mesh, u', e))`` bit for bit,
-    for the eps values e of one slab in one stacked dihedral pass, from the
-    background s0 and the coefficients c of u' (E,): the positions of the
-    rows that ``EdgeLengthConfig`` and the realizability guard accept, and
-    their actions.  A refused row forms no angle."""
-    S = s0[:, None] + c[:, None] * eps  # (E, r), one configuration each
+    for the rows (u', e) of one slab in one stacked dihedral pass, from the
+    background s0, the coefficients c (E, r) of each row's u' and its eps
+    values e (r,): the positions of the rows that ``EdgeLengthConfig`` and
+    the realizability guard accept, and their actions.  A refused row
+    forms no angle."""
+    S = s0[:, None] + c * eps  # (E, r), one configuration each
     rows = np.flatnonzero(np.isfinite(S).all(axis=0) & (S > 0).all(axis=0))
     if len(rows) < len(eps):
         S = S[:, rows]
@@ -690,17 +801,39 @@ def second_variation_check(mesh: PeriodicMesh, u_prime: ReggeField,
     is O(eps^2), so smaller eps loses the remainder to floating-point
     cancellation and degrades the slope fit.  ``stiffness`` is
     ``assemble_stiffness(mesh)``, which the mesh builds once; its matvec
-    gives the target.
+    gives the target.  The one direction of ``_second_variation_rows``.
     """
-    c = u_prime.coeffs
-    target = float(c @ (stiffness @ c)) / 8.0
+    return _second_variation_rows(mesh, u_prime.coeffs[None], epsilons,
+                                  stiffness)[0]
+
+
+def _second_variation_rows(mesh: PeriodicMesh, coeffs: np.ndarray,
+                           epsilons, stiffness) -> list:
+    """``second_variation_check`` of each direction whose coefficients are
+    a row of coeffs (k, E), on one eps schedule, each report bit for bit:
+    the k schedules run as one stack of rows, direction by direction, in
+    slabs of at most ``_SLAB_TETS`` tets, and each direction prunes, warns
+    and logs, or raises, as its own call does, in direction order."""
     eps_all = np.array(sorted(float(e) for e in epsilons))
-    s0, ok = _background(mesh), np.zeros(len(eps_all), dtype=bool)
-    actions = np.empty(len(eps_all))
-    for part in _slabs(len(eps_all), mesh.num_tets):
-        rows, vals = _slab_actions(mesh, s0, c, eps_all[part])
+    k, n = len(coeffs), len(eps_all)
+    which, eps_rows = np.repeat(np.arange(k), n), np.tile(eps_all, k)
+    s0, ok = _background(mesh), np.zeros(k * n, dtype=bool)
+    actions = np.empty(k * n)
+    for part in _slabs(k * n, mesh.num_tets):
+        rows, vals = _slab_actions(mesh, s0, coeffs[which[part]].T,
+                                   eps_rows[part])
         rows += part.start
         actions[rows], ok[rows] = vals, True
+    return [_schedule_report(eps_all, c, act, good, stiffness)
+            for c, act, good in zip(coeffs, actions.reshape(k, n),
+                                    ok.reshape(k, n))]
+
+
+def _schedule_report(eps_all, c, actions, ok, stiffness
+                     ) -> SecondVariationReport:
+    """The report of one direction c (E,) from the actions of its sorted
+    schedule eps_all and which of them were realizable."""
+    target = float(c @ (stiffness @ c)) / 8.0
     pruned = eps_all[~ok].tolist()
     if pruned:
         logger.debug("second_variation_check: pruned unrealizable "

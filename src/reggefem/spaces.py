@@ -451,10 +451,21 @@ def divergence_x2(mesh: PeriodicMesh, u: EdgeMeasure) -> VertexVectorMeasure:
 def regge_to_tet_matrices(mesh: PeriodicMesh, u: ReggeField) -> np.ndarray:
     """Per-tet constant matrices (T, 3, 3) of an edge metric field; tet t
     takes the basis matrices of template t % 6."""
-    if u.coeffs.shape[0] != mesh.num_edges:
+    return _tet_matrices(mesh, u.coeffs)
+
+
+def _tet_matrices(mesh: PeriodicMesh, coeffs: np.ndarray) -> np.ndarray:
+    """``regge_to_tet_matrices`` of the edge coefficients (..., E) of
+    fields stacked on leading axes, shape (..., T, 3, 3); each field's
+    matrices are those of its own call, bit for bit."""
+    if coeffs.shape[-1] != mesh.num_edges:
         raise ValueError("edge count mismatch")
-    c = u.coeffs[mesh.tet_edges].reshape(-1, 6, 1, 6)
-    return (c @ mesh.tet_rho.reshape(6, 6, 9)).reshape(-1, 3, 3)
+    # one leading axis for all fields, as for one: numpy's matmul rounds a
+    # stack of (1, 6) @ (6, 9) products by its layout, and a separate rows
+    # axis changed the last bit of some entries
+    c = coeffs[..., mesh.tet_edges].reshape(-1, 6, 1, 6)
+    return (c @ mesh.tet_rho.reshape(6, 6, 9)).reshape(
+        *coeffs.shape[:-1], mesh.num_tets, 3, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,21 @@ that ``tet_metrics_from_lengths`` builds from them; and the star-ordered
 matvec of the stiffness blocks.  Per edge, ``deficit_angles`` equals the
 star-local ``deficit_angle_dihedral`` exactly.  The holonomy and the
 linearized deficits run one stacked pass per valence class of edge
-stars, and each second-variation schedule runs its eps values in stacked
-dihedral passes, so a run's passes through the action layer do not
-multiply by the seven edge directions or the seven eps values.
+stars, so a run's passes through the action layer do not multiply by the
+seven edge directions.
+
+Nor do they multiply by a suite's random draws or its seven eps values.
+The dual-path, second-variation and Schlafli suites each draw all their
+inputs first, in the order they were drawn one at a time, and evaluate
+them as the rows of the action layer's rows forms (see the ``action``
+module docstring): the dual-path suite in one dihedral and one holonomy
+pass over its 3 configurations, one linearized pass over its 4 fields
+and one dihedral pass over its 4 finite-difference rows; the Schlafli
+suite in one dihedral pass over the 9 rows of its draws, whose theta
+also gives its tolerance; the second-variation suite in one stack of the
+3 x 7 rows of its schedules.  A pass splits into slabs of at most 2048
+tets, so on a 2^3 grid each is one pass, and from 6^3 on each row runs
+alone.  Every result equals that of the one-draw loops bit for bit.
 """
 
 from __future__ import annotations
@@ -46,9 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import deficit_angles, holonomy_deficits, \
-    linearized_deficits, perturbed_lengths, random_realizable_config, \
-    schlafli_check, second_variation_check
+from .action import _dihedral_rows, _holonomy_rows, _linearized_rows, \
+    _schlafli_rows, _second_variation_rows, euclidean_lengths, \
+    random_realizable_config
 from .mesh import DIRECTIONS, PeriodicMesh, build_torus_mesh
 from .saint_venant import BlockCirculant, _fold, apply_ctc, \
     assemble_stiffness, constant_kernel_residual
@@ -201,36 +213,48 @@ def check_commuting_diagram(mesh: PeriodicMesh) -> list:
 
 
 def check_dual_path_deficits(mesh: PeriodicMesh, seed: int = 0) -> list:
-    """Holonomy vs dihedral deficits; linearized deficit vs half the jump."""
+    """Holonomy vs dihedral deficits; linearized deficit vs half the jump.
+
+    Every input is drawn first, in the order the checks read them; then
+    the configurations take one dihedral and one holonomy pass, the four
+    fields one linearized pass, and the finite differences one dihedral
+    pass."""
     rng = np.random.default_rng(seed)
+    # stay on the principal branch of the holonomy rotation angle
+    cfgs = np.stack([random_realizable_config(
+        mesh, rng, max_deficit=2.5).squared_lengths
+        for _ in range(_N_RANDOM)])
+    # _N_RANDOM fields against the jump, then the finite differences' one
+    fields = np.stack([rng.uniform(-1, 1, mesh.num_edges)
+                       for _ in range(_N_RANDOM + 1)])
     out = []
 
     worst = 0.0
-    for _ in range(_N_RANDOM):
-        # stay on the principal branch of the holonomy rotation angle
-        cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
-        th_h = holonomy_deficits(mesh, cfg)
-        worst = max(worst, np.abs(deficit_angles(mesh, cfg) - th_h).max())
+    for th_h, th_d in zip(_holonomy_rows(mesh, cfgs),
+                          _dihedral_rows(mesh, cfgs)):
+        worst = max(worst, np.abs(th_d - th_h).max())
     out.append(_result("holonomy_vs_dihedral", worst, 1e-9,
                        f"{_N_RANDOM} random configurations"))
 
+    lin = _linearized_rows(mesh, fields)
     worst = 0.0
-    for _ in range(_N_RANDOM):
-        up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
-        half_jump = 0.5 * apply_ctc(mesh, up).coeffs
-        worst = max(worst, np.abs(linearized_deficits(mesh, up)
-                                  - half_jump).max())
+    for c, lin_c in zip(fields[:_N_RANDOM], lin):
+        half_jump = 0.5 * apply_ctc(mesh, ReggeField(c)).coeffs
+        worst = max(worst, np.abs(lin_c - half_jump).max())
     out.append(_result("linearized_deficit_vs_half_jump", worst, 1e-12,
                        f"{_N_RANDOM} random fields, all edges"))
 
     # finite differences of the nonlinear deficit against the linearization
-    up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
     h = 1e-2
-    th = {eps: deficit_angles(mesh, perturbed_lengths(mesh, up, eps))
-          for eps in (h, -h, h / 2, -h / 2)}
+    steps = (h, -h, h / 2, -h / 2)
+    # the squared lengths of perturbed_lengths(mesh, ReggeField(c), eps),
+    # which _dihedral_rows checks row by row as each config and call would
+    s0, c = euclidean_lengths(mesh).squared_lengths, fields[-1]
+    th = dict(zip(steps, _dihedral_rows(mesh, np.stack([
+        s0 + eps * c for eps in steps]))))
     d1 = (th[h] - th[-h]) / (2 * h)
     d2 = (th[h / 2] - th[-h / 2]) / h
-    worst = np.abs((4 * d2 - d1) / 3 - linearized_deficits(mesh, up)).max()
+    worst = np.abs((4 * d2 - d1) / 3 - lin[-1]).max()
     out.append(_result("deficit_fd_vs_linearized", worst, 1e-7,
                        "Richardson central differences"))
     return out
@@ -241,10 +265,11 @@ def check_second_variation(mesh: PeriodicMesh, seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     A = assemble_stiffness(mesh)
     eps = np.geomspace(1e-2, 1e-1, 7)
+    # the schedules of all directions run as one stack of rows
+    directions = np.stack([rng.uniform(-1, 1, mesh.num_edges)
+                           for _ in range(_N_RANDOM)])
     worst_err, worst_slope = 0.0, np.inf
-    for _ in range(_N_RANDOM):
-        up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
-        rep = second_variation_check(mesh, up, eps, A)
+    for rep in _second_variation_rows(mesh, directions, eps, A):
         worst_err = max(worst_err, rep.rel_error)
         worst_slope = min(worst_slope, rep.remainder_slope)
     out = [_result("second_variation_coefficient", worst_err, 1e-2,
@@ -260,13 +285,15 @@ def check_second_variation(mesh: PeriodicMesh, seed: int = 0) -> list:
 def check_schlafli(mesh: PeriodicMesh, seed: int = 0) -> list:
     """Length-derivative identity of the action at non-flat configs."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    cfgs, directions = [], []
     for _ in range(_N_RANDOM):
-        cfg = random_realizable_config(mesh, rng, scale=0.15)
-        direction = rng.uniform(-1.0, 1.0, mesh.num_edges)
-        res = schlafli_check(mesh, cfg, direction, step=1e-4)
-        theta = deficit_angles(mesh, cfg)
-        tol = 1e-6 * abs(float(np.sum(theta * direction))) + 1e-10
+        cfgs.append(random_realizable_config(mesh, rng, scale=0.15))
+        directions.append(rng.uniform(-1.0, 1.0, mesh.num_edges))
+    # one dihedral pass gives both actions and theta of every draw, and
+    # the tolerance reads the sum(theta * direction) it gives
+    worst = 0.0
+    for res, rhs in _schlafli_rows(mesh, cfgs, directions, 1e-4):
+        tol = 1e-6 * abs(rhs) + 1e-10
         worst = max(worst, res / tol)
     return [_result("schlafli_identity", worst, 1.0,
                     f"{_N_RANDOM} random non-flat configurations; "

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from reggefem import (TorusGeometry, assemble_mass, assemble_stiffness,
-                      build_torus_mesh, mesh_summary)
-from reggefem.mesh import _FACE_OFFSETS, _TET_OFFSETS, DIRECTIONS, \
-    _edge_tets, _star_faces
+                      build_torus_mesh, mesh_summary, saint_venant)
+from reggefem.mesh import _FACE_OFFSETS, _TET_OFFSETS, DIRECTIONS, _dir, \
+    _edge_tets, _star_faces, _vid
 
 TAU = 2.0 * np.pi
 
@@ -64,6 +66,42 @@ def face_tables(mesh):
     each slot, and face_tets (F, 2), the two tets of each face ascending."""
     incidence = mesh_summary(mesh, include_incidence=True)["incidence"]
     return np.array(incidence["face_edges"]), np.array(incidence["face_tets"])
+
+
+def point_group():
+    """The 12 maps of the Kuhn complex onto itself, from ``DIRECTIONS``:
+    each axis permutation p, with and without the point reflection, and
+    the flat block entry each map sends every structural coupling
+    (s, a, b) to.  The reflection maps edge (v, d) onto (-v - d, d), so
+    B_s[a, b] onto B_{-s + d_a - d_b}[a, b]; then p maps it onto
+    B_{p.s}[p.a, p.b], (p.x)_i = x_{p_i}."""
+    c = saint_venant._couplings()
+    s, a, b = np.unravel_index(c, (27, 7, 7))
+    s = np.stack(np.unravel_index(s, (3, 3, 3)), axis=-1) - 1
+    index = {tuple(d): i for i, d in enumerate(DIRECTIONS.tolist())}
+    maps = []
+    for p in itertools.permutations(range(3)):
+        p = list(p)
+        for reflect in (False, True):
+            t = -s + DIRECTIONS[a] - DIRECTIONS[b] if reflect else s
+            pa, pb = ([index[tuple(d)] for d in DIRECTIONS[x][:, p].tolist()]
+                      for x in (a, b))
+            image = (np.ravel_multi_index((t[:, p] + 1).T, (3, 3, 3)) * 49
+                     + 7 * np.array(pa) + np.array(pb))
+            maps.append((p, reflect, image))
+    return maps
+
+
+def edge_image(mesh, p, reflect: bool) -> np.ndarray:
+    """Edge ids, on the torus (l_p1, l_p2, l_p3) with grid (n_p1, n_p2,
+    n_p3), of the images of the edges of ``mesh`` under a map of
+    ``point_group``: the reflection takes edge (v, d) to (-v - d, d), then
+    p takes it to (p.v, p.d)."""
+    n = np.array(mesh.grid)
+    v = np.stack(np.unravel_index(np.arange(mesh.num_vertices), n),
+                 axis=-1)[:, None]
+    tails = -v - DIRECTIONS if reflect else v + 0 * DIRECTIONS  # (V, 7, 3)
+    return (7 * _vid(tails[..., p], n[p]) + _dir(DIRECTIONS[:, p])).ravel()
 
 
 @pytest.fixture(scope="session")

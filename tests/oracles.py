@@ -5,16 +5,24 @@ form: the Cayley-Menger determinant, dihedral angles measured in the
 pulled-back metrics, the edge degree of freedom, the sparse deformation
 matrix, the vertex pairing, the L2 norm of an edge metric field, constant
 fields and the exact torus spectrum enumerated one frequency at a time.
-The library runs none of them.
+The library runs none of them.  The last three are the dual-path,
+second-variation and Schlafli suites of ``verify`` as they ran one random
+draw at a time, each draw through the public one-configuration
+functions.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from reggefem.action import deficit_angles, holonomy_deficits, \
+    linearized_deficits, perturbed_lengths, random_realizable_config, \
+    schlafli_check, second_variation_check
 from reggefem.mesh import LOCAL_EDGES, _edge_tets
 from reggefem.quadrature import segment_rule
+from reggefem.saint_venant import apply_ctc, assemble_stiffness
 from reggefem.spaces import ReggeField, SmoothField, _require, \
     regge_to_tet_matrices
+from reggefem.verify import _N_RANDOM, CheckResult, _result
 
 # Bordered Cayley-Menger matrix entries of each LOCAL_EDGES slot.
 _CM_LO, _CM_HI = np.array(LOCAL_EDGES).T + 1
@@ -165,3 +173,76 @@ def fourier_entries(geometry, cutoff: float) -> tuple:
         else:
             merged.append([lam, acc[lam]])
     return tuple((float(l), int(m)) for l, m in merged)
+
+
+def dual_path_per_draw(mesh, seed: int = 0) -> list:
+    """``verify.check_dual_path_deficits``, one draw and one whole-mesh
+    call at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+
+    worst = 0.0
+    for _ in range(_N_RANDOM):
+        cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
+        th_h = holonomy_deficits(mesh, cfg)
+        worst = max(worst, np.abs(deficit_angles(mesh, cfg) - th_h).max())
+    out.append(_result("holonomy_vs_dihedral", worst, 1e-9,
+                       f"{_N_RANDOM} random configurations"))
+
+    worst = 0.0
+    for _ in range(_N_RANDOM):
+        up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
+        half_jump = 0.5 * apply_ctc(mesh, up).coeffs
+        worst = max(worst, np.abs(linearized_deficits(mesh, up)
+                                  - half_jump).max())
+    out.append(_result("linearized_deficit_vs_half_jump", worst, 1e-12,
+                       f"{_N_RANDOM} random fields, all edges"))
+
+    up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
+    h = 1e-2
+    th = {eps: deficit_angles(mesh, perturbed_lengths(mesh, up, eps))
+          for eps in (h, -h, h / 2, -h / 2)}
+    d1 = (th[h] - th[-h]) / (2 * h)
+    d2 = (th[h / 2] - th[-h / 2]) / h
+    worst = np.abs((4 * d2 - d1) / 3 - linearized_deficits(mesh, up)).max()
+    out.append(_result("deficit_fd_vs_linearized", worst, 1e-7,
+                       "Richardson central differences"))
+    return out
+
+
+def second_variation_per_draw(mesh, seed: int = 0) -> list:
+    """``verify.check_second_variation``, one direction's schedule at a
+    time."""
+    rng = np.random.default_rng(seed)
+    A = assemble_stiffness(mesh)
+    eps = np.geomspace(1e-2, 1e-1, 7)
+    worst_err, worst_slope = 0.0, np.inf
+    for _ in range(_N_RANDOM):
+        up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
+        rep = second_variation_check(mesh, up, eps, A)
+        worst_err = max(worst_err, rep.rel_error)
+        worst_slope = min(worst_slope, rep.remainder_slope)
+    out = [_result("second_variation_coefficient", worst_err, 1e-2,
+                   f"{_N_RANDOM} random directions")]
+    out.append(CheckResult(
+        "second_variation_remainder_slope", worst_slope >= 2.7,
+        f"min log-log slope {worst_slope:.3f} (need >= 2.7)",
+        float(worst_slope), 2.7))
+    return out
+
+
+def schlafli_per_draw(mesh, seed: int = 0) -> list:
+    """``verify.check_schlafli``, one draw at a time, theta computed again
+    for the tolerance."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(_N_RANDOM):
+        cfg = random_realizable_config(mesh, rng, scale=0.15)
+        direction = rng.uniform(-1.0, 1.0, mesh.num_edges)
+        res = schlafli_check(mesh, cfg, direction, step=1e-4)
+        theta = deficit_angles(mesh, cfg)
+        tol = 1e-6 * abs(float(np.sum(theta * direction))) + 1e-10
+        worst = max(worst, res / tol)
+    return [_result("schlafli_identity", worst, 1.0,
+                    f"{_N_RANDOM} random non-flat configurations; "
+                    "residual/tolerance ratio")]

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_metric, face_tables, lifted_points, \
-    lowest_face_first, per_edge
+from conftest import constant_metric, edge_image, face_tables, \
+    lifted_points, lowest_face_first, per_edge, point_group
 from golden import digest
 from oracles import cayley_menger_determinant, metric_dihedral_angles
 from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
-                      assemble_stiffness, build_edge_sector, build_torus_mesh,
+                      apply_ctc, assemble_stiffness, build_edge_sector,
+                      build_torus_mesh, saint_venant,
                       deficit_angle_dihedral, deficit_angle_holonomy,
                       deficit_angles, edge_jump_scalar,
                       euclidean_lengths, holonomy_deficits,
@@ -75,8 +76,23 @@ class TestConfigs:
         assert ints.squared_lengths.dtype == float
         assert np.array_equal(ints.squared_lengths, np.arange(1.0, 57.0))
         s = per_edge(mesh2, mesh2.edge_length) ** 2
-        assert EdgeLengthConfig(s).squared_lengths is s
+        # a float64 input is copied too, not kept: see the mutation test
+        kept = EdgeLengthConfig(s).squared_lengths
+        assert np.array_equal(kept, s) and not np.shares_memory(kept, s)
         assert np.array_equal(EdgeLengthConfig(s.tolist()).squared_lengths, s)
+
+    def test_checked_lengths_cannot_change(self, mesh2):
+        # neither a later write to the caller's array nor one to the
+        # stored lengths reaches a checked configuration
+        s = per_edge(mesh2, mesh2.edge_length) ** 2
+        cfg = EdgeLengthConfig(s)
+        s[0] = -3.0
+        assert cfg.squared_lengths[0] == mesh2.edge_length[0] ** 2
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.squared_lengths[1] = np.nan
+        assert np.isfinite(cfg.squared_lengths).all()
+        ints = EdgeLengthConfig(np.arange(1, 57))
+        assert not ints.squared_lengths.flags.writeable
 
     @pytest.mark.parametrize("payload", [
         [1, 2, 3], 5, None, {}, {"lengths": [1.0]},
@@ -355,8 +371,8 @@ class TestDeficits:
         cfg = random_realizable_config(mesh2, np.random.default_rng(32))
         metrics = tet_metrics_from_lengths(mesh2, cfg)
         metrics[13] = np.diag([1.0, 1.0, -1.0])
-        monkeypatch.setattr(action_module, "tet_metrics_from_lengths",
-                            lambda mesh, config: metrics)
+        monkeypatch.setattr(action_module, "_tet_matrices",
+                            lambda mesh, rows: metrics[None])
         with pytest.raises(RealizabilityError,
                            match="^tet 13: metric not positive definite$"):
             holonomy_deficits(mesh2, cfg)
@@ -918,10 +934,12 @@ class TestWholeMeshRoutes:
             stacks = []
 
             def counted(frames, *gathered):
-                stacks.append(gathered[0].shape[:2])
+                assert gathered[0].shape[0] == 1  # one row
+                stacks.append(gathered[0].shape[1:3])
                 return kernel(frames, *gathered)
 
-            out = action_module._by_valence(mesh, counted, *per_tet)
+            out = action_module._by_valence(
+                mesh, counted, *(a[None] for a in per_tet))[0]
             assert stacks == passes
             for d, frame in enumerate(mesh._star_frames):
                 tets = mesh._star_tets[d]
@@ -944,6 +962,192 @@ class TestWholeMeshRoutes:
         monkeypatch.setattr(np.linalg, "solve", no_solve)
         whole = holonomy_deficits(mesh, cfg)
         assert deficit_angle_holonomy(sector) == whole[5]
+
+
+def report_fields(rep) -> tuple:
+    return (rep.epsilons.tolist(), rep.actions.tolist(), rep.ratios.tolist(),
+            rep.extrapolated, rep.target, rep.remainder_slope, rep.pruned)
+
+
+class TestRows:
+    """The rows forms of the action layer, which ``verify`` runs on a
+    suite's stacked draws: each row equals its own one-configuration call
+    bit for bit, and a refused row raises what its own call raises."""
+
+    @pytest.mark.parametrize("grid, splits", [
+        ((3, 3, 3), {"slabs": [7], "class": [3, 3, 1], "schedules":
+                     [12, 9]}),
+        ((4, 4, 4), {"slabs": [5, 2], "class": [1] * 7, "schedules":
+                     [5, 5, 5, 5, 1]}),
+    ], ids=["3^3", "4^3"])
+    def test_rows_equal_the_per_row_calls(self, grid, splits):
+        # the rows split across slabs: 7 rows in slabs of T tets a row, the
+        # star passes of the valence-6 class (4 V stars of 6 tets a row)
+        # within them, and the 3 x 7 rows of three schedules
+        mesh = build_torus_mesh(TorusGeometry(TAU, TAU, TAU), grid)
+        T, V = mesh.num_tets, mesh.num_vertices
+        slabs = action_module._slabs
+        assert {"slabs": [len(range(7)[p]) for p in slabs(7, T)],
+                "class": [len(range(7)[p]) for p in slabs(7, 24 * V)],
+                "schedules": [len(range(21)[p]) for p in slabs(21, T)]
+                } == splits
+        rng = np.random.default_rng(42)
+        cfgs = [random_realizable_config(mesh, rng, max_deficit=2.5)
+                for _ in range(7)]
+        S = np.stack([c.squared_lengths for c in cfgs])
+        fields = rng.uniform(-1.0, 1.0, (7, mesh.num_edges))
+        for got, cfg in zip(action_module._dihedral_rows(mesh, S), cfgs):
+            assert np.array_equal(got, deficit_angles(mesh, cfg))
+        for got, cfg in zip(action_module._holonomy_rows(mesh, S), cfgs):
+            assert np.array_equal(got, holonomy_deficits(mesh, cfg))
+        for got, c in zip(action_module._linearized_rows(mesh, fields),
+                          fields):
+            assert np.array_equal(got, linearized_deficits(mesh,
+                                                           ReggeField(c)))
+        A, eps = assemble_stiffness(mesh), np.geomspace(1e-2, 1e-1, 7)
+        reps = action_module._second_variation_rows(mesh, fields[:3], eps, A)
+        assert [report_fields(r) for r in reps] == [
+            report_fields(second_variation_check(mesh, ReggeField(c), eps, A))
+            for c in fields[:3]]
+        got = action_module._schlafli_rows(mesh, cfgs[:3], fields[:3], 1e-4)
+        assert got == [(schlafli_check(mesh, cfg, d, 1e-4),
+                        float(np.sum(deficit_angles(mesh, cfg) * d)))
+                       for cfg, d in zip(cfgs[:3], fields[:3])]
+
+    def test_refused_row_raises_its_own_error(self, mesh3):
+        good = random_realizable_config(mesh3, np.random.default_rng(43))
+        s = good.squared_lengths
+        degenerate = s.copy()
+        degenerate[mesh3.tet_edges[100, 0]] *= 60.0
+        negative = s.copy()
+        negative[5] = -1.0
+        nan = s.copy()
+        nan[7] = np.nan
+        errors = {}
+        for name, row in (("degenerate", degenerate), ("negative", negative),
+                          ("nan", nan)):
+            with pytest.raises(RealizabilityError) as info:
+                deficit_angles(mesh3, EdgeLengthConfig(row))
+            errors[name] = str(info.value)
+        # the first refused row wins, whichever check refuses it
+        for rows, first in (((s, degenerate, negative), "degenerate"),
+                            ((s, negative, degenerate), "negative"),
+                            ((s, nan, degenerate), "nan")):
+            with pytest.raises(RealizabilityError,
+                               match=f"^{re.escape(errors[first])}$"):
+                action_module._dihedral_rows(mesh3, np.stack(rows))
+        # the holonomy takes checked configurations
+        with pytest.raises(RealizabilityError,
+                           match=f"^{re.escape(errors['degenerate'])}$"):
+            action_module._holonomy_rows(mesh3, np.stack([s, degenerate]))
+
+    def test_holonomy_tests_earlier_rows_for_a_factor_first(self, mesh2,
+                                                            monkeypatch):
+        # row 0 holds a metric without a Cholesky factor and row 1 a
+        # degenerate tet: one row at a time, row 0's error comes first
+        cfg = random_realizable_config(mesh2, np.random.default_rng(44))
+        bad = cfg.squared_lengths.copy()
+        bad[mesh2.tet_edges[30, 0]] *= 60.0
+        with pytest.raises(RealizabilityError, match=r"^tet \d+: degenerate"):
+            holonomy_deficits(mesh2, EdgeLengthConfig(bad))
+        tet_matrices = action_module._tet_matrices
+
+        def bent(mesh, rows):
+            mats = tet_matrices(mesh, rows)
+            mats[0, 13] = np.diag([1.0, 1.0, -1.0])
+            return mats
+
+        monkeypatch.setattr(action_module, "_tet_matrices", bent)
+        with pytest.raises(RealizabilityError,
+                           match="^tet 13: metric not positive definite$"):
+            action_module._holonomy_rows(
+                mesh2, np.stack([cfg.squared_lengths, bad]))
+
+    def test_each_direction_prunes_and_warns_in_order(self, mesh2, pencil2,
+                                                      caplog):
+        A, _ = pencil2
+        fields = np.random.default_rng(12).uniform(-1, 1,
+                                                   (2, mesh2.num_edges))
+        fields[1] *= 0.01  # realizable at every eps of the schedule
+        eps = [1e-2, 3e-2, 5.0]
+        with pytest.warns(UserWarning, match="pruned") as record, \
+                caplog.at_level(logging.DEBUG, logger="reggefem.action"):
+            reps = action_module._second_variation_rows(mesh2, fields, eps,
+                                                        A)
+        assert [r.pruned for r in reps] == [[5.0], []]
+        assert [str(w.message) for w in record] == [
+            "pruned unrealizable epsilons: [5.0]"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "second_variation_check: pruned unrealizable epsilons [5.0]"]
+        # a direction left with one eps raises, after the warnings of the
+        # directions before it
+        with pytest.warns(UserWarning, match="pruned"), \
+                pytest.raises(RealizabilityError, match="not enough"):
+            action_module._second_variation_rows(
+                mesh2, fields[::-1], [3e-2, 5.0], A)
+
+
+class TestPointGroupCovariance:
+    """The 12 maps of the Kuhn complex onto itself (``point_group``)
+    commute with the action routes: a mapped configuration has the mapped
+    deficits, by the dihedral and the holonomy route, and the same action;
+    the linearized deficits and the edge jump of a mapped field are the
+    mapped ones.  Each bound is a roundoff bound, as the mapped torus
+    forms every value from its own templates in another order."""
+
+    @pytest.mark.parametrize("sides, grid", [
+        ((TAU, TAU, TAU), (3, 3, 3)),
+        ((1.0, 2.0, 3.0), (4, 5, 6)),
+        ((1e-3, 1.0, 1.0), (2, 3, 4)),
+    ], ids=["cube", "1:2:3", "thin"])
+    def test_routes_commute_with_the_maps(self, sides, grid):
+        eps = np.finfo(float).eps
+        mesh = build_torus_mesh(TorusGeometry(*sides), grid)
+        rng = np.random.default_rng(50)
+        cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
+        c = rng.uniform(-1.0, 1.0, mesh.num_edges)
+        theta, action = deficit_angles(mesh, cfg), regge_action(mesh, cfg)
+        holonomy = holonomy_deficits(mesh, cfg)
+        lin = linearized_deficits(mesh, ReggeField(c))
+        jump = apply_ctc(mesh, ReggeField(c)).coeffs
+        # polarizing a tet's Gram matrix from its squared lengths cancels
+        # down to its shortest one, so each of an edge's at most 6 angle
+        # gaps carries 8 ulps of kappa, the largest ratio of a tet's
+        # longest to its shortest squared length (measured: 21 ulps on
+        # the cube and the 1:2:3 cell, 1.7e6 on the thin cell, kappa 1e6)
+        s = cfg.squared_lengths[mesh.tet_edges]
+        theta_tol = 6 * 8 * (s.max(axis=1) / s.min(axis=1)).max() * eps
+        # the action adds E products theta_e * l_e
+        action_tol = (theta_tol * cfg.lengths.sum() + mesh.num_edges * eps
+                      * np.sum(np.abs(theta) * cfg.lengths))
+        # an edge's jump is l_e times a sum of at most n couplings of A,
+        # each held to 16 ulps of max|A| on the mapped torus
+        # (test_blocks_map_under_the_point_group), rounded once a term;
+        # the linearized deficit is half of it
+        n = np.bincount(np.unravel_index(saint_venant._couplings(),
+                                         (27, 7, 7))[1]).max()
+        jump_tol = ((16 + n) * eps * n
+                    * np.abs(assemble_stiffness(mesh).blocks).max()
+                    * np.abs(c).max() * mesh.edge_length.max())
+        for p, reflect, _ in point_group():
+            mapped = build_torus_mesh(TorusGeometry(*np.array(sides)[p]),
+                                      tuple(np.array(grid)[p]))
+            image = edge_image(mesh, p, reflect)
+            assert sorted(image.tolist()) == list(range(mesh.num_edges))
+            s_image, c_image = np.empty((2, mesh.num_edges))
+            s_image[image], c_image[image] = cfg.squared_lengths, c
+            cfg_image = EdgeLengthConfig(s_image)
+            assert np.abs(deficit_angles(mapped, cfg_image)[image]
+                          - theta).max() <= theta_tol
+            assert np.abs(holonomy_deficits(mapped, cfg_image)[image]
+                          - holonomy).max() <= theta_tol
+            assert abs(regge_action(mapped, cfg_image) - action) \
+                <= action_tol
+            u_image = ReggeField(c_image)
+            assert np.abs(linearized_deficits(mapped, u_image)[image]
+                          - lin).max() <= jump_tol / 2
+            assert np.abs(apply_ctc(mapped, u_image).coeffs[image]
+                          - jump).max() <= jump_tol
 
 
 class TestHolonomyReadOff:

@@ -27,6 +27,10 @@ ALLOWED = {
     # rest of the per-edge layer
     "linearized_deficit",
     "edge_jump_scalar",
+    # item 7: the one-configuration Schlafli residual, the one-row case of
+    # the stacked pass verify runs, timed by name in perfbench/spans.py
+    # (schlafli_s)
+    "schlafli_check",
     # item 7: the mesh's mass builder, timed by name in perfbench/spans.py
     # (mass_s), which the spectra no longer call; the benchmark refresh
     # traces stencil_operators instead

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import constant_metric, face_tables, lifted_points
+from conftest import constant_metric, face_tables, lifted_points, \
+    point_group
 from golden import digest
 from oracles import deformation_matrix
 from reggefem import (ReggeField, VertexVectorField, apply_ctc,
@@ -529,30 +530,6 @@ class TestBlockCirculant:
             S.matrix @ np.ones(S.shape[0])).max() == 1.0
         # the hand-built operator, with its explicit zeros, still constructs
         hand_built_block_row()
-
-
-def point_group():
-    """The 12 maps of the Kuhn complex onto itself, from ``DIRECTIONS``:
-    each axis permutation p, with and without the point reflection, and
-    the flat block entry each map sends every structural coupling
-    (s, a, b) to.  The reflection maps edge (v, d) onto (-v - d, d), so
-    B_s[a, b] onto B_{-s + d_a - d_b}[a, b]; then p maps it onto
-    B_{p.s}[p.a, p.b], (p.x)_i = x_{p_i}."""
-    c = saint_venant._couplings()
-    s, a, b = np.unravel_index(c, (27, 7, 7))
-    s = np.stack(np.unravel_index(s, (3, 3, 3)), axis=-1) - 1
-    index = {tuple(d): i for i, d in enumerate(DIRECTIONS.tolist())}
-    maps = []
-    for p in itertools.permutations(range(3)):
-        p = list(p)
-        for reflect in (False, True):
-            t = -s + DIRECTIONS[a] - DIRECTIONS[b] if reflect else s
-            pa, pb = ([index[tuple(d)] for d in DIRECTIONS[x][:, p].tolist()]
-                      for x in (a, b))
-            image = (np.ravel_multi_index((t[:, p] + 1).T, (3, 3, 3)) * 49
-                     + 7 * np.array(pa) + np.array(pb))
-            maps.append((p, reflect, image))
-    return maps
 
 
 class TestPointGroup:
