@@ -36,7 +36,10 @@ def main():
     for seed in range(args.seeds):
         rng = np.random.default_rng(seed)
         up = ReggeField(rng.uniform(-1.0, 1.0, mesh.num_edges))
-        rep = second_variation_check(mesh, up, eps, A)
+        try:
+            rep = second_variation_check(mesh, up, eps, A)
+        except ValueError as ex:  # a bad schedule, or too few realizable
+            ap.error(str(ex))
         reports.append((seed, rep))
 
     if args.json:

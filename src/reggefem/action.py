@@ -33,44 +33,37 @@ Two independent routes to the deficit angle of an edge:
 The action is R = sum_e theta_e * l_e.  Near the flat background,
 R(l(eps)) = eps^2/8 * c' A c + O(eps^3) where c is the coefficient vector
 of the metric perturbation and A the stiffness operator, applied by its
-matvec; the linearized deficit equals half the assembled edge jump.
+matvec.  The linearized deficit equals half the assembled edge jump; it
+is linear and translation invariant, a ``BlockCirculant`` J of 27 blocks
+as A is, and ``linearized_deficits`` is J c, on blocks that
+``_linearized_blocks`` builds from the star templates once per torus.
 
-Every whole-mesh route takes a leading rows axis, one configuration or
-field a row, and each public one-configuration function is its one-row
-case: ``deficit_angles`` of ``_dihedral_rows``, ``holonomy_deficits`` of
-``_holonomy_rows``, ``linearized_deficits`` of ``_linearized_rows``,
-``schlafli_check`` of ``_schlafli_rows`` and ``second_variation_check``
-of ``_second_variation_rows``.  ``verify`` runs a suite's random draws
-through them as the rows of one pass.  A pass holds as many rows as fit
-``_SLAB_TETS`` tets (sector tets for the star routes), one at least, and
-a row's values do not depend on the rows stacked with it, so each equals
-its own call bit for bit.  A row that ``EdgeLengthConfig`` or the
-realizability guard refuses raises what its own call raises, the first
-such row first; ``second_variation_check`` prunes such an eps row
-instead, with a warning per direction.
+Every nonlinear whole-mesh route takes a leading rows axis, one
+configuration a row, and each public one-configuration function is its
+one-row case: ``deficit_angles`` of ``_dihedral_rows``,
+``holonomy_deficits`` of ``_holonomy_rows``, ``schlafli_check`` of
+``_schlafli_rows`` and ``second_variation_check`` of
+``_second_variation_rows``, through which ``verify`` runs a suite's
+random draws as the rows of one pass.  A pass holds as many rows as fit
+``_SLAB_TETS`` tets (sector tets for the holonomy), one at least, and
+each row equals its own call bit for bit.  A row that
+``EdgeLengthConfig`` or the realizability guard refuses raises what its
+own call raises, the first such row first; ``second_variation_check``
+prunes such an eps row instead, with a warning per direction.
 
-The holonomy and the linearized deficit are each one private kernel over
-stacked stars: ``_holonomy_rows`` and ``_linearized_rows`` run it on the
-stars of each valence class of every row, the directions 0, 1, 3, 6 (valence
-6) and 2, 4, 5 (valence 4), stacked on a leading axis, so two passes
-cover every edge (more only once a class holds over ``_SLAB_TETS``
-sector tets, and a direction's stars run in vertex chunks once they
-do); ``deficit_angle_holonomy`` runs it on the one star of
-``build_edge_sector``, and ``linearized_deficit`` reads entry e of
-``linearized_deficits``.  A star runs in the order of its direction's
-template ``mesh._STARS[d]``.  Its tangent, face frames and the sector
-before each face are constants that ``build_torus_mesh`` keeps in
-``mesh._star_frames[d]``, stacked by class in ``mesh._star_classes``,
-and a tet's slot of an edge direction is read from ``mesh._TET_SLOTS``;
-only the sector tets are read per edge, and a face id is formed only to
-name a torn face in an error.  These routes are independent on purpose:
-``verify`` checks them against ``deficit_angles`` and against
-``saint_venant.apply_ctc``, so they share no code with those.
-
-``holonomy_deficits`` takes squared lengths and forms the metrics with
-``tet_metrics_from_lengths``: the realizability guard of
-``deficit_angles``, then the Regge basis matrices.  Such metrics agree
-tangentially across every face by construction, so only
+The holonomy is one private kernel over stacked stars, run by
+``_by_valence`` on the stars of each valence class of every row, the
+directions 0, 1, 3, 6 (valence 6) and 2, 4, 5 (valence 4), so two passes
+cover every edge (more only once a class holds over ``_SLAB_TETS`` sector
+tets; a direction's stars then run in vertex chunks), and by
+``deficit_angle_holonomy`` on the one star of ``build_edge_sector``.  A
+star runs in the order of its template ``mesh._STARS[d]``, with the
+constant frames of ``mesh._star_frames[d]``; only its sector tets are
+read per edge, and a face id is formed only to name a torn face in an
+error.  ``verify`` checks the route against ``deficit_angles``, so the
+two share no code but the realizability guard.  ``holonomy_deficits``
+forms its metrics from the lengths (``tet_metrics_from_lengths``), which
+agree tangentially across every face by construction, so only
 ``build_edge_sector``, which takes metrics from its caller, tests each
 star face for a tangential jump and each sector metric for a Cholesky
 factor.
@@ -85,8 +78,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import _BOX_EDGE_DIRS, _TET_SLOTS, PeriodicMesh, _edge_tets, \
-    _star_faces
+from .mesh import _BOX_EDGE_DIRS, _STARS, _TET_SLOTS, PeriodicMesh, \
+    TorusGeometry, _box_templates, _edge_tets, _star_faces, _star_frames, \
+    _stencil_tables
+from .saint_venant import _OPERATORS, BlockCirculant
 from .spaces import ReggeField, _tet_matrices, regge_to_tet_matrices
 
 __all__ = [
@@ -554,17 +549,15 @@ def deficit_angle_holonomy(sector: EdgeSector) -> float:
                            np.linalg.inv(sector.metrics)))
 
 
-def _by_valence(mesh: PeriodicMesh, kernel, *per_tet) -> np.ndarray:
-    """``kernel(frames, *gathered)`` of every edge of r rows, shape (r,
-    E), from per-tet arrays (r, T, ...) of ``per_tet``: one stacked pass
-    per valence class of ``mesh._star_classes`` for as many rows as fit
-    ``_SLAB_TETS`` sector tets; past one row, the row's passes run per
-    slab of the class's directions, and per chunk of vertices within that
-    budget once a single direction's stars exceed it.  The kernel gets
-    the stacked frames and each array gathered on the sector tets of the
-    stars, (n, k, V, s, ...), (1, k, V, s, ...) or (1, 1, chunk, s, ...).
-    A star's value depends on its own rows alone, so the stack gives the
-    values of one row and one direction at a time, bit for bit."""
+def _by_valence(mesh: PeriodicMesh, *per_tet) -> np.ndarray:
+    """``_holonomy`` of every edge of r rows, shape (r, E), from per-tet
+    arrays (r, T, ...) ``per_tet`` gathered on the sector tets of the
+    stars: one stacked pass per valence class of ``mesh._star_classes``
+    for as many rows as fit ``_SLAB_TETS`` sector tets, past one row per
+    slab of the class's directions, and per chunk of vertices once one
+    direction's stars exceed the budget.  A star's value depends on its
+    own rows alone, so each equals that of one row and one direction at a
+    time, bit for bit."""
     r, V = len(per_tet[0]), mesh.num_vertices
     out = np.empty((r, 7, V))
     for cls in mesh._star_classes:
@@ -579,15 +572,14 @@ def _by_valence(mesh: PeriodicMesh, kernel, *per_tet) -> np.ndarray:
                 for chunk in _slabs(V, n * s):
                     tets = np.stack([mesh._star_tets[d][chunk]
                                      for d in dirs])
-                    out[rows, dirs, chunk] = kernel(
+                    out[rows, dirs, chunk] = _holonomy(
                         frames, *(a[rows][:, tets] for a in per_tet))
     return out.transpose(0, 2, 1).reshape(r, -1)
 
 
 def holonomy_deficits(mesh: PeriodicMesh,
                       config: EdgeLengthConfig) -> np.ndarray:
-    """Holonomy deficit angle of every edge, shape (E,), in one stacked
-    pass per valence class, two in all: entry e is
+    """Holonomy deficit angle of every edge, shape (E,): entry e is
     ``deficit_angle_holonomy(build_edge_sector(mesh, e, metrics))`` for
     the metrics of ``tet_metrics_from_lengths``.  The one row of
     ``_holonomy_rows``."""
@@ -599,18 +591,17 @@ def _holonomy_rows(mesh: PeriodicMesh, S: np.ndarray) -> np.ndarray:
     E), each accepted by ``EdgeLengthConfig``, shape (r, E), each row bit
     for bit.
 
-    The rows run in slabs of as many as fit ``_SLAB_TETS`` tets, all of
-    them at 2^3 and one a slab from 6^3 on, so the memory of a pass does
-    not grow with the rows.  The metrics of a slab pass the realizability
-    guard of ``deficit_angles``, one for all its rows, and agree
-    tangentially across every face by construction, so no star is checked
-    again.  One batched Cholesky test confirms that each float metric
-    about to be inverted is positive definite (the guard judges the Gram
-    matrix polarized from the lengths, not this one); then all are
-    inverted in one call and each star gathers its inverses, bit for bit
-    those of the per-edge route.  A refused row raises what its own call
-    raises: the rows before the first one the guard refuses are tested
-    for a Cholesky factor first.
+    The rows run in slabs of as many as fit ``_SLAB_TETS`` tets, so the
+    memory of a pass does not grow with the rows.  The metrics of a slab
+    pass the realizability guard of ``deficit_angles``, one for all its
+    rows, and agree tangentially across every face by construction, so no
+    star is checked again.  One batched Cholesky test confirms that each
+    float metric about to be inverted is positive definite (the guard
+    judges the Gram matrix polarized from the lengths, not this one);
+    then all are inverted in one call and each star gathers its inverses,
+    bit for bit those of the per-edge route.  A refused row raises what
+    its own call raises: the rows before the first one the guard refuses
+    are tested for a Cholesky factor first.
     """
     out = np.empty(S.shape)
     for part in _slabs(len(S), mesh.num_tets):
@@ -623,35 +614,47 @@ def _holonomy_rows(mesh: PeriodicMesh, S: np.ndarray) -> np.ndarray:
                                      "not positive definite")
         if refused is not None:
             raise refused[1]
-        out[part] = _by_valence(mesh, _holonomy, metrics,
-                                np.linalg.inv(metrics))
+        out[part] = _by_valence(mesh, metrics, np.linalg.inv(metrics))
     return out
 
 
 def _linearized(star, mats) -> np.ndarray:
     """Linearized deficits (...) of stacked stars from the face frames ms
-    and ns (s, 3) of ``star``, or of stars stacked as in ``_holonomy``,
-    and the matrices (..., s, 3, 3) of u' on their sector tets; the face
-    terms are summed one at a time in star order."""
-    s = star.ms.shape[-2]
-    # sector i - 1 before face i
-    jump = mats - mats[..., _SIDES[s][:s], :, :]
-    vals = (star.ms[..., None, :] @ jump @ star.ns[..., None])[..., 0, 0]
-    total = 0.0
-    for i in range(s):
-        total = total + vals[..., i]
-    return 0.5 * total
+    and ns (s, 3) of ``star`` and the matrices (..., s, 3, 3) of u' on
+    their sector tets."""
+    jump = mats - mats[..., star.prev, :, :]  # sector i - 1 before face i
+    vals = star.ms[..., None, :] @ jump @ star.ns[..., None]
+    return 0.5 * vals.sum(axis=(-3, -2, -1))
+
+
+@lru_cache(maxsize=_OPERATORS)
+def _linearized_blocks(geometry: TorusGeometry, grid: tuple) -> np.ndarray:
+    """The read-only blocks of J, theta' = J c, on the (checked) ``grid``
+    of ``geometry``, built without a mesh on first use: row d is
+    ``_linearized`` of the star template ``mesh._STARS[d]`` on the field
+    rho_a on sector j alone, for every local edge a of each sector tet j,
+    summed onto the edges by the tet table of ``mesh._stencil_tables``.
+    Nothing is shared with the face terms of A, which ``verify`` checks J
+    against."""
+    t = _box_templates(geometry, grid)
+    frames = _star_frames(t["edge_tangent"], t["face_m"], t["face_n"])
+    vals = []
+    for (*_, types), frame in zip(_STARS, frames):
+        s = len(types)
+        mats = np.zeros((s, 6, s, 3, 3))
+        mats[np.arange(s), :, np.arange(s)] = t["tet_rho"][types]
+        vals.append(_linearized(frame, mats.reshape(6 * s, s, 3, 3)))
+    J = np.bincount(_stencil_tables()[1][1], np.concatenate(vals), 27 * 49)
+    J.setflags(write=False)
+    return J.reshape(3, 3, 3, 7, 7)
 
 
 def linearized_deficit(mesh: PeriodicMesh, e: int,
                        u_prime: ReggeField) -> float:
-    """Derivative of the deficit angle at the flat background.
-
-    theta'_e = 1/2 * sum over the star faces of m_f^T (u'_after - u'_before)
-    n_f, the after/before sectors taken in counter-clockwise order; equals
-    half the assembled edge jump of u'.  Entry e of
-    ``linearized_deficits``.
-    """
+    """Derivative of the deficit angle at the flat background, theta'_e =
+    1/2 * sum over the star faces of m_f^T (u'_after - u'_before) n_f, the
+    sectors taken counter-clockwise; half the assembled edge jump of u'.
+    Entry e of ``linearized_deficits``."""
     if not 0 <= e < mesh.num_edges:
         raise ValueError(f"invalid edge id {e}")
     return float(linearized_deficits(mesh, u_prime)[e])
@@ -659,21 +662,10 @@ def linearized_deficit(mesh: PeriodicMesh, e: int,
 
 def linearized_deficits(mesh: PeriodicMesh,
                         u_prime: ReggeField) -> np.ndarray:
-    """``linearized_deficit`` of every edge, shape (E,), in one stacked
-    pass per valence class, two in all.  The one row of
-    ``_linearized_rows``."""
-    return _linearized_rows(mesh, u_prime.coeffs[None])[0]
-
-
-def _linearized_rows(mesh: PeriodicMesh, coeffs: np.ndarray) -> np.ndarray:
-    """``linearized_deficits`` of the fields whose coefficients are the
-    rows of coeffs (r, E), shape (r, E), each row bit for bit, in slabs
-    of rows as ``_holonomy_rows`` runs them."""
-    out = np.empty(coeffs.shape)
-    for part in _slabs(len(coeffs), mesh.num_tets):
-        out[part] = _by_valence(mesh, _linearized,
-                                _tet_matrices(mesh, coeffs[part]))
-    return out
+    """``linearized_deficit`` of every edge, shape (E,): J c for the
+    coefficients c of u' and the blocks of ``_linearized_blocks``."""
+    J = _linearized_blocks(mesh.geometry, mesh.grid)
+    return BlockCirculant(J, mesh.grid) @ u_prime.coeffs
 
 
 def regge_action(mesh: PeriodicMesh, config: EdgeLengthConfig) -> float:
@@ -797,11 +789,13 @@ def second_variation_check(mesh: PeriodicMesh, u_prime: ReggeField,
     log line.  The report carries the per-eps ratios R/eps^2, their
     Richardson extrapolation at eps = 0, the assembled quadratic
     coefficient, and the log-log slope of the remainder (cubic or better
-    when the expansion holds).  Keep the schedule above ~1e-3: the action
-    is O(eps^2), so smaller eps loses the remainder to floating-point
-    cancellation and degrades the slope fit.  ``stiffness`` is
-    ``assemble_stiffness(mesh)``, which the mesh builds once; its matvec
-    gives the target.  The one direction of ``_second_variation_rows``.
+    when the expansion holds).  A schedule that gives neither, not two or
+    more distinct finite positive values, is a ValueError before any
+    pass.  Keep the schedule above ~1e-3: the action is O(eps^2), so
+    smaller eps loses the remainder to floating-point cancellation and
+    degrades the slope fit.  The matvec of ``stiffness``,
+    ``assemble_stiffness(mesh)``, gives the target.  The one direction of
+    ``_second_variation_rows``.
     """
     return _second_variation_rows(mesh, u_prime.coeffs[None], epsilons,
                                   stiffness)[0]
@@ -814,7 +808,12 @@ def _second_variation_rows(mesh: PeriodicMesh, coeffs: np.ndarray,
     the k schedules run as one stack of rows, direction by direction, in
     slabs of at most ``_SLAB_TETS`` tets, and each direction prunes, warns
     and logs, or raises, as its own call does, in direction order."""
-    eps_all = np.array(sorted(float(e) for e in epsilons))
+    eps_all = np.array([float(e) for e in epsilons])
+    distinct = len(np.unique(eps_all)) == len(eps_all) > 1
+    if not (distinct and np.isfinite(eps_all).all() and eps_all.min() > 0):
+        raise ValueError("epsilons: need two or more distinct finite "
+                         f"positive values, got {eps_all.tolist()}")
+    eps_all.sort()
     k, n = len(coeffs), len(eps_all)
     which, eps_rows = np.repeat(np.arange(k), n), np.tile(eps_all, k)
     s0, ok = _background(mesh), np.zeros(k * n, dtype=bool)

@@ -30,7 +30,8 @@ Conventions
 * Float geometry is stored once per shape: tet t, face f and edge e are
   translates of the templates t % 6, f % 12 and e % 7 of the box at the
   origin, which ``_box_templates`` computes from the cell alone; the mesh
-  holds them, and ``saint_venant.stencil_operators`` reads them without a mesh.
+  holds them, and the operators of ``saint_venant`` and ``action`` are
+  built from them without a mesh, and kept per geometry and grid.
   Periodicity lives only in the vertex identification, which matters at
   n_i = 2 where distinct edges can share the same unordered vertex pair
   through different wraps.
@@ -38,12 +39,8 @@ Conventions
   is orthogonal to e and points into the triangle; n_ef = t_e x m_ef, so
   (m_ef, n_ef, t_e) is a right-handed orthonormal triple.
 
-Apart from one cache, the stiffness operator that
-``saint_venant.assemble_stiffness`` builds on first use and keeps on it
-(with its E x E ``matrix`` once that is read), the mesh is immutable
-after construction and all queries are pure, so it is safe to share
-between threads; threads that fill the cache at once build equal
-operators.
+The mesh is immutable after construction, its arrays read-only, and all
+queries are pure, so it is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -130,10 +127,9 @@ class TorusGeometry:
 class PeriodicMesh:
     """Combinatorics and one-box geometry of the Kuhn torus triangulation.
 
-    Built by :func:`build_torus_mesh`; treat all attributes as read-only.
-    The one attribute set later is ``_stiffness_operator``, the stiffness
-    ``saint_venant.assemble_stiffness`` builds on first use and keeps on
-    the mesh, its blocks read-only, for every later call.
+    Built by :func:`build_torus_mesh`, and never written after: every
+    array is read-only, no attribute is set later, and the operators on
+    the mesh are kept per geometry and grid by their modules, not on it.
     Array attributes (sizes: V vertices, E = 7V edges, T = 6V tets):
 
     cell (3,) box side lengths, vertex_pos (V,3), edge_tail/edge_head (E,);

@@ -37,18 +37,16 @@ of its pencil.
 The blocks depend only on the cell and have one builder each, from the
 one-box templates: ``_stiffness`` contracts ``face_m``, ``face_n``,
 ``tet_rho`` and the seven edge lengths with the face-jump kernel
-``_face_terms``, ``_mass`` forms the tet masses, and each
-scatters by its index table of ``mesh._stencil_tables``, read once off the
-edge stars at the origin.  ``stencil_operators`` feeds both
-``mesh._box_templates`` and builds no mesh; ``assemble_stiffness`` and
-``assemble_mass`` feed one each the templates a mesh holds, and
-``assemble_stiffness`` keeps its A, read-only, on the mesh, so a mesh
-builds its stiffness blocks once.
-``apply_ctc`` is that A's matvec scaled by the edge lengths, l * (A c);
-``edge_jump_scalar`` is one entry of it.  The star-ordered
-``action.linearized_deficits`` (``linearized_deficit`` per edge) is a
-separate, deliberately independent route to half the edge jump:
-``verify`` cross-checks it against ``apply_ctc``.
+``_face_terms``, ``_mass`` forms the tet masses, and each scatters by its
+index table of ``mesh._stencil_tables``.  ``_operator_blocks`` keeps them,
+read-only, per geometry and grid, as ``spaces._trig_tables`` keeps its
+tables per cell, and every call of ``stencil_operators``,
+``assemble_stiffness`` or ``assemble_mass`` wraps them in a fresh
+``BlockCirculant``; nothing is kept on a mesh.  ``apply_ctc`` is A's
+matvec scaled by the edge lengths, l * (A c); ``edge_jump_scalar`` is one
+entry of it.  ``action.linearized_deficits``, the matvec of a J built
+from the edge stars, is a deliberately independent route to half the
+edge jump: ``verify`` cross-checks it against ``apply_ctc``.
 """
 
 from __future__ import annotations
@@ -80,6 +78,10 @@ __all__ = [
 
 # the shifts s_i of the blocks along each axis
 _SHIFTS = np.arange(-1, 2)
+
+# operators kept by ``_operator_blocks``, one per geometry and grid: the
+# blocks of A and M, 21 kB
+_OPERATORS = 64
 
 # entry lines per slab of ``write_coo``: about 30 bytes of text each, and
 # while the slab is joined three list slots per line and the gathered
@@ -329,73 +331,74 @@ class BlockCirculant:
         return float(np.abs(B - Bt).max(initial=0.0) / denom)
 
 
-def _stiffness(t, grid) -> BlockCirculant:
-    """A on ``grid`` from the templates ``face_m``, ``face_n``, ``tet_rho``
-    and ``edge_length`` in ``t``: the face table of ``_stencil_tables``
-    scatters ``_face_terms`` of the tet templates on the face templates,
-    (12, 3, 6, 6) per face k, slot s, tet r and local edge a, signed by the
-    sector n_ef points into and divided by the length of the star's edge,
-    in one ``np.bincount`` (an in-order scatter-add)."""
+def _stiffness(t) -> np.ndarray:
+    """The blocks of A from the templates ``t``: the face table of
+    ``_stencil_tables`` scatters ``_face_terms`` of the tet templates on
+    the face templates, (12, 3, 6, 6) per face k, slot s, tet r and local
+    edge a, signed by the sector n_ef points into and divided by the
+    length of the star's edge, in one in-order ``np.bincount``."""
     index, side, row, entry = _stencil_tables()[0]
     rho = t["tet_rho"]
     terms = _face_terms(t["face_m"], t["face_n"],
                         np.broadcast_to(rho, (12,) + rho.shape))
-    A = np.bincount(entry, side / t["edge_length"][row]
-                    * terms.ravel()[index], 27 * 49)
-    A.setflags(write=False)  # a mesh keeps its operator for every caller
-    return BlockCirculant(A.reshape(3, 3, 3, 7, 7), grid)
+    return np.bincount(entry, side / t["edge_length"][row]
+                       * terms.ravel()[index], 27 * 49).reshape(3, 3, 3, 7, 7)
 
 
-def _mass(t, grid) -> BlockCirculant:
-    """M on ``grid`` from the templates ``tet_volume`` and ``tet_rho`` in
-    ``t``: the tet table of ``_stencil_tables`` scatters the tet masses
-    |T| rho_a : rho_b (6, 6, 6) per tet template r and local edges a, b."""
+def _mass(t) -> np.ndarray:
+    """The blocks of M from the templates ``t``: the tet table of
+    ``_stencil_tables`` scatters the tet masses |T| rho_a : rho_b (6, 6,
+    6) per tet template r and local edges a, b."""
     index, entry = _stencil_tables()[1]
     rho = t["tet_rho"]
     mass = np.einsum(",raij,rbij->rab", t["tet_volume"], rho, rho)
-    M = np.bincount(entry, mass.ravel()[index], 27 * 49)
-    return BlockCirculant(M.reshape(3, 3, 3, 7, 7), grid)
+    return np.bincount(entry, mass.ravel()[index],
+                       27 * 49).reshape(3, 3, 3, 7, 7)
+
+
+@lru_cache(maxsize=_OPERATORS)
+def _operator_blocks(geometry: TorusGeometry, grid: tuple) -> tuple:
+    """The read-only blocks of A and M on the (checked) ``grid`` of
+    ``geometry``, built from ``mesh._box_templates`` on first use."""
+    t = _box_templates(geometry, grid)
+    out = _stiffness(t), _mass(t)
+    for blocks in out:
+        blocks.setflags(write=False)
+    return out
 
 
 def stencil_operators(geometry: TorusGeometry, grid):
     """A and M on the ``grid`` of ``geometry``, built without a mesh.
 
     The blocks depend only on the cell h_i = l_i / n_i, so any grid takes
-    the same time: ``_stiffness`` and ``_mass`` of ``_box_templates``.  A
-    MeshError names ``geometry`` and ``grid``, as building their mesh
-    would.
+    the same time, once: each call wraps the blocks of ``_operator_blocks``
+    in fresh operators, so a ``.matrix`` read lives as long as its caller
+    keeps the operator.  A MeshError names ``geometry`` and ``grid``, as
+    building their mesh would.
     """
     grid = checked_grid(grid)
-    t = _box_templates(geometry, grid)
-    return _stiffness(t, grid), _mass(t, grid)
+    return tuple(BlockCirculant(blocks, grid)
+                 for blocks in _operator_blocks(geometry, grid))
 
 
 def assemble_stiffness(mesh: PeriodicMesh) -> BlockCirculant:
-    """A[e', e] = [[rho_e]]_{e'} / l_{e'}: ``_stiffness`` of the one-box
-    templates the mesh holds, so entries couple only edges sharing a tet.
-
-    Built once per mesh, on first use, and kept on it: every later call
-    returns the same operator, whose blocks are read-only.  The operator
-    caches its ``matrix`` once read, so a ``.matrix`` read off it stays
-    alive, E x E, as long as the mesh does."""
-    A = vars(mesh).get("_stiffness_operator")
-    if A is None:
-        A = mesh._stiffness_operator = _stiffness(vars(mesh), mesh.grid)
-    return A
+    """A[e', e] = [[rho_e]]_{e'} / l_{e'}, so entries couple only edges
+    sharing a tet: the A of ``stencil_operators`` of the mesh's torus."""
+    return stencil_operators(mesh.geometry, mesh.grid)[0]
 
 
 def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
-    """M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T, exact: ``_mass`` of the
-    one-box templates the mesh holds."""
-    return _mass(vars(mesh), mesh.grid)
+    """M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T, exact: the M of
+    ``stencil_operators`` of the mesh's torus."""
+    return stencil_operators(mesh.geometry, mesh.grid)[1]
 
 
 def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
     """Saint-Venant operator: edge measure with coefficients [[u]]_e.
 
     Since A[e', e] = [[rho_e]]_{e'} / l_{e'}, the jump is l * (A c) for
-    the coefficients c of u, by the matvec of the ``BlockCirculant`` that
-    ``assemble_stiffness`` keeps on the mesh, so no call rebuilds A.
+    the coefficients c of u, by the matvec of ``assemble_stiffness``, whose
+    blocks are built once per geometry and grid.
     """
     jump = (assemble_stiffness(mesh) @ u.coeffs).reshape(-1, 7)
     return EdgeMeasure(mesh.edge_length * jump)

@@ -35,9 +35,9 @@ with the grid.
 
 The blocks have one builder.  ``convergence_study`` (so ``converge``) and
 the CLI ``eigs`` take them from ``saint_venant.stencil_operators``, which
-scatters the one-box shape templates of the cell into them and builds no
-mesh at all; ``assemble_stiffness`` and ``assemble_mass`` of a mesh give
-the same blocks from the same templates, as the mesh holds them.
+scatters the one-box shape templates of the cell into them, builds no
+mesh at all and keeps them per geometry and grid; ``assemble_stiffness``
+and ``assemble_mass`` of a mesh give the same blocks.
 """
 
 from __future__ import annotations

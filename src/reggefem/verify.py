@@ -11,10 +11,9 @@ The complex identities read the 27 blocks of the stiffness operator A:
 D^T A, for the deformation matrix D, as the folded blocks of
 ``_divergence_of_jumps``, A c for a constant metric as the k = 0 block
 sum, and A c for a deformation by the matvec ``A @ c``, which also gives
-the second-variation target.  A is built once per mesh:
-``assemble_stiffness`` keeps it on the mesh, so the complex and
-second-variation suites and every ``apply_ctc`` call of a run share one
-build.
+the second-variation target.  The blocks of A, and of the linearized
+deficit's J, are kept per geometry and grid, not on the mesh, so every
+run on one torus shares one build of each.
 
 The interpolators have two routes (see the ``spaces`` module docstring):
 a ``ReggeField`` is integrated exactly per tet, and every ``SmoothField``
@@ -30,26 +29,25 @@ The dual-path suite compares whole-mesh arrays of independent routes, each
 called on the same squared lengths: the dihedral ``deficit_angles``,
 computed from the lengths alone and relative to the flat background,
 against ``holonomy_deficits``, which rotates frames through the metrics
-that ``tet_metrics_from_lengths`` builds from them; and the star-ordered
-``linearized_deficits`` against half the edge jump ``apply_ctc``, the
-matvec of the stiffness blocks.  Per edge, ``deficit_angles`` equals the
-star-local ``deficit_angle_dihedral`` exactly.  The holonomy and the
-linearized deficits run one stacked pass per valence class of edge
-stars, so a run's passes through the action layer do not multiply by the
-seven edge directions.
+that ``tet_metrics_from_lengths`` builds from them; and
+``linearized_deficits``, the matvec of J from the edge star templates,
+against half the edge jump ``apply_ctc``, the matvec of A from the face
+terms.  Per edge, ``deficit_angles`` equals the star-local
+``deficit_angle_dihedral`` exactly.  The holonomy runs one stacked pass
+per valence class of edge stars, not one per edge direction.
 
-Nor do they multiply by a suite's random draws or its seven eps values.
-The dual-path, second-variation and Schlafli suites each draw all their
-inputs first, in the order they were drawn one at a time, and evaluate
-them as the rows of the action layer's rows forms (see the ``action``
-module docstring): the dual-path suite in one dihedral and one holonomy
-pass over its 3 configurations, one linearized pass over its 4 fields
-and one dihedral pass over its 4 finite-difference rows; the Schlafli
-suite in one dihedral pass over the 9 rows of its draws, whose theta
-also gives its tolerance; the second-variation suite in one stack of the
-3 x 7 rows of its schedules.  A pass splits into slabs of at most 2048
-tets, so on a 2^3 grid each is one pass, and from 6^3 on each row runs
-alone.  Every result equals that of the one-draw loops bit for bit.
+Nor do a run's passes multiply by a suite's random draws or its seven
+eps values.  The dual-path, second-variation and Schlafli suites each
+draw all their inputs first, in the order they were drawn one at a time,
+and evaluate them as the rows of the action layer's rows forms (see the
+``action`` module docstring): the dual-path suite in one dihedral and
+one holonomy pass over its 3 configurations, four matvecs of J for its 4
+fields and one dihedral pass over its 4 finite-difference rows; the
+Schlafli suite in one dihedral pass over the 9 rows of its draws, whose
+theta also gives its tolerance; the second-variation suite in one stack
+of the 3 x 7 rows of its schedules.  A pass splits into slabs of at most
+2048 tets, so on a 2^3 grid each is one pass, and from 6^3 on each row
+runs alone.  Every result equals that of the one-draw loops bit for bit.
 """
 
 from __future__ import annotations
@@ -58,8 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import _dihedral_rows, _holonomy_rows, _linearized_rows, \
-    _schlafli_rows, _second_variation_rows, euclidean_lengths, \
+from .action import _dihedral_rows, _holonomy_rows, _schlafli_rows, \
+    _second_variation_rows, euclidean_lengths, linearized_deficits, \
     random_realizable_config
 from .mesh import DIRECTIONS, PeriodicMesh, build_torus_mesh
 from .saint_venant import BlockCirculant, _fold, apply_ctc, \
@@ -217,7 +215,7 @@ def check_dual_path_deficits(mesh: PeriodicMesh, seed: int = 0) -> list:
 
     Every input is drawn first, in the order the checks read them; then
     the configurations take one dihedral and one holonomy pass, the four
-    fields one linearized pass, and the finite differences one dihedral
+    fields a matvec of J each, and the finite differences one dihedral
     pass."""
     rng = np.random.default_rng(seed)
     # stay on the principal branch of the holonomy rotation angle
@@ -236,7 +234,7 @@ def check_dual_path_deficits(mesh: PeriodicMesh, seed: int = 0) -> list:
     out.append(_result("holonomy_vs_dihedral", worst, 1e-9,
                        f"{_N_RANDOM} random configurations"))
 
-    lin = _linearized_rows(mesh, fields)
+    lin = [linearized_deficits(mesh, ReggeField(c)) for c in fields]
     worst = 0.0
     for c, lin_c in zip(fields[:_N_RANDOM], lin):
         half_jump = 0.5 * apply_ctc(mesh, ReggeField(c)).coeffs

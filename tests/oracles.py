@@ -4,7 +4,8 @@ Each restates an object of the paper by its definition, in the plainest
 form: the Cayley-Menger determinant, dihedral angles measured in the
 pulled-back metrics, the edge degree of freedom, the sparse deformation
 matrix, the vertex pairing, the L2 norm of an edge metric field, constant
-fields and the exact torus spectrum enumerated one frequency at a time.
+fields, the linearized deficit by a pass over the edge stars of a mesh,
+and the exact torus spectrum enumerated one frequency at a time.
 The library runs none of them.  The last three are the dual-path,
 second-variation and Schlafli suites of ``verify`` as they ran one random
 draw at a time, each draw through the public one-configuration
@@ -84,6 +85,26 @@ def metric_dihedral_angles(mesh, metrics: np.ndarray) -> np.ndarray:
     for a in range(6):
         out[:, a] = _dihedral_angles(p, metrics, a)
     return out
+
+
+def linearized_star_pass(mesh, u: ReggeField) -> np.ndarray:
+    """The linearized deficit of every edge, (E,), by the meshed pass over
+    the edge stars that ``linearized_deficits`` ran before it was the
+    block matvec J c: theta'_e = 1/2 sum over the faces i of the star of
+    e, in the order of its direction's template, of m_i^T (U_i - U_{i-1})
+    n_i, U_i the matrix of u on sector tet i, the faces summed one at a
+    time."""
+    mats = regge_to_tet_matrices(mesh, u)
+    out = np.empty((mesh.num_vertices, 7))
+    for d, frame in enumerate(mesh._star_frames):
+        U = mats[mesh._star_tets[d]]  # (V, s, 3, 3)
+        jump = U - np.roll(U, 1, axis=1)
+        vals = (frame.ms[:, None, :] @ jump @ frame.ns[..., None])[..., 0, 0]
+        total = 0.0
+        for i in range(vals.shape[1]):
+            total = total + vals[:, i]
+        out[:, d] = 0.5 * total
+    return out.ravel()
 
 
 def constant_matrix_field(a, quad_points=2) -> SmoothField:

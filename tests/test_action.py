@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import constant_metric, edge_image, face_tables, \
     lifted_points, lowest_face_first, per_edge, point_group
 from golden import digest
-from oracles import cayley_menger_determinant, metric_dihedral_angles
+from oracles import cayley_menger_determinant, linearized_star_pass, \
+    metric_dihedral_angles
 from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       apply_ctc, assemble_stiffness, build_edge_sector,
                       build_torus_mesh, saint_venant,
@@ -600,14 +602,15 @@ class TestLinearization:
 
     @pytest.mark.parametrize("grid, lengths", EXACT_GRIDS, ids=EXACT_IDS)
     def test_star_tets_match_all_tets_exactly(self, grid, lengths):
-        # the sum in template star order over matrices of all T tets, bit
-        # for bit, with each slot searched in the summary's face table
+        # the meshed star pass of the oracle against the sum in template
+        # star order over matrices of all T tets, bit for bit, with each
+        # slot searched in the summary's face table
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         up = ReggeField(np.random.default_rng(12).uniform(
             -1, 1, mesh.num_edges))
         mats = regge_to_tet_matrices(mesh, up)
         face_edges = face_tables(mesh)[0]
-        lin = linearized_deficits(mesh, up)
+        lin = linearized_star_pass(mesh, up)
         for e in range(mesh.num_edges):
             star = list(zip(_star_faces(mesh, e % 7, e // 7),
                             _edge_tets(mesh, e)))
@@ -647,6 +650,63 @@ class TestLinearization:
         c = constant_metric(mesh2, g)
         for e in range(0, mesh2.num_edges, 5):
             assert abs(linearized_deficit(mesh2, e, ReggeField(c))) < 1e-13
+
+
+# The tori of J against the meshed star pass: the 2 pi cube, a torus whose
+# 2-wide axes wrap, the 1:1.25:1.5 cell and its thin version, one side
+# 1e-3 of the others, and the cube at 6^3 and 16^3.
+J_TORI = {
+    "2^3": ((2, 2, 2), (TAU, TAU, TAU)),
+    "2x3x2": ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
+    "4x5x6": ((4, 5, 6), (TAU, 2.5 * np.pi, 3.0 * np.pi)),
+    "thin": ((4, 5, 6), (1e-3 * TAU, 2.5 * np.pi, 3.0 * np.pi)),
+    "6^3": ((6, 6, 6), (TAU, TAU, TAU)),
+    "16^3": ((16, 16, 16), (TAU, TAU, TAU)),
+}
+
+
+class TestLinearizedOperator:
+    """``linearized_deficits`` is the matvec J c of the 27 blocks that
+    ``_linearized_blocks`` builds from the seven star templates."""
+
+    @pytest.mark.parametrize("label", J_TORI)
+    def test_matvec_equals_the_meshed_star_pass(self, label):
+        # a row of J c sums at most n = 19 rounded products, one per
+        # coupling of the row; the star pass rounds the same terms grouped
+        # by sector tet and face.  They agree within n ulps of
+        # max|J| max|c| (measured: 5.7 at most, at 16^3)
+        grid, lengths = J_TORI[label]
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        u = ReggeField(np.random.default_rng(60).uniform(
+            -1.0, 1.0, mesh.num_edges))
+        J = action_module._linearized_blocks(mesh.geometry, mesh.grid)
+        n = np.bincount(np.unravel_index(saint_venant._couplings(),
+                                         (27, 7, 7))[1]).max()
+        assert n == 19
+        bound = n * np.finfo(float).eps * np.abs(J).max() \
+            * np.abs(u.coeffs).max()
+        assert np.abs(linearized_deficits(mesh, u)
+                      - linearized_star_pass(mesh, u)).max() <= bound
+
+    @pytest.mark.parametrize("label", J_TORI)
+    def test_blocks_are_half_the_lengths_times_the_stiffness(self, label):
+        # J = 1/2 diag(l) A, block by block: row d of every block of A
+        # scaled by l_d / 2.  An entry of either sums at most 12 rounded
+        # terms, so they agree within (12 + 4) ulps of max|J| (measured:
+        # 0.9 at most, on the thin cell)
+        grid, lengths = J_TORI[label]
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        J = action_module._linearized_blocks(mesh.geometry, mesh.grid)
+        half = 0.5 * mesh.edge_length[:, None] * assemble_stiffness(
+            mesh).blocks
+        assert np.abs(J - half).max() <= 16 * np.finfo(float).eps \
+            * np.abs(J).max()
+
+    def test_blocks_kept_read_only(self, geometry):
+        J = action_module._linearized_blocks(geometry, (2, 2, 2))
+        assert action_module._linearized_blocks(geometry, (2, 2, 2)) is J
+        with pytest.raises(ValueError, match="read-only"):
+            J[1, 1, 1, 0, 0] = 1.0
 
 
 class TestActionExpansion:
@@ -714,6 +774,31 @@ def per_eps_report(mesh, up, epsilons, stiffness):
             "remainder_slope": float(slope), "pruned": pruned}
 
 
+    @pytest.mark.parametrize("eps", [
+        [0.0, 0.05, 0.1], [0.05, 0.05, 0.1], [-0.1, 0.1, 0.05], [0.05], [],
+        [np.nan, 0.05, 0.1], [0.05, np.inf]],
+        ids=["zero", "repeated", "negative", "one", "none", "nan", "inf"])
+    def test_schedule_checked_before_any_pass(self, mesh2, pencil2, eps,
+                                              monkeypatch):
+        # a schedule that gives no extrapolation or slope, NaN with a
+        # RuntimeWarning once, or "not enough realizable epsilon values"
+        # for one eps, is a ValueError (not a RealizabilityError) before
+        # any action is evaluated, and warns nothing
+        def no_pass(*args):
+            raise AssertionError("an action pass ran")
+
+        monkeypatch.setattr(action_module, "_slab_actions", no_pass)
+        up = ReggeField(np.random.default_rng(13).uniform(
+            -1, 1, mesh2.num_edges))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "epsilons: need two or more distinct finite positive "
+                    f"values, got {[float(e) for e in eps]}")) as info:
+                second_variation_check(mesh2, up, eps, pencil2[0])
+        assert type(info.value) is ValueError
+
+
 class TestStackedSchedule:
     """``second_variation_check`` runs its schedule in stacked slabs of
     rows; each row equals its own ``regge_action`` bit for bit."""
@@ -739,7 +824,7 @@ class TestStackedSchedule:
         assert rep.pruned == ref["pruned"] == []
 
     @pytest.mark.parametrize("bad, reason", [
-        (5.0, "degenerate"), (-40.0, "squared lengths must be positive")])
+        (5.0, "degenerate"), (40.0, "squared lengths must be positive")])
     def test_refused_row_in_a_slab_pruned(self, mesh2, pencil2, caplog,
                                           bad, reason):
         # the refused row shares its slab with the realizable ones
@@ -886,38 +971,34 @@ class TestWholeMeshRoutes:
         ((6, 6, 6), (TAU, TAU, TAU)),
     ], ids=["2x3x2", "4x5x6", "thin", "6^3"])
     def test_per_edge_routes_equal_whole_mesh(self, grid, lengths):
-        # one stacked pass per valence class against one edge at a time,
-        # and against one direction at a time, bit for bit, on a cell with
-        # one side 1e-3 of the others too; at 6^3 the classes split into
-        # slabs down to a stack of one direction
+        # one stacked holonomy pass per valence class against one edge at
+        # a time, and against one direction at a time, bit for bit, on a
+        # cell with one side 1e-3 of the others too; at 6^3 the classes
+        # split into slabs down to a stack of one direction
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         rng = np.random.default_rng(30)
         cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
         metrics = tet_metrics_from_lengths(mesh, cfg)
-        up = ReggeField(rng.uniform(-1.0, 1.0, mesh.num_edges))
         edges = range(mesh.num_edges)
         holonomy = holonomy_deficits(mesh, cfg)
         assert holonomy.tolist() == [
             deficit_angle_holonomy(build_edge_sector(mesh, e, metrics))
             for e in edges]
-        # each star kernel on the stars of one direction, as the per-
+        # the star kernel on the stars of one direction, as the per-
         # direction passes ran it
         inv = np.linalg.inv(metrics)
-        mats = regge_to_tet_matrices(mesh, up)
-        lin = linearized_deficits(mesh, up)
         for d, frame in enumerate(mesh._star_frames):
             tets = mesh._star_tets[d]
             assert holonomy[d::7].tolist() == action_module._holonomy(
                 frame, metrics[tets], inv[tets]).tolist()
-            assert lin[d::7].tolist() == action_module._linearized(
-                frame, mats[tets]).tolist()
 
     @pytest.mark.parametrize("grid, passes", [
         ((2, 2, 2), [(4, 8), (3, 8)]),
         ((10, 10, 10), [(1, 341), (1, 341), (1, 318)] * 4
          + [(1, 512), (1, 488)] * 3),
     ], ids=str)
-    def test_vertex_chunks_equal_one_direction_pass(self, grid, passes):
+    def test_vertex_chunks_equal_one_direction_pass(self, grid, passes,
+                                                    monkeypatch):
         # at 10^3 one direction's stars (6000 and 4000 sector tets) exceed
         # the budget of 2048, so each runs in vertex chunks of 341 stars
         # (valence 6) or 512 (valence 4); the chunks give the one-direction
@@ -927,24 +1008,20 @@ class TestWholeMeshRoutes:
         metrics = tet_metrics_from_lengths(mesh, random_realizable_config(
             mesh, rng, max_deficit=0.5))
         inv = np.linalg.inv(metrics)
-        mats = regge_to_tet_matrices(mesh, ReggeField(
-            rng.uniform(-1.0, 1.0, mesh.num_edges)))
-        for kernel, per_tet in ((action_module._holonomy, (metrics, inv)),
-                                (action_module._linearized, (mats,))):
-            stacks = []
+        kernel, stacks = action_module._holonomy, []
 
-            def counted(frames, *gathered):
-                assert gathered[0].shape[0] == 1  # one row
-                stacks.append(gathered[0].shape[1:3])
-                return kernel(frames, *gathered)
+        def counted(frames, *gathered):
+            assert gathered[0].shape[0] == 1  # one row
+            stacks.append(gathered[0].shape[1:3])
+            return kernel(frames, *gathered)
 
-            out = action_module._by_valence(
-                mesh, counted, *(a[None] for a in per_tet))[0]
-            assert stacks == passes
-            for d, frame in enumerate(mesh._star_frames):
-                tets = mesh._star_tets[d]
-                assert np.array_equal(out[d::7], kernel(
-                    frame, *(a[tets] for a in per_tet)))
+        monkeypatch.setattr(action_module, "_holonomy", counted)
+        out = action_module._by_valence(mesh, metrics[None], inv[None])[0]
+        assert stacks == passes
+        for d, frame in enumerate(mesh._star_frames):
+            tets = mesh._star_tets[d]
+            assert np.array_equal(out[d::7], kernel(frame, metrics[tets],
+                                                    inv[tets]))
 
     def test_holonomy_inverts_instead_of_solving(self, monkeypatch):
         # each tet metric is inverted once, not solved against once per
@@ -1000,10 +1077,6 @@ class TestRows:
             assert np.array_equal(got, deficit_angles(mesh, cfg))
         for got, cfg in zip(action_module._holonomy_rows(mesh, S), cfgs):
             assert np.array_equal(got, holonomy_deficits(mesh, cfg))
-        for got, c in zip(action_module._linearized_rows(mesh, fields),
-                          fields):
-            assert np.array_equal(got, linearized_deficits(mesh,
-                                                           ReggeField(c)))
         A, eps = assemble_stiffness(mesh), np.geomspace(1e-2, 1e-1, 7)
         reps = action_module._second_variation_rows(mesh, fields[:3], eps, A)
         assert [report_fields(r) for r in reps] == [

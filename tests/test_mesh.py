@@ -7,9 +7,11 @@ import pytest
 from conftest import edge_star, face_tables, lifted_points, per_edge
 from golden import digest
 from oracles import metric_dihedral_angles
-from reggefem import MeshError, TorusGeometry, assemble_stiffness, \
-    build_torus_mesh, mesh_summary
-from reggefem.action import euclidean_lengths, tet_metrics_from_lengths
+from reggefem import MeshError, ReggeField, TorusGeometry, apply_ctc, \
+    assemble_mass, assemble_stiffness, build_torus_mesh, holonomy_deficits, \
+    linearized_deficits, mesh_summary
+from reggefem.action import euclidean_lengths, random_realizable_config, \
+    tet_metrics_from_lengths
 from reggefem.mesh import _STARS, LOCAL_EDGES, _edge_tets, _star_faces
 
 TAU = 2.0 * np.pi
@@ -545,21 +547,24 @@ class TestStorage:
         assert not any(hasattr(mesh, name) for name in (
             "face_tets", "face_edges", "_star_faces", "_star_slots"))
 
-    def test_stiffness_cache_keeps_the_blocks_and_a_read_matrix(self):
-        # assemble_stiffness keeps its operator on the mesh: the 27 one-box
-        # blocks, 10584 bytes whatever the grid; the E x E matrix joins
-        # them only once read, and then lives as long as the mesh
+    def test_the_mesh_is_never_written(self):
+        # the operators are kept per geometry and grid, not on the mesh:
+        # after every route that reads them, and a matrix read, the mesh
+        # holds the attributes and objects build_torus_mesh gave it
         mesh = build_torus_mesh(TorusGeometry(TAU, 2.5 * np.pi, 3.0 * np.pi),
                                 (4, 5, 6))
-        before = set(vars(mesh))
+        before = dict(vars(mesh))
+        rng = np.random.default_rng(41)
+        u = ReggeField(rng.uniform(-1.0, 1.0, mesh.num_edges))
+        cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
         A = assemble_stiffness(mesh)
-        assert set(vars(mesh)) - before == {"_stiffness_operator"}
-        assert vars(A).keys() == {"blocks", "grid"}
-        assert A.blocks.nbytes == 27 * 49 * 8
-        assert vars(mesh)["_stiffness_operator"] is A
-        matrix = A.matrix
-        assert vars(A)["matrix"] is matrix
-        assert matrix.shape == (mesh.num_edges,) * 2
+        assemble_mass(mesh)
+        apply_ctc(mesh, u)
+        linearized_deficits(mesh, u)
+        holonomy_deficits(mesh, cfg)
+        assert A.matrix.shape == (mesh.num_edges,) * 2
+        assert vars(mesh).keys() == before.keys()
+        assert all(vars(mesh)[k] is v for k, v in before.items())
 
 
 class TestQueries:

@@ -1,10 +1,12 @@
 
+import gc
 import itertools
 import os
 import re
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from conftest import constant_metric, face_tables, lifted_points, \
     point_group
 from golden import digest
 from oracles import deformation_matrix
-from reggefem import (ReggeField, VertexVectorField, apply_ctc,
+from reggefem import (ReggeField, VertexVectorField, action, apply_ctc,
                       assemble_mass, assemble_stiffness, build_torus_mesh,
                       deformation, divergence_x2, edge_jump_scalar,
                       interpolate_1, interpolate_2,
@@ -317,35 +319,55 @@ class TestStiffness:
 
 
 class TestStiffnessBuiltOncePerMesh:
+    """The blocks of A and M are kept per geometry and grid
+    (``_operator_blocks``), and J's per geometry and grid too
+    (``action._linearized_blocks``), so a mesh, or a run, builds each
+    once at most; every call wraps them in a fresh operator."""
+
     def test_same_operator_every_call(self, geometry):
         mesh = build_torus_mesh(geometry, (2, 3, 2))
-        A = assemble_stiffness(mesh)
-        assert assemble_stiffness(mesh) is A
-        # apply_ctc reads the mesh's operator: l * (A c)
+        A, M = assemble_stiffness(mesh), assemble_mass(mesh)
+        # the blocks of stencil_operators, in a fresh operator
+        assert assemble_stiffness(mesh) is not A
+        for S, T in zip((A, M), stencil_operators(geometry, (2, 3, 2))):
+            assert S.blocks is T.blocks and S.grid == T.grid
+        # apply_ctc reads them: l * (A c)
         c = np.random.default_rng(40).uniform(-1, 1, mesh.num_edges)
         assert np.array_equal(apply_ctc(mesh, ReggeField(c)).coeffs,
                               (mesh.edge_length * (A @ c).reshape(-1, 7))
                               .ravel())
 
     def test_blocks_read_only(self, geometry):
-        A = assemble_stiffness(build_torus_mesh(geometry, (2, 2, 2)))
-        with pytest.raises(ValueError, match="read-only"):
-            A.blocks[1, 1, 1, 0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            A.blocks *= 2.0
+        J = action._linearized_blocks(geometry, (2, 2, 2))
+        for B in [S.blocks for S in stencil_operators(geometry, (2, 2, 2))
+                  ] + [J]:
+            with pytest.raises(ValueError, match="read-only"):
+                B[1, 1, 1, 0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                B *= 2.0
 
     def test_one_build_per_verify_run(self, geometry, monkeypatch):
-        # seven apply_ctc calls and two suites share one build of A
-        built = []
-        stiffness = saint_venant._stiffness
+        # on cleared caches, two verify runs on one torus build A once and
+        # J once: one _stiffness call, and the seven _linearized calls of
+        # J's one build, one per star template
+        saint_venant._operator_blocks.cache_clear()
+        action._linearized_blocks.cache_clear()
+        built = {}
+        for module, name in ((saint_venant, "_stiffness"),
+                             (action, "_linearized")):
+            def counted(*args, _build=getattr(module, name), _name=name):
+                built[_name] = built.get(_name, 0) + 1
+                return _build(*args)
 
-        def counted(*args):
-            built.append(args)
-            return stiffness(*args)
-
-        monkeypatch.setattr(saint_venant, "_stiffness", counted)
-        run_verification(geometry, (2, 2, 2))
-        assert len(built) == 1
+            monkeypatch.setattr(module, name, counted)
+        for _ in range(2):
+            run_verification(geometry, (2, 2, 2))
+        assert built == {"_stiffness": 1, "_linearized": 7}
+        # a matrix read lives as long as its caller holds the operator
+        ref = weakref.ref(assemble_stiffness(build_torus_mesh(
+            geometry, (2, 2, 2))).matrix)
+        gc.collect()
+        assert ref() is None
 
 
 class TestConstantKernelResidual:
@@ -557,17 +579,24 @@ class TestPointGroup:
         # each a rounded product of the templates; the mapped torus forms
         # them from its own templates, in another order, so the two differ
         # by (terms + 4) ulps of max|B| at most (measured: 3.8e-16 of
-        # max|A|, 1.8e-16 of max|M|)
+        # max|A|, 1.8e-16 of max|M|).  The blocks of J map the same way
         couplings = saint_venant._couplings()
-        ops = stencil_operators(TorusGeometry(*sides), grid)
+
+        def blocks(sides, grid):
+            # A, M and the linearized deficit's J, which sums at most 12
+            # terms like A (measured: 3.6e-16 of max|J|)
+            geometry = TorusGeometry(*sides)
+            return [S.blocks for S in stencil_operators(geometry, grid)] \
+                + [action._linearized_blocks(geometry, grid)]
+
+        ops = blocks(sides, grid)
         for p, _, image in point_group():
-            mapped = stencil_operators(
-                TorusGeometry(*np.array(sides)[p]), tuple(np.array(grid)[p]))
-            for S, T, terms in zip(ops, mapped, (12, 6)):
-                bound = (terms + 4) * np.finfo(float).eps \
-                    * np.abs(S.blocks).max()
-                assert np.abs(T.blocks.ravel()[image]
-                              - S.blocks.ravel()[couplings]).max() <= bound
+            mapped = blocks(np.array(sides)[p], tuple(np.array(grid)[p]
+                                                      .tolist()))
+            for S, T, terms in zip(ops, mapped, (12, 6, 12)):
+                bound = (terms + 4) * np.finfo(float).eps * np.abs(S).max()
+                assert np.abs(T.ravel()[image]
+                              - S.ravel()[couplings]).max() <= bound
 
     def test_valence_classes_are_orbits_of_the_permutations(self, mesh2):
         # the axes with the body diagonal (valence 6) and the face

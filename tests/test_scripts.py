@@ -58,6 +58,20 @@ def test_deficit_profile_starts_flat():
     assert float(action) == float(max_theta) == float(mean_theta) == 0.0
 
 
+def test_sweep_refuses_a_schedule_of_one_epsilon():
+    # a usage error naming the schedule, not "not enough realizable
+    # epsilon values"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "second_variation_sweep.py"),
+         "--seeds", "1", "--eps-count", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith(
+        "error: epsilons: need two or more distinct finite positive "
+        "values, got [0.01]\n")
+
+
 def test_readme_quickstart_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$",
                         (ROOT / "README.md").read_text(),

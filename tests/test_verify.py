@@ -8,7 +8,7 @@ import pytest
 
 from oracles import dual_path_per_draw, schlafli_per_draw, \
     second_variation_per_draw
-from reggefem import action
+from reggefem import action, saint_venant
 from reggefem.mesh import TorusGeometry, build_torus_mesh
 from reggefem.verify import check_dual_path_deficits, check_schlafli, \
     check_second_variation, run_verification
@@ -53,7 +53,9 @@ def test_stacked_suites_equal_the_per_draw_loops(lengths, grid, seed):
 
 def passes(monkeypatch, grid) -> dict:
     """Calls of each action kernel in one ``run_verification`` on the
-    2 pi cube at seed 0."""
+    2 pi cube at seed 0, on cleared operator caches."""
+    saint_venant._operator_blocks.cache_clear()
+    action._linearized_blocks.cache_clear()
     counts = {}
     for name in ("_deficit_rows", "_holonomy", "_linearized"):
         def counted(*args, _kernel=getattr(action, name), _name=name):
@@ -69,16 +71,19 @@ def test_one_pass_per_suite_at_grid_2(monkeypatch):
     # 6 dihedral passes in random_realizable_config (3 per suite, no
     # retry at seed 0), then one pass each: the dual-path configurations,
     # its finite differences, the 21 second-variation rows and the 9
-    # Schlafli rows; one holonomy and one linearized pass per valence
-    # class.  One draw at a time they were 28, 6 and 8
+    # Schlafli rows; one holonomy pass per valence class.  One draw at a
+    # time they were 28 and 6.  The linearized deficits are matvecs of J,
+    # so no linearized pass runs on the mesh: the 7 calls are J's one
+    # build, one per star template
     assert passes(monkeypatch, (2, 2, 2)) == {
-        "_deficit_rows": 10, "_holonomy": 2, "_linearized": 2}
+        "_deficit_rows": 10, "_holonomy": 2, "_linearized": 7}
 
 
 def test_a_row_fills_a_slab_at_grid_6(monkeypatch):
     # at 6^3 every row fills its own slab, so the passes are those of one
     # draw at a time: 48 dihedral passes then (two retries of
     # random_realizable_config among them), less the 3 that recomputed
-    # theta for the Schlafli tolerance; 6 star passes per row
+    # theta for the Schlafli tolerance; 6 holonomy passes per row, and
+    # J's one build, as at grid 2
     assert passes(monkeypatch, (6, 6, 6)) == {
-        "_deficit_rows": 45, "_holonomy": 18, "_linearized": 24}
+        "_deficit_rows": 45, "_holonomy": 18, "_linearized": 7}
