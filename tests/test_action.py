@@ -910,10 +910,13 @@ class TestSchlafli:
 # of the one-box shape templates (tet t and face f read the geometry of
 # t % 6 and f % 12); the metric, angle and holonomy entries those of the
 # metrics from the Regge basis and the rank-one face crossings.  The
-# holonomy and linearized entries are those of stars run in template
-# order; the sector entries are pinned from each star's lowest face.  The
-# holonomy entries read the rotation in the frame of w1 and the k- of
-# face 0, with the face normals taken through the inverse tet metrics.
+# holonomy entries are those of stars run in template order; the sector
+# entries are pinned from each star's lowest face.  The holonomy entries
+# read the rotation in the frame of w1 and the k- of face 0, with the face
+# normals taken through the inverse tet metrics.  The linearized_deficits
+# entries are the matvec of the blocks of J, within 3.3e-16 of
+# max|theta'| of the star pass they replaced, whose digests the oracle
+# keeps (STAR_PASS).
 GOLDEN_GRIDS = {
     # edges of the 2-wide directions wrap through the period
     "2x3x2": ((2, 3, 2), (TAU, 2.5 * np.pi, TAU)),
@@ -925,7 +928,7 @@ GOLDEN = {
         "deficit_angle_dihedral": "4543b74a00ebe5d5",
         "deficit_angle_holonomy": "4a8021bc0a44f276",
         "deficit_angles": "4543b74a00ebe5d5",
-        "linearized_deficits": "93e6f880f5ad59a9",
+        "linearized_deficits": "ac3d4fbdb3f1b989",
         "metric_dihedral_angles": "90e24e0c25eaac50",
         "second_variation_check.actions": "d1080279571791d3",
         "sector.faces_tets": "6015147a6f37d10e",
@@ -938,7 +941,7 @@ GOLDEN = {
         "deficit_angle_dihedral": "23db855da94ac501",
         "deficit_angle_holonomy": "ef5607d3389b8647",
         "deficit_angles": "23db855da94ac501",
-        "linearized_deficits": "cc175d750c58b5c6",
+        "linearized_deficits": "2197960fa14c9b3b",
         "metric_dihedral_angles": "27ab49f091ec802c",
         "second_variation_check.actions": "6c115092f80317d6",
         "sector.faces_tets": "4aac778ead2753b7",
@@ -951,7 +954,7 @@ GOLDEN = {
         "deficit_angle_dihedral": "ce108668568c42fb",
         "deficit_angle_holonomy": "fb5091c452108b94",
         "deficit_angles": "ce108668568c42fb",
-        "linearized_deficits": "94aa9b3cfe0f569d",
+        "linearized_deficits": "255f4c8d8de9b807",
         "metric_dihedral_angles": "e0edfb6c32f95706",
         "second_variation_check.actions": "7e53ebc27bbd7fe9",
         "sector.faces_tets": "eb6dcac4205b57de",
@@ -1257,6 +1260,11 @@ class TestHolonomyReadOff:
 # The whole-mesh holonomy must reproduce the per-edge route's digest.
 WHOLE_MESH = {"holonomy_deficits": "deficit_angle_holonomy"}
 
+# The linearized_deficits digests of the meshed star pass, which
+# oracles.linearized_star_pass runs as the library did.
+STAR_PASS = {"2x3x2": "93e6f880f5ad59a9", "3x3x3": "cc175d750c58b5c6",
+             "4x5x6": "94aa9b3cfe0f569d"}
+
 
 def _action_outputs(grid, lengths) -> dict:
     mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
@@ -1303,3 +1311,12 @@ class TestGoldenDigests:
         golden = GOLDEN[label] | {k: GOLDEN[label][v]
                                   for k, v in WHOLE_MESH.items()}
         assert {k: digest(v) for k, v in out.items()} == golden
+
+    @pytest.mark.parametrize("label", sorted(GOLDEN_GRIDS))
+    def test_star_pass_oracle_is_the_former_route(self, label):
+        grid, lengths = GOLDEN_GRIDS[label]
+        mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+        rng = np.random.default_rng(0)
+        random_realizable_config(mesh, rng, max_deficit=2.5)
+        up = ReggeField(rng.uniform(-1.0, 1.0, mesh.num_edges))
+        assert digest(linearized_star_pass(mesh, up)) == STAR_PASS[label]
