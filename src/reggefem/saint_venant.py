@@ -384,13 +384,15 @@ def stencil_operators(geometry: TorusGeometry, grid):
 def assemble_stiffness(mesh: PeriodicMesh) -> BlockCirculant:
     """A[e', e] = [[rho_e]]_{e'} / l_{e'}, so entries couple only edges
     sharing a tet: the A of ``stencil_operators`` of the mesh's torus."""
-    return stencil_operators(mesh.geometry, mesh.grid)[0]
+    return BlockCirculant(_operator_blocks(mesh.geometry, mesh.grid)[0],
+                          mesh.grid)
 
 
 def assemble_mass(mesh: PeriodicMesh) -> BlockCirculant:
     """M[e, e'] = sum_T |T| rho_e|_T : rho_e'|_T, exact: the M of
     ``stencil_operators`` of the mesh's torus."""
-    return stencil_operators(mesh.geometry, mesh.grid)[1]
+    return BlockCirculant(_operator_blocks(mesh.geometry, mesh.grid)[1],
+                          mesh.grid)
 
 
 def apply_ctc(mesh: PeriodicMesh, u: ReggeField) -> EdgeMeasure:
