@@ -752,28 +752,6 @@ class TestActionExpansion:
         assert [r.getMessage() for r in caplog.records] == [
             "second_variation_check: pruned unrealizable epsilons [5.0]"]
 
-
-def per_eps_report(mesh, up, epsilons, stiffness):
-    """The report fields of ``second_variation_check`` from one
-    ``regge_action(perturbed_lengths(...))`` per eps, pruning the eps
-    whose configuration either refuses."""
-    eps_ok, actions, pruned = [], [], []
-    for eps in sorted(epsilons):
-        try:
-            actions.append(regge_action(mesh,
-                                        perturbed_lengths(mesh, up, eps)))
-            eps_ok.append(eps)
-        except RealizabilityError:
-            pruned.append(eps)
-    eps, act = np.array(eps_ok), np.array(actions)
-    target = float(up.coeffs @ (stiffness @ up.coeffs)) / 8.0
-    rem = np.abs(act - eps**2 * target)
-    slope = np.polyfit(np.log(eps[rem > 0]), np.log(rem[rem > 0]), 1)[0]
-    return {"actions": act, "ratios": act / eps**2,
-            "extrapolated": action_module._neville(eps, act / eps**2),
-            "remainder_slope": float(slope), "pruned": pruned}
-
-
     @pytest.mark.parametrize("eps", [
         [0.0, 0.05, 0.1], [0.05, 0.05, 0.1], [-0.1, 0.1, 0.05], [0.05], [],
         [np.nan, 0.05, 0.1], [0.05, np.inf]],
@@ -797,6 +775,27 @@ def per_eps_report(mesh, up, epsilons, stiffness):
                     f"values, got {[float(e) for e in eps]}")) as info:
                 second_variation_check(mesh2, up, eps, pencil2[0])
         assert type(info.value) is ValueError
+
+
+def per_eps_report(mesh, up, epsilons, stiffness):
+    """The report fields of ``second_variation_check`` from one
+    ``regge_action(perturbed_lengths(...))`` per eps, pruning the eps
+    whose configuration either refuses."""
+    eps_ok, actions, pruned = [], [], []
+    for eps in sorted(epsilons):
+        try:
+            actions.append(regge_action(mesh,
+                                        perturbed_lengths(mesh, up, eps)))
+            eps_ok.append(eps)
+        except RealizabilityError:
+            pruned.append(eps)
+    eps, act = np.array(eps_ok), np.array(actions)
+    target = float(up.coeffs @ (stiffness @ up.coeffs)) / 8.0
+    rem = np.abs(act - eps**2 * target)
+    slope = np.polyfit(np.log(eps[rem > 0]), np.log(rem[rem > 0]), 1)[0]
+    return {"actions": act, "ratios": act / eps**2,
+            "extrapolated": action_module._neville(eps, act / eps**2),
+            "remainder_slope": float(slope), "pruned": pruned}
 
 
 class TestStackedSchedule:
