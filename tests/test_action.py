@@ -823,15 +823,21 @@ class TestStackedSchedule:
         assert rep.pruned == ref["pruned"] == []
 
     @pytest.mark.parametrize("bad, reason", [
-        (5.0, "degenerate"), (40.0, "squared lengths must be positive")])
+        (5.0, "degenerate"), (-40.0, "squared lengths must be positive")])
     def test_refused_row_in_a_slab_pruned(self, mesh2, pencil2, caplog,
                                           bad, reason):
-        # the refused row shares its slab with the realizable ones
+        # the refused row shares its slab with the realizable ones.  A
+        # schedule holds positive epsilons only, so the row at a negative
+        # step along u' is run as the same lengths at |step| along -u'
         A, _ = pencil2
         up = ReggeField(np.random.default_rng(12).uniform(
             -1, 1, mesh2.num_edges))
         with pytest.raises(RealizabilityError, match=reason):
             regge_action(mesh2, perturbed_lengths(mesh2, up, bad))
+        flipped = ReggeField(np.sign(bad) * up.coeffs)
+        assert (abs(bad) * flipped.coeffs).tolist() \
+            == (bad * up.coeffs).tolist()
+        up, bad = flipped, abs(bad)
         eps = [2e-2, bad, 1e-2, 4e-2]
         assert len(action_module._slabs(len(eps), mesh2.num_tets)) == 1
         with pytest.warns(UserWarning, match="pruned") as record, \
