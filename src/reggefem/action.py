@@ -45,20 +45,21 @@ one-row case: ``deficit_angles`` of ``_dihedral_rows``,
 ``_schlafli_rows`` and ``second_variation_check`` of
 ``_second_variation_rows``, through which ``verify`` runs a suite's
 random draws as the rows of one pass.  A pass holds as many rows as fit
-``_SLAB_TETS`` tets (sector tets for the holonomy), one at least, and
-each row equals its own call bit for bit.  A row that
-``EdgeLengthConfig`` or the realizability guard refuses raises what its
-own call raises, the first such row first; ``second_variation_check``
-prunes such an eps row instead, with a warning per direction.
+``_SLAB_TETS`` tets, one at least, and each row equals its own call bit
+for bit.  Unchecked rows pass one admission check, ``_admitted``, which
+``EdgeLengthConfig``'s rule and the realizability guard make.  A refused
+row raises what its own call raises, the first such row first;
+``second_variation_check`` prunes such an eps row instead, with a
+warning per direction.
 
 The holonomy is one private kernel over stacked stars, run by
-``_by_valence`` on the stars of each valence class of every row, the
-directions 0, 1, 3, 6 (valence 6) and 2, 4, 5 (valence 4), so two passes
-cover every edge (more only once a class holds over ``_SLAB_TETS`` sector
-tets; a direction's stars then run in vertex chunks), and by
-``deficit_angle_holonomy`` on the one star of ``build_edge_sector``.  A
-star runs in the order of its template ``mesh._STARS[d]``, with the
-constant frames of ``mesh._star_frames[d]``; only its sector tets are
+``_by_valence`` on each valence class, the directions 0, 1, 3, 6
+(valence 6) and 2, 4, 5 (valence 4), as one sequence of (row,
+direction, vertex) stars cut into passes of ``_SLAB_TETS`` sector tets,
+and by ``deficit_angle_holonomy`` on the one star of
+``build_edge_sector``.  A star runs in the order of its template
+``mesh._STARS[d]``, with the constant frames of ``mesh._star_frames[d]``
+of the torus; only its sector tets are
 read per edge, and a face id is formed only to name a torn face in an
 error.  ``verify`` checks the route against ``deficit_angles``, so the
 two share no code but the realizability guard.  ``holonomy_deficits``
@@ -78,10 +79,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import _BOX_EDGE_DIRS, _STARS, _TET_SLOTS, PeriodicMesh, \
-    TorusGeometry, _box_templates, _edge_tets, _star_faces, _star_frames, \
+from .mesh import _BOX_EDGE_DIRS, _OPERATORS, _STARS, _TET_SLOTS, \
+    PeriodicMesh, TorusGeometry, _box_templates, _edge_tets, _star_faces, \
     _stencil_tables
-from .saint_venant import _OPERATORS, BlockCirculant
+from .saint_venant import BlockCirculant
 from .spaces import ReggeField, _tet_matrices, regge_to_tet_matrices
 
 __all__ = [
@@ -135,8 +136,7 @@ for _a in (_POLAR_I, _POLAR_J, _OPPOSITE, _ROWS, *_SIDES.values(), _EYE3):
 
 # Tets per stacked pass: ``second_variation_check`` puts as many eps rows
 # (T tets each) into one dihedral pass as fit, and ``_by_valence`` as many
-# directions of a class (V stars of s sector tets each), one at least, or
-# as many stars of one direction when its V stars do not fit.  In
+# stars of a class (s sector tets each), one at least.  In
 # process (one BLAS thread, budgets interleaved, medians), stacking the
 # seven rows of a schedule took 1.55 -> 0.68 ms at 2^3 and 3.0 -> 2.3 ms
 # at 4^3, but unbounded it took 15 against 10 ms at 8^3 and 50 against
@@ -156,6 +156,19 @@ logger = logging.getLogger(__name__)
 
 class RealizabilityError(ValueError):
     """Edge lengths do not embed a tet as a nondegenerate Euclidean simplex."""
+
+
+def _length_rule(S: np.ndarray):
+    """Whether each row of squared lengths S (..., E) is finite and
+    positive, and None or the RealizabilityError of the first that is
+    not: the rule of ``EdgeLengthConfig``."""
+    finite = np.isfinite(S).all(axis=-1)
+    ok = finite & (S > 0).all(axis=-1)
+    if ok.all():
+        return ok, None
+    first = finite.ravel()[np.argmin(ok.ravel())]
+    return ok, RealizabilityError(
+        f"squared lengths must be {'positive' if first else 'finite'}")
 
 
 @dataclass(frozen=True)
@@ -179,10 +192,9 @@ class EdgeLengthConfig:
         s = np.array(s, dtype=float)
         s.setflags(write=False)
         object.__setattr__(self, "squared_lengths", s)
-        if not np.all(np.isfinite(s)):
-            raise RealizabilityError("squared lengths must be finite")
-        if np.any(s <= 0):
-            raise RealizabilityError("squared lengths must be positive")
+        refused = _length_rule(s)[1]
+        if refused is not None:
+            raise refused
 
     @property
     def lengths(self) -> np.ndarray:
@@ -225,6 +237,8 @@ def perturbed_lengths(mesh: PeriodicMesh, u_prime: ReggeField,
                       eps: float) -> EdgeLengthConfig:
     """Squared lengths of the metric I + eps*u': l_e^2 + eps*c_e exactly,
     checked once."""
+    if len(u_prime.coeffs) != mesh.num_edges:
+        raise ValueError("edge count mismatch")
     return EdgeLengthConfig(_background(mesh) + eps * u_prime.coeffs)
 
 
@@ -255,31 +269,19 @@ def _gram_adjugate(s: np.ndarray):
     return adj, g[0] * adj[0] + g[3] * adj[3] + g[4] * adj[4]
 
 
-def _guard(s: np.ndarray, adj: np.ndarray, det: np.ndarray):
-    """The realizability guard, tet by tet, of squared lengths s (6, ...)
-    and ``_gram_adjugate`` of them: the Cayley-Menger determinant 8 det G,
-    whether it clears the guard relative to the longest edge, and whether
-    the tet is realizable, its G positive definite too."""
-    cm = 8.0 * det
-    flat = cm > CM_DET_RTOL * s.max(axis=0) ** 3
-    # Sylvester: with g00 = s_01 > 0 and det G > 0, G is positive definite
-    # exactly when its leading 2x2 minor g00 g11 - g01^2 = adj[2] is
-    return cm, flat, flat & (adj[2] > 0)
-
-
 def _gram(mesh: PeriodicMesh, S: np.ndarray, tets=None):
     """The realizability guard of every route from squared lengths.
 
     S holds the squared lengths (E,) of one configuration, or (r, E) of r
-    stacked on a leading rows axis, each accepted by ``EdgeLengthConfig``.
+    stacked on a leading rows axis, each accepted by ``_length_rule``.
     Returns ``s, adj, det, refused``: the squared lengths s (6, T) or (6,
     T, r) of the given tets (all by default), ``_gram_adjugate`` of them,
-    and None, or when the guard refuses a tet, the first refused row and
-    its RealizabilityError, tagged with the row's first offending tet:
-    Cayley-Menger determinant 8 det G below the relative guard, or else G
-    not positive definite.  Both guards are one boolean test, ``_guard``;
-    the offender is searched for only when it fails.  Raises ValueError on
-    an edge count mismatch.
+    and None, or when the guard refuses a tet, whether it accepts each
+    row and the first refused row's RealizabilityError, tagged with the
+    row's first offending tet: Cayley-Menger determinant 8 det G below the
+    relative guard, or else G not positive definite.  Both guards are one
+    boolean test; the offender is searched for only when it fails.
+    Raises ValueError on an edge count mismatch.
     """
     if S.shape[-1] != mesh.num_edges:
         raise ValueError("edge count mismatch")
@@ -289,21 +291,26 @@ def _gram(mesh: PeriodicMesh, S: np.ndarray, tets=None):
     # a third slower at 6^3 and 16^3
     s = np.take(S.T, edges.T, axis=0)
     adj, det = _gram_adjugate(s)
-    cm, flat, realizable = _guard(s, adj, det)
+    cm = 8.0 * det
+    flat = cm > CM_DET_RTOL * s.max(axis=0) ** 3
+    # Sylvester: with g00 = s_01 > 0 and det G > 0, G is positive definite
+    # exactly when its leading 2x2 minor g00 g11 - g01^2 = adj[2] is
+    realizable = flat & (adj[2] > 0)
     if realizable.all():
         return s, adj, det, None
     cm, flat, realizable = (a.reshape(len(edges), -1)
                             for a in (cm, flat, realizable))
-    row = int(np.flatnonzero(~realizable.all(axis=0))[0])
+    ok = realizable.all(axis=0)
+    row = np.argmin(ok)
     degenerate = np.flatnonzero(~flat[:, row])
     t = (degenerate if degenerate.size
          else np.flatnonzero(~realizable[:, row]))[0]
     tet = int(t if tets is None else tets[t])
     if degenerate.size:
-        return s, adj, det, (row, RealizabilityError(
+        return s, adj, det, (ok, RealizabilityError(
             f"tet {tet}: degenerate edge lengths "
             f"(Cayley-Menger determinant {cm[t, row]:.3e})"))
-    return s, adj, det, (row, RealizabilityError(
+    return s, adj, det, (ok, RealizabilityError(
         f"tet {tet}: metric not positive definite"))
 
 
@@ -317,18 +324,23 @@ def _checked_gram(mesh: PeriodicMesh, config: EdgeLengthConfig,
     return gram
 
 
-def _checked_rows(mesh: PeriodicMesh, S: np.ndarray) -> list:
-    """``_checked_gram`` of the rows of S (r, E), which no
-    ``EdgeLengthConfig`` has checked yet: raises, for the first row that
-    it or the guard refuses, what that row's own config and call raise."""
-    ok = np.isfinite(S).all(axis=1) & (S > 0).all(axis=1)
-    n = len(S) if ok.all() else int(ok.argmin())
-    *gram, refused = _gram(mesh, S[:n])
-    if refused is not None:
-        raise refused[1]
-    if n < len(S):
-        EdgeLengthConfig(S[n])
-    return gram
+def _admitted(mesh: PeriodicMesh, S: np.ndarray) -> list:
+    """The rows of squared lengths S (r, E), which no ``EdgeLengthConfig``
+    has checked, that its rule and the realizability guard accept:
+    ``rows, s, adj, det, refused``, the positions of the accepted rows,
+    ``_gram`` of them, and None, or the first refused row and the
+    RealizabilityError that its own config or call raises.  A row that
+    the rule refuses forms no Gram matrix."""
+    ok, error = _length_rule(S)
+    rows = np.flatnonzero(ok)
+    refused = None if error is None else (int(np.argmin(ok)), error)
+    *gram, guard = _gram(mesh, S if error is None else S[rows])
+    if guard is not None:
+        row = int(rows[np.argmin(guard[0])])
+        if refused is None or row < refused[0]:
+            refused = row, guard[1]
+        rows, *gram = rows[guard[0]], *(a[..., guard[0]] for a in gram)
+    return [rows, *gram, refused]
 
 
 def tet_metrics_from_lengths(mesh: PeriodicMesh,
@@ -421,7 +433,10 @@ def _dihedral_rows(mesh: PeriodicMesh, S: np.ndarray) -> list:
     and call raise."""
     out = []
     for part in _slabs(len(S), mesh.num_tets):
-        out += _deficit_rows(mesh, *_checked_rows(mesh, S[part]))
+        _, *gram, refused = _admitted(mesh, S[part])
+        if refused is not None:
+            raise refused[1]
+        out += _deficit_rows(mesh, *gram)
     return out
 
 
@@ -552,28 +567,22 @@ def deficit_angle_holonomy(sector: EdgeSector) -> float:
 def _by_valence(mesh: PeriodicMesh, *per_tet) -> np.ndarray:
     """``_holonomy`` of every edge of r rows, shape (r, E), from per-tet
     arrays (r, T, ...) ``per_tet`` gathered on the sector tets of the
-    stars: one stacked pass per valence class of ``mesh._star_classes``
-    for as many rows as fit ``_SLAB_TETS`` sector tets, past one row per
-    slab of the class's directions, and per chunk of vertices once one
-    direction's stars exceed the budget.  A star's value depends on its
-    own rows alone, so each equals that of one row and one direction at a
-    time, bit for bit."""
-    r, V = len(per_tet[0]), mesh.num_vertices
-    out = np.empty((r, 7, V))
+    stars.  The (row, direction, vertex) stars of each valence class of
+    ``mesh._star_classes``, in that order, run in passes of as many as
+    fit ``_SLAB_TETS`` sector tets, each gathering its stars' frames and
+    sector tets.  A star's value depends on its own data alone, so each
+    equals that of one row and one direction at a time, bit for bit."""
+    r = len(per_tet[0])
+    out = np.empty((r, 7, mesh.num_vertices))
     for cls in mesh._star_classes:
-        k, s = len(cls.dirs), cls.ms.shape[-2]
-        for rows in _slabs(r, k * V * s):  # k directions of V stars a row
-            n = len(range(r)[rows])
-            for part in _slabs(k, n * V * s):
-                dirs = cls.dirs[part]
-                frames = type(cls)(*(a[part] for a in cls))
-                # all V stars at once, unless one direction's exceed the
-                # budget
-                for chunk in _slabs(V, n * s):
-                    tets = np.stack([mesh._star_tets[d][chunk]
-                                     for d in dirs])
-                    out[rows, dirs, chunk] = _holonomy(
-                        frames, *(a[rows][:, tets] for a in per_tet))
+        tets = np.concatenate([mesh._star_tets[d] for d in cls.dirs])
+        flat = np.empty(r * len(tets))
+        for part in _slabs(len(flat), cls.ms.shape[-2]):
+            row, star = np.divmod(np.arange(len(flat))[part], len(tets))
+            flat[part] = _holonomy(
+                type(cls)(*(a[star // mesh.num_vertices] for a in cls)),
+                *(a[row[:, None], tets[star]] for a in per_tet))
+        out[:, cls.dirs] = flat.reshape(r, -1, mesh.num_vertices)
     return out.transpose(0, 2, 1).reshape(r, -1)
 
 
@@ -605,7 +614,7 @@ def _holonomy_rows(mesh: PeriodicMesh, S: np.ndarray) -> np.ndarray:
     """
     out = np.empty(S.shape)
     for part in _slabs(len(S), mesh.num_tets):
-        refused = _gram(mesh, S[part])[3]
+        refused = _admitted(mesh, S[part])[-1]
         rows = S[part][:None if refused is None else refused[0]]
         metrics = _tet_matrices(mesh, rows)
         bent = _first_not_positive_definite(metrics.reshape(-1, 3, 3))
@@ -637,9 +646,8 @@ def _linearized_blocks(geometry: TorusGeometry, grid: tuple) -> np.ndarray:
     Nothing is shared with the face terms of A, which ``verify`` checks J
     against."""
     t = _box_templates(geometry, grid)
-    frames = _star_frames(t["edge_tangent"], t["face_m"], t["face_n"])
     vals = []
-    for (*_, types), frame in zip(_STARS, frames):
+    for (*_, types), frame in zip(_STARS, t["_star_frames"]):
         s = len(types)
         mats = np.zeros((s, 6, s, 3, 3))
         mats[np.arange(s), :, np.arange(s)] = t["tet_rho"][types]
@@ -682,8 +690,10 @@ def schlafli_check(mesh: PeriodicMesh, config: EdgeLengthConfig,
     The derivative is a central difference at the given step, so the
     residual is O(step^2) for realizable configurations.
     """
-    direction = np.asarray(direction, float).ravel()
-    if direction.shape[0] != mesh.num_edges:
+    if len(config.squared_lengths) != mesh.num_edges:
+        raise ValueError("edge count mismatch")
+    direction = np.asarray(direction, float)
+    if direction.shape != (mesh.num_edges,):
         raise ValueError("direction must have one entry per edge")
     return _schlafli_rows(mesh, [config], [direction], step)[0][0]
 
@@ -753,30 +763,6 @@ class SecondVariationReport:
         }
 
 
-def _slab_actions(mesh: PeriodicMesh, s0, c, eps) -> tuple:
-    """``regge_action(mesh, perturbed_lengths(mesh, u', e))`` bit for bit,
-    for the rows (u', e) of one slab in one stacked dihedral pass, from the
-    background s0, the coefficients c (E, r) of each row's u' and its eps
-    values e (r,): the positions of the rows that ``EdgeLengthConfig`` and
-    the realizability guard accept, and their actions.  A refused row
-    forms no angle."""
-    S = s0[:, None] + c * eps  # (E, r), one configuration each
-    rows = np.flatnonzero(np.isfinite(S).all(axis=0) & (S > 0).all(axis=0))
-    if len(rows) < len(eps):
-        S = S[:, rows]
-    s = np.take(S, mesh.tet_edges.T, axis=0)  # (6, T, r), C order
-    adj, det = _gram_adjugate(s)
-    good = _guard(s, adj, det)[2].all(axis=0)
-    if not good.all():
-        rows, S, s, adj, det = (rows[good], *(a[..., good]
-                                              for a in (S, s, adj, det)))
-    if not rows.size:
-        return rows, np.empty(0)
-    theta = _deficit_rows(mesh, s, adj, det)
-    return rows, np.array([np.sum(t * l)
-                           for t, l in zip(theta, np.sqrt(S).T)])
-
-
 def second_variation_check(mesh: PeriodicMesh, u_prime: ReggeField,
                            epsilons, stiffness) -> SecondVariationReport:
     """Probe R(I + eps*u') over an eps schedule against eps^2/8 * c'Ac.
@@ -808,6 +794,8 @@ def _second_variation_rows(mesh: PeriodicMesh, coeffs: np.ndarray,
     the k schedules run as one stack of rows, direction by direction, in
     slabs of at most ``_SLAB_TETS`` tets, and each direction prunes, warns
     and logs, or raises, as its own call does, in direction order."""
+    if coeffs.shape[-1] != mesh.num_edges:
+        raise ValueError("edge count mismatch")
     eps_all = np.array([float(e) for e in epsilons])
     distinct = len(np.unique(eps_all)) == len(eps_all) > 1
     if not (distinct and np.isfinite(eps_all).all() and eps_all.min() > 0):
@@ -819,10 +807,14 @@ def _second_variation_rows(mesh: PeriodicMesh, coeffs: np.ndarray,
     s0, ok = _background(mesh), np.zeros(k * n, dtype=bool)
     actions = np.empty(k * n)
     for part in _slabs(k * n, mesh.num_tets):
-        rows, vals = _slab_actions(mesh, s0, coeffs[which[part]].T,
-                                   eps_rows[part])
-        rows += part.start
-        actions[rows], ok[rows] = vals, True
+        # each row the squared lengths of perturbed_lengths, unchecked
+        S = s0 + coeffs[which[part]] * eps_rows[part, None]
+        rows, *gram, _ = _admitted(mesh, S)
+        if rows.size:  # the actions of regge_action, bit for bit
+            actions[rows + part.start] = [
+                np.sum(t * l) for t, l in zip(_deficit_rows(mesh, *gram),
+                                              np.sqrt(S[rows]))]
+            ok[rows + part.start] = True
     return [_schedule_report(eps_all, c, act, good, stiffness)
             for c, act, good in zip(coeffs, actions.reshape(k, n),
                                     ok.reshape(k, n))]
@@ -861,8 +853,13 @@ def random_realizable_config(mesh: PeriodicMesh, rng, scale: float = 0.2,
 
     With ``max_deficit`` the amplitude also shrinks until every deficit
     angle stays below the bound (keeps rotation angles on the principal
-    branch for holonomy comparisons).
+    branch for holonomy comparisons).  A non-finite ``scale`` or a
+    ``max_deficit`` that is not positive is a ValueError.
     """
+    if not np.isfinite(scale):
+        raise ValueError(f"scale: need a finite amplitude, got {scale}")
+    if max_deficit is not None and not max_deficit > 0:
+        raise ValueError(f"max_deficit: need a bound > 0, got {max_deficit}")
     r = rng.uniform(-1.0, 1.0, mesh.num_edges)
     s0 = _background(mesh)
     factor = scale

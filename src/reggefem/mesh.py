@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -151,9 +152,9 @@ class PeriodicMesh:
     ``_star_frames[d]``, a ``_StarFrame``, holds the float constants every
     star of direction d shares: its tangent, its face frames in template
     order and the index of each face's sector before it.
-    ``_star_classes`` stacks those frames by valence, for the directions
-    0, 1, 3, 6 (valence 6) and 2, 4, 5 (valence 4), so that one pass can
-    run the stars of a whole class.
+    ``_star_classes`` stacks those frames by valence, one direction a row,
+    for the directions 0, 1, 3, 6 (valence 6) and 2, 4, 5 (valence 4).
+    Every mesh of the torus shares both, from ``_box_templates``.
     """
 
     def __init__(self, geometry: TorusGeometry, grid):
@@ -266,49 +267,39 @@ class _StarFrame(NamedTuple):
     prev: np.ndarray     # (s,) the sector before face i
 
 
-def _star_frames(edge_tangent: np.ndarray, face_m: np.ndarray,
-                 face_n: np.ndarray) -> list:
+class _StarClass(NamedTuple):
+    """The frames of the edge directions ``dirs`` whose stars share one
+    valence s, stacked on a leading axis: ``tangent``, ``ms`` and ``ns``
+    of ``_star_frames[dirs[j]]`` at j."""
+
+    dirs: np.ndarray     # (k,) the directions, ascending
+    tangent: np.ndarray  # (k, 3)
+    ms: np.ndarray       # (k, s, 3)
+    ns: np.ndarray       # (k, s, 3)
+
+
+def _star_constants(edge_tangent: np.ndarray, face_m: np.ndarray,
+                    face_n: np.ndarray) -> tuple:
     """The ``_StarFrame`` of each direction, gathered once from the edge
-    and face templates; every array is read-only."""
+    and face templates, and the ``_StarClass`` of each valence, 6 then 4,
+    stacked from them; every array is read-only."""
     frames = []
     for d, (_, k, slot, _, _) in enumerate(_STARS):
         ms, ns = face_m[k, slot], face_n[k, slot]
         tm = np.stack([np.broadcast_to(edge_tangent[d], ms.shape), ms],
                       axis=1)
-        frame = _StarFrame(edge_tangent[d], ms, ns, tm,
-                          np.arange(-1, len(k) - 1))
-        for arr in frame:
-            arr.setflags(write=False)
-        frames.append(frame)
-    return frames
-
-
-class _StarClass(NamedTuple):
-    """The frames of the edge directions ``dirs`` whose stars share one
-    valence s, stacked on a leading axis with a unit axis after it, where
-    the stars of one direction stack: ``tangent``, ``ms`` and ``ns`` of
-    ``_star_frames[dirs[j]]`` at [j, 0]."""
-
-    dirs: np.ndarray     # (k,) the directions, ascending
-    tangent: np.ndarray  # (k, 1, 3)
-    ms: np.ndarray       # (k, 1, s, 3)
-    ns: np.ndarray       # (k, 1, s, 3)
-
-
-def _star_classes(frames: list) -> list:
-    """The ``_StarClass`` of each valence, 6 then 4, from the
-    ``_star_frames``; every array is read-only."""
+        frames.append(_StarFrame(edge_tangent[d], ms, ns, tm,
+                                 np.arange(-1, len(k) - 1)))
     valence = np.array([len(f.prev) for f in frames])
     classes = []
     for s in (6, 4):
         dirs = np.flatnonzero(valence == s)
-        cls = _StarClass(dirs, *(np.stack([getattr(frames[d], name)[None]
-                                           for d in dirs])
-                                 for name in ("tangent", "ms", "ns")))
-        for arr in cls:
-            arr.setflags(write=False)
-        classes.append(cls)
-    return classes
+        classes.append(_StarClass(dirs, *(
+            np.stack([getattr(frames[d], name) for d in dirs])
+            for name in ("tangent", "ms", "ns"))))
+    for arr in [a for group in frames + classes for a in group]:
+        arr.setflags(write=False)
+    return tuple(frames), tuple(classes)
 
 
 @cache
@@ -383,14 +374,21 @@ def cell_geometry_error(geometry: TorusGeometry, grid) -> MeshError:
                      f"{grid} a zero or non-finite cell geometry")
 
 
+# tori kept, per geometry and grid, by ``_box_templates`` (11 kB each) and
+# the operator caches (21 kB for the blocks of A and M, 11 kB for J's)
+_OPERATORS = 64
+
+
+@lru_cache(maxsize=_OPERATORS)
 # the geometry is checked once it is built, so its float warnings are moot
 @np.errstate(all="ignore")
-def _box_templates(geometry: TorusGeometry, grid) -> dict:
-    """The float geometry of one box of ``grid``, every shape once: the
-    ``cell``; ``edge_length`` (7,), ``edge_vec`` and ``edge_tangent``
-    (7, 3) of the edges 7v + d, d = 0..6; and the tet and face templates of
-    ``PeriodicMesh`` (``tet_coords``, ``tet_volume``, ``tet_rho``,
-    ``face_m``, ``face_n``).
+def _box_templates(geometry: TorusGeometry, grid: tuple) -> MappingProxyType:
+    """The float geometry of one box of the (checked) ``grid``, every
+    shape once, kept read-only per geometry and grid: the ``cell``;
+    ``edge_length`` (7,), ``edge_vec`` and ``edge_tangent`` (7, 3) of the
+    edges 7v + d, d = 0..6; the tet and face templates of ``PeriodicMesh``
+    (``tet_coords``, ``tet_volume``, ``tet_rho``, ``face_m``, ``face_n``);
+    and its ``_star_frames`` and ``_star_classes``.
 
     MeshError (``cell_geometry_error``) for side lengths so far apart for
     the grid that a squared edge length underflows or a basis matrix or
@@ -438,10 +436,16 @@ def _box_templates(geometry: TorusGeometry, grid) -> dict:
                                                 face_n))
             and sizes.min() > 0):
         raise cell_geometry_error(geometry, grid)
-    return dict(cell=cell, edge_length=edge_length, edge_vec=vec,
-                edge_tangent=edge_tangent, tet_coords=tet_coords,
-                tet_volume=tet_volume, tet_rho=tet_rho, face_m=face_m,
-                face_n=face_n)
+    t = dict(cell=cell, edge_length=edge_length, edge_vec=vec,
+             edge_tangent=edge_tangent, tet_coords=tet_coords,
+             tet_volume=tet_volume, tet_rho=tet_rho, face_m=face_m,
+             face_n=face_n)
+    for arr in (cell, edge_length, vec, edge_tangent, tet_coords, tet_rho,
+                face_m, face_n):  # every caller shares them
+        arr.setflags(write=False)
+    t["_star_frames"], t["_star_classes"] = _star_constants(
+        edge_tangent, face_m, face_n)
+    return MappingProxyType(t)
 
 
 def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
@@ -451,7 +455,7 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     tail through a wrap.  Every incidence array is the one-box or edge-star
     template broadcast over the vertex lattice, by the index arithmetic of
     the module docstring, so nothing is sorted or searched mesh-wide.  The
-    float geometry is that of ``_box_templates``.
+    float geometry, star frames included, is that of ``_box_templates``.
     """
     grid = checked_grid(grid)
     n = np.array(grid, dtype=np.int64)
@@ -471,9 +475,6 @@ def build_torus_mesh(geometry: TorusGeometry, grid) -> PeriodicMesh:
     # the sector tets of every star: each template moved to every vertex
     mesh._star_tets = [6 * _vid(vertex_lattice[:, None] + toff, n) + ttype
                        for *_, toff, ttype in _STARS]
-    mesh._star_frames = _star_frames(mesh.edge_tangent, mesh.face_m,
-                                     mesh.face_n)
-    mesh._star_classes = _star_classes(mesh._star_frames)
 
     for arr in [*vars(mesh).values(), *mesh._star_tets]:
         if isinstance(arr, np.ndarray):

@@ -60,8 +60,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DIRECTIONS, PeriodicMesh, TorusGeometry, _box_templates, \
-    _dir, _stencil_tables, _vid, checked_grid
+from .mesh import _OPERATORS, DIRECTIONS, PeriodicMesh, TorusGeometry, \
+    _box_templates, _dir, _stencil_tables, _vid, checked_grid
 from .spaces import EdgeMeasure, ReggeField
 
 __all__ = [
@@ -78,10 +78,6 @@ __all__ = [
 
 # the shifts s_i of the blocks along each axis
 _SHIFTS = np.arange(-1, 2)
-
-# operators kept by ``_operator_blocks``, one per geometry and grid: the
-# blocks of A and M, 21 kB
-_OPERATORS = 64
 
 # entry lines per slab of ``write_coo``: about 30 bytes of text each, and
 # while the slab is joined three list slots per line and the gathered

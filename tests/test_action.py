@@ -293,6 +293,40 @@ class TestMetricReconstruction:
             "amplitude halved to ") for m in halved)
         assert np.abs(deficit_angles(mesh2, cfg)).max() <= 1e-3
 
+    @pytest.mark.parametrize("kwargs", [
+        {"scale": np.nan}, {"scale": np.inf}, {"scale": -np.inf},
+        {"max_deficit": np.nan}, {"max_deficit": 0.0},
+        {"max_deficit": -1.0}],
+        ids=["scale-nan", "scale-inf", "scale--inf", "bound-nan",
+             "bound-zero", "bound-negative"])
+    def test_bad_amplitude_or_bound_refused(self, mesh2, kwargs,
+                                            monkeypatch):
+        # a ValueError that names the argument, before any draw or pass,
+        # not 40 refused configurations or dihedral passes ending in
+        # "could not find a realizable configuration"
+        def no_pass(*args):
+            raise AssertionError("an action pass ran")
+
+        monkeypatch.setattr(action_module, "_gram", no_pass)
+        rng = np.random.default_rng(21)
+        state = rng.bit_generator.state
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name}: ") as info:
+            random_realizable_config(mesh2, rng, **kwargs)
+        assert type(info.value) is ValueError and str(value) in str(
+            info.value)
+        assert rng.bit_generator.state == state
+
+    def test_flat_and_negative_amplitudes_stay_valid(self, mesh2):
+        flat = random_realizable_config(mesh2, np.random.default_rng(22),
+                                        scale=0.0, max_deficit=1e-3)
+        s0 = euclidean_lengths(mesh2).squared_lengths
+        assert np.array_equal(flat.squared_lengths, s0)
+        cfg = random_realizable_config(mesh2, np.random.default_rng(22),
+                                       scale=-0.1)
+        r = np.random.default_rng(22).uniform(-1.0, 1.0, mesh2.num_edges)
+        assert np.array_equal(cfg.squared_lengths, s0 * (1.0 - 0.1 * r))
+
 
 class TestDeficits:
     def test_flat_background_zero(self, mesh2, mesh3):
@@ -575,15 +609,18 @@ class TestStarConstants:
                 axis=1))
             assert frame.prev.tolist() == list(range(-1, len(k) - 1))
             assert not any(a.flags.writeable for a in frame)
-        # the same frames stacked by valence, a unit axis for the stars
-        assert [(cls.dirs.tolist(), cls.ms.shape[-2])
-                for cls in mesh._star_classes] == [([0, 1, 3, 6], 6),
-                                                   ([2, 4, 5], 4)]
+        # the same frames stacked by valence, one direction a row, which
+        # the holonomy's passes gather star by star
+        assert [(cls.dirs.tolist(), cls.tangent.shape, cls.ms.shape,
+                 cls.ns.shape) for cls in mesh._star_classes] == [
+            ([0, 1, 3, 6], (4, 3), (4, 6, 3), (4, 6, 3)),
+            ([2, 4, 5], (3, 3), (3, 4, 3), (3, 4, 3))]
         for cls in mesh._star_classes:
+            assert not any(a.flags.writeable for a in cls)
             for j, d in enumerate(cls.dirs):
                 frame = mesh._star_frames[d]
                 for name in ("tangent", "ms", "ns"):
-                    assert np.array_equal(getattr(cls, name)[j, 0],
+                    assert np.array_equal(getattr(cls, name)[j],
                                           getattr(frame, name))
         for e in range(mesh.num_edges):
             tets = _edge_tets(mesh, e)
@@ -765,7 +802,8 @@ class TestActionExpansion:
         def no_pass(*args):
             raise AssertionError("an action pass ran")
 
-        monkeypatch.setattr(action_module, "_slab_actions", no_pass)
+        # every action pass forms its Gram matrices by _gram first
+        monkeypatch.setattr(action_module, "_gram", no_pass)
         up = ReggeField(np.random.default_rng(13).uniform(
             -1, 1, mesh2.num_edges))
         with warnings.catch_warnings():
@@ -903,6 +941,29 @@ class TestSchlafli:
         with pytest.raises(ValueError):
             schlafli_check(mesh2, euclidean_lengths(mesh2), np.ones(3))
 
+    @pytest.mark.parametrize("route, message", [
+        (lambda m, A: perturbed_lengths(
+            m, ReggeField(np.ones(m.num_edges - 1)), 0.1),
+         "edge count mismatch"),
+        (lambda m, A: second_variation_check(
+            m, ReggeField(np.ones(m.num_edges + 7)), [1e-2, 2e-2], A),
+         "edge count mismatch"),
+        (lambda m, A: schlafli_check(
+            m, EdgeLengthConfig(np.ones(m.num_edges - 7)),
+            np.zeros(m.num_edges)), "edge count mismatch"),
+        (lambda m, A: schlafli_check(
+            m, euclidean_lengths(m), np.zeros((2, m.num_edges // 2))),
+         "direction must have one entry per edge"),
+    ], ids=["perturbed_lengths", "second_variation_check",
+            "schlafli-config", "schlafli-2d-direction"])
+    def test_wrong_edge_count_refused(self, mesh2, pencil2, route, message):
+        # per-edge inputs of the wrong length or shape are refused before
+        # any arithmetic, not by numpy's broadcast error or a raveled
+        # (2, E/2) direction taken as E entries
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            route(mesh2, pencil2[0])
+        assert type(info.value) is ValueError
+
 
 # First 16 hex digits of the SHA-256 (golden.digest) of the action layer's
 # outputs on a seeded realizable configuration, recorded from the per-tet
@@ -1001,16 +1062,17 @@ class TestWholeMeshRoutes:
                 frame, metrics[tets], inv[tets]).tolist()
 
     @pytest.mark.parametrize("grid, passes", [
-        ((2, 2, 2), [(4, 8), (3, 8)]),
-        ((10, 10, 10), [(1, 341), (1, 341), (1, 318)] * 4
-         + [(1, 512), (1, 488)] * 3),
-    ], ids=str)
-    def test_vertex_chunks_equal_one_direction_pass(self, grid, passes,
-                                                    monkeypatch):
-        # at 10^3 one direction's stars (6000 and 4000 sector tets) exceed
-        # the budget of 2048, so each runs in vertex chunks of 341 stars
-        # (valence 6) or 512 (valence 4); the chunks give the one-direction
-        # kernel call bit for bit.  Grid 2 keeps one pass a class
+        ((2, 2, 2), [(32, 6), (24, 4)]),
+        ((10, 10, 10), [(341, 6)] * 11 + [(249, 6)] + [(512, 4)] * 5
+         + [(440, 4)]),
+    ], ids=["2^3", "10^3"])
+    def test_star_slabs_equal_one_direction_pass(self, grid, passes,
+                                                 monkeypatch):
+        # the stars of a valence class, direction by direction, run in
+        # slabs of 341 stars (valence 6) or 512 (valence 4), 2048 sector
+        # tets at most; at 10^3 a slab ends inside a direction's 1000
+        # stars, and the slabs give the one-direction kernel call bit for
+        # bit.  Grid 2 keeps one pass a class
         mesh = build_torus_mesh(TorusGeometry(1.0, 1.2, 0.9), grid)
         rng = np.random.default_rng(32)
         metrics = tet_metrics_from_lengths(mesh, random_realizable_config(
@@ -1019,8 +1081,7 @@ class TestWholeMeshRoutes:
         kernel, stacks = action_module._holonomy, []
 
         def counted(frames, *gathered):
-            assert gathered[0].shape[0] == 1  # one row
-            stacks.append(gathered[0].shape[1:3])
+            stacks.append(gathered[0].shape[:2])
             return kernel(frames, *gathered)
 
         monkeypatch.setattr(action_module, "_holonomy", counted)
@@ -1030,6 +1091,21 @@ class TestWholeMeshRoutes:
             tets = mesh._star_tets[d]
             assert np.array_equal(out[d::7], kernel(frame, metrics[tets],
                                                     inv[tets]))
+
+    @pytest.mark.parametrize("n, passes", [(2, 2), (6, 5), (16, 73)])
+    def test_passes_per_call(self, n, passes, monkeypatch):
+        # one valence class a pass up to 2048 sector tets: 28 V stars in
+        # slabs of 341 (valence 6) and 512 (valence 4)
+        mesh = build_torus_mesh(TorusGeometry(TAU, TAU, TAU), (n, n, n))
+        kernel, calls = action_module._holonomy, []
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(action_module, "_holonomy", counted)
+        holonomy_deficits(mesh, euclidean_lengths(mesh))
+        assert len(calls) == passes
 
     def test_holonomy_inverts_instead_of_solving(self, monkeypatch):
         # each tet metric is inverted once, not solved against once per
@@ -1060,22 +1136,26 @@ class TestRows:
     bit for bit, and a refused row raises what its own call raises."""
 
     @pytest.mark.parametrize("grid, splits", [
-        ((3, 3, 3), {"slabs": [7], "class": [3, 3, 1], "schedules":
-                     [12, 9]}),
-        ((4, 4, 4), {"slabs": [5, 2], "class": [1] * 7, "schedules":
-                     [5, 5, 5, 5, 1]}),
+        ((3, 3, 3), {"slabs": [7], "class": [[341, 341, 74]],
+                     "schedules": [12, 9]}),
+        ((4, 4, 4), {"slabs": [5, 2], "class": [[341, 341, 341, 257],
+                                                [341, 171]],
+                     "schedules": [5, 5, 5, 5, 1]}),
     ], ids=["3^3", "4^3"])
     def test_rows_equal_the_per_row_calls(self, grid, splits):
         # the rows split across slabs: 7 rows in slabs of T tets a row, the
-        # star passes of the valence-6 class (4 V stars of 6 tets a row)
-        # within them, and the 3 x 7 rows of three schedules
+        # star passes of the valence-6 class within each (4 V stars of 6
+        # tets a row, 341 stars a pass), and the 3 x 7 rows of three
+        # schedules
         mesh = build_torus_mesh(TorusGeometry(TAU, TAU, TAU), grid)
         T, V = mesh.num_tets, mesh.num_vertices
-        slabs = action_module._slabs
-        assert {"slabs": [len(range(7)[p]) for p in slabs(7, T)],
-                "class": [len(range(7)[p]) for p in slabs(7, 24 * V)],
-                "schedules": [len(range(21)[p]) for p in slabs(21, T)]
-                } == splits
+
+        def sizes(n, tets):
+            return [len(range(n)[p]) for p in action_module._slabs(n, tets)]
+
+        assert {"slabs": sizes(7, T),
+                "class": [sizes(4 * V * n, 6) for n in sizes(7, T)],
+                "schedules": sizes(21, T)} == splits
         rng = np.random.default_rng(42)
         cfgs = [random_realizable_config(mesh, rng, max_deficit=2.5)
                 for _ in range(7)]
@@ -1166,6 +1246,74 @@ class TestRows:
                 pytest.raises(RealizabilityError, match="not enough"):
             action_module._second_variation_rows(
                 mesh2, fields[::-1], [3e-2, 5.0], A)
+
+
+class TestAdmission:
+    """One admission rule for stacked rows that no ``EdgeLengthConfig``
+    has checked, ``_admitted``: the rule of ``EdgeLengthConfig``, then the
+    realizability guard, the first refused row first."""
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0],
+                             ids=["nan", "+inf", "-inf", "zero", "negative"])
+    def test_rows_refused_as_their_configs(self, mesh3, bad, row):
+        rng = np.random.default_rng(45)
+        S = np.stack([random_realizable_config(mesh3, rng).squared_lengths
+                      for _ in range(3)])
+        S[row, 11] = bad
+        with pytest.raises(RealizabilityError) as info:
+            EdgeLengthConfig(S[row])
+        errors = {row: str(info.value)}
+        # the same stack with a degenerate row before or after the refused
+        # one: the first refused row wins
+        for other in set(range(3)) - {row}:
+            T = S.copy()
+            T[other, mesh3.tet_edges[100, 0]] *= 60.0
+            with pytest.raises(RealizabilityError) as info:
+                deficit_angles(mesh3, EdgeLengthConfig(T[other]))
+            errors[other] = str(info.value)
+            for stack, refused in ((S, [row]), (T, sorted([row, other]))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(RealizabilityError) as info:
+                        action_module._dihedral_rows(mesh3, stack)
+                    rows, s, *_, got = action_module._admitted(mesh3, stack)
+                want = errors[refused[0]]
+                assert str(info.value) == want
+                assert got[0] == refused[0] and str(got[1]) == want
+                # what the eps schedule keeps of a slab
+                assert rows.tolist() == sorted(set(range(3)) - set(refused))
+                assert s.shape == (6, mesh3.num_tets, len(rows))
+
+    @pytest.mark.parametrize("eps", [0.25, 0.5], ids=["zero", "negative"])
+    def test_schedule_prunes_rows_the_rule_refuses(self, mesh2, pencil2,
+                                                   eps):
+        # the field takes one squared length to exactly 0 at eps 1/4, to
+        # -l^2 at 1/2; the other rows keep it at 0.96 l^2 or more
+        s0 = euclidean_lengths(mesh2).squared_lengths
+        c = np.zeros(mesh2.num_edges)
+        c[3] = -4.0 * s0[3]
+        with pytest.raises(RealizabilityError, match="must be positive"):
+            perturbed_lengths(mesh2, ReggeField(c), eps)
+        with pytest.warns(UserWarning, match="pruned") as record:
+            rep = second_variation_check(mesh2, ReggeField(c),
+                                         [1e-2, eps, 2e-2], pencil2[0])
+        assert not [w for w in record
+                    if issubclass(w.category, RuntimeWarning)]
+        assert rep.pruned == [eps] and rep.epsilons.tolist() == [1e-2, 2e-2]
+        assert rep.actions.tolist() == [
+            regge_action(mesh2, perturbed_lengths(mesh2, ReggeField(c), e))
+            for e in (1e-2, 2e-2)]
+
+    def test_schedule_of_a_nan_field_prunes_every_row(self, mesh2, pencil2):
+        c = np.zeros(mesh2.num_edges)
+        c[3] = np.nan
+        with pytest.warns(UserWarning, match="pruned") as record, \
+                pytest.raises(RealizabilityError, match="not enough"):
+            second_variation_check(mesh2, ReggeField(c), [1e-2, 2e-2],
+                                   pencil2[0])
+        assert [str(w.message) for w in record] == [
+            "pruned unrealizable epsilons: [0.01, 0.02]"]
 
 
 class TestPointGroupCovariance:

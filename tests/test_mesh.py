@@ -7,12 +7,14 @@ import pytest
 from conftest import edge_star, face_tables, lifted_points, per_edge
 from golden import digest
 from oracles import metric_dihedral_angles
-from reggefem import MeshError, ReggeField, TorusGeometry, apply_ctc, \
-    assemble_mass, assemble_stiffness, build_torus_mesh, holonomy_deficits, \
-    linearized_deficits, mesh_summary
+from reggefem import MeshError, ReggeField, TorusGeometry, action, \
+    apply_ctc, assemble_mass, assemble_stiffness, build_torus_mesh, \
+    holonomy_deficits, linearized_deficits, mesh_summary, saint_venant
+from reggefem import mesh as mesh_module
 from reggefem.action import euclidean_lengths, random_realizable_config, \
     tet_metrics_from_lengths
 from reggefem.mesh import _STARS, LOCAL_EDGES, _edge_tets, _star_faces
+from reggefem.saint_venant import stencil_operators
 
 TAU = 2.0 * np.pi
 
@@ -511,13 +513,15 @@ class TestShapeTemplates:
 
 def _arrays(mesh) -> dict:
     """Every ndarray the mesh holds, by attribute name (name[i] for the
-    entries of a list attribute, name[i].field for the fields of a named
-    tuple entry)."""
+    entries of a list or tuple attribute, name[i].field for the fields of
+    a named tuple entry)."""
     out = {}
     for name, value in vars(mesh).items():
-        items = value if isinstance(value, list) else [value]
+        listed = isinstance(value, (list, tuple)) \
+            and not hasattr(value, "_asdict")
+        items = value if listed else [value]
         for i, a in enumerate(items):
-            key = f"{name}[{i}]" if isinstance(value, list) else name
+            key = f"{name}[{i}]" if listed else name
             if hasattr(a, "_asdict"):
                 out.update({f"{key}.{field}": v
                             for field, v in a._asdict().items()})
@@ -565,6 +569,35 @@ class TestStorage:
         assert A.matrix.shape == (mesh.num_edges,) * 2
         assert vars(mesh).keys() == before.keys()
         assert all(vars(mesh)[k] is v for k, v in before.items())
+
+    def test_star_constants_built_once_per_torus(self, monkeypatch):
+        # on cleared caches, two meshes of one torus and its operators A,
+        # M and J read one build of the templates and star frames: the
+        # meshes share every template array, frames and classes included
+        for cache in (mesh_module._box_templates,
+                      saint_venant._operator_blocks,
+                      action._linearized_blocks):
+            cache.cache_clear()
+        built, constants = [], mesh_module._star_constants
+
+        def counted(*args):
+            built.append(1)
+            return constants(*args)
+
+        monkeypatch.setattr(mesh_module, "_star_constants", counted)
+        geometry = TorusGeometry(TAU, 2.5 * np.pi, 3.0 * np.pi)
+        first, second = (build_torus_mesh(geometry, (4, 5, 6))
+                         for _ in range(2))
+        stencil_operators(geometry, (4, 5, 6))
+        action._linearized_blocks(geometry, (4, 5, 6))
+        assert len(built) == 1
+        t = mesh_module._box_templates(geometry, (4, 5, 6))
+        assert {"tet_rho", "face_m", "_star_frames", "_star_classes"} <= \
+            t.keys()
+        assert all(vars(first)[k] is vars(second)[k] is v
+                   for k, v in t.items())
+        with pytest.raises(TypeError):
+            t["cell"] = None
 
 
 class TestQueries:
