@@ -34,7 +34,7 @@ that ``tet_metrics_from_lengths`` builds from them; and
 against half the edge jump ``apply_ctc``, the matvec of A from the face
 terms.  Per edge, ``deficit_angles`` equals the star-local
 ``deficit_angle_dihedral`` exactly.  The holonomy runs each valence class
-of edge stars in passes of 2048 sector tets, not one per edge direction.
+of edge stars in passes of at most 2048 sector tets, not per direction.
 
 Nor do a run's passes multiply by a suite's random draws or its seven
 eps values.  The dual-path, second-variation and Schlafli suites each
