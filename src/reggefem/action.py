@@ -38,17 +38,18 @@ is linear and translation invariant, a ``BlockCirculant`` J of 27 blocks
 as A is, and ``linearized_deficits`` is J c, on blocks that
 ``_linearized_blocks`` builds from the star templates once per torus.
 
-Every nonlinear whole-mesh route takes a leading rows axis, one
-configuration a row, and each public one-configuration function is its
-one-row case: ``deficit_angles`` of ``_dihedral_rows``,
-``holonomy_deficits`` of ``_holonomy_rows``, ``schlafli_check`` of
-``_schlafli_rows`` and ``second_variation_check`` of
-``_second_variation_rows``, through which ``verify`` runs a suite's
-random draws as the rows of one pass.  A pass holds as many rows as fit
+Every nonlinear whole-mesh route has a form with a leading rows axis,
+one configuration a row, through which ``verify`` runs a suite's random
+draws as the rows of one pass: ``_dihedral_rows`` and ``_holonomy_rows``
+of ``deficit_angles`` and ``holonomy_deficits``, ``_schlafli_rows`` of
+``schlafli_check`` and ``_second_variation_rows`` of
+``second_variation_check``.  A pass holds as many rows as fit
 ``_SLAB_TETS`` tets, one at least, and each row equals its own call bit
-for bit.  Unchecked rows pass one admission check, ``_admitted``, which
-``EdgeLengthConfig``'s rule and the realizability guard make.  A refused
-row raises what its own call raises, the first such row first;
+for bit.  A stacked pass only decides which rows ``EdgeLengthConfig``'s
+rule and the realizability guard accept (``_admitted``); errors are
+raised by the one-configuration calls alone.  A slab with a refused row
+runs its rows again one at a time through their own calls, so the first
+refused row raises what its own call raises;
 ``second_variation_check`` prunes such an eps row instead, with a
 warning per direction.
 
@@ -59,15 +60,14 @@ direction, vertex) stars cut into passes of ``_SLAB_TETS`` sector tets,
 and by ``deficit_angle_holonomy`` on the one star of
 ``build_edge_sector``.  A star runs in the order of its template
 ``mesh._STARS[d]``, with the constant frames of ``mesh._star_frames[d]``
-of the torus; only its sector tets are
-read per edge, and a face id is formed only to name a torn face in an
-error.  ``verify`` checks the route against ``deficit_angles``, so the
-two share no code but the realizability guard.  ``holonomy_deficits``
-forms its metrics from the lengths (``tet_metrics_from_lengths``), which
-agree tangentially across every face by construction, so only
-``build_edge_sector``, which takes metrics from its caller, tests each
-star face for a tangential jump and each sector metric for a Cholesky
-factor.
+of the torus; only its sector tets are read per edge, and a face id is
+formed only to name a torn face in an error.  ``verify`` checks the
+route against ``deficit_angles``, so the two share no code but the
+realizability guard.  The metrics of ``holonomy_deficits`` come from the
+lengths and agree tangentially across every face by construction, so
+only ``build_edge_sector``, which takes metrics from its caller, tests
+each star face for a tangential jump and each sector metric for a
+Cholesky factor.
 """
 
 from __future__ import annotations
@@ -158,17 +158,10 @@ class RealizabilityError(ValueError):
     """Edge lengths do not embed a tet as a nondegenerate Euclidean simplex."""
 
 
-def _length_rule(S: np.ndarray):
+def _length_rule(S: np.ndarray) -> np.ndarray:
     """Whether each row of squared lengths S (..., E) is finite and
-    positive, and None or the RealizabilityError of the first that is
-    not: the rule of ``EdgeLengthConfig``."""
-    finite = np.isfinite(S).all(axis=-1)
-    ok = finite & (S > 0).all(axis=-1)
-    if ok.all():
-        return ok, None
-    first = finite.ravel()[np.argmin(ok.ravel())]
-    return ok, RealizabilityError(
-        f"squared lengths must be {'positive' if first else 'finite'}")
+    positive: the rule of ``EdgeLengthConfig``."""
+    return np.isfinite(S).all(axis=-1) & (S > 0).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -192,9 +185,9 @@ class EdgeLengthConfig:
         s = np.array(s, dtype=float)
         s.setflags(write=False)
         object.__setattr__(self, "squared_lengths", s)
-        refused = _length_rule(s)[1]
-        if refused is not None:
-            raise refused
+        if not _length_rule(s):
+            raise RealizabilityError("squared lengths must be " + (
+                "positive" if np.isfinite(s).all() else "finite"))
 
     @property
     def lengths(self) -> np.ndarray:
@@ -274,14 +267,11 @@ def _gram(mesh: PeriodicMesh, S: np.ndarray, tets=None):
 
     S holds the squared lengths (E,) of one configuration, or (r, E) of r
     stacked on a leading rows axis, each accepted by ``_length_rule``.
-    Returns ``s, adj, det, refused``: the squared lengths s (6, T) or (6,
-    T, r) of the given tets (all by default), ``_gram_adjugate`` of them,
-    and None, or when the guard refuses a tet, whether it accepts each
-    row and the first refused row's RealizabilityError, tagged with the
-    row's first offending tet: Cayley-Menger determinant 8 det G below the
-    relative guard, or else G not positive definite.  Both guards are one
-    boolean test; the offender is searched for only when it fails.
-    Raises ValueError on an edge count mismatch.
+    Returns ``s, adj, det, flat, realizable``: the squared lengths s (6,
+    T) or (6, T, r) of the given tets (all by default), ``_gram_adjugate``
+    of them, and the verdicts (T,) or (T, r) of the guard on each tet:
+    Cayley-Menger determinant 8 det G above the relative guard, and that
+    and G positive definite.  Raises ValueError on an edge count mismatch.
     """
     if S.shape[-1] != mesh.num_edges:
         raise ValueError("edge count mismatch")
@@ -295,63 +285,45 @@ def _gram(mesh: PeriodicMesh, S: np.ndarray, tets=None):
     flat = cm > CM_DET_RTOL * s.max(axis=0) ** 3
     # Sylvester: with g00 = s_01 > 0 and det G > 0, G is positive definite
     # exactly when its leading 2x2 minor g00 g11 - g01^2 = adj[2] is
-    realizable = flat & (adj[2] > 0)
-    if realizable.all():
-        return s, adj, det, None
-    cm, flat, realizable = (a.reshape(len(edges), -1)
-                            for a in (cm, flat, realizable))
-    ok = realizable.all(axis=0)
-    row = np.argmin(ok)
-    degenerate = np.flatnonzero(~flat[:, row])
-    t = (degenerate if degenerate.size
-         else np.flatnonzero(~realizable[:, row]))[0]
-    tet = int(t if tets is None else tets[t])
-    if degenerate.size:
-        return s, adj, det, (ok, RealizabilityError(
-            f"tet {tet}: degenerate edge lengths "
-            f"(Cayley-Menger determinant {cm[t, row]:.3e})"))
-    return s, adj, det, (ok, RealizabilityError(
-        f"tet {tet}: metric not positive definite"))
+    return s, adj, det, flat, flat & (adj[2] > 0)
 
 
 def _checked_gram(mesh: PeriodicMesh, config: EdgeLengthConfig,
-                  tets=None) -> list:
-    """``s, adj, det`` of ``_gram`` for one configuration; raises the
-    guard's error."""
-    *gram, refused = _gram(mesh, config.squared_lengths, tets)
-    if refused is not None:
-        raise refused[1]
-    return gram
+                  tets=None) -> tuple:
+    """``s, adj, det`` of ``_gram`` for one configuration.  Raises
+    RealizabilityError tagged with its first degenerate tet, or else its
+    first tet whose metric is not positive definite; the offender is
+    searched for only when the one boolean test of both verdicts fails."""
+    s, adj, det, flat, realizable = _gram(mesh, config.squared_lengths,
+                                          tets)
+    if realizable.all():
+        return s, adj, det
+    degenerate = np.flatnonzero(~flat)
+    t = (degenerate if degenerate.size else np.flatnonzero(~realizable))[0]
+    tet = int(t if tets is None else tets[t])
+    if degenerate.size:
+        raise RealizabilityError(
+            f"tet {tet}: degenerate edge lengths "
+            f"(Cayley-Menger determinant {8.0 * det[t]:.3e})")
+    raise RealizabilityError(f"tet {tet}: metric not positive definite")
 
 
 def _admitted(mesh: PeriodicMesh, S: np.ndarray) -> list:
     """The rows of squared lengths S (r, E), which no ``EdgeLengthConfig``
     has checked, that its rule and the realizability guard accept:
-    ``rows, s, adj, det, refused``, the positions of the accepted rows,
-    ``_gram`` of them, and None, or the first refused row and the
-    RealizabilityError that its own config or call raises.  A row that
-    the rule refuses forms no Gram matrix."""
-    ok, error = _length_rule(S)
-    rows = np.flatnonzero(ok)
-    refused = None if error is None else (int(np.argmin(ok)), error)
-    *gram, guard = _gram(mesh, S if error is None else S[rows])
-    if guard is not None:
-        row = int(rows[np.argmin(guard[0])])
-        if refused is None or row < refused[0]:
-            refused = row, guard[1]
-        rows, *gram = rows[guard[0]], *(a[..., guard[0]] for a in gram)
-    return [rows, *gram, refused]
+    ``rows, s, adj, det``, their positions and ``_gram`` of them.  A row
+    that the rule refuses forms no Gram matrix."""
+    rows = np.flatnonzero(_length_rule(S))
+    *gram, _, realizable = _gram(mesh, S[rows])
+    ok = realizable.all(axis=0)
+    return [rows[ok], *(a[..., ok] for a in gram)]
 
 
 def tet_metrics_from_lengths(mesh: PeriodicMesh,
                              config: EdgeLengthConfig) -> np.ndarray:
     """Constant metric per tet (T, 3, 3): the Regge field whose
     coefficients are the squared edge lengths (the edge DOFs are unisolvent
-    on constants).
-
-    Raises RealizabilityError (tagged with the first offending tet) when a
-    tet is not realizable: Cayley-Menger determinant below the relative
-    guard, or metric not positive definite.
+    on constants).  Raises the RealizabilityError of ``_checked_gram``.
     """
     _checked_gram(mesh, config)
     return regge_to_tet_matrices(mesh, ReggeField(config.squared_lengths))
@@ -428,15 +400,15 @@ def deficit_angles(mesh: PeriodicMesh, config: EdgeLengthConfig) -> np.ndarray:
 def _dihedral_rows(mesh: PeriodicMesh, S: np.ndarray) -> list:
     """``deficit_angles`` of the configurations in the rows of S (r, E),
     each bit for bit, in stacked passes of as many rows as fit
-    ``_SLAB_TETS`` tets.  Raises, for the first row that
-    ``EdgeLengthConfig`` or the guard refuses, what that row's own config
-    and call raise."""
+    ``_SLAB_TETS`` tets.  A slab with a row that ``_admitted`` refuses
+    runs its rows again one at a time, each through
+    ``deficit_angles(mesh, EdgeLengthConfig(row))``, so the first refused
+    row raises what its own config and call raise."""
     out = []
     for part in _slabs(len(S), mesh.num_tets):
-        _, *gram, refused = _admitted(mesh, S[part])
-        if refused is not None:
-            raise refused[1]
-        out += _deficit_rows(mesh, *gram)
+        rows, *gram = _admitted(mesh, S[part])
+        out += (_deficit_rows(mesh, *gram) if len(rows) == len(S[part]) else
+                [deficit_angles(mesh, EdgeLengthConfig(r)) for r in S[part]])
     return out
 
 
@@ -477,9 +449,12 @@ class EdgeSector:
 
 def build_edge_sector(mesh: PeriodicMesh, e: int,
                       tet_metrics: np.ndarray) -> EdgeSector:
-    """Assemble the sector data of edge e from per-tet constant metrics;
-    RealizabilityError when they jump tangentially across a star face or
-    one is not positive definite."""
+    """Assemble the sector data of edge e from per-tet constant metrics
+    (T, 3, 3); RealizabilityError when they jump tangentially across a
+    star face or one is not positive definite."""
+    if np.shape(tet_metrics) != (mesh.num_tets, 3, 3):
+        raise ValueError(f"tet_metrics: need shape ({mesh.num_tets}, 3, 3),"
+                         f" got {np.shape(tet_metrics)}")
     frame = mesh._star_frames[e % 7]
     mats = tet_metrics[_edge_tets(mesh, e)]
     scale = max(np.abs(mats).max(), 1.0)
@@ -590,40 +565,37 @@ def holonomy_deficits(mesh: PeriodicMesh,
                       config: EdgeLengthConfig) -> np.ndarray:
     """Holonomy deficit angle of every edge, shape (E,): entry e is
     ``deficit_angle_holonomy(build_edge_sector(mesh, e, metrics))`` for
-    the metrics of ``tet_metrics_from_lengths``.  The one row of
-    ``_holonomy_rows``."""
-    return _holonomy_rows(mesh, config.squared_lengths[None])[0]
+    the metrics of ``tet_metrics_from_lengths``, bit for bit.  The
+    lengths pass the guard of ``deficit_angles``; one batched Cholesky
+    test of their float metrics (the guard judges the Gram matrices
+    polarized from the lengths, not these) precedes one inverse of all,
+    from which each star gathers its own."""
+    _checked_gram(mesh, config)
+    metrics = _tet_matrices(mesh, config.squared_lengths[None])
+    bent = _first_not_positive_definite(metrics[0])
+    if bent >= 0:
+        raise RealizabilityError(f"tet {bent}: metric not positive definite")
+    return _by_valence(mesh, metrics, np.linalg.inv(metrics))[0]
 
 
 def _holonomy_rows(mesh: PeriodicMesh, S: np.ndarray) -> np.ndarray:
     """``holonomy_deficits`` of the configurations in the rows of S (r,
-    E), each accepted by ``EdgeLengthConfig``, shape (r, E), each row bit
-    for bit.
-
-    The rows run in slabs of as many as fit ``_SLAB_TETS`` tets, so the
-    memory of a pass does not grow with the rows.  The metrics of a slab
-    pass the realizability guard of ``deficit_angles``, one for all its
-    rows, and agree tangentially across every face by construction, so no
-    star is checked again.  One batched Cholesky test confirms that each
-    float metric about to be inverted is positive definite (the guard
-    judges the Gram matrix polarized from the lengths, not this one);
-    then all are inverted in one call and each star gathers its inverses,
-    bit for bit those of the per-edge route.  A refused row raises what
-    its own call raises: the rows before the first one the guard refuses
-    are tested for a Cholesky factor first.
-    """
+    E), shape (r, E), each bit for bit, in slabs of as many rows as fit
+    ``_SLAB_TETS`` tets.  A slab whose rows ``_admitted`` accepts and
+    whose metrics all have a Cholesky factor is one pass; any other runs
+    its rows again one at a time, each through ``holonomy_deficits(mesh,
+    EdgeLengthConfig(row))``, so the first refused row raises what its
+    own config and call raise."""
     out = np.empty(S.shape)
     for part in _slabs(len(S), mesh.num_tets):
-        refused = _admitted(mesh, S[part])[-1]
-        rows = S[part][:None if refused is None else refused[0]]
-        metrics = _tet_matrices(mesh, rows)
-        bent = _first_not_positive_definite(metrics.reshape(-1, 3, 3))
-        if bent >= 0:
-            raise RealizabilityError(f"tet {bent % mesh.num_tets}: metric "
-                                     "not positive definite")
-        if refused is not None:
-            raise refused[1]
-        out[part] = _by_valence(mesh, metrics, np.linalg.inv(metrics))
+        if len(_admitted(mesh, S[part])[0]) == len(S[part]):
+            metrics = _tet_matrices(mesh, S[part])
+            if _first_not_positive_definite(metrics) < 0:
+                out[part] = _by_valence(mesh, metrics,
+                                        np.linalg.inv(metrics))
+                continue
+        out[part] = [holonomy_deficits(mesh, EdgeLengthConfig(row))
+                     for row in S[part]]
     return out
 
 
@@ -695,6 +667,8 @@ def schlafli_check(mesh: PeriodicMesh, config: EdgeLengthConfig,
     direction = np.asarray(direction, float)
     if direction.shape != (mesh.num_edges,):
         raise ValueError("direction must have one entry per edge")
+    if not (np.isfinite(step) and step != 0):
+        raise ValueError(f"step: need a finite nonzero step, got {step}")
     return _schlafli_rows(mesh, [config], [direction], step)[0][0]
 
 
@@ -796,6 +770,8 @@ def _second_variation_rows(mesh: PeriodicMesh, coeffs: np.ndarray,
     and logs, or raises, as its own call does, in direction order."""
     if coeffs.shape[-1] != mesh.num_edges:
         raise ValueError("edge count mismatch")
+    if not np.isfinite(coeffs).all():
+        raise ValueError("u_prime: need finite coefficients")
     eps_all = np.array([float(e) for e in epsilons])
     distinct = len(np.unique(eps_all)) == len(eps_all) > 1
     if not (distinct and np.isfinite(eps_all).all() and eps_all.min() > 0):
@@ -809,7 +785,7 @@ def _second_variation_rows(mesh: PeriodicMesh, coeffs: np.ndarray,
     for part in _slabs(k * n, mesh.num_tets):
         # each row the squared lengths of perturbed_lengths, unchecked
         S = s0 + coeffs[which[part]] * eps_rows[part, None]
-        rows, *gram, _ = _admitted(mesh, S)
+        rows, *gram = _admitted(mesh, S)
         if rows.size:  # the actions of regge_action, bit for bit
             actions[rows + part.start] = [
                 np.sum(t * l) for t, l in zip(_deficit_rows(mesh, *gram),

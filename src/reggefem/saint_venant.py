@@ -20,13 +20,13 @@ symbols over half the Brillouin zone, the symmetry residual, the matvec
 ``A @ c`` and ``constant_kernel_residual``; ``_fold`` sums blocks onto
 their shifts' residues mod grid, as the E x E matrix holds them, for the
 symmetry residual and ``verify``'s D^T A.  Only the E x E outputs,
-``.matrix``, ``nnz`` and ``write_coo``, need to know where the entries
-sit, which depends on the grid alone: the 115 structural couplings (the
-edge pairs that share a tet), folded mod grid.  ``_pattern`` builds that
+``.matrix`` and ``write_coo``, need to know where the entries sit, which
+depends on the grid alone: the 115 structural couplings (the edge pairs
+that share a tet), folded mod grid.  ``_pattern`` builds that
 sparsity once per grid and keeps the last one: the block entry of each
 entry of the first block row, its expansion to E x E, and the index texts
 of the rows.  ``.matrix`` repeats the 115 block values along the
-expansion only when read, ``nnz`` is the expansion's length, and
+expansion only when read, ``nnz`` is 115 per vertex, and
 ``write_coo`` formats the 115 values once and streams the lines in slabs.
 The matvec gathers the values at the 27 neighbours of every vertex by
 ``_neighbours``, a (V, 27) table of the grid kept like ``_pattern``; and
@@ -270,7 +270,7 @@ class BlockCirculant:
         """Stored entries of ``matrix``: the expansion repeats each entry
         of the first block row once per vertex, and neither drops nor
         merges any."""
-        return len(_pattern(self.grid).src)
+        return len(_couplings()) * int(np.prod(self.grid))
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:

@@ -441,6 +441,8 @@ def divergence_x2(mesh: PeriodicMesh, u: EdgeMeasure) -> VertexVectorMeasure:
     div(t_e t_e^T delta_e) = t_e (delta_head - delta_tail); coefficients
     accumulate +- u_e t_e at the edge endpoints.
     """
+    if len(u.coeffs) != mesh.num_edges:
+        raise ValueError("edge count mismatch")
     out = np.zeros((mesh.num_vertices, 3))
     flow = (u.coeffs.reshape(-1, 7, 1) * mesh.edge_tangent).reshape(-1, 3)
     np.add.at(out, mesh.edge_head, flow)
@@ -478,5 +480,7 @@ def pair_x2_x1(mesh: PeriodicMesh, em: EdgeMeasure, rf: ReggeField) -> float:
     <t_e t_e^T delta_e, rho_e'> = delta_ee' / l_e, so the pairing is
     sum_e em_e c_e / l_e.
     """
+    if not len(em.coeffs) == len(rf.coeffs) == mesh.num_edges:
+        raise ValueError("edge count mismatch")
     lengths = np.tile(mesh.edge_length, mesh.num_vertices)
     return float(np.sum(em.coeffs * rf.coeffs / lengths))

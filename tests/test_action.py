@@ -491,6 +491,14 @@ class TestDeficits:
                 "^edge 9, sector 0: metric not positive definite$")):
             build_edge_sector(mesh2, 9, mats)
 
+    def test_sector_refuses_other_metric_shapes(self, mesh2):
+        # not an IndexError, nor a longer array read in part
+        T = mesh2.num_tets
+        for shape in ((10, 3, 3), (2 * T, 3, 3), (T, 9), (T, 3, 3, 1)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"tet_metrics: need shape ({T}, 3, 3), got {shape}")):
+                build_edge_sector(mesh2, 0, np.ones(shape))
+
     def test_sector_tt_continuity_enforced(self, mesh2):
         rng = np.random.default_rng(5)
         mats = np.array([np.eye(3) + 0.2 * rng.uniform(-1, 1, (3, 3))
@@ -937,6 +945,21 @@ class TestSchlafli:
         fd = (act(step) - act(-step)) / (2 * step)
         assert abs(fd - theta[e]) < 1e-7
 
+    @pytest.mark.parametrize("step", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_step_must_be_finite_and_nonzero(self, mesh2, step,
+                                             monkeypatch):
+        # a ValueError before any pass, not a ZeroDivisionError or
+        # "squared lengths must be finite"
+        def no_pass(*args):
+            raise AssertionError("an action pass ran")
+
+        monkeypatch.setattr(action_module, "_gram", no_pass)
+        with pytest.raises(ValueError, match=re.escape(
+                f"step: need a finite nonzero step, got {step}")) as info:
+            schlafli_check(mesh2, euclidean_lengths(mesh2),
+                           np.zeros(mesh2.num_edges), step)
+        assert type(info.value) is ValueError
+
     def test_direction_length_validated(self, mesh2):
         with pytest.raises(ValueError):
             schlafli_check(mesh2, euclidean_lengths(mesh2), np.ones(3))
@@ -1224,6 +1247,41 @@ class TestRows:
             action_module._holonomy_rows(
                 mesh2, np.stack([cfg.squared_lengths, bad]))
 
+    @pytest.mark.parametrize("bad", ["degenerate", "negative"])
+    def test_refused_row_in_a_later_slab(self, bad, monkeypatch):
+        # 7 rows at 4^3 run in slabs of 5 and 2, and row 6 is refused: the
+        # first slab runs stacked, the second again row by row through the
+        # rows' own calls, where row 5's returns and row 6's raises
+        mesh = build_torus_mesh(TorusGeometry(TAU, TAU, TAU), (4, 4, 4))
+        assert [len(range(7)[p]) for p in action_module._slabs(
+            7, mesh.num_tets)] == [5, 2]
+        rng = np.random.default_rng(46)
+        S = np.stack([random_realizable_config(
+            mesh, rng, max_deficit=2.5).squared_lengths for _ in range(7)])
+        if bad == "degenerate":
+            S[6, mesh.tet_edges[100, 0]] *= 60.0
+        else:
+            S[6, 5] = -1.0
+        with pytest.raises(RealizabilityError) as info:
+            deficit_angles(mesh, EdgeLengthConfig(S[6]))
+        message = f"^{re.escape(str(info.value))}$"
+        for rows_form, name in ((action_module._dihedral_rows,
+                                 "deficit_angles"),
+                                (action_module._holonomy_rows,
+                                 "holonomy_deficits")):
+            calls = []
+
+            def spied(mesh, config, _call=getattr(action_module, name)):
+                calls.append(config.squared_lengths)
+                return _call(mesh, config)
+
+            monkeypatch.setattr(action_module, name, spied)
+            with pytest.raises(RealizabilityError, match=message):
+                rows_form(mesh, S)
+            # a negative length is refused by the config, before the call
+            assert np.array_equal(calls, S[5:7] if bad == "degenerate"
+                                  else S[5:6])
+
     def test_each_direction_prunes_and_warns_in_order(self, mesh2, pencil2,
                                                       caplog):
         A, _ = pencil2
@@ -1249,9 +1307,10 @@ class TestRows:
 
 
 class TestAdmission:
-    """One admission rule for stacked rows that no ``EdgeLengthConfig``
+    """One admission verdict for stacked rows that no ``EdgeLengthConfig``
     has checked, ``_admitted``: the rule of ``EdgeLengthConfig``, then the
-    realizability guard, the first refused row first."""
+    realizability guard.  A stacked pass raises the first refused row's
+    own error."""
 
     @pytest.mark.parametrize("row", [0, 1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0],
@@ -1277,10 +1336,8 @@ class TestAdmission:
                     warnings.simplefilter("error")
                     with pytest.raises(RealizabilityError) as info:
                         action_module._dihedral_rows(mesh3, stack)
-                    rows, s, *_, got = action_module._admitted(mesh3, stack)
-                want = errors[refused[0]]
-                assert str(info.value) == want
-                assert got[0] == refused[0] and str(got[1]) == want
+                    rows, s, *_ = action_module._admitted(mesh3, stack)
+                assert str(info.value) == errors[refused[0]]
                 # what the eps schedule keeps of a slab
                 assert rows.tolist() == sorted(set(range(3)) - set(refused))
                 assert s.shape == (6, mesh3.num_tets, len(rows))
@@ -1305,15 +1362,25 @@ class TestAdmission:
             regge_action(mesh2, perturbed_lengths(mesh2, ReggeField(c), e))
             for e in (1e-2, 2e-2)]
 
-    def test_schedule_of_a_nan_field_prunes_every_row(self, mesh2, pencil2):
-        c = np.zeros(mesh2.num_edges)
-        c[3] = np.nan
-        with pytest.warns(UserWarning, match="pruned") as record, \
-                pytest.raises(RealizabilityError, match="not enough"):
-            second_variation_check(mesh2, ReggeField(c), [1e-2, 2e-2],
-                                   pencil2[0])
-        assert [str(w.message) for w in record] == [
-            "pruned unrealizable epsilons: [0.01, 0.02]"]
+    def test_schedule_of_a_non_finite_field_refused(self, mesh2, pencil2,
+                                                    monkeypatch):
+        # a ValueError before any pass, not a RuntimeWarning from the
+        # target c'Ac and every eps pruned into "not enough realizable
+        # epsilon values"
+        def no_pass(*args):
+            raise AssertionError("an action pass ran")
+
+        monkeypatch.setattr(action_module, "_gram", no_pass)
+        for bad in (np.nan, np.inf, -np.inf):
+            c = np.zeros(mesh2.num_edges)
+            c[3] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=(
+                        "^u_prime: need finite coefficients$")) as info:
+                    second_variation_check(mesh2, ReggeField(c),
+                                           [1e-2, 2e-2], pencil2[0])
+            assert type(info.value) is ValueError
 
 
 class TestPointGroupCovariance:

@@ -167,6 +167,13 @@ class TestInterpolators:
             rhs = dof_mu_e(mesh2, e, wh) / mesh2.edge_length[e % 7]
             assert abs(lhs - rhs) < 1e-12
 
+    def test_pairing_refuses_a_wrong_edge_count(self, mesh2):
+        # a length-1 field is refused, not broadcast over every edge
+        ones = np.ones(mesh2.num_edges)
+        for em, rf in ((ones, [1.0]), ([1.0], ones), (ones[1:], ones[1:])):
+            with pytest.raises(ValueError, match="^edge count mismatch$"):
+                pair_x2_x1(mesh2, EdgeMeasure(em), ReggeField(rf))
+
     def test_interpolate_3_constant(self, mesh3):
         c = np.array([1.0, -2.0, 0.5])
         out = interpolate_3(mesh3, constant_vector_field(c, quad_points=4))
@@ -482,6 +489,11 @@ class TestDivergence:
         via_d = deformation_matrix(mesh3).T @ (
             w / per_edge(mesh3, mesh3.edge_length))
         assert np.abs(div - via_d).max() <= 1e-13 * np.abs(div).max()
+
+    def test_short_measure_refused(self, mesh2):
+        # not numpy's "not broadcastable" error
+        with pytest.raises(ValueError, match="^edge count mismatch$"):
+            divergence_x2(mesh2, EdgeMeasure(np.ones(mesh2.num_edges - 7)))
 
     def test_zero_in_zero_out(self, mesh2):
         out = divergence_x2(mesh2, EdgeMeasure(np.zeros(mesh2.num_edges)))

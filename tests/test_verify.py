@@ -3,6 +3,8 @@ random draws as stacked rows: their results equal those of the suites
 run one draw at a time, and the number of action passes they make is
 pinned."""
 
+import traceback
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,29 @@ def test_one_pass_per_suite_at_grid_2(monkeypatch):
     assert passes(monkeypatch, (2, 2, 2), runs=2) == [
         {"_deficit_rows": 10, "_holonomy": 2, "_linearized": 7},
         {"_deficit_rows": 10, "_holonomy": 2}]
+
+
+def test_a_clean_run_runs_no_row_again(monkeypatch):
+    # every slab of the 2^3 run is admitted whole, so the rows forms never
+    # run a row again through its own deficit_angles or holonomy_deficits
+    # (random_realizable_config calls deficit_angles itself)
+    again = []
+    for name in ("deficit_angles", "holonomy_deficits"):
+        def spied(*args, _call=getattr(action, name), _name=name):
+            callers = {f.name for f in traceback.extract_stack()}
+            if callers & {"_dihedral_rows", "_holonomy_rows"}:
+                again.append(_name)
+            return _call(*args)
+
+        monkeypatch.setattr(action, name, spied)
+    run_verification(TorusGeometry(TAU, TAU, TAU), (2, 2, 2), 0)
+    assert again == []
+    # the spies do see a row run again
+    mesh = build_torus_mesh(TorusGeometry(TAU, TAU, TAU), (2, 2, 2))
+    s = action.euclidean_lengths(mesh).squared_lengths
+    with pytest.raises(action.RealizabilityError):
+        action._holonomy_rows(mesh, np.stack([s, -s]))
+    assert again == ["holonomy_deficits"]
 
 
 def test_a_row_fills_a_slab_at_grid_6(monkeypatch):
