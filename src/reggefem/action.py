@@ -667,6 +667,8 @@ def schlafli_check(mesh: PeriodicMesh, config: EdgeLengthConfig,
     direction = np.asarray(direction, float)
     if direction.shape != (mesh.num_edges,):
         raise ValueError("direction must have one entry per edge")
+    if not np.isfinite(direction).all():
+        raise ValueError("direction: need finite entries")
     if not (np.isfinite(step) and step != 0):
         raise ValueError(f"step: need a finite nonzero step, got {step}")
     return _schlafli_rows(mesh, [config], [direction], step)[0][0]

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._roundoff import FACE_TERMS, TET_TERMS, sum_rtol
 from .mesh import TorusGeometry
 from .saint_venant import _axis_permutations, stencil_operators
 from .spaces import skew
@@ -73,13 +74,14 @@ KERNEL_THRESHOLD_FACTOR = 1e-8
 
 # an axis permutation is a symmetry of the pencil when it maps every
 # structural coupling of A and of M onto one of the same value to within
-# this fraction of the operator's max|B|.  Measured defects of the blocks
-# of ``stencil_operators`` under the permutations that hold: at most
-# 2.0e-16 on the 2 pi cube, the unit cube, 2x3x2 of sides (2 pi, 2.5 pi,
-# 2 pi) and (0.7, 1.3, 0.7) (axes 1 and 3), and 2.6e-16 on (1, 1, 1 +
-# 1e-7) (axes 1 and 2).  There the four permutations that move axis 3 keep
-# A within 6.6e-16 but M only within 2.4e-7, so both operators are checked
-_SYMMETRY_RTOL = 8 * np.finfo(float).eps
+# the roundoff of a sum of its face or tet terms, of max|B|.  Measured
+# defects of the blocks of ``stencil_operators`` under the permutations
+# that hold: at most 2.0e-16 on the 2 pi cube, the unit cube, 2x3x2 of
+# sides (2 pi, 2.5 pi, 2 pi) and (0.7, 1.3, 0.7) (axes 1 and 3), and
+# 2.6e-16 on (1, 1, 1 + 1e-7) (axes 1 and 2).  There the four permutations
+# that move axis 3 keep A within 6.6e-16 but M only within 2.4e-7, so
+# both operators are checked
+_SYMMETRY_RTOL = np.array([[sum_rtol(FACE_TERMS)], [sum_rtol(TET_TERMS)]])
 
 # half-zone Bloch blocks per slab of the solve: a slab holds the symbols
 # of A and M on its blocks and about eight complex (solved, 7, 7) arrays

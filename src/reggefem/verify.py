@@ -2,9 +2,9 @@
 
 Each suite returns CheckResult entries with a pass flag and a one-line
 detail; ``run_verification`` bundles them for a mesh/seed.  Tolerances are
-the acceptance tolerances, and the random sample counts are fixed: 10 for
-the complex identities, 3 for the dual-path, second-variation and
-Schlafli suites.
+``_roundoff``'s for the five linear checks, else the acceptance ones, and
+the random sample counts are fixed: 10 for the complex identities, 3 for
+the dual-path, second-variation and Schlafli suites.
 
 No suite expands an E x E or E x 3V matrix or builds a sparsity pattern.
 The complex identities read the 27 blocks of the stiffness operator A:
@@ -56,9 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import _dihedral_rows, _holonomy_rows, _schlafli_rows, \
-    _second_variation_rows, euclidean_lengths, linearized_deficits, \
-    random_realizable_config
+from ._roundoff import FACE_TERMS, ROW_COUPLINGS, matvec_rtol, sum_rtol
+from .action import _dihedral_rows, _holonomy_rows, _linearized_blocks, \
+    _schlafli_rows, _second_variation_rows, euclidean_lengths, \
+    linearized_deficits, random_realizable_config
 from .mesh import DIRECTIONS, PeriodicMesh, build_torus_mesh
 from .saint_venant import BlockCirculant, _fold, apply_ctc, \
     assemble_stiffness, constant_kernel_residual
@@ -137,11 +138,13 @@ def check_complex_identities(mesh: PeriodicMesh, seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     A = assemble_stiffness(mesh)
     scale_A = np.abs(A.blocks).max()
-    out = [_result("stiffness_symmetry", A.symmetry_residual(), 1e-10)]
+    out = [_result("stiffness_symmetry", A.symmetry_residual(),
+                   sum_rtol(FACE_TERMS))]
 
     worst = max(constant_kernel_residual(mesh.edge_vec, A, rng)
                 for _ in range(_N_COMPLEX))
-    out.append(_result("constant_metrics_in_kernel", worst, 1e-12,
+    out.append(_result("constant_metrics_in_kernel", worst,
+                       sum_rtol(ROW_COUPLINGS),
                        f"{_N_COMPLEX} random constants"))
 
     worst = 0.0
@@ -150,11 +153,14 @@ def check_complex_identities(mesh: PeriodicMesh, seed: int = 0) -> list:
         c = deformation(mesh, v).coeffs
         worst = max(worst, np.abs(A @ c).max()
                     / (scale_A * max(np.abs(c).max(), 1e-300)))
-    out.append(_result("deformations_in_kernel", worst, 1e-10,
+    out.append(_result("deformations_in_kernel", worst,
+                       sum_rtol(ROW_COUPLINGS),
                        f"{_N_COMPLEX} random vertex fields"))
 
+    # an entry of D^T A sums the seven products d (B_head - B_tail)
     worst = np.abs(_divergence_of_jumps(A, mesh.edge_vec)[1]).max()
-    out.append(_result("divergence_of_jumps_zero", worst, 1e-12,
+    tol = sum_rtol(len(DIRECTIONS)) * scale_A * np.abs(mesh.edge_vec).max()
+    out.append(_result("divergence_of_jumps_zero", worst, tol,
                        "all basis fields"))
     return out
 
@@ -234,13 +240,7 @@ def check_dual_path_deficits(mesh: PeriodicMesh, seed: int = 0) -> list:
     out.append(_result("holonomy_vs_dihedral", worst, 1e-9,
                        f"{_N_RANDOM} random configurations"))
 
-    lin = [linearized_deficits(mesh, ReggeField(c)) for c in fields]
-    worst = 0.0
-    for c, lin_c in zip(fields[:_N_RANDOM], lin):
-        half_jump = 0.5 * apply_ctc(mesh, ReggeField(c)).coeffs
-        worst = max(worst, np.abs(lin_c - half_jump).max())
-    out.append(_result("linearized_deficit_vs_half_jump", worst, 1e-12,
-                       f"{_N_RANDOM} random fields, all edges"))
+    out.append(_half_jump(mesh, fields[:_N_RANDOM]))
 
     # finite differences of the nonlinear deficit against the linearization
     h = 1e-2
@@ -252,10 +252,25 @@ def check_dual_path_deficits(mesh: PeriodicMesh, seed: int = 0) -> list:
         s0 + eps * c for eps in steps]))))
     d1 = (th[h] - th[-h]) / (2 * h)
     d2 = (th[h / 2] - th[-h / 2]) / h
-    worst = np.abs((4 * d2 - d1) / 3 - lin[-1]).max()
+    lin = linearized_deficits(mesh, ReggeField(c))
+    worst = np.abs((4 * d2 - d1) / 3 - lin).max()
     out.append(_result("deficit_fd_vs_linearized", worst, 1e-7,
                        "Richardson central differences"))
     return out
+
+
+def _half_jump(mesh: PeriodicMesh, fields: np.ndarray) -> CheckResult:
+    """The linearized deficits J c of each field c, (n, E), against half
+    its edge jump, to the roundoff of a row against another route."""
+    worst = 0.0
+    for c in fields:
+        half_jump = 0.5 * apply_ctc(mesh, ReggeField(c)).coeffs
+        worst = max(worst, np.abs(linearized_deficits(mesh, ReggeField(c))
+                                  - half_jump).max())
+    J = _linearized_blocks(mesh.geometry, mesh.grid)
+    return _result("linearized_deficit_vs_half_jump", worst,
+                   matvec_rtol() * np.abs(J).max() * np.abs(fields).max(),
+                   f"{len(fields)} random fields, all edges")
 
 
 def check_second_variation(mesh: PeriodicMesh, seed: int = 0) -> list:

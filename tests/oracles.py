@@ -15,9 +15,10 @@ functions.
 import numpy as np
 import scipy.sparse as sp
 
-from reggefem.action import deficit_angles, holonomy_deficits, \
-    linearized_deficits, perturbed_lengths, random_realizable_config, \
-    schlafli_check, second_variation_check
+from reggefem._roundoff import matvec_rtol
+from reggefem.action import _linearized_blocks, deficit_angles, \
+    holonomy_deficits, linearized_deficits, perturbed_lengths, \
+    random_realizable_config, schlafli_check, second_variation_check
 from reggefem.mesh import LOCAL_EDGES, _edge_tets
 from reggefem.quadrature import segment_rule
 from reggefem.saint_venant import apply_ctc, assemble_stiffness
@@ -210,13 +211,16 @@ def dual_path_per_draw(mesh, seed: int = 0) -> list:
     out.append(_result("holonomy_vs_dihedral", worst, 1e-9,
                        f"{_N_RANDOM} random configurations"))
 
-    worst = 0.0
+    worst, scale_c = 0.0, 0.0
     for _ in range(_N_RANDOM):
         up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))
         half_jump = 0.5 * apply_ctc(mesh, up).coeffs
         worst = max(worst, np.abs(linearized_deficits(mesh, up)
                                   - half_jump).max())
-    out.append(_result("linearized_deficit_vs_half_jump", worst, 1e-12,
+        scale_c = max(scale_c, np.abs(up.coeffs).max())
+    scale_J = np.abs(_linearized_blocks(mesh.geometry, mesh.grid)).max()
+    out.append(_result("linearized_deficit_vs_half_jump", worst,
+                       matvec_rtol() * scale_J * scale_c,
                        f"{_N_RANDOM} random fields, all edges"))
 
     up = ReggeField(rng.uniform(-1, 1, mesh.num_edges))

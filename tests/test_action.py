@@ -15,14 +15,15 @@ from oracles import cayley_menger_determinant, linearized_star_pass, \
     metric_dihedral_angles
 from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       apply_ctc, assemble_stiffness, build_edge_sector,
-                      build_torus_mesh, saint_venant,
-                      deficit_angle_dihedral, deficit_angle_holonomy,
-                      deficit_angles, edge_jump_scalar,
-                      euclidean_lengths, holonomy_deficits,
+                      build_torus_mesh, deficit_angle_dihedral,
+                      deficit_angle_holonomy, deficit_angles,
+                      edge_jump_scalar, euclidean_lengths,
+                      holonomy_deficits,
                       linearized_deficit, linearized_deficits,
                       perturbed_lengths, regge_action, schlafli_check,
                       second_variation_check)
 from reggefem import action as action_module
+from reggefem._roundoff import FACE_TERMS, kernel_rtol, matvec_rtol, sum_rtol
 from reggefem.action import (_SYM, CM_DET_RTOL, _checked_gram,
                              _dihedral_cs, _gram_adjugate, _unit_normals,
                              random_realizable_config,
@@ -716,35 +717,32 @@ class TestLinearizedOperator:
 
     @pytest.mark.parametrize("label", J_TORI)
     def test_matvec_equals_the_meshed_star_pass(self, label):
-        # a row of J c sums at most n = 19 rounded products, one per
-        # coupling of the row; the star pass rounds the same terms grouped
-        # by sector tet and face.  They agree within n ulps of
-        # max|J| max|c| (measured: 5.7 at most, at 16^3)
+        # a row of J c sums one rounded product per coupling of the row;
+        # the star pass rounds the same terms grouped by sector tet and
+        # face, without J's entries.  They agree within the roundoff of a
+        # row against another route, of max|J| max|c| (measured: 11.4
+        # u at most, at 16^3)
         grid, lengths = J_TORI[label]
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         u = ReggeField(np.random.default_rng(60).uniform(
             -1.0, 1.0, mesh.num_edges))
         J = action_module._linearized_blocks(mesh.geometry, mesh.grid)
-        n = np.bincount(np.unravel_index(saint_venant._couplings(),
-                                         (27, 7, 7))[1]).max()
-        assert n == 19
-        bound = n * np.finfo(float).eps * np.abs(J).max() \
-            * np.abs(u.coeffs).max()
+        bound = matvec_rtol() * np.abs(J).max() * np.abs(u.coeffs).max()
         assert np.abs(linearized_deficits(mesh, u)
                       - linearized_star_pass(mesh, u)).max() <= bound
 
     @pytest.mark.parametrize("label", J_TORI)
     def test_blocks_are_half_the_lengths_times_the_stiffness(self, label):
         # J = 1/2 diag(l) A, block by block: row d of every block of A
-        # scaled by l_d / 2.  An entry of either sums at most 12 rounded
-        # terms, so they agree within (12 + 4) ulps of max|J| (measured:
-        # 0.9 at most, on the thin cell)
+        # scaled by l_d / 2.  An entry of either sums its rounded face or
+        # sector terms, so they agree within the roundoff of such a sum,
+        # of max|J| (measured: 1.8 u at most, on the thin cell)
         grid, lengths = J_TORI[label]
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         J = action_module._linearized_blocks(mesh.geometry, mesh.grid)
         half = 0.5 * mesh.edge_length[:, None] * assemble_stiffness(
             mesh).blocks
-        assert np.abs(J - half).max() <= 16 * np.finfo(float).eps \
+        assert np.abs(J - half).max() <= sum_rtol(FACE_TERMS) \
             * np.abs(J).max()
 
     def test_blocks_kept_read_only(self, geometry):
@@ -958,6 +956,23 @@ class TestSchlafli:
                 f"step: need a finite nonzero step, got {step}")) as info:
             schlafli_check(mesh2, euclidean_lengths(mesh2),
                            np.zeros(mesh2.num_edges), step)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_direction_must_be_finite(self, mesh2, bad, monkeypatch):
+        # a ValueError that names the direction, before any pass, not a
+        # RealizabilityError on the squared lengths it would make
+        def no_pass(*args):
+            raise AssertionError("an action pass ran")
+
+        monkeypatch.setattr(action_module, "_gram", no_pass)
+        direction = np.zeros(mesh2.num_edges)
+        direction[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    "^direction: need finite entries$")) as info:
+                schlafli_check(mesh2, euclidean_lengths(mesh2), direction)
         assert type(info.value) is ValueError
 
     def test_direction_length_validated(self, mesh2):
@@ -1397,7 +1412,6 @@ class TestPointGroupCovariance:
         ((1e-3, 1.0, 1.0), (2, 3, 4)),
     ], ids=["cube", "1:2:3", "thin"])
     def test_routes_commute_with_the_maps(self, sides, grid):
-        eps = np.finfo(float).eps
         mesh = build_torus_mesh(TorusGeometry(*sides), grid)
         rng = np.random.default_rng(50)
         cfg = random_realizable_config(mesh, rng, max_deficit=2.5)
@@ -1407,24 +1421,22 @@ class TestPointGroupCovariance:
         lin = linearized_deficits(mesh, ReggeField(c))
         jump = apply_ctc(mesh, ReggeField(c)).coeffs
         # polarizing a tet's Gram matrix from its squared lengths cancels
-        # down to its shortest one, so each of an edge's at most 6 angle
-        # gaps carries 8 ulps of kappa, the largest ratio of a tet's
-        # longest to its shortest squared length (measured: 21 ulps on
-        # the cube and the 1:2:3 cell, 1.7e6 on the thin cell, kappa 1e6)
-        s = cfg.squared_lengths[mesh.tet_edges]
-        theta_tol = 6 * 8 * (s.max(axis=1) / s.min(axis=1)).max() * eps
+        # down to its shortest one, so each of an edge's angle gaps, one
+        # per tet of its star, carries the kappa-scaled roundoff of a tet
+        # kernel (measured: 5.9 kappa u at most, kappa 4.4 on the cube, 9.1
+        # on the 1:2:3 cell, 7e5 on the thin cell)
+        valence = max(len(types) for *_, types in _STARS)
+        theta_tol = kernel_rtol(cfg.squared_lengths[mesh.tet_edges],
+                                angles=valence)
         # the action adds E products theta_e * l_e
-        action_tol = (theta_tol * cfg.lengths.sum() + mesh.num_edges * eps
-                      * np.sum(np.abs(theta) * cfg.lengths))
-        # an edge's jump is l_e times a sum of at most n couplings of A,
-        # each held to 16 ulps of max|A| on the mapped torus
-        # (test_blocks_map_under_the_point_group), rounded once a term;
-        # the linearized deficit is half of it
-        n = np.bincount(np.unravel_index(saint_venant._couplings(),
-                                         (27, 7, 7))[1]).max()
-        jump_tol = ((16 + n) * eps * n
-                    * np.abs(assemble_stiffness(mesh).blocks).max()
-                    * np.abs(c).max() * mesh.edge_length.max())
+        action_tol = (theta_tol * cfg.lengths.sum() + sum_rtol(
+            mesh.num_edges) * np.sum(np.abs(theta) * cfg.lengths))
+        # an edge's jump is l_e times a row of A c, whose entries the
+        # mapped torus forms from its own templates: a row against another
+        # route (measured: 13.3 u of max|A| max|c| max l at most, on the
+        # thin cell); the linearized deficit is half of it
+        jump_tol = (matvec_rtol() * np.abs(assemble_stiffness(mesh).blocks)
+                    .max() * np.abs(c).max() * mesh.edge_length.max())
         for p, reflect, _ in point_group():
             mapped = build_torus_mesh(TorusGeometry(*np.array(sides)[p]),
                                       tuple(np.array(grid)[p]))

@@ -19,6 +19,7 @@ from conftest import constant_metric, face_tables, lifted_points, \
     point_group
 from golden import digest
 from oracles import deformation_matrix
+from reggefem._roundoff import FACE_TERMS, TET_TERMS, sum_rtol
 from reggefem import (ReggeField, VertexVectorField, action, apply_ctc,
                       assemble_mass, assemble_stiffness, build_torus_mesh,
                       deformation, divergence_x2, edge_jump_scalar,
@@ -575,16 +576,16 @@ class TestPointGroup:
     def test_blocks_map_under_the_point_group(self, sides, grid):
         # the torus (l_p1, l_p2, l_p3) on grid (n_p1, n_p2, n_p3) holds at
         # the image of each coupling the value the torus holds at it.  A
-        # coupling sums at most 12 face terms of A and 6 tet terms of M,
-        # each a rounded product of the templates; the mapped torus forms
-        # them from its own templates, in another order, so the two differ
-        # by (terms + 4) ulps of max|B| at most (measured: 3.8e-16 of
-        # max|A|, 1.8e-16 of max|M|).  The blocks of J map the same way
+        # coupling sums the face terms of A or the tet terms of M, each a
+        # rounded product of the templates; the mapped torus forms them
+        # from its own templates, in another order, so the two differ by
+        # the roundoff of a sum of those terms, of max|B| (measured: 3.8e-16
+        # of max|A|, 1.8e-16 of max|M|).  The blocks of J map the same way
         couplings = saint_venant._couplings()
 
         def blocks(sides, grid):
-            # A, M and the linearized deficit's J, which sums at most 12
-            # terms like A (measured: 3.6e-16 of max|J|)
+            # A, M and the linearized deficit's J, which sums its sector
+            # terms as A does (measured: 3.6e-16 of max|J|)
             geometry = TorusGeometry(*sides)
             return [S.blocks for S in stencil_operators(geometry, grid)] \
                 + [action._linearized_blocks(geometry, grid)]
@@ -593,8 +594,9 @@ class TestPointGroup:
         for p, _, image in point_group():
             mapped = blocks(np.array(sides)[p], tuple(np.array(grid)[p]
                                                       .tolist()))
-            for S, T, terms in zip(ops, mapped, (12, 6, 12)):
-                bound = (terms + 4) * np.finfo(float).eps * np.abs(S).max()
+            for S, T, terms in zip(ops, mapped,
+                                   (FACE_TERMS, TET_TERMS, FACE_TERMS)):
+                bound = sum_rtol(terms) * np.abs(S).max()
                 assert np.abs(T.ravel()[image]
                               - S.ravel()[couplings]).max() <= bound
 

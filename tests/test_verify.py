@@ -1,7 +1,8 @@
 """The dual-path, second-variation and Schlafli suites run each suite's
 random draws as stacked rows: their results equal those of the suites
 run one draw at a time, and the number of action passes they make is
-pinned."""
+pinned.  The five linear checks take their tolerances from the roundoff
+model, no looser than the fixed ones they replaced."""
 
 import traceback
 
@@ -12,8 +13,10 @@ from oracles import dual_path_per_draw, schlafli_per_draw, \
     second_variation_per_draw
 from reggefem import action, saint_venant
 from reggefem.mesh import TorusGeometry, build_torus_mesh
-from reggefem.verify import check_dual_path_deficits, check_schlafli, \
-    check_second_variation, run_verification
+from reggefem.verify import _half_jump, check_complex_identities, \
+    check_dual_path_deficits, check_schlafli, check_second_variation, \
+    run_verification
+from test_action import J_TORI, TEMPLATE_GRIDS
 
 TAU = 2.0 * np.pi
 
@@ -118,3 +121,60 @@ def test_a_row_fills_a_slab_at_grid_6(monkeypatch):
     # 512), and J's one build, as at grid 2
     assert passes(monkeypatch, (6, 6, 6)) == [
         {"_deficit_rows": 45, "_holonomy": 15, "_linearized": 7}]
+
+
+# the fixed tolerances of the five linear checks before the roundoff
+# model: the first three read relative values, the last two absolute ones
+FIXED = {"stiffness_symmetry": 1e-10, "constant_metrics_in_kernel": 1e-12,
+         "deformations_in_kernel": 1e-10, "divergence_of_jumps_zero": 1e-12,
+         "linearized_deficit_vs_half_jump": 1e-12}
+# J_TORI and TEMPLATE_GRIDS at seed 0, and the CASES above, each once
+TORI = {f"{'x'.join(map(str, grid))}-{lengths[0]:.3g}-seed{seed}":
+        (lengths, grid, seed) for lengths, grid, seed in dict.fromkeys(
+            [(lengths, grid, 0) for grid, lengths in J_TORI.values()]
+            + [(lengths, grid, 0) for grid, lengths in TEMPLATE_GRIDS]
+            + CASES)}
+THIN = "4x5x6-0.00628-seed0"
+
+
+@pytest.mark.parametrize("label", sorted(TORI))
+def test_linear_tolerances_no_looser(label):
+    # each tested torus passes the five linear checks, and wherever a
+    # fixed tolerance passed, the model's is at most that one
+    lengths, grid, seed = TORI[label]
+    mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+    results = check_complex_identities(mesh, seed)
+    if label == THIN:
+        # the fixed finite-difference step takes the thin side's squared
+        # lengths negative, so verify reports no verdict of the suite
+        with pytest.raises(action.RealizabilityError,
+                           match="squared lengths must be positive"):
+            check_dual_path_deficits(mesh, seed)
+    else:
+        results += check_dual_path_deficits(mesh, seed)
+    linear = [r for r in results if r.name in FIXED]
+    assert len(linear) == 4 + (label != THIN)
+    for r in linear:
+        assert r.passed, r.detail
+        if r.value <= FIXED[r.name]:
+            assert r.tolerance <= FIXED[r.name]
+
+
+@pytest.mark.parametrize("lengths, grid", [
+    ((1e-3, 1.0, 1.0), (3, 3, 3)),
+    ((1e-3 * TAU, 2.5 * np.pi, 3.0 * np.pi), (12, 10, 8)),
+], ids=["1e-3x1x1-3^3", "thin-12x10x8"])
+def test_linear_checks_pass_on_thin_tori(lengths, grid):
+    # the entries of A reach 5.4e4 and 4.1e3 here, so the fixed absolute
+    # 1e-12 failed D^T A (3.75e-12, 2.27e-12) and the half jump (1.46e-11,
+    # 5.46e-12) falsely; read relative to their operator's scale they lie
+    # within 2 to 17 u.  The half jump is called alone: the dual-path
+    # suite still aborts on these tori at its fixed finite-difference step
+    mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
+    results = check_complex_identities(mesh, 0)
+    fields = np.random.default_rng(0).uniform(-1.0, 1.0,
+                                               (3, mesh.num_edges))
+    results.append(_half_jump(mesh, fields))
+    assert [r.name for r in results if not r.passed] == []
+    for r in results[3:]:
+        assert r.value > FIXED[r.name]
