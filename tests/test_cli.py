@@ -811,7 +811,7 @@ GOLDEN_DIGESTS = {
     "oracle": "1a141c3fd934d42e",
     "oracle_lengths": "b230862fa1ee28eb",
     "oracle_negative": "0b3c30ac432fb44c",
-    "verify_bench": "7a430ac4bbdac050",
+    "verify_bench": "9d8b198c8b50e573",
     "verify_thin": "f34ef32e4443dade",
 }
 
