@@ -176,5 +176,6 @@ def test_linear_checks_pass_on_thin_tori(lengths, grid):
                                                (3, mesh.num_edges))
     results.append(_half_jump(mesh, fields))
     assert [r.name for r in results if not r.passed] == []
-    for r in results[3:]:
-        assert r.value > FIXED[r.name]
+    absolute = [r for r in results if r.name in (
+        "divergence_of_jumps_zero", "linearized_deficit_vs_half_jump")]
+    assert [r.value > FIXED[r.name] for r in absolute] == [True, True]
