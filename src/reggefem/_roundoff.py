@@ -35,6 +35,13 @@ most u times that scale:
 * A row of B c held against a route that forms B's entries another way,
   as J c against 1/2 l (A c) or against J's meshed star pass, adds the
   count of an entry to that of the row: 22 + 15 = 37 (``matvec_rtol``).
+* A U-unit vector of a 3 x 3 metric U that two routes form, as k- of a
+  face, U^-1 n_0 / (n_0^T U^-1 n_0)^(1/2), against the last vector of
+  Gram-Schmidt of the face's frame (t, m_0, n_0) in U, is held against
+  its largest component.  A component sums ``FRAME_TERMS`` = 3 terms, a
+  row of U^-1 against n_0 or n_0 less its projections on the first two
+  vectors, each within the model's roundings of its own, the
+  normalization's included: 3 - 1 + 4 = 6 (``sum_rtol(FRAME_TERMS)``).
 * A tet kernel polarizes its Gram matrix from six squared lengths, each
   entry a sum of three of them, and the cancellation down to the tet's
   shortest squared length multiplies the sum's error by kappa, the ratio
@@ -46,9 +53,10 @@ up to n times the scale, and add the counts of two routes.  gamma_n
 times the scale is at most the count of ulps (eps = 2u each) once
 written by hand for the same value: terms + 4 for an entry under the
 point group, 8 for an axis permutation of the pencil, 19 for a row of J
-c against the star pass, 8 kappa per angle gap.  So no bound is looser
-than the one it replaces, and the values measured on the tested tori
-lie 1.3 to 6 times below their bounds (README, Tolerances).
+c against the star pass, 8 kappa per angle gap, 4 for the Gram-Schmidt
+frame.  So no bound is looser than the one it replaces, and the values
+measured on the tested tori lie 1.3 to 6 times below their bounds
+(README, Tolerances).
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ TERM_ROUNDINGS = 4
 FACE_TERMS = 12
 TET_TERMS = 6
 ROW_COUPLINGS = 19
+FRAME_TERMS = 3
 
 
 def gamma(n: int) -> float:

@@ -16,7 +16,7 @@ A and M are block-circulant with 7x7 blocks (edge 7*v + d), and only the
 27 blocks B_s, s in {-1, 0, 1}^3, can be nonzero.  A ``BlockCirculant``
 holds those blocks and the grid, nothing of size E, and is the one owner
 of the format.  Every library path reads the blocks alone: the Bloch
-symbols over half the Brillouin zone, the symmetry residual, the matvec
+symbols at given lattice frequencies, the symmetry residual, the matvec
 ``A @ c`` and ``constant_kernel_residual``; ``_fold`` sums blocks onto
 their shifts' residues mod grid, as the E x E matrix holds them, for the
 symmetry residual and ``verify``'s D^T A.  Only the E x E outputs,
@@ -227,7 +227,7 @@ def _roots(n: int, k: np.ndarray, s: np.ndarray) -> np.ndarray:
     read from one table of the n-th roots of unity by k s mod n: shifts of
     the same residue get the same phase, bit for bit."""
     table = np.exp(-2j * np.pi * np.arange(n) / n)
-    return table[np.outer(k, s) % n]
+    return table[k[:, None] * s % n]
 
 
 @dataclass(frozen=True)
@@ -295,25 +295,31 @@ class BlockCirculant:
         return (operand.reshape(-1, 27 * 7)
                 @ self.blocks.swapaxes(-1, -2).reshape(27 * 7, 7)).ravel()
 
-    def symbols(self, k1=slice(None)) -> np.ndarray:
-        """Bloch symbols sum_s B_s exp(-2 pi i k.s / n) over half the
-        Brillouin zone, k3 in 0..n3//2, and the planes ``k1`` (a slice of
-        0..n1-1) of the first axis: an (n1, n2, n3//2 + 1, 7, 7) array for
-        the default slice, ``np.ndindex`` order within it.
+    def symbols(self, k) -> np.ndarray:
+        """Bloch symbols sum_s B_s exp(-2 pi i k.s / n) at the integer
+        lattice frequencies ``k``, (r, 3), as an (r, 7, 7) array, k taken
+        mod grid.
 
-        The symbol at -k is the conjugate of the one at k, because the
-        blocks are real, so the half zone determines the whole spectrum.
-        Each axis is one phase contraction of its shifts, the third first.
-        No array of size E is formed.
+        Each axis reads its phases from one table of roots of unity
+        (``_roots``), so shifts of the same residue get the same phase,
+        bit for bit.  Their products over the 27 shifts are contracted
+        with the blocks one frequency at a time, (r, 1, 27) @ (27, 49), so
+        a symbol does not depend on the other frequencies formed with it,
+        which one (r, 27) @ (27, 49) product does not ensure.  The symbol
+        at -k is the conjugate of the one at k, because the blocks are
+        real.  No array of size E is formed.
         """
-        n1, n2, n3 = self.grid
-        ks = (np.arange(n1)[k1], np.arange(n2), np.arange(n3 // 2 + 1))
-        out = self.blocks
-        for axis in (2, 1, 0):
-            phases = _roots(self.grid[axis], ks[axis], _SHIFTS)
-            out = np.moveaxis(np.einsum("km,m...->k...", phases,
-                                        np.moveaxis(out, axis, 0)), 0, axis)
-        return out
+        k = np.asarray(k)
+        if k.ndim != 2 or k.shape[1] != 3 or k.dtype.kind not in "iu":
+            raise ValueError(f"frequencies have shape {k.shape} and dtype "
+                             f"{k.dtype}, expected (r, 3) integers")
+        k = k.astype(np.intp, copy=False)
+        p1, p2, p3 = (_roots(n, k[:, axis], _SHIFTS)
+                      for axis, n in enumerate(self.grid))
+        phases = (p1[:, :, None, None] * p2[:, None, :, None]) \
+            * p3[:, None, None, :]
+        return (phases.reshape(-1, 1, 27)
+                @ self.blocks.reshape(27, 49)).reshape(-1, 7, 7)
 
     def symmetry_residual(self) -> float:
         """max|S - S^T| / max|S|, read off the blocks folded onto their

@@ -12,9 +12,11 @@ from below in magnitude, in sexets/dozens matching the multiplicities.
 The pencil is solved per Bloch frequency.  Edge ids are ``7*vertex +
 direction`` on a periodic lattice, so A and M are block-circulant with 7x7
 blocks B_s, nonzero only for s in {-1, 0, 1}^3, and their symbols are
-A^(k) = sum_s B_s exp(-2 pi i k.s / n), three per-axis phase contractions
-(``BlockCirculant.symbols``).  The E eigenvalues of the pencil are the union of
-those of the V = n1*n2*n3 Hermitian pencils A^(k) x = lambda M^(k) x.
+A^(k) = sum_s B_s exp(-2 pi i k.s / n), at each frequency k the products of
+three per-axis phases contracted with the 27 blocks
+(``BlockCirculant.symbols``).  The E eigenvalues of the pencil are the
+union of those of the V = n1*n2*n3 Hermitian pencils A^(k) x = lambda
+M^(k) x.
 Frequencies in one orbit of the pencil's symmetry group G give blocks with
 the same eigenvalues, so one block per orbit is solved and its eigenvalues
 count once per member.  G holds k -> -k, since the blocks are real and the
@@ -29,9 +31,9 @@ solved at its first member in the half zone k3 in 0..n3//2.  No E x E
 matrix is formed.  The kernel is 6-dimensional at k = 0 and
 3-dimensional at every other k, so 3V + 3 in total.  Time is O(E), and
 O(E log E) for the final sort.  The half zone is taken in slabs of whole
-k1 planes, about ``_SLAB_BLOCKS`` blocks (one plane at least), so the
-working memory is bounded by the slab and only the E eigenvalues grow
-with the grid.
+k1 planes, about ``_SLAB_BLOCKS`` blocks (one plane at least), and
+symbols are formed at the solved frequencies alone, so the working memory
+is bounded by the slab and only the E eigenvalues grow with the grid.
 
 The blocks have one builder.  ``convergence_study`` (so ``converge``) and
 the CLI ``eigs`` take them from ``saint_venant.stencil_operators``, which
@@ -83,10 +85,13 @@ KERNEL_THRESHOLD_FACTOR = 1e-8
 # both operators are checked
 _SYMMETRY_RTOL = np.array([[sum_rtol(FACE_TERMS)], [sum_rtol(TET_TERMS)]])
 
-# half-zone Bloch blocks per slab of the solve: a slab holds the symbols
-# of A and M on its blocks and about eight complex (solved, 7, 7) arrays
-# of its orbits' members at once, 784 bytes per block each, so at most
-# some 26 MB; grids up to 16^3 (2304 half-zone blocks) take one slab
+# half-zone Bloch blocks per slab of the solve: a slab holds the images of
+# its frequencies under the group, at most 12 x 3 integers per block
+# (``_orbits``), and at its orbits' first members the symbols of A and M
+# and about eight complex (solved, 7, 7) arrays at once, 784 bytes per
+# solved block each.  On a cell with no equal axes nearly every block is
+# solved, so at most some 30 MB (28 MB under tracemalloc on 16x17x30);
+# grids up to 16^3 (2304 half-zone blocks) take one slab
 _SLAB_BLOCKS = 4096
 
 # frequencies ``fourier_oracle`` enumerates at most.  It sums |k|^2 one
@@ -325,15 +330,15 @@ def _symmetries(A, M) -> np.ndarray:
 def _orbits(grid, perms: np.ndarray, k1=slice(None)):
     """The Bloch frequencies of the planes ``k1`` of the half zone that
     ``solve_pencil`` solves, and what each stands for, under the group G
-    of the maps k -> +-p.k, p in ``perms`` (a group): the position of each
-    frequency that is its orbit's first member in the half zone, in the
-    ``np.ndindex`` order of the (planes, n2, n3//2 + 1) slab, and the
-    orbit's size in the whole zone, |G| / |stabiliser of k|.
+    of the maps k -> +-p.k, p in ``perms`` (a group): each orbit's first
+    member in the half zone that lies in those planes, (r, 3) in the
+    ``np.ndindex`` order of the half zone, and the orbit's size in the
+    whole zone, |G| / |stabiliser of k|.
 
     Every orbit meets the half zone, whose order is that of the whole
     zone's flat index, so k is its orbit's first member when no image of
     k in the half zone has a smaller flat index.  All of G at once: the
-    slab's (|G|, 3, blocks) images, with nothing of the whole zone's size.
+    planes' (|G|, 3, blocks) images, with nothing of the whole zone's size.
     """
     n1, n2, n3 = grid
     h3 = n3 // 2 + 1
@@ -346,7 +351,7 @@ def _orbits(grid, perms: np.ndarray, k1=slice(None)):
     index, own = strides @ x, strides @ k
     first = np.where(x[:, 2] < h3, index, n1 * n2 * n3).min(axis=0)
     reps = np.flatnonzero(first == own)
-    return reps, len(x) // (index[:, reps] == own[reps]).sum(axis=0)
+    return k[:, reps].T, len(x) // (index[:, reps] == own[reps]).sum(axis=0)
 
 
 def solve_pencil(A, M, metadata: dict | None = None) -> SpectrumResult:
@@ -362,11 +367,12 @@ def solve_pencil(A, M, metadata: dict | None = None) -> SpectrumResult:
     its first member in the half zone k3 in 0..n3//2, and its eigenvalues
     count once per frequency of the orbit (``_orbits``); G is {+-1} on a
     cell with no equal axes.  The half zone is taken in slabs of whole k1
-    planes, about ``_SLAB_BLOCKS`` blocks at a time; the orbits' members
-    in a slab are gathered from its symbols, and a slab with none is
-    skipped.  In each, the symbols of A are Hermitised, those of M
-    Cholesky-factored (LinAlgError if M is not SPD), and each pencil is
-    reduced by solves against the Cholesky factor and passed to ``eigh``.
+    planes, about ``_SLAB_BLOCKS`` blocks at a time; the symbols of A and
+    M are formed at the orbits' first members in a slab alone, and a slab
+    with none is skipped.  In each, the symbols of A are Hermitised, those
+    of M Cholesky-factored (LinAlgError if M is not SPD), and each pencil
+    is reduced by solves against the Cholesky factor and passed to
+    ``eigh``.
     The eigenvalues are the ascending union over the solved blocks with
     their weights, E in all.  ``max_residual`` is
     max ||A^ x^ - lambda M^ x^||_2 over every solved block eigenpair with
@@ -385,13 +391,10 @@ def solve_pencil(A, M, metadata: dict | None = None) -> SpectrumResult:
     w = np.empty(A.shape[0])
     filled, max_residual = 0, 0.0
     for start in range(0, n1, planes):
-        k1 = slice(start, start + planes)
-        reps, weight = _orbits(A.grid, perms, k1)
-        if not reps.size:
+        k, weight = _orbits(A.grid, perms, slice(start, start + planes))
+        if not len(k):
             continue
-        values, residual = _solve_blocks(
-            A.symbols(k1).reshape(-1, 7, 7)[reps],
-            M.symbols(k1).reshape(-1, 7, 7)[reps])
+        values, residual = _solve_blocks(A.symbols(k), M.symbols(k))
         max_residual = max(max_residual, residual)
         values = np.repeat(values, weight, axis=0).ravel()
         w[filled:filled + values.size] = values

@@ -23,7 +23,8 @@ from reggefem import (EdgeLengthConfig, RealizabilityError, ReggeField,
                       perturbed_lengths, regge_action, schlafli_check,
                       second_variation_check)
 from reggefem import action as action_module
-from reggefem._roundoff import FACE_TERMS, kernel_rtol, matvec_rtol, sum_rtol
+from reggefem._roundoff import FACE_TERMS, FRAME_TERMS, kernel_rtol, \
+    matvec_rtol, sum_rtol
 from reggefem.action import (_SYM, CM_DET_RTOL, _checked_gram,
                              _dihedral_cs, _gram_adjugate, _unit_normals,
                              random_realizable_config,
@@ -1465,7 +1466,9 @@ class TestHolonomyReadOff:
     def test_k_minus_of_face_zero_is_gram_schmidt_w2(self, grid, lengths):
         # the holonomy reads its rotation in the frame (w1, k-) of face 0;
         # k- is the vector that Gram-Schmidt of (t, m_0, n_0) in the start
-        # metric U gives last, up to rounding
+        # metric U gives last, up to rounding: two routes to a unit vector
+        # whose components sum three terms (measured: 4.2 u of its largest
+        # component at most, on the 4x5x6 torus)
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         metrics = tet_metrics_from_lengths(mesh, random_realizable_config(
             mesh, np.random.default_rng(0), max_deficit=2.5))
@@ -1485,8 +1488,8 @@ class TestHolonomyReadOff:
             that = unit(t)
             w1 = unit(m0 - dot(m0, that) * that)
             w2 = unit(n0 - dot(n0, that) * that - dot(n0, w1) * w1)
-            assert (np.abs(k - w2).max(axis=1)
-                    <= 4 * np.finfo(float).eps * np.abs(w2).max(axis=1)).all()
+            assert (np.abs(k - w2).max(axis=1) <= sum_rtol(FRAME_TERMS)
+                    * np.abs(w2).max(axis=1)).all()
 
 
 # The whole-mesh holonomy must reproduce the per-edge route's digest.

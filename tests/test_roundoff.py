@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from reggefem import BlockCirculant, assemble_stiffness
-from reggefem._roundoff import FACE_TERMS, ROW_COUPLINGS, TET_TERMS, \
-    UNIT_ROUNDOFF, gamma, kernel_rtol, matvec_rtol, sum_rtol
+from reggefem._roundoff import FACE_TERMS, FRAME_TERMS, ROW_COUPLINGS, \
+    TET_TERMS, UNIT_ROUNDOFF, gamma, kernel_rtol, matvec_rtol, sum_rtol
 from reggefem.action import _linearized_blocks
-from reggefem.mesh import TorusGeometry, _stencil_tables, build_torus_mesh
+from reggefem.mesh import DIRECTIONS, TorusGeometry, _stencil_tables, \
+    build_torus_mesh
 from reggefem.saint_venant import _couplings
 
 TAU = 2.0 * np.pi
@@ -124,14 +125,18 @@ class TestCounts:
         assert np.bincount(face_entry.ravel()).max() == FACE_TERMS
         assert np.bincount(tet_entry.ravel()).max() == TET_TERMS
         assert 2 * np.bincount(tet_entry.ravel()).max() == FACE_TERMS
+        # a Gram-Schmidt frame of the metric spans the three axes
+        assert DIRECTIONS.shape[1] == FRAME_TERMS
 
     def test_bounds(self):
         # the count of each family, and no bound above the ulps (eps = 2u
         # each) written by hand for it before: terms + 4 under the point
         # group (A and J 16, M 10), 8 for the pencil's permutations, 19
-        # for a row against the star pass, 8 kappa per angle gap
+        # for a row against the star pass, 8 kappa per angle gap, 4 for
+        # the Gram-Schmidt frame
         eps = 2 * UNIT_ROUNDOFF
         assert sum_rtol(FACE_TERMS) == gamma(15) <= 8 * eps
+        assert sum_rtol(FRAME_TERMS) == gamma(6) <= 4 * eps
         assert sum_rtol(TET_TERMS) == gamma(9) <= 8 * eps
         assert matvec_rtol() == gamma(37) <= 19 * eps
         cube_tet = [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]
@@ -148,7 +153,8 @@ CONVERTED = {
         "TestLinearizedOperator.test_matvec_equals_the_meshed_star_pass",
         "TestLinearizedOperator"
         ".test_blocks_are_half_the_lengths_times_the_stiffness",
-        "TestPointGroupCovariance.test_routes_commute_with_the_maps"],
+        "TestPointGroupCovariance.test_routes_commute_with_the_maps",
+        "TestHolonomyReadOff.test_k_minus_of_face_zero_is_gram_schmidt_w2"],
 }
 
 

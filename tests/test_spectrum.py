@@ -246,16 +246,14 @@ class TestBlochSolve:
         # first block row in the convention of BlockCirculant.symbols
         mesh = build_torus_mesh(TorusGeometry(*lengths), grid)
         half = grid[2] // 2 + 1
-        Ak = assemble_stiffness(mesh).symbols().reshape(-1, 7, 7)
+        Ak = assemble_stiffness(mesh).symbols(half_zone(grid))
         row = deformation_matrix(mesh)[:7].toarray()
         Dk = np.moveaxis(np.fft.fftn(row.reshape((7,) + grid + (3,)),
                                      axes=(1, 2, 3)), 0, -2)
         Dk = Dk[:, :, :half].reshape(-1, 7, 3)
         # closed form: row i of D^(k) is d_i (exp(-2 pi i k.DIRECTIONS[i]/n)
         # - 1), the head minus the tail of edge direction i
-        k = np.stack(np.meshgrid(*map(np.arange, grid[:2] + (half,)),
-                                 indexing="ij"),
-                     axis=-1).reshape(-1, 3) / np.array(grid)
+        k = half_zone(grid) / np.array(grid)
         shift = np.exp(-2j * np.pi * k @ DIRECTIONS.T) - 1.0
         assert np.abs(Dk - shift[:, :, None] * mesh.edge_vec).max() \
             <= 1e-14 * np.abs(Dk).max()
@@ -285,6 +283,12 @@ STENCIL_SIDES = TorusGeometry(TAU, 2.5 * np.pi, 3.0 * np.pi)
 THIN_SIDES = TorusGeometry(1e-3 * TAU, TAU, TAU)
 
 
+def half_zone(grid):
+    """The frequencies of the half zone k3 in 0..n3//2, (blocks, 3), in
+    ``np.ndindex`` order."""
+    return np.argwhere(np.ones(grid[:2] + (grid[2] // 2 + 1,), bool))
+
+
 def fftn_symbols(S):
     """The former full-zone symbols: the FFT of the dense first block
     row, as an (n1, n2, n3, 7, 7) array."""
@@ -294,7 +298,7 @@ def fftn_symbols(S):
 
 def block_eigenvalues(A, M):
     """The 7 eigenvalues of every half-zone Bloch pencil, (blocks, 7)."""
-    Ak, Mk = (S.symbols().reshape(-1, 7, 7) for S in (A, M))
+    Ak, Mk = (S.symbols(half_zone(A.grid)) for S in (A, M))
     return np.stack([sla.eigh(0.5 * (a + a.conj().T), m, eigvals_only=True)
                      for a, m in zip(Ak, Mk)])
 
@@ -302,22 +306,31 @@ def block_eigenvalues(A, M):
 def assert_symbols_match_meshed_head_and_fftn(sides, grid):
     mesh = build_torus_mesh(sides, grid)
     meshed = (assemble_stiffness(mesh), assemble_mass(mesh))
-    half = grid[2] // 2 + 1
+    rng = np.random.default_rng(sum(grid))
+    zone, half = np.argwhere(np.ones(grid, bool)), half_zone(grid)
     for H, S in zip(meshed, stencil_operators(sides, grid)):
         # one builder: the mesh holds the stencil's one-box templates
         assert np.array_equal(H.blocks, S.blocks)
         full = fftn_symbols(H)
         tol = 1e-14 * np.abs(full).max()
         assert S.shape == H.shape
-        assert S.symbols().shape == (grid[:2] + (half, 7, 7))
-        assert np.abs(S.symbols() - full[:, :, :half]).max() <= tol
+        # at every frequency of the whole zone, and k + grid is k
+        assert np.abs(S.symbols(zone) - full.reshape(-1, 7, 7)).max() <= tol
+        assert np.array_equal(S.symbols(zone + np.array(grid)),
+                              S.symbols(zone))
         # each skipped block is the conjugate of its partner at -k
         partner = np.roll(full[::-1, ::-1, ::-1], 1, axis=(0, 1, 2))
         assert np.abs(full - partner.conj()).max() <= tol
         # the head is symmetric, so every symbol is Hermitian
         assert np.abs(full - full.conj().swapaxes(-1, -2)).max() <= tol
-        # planes of k1 are those of the whole half zone, bit for bit
-        assert np.array_equal(S.symbols(slice(1, None)), S.symbols()[1:])
+        # the symbols at any subset of frequencies, in any order, are
+        # those rows of one call on the whole half zone, bit for bit
+        whole = S.symbols(half)
+        assert whole.shape == (len(half), 7, 7)
+        for size in (1, 2, len(half) // 2, len(half)):
+            rows = rng.permutation(len(half))[:size]
+            assert np.array_equal(S.symbols(half[rows]), whole[rows])
+        assert np.array_equal(S.symbols(half[::-1]), whole[::-1])
 
 
 class TestStencilRoute:
@@ -338,6 +351,16 @@ class TestStencilRoute:
             assert B.shape == (7 * 10 ** 15,) * 2
             assert B.blocks.shape == (3, 3, 3, 7, 7)
             assert np.array_equal(B.blocks, S.blocks)
+
+    def test_symbols_take_integer_frequencies(self):
+        A, _ = stencil_operators(STENCIL_SIDES, (4, 5, 6))
+        for k in (np.zeros(3, int), np.zeros((2, 2), int), np.zeros((2, 3))):
+            with pytest.raises(ValueError,
+                               match=r"expected \(r, 3\) integers"):
+                A.symbols(k)
+        assert A.symbols(np.zeros((0, 3), int)).shape == (0, 7, 7)
+        assert np.array_equal(A.symbols(np.ones((1, 3), np.uint8)),
+                              A.symbols(np.ones((1, 3), int)))
 
     @pytest.mark.parametrize("grid", STENCIL_GRIDS, ids=str)
     def test_eigenvalues_match_meshed_head(self, grid):
@@ -461,13 +484,14 @@ class TestOrbitSolve:
         assert spectrum._symmetries(A, M).tolist() == [list(p)
                                                       for p in perms]
         orbits = brute_orbits(grid, perms)
-        reps, weight = spectrum._orbits(grid, np.array(perms))
-        assert len(reps) == len(orbits) == solved
+        freqs, weight = spectrum._orbits(grid, np.array(perms))
+        assert freqs.shape == (len(orbits), 3) and len(orbits) == solved
         # each orbit's first half-zone member in np.ndindex order, and
         # its size in the whole zone
         half = grid[:2] + (grid[2] // 2 + 1,)
         size = {int(np.ravel_multi_index(min(k for k in o if k[2] < half[2]),
                                          half)): len(o) for o in orbits}
+        reps = np.ravel_multi_index(freqs.T, half)
         assert reps.tolist() == sorted(size)
         assert weight.tolist() == [size[r] for r in sorted(size)]
         assert 7 * weight.sum() == A.shape[0]
@@ -485,9 +509,10 @@ class TestOrbitSolve:
         assert sum(len(Ak) for Ak, _, _ in calls) == solved
         assert res.eigenvalues.size == A.shape[0]
         assert res.kernel_dim == 3 * A.shape[0] // 7 + 3
-        # a solved block is the half-zone symbol, and its eigenvalues are
-        # those of the whole half zone in one call, bit for bit
-        Ak, Mk = (S.symbols().reshape(-1, 7, 7) for S in (A, M))
+        # the solved blocks are the rows at the representatives of one
+        # symbols call on the whole half zone, and their eigenvalues those
+        # of the whole half zone in one call, bit for bit
+        Ak, Mk = (S.symbols(half_zone(grid)) for S in (A, M))
         whole = solve_blocks(Ak, Mk)[0]
         assert np.array_equal(np.concatenate([a for a, _, _ in calls]),
                               Ak[reps])
@@ -533,21 +558,74 @@ class TestOrbitSolve:
             assert len(spectrum._symmetries(A, M)) == group
 
     def test_slabs_skip_planes_without_a_representative(self, monkeypatch):
-        # at 16^3, one k1 plane a slab, only the planes k1 <= 8 hold an
-        # orbit's first member
+        # at 16^3, one k1 plane a slab, symbols are formed at the 417
+        # solved frequencies alone, of 2304 in the half zone, and only the
+        # planes k1 <= 8 hold an orbit's first member
         A, M = stencil_operators(TorusGeometry(TAU, TAU, TAU), (16,) * 3)
-        planes = []
+        formed = {id(A): [], id(M): []}
         symbols = BlockCirculant.symbols
 
-        def counted(self, k1=slice(None)):
-            planes.append(k1.start)
-            return symbols(self, k1)
+        def counted(self, k):
+            formed[id(self)].append(k)
+            return symbols(self, k)
 
         monkeypatch.setattr(spectrum, "_SLAB_BLOCKS", 1)
         monkeypatch.setattr(BlockCirculant, "symbols", counted)
         res = solve_pencil(A, M)
-        assert sorted(set(planes)) == list(range(9))
+        assert [len(k) for k in formed[id(A)]] \
+            == [len(k) for k in formed[id(M)]]
+        k = np.concatenate(formed[id(A)])
+        assert np.array_equal(k, np.concatenate(formed[id(M)]))
+        assert len(k) == len(np.unique(k, axis=0)) == 417
+        assert sorted(set(k[:, 0].tolist())) == list(range(9))
         assert res.kernel_dim == 3 * 16 ** 3 + 3
+
+
+PERMUTED_SIDES = (TAU, 2.5 * np.pi, 3.0 * np.pi)
+
+
+class TestPermutedTorus:
+    """A torus with its sides and grid counts permuted by an axis
+    permutation p is the same complex, relabelled: the Kuhn subdivision
+    maps onto itself under every p.  So its spectrum and its cluster
+    errors are those of the unpermuted torus, to roundoff."""
+
+    @pytest.mark.parametrize("p", ALL_PERMS[1:], ids=str)
+    def test_same_spectrum(self, p):
+        grid = (4, 5, 6)
+        ref = solve_pencil(*stencil_operators(
+            TorusGeometry(*PERMUTED_SIDES), grid))
+        res = solve_pencil(*stencil_operators(
+            TorusGeometry(*np.array(PERMUTED_SIDES)[list(p)]),
+            tuple(np.array(grid)[list(p)])))
+        scale = np.abs(ref.eigenvalues).max()
+        assert np.abs(res.eigenvalues - ref.eigenvalues).max() \
+            <= 1e-14 * scale
+        assert res.kernel_dim == ref.kernel_dim == 3 * 4 * 5 * 6 + 3
+
+    @pytest.mark.parametrize("p", ALL_PERMS[1:], ids=str)
+    def test_same_cluster_errors(self, p):
+        # a cluster mean moves at most as far as its eigenvalues, 1e-14
+        # of max|lambda| at its grid
+        grids = [3, 4, 5]
+        ref = convergence_study(TorusGeometry(*PERMUTED_SIDES), grids)
+        got = convergence_study(
+            TorusGeometry(*np.array(PERMUTED_SIDES)[list(p)]), grids)
+        scales = {n: np.abs(solve_pencil(*stencil_operators(
+            TorusGeometry(*PERMUTED_SIDES), (n,) * 3)).eigenvalues).max()
+            for n in grids}
+        assert got["targets"] == ref["targets"]
+        assert got["monotone"] == ref["monotone"]
+        assert len(got["rows"]) == len(ref["rows"])
+        for a, b in zip(got["rows"], ref["rows"]):
+            scale = scales[b["grid"][0]]
+            assert (a["grid"], a["target"], a["multiplicity"]) \
+                == (b["grid"], b["target"], b["multiplicity"])
+            assert a["matched"] == b["matched"]
+            assert abs(a["cluster_mean"] - b["cluster_mean"]) \
+                <= 1e-14 * scale
+            assert abs(a["rel_error"] - b["rel_error"]) \
+                <= 1e-14 * scale / abs(b["target"])
 
 
 class TestClusters:
