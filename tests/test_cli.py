@@ -789,7 +789,7 @@ GOLDEN_DIGESTS = {
     "assemble_seed": "3bbd3269bd671ff3",
     "config_action": "a69f2e000918939e",
     "config_converge": "d369235391955126",
-    "config_eigs": "0e171650725231c6",
+    "config_eigs": "8c6c847f85d141b8",
     "config_mesh": "d6f7a697455379a1",
     "config_missing": "e396ae7d165ad749",
     "config_oracle_null": "0b3c30ac432fb44c",
@@ -799,10 +799,10 @@ GOLDEN_DIGESTS = {
     "config_verify_seed": "45f15a419dc988d3",
     "converge_bench": "47b581aecc3b8455",
     "converge_decreasing": "b306d47ec13f0bde",
-    "converge_short": "fd0e8b6e76147206",
-    "eigs_csv": "18fdce7dd101a22e",
-    "eigs_cutoff": "8af4703de43bc4df",
-    "eigs_grid3": "d67f409dd6f71a23",
+    "converge_short": "fc570fca37aec62a",
+    "eigs_csv": "a5aef4e707dcf992",
+    "eigs_cutoff": "161dbe1213495047",
+    "eigs_grid3": "67f242ccbd016857",
     "eigs_too_many": "5cd405e445d8ac8d",
     "mesh": "68618ba4a72bda53",
     "mesh_grid_1": "98d2ca1e01075124",
