@@ -296,9 +296,9 @@ class BlockCirculant:
                 @ self.blocks.swapaxes(-1, -2).reshape(27 * 7, 7)).ravel()
 
     def symbols(self, k) -> np.ndarray:
-        """Bloch symbols sum_s B_s exp(-2 pi i k.s / n) at the integer
-        lattice frequencies ``k``, (r, 3), as an (r, 7, 7) array, k taken
-        mod grid.
+        """Bloch symbols sum_s B_s exp(-2 pi i k.s / n) at the lattice
+        frequencies ``k``, (r, 3) signed integers, as an (r, 7, 7) array, k
+        taken mod grid.
 
         Each axis reads its phases from one table of roots of unity
         (``_roots``), so shifts of the same residue get the same phase,
@@ -310,10 +310,9 @@ class BlockCirculant:
         real.  No array of size E is formed.
         """
         k = np.asarray(k)
-        if k.ndim != 2 or k.shape[1] != 3 or k.dtype.kind not in "iu":
+        if k.ndim != 2 or k.shape[1] != 3 or k.dtype.kind != "i":
             raise ValueError(f"frequencies have shape {k.shape} and dtype "
                              f"{k.dtype}, expected (r, 3) integers")
-        k = k.astype(np.intp, copy=False)
         p1, p2, p3 = (_roots(n, k[:, axis], _SHIFTS)
                       for axis, n in enumerate(self.grid))
         phases = (p1[:, :, None, None] * p2[:, None, :, None]) \

@@ -354,13 +354,12 @@ class TestStencilRoute:
 
     def test_symbols_take_integer_frequencies(self):
         A, _ = stencil_operators(STENCIL_SIDES, (4, 5, 6))
-        for k in (np.zeros(3, int), np.zeros((2, 2), int), np.zeros((2, 3))):
+        for k in (np.zeros(3, int), np.zeros((2, 2), int), np.zeros((2, 3)),
+                  np.zeros((2, 3), np.uint64)):
             with pytest.raises(ValueError,
                                match=r"expected \(r, 3\) integers"):
                 A.symbols(k)
         assert A.symbols(np.zeros((0, 3), int)).shape == (0, 7, 7)
-        assert np.array_equal(A.symbols(np.ones((1, 3), np.uint8)),
-                              A.symbols(np.ones((1, 3), int)))
 
     @pytest.mark.parametrize("grid", STENCIL_GRIDS, ids=str)
     def test_eigenvalues_match_meshed_head(self, grid):
